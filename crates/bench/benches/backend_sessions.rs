@@ -15,7 +15,6 @@
 //! is absent the bench records the in-process rows and says so.
 
 use spatter_core::backend::{EngineBackend, InProcessBackend, StdioBackend};
-use spatter_core::campaign::run_aei_iteration;
 use spatter_core::generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
 use spatter_core::oracles::{AeiOracle, Oracle};
 use spatter_core::queries::{random_queries, QueryInstance};
@@ -76,8 +75,8 @@ fn run_batched(backend: &dyn EngineBackend, scenarios: &[Scenario], label: &'sta
     let mut flagged = 0;
     let mut queries = 0;
     for scenario in scenarios {
-        let (outcomes, _) =
-            run_aei_iteration(backend, &scenario.spec, &scenario.queries, &scenario.plan);
+        let outcomes =
+            AeiOracle::new(scenario.plan.clone()).check(backend, &scenario.spec, &scenario.queries);
         queries += scenario.queries.len();
         flagged += outcomes
             .iter()

@@ -2,8 +2,9 @@
 //! (statement execution) for N in {1, 10, 50, 100} geometries per run, 100
 //! queries per run, averaged over repeats, for three engine profiles.
 
-use spatter_core::campaign::{Campaign, CampaignConfig};
+use spatter_core::campaign::CampaignConfig;
 use spatter_core::generator::{GenerationStrategy, GeneratorConfig};
+use spatter_core::runner::CampaignRunner;
 use spatter_core::transform::AffineStrategy;
 use spatter_sdb::EngineProfile;
 use std::time::Duration;
@@ -42,7 +43,7 @@ fn main() {
                     seed: 100 + repeat as u64,
                     ..CampaignConfig::stock(profile)
                 };
-                let report = Campaign::new(config).run();
+                let report = CampaignRunner::new(config).run();
                 generation += report.generation_time;
                 engine += report.engine_time;
             }

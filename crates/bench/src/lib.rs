@@ -6,9 +6,10 @@
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 
 use spatter_core::backend::{EngineBackend, InProcessBackend};
-use spatter_core::campaign::{Campaign, CampaignConfig};
+use spatter_core::campaign::CampaignConfig;
 use spatter_core::generator::{GenerationStrategy, GeneratorConfig};
 use spatter_core::oracles::{AeiOracle, DifferentialOracle, IndexOracle, Oracle, TlpOracle};
+use spatter_core::runner::CampaignRunner;
 use spatter_core::scenarios::TriggerScenario;
 use spatter_core::transform::{AffineStrategy, TransformPlan};
 use spatter_geom::{AffineMatrix, AffineTransform};
@@ -55,7 +56,7 @@ pub fn default_campaign(
 
 /// Runs a time-boxed campaign and returns its report.
 pub fn run_campaign(config: CampaignConfig) -> spatter_core::campaign::CampaignReport {
-    Campaign::new(config).run()
+    CampaignRunner::new(config).run()
 }
 
 /// Checks whether the AEI methodology detects a fault on its trigger

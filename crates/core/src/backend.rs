@@ -19,8 +19,10 @@
 //!   re-run) loads are lexed and parsed once per scenario instead of once
 //!   per engine instance.
 //! * [`StdioBackend`] drives the `spatter-sdb-server` binary over
-//!   line-delimited SQL, proving the trait supports engines that live in
-//!   another process. When the server process dies mid-session (a *real*
+//!   line-delimited SQL: the sdb-server [`DialectSpec`] of the external
+//!   adapter ([`crate::matrix::ExternalBackend`]) plus the seeded faults it
+//!   knows, so attribution works across the process boundary. Its sessions
+//!   are the adapter's: when the server process dies mid-session (a *real*
 //!   crash, not the simulated `ERR crash` reply), the session reports a
 //!   [`BackendError::Transport`] failure for that query and transparently
 //!   respawns the server — replaying its setup statements — before the next
@@ -32,17 +34,15 @@
 //! `From<BackendError>` impl): crashes and transport failures are findings,
 //! semantic errors make a query inapplicable.
 
+use crate::matrix::{DialectSpec, ExternalBackend};
 use spatter_sdb::ast::Statement;
 use spatter_sdb::parser::parse_statement;
-use spatter_sdb::server::{read_ready, sanitize_line, Response};
 use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, SdbError};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Why a backend operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,6 +238,14 @@ const PARSE_CACHE_CAPACITY: usize = 4096;
 
 type ParseCache = Arc<Mutex<HashMap<String, Arc<Statement>>>>;
 
+/// Locks the parse cache, recovering it from poisoning: it only holds
+/// immutable parsed statements, so a panic on another thread while the lock
+/// was held cannot have left it inconsistent, and one panic must not kill
+/// every later session.
+fn lock_cache(cache: &ParseCache) -> MutexGuard<'_, HashMap<String, Arc<Statement>>> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The default backend: [`spatter_sdb::Engine`] in this process.
 #[derive(Debug, Clone)]
 pub struct InProcessBackend {
@@ -277,7 +285,7 @@ impl InProcessBackend {
     /// Number of statements currently held by the shared parse cache
     /// (observable so tests can assert the load path parses once).
     pub fn cached_statements(&self) -> usize {
-        self.parse_cache.lock().expect("parse cache poisoned").len()
+        lock_cache(&self.parse_cache).len()
     }
 }
 
@@ -325,15 +333,12 @@ impl InProcessSession {
     /// plus an `Arc` bump — statements are never cloned or executed under
     /// the lock.
     fn execute_cached(&mut self, sql: &str) -> Result<spatter_sdb::QueryResult, BackendError> {
-        let cached = {
-            let cache = self.parse_cache.lock().expect("parse cache poisoned");
-            cache.get(sql).cloned()
-        };
+        let cached = lock_cache(&self.parse_cache).get(sql).cloned();
         let statement = match cached {
             Some(statement) => statement,
             None => {
                 let statement = Arc::new(parse_statement(sql).map_err(map_sdb_error)?);
-                let mut cache = self.parse_cache.lock().expect("parse cache poisoned");
+                let mut cache = lock_cache(&self.parse_cache);
                 if cache.len() >= PARSE_CACHE_CAPACITY {
                     cache.clear();
                 }
@@ -385,7 +390,10 @@ fn map_sdb_error(error: SdbError) -> BackendError {
 // Stdio backend
 // ---------------------------------------------------------------------------
 
-/// A backend that drives a `spatter-sdb-server` process over stdio.
+/// A backend that drives a `spatter-sdb-server` process over stdio: the
+/// sdb-server dialect of [`crate::matrix::ExternalBackend`], plus the fault
+/// set the server is launched with — which is what lets attribution disable
+/// one fault at a time ([`EngineBackend::without_fault`]).
 #[derive(Debug, Clone)]
 pub struct StdioBackend {
     command: PathBuf,
@@ -422,63 +430,6 @@ impl StdioBackend {
     pub fn command(&self) -> &Path {
         &self.command
     }
-
-    fn spawn(&self) -> Result<ServerHandle, BackendError> {
-        let mut command = Command::new(&self.command);
-        command
-            .arg("--profile")
-            .arg(self.profile.name())
-            .arg("--faults")
-            .arg(if self.faults.is_empty() {
-                "none".to_string()
-            } else {
-                self.faults.to_names()
-            })
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if self.hard_crash {
-            command.arg("--hard-crash");
-        }
-        // A binary that does not exist or cannot be executed is a harness
-        // misconfiguration (wrong path, unbuilt server), not evidence about
-        // the engine under test: surfacing it as a `Transport` error would
-        // flood a campaign report with bogus crash findings, so it aborts
-        // loudly. Any other failure here — a transient spawn error (EAGAIN,
-        // fd exhaustion under process churn) or a server dying before its
-        // READY handshake (OOM-killed, signalled) — goes through the
-        // *canonical* transport error so finding descriptions stay
-        // byte-identical across worker counts and reruns, and the respawn
-        // path gets to retry.
-        let mut child = match command.spawn() {
-            Ok(child) => child,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::NotFound | std::io::ErrorKind::PermissionDenied
-                ) =>
-            {
-                panic!(
-                    "cannot spawn engine server {}: {e} — StdioBackend misconfigured \
-                     (build the spatter-sdb-server binary and check the path)",
-                    self.command.display()
-                )
-            }
-            Err(_) => return Err(transport_lost()),
-        };
-        let stdin = child.stdin.take().expect("stdin piped");
-        let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
-        let mut handle = ServerHandle {
-            child,
-            stdin,
-            stdout,
-        };
-        if read_ready(&mut handle.stdout).is_err() {
-            handle.shutdown();
-            return Err(transport_lost());
-        }
-        Ok(handle)
-    }
 }
 
 impl EngineBackend for StdioBackend {
@@ -487,13 +438,13 @@ impl EngineBackend for StdioBackend {
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        let handle = self.spawn()?;
-        Ok(Box::new(StdioSession {
-            backend: self.clone(),
-            handle: Some(handle),
-            setup: Vec::new(),
-            engine_time: Duration::ZERO,
-        }))
+        ExternalBackend::new(DialectSpec::sdb_server(
+            self.command.clone(),
+            self.profile,
+            self.faults.clone(),
+            self.hard_crash,
+        ))
+        .open_session()
     }
 
     fn fault_ids(&self) -> Vec<FaultId> {
@@ -513,157 +464,6 @@ impl EngineBackend for StdioBackend {
             faults: self.faults.clone(),
             hard_crash: self.hard_crash,
         })
-    }
-}
-
-struct ServerHandle {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-}
-
-impl ServerHandle {
-    /// One request/response round trip; any I/O or framing failure is a
-    /// transport error (the caller discards the handle). The statement is
-    /// flattened onto one wire frame first — newlines are legal whitespace
-    /// for the in-process parser, but an unflattened multi-line statement
-    /// would desynchronize the protocol and misattribute every subsequent
-    /// response.
-    fn request(&mut self, sql: &str) -> Result<Response, BackendError> {
-        let line = sanitize_line(sql);
-        if line.trim().is_empty() {
-            // The server skips blank input lines without replying, so
-            // sending one and blocking for a response would hang forever.
-            // Answer with the error reply locally — the in-process engine
-            // rejects an empty statement as a parse error too.
-            return Ok(Response::Error {
-                crash: false,
-                message: "parse error: empty statement".into(),
-            });
-        }
-        let send = writeln!(self.stdin, "{line}").and_then(|()| self.stdin.flush());
-        send.map_err(|_| transport_lost())?;
-        Response::read_from(&mut self.stdout).map_err(|_| transport_lost())
-    }
-
-    fn shutdown(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The canonical transport-failure error. The message is deliberately
-/// constant: it feeds finding descriptions, which must be byte-identical
-/// across worker counts regardless of whether the failure surfaced as a
-/// broken pipe, an EOF, or a half-written frame. Crate-visible so the
-/// external-engine adapter ([`crate::matrix`]) reports dead subprocesses
-/// with the identical message — kill-mid-cell recovery parity with this
-/// backend is asserted by the matrix tests.
-pub(crate) fn transport_lost() -> BackendError {
-    BackendError::Transport("engine process terminated".into())
-}
-
-/// A session over one server process. Remembers its setup script so that
-/// when the process dies the next request can respawn the server and replay
-/// the setup — the query that hit the dead process still reports its
-/// transport failure, but the shard keeps its session instead of losing
-/// every remaining query.
-struct StdioSession {
-    backend: StdioBackend,
-    handle: Option<ServerHandle>,
-    setup: Vec<String>,
-    engine_time: Duration,
-}
-
-impl StdioSession {
-    /// Sends one statement, lazily respawning (and replaying the setup
-    /// script on) a dead server first.
-    fn request(&mut self, sql: &str) -> Result<Response, BackendError> {
-        let started = Instant::now();
-        let result = self.request_inner(sql);
-        self.engine_time += started.elapsed();
-        result
-    }
-
-    fn request_inner(&mut self, sql: &str) -> Result<Response, BackendError> {
-        if self.handle.is_none() {
-            let mut handle = self.backend.spawn()?;
-            // Error *replies* during replay are ignored (the session's load
-            // already reported them); only a broken transport aborts.
-            for statement in &self.setup {
-                handle.request(statement)?;
-            }
-            self.handle = Some(handle);
-        }
-        let handle = self.handle.as_mut().expect("respawned above");
-        match handle.request(sql) {
-            Ok(response) => Ok(response),
-            Err(error) => {
-                // The process is gone; reap it now, respawn on demand later.
-                if let Some(mut dead) = self.handle.take() {
-                    dead.shutdown();
-                }
-                Err(error)
-            }
-        }
-    }
-
-    /// Maps an error reply to the backend taxonomy.
-    fn check(response: Response) -> Result<Response, BackendError> {
-        match response {
-            Response::Error {
-                crash: true,
-                message,
-            } => Err(BackendError::Crash(message)),
-            Response::Error {
-                crash: false,
-                message,
-            } => Err(BackendError::Semantic(message)),
-            other => Ok(other),
-        }
-    }
-}
-
-impl EngineSession for StdioSession {
-    fn load(&mut self, statements: &[String]) -> Result<(), BackendError> {
-        // Each statement joins the replay script just before it is sent, and
-        // recording stops at the first failure: a respawned server replays
-        // exactly what this server was asked to execute (including a
-        // statement whose deterministic crash must resurface), never the
-        // unsent tail — so pre- and post-crash state cannot diverge.
-        for statement in statements {
-            self.setup.push(statement.clone());
-            Self::check(self.request(statement)?)?;
-        }
-        Ok(())
-    }
-
-    fn run_count(&mut self, sql: &str) -> Result<Option<i64>, BackendError> {
-        // The count is evaluated server-side with `QueryResult::count`, so
-        // the in-process and stdio backends agree on count semantics by
-        // construction.
-        match Self::check(self.request(sql)?)? {
-            Response::Rows { count, .. } => Ok(count),
-            _ => Ok(None),
-        }
-    }
-
-    fn run_rows(&mut self, sql: &str) -> Result<Vec<String>, BackendError> {
-        match Self::check(self.request(sql)?)? {
-            Response::Rows { rows, .. } => Ok(rows),
-            Response::None | Response::Effect(_) => Ok(Vec::new()),
-            Response::Error { .. } => unreachable!("check() filtered errors"),
-        }
-    }
-
-    fn engine_time(&self) -> Duration {
-        self.engine_time
     }
 }
 
@@ -803,15 +603,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "StdioBackend misconfigured")]
-    fn stdio_backend_panics_on_a_missing_server_binary() {
-        // A server that cannot be spawned at all is harness misconfiguration,
-        // not an engine crash: it must abort instead of flooding a campaign
-        // report with bogus per-scenario crash findings.
-        let backend = StdioBackend::stock(
-            "/nonexistent/spatter-sdb-server",
-            EngineProfile::PostgisLike,
+    fn a_poisoned_parse_cache_does_not_kill_later_sessions() {
+        let backend = InProcessBackend::reference(EngineProfile::PostgisLike);
+        let cache = Arc::clone(&backend.parse_cache);
+        let panicked = std::thread::spawn(move || {
+            let _guard = cache.lock().unwrap();
+            panic!("a panic while the parse cache is locked");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(backend.parse_cache.is_poisoned());
+
+        let mut session = loaded_session(&backend);
+        assert_eq!(
+            session.run_count("SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, 5)"),
+            Ok(Some(4))
         );
-        let _ = backend.open_session();
+        assert_eq!(backend.cached_statements(), 3);
     }
 }

@@ -1,4 +1,5 @@
-//! The testing-campaign driver (§5.1, §5.4).
+//! The testing-campaign configuration and report (§5.1, §5.4); campaigns
+//! run through [`crate::runner::CampaignRunner`].
 //!
 //! A campaign repeatedly: generates a spatial database with the
 //! geometry-aware generator, constructs its affine-equivalent counterpart,
@@ -11,13 +12,11 @@
 
 use crate::backend::{BackendSpec, EngineBackend, InProcessBackend};
 use crate::generator::GeneratorConfig;
-use crate::guidance::{GuidanceMode, ScenarioKnobs};
-use crate::mutation::{MutationConfig, MutationScript};
-use crate::oracles::{DivergenceSide, OracleOutcome};
-use crate::queries::QueryInstance;
+use crate::guidance::GuidanceMode;
+use crate::mutation::MutationConfig;
+use crate::oracles::DivergenceSide;
 use crate::runner::OracleKind;
-use crate::spec::DatabaseSpec;
-use crate::transform::{AffineStrategy, TransformPlan};
+use crate::transform::AffineStrategy;
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -61,8 +60,8 @@ pub struct CampaignConfig {
     /// Optional mutation workload: a deterministic per-iteration
     /// [`MutationScript`] of interleaved UPDATE/DELETE/INSERT/DDL statements,
     /// applied to both AEI frames between queries
-    /// ([`run_aei_iteration_with_mutations`]). `None` (the default) keeps
-    /// the historical load-once campaigns byte for byte.
+    /// ([`crate::oracles::AeiOracle::with_mutations`]). `None` (the default)
+    /// keeps the historical load-once campaigns byte for byte.
     pub mutations: Option<MutationConfig>,
     /// The oracle suite run on every iteration (AEI alone by default).
     /// Lives in the config — rather than on the runner — so a campaign is
@@ -252,199 +251,11 @@ impl CampaignReport {
     }
 }
 
-/// The campaign driver.
-///
-/// Since the introduction of the sharded [`crate::runner::CampaignRunner`]
-/// this type is a thin single-worker facade over it: `Campaign::new(c).run()`
-/// is exactly `CampaignRunner::new(c).run()` with `n_workers = 1`. All
-/// existing call sites and benches keep working; callers that want
-/// parallelism construct the runner directly.
-pub struct Campaign {
-    config: CampaignConfig,
-}
-
-impl Campaign {
-    /// Creates a campaign from a configuration.
-    pub fn new(config: CampaignConfig) -> Self {
-        Campaign { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// Runs the campaign sequentially on the calling thread.
-    pub fn run(&self) -> CampaignReport {
-        crate::runner::CampaignRunner::new(self.config.clone()).run()
-    }
-}
-
-/// Runs the AEI check for one iteration against an engine backend, returning
-/// the per-query outcomes and the time spent inside the engine (loading both
-/// databases and running every query on both). Both sessions are opened once
-/// and reused across the whole query batch, amortizing parsing and catalog
-/// setup (Figure 7: engine execution dominates campaign wall time).
-pub fn run_aei_iteration(
-    backend: &dyn EngineBackend,
-    spec: &DatabaseSpec,
-    queries: &[QueryInstance],
-    plan: &TransformPlan,
-) -> (Vec<OracleOutcome>, Duration) {
-    run_aei_iteration_with_knobs(backend, spec, queries, plan, &ScenarioKnobs::baseline())
-}
-
-/// [`run_aei_iteration`] under explicit [`ScenarioKnobs`]: the knob-derived
-/// setup (indexes, planner settings) is applied identically to `SDB1` and
-/// its affine-equivalent `SDB2`, so knob effects can never masquerade as an
-/// AEI discrepancy. With baseline knobs this is exactly
-/// [`run_aei_iteration`].
-pub fn run_aei_iteration_with_knobs(
-    backend: &dyn EngineBackend,
-    spec: &DatabaseSpec,
-    queries: &[QueryInstance],
-    plan: &TransformPlan,
-    knobs: &ScenarioKnobs,
-) -> (Vec<OracleOutcome>, Duration) {
-    let transformed = plan.apply(spec);
-    let mut engine_time = Duration::ZERO;
-
-    let mut session1 = match crate::oracles::open_loaded(backend, &knobs.setup_sql(spec)) {
-        Ok(session) => session,
-        Err((outcome, spent)) => return (vec![outcome; queries.len().max(1)], engine_time + spent),
-    };
-    let mut session2 = match crate::oracles::open_loaded(backend, &knobs.setup_sql(&transformed)) {
-        Ok(session) => session,
-        Err((outcome, spent)) => return (vec![outcome; queries.len().max(1)], engine_time + spent),
-    };
-
-    let mut outcomes = Vec::with_capacity(queries.len());
-    for query in queries {
-        outcomes.push(crate::oracles::check_aei_query(
-            session1.as_mut(),
-            session2.as_mut(),
-            spec,
-            query,
-            plan,
-        ));
-    }
-    engine_time += session1.engine_time();
-    engine_time += session2.engine_time();
-    (outcomes, engine_time)
-}
-
-/// [`run_aei_iteration_with_knobs`] with an interleaved mutation workload:
-/// before each query's AEI check, the script's batch for that query index is
-/// applied to both frames — the original statements to `SDB1`, the
-/// affine-transformed statements to `SDB2` — and the oracle's view of the
-/// database ([`DatabaseSpec`]) evolves in lockstep, so the §7
-/// well-definedness screens always see the database the query actually ran
-/// against. With an empty script this is exactly
-/// [`run_aei_iteration_with_knobs`].
-pub fn run_aei_iteration_with_mutations(
-    backend: &dyn EngineBackend,
-    spec: &DatabaseSpec,
-    queries: &[QueryInstance],
-    plan: &TransformPlan,
-    knobs: &ScenarioKnobs,
-    script: &MutationScript,
-) -> (Vec<OracleOutcome>, Duration) {
-    run_mutated_aei(backend, spec, queries, plan, knobs, script, None)
-}
-
-/// Replays the mutation prefix up to and including query `query_index`'s
-/// batch, then checks only that query — the attribution path of mutation
-/// campaigns: a finding is only reproduced faithfully when the re-run
-/// performs the full mutation history that produced the database state the
-/// query observed.
-pub(crate) fn check_mutated_aei_query(
-    backend: &dyn EngineBackend,
-    spec: &DatabaseSpec,
-    queries: &[QueryInstance],
-    plan: &TransformPlan,
-    knobs: &ScenarioKnobs,
-    script: &MutationScript,
-    query_index: usize,
-) -> OracleOutcome {
-    let (outcomes, _) = run_mutated_aei(
-        backend,
-        spec,
-        queries,
-        plan,
-        knobs,
-        script,
-        Some(query_index),
-    );
-    outcomes
-        .into_iter()
-        .next()
-        .unwrap_or(OracleOutcome::Inapplicable)
-}
-
-fn run_mutated_aei(
-    backend: &dyn EngineBackend,
-    spec: &DatabaseSpec,
-    queries: &[QueryInstance],
-    plan: &TransformPlan,
-    knobs: &ScenarioKnobs,
-    script: &MutationScript,
-    only: Option<usize>,
-) -> (Vec<OracleOutcome>, Duration) {
-    let transformed = plan.apply(spec);
-    let expected = match only {
-        Some(_) => 1,
-        None => queries.len().max(1),
-    };
-
-    let mut session1 = match crate::oracles::open_loaded(backend, &knobs.setup_sql(spec)) {
-        Ok(session) => session,
-        Err((outcome, spent)) => return (vec![outcome; expected], spent),
-    };
-    let mut session2 = match crate::oracles::open_loaded(backend, &knobs.setup_sql(&transformed)) {
-        Ok(session) => session,
-        Err((outcome, spent)) => return (vec![outcome; expected], spent),
-    };
-
-    let mut evolved = spec.clone();
-    let mut outcomes = Vec::with_capacity(expected);
-    for (query_index, query) in queries.iter().enumerate() {
-        let batch1 = script.frame1_batch(query_index);
-        let batch2 = script.frame2_batch(query_index, plan);
-        // A failing mutation batch poisons the rest of the run the same way
-        // a failing setup load poisons a whole scenario.
-        let failure = match session1.load(&batch1) {
-            Err(error) => Some(OracleOutcome::from(error)),
-            Ok(()) => session2.load(&batch2).err().map(OracleOutcome::from),
-        };
-        if let Some(outcome) = failure {
-            while outcomes.len() < expected {
-                outcomes.push(outcome.clone());
-            }
-            break;
-        }
-        script.apply_batch_to_spec(query_index, &mut evolved);
-        if only.is_some_and(|target| target != query_index) {
-            continue;
-        }
-        outcomes.push(crate::oracles::check_aei_query(
-            session1.as_mut(),
-            session2.as_mut(),
-            &evolved,
-            query,
-            plan,
-        ));
-        if only == Some(query_index) {
-            break;
-        }
-    }
-    let engine_time = session1.engine_time() + session2.engine_time();
-    (outcomes, engine_time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::GenerationStrategy;
+    use crate::runner::CampaignRunner;
 
     fn small_config(profile: EngineProfile, faults: Option<FaultSet>) -> CampaignConfig {
         let base = match faults {
@@ -472,7 +283,7 @@ mod tests {
     #[test]
     fn campaign_on_reference_engine_reports_no_findings() {
         let config = small_config(EngineProfile::PostgisLike, Some(FaultSet::none()));
-        let report = Campaign::new(config).run();
+        let report = CampaignRunner::new(config).run();
         assert_eq!(report.findings.len(), 0, "{:#?}", report.findings);
         assert_eq!(report.unique_bug_count(), 0);
         assert_eq!(report.iterations_run, 6);
@@ -484,7 +295,7 @@ mod tests {
         let mut config = small_config(EngineProfile::PostgisLike, None);
         config.iterations = 25;
         config.seed = 3;
-        let report = Campaign::new(config).run();
+        let report = CampaignRunner::new(config).run();
         assert!(
             !report.findings.is_empty(),
             "the stock PostGIS-like engine should produce findings"
@@ -503,14 +314,14 @@ mod tests {
         let mut config = small_config(EngineProfile::MysqlLike, Some(FaultSet::none()));
         config.iterations = 10_000;
         config.time_budget = Some(Duration::from_millis(50));
-        let report = Campaign::new(config).run();
+        let report = CampaignRunner::new(config).run();
         assert!(report.iterations_run < 10_000);
     }
 
     #[test]
     fn generation_and_engine_time_are_tracked() {
         let config = small_config(EngineProfile::DuckdbSpatialLike, Some(FaultSet::none()));
-        let report = Campaign::new(config).run();
+        let report = CampaignRunner::new(config).run();
         assert!(report.engine_time > Duration::ZERO);
         assert!(report.total_time >= report.engine_time);
     }

@@ -29,9 +29,9 @@
 //!    from the in-process engine: the same code drives the
 //!    `spatter-sdb-server` subprocess over line-delimited SQL, with
 //!    per-scenario sessions batching the whole query set.
-//! 5. [`campaign`] — the testing-campaign driver: runs iterations, detects
-//!    crashes and logic discrepancies, reduces failing scenarios
-//!    ([`reducer`]), attributes each finding to the seeded fault that causes
+//! 5. [`campaign`] / [`runner`] — the testing campaign: the
+//!    [`runner::CampaignRunner`] runs iterations, detects crashes and logic
+//!    discrepancies, attributes each finding to the seeded fault that causes
 //!    it (the deduplication step of §5.4), and tracks timing and coverage for
 //!    Figures 7 and 8 and Table 5. With [`guidance::GuidanceMode::ColdProbe`]
 //!    the runner additionally biases generation toward probes a short warm-up
@@ -48,7 +48,8 @@
 //!    per-iteration state hashes ([`replay::ReplayFrame`]) recorded into
 //!    line-delimited replay artifacts, artifact/live divergence bisection to
 //!    the first diverging iteration, and coverage-preserving guided
-//!    reduction of the diverging scenario.
+//!    reduction of the diverging scenario (the reducer of failing
+//!    scenarios, [`replay::reduce`]).
 //! 8. [`matrix`] — the differential testing matrix: external-engine
 //!    adapters ([`matrix::ExternalBackend`] over a plain-data
 //!    [`matrix::DialectSpec`]) and an N×N campaign grid running the AEI +
@@ -65,7 +66,6 @@ pub mod matrix;
 pub mod mutation;
 pub mod oracles;
 pub mod queries;
-pub mod reducer;
 pub mod replay;
 pub mod rng;
 pub mod runner;
@@ -76,7 +76,7 @@ pub mod transform;
 pub use backend::{
     BackendError, BackendSpec, EngineBackend, EngineSession, InProcessBackend, StdioBackend,
 };
-pub use campaign::{Campaign, CampaignConfig, CampaignReport, Finding, FindingKind};
+pub use campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 pub use dist::{DistConfig, DistError, DistRunner, DistStats, LeasePolicy};
 pub use fabric::{ChannelControl, StdioTransport, TcpTransport, Transport, WorkerChannel};
 pub use generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};

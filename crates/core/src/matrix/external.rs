@@ -1,20 +1,20 @@
 //! The external-engine adapter: an [`EngineBackend`] over any SQL-speaking
 //! subprocess, described entirely by plain data.
 //!
-//! [`StdioBackend`](crate::backend::StdioBackend) already proved the backend
-//! traits support out-of-process engines — but it is hard-wired to the
-//! `spatter-sdb-server` protocol. The differential matrix needs to point the
-//! same oracle suite at engines the harness does not control (a real PostGIS
-//! behind `psql`, say), so this module factors the "drive a subprocess over
-//! line-delimited SQL" pattern into a [`DialectSpec`]: how to launch the
-//! process, how to know it is ready, how statements are terminated, and how
-//! replies are parsed ([`ReplyGrammar`]). Two grammars ship:
+//! This module owns the one subprocess session of the workspace: "drive a
+//! process over line-delimited SQL" is captured by a [`DialectSpec`] — how
+//! to launch the process, how to know it is ready, how statements are
+//! terminated, and how replies are parsed ([`ReplyGrammar`]). The
+//! differential matrix points the oracle suite at engines the harness does
+//! not control (a real PostGIS behind `psql`, say) through it, and
+//! [`StdioBackend`](crate::backend::StdioBackend) is the sdb-server dialect
+//! plus the seeded faults it knows. Two grammars ship:
 //!
 //! * [`ReplyGrammar::SdbServer`] — the native `spatter-sdb-server` reply
-//!   protocol, reusing the server crate's own parser. This is the hermetic
-//!   self-test dialect: an [`ExternalBackend`] wrapping the server binary
-//!   must behave exactly like a [`StdioBackend`](crate::backend::StdioBackend)
-//!   of the same configuration, which the matrix tests assert.
+//!   protocol, reusing the server crate's own parser. An [`ExternalBackend`]
+//!   wrapping the server binary runs the exact sessions of a
+//!   [`StdioBackend`](crate::backend::StdioBackend) of the same
+//!   configuration; it only differs in knowing no faults.
 //! * [`ReplyGrammar::Sentinel`] — the `psql`-shaped grammar: after each
 //!   statement an echo command is sent whose output (the *done marker*)
 //!   delimits the reply; any reply line starting with a configured error
@@ -26,12 +26,10 @@
 //! An external engine's faults are unknown by definition, so
 //! [`ExternalBackend::fault_ids`] is empty: campaign attribution is disabled
 //! for external cells (real-engine semantics), exactly as documented on
-//! [`EngineBackend::fault_ids`]. Dead subprocesses surface the same canonical
-//! transport error as the stdio backend and are lazily respawned with their
-//! setup script replayed — kill-mid-cell recovery parity is part of the
-//! matrix test suite.
+//! [`EngineBackend::fault_ids`]. A dead subprocess surfaces the canonical
+//! transport error and is lazily respawned with its setup script replayed.
 
-use crate::backend::{transport_lost, BackendError, BackendSpec, EngineBackend, EngineSession};
+use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
 use spatter_sdb::server::{sanitize_line, Response};
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
 use std::io::{BufRead, BufReader, Write};
@@ -91,11 +89,10 @@ pub struct DialectSpec {
 }
 
 impl DialectSpec {
-    /// The hermetic self-test dialect: drives a `spatter-sdb-server` binary
-    /// through the generic adapter. Behaviourally equivalent to a
-    /// [`crate::backend::StdioBackend`] of the same configuration, which is
-    /// exactly what makes it useful — matrix plumbing is exercised with no
-    /// external engine installed.
+    /// The `spatter-sdb-server` dialect: the launch configuration every
+    /// [`crate::backend::StdioBackend`] session uses, and the hermetic
+    /// self-test dialect of the matrix — matrix plumbing is exercised with
+    /// no external engine installed.
     pub fn sdb_server(
         command: impl Into<PathBuf>,
         profile: EngineProfile,
@@ -183,10 +180,15 @@ impl ExternalBackend {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
-        // Same taxonomy as StdioBackend::spawn: an unspawnable binary is a
-        // harness misconfiguration and aborts loudly; everything else is the
-        // canonical transport error so the respawn path can retry and
-        // finding descriptions stay byte-identical.
+        // A binary that does not exist or cannot be executed is a harness
+        // misconfiguration (wrong path, unbuilt server), not evidence about
+        // the engine under test: surfacing it as a `Transport` error would
+        // flood a campaign report with bogus crash findings, so it aborts
+        // loudly. Any other failure here — a transient spawn error (EAGAIN,
+        // fd exhaustion under process churn) or an engine dying before its
+        // ready line (OOM-killed, signalled) — goes through the canonical
+        // transport error so finding descriptions stay byte-identical across
+        // worker counts and reruns, and the respawn path gets to retry.
         let mut child = match command.spawn() {
             Ok(child) => child,
             Err(e)
@@ -196,8 +198,8 @@ impl ExternalBackend {
                 ) =>
             {
                 panic!(
-                    "cannot spawn external engine {}: {e} — ExternalBackend misconfigured \
-                     (check the dialect's command path)",
+                    "cannot spawn engine {}: {e} — backend misconfigured \
+                     (build the engine binary and check the command path)",
                     self.dialect.command.display()
                 )
             }
@@ -372,10 +374,23 @@ impl Drop for ExternalHandle {
     }
 }
 
-/// A session over one external process. The respawn discipline is the stdio
-/// backend's, verbatim: the setup script is recorded statement by statement
-/// *before* each send and recording stops at the first failure, so a
-/// respawned process replays exactly what the dead one was asked to execute.
+/// The canonical transport-failure error. The message is deliberately
+/// constant: it feeds finding descriptions, which must be byte-identical
+/// across worker counts regardless of whether the failure surfaced as a
+/// broken pipe, an EOF, or a half-written frame.
+fn transport_lost() -> BackendError {
+    BackendError::Transport("engine process terminated".into())
+}
+
+/// A session over one subprocess: the one session behind both
+/// [`ExternalBackend`] and [`StdioBackend`](crate::backend::StdioBackend).
+/// It remembers its setup script so that when the process dies the next
+/// request can respawn it and replay the setup — the query that hit the
+/// dead process still reports its transport failure, but the shard keeps
+/// its session instead of losing every remaining query. The script is
+/// recorded statement by statement *before* each send and recording stops
+/// at the first failure, so a respawned process replays exactly what the
+/// dead one was asked to execute.
 struct ExternalSession {
     backend: ExternalBackend,
     handle: Option<ExternalHandle>,
@@ -509,14 +524,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ExternalBackend misconfigured")]
-    fn missing_command_is_a_misconfiguration_panic() {
-        let dialect = DialectSpec::sdb_server(
-            "/nonexistent/engine",
-            EngineProfile::PostgisLike,
-            FaultSet::none(),
-            false,
-        );
-        let _ = ExternalBackend::new(dialect).open_session();
+    fn a_missing_engine_binary_is_a_misconfiguration_panic() {
+        // A binary that cannot be spawned at all is harness misconfiguration,
+        // not an engine crash: it must abort instead of flooding a campaign
+        // report with bogus per-scenario crash findings. Both subprocess
+        // backends reach the one spawn path.
+        let command = "/nonexistent/spatter-sdb-server";
+        let backends: [Box<dyn EngineBackend>; 2] = [
+            Box::new(crate::backend::StdioBackend::stock(
+                command,
+                EngineProfile::PostgisLike,
+            )),
+            Box::new(ExternalBackend::new(DialectSpec::sdb_server(
+                command,
+                EngineProfile::PostgisLike,
+                FaultSet::none(),
+                false,
+            ))),
+        ];
+        for backend in backends {
+            let open = std::panic::AssertUnwindSafe(|| backend.open_session().map(|_| ()));
+            let panic = std::panic::catch_unwind(open).expect_err("opening a session must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(message.contains("backend misconfigured"), "{message}");
+        }
     }
 }

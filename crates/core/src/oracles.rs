@@ -16,12 +16,14 @@
 
 use crate::backend::{BackendError, EngineBackend, EngineSession, InProcessBackend};
 use crate::guidance::ScenarioKnobs;
+use crate::mutation::MutationScript;
 use crate::queries::{QueryInstance, QueryTemplate, RangeFunction};
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
 use spatter_geom::wkt::{parse_wkt, write_wkt};
 use spatter_sdb::EngineProfile;
 use spatter_topo::distance as topo_distance;
+use std::time::{Duration, Instant};
 
 /// Which engine of a comparison a finding implicates. Every oracle compares
 /// two executions; the *left* side is always the engine under test (the
@@ -198,22 +200,53 @@ pub trait Oracle: Send + Sync {
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
     ) -> Vec<OracleOutcome>;
+
+    /// [`Oracle::check`] plus the time it spent in engines (the Figure 7
+    /// split). By default this is the wall time of the check; oracles that
+    /// can measure in-engine time exactly report that instead.
+    fn check_timed(
+        &self,
+        backend: &dyn EngineBackend,
+        spec: &DatabaseSpec,
+        queries: &[QueryInstance],
+    ) -> (Vec<OracleOutcome>, Duration) {
+        let started = Instant::now();
+        let outcomes = self.check(backend, spec, queries);
+        (outcomes, started.elapsed())
+    }
+
+    /// Re-checks only query `index` of a scenario whose full batch is
+    /// `queries` — the attribution path. By default this is
+    /// [`Oracle::check`] on `queries[index..=index]`; oracles whose queries
+    /// observe state left by earlier ones (the AEI oracle under a mutation
+    /// workload) override it to replay that history first.
+    fn check_one(
+        &self,
+        backend: &dyn EngineBackend,
+        spec: &DatabaseSpec,
+        queries: &[QueryInstance],
+        index: usize,
+    ) -> OracleOutcome {
+        self.check(backend, spec, std::slice::from_ref(&queries[index]))
+            .into_iter()
+            .next()
+            .unwrap_or(OracleOutcome::Inapplicable)
+    }
 }
 
 /// Opens a session and loads a statement batch into it, mapping failures to
 /// the scenario-wide outcome (crash, or inapplicable for semantic errors).
-/// The error carries the engine time the failed load consumed, so callers
-/// that track the Figure 7 split ([`crate::campaign::run_aei_iteration`])
-/// can account for it; oracles that don't just discard it. Shared so the
-/// campaign path and the standalone oracles can never diverge on load-error
-/// classification.
-pub(crate) fn open_loaded(
+/// The error carries the engine time the failed load consumed, so the AEI
+/// oracle can account for it in [`Oracle::check_timed`]; oracles that don't
+/// track engine time just discard it. Shared so every oracle classifies
+/// load errors the same way.
+fn open_loaded(
     backend: &dyn EngineBackend,
     statements: &[String],
-) -> Result<Box<dyn EngineSession>, (OracleOutcome, std::time::Duration)> {
+) -> Result<Box<dyn EngineSession>, (OracleOutcome, Duration)> {
     let mut session = backend
         .open_session()
-        .map_err(|error| (OracleOutcome::from(error), std::time::Duration::ZERO))?;
+        .map_err(|error| (OracleOutcome::from(error), Duration::ZERO))?;
     if let Err(error) = session.load(statements) {
         let spent = session.engine_time();
         return Err((error.into(), spent));
@@ -338,8 +371,7 @@ fn map_observed_through_plan(observed: Observed, plan: &TransformPlan) -> Observ
 
 /// Checks the AEI property for one query on an already-loaded session pair
 /// (`session1` holds `SDB1`, `session2` its affine-equivalent `SDB2`).
-/// Shared between [`AeiOracle`] and [`crate::campaign::run_aei_iteration`].
-pub(crate) fn check_aei_query(
+fn check_aei_query(
     session1: &mut dyn EngineSession,
     session2: &mut dyn EngineSession,
     spec: &DatabaseSpec,
@@ -411,6 +443,9 @@ pub(crate) fn check_aei_query(
 /// The Affine Equivalent Inputs oracle (§4.4): the same query must return the
 /// same count on `SDB1` and on its canonicalized + affine-transformed
 /// counterpart `SDB2`.
+///
+/// This is the one AEI implementation: campaigns, attribution re-runs,
+/// benches and the replay tooling all check AEI through it.
 pub struct AeiOracle {
     /// The transformation plan that builds `SDB2` from `SDB1`.
     pub plan: TransformPlan,
@@ -419,6 +454,9 @@ pub struct AeiOracle {
     /// so attribution re-runs replay the exact scenario that produced a
     /// finding).
     knobs: ScenarioKnobs,
+    /// The optional mutation workload: before each query's check, the
+    /// script's batch for that query index is applied to both frames.
+    script: Option<MutationScript>,
 }
 
 impl AeiOracle {
@@ -427,14 +465,96 @@ impl AeiOracle {
         AeiOracle {
             plan,
             knobs: ScenarioKnobs::baseline(),
+            script: None,
         }
     }
 
     /// Replaces the scenario knobs (indexes, planner settings) the oracle
-    /// loads into both frames.
+    /// loads into both frames. The knob-derived setup is applied
+    /// identically to `SDB1` and `SDB2`, so knob effects can never
+    /// masquerade as an AEI discrepancy.
     pub fn with_knobs(mut self, knobs: ScenarioKnobs) -> Self {
         self.knobs = knobs;
         self
+    }
+
+    /// Interleaves a mutation workload with the queries: before query `k`
+    /// is checked, the script's batch `k` is applied to both frames — the
+    /// original statements to `SDB1`, the affine-transformed statements to
+    /// `SDB2` — and the oracle's view of the database ([`DatabaseSpec`])
+    /// evolves in lockstep, so the §7 well-definedness screens always see
+    /// the database the query actually ran against. The script is indexed
+    /// by query position, so `check` must be given the full query batch.
+    pub fn with_mutations(mut self, script: MutationScript) -> Self {
+        self.script = Some(script);
+        self
+    }
+
+    /// Opens one loaded session per frame, then checks every query — or,
+    /// with `only = Some(k)`, just query `k`, after replaying the mutation
+    /// prefix that produced the state it observed. Returns the outcomes and
+    /// the exact time spent inside the engine.
+    fn run(
+        &self,
+        backend: &dyn EngineBackend,
+        spec: &DatabaseSpec,
+        queries: &[QueryInstance],
+        only: Option<usize>,
+    ) -> (Vec<OracleOutcome>, Duration) {
+        let expected = if only.is_some() {
+            1
+        } else {
+            queries.len().max(1)
+        };
+        let transformed = self.plan.apply(spec);
+        let mut session1 = match open_loaded(backend, &self.knobs.setup_sql(spec)) {
+            Ok(session) => session,
+            Err((outcome, spent)) => return (vec![outcome; expected], spent),
+        };
+        let mut session2 = match open_loaded(backend, &self.knobs.setup_sql(&transformed)) {
+            Ok(session) => session,
+            Err((outcome, spent)) => return (vec![outcome; expected], spent),
+        };
+
+        // Without a script no query depends on its predecessors, so a single
+        // re-check starts right at its query.
+        let first = match (&self.script, only) {
+            (None, Some(index)) => index,
+            _ => 0,
+        };
+        let end = only.map_or(queries.len(), |index| index + 1);
+        // The evolving database view; cloned only once a mutation applies.
+        let mut evolved: Option<DatabaseSpec> = None;
+        let mut outcomes = Vec::with_capacity(expected);
+        for (index, query) in queries.iter().enumerate().take(end).skip(first) {
+            if let Some(script) = &self.script {
+                // A failing mutation batch poisons the rest of the run the
+                // same way a failing setup load poisons a whole scenario.
+                let failure = match session1.load(&script.frame1_batch(index)) {
+                    Err(error) => Some(OracleOutcome::from(error)),
+                    Ok(()) => session2
+                        .load(&script.frame2_batch(index, &self.plan))
+                        .err()
+                        .map(OracleOutcome::from),
+                };
+                if let Some(outcome) = failure {
+                    outcomes.resize(expected, outcome);
+                    break;
+                }
+                script.apply_batch_to_spec(index, evolved.get_or_insert_with(|| spec.clone()));
+            }
+            if only.is_some_and(|target| target != index) {
+                continue;
+            }
+            outcomes.push(check_aei_query(
+                session1.as_mut(),
+                session2.as_mut(),
+                evolved.as_ref().unwrap_or(spec),
+                query,
+                &self.plan,
+            ));
+        }
+        (outcomes, session1.engine_time() + session2.engine_time())
     }
 }
 
@@ -449,27 +569,32 @@ impl Oracle for AeiOracle {
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
     ) -> Vec<OracleOutcome> {
-        let transformed = self.plan.apply(spec);
-        let mut session1 = match open_loaded(backend, &self.knobs.setup_sql(spec)) {
-            Ok(session) => session,
-            Err((outcome, _)) => return vec![outcome; queries.len().max(1)],
-        };
-        let mut session2 = match open_loaded(backend, &self.knobs.setup_sql(&transformed)) {
-            Ok(session) => session,
-            Err((outcome, _)) => return vec![outcome; queries.len().max(1)],
-        };
-        queries
-            .iter()
-            .map(|query| {
-                check_aei_query(
-                    session1.as_mut(),
-                    session2.as_mut(),
-                    spec,
-                    query,
-                    &self.plan,
-                )
-            })
-            .collect()
+        self.run(backend, spec, queries, None).0
+    }
+
+    /// Reports the exact in-engine time: loading both frames, applying the
+    /// mutation batches and running every query on both.
+    fn check_timed(
+        &self,
+        backend: &dyn EngineBackend,
+        spec: &DatabaseSpec,
+        queries: &[QueryInstance],
+    ) -> (Vec<OracleOutcome>, Duration) {
+        self.run(backend, spec, queries, None)
+    }
+
+    fn check_one(
+        &self,
+        backend: &dyn EngineBackend,
+        spec: &DatabaseSpec,
+        queries: &[QueryInstance],
+        index: usize,
+    ) -> OracleOutcome {
+        let (outcomes, _) = self.run(backend, spec, queries, Some(index));
+        outcomes
+            .into_iter()
+            .next()
+            .unwrap_or(OracleOutcome::Inapplicable)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Guided reduction: shrinking a diverging scenario while preserving its
 //! probe delta.
 //!
-//! Blind delta-debugging ([`crate::reducer`]) keeps a candidate whenever
-//! the discrepancy still reproduces — which routinely trades the
+//! This is the reducer of failing scenarios (the automatic part of the
+//! paper's §5.1 test-case reduction). Blind delta-debugging keeps a
+//! candidate whenever the discrepancy still reproduces — which routinely trades the
 //! *interesting* reproduction for a boring one: removing the geometry that
 //! exercised the rare code path can leave a scenario that still "fails",
 //! but through a different, already-known route. Replay frames record what
@@ -15,7 +16,7 @@
 //! The probes of each candidate check are measured with the same
 //! thread-local recorder the runner uses ([`local::measure`]), so the
 //! whole reduction must run on one thread and outside any other active
-//! recording (it is an offline tool, like the reducer).
+//! recording (it is an offline tool).
 
 use crate::queries::QueryInstance;
 use crate::spec::DatabaseSpec;
@@ -122,8 +123,10 @@ mod tests {
 
     #[test]
     fn reduction_shrinks_while_preserving_probes() {
-        // The reducer module's Listing 6-style scenario: a canonicalization
-        // discrepancy plus noise rows the reduction must strip.
+        // A Listing 6-style canonicalization discrepancy plus noise rows the
+        // reduction must strip. The collection is stored line-first, so
+        // element reordering during canonicalization flips the "last one
+        // wins" faulty answer.
         let mut spec = DatabaseSpec::with_tables(2);
         spec.tables[0]
             .geometries

@@ -41,10 +41,7 @@
 //! barrier over the wire, byte-identically.
 
 use crate::backend::{BackendSpec, EngineBackend};
-use crate::campaign::{check_mutated_aei_query, run_aei_iteration_with_mutations};
-use crate::campaign::{
-    run_aei_iteration_with_knobs, CampaignConfig, CampaignReport, Finding, FindingKind,
-};
+use crate::campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 use crate::generator::GeometryGenerator;
 use crate::guidance::{self, Guidance, GuidanceMode, ScenarioKnobs};
 use crate::mutation::MutationScript;
@@ -230,8 +227,8 @@ impl ShardReport {
     }
 }
 
-/// The sharded campaign runner. [`crate::campaign::Campaign`] is the
-/// single-worker facade over this type.
+/// The sharded campaign runner: `CampaignRunner::new(config).run()` runs a
+/// campaign on one worker thread, [`CampaignRunner::with_workers`] shards it.
 pub struct CampaignRunner {
     config: CampaignConfig,
     n_workers: usize,
@@ -492,8 +489,8 @@ impl CampaignRunner {
         let mut query_hashers: Vec<ReplayHasher> =
             queries.iter().map(|_| ReplayHasher::new()).collect();
         for (oracle_index, kind) in self.config.oracles.iter().enumerate() {
-            let (outcomes, oracle_time) =
-                self.run_oracle(kind, &spec, &queries, &plan, &knobs, script.as_ref());
+            let oracle = build_oracle(kind, &plan, &knobs, script.as_ref());
+            let (outcomes, oracle_time) = oracle.check_timed(backend, &spec, &queries);
             engine_time += oracle_time;
             for (query_index, (_query, outcome)) in queries.iter().zip(outcomes.iter()).enumerate()
             {
@@ -524,15 +521,12 @@ impl CampaignRunner {
                 };
                 let attributed = if self.config.attribute_findings {
                     attribute(
-                        kind,
+                        oracle.as_ref(),
                         backend,
                         &spec,
                         &queries,
                         query_index,
-                        &plan,
                         finding_kind,
-                        &knobs,
-                        script.as_ref(),
                     )
                 } else {
                     Vec::new()
@@ -651,50 +645,29 @@ impl CampaignRunner {
             generation_time: generation_start.elapsed(),
         }
     }
-
-    /// Runs one oracle of the suite over the scenario, returning outcomes
-    /// plus the time spent in engines. The AEI path reports exact in-engine
-    /// time; the baseline oracles report the wall time of their check. The
-    /// scenario knobs apply to the AEI path only — the baseline oracles
-    /// define their own scan configurations (the Index oracle *is* an
-    /// index-on/off comparison).
-    fn run_oracle(
-        &self,
-        kind: &OracleKind,
-        spec: &DatabaseSpec,
-        queries: &[QueryInstance],
-        plan: &TransformPlan,
-        knobs: &ScenarioKnobs,
-        script: Option<&MutationScript>,
-    ) -> (Vec<OracleOutcome>, Duration) {
-        let backend = self.config.backend.as_ref();
-        match (kind, script) {
-            (OracleKind::Aei, Some(script)) => {
-                run_aei_iteration_with_mutations(backend, spec, queries, plan, knobs, script)
-            }
-            (OracleKind::Aei, None) => {
-                run_aei_iteration_with_knobs(backend, spec, queries, plan, knobs)
-            }
-            // The baseline oracles define their own scan configurations and
-            // check the load-once database; the mutation workload is an AEI
-            // concern (the frames must stay equivalent statement by
-            // statement, which only the AEI path maintains).
-            (other, _) => {
-                let oracle = build_oracle(other, plan, knobs);
-                let check_start = Instant::now();
-                let outcomes = oracle.check(backend, spec, queries);
-                (outcomes, check_start.elapsed())
-            }
-        }
-    }
 }
 
 /// Instantiates the oracle for a suite entry. The AEI oracle is bound to the
-/// iteration's transformation plan and scenario knobs (so attribution
-/// re-runs replay the exact scenario); the baselines are stateless.
-fn build_oracle(kind: &OracleKind, plan: &TransformPlan, knobs: &ScenarioKnobs) -> Box<dyn Oracle> {
+/// iteration's transformation plan, scenario knobs and mutation script (so
+/// attribution re-runs replay the exact scenario); the baselines are
+/// stateless, define their own scan configurations (the Index oracle *is* an
+/// index-on/off comparison) and check the load-once database — the mutation
+/// workload is an AEI concern, since only the AEI path keeps the two frames
+/// equivalent statement by statement.
+fn build_oracle(
+    kind: &OracleKind,
+    plan: &TransformPlan,
+    knobs: &ScenarioKnobs,
+    script: Option<&MutationScript>,
+) -> Box<dyn Oracle> {
     match kind {
-        OracleKind::Aei => Box::new(AeiOracle::new(plan.clone()).with_knobs(knobs.clone())),
+        OracleKind::Aei => {
+            let oracle = AeiOracle::new(plan.clone()).with_knobs(knobs.clone());
+            Box::new(match script {
+                Some(script) => oracle.with_mutations(script.clone()),
+                None => oracle,
+            })
+        }
         OracleKind::Differential(profile) => Box::new(DifferentialOracle::against_stock(*profile)),
         OracleKind::DifferentialTwin(spec) => {
             Box::new(DifferentialOracle::against(spec.build_boxed()))
@@ -707,57 +680,32 @@ fn build_oracle(kind: &OracleKind, plan: &TransformPlan, knobs: &ScenarioKnobs) 
 /// Attributes a finding to the seeded fault(s) whose individual removal makes
 /// it disappear — the campaign's stand-in for the paper's fix-based
 /// deduplication ("we determined whether the bug was fixed by updating
-/// PostGIS and GEOS to their latest versions", §5.4). The finding is
-/// re-checked with the oracle that produced it, against the backend's
-/// `without_fault` variants; backends with no known fault set (e.g. real
-/// engines) report nothing, which leaves the finding unattributed. AEI
-/// findings of a mutation campaign replay the full mutation prefix up to the
-/// flagged query, so the re-run observes the same evolved database state.
-#[allow(clippy::too_many_arguments)]
+/// PostGIS and GEOS to their latest versions", §5.4). The flagged query is
+/// re-checked ([`Oracle::check_one`]) by the oracle that produced the
+/// finding, against the backend's `without_fault` variants; backends with no
+/// known fault set (e.g. real engines) report nothing, which leaves the
+/// finding unattributed.
 fn attribute(
-    oracle_kind: &OracleKind,
+    oracle: &dyn Oracle,
     backend: &dyn EngineBackend,
     spec: &DatabaseSpec,
     queries: &[QueryInstance],
     query_index: usize,
-    plan: &TransformPlan,
     kind: FindingKind,
-    knobs: &ScenarioKnobs,
-    script: Option<&MutationScript>,
 ) -> Vec<FaultId> {
-    let still_fails = |outcome: &OracleOutcome| match kind {
-        FindingKind::Logic => outcome.is_logic_bug(),
-        FindingKind::Crash => outcome.is_crash(),
-    };
-    let mut attributed = Vec::new();
-    if let (OracleKind::Aei, Some(script)) = (oracle_kind, script) {
-        for fault in backend.fault_ids() {
+    backend
+        .fault_ids()
+        .into_iter()
+        .filter(|&fault| {
             let reduced = backend.without_fault(fault);
-            let outcome = check_mutated_aei_query(
-                reduced.as_ref(),
-                spec,
-                queries,
-                plan,
-                knobs,
-                script,
-                query_index,
-            );
-            if !still_fails(&outcome) {
-                attributed.push(fault);
-            }
-        }
-        return attributed;
-    }
-    let oracle = build_oracle(oracle_kind, plan, knobs);
-    let single = std::slice::from_ref(&queries[query_index]);
-    for fault in backend.fault_ids() {
-        let reduced = backend.without_fault(fault);
-        let outcomes = oracle.check(reduced.as_ref(), spec, single);
-        if !outcomes.iter().any(still_fails) {
-            attributed.push(fault);
-        }
-    }
-    attributed
+            let outcome = oracle.check_one(reduced.as_ref(), spec, queries, query_index);
+            let still_fails = match kind {
+                FindingKind::Logic => outcome.is_logic_bug(),
+                FindingKind::Crash => outcome.is_crash(),
+            };
+            !still_fails
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -848,13 +796,6 @@ mod tests {
             assert_eq!(parallel.unique_faults, baseline.unique_faults);
             assert_eq!(parallel.probe_coverage, baseline.probe_coverage);
         }
-    }
-
-    #[test]
-    fn facade_and_runner_agree() {
-        let via_campaign = crate::campaign::Campaign::new(config(7, 6)).run();
-        let via_runner = CampaignRunner::new(config(7, 6)).run();
-        assert_eq!(fingerprint(&via_campaign), fingerprint(&via_runner));
     }
 
     #[test]

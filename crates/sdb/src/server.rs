@@ -261,14 +261,6 @@ impl Response {
     }
 }
 
-/// Reads the `READY <profile>` handshake, returning the profile name.
-pub fn read_ready(input: &mut impl BufRead) -> std::io::Result<String> {
-    let line = read_line(input)?;
-    line.strip_prefix("READY ")
-        .map(str::to_string)
-        .ok_or_else(|| protocol_error(&format!("expected READY handshake, got {line}")))
-}
-
 fn read_line(input: &mut impl BufRead) -> std::io::Result<String> {
     let mut line = String::new();
     if input.read_line(&mut line)? == 0 {

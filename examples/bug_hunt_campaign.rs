@@ -10,8 +10,9 @@
 //!
 //! Run with: `cargo run --example bug_hunt_campaign --release`
 
-use spatter_repro::core::campaign::{Campaign, CampaignConfig, CampaignReport};
+use spatter_repro::core::campaign::{CampaignConfig, CampaignReport};
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
+use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
 use spatter_repro::sdb::{EngineProfile, FaultCatalog};
 use std::time::Duration;
@@ -40,7 +41,7 @@ fn run(affine: AffineStrategy, coordinate_range: i64) -> CampaignReport {
         "Running a 5 second Spatter campaign against {} with {affine:?} transforms ...",
         config.backend.name()
     );
-    let report = Campaign::new(config).run();
+    let report = CampaignRunner::new(config).run();
     println!(
         "  iterations: {}, findings: {}, unique seeded bugs: {}, distance templates skipped: {}",
         report.iterations_run,

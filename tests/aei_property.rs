@@ -8,9 +8,8 @@
 //! mirror); every failure message carries the seeds needed to replay it.
 
 use spatter_repro::core::backend::InProcessBackend;
-use spatter_repro::core::campaign::run_aei_iteration;
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
-use spatter_repro::core::oracles::OracleOutcome;
+use spatter_repro::core::oracles::{AeiOracle, Oracle, OracleOutcome};
 use spatter_repro::core::queries::random_queries;
 use spatter_repro::core::rng::{split_seed, RngExt, SeedableRng, StdRng};
 use spatter_repro::core::transform::{AffineStrategy, TransformPlan};
@@ -47,11 +46,10 @@ fn reference_engine_satisfies_the_aei_property() {
         let spec = generator.generate_database();
         let queries = random_queries(&spec, EngineProfile::PostgisLike, 10, seed ^ 0xbeef);
         let plan = TransformPlan::random(AffineStrategy::GeneralInteger, plan_seed);
-        let (outcomes, _) = run_aei_iteration(
+        let outcomes = AeiOracle::new(plan).check(
             &InProcessBackend::reference(EngineProfile::PostgisLike),
             &spec,
             &queries,
-            &plan,
         );
         for outcome in outcomes {
             let flagged = matches!(
@@ -85,11 +83,10 @@ fn canonicalization_preserves_counts() {
         let spec = generator.generate_database();
         let queries = random_queries(&spec, EngineProfile::MysqlLike, 8, seed);
         let plan = TransformPlan::canonicalization_only();
-        let (outcomes, _) = run_aei_iteration(
+        let outcomes = AeiOracle::new(plan).check(
             &InProcessBackend::reference(EngineProfile::MysqlLike),
             &spec,
             &queries,
-            &plan,
         );
         for outcome in outcomes {
             let flagged = matches!(outcome, OracleOutcome::LogicBug { .. });

@@ -2,8 +2,9 @@
 //! stock profile must run to completion, and the findings it attributes must
 //! be faults that actually belong to that profile.
 
-use spatter_repro::core::campaign::{Campaign, CampaignConfig};
+use spatter_repro::core::campaign::CampaignConfig;
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
+use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
 use spatter_repro::sdb::EngineProfile;
 
@@ -29,7 +30,7 @@ fn config(profile: EngineProfile, seed: u64) -> CampaignConfig {
 #[test]
 fn campaigns_run_against_every_profile() {
     for profile in EngineProfile::ALL {
-        let report = Campaign::new(config(profile, 9)).run();
+        let report = CampaignRunner::new(config(profile, 9)).run();
         assert_eq!(report.iterations_run, 15, "{}", profile.name());
         let stock = profile.default_faults();
         for fault in &report.unique_faults {
@@ -47,7 +48,7 @@ fn campaigns_run_against_every_profile() {
 fn postgis_campaign_detects_multiple_unique_bugs() {
     let mut cfg = config(EngineProfile::PostgisLike, 31);
     cfg.iterations = 40;
-    let report = Campaign::new(cfg).run();
+    let report = CampaignRunner::new(cfg).run();
     assert!(
         report.unique_bug_count() >= 2,
         "expected at least two distinct seeded faults, found {:?}",
