@@ -53,11 +53,13 @@ pub mod wire;
 pub mod worker;
 
 use crate::campaign::{CampaignConfig, CampaignReport};
-use crate::dist::wire::{FromWorker, WireError};
+use crate::codec::CodecError;
+use crate::dist::wire::FromWorker;
 use crate::fabric::{ChannelControl, StdioTransport, Transport};
 use crate::guidance::GuidanceMode;
 use crate::replay::ReplaySink;
 use crate::runner::{CampaignRunner, IterationRecord, ShardReport};
+use spatter_sdb::server::read_frame;
 use spatter_topo::coverage::CoverageSnapshot;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -231,7 +233,7 @@ impl fmt::Display for SlotDiagnostics {
 #[derive(Debug)]
 pub enum DistError {
     /// A value could not be encoded for — or decoded from — the wire.
-    Wire(WireError),
+    Wire(CodecError),
     /// Spawning or talking to a worker failed at the transport level and
     /// recovery was impossible.
     Io(std::io::Error),
@@ -303,8 +305,8 @@ impl fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-impl From<WireError> for DistError {
-    fn from(e: WireError) -> Self {
+impl From<CodecError> for DistError {
+    fn from(e: CodecError) -> Self {
         DistError::Wire(e)
     }
 }
@@ -818,19 +820,17 @@ impl Supervisor<'_> {
             });
         }
 
+        // Only complete frames are forwarded: a worker dying mid-write
+        // leaves a cut last line, which may still decode (a probe count
+        // `156` cut to `15`) and must count as the death it is instead.
         let tx = events_tx.clone();
         std::thread::spawn(move || {
-            for line in reader.lines() {
-                match line {
-                    Ok(line) => {
-                        if tx
-                            .send((index, generation, WorkerEvent::Line(line)))
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
+            while let Ok(Some(line)) = read_frame(&mut reader) {
+                if tx
+                    .send((index, generation, WorkerEvent::Line(line)))
+                    .is_err()
+                {
+                    return;
                 }
             }
             let _ = tx.send((index, generation, WorkerEvent::Closed));
@@ -859,12 +859,16 @@ impl Supervisor<'_> {
         config_line: &str,
         index: usize,
     ) -> Result<(), DistError> {
-        let handshake = read_worker_line(reader, index)?;
-        wire::decode_handshake(&handshake)?;
+        let mut read = || {
+            read_frame(reader)?.ok_or_else(|| DistError::Protocol {
+                worker: index,
+                message: "worker closed its stream during the handshake".to_string(),
+            })
+        };
+        wire::decode_handshake(&read()?)?;
         writeln!(writer, "{config_line}")?;
         writer.flush()?;
-        let reply = read_worker_line(reader, index)?;
-        match wire::decode_from_worker(&reply) {
+        match wire::decode_from_worker(&read()?) {
             Ok(FromWorker::Configured) => Ok(()),
             other => Err(DistError::Protocol {
                 worker: index,
@@ -1091,28 +1095,96 @@ impl Supervisor<'_> {
     }
 }
 
-/// Reads one line from a worker's stream during the synchronous spawn
-/// handshake.
-fn read_worker_line(
-    reader: &mut (impl BufRead + ?Sized),
-    worker: usize,
-) -> Result<String, DistError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(DistError::Protocol {
-            worker,
-            message: "worker closed its stream during the handshake".to_string(),
-        });
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::WorkerChannel;
+    use std::collections::VecDeque;
+    use std::io::{self, Cursor};
+    use std::sync::Mutex;
+
+    /// A transport whose workers are canned byte streams: each `connect`
+    /// hands out the next stream and swallows everything written to it.
+    struct CannedTransport(Mutex<VecDeque<Vec<u8>>>);
+
+    struct NoControl;
+
+    impl ChannelControl for NoControl {
+        fn kill(&mut self) {}
+        fn reap(&mut self) -> Vec<String> {
+            Vec::new()
+        }
+        fn handshake_complete(&mut self) {}
+    }
+
+    impl Transport for CannedTransport {
+        fn name(&self) -> &'static str {
+            "canned"
+        }
+
+        fn connect(&self, _index: usize) -> io::Result<WorkerChannel> {
+            let stream = self.0.lock().unwrap().pop_front();
+            let stream = stream.ok_or_else(|| io::Error::other("no canned worker left"))?;
+            Ok(WorkerChannel {
+                writer: Box::new(io::sink()),
+                reader: Box::new(Cursor::new(stream)),
+                control: Box::new(NoControl),
+            })
+        }
+    }
+
+    #[test]
+    fn a_record_line_cut_mid_token_is_a_worker_death_not_a_record() {
+        let campaign = CampaignConfig {
+            iterations: 1,
+            ..CampaignConfig::default()
+        };
+        let record = CampaignRunner::new(campaign.clone()).run_iteration(0, Instant::now(), None);
+        let line = wire::encode_record_message(0, &record);
+        // A worker dying mid-write leaves its last line cut inside the last
+        // probe count; that prefix still decodes, to a record nobody ran.
+        let cut = &line[..line.len() - 1];
+        match wire::decode_from_worker(cut) {
+            Ok(FromWorker::Record {
+                record: partial, ..
+            }) => {
+                assert_ne!(partial.probe_delta, record.probe_delta)
+            }
+            other => panic!("the cut line must still decode for this test: {other:?}"),
+        }
+        let hello = format!(
+            "{}\n{}\n",
+            wire::encode_handshake(),
+            wire::encode_configured_message()
+        );
+        let dying = format!("{hello}{cut}");
+        // The respawned worker receives the re-lease (lease id 1) and
+        // completes it.
+        let healthy = format!(
+            "{hello}{}\n{}\n",
+            wire::encode_record_message(1, &record),
+            wire::encode_done_message(1)
+        );
+        let transport = CannedTransport(Mutex::new(VecDeque::from([
+            dying.into_bytes(),
+            healthy.into_bytes(),
+        ])));
+        let dist = DistConfig::new("/unused")
+            .with_processes(1)
+            .with_max_respawns(1);
+        let (report, stats) = DistRunner::new(campaign.clone(), dist)
+            .with_transport(Box::new(transport))
+            .run_with_stats()
+            .expect("the re-lease completes the campaign");
+        assert_eq!(stats.respawns, 1, "the cut line is a worker death");
+        assert_eq!(stats.records_received, 1, "the cut line is no record");
+        assert_eq!(
+            report.determinism_fingerprint(),
+            CampaignRunner::new(campaign)
+                .run()
+                .determinism_fingerprint()
+        );
+    }
 
     #[test]
     fn take_lease_cuts_ranges_at_grant_time() {

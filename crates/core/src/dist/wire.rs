@@ -7,17 +7,16 @@
 //! [`CampaignConfig`] (with its backend rendered as a
 //! [`crate::backend::BackendSpec`] and its oracle suite inline), the frozen
 //! guidance [`CoverageSnapshot`], and per-iteration [`IterationRecord`]s
-//! with their [`Finding`]s and probe-coverage deltas. The workspace has no
-//! serde, so the codec is hand-rolled on std alone: messages are
-//! whitespace-separated token streams with percent-escaped strings, decoded
-//! by a [`TokenReader`] that returns structured [`WireError`]s — never
-//! panics — on truncated, malformed or alien input.
+//! with their [`Finding`]s and probe-coverage deltas. This module holds the
+//! field layouts only. Tokens, escapes, and the structured [`CodecError`]s
+//! that decoding returns on truncated, malformed or alien input (never a
+//! panic) come from [`crate::codec`].
 //!
 //! # Versioning
 //!
 //! Every worker opens its stream with a `hello <version>` handshake
 //! ([`encode_handshake`]); the supervisor rejects any version other than
-//! its own [`WIRE_VERSION`] with [`WireError::VersionMismatch`]. The
+//! its own [`WIRE_VERSION`] with [`CodecError::VersionMismatch`]. The
 //! protocol is spoken between binaries of one build in practice, so
 //! version equality — not negotiation — is the contract.
 //!
@@ -30,18 +29,17 @@
 //! (an unknown probe is a structured error, not a silently minted string).
 
 use crate::backend::BackendSpec;
-use crate::campaign::{CampaignConfig, Finding, FindingKind};
-use crate::generator::{GenerationStrategy, GeneratorConfig};
-use crate::guidance::{self, GuidanceMode};
-use crate::runner::{IterationRecord, OracleKind, ShardReport};
-use crate::transform::AffineStrategy;
-use spatter_sdb::{EngineProfile, FaultSet};
+use crate::campaign::{CampaignConfig, Finding};
+use crate::codec::{CodecError, Marker, TokenReader, TokenWriter};
+use crate::generator::GeneratorConfig;
+use crate::guidance;
+use crate::matrix::{DialectSpec, ReplyGrammar};
+use crate::runner::{IterationRecord, OracleKind};
+use spatter_sdb::{EngineProfile, FaultId, FaultSet};
 use spatter_topo::coverage::CoverageSnapshot;
 use std::collections::HashMap;
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// The wire protocol version. Bumped whenever any message layout changes;
 /// supervisor and worker must agree exactly. Version 2 added the replay
@@ -56,295 +54,31 @@ use std::time::Duration;
 /// matrix cells can ride the fabric.
 pub const WIRE_VERSION: u32 = 5;
 
-/// Why a wire message could not be decoded (or a value not encoded).
-/// Structured, so callers can distinguish a harness misconfiguration
-/// (version or backend problems) from corrupted input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The token stream ended before the message was complete.
-    Truncated,
-    /// A token did not have the expected shape.
-    Malformed {
-        /// What the decoder was trying to read.
-        expected: &'static str,
-        /// The offending token (or a description of it).
-        got: String,
-    },
-    /// A message line carried tokens past the end of its payload.
-    TrailingInput(String),
-    /// A percent-escape in a string token was invalid.
-    BadEscape(String),
-    /// A probe name that is not part of the static probe universe.
-    UnknownProbe(String),
-    /// A fault name [`spatter_sdb::FaultId::from_name`] does not know.
-    UnknownFault(String),
-    /// An engine profile name [`EngineProfile::from_name`] does not know.
-    UnknownProfile(String),
-    /// The peer speaks a different protocol version.
-    VersionMismatch {
-        /// Our [`WIRE_VERSION`].
-        ours: u32,
-        /// The version the peer announced.
-        theirs: u32,
-    },
-    /// The campaign's backend cannot be described as a
-    /// [`BackendSpec`] (its `wire_spec` is `None`), so the campaign cannot
-    /// be distributed.
-    UnsupportedBackend(String),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "message truncated"),
-            WireError::Malformed { expected, got } => {
-                write!(f, "expected {expected}, got {got:?}")
-            }
-            WireError::TrailingInput(rest) => write!(f, "trailing input {rest:?}"),
-            WireError::BadEscape(token) => write!(f, "bad string escape in {token:?}"),
-            WireError::UnknownProbe(name) => write!(f, "unknown probe {name:?}"),
-            WireError::UnknownFault(name) => write!(f, "unknown fault {name:?}"),
-            WireError::UnknownProfile(name) => write!(f, "unknown profile {name:?}"),
-            WireError::VersionMismatch { ours, theirs } => {
-                write!(f, "wire version mismatch: ours {ours}, peer {theirs}")
-            }
-            WireError::UnsupportedBackend(name) => {
-                write!(
-                    f,
-                    "backend {name} has no wire spec and cannot be distributed"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-// ---------------------------------------------------------------------------
-// Token stream primitives
-// ---------------------------------------------------------------------------
-
-/// Escapes a string into a single whitespace-free token: `%` and every
-/// whitespace byte become `%XX`, and the empty string becomes the marker
-/// token `%-` (an empty token would vanish when the line is split).
-/// Crate-visible: the matrix report artifact ([`crate::matrix`]) reuses the
-/// same escaping for backend labels.
-pub(crate) fn escape(text: &str) -> String {
-    if text.is_empty() {
-        return "%-".to_string();
-    }
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0a"),
-            '\r' => out.push_str("%0d"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape`]. Any malformed escape is a [`WireError::BadEscape`] —
-/// including escaped bytes ≥ 0x80, which [`escape`] never emits (it only
-/// escapes `%` and ASCII whitespace; multi-byte characters pass through as
-/// UTF-8). Accepting them would silently decode `%e9` as U+00E9, a byte
-/// sequence the encoder cannot have produced.
-pub(crate) fn unescape(token: &str) -> Result<String, WireError> {
-    if token == "%-" {
-        return Ok(String::new());
-    }
-    let mut out = String::with_capacity(token.len());
-    let mut chars = token.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hex: String = chars.by_ref().take(2).collect();
-        if hex.len() != 2 {
-            return Err(WireError::BadEscape(token.to_string()));
-        }
-        let byte =
-            u8::from_str_radix(&hex, 16).map_err(|_| WireError::BadEscape(token.to_string()))?;
-        if !byte.is_ascii() {
-            return Err(WireError::BadEscape(token.to_string()));
-        }
-        out.push(byte as char);
-    }
-    Ok(out)
-}
-
-/// Builds one message line from whitespace-free tokens.
-#[derive(Debug, Default)]
-pub struct TokenWriter {
-    buf: String,
-}
-
-impl TokenWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        TokenWriter::default()
-    }
-
-    /// Appends a token that is known to contain no whitespace (keywords,
-    /// numbers, fault/profile names).
-    fn push_raw(&mut self, token: &str) {
-        debug_assert!(
-            !token.is_empty() && !token.contains(char::is_whitespace),
-            "raw token {token:?} would corrupt the line framing"
-        );
-        if !self.buf.is_empty() {
-            self.buf.push(' ');
-        }
-        self.buf.push_str(token);
-    }
-
-    fn push_str(&mut self, text: &str) {
-        let escaped = escape(text);
-        self.push_raw(&escaped);
-    }
-
-    fn push_u64(&mut self, value: u64) {
-        self.push_raw(&value.to_string());
-    }
-
-    fn push_usize(&mut self, value: usize) {
-        self.push_raw(&value.to_string());
-    }
-
-    fn push_i64(&mut self, value: i64) {
-        self.push_raw(&value.to_string());
-    }
-
-    /// `f64`s travel as IEEE-754 bit patterns so the decode is bit-exact.
-    fn push_f64(&mut self, value: f64) {
-        self.push_raw(&value.to_bits().to_string());
-    }
-
-    fn push_bool(&mut self, value: bool) {
-        self.push_raw(if value { "1" } else { "0" });
-    }
-
-    fn push_duration(&mut self, value: Duration) {
-        self.push_raw(&value.as_nanos().to_string());
-    }
-
-    /// The finished single-line message.
-    pub fn finish(self) -> String {
-        debug_assert!(!self.buf.contains('\n'));
-        self.buf
-    }
-}
-
-/// Consumes one message line token by token, with typed accessors that
-/// return structured errors instead of panicking.
-#[derive(Debug)]
-pub struct TokenReader<'a> {
-    tokens: std::str::SplitAsciiWhitespace<'a>,
-}
-
-impl<'a> TokenReader<'a> {
-    /// A reader over one message line.
-    pub fn new(line: &'a str) -> Self {
-        TokenReader {
-            tokens: line.split_ascii_whitespace(),
-        }
-    }
-
-    fn next(&mut self) -> Result<&'a str, WireError> {
-        self.tokens.next().ok_or(WireError::Truncated)
-    }
-
-    fn next_str(&mut self) -> Result<String, WireError> {
-        unescape(self.next()?)
-    }
-
-    fn next_u64(&mut self, expected: &'static str) -> Result<u64, WireError> {
-        let token = self.next()?;
-        token.parse().map_err(|_| WireError::Malformed {
-            expected,
-            got: token.to_string(),
-        })
-    }
-
-    fn next_usize(&mut self, expected: &'static str) -> Result<usize, WireError> {
-        let value = self.next_u64(expected)?;
-        usize::try_from(value).map_err(|_| WireError::Malformed {
-            expected,
-            got: value.to_string(),
-        })
-    }
-
-    fn next_i64(&mut self, expected: &'static str) -> Result<i64, WireError> {
-        let token = self.next()?;
-        token.parse().map_err(|_| WireError::Malformed {
-            expected,
-            got: token.to_string(),
-        })
-    }
-
-    fn next_u32(&mut self, expected: &'static str) -> Result<u32, WireError> {
-        let value = self.next_u64(expected)?;
-        u32::try_from(value).map_err(|_| WireError::Malformed {
-            expected,
-            got: value.to_string(),
-        })
-    }
-
-    fn next_f64(&mut self, expected: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.next_u64(expected)?))
-    }
-
-    fn next_bool(&mut self, expected: &'static str) -> Result<bool, WireError> {
-        match self.next()? {
-            "1" => Ok(true),
-            "0" => Ok(false),
-            other => Err(WireError::Malformed {
-                expected,
-                got: other.to_string(),
-            }),
-        }
-    }
-
-    fn next_duration(&mut self, expected: &'static str) -> Result<Duration, WireError> {
-        Ok(Duration::from_nanos(self.next_u64(expected)?))
-    }
-
-    fn expect(&mut self, literal: &'static str) -> Result<(), WireError> {
-        let token = self.next()?;
-        if token == literal {
-            Ok(())
-        } else {
-            Err(WireError::Malformed {
-                expected: literal,
-                got: token.to_string(),
-            })
-        }
-    }
-
-    /// Asserts the message is fully consumed.
-    pub fn finish(mut self) -> Result<(), WireError> {
-        match self.tokens.next() {
-            None => Ok(()),
-            Some(extra) => {
-                let mut rest = extra.to_string();
-                for token in self.tokens.take(4) {
-                    rest.push(' ');
-                    rest.push_str(token);
-                }
-                Err(WireError::TrailingInput(rest))
-            }
-        }
-    }
-}
+const EPOCH: Marker = Marker {
+    absent: "no-epoch",
+    present: "epoch",
+    expected: "guidance epoch marker",
+};
+const MUTATIONS: Marker = Marker {
+    absent: "no-mutations",
+    present: "mutations",
+    expected: "mutation marker",
+};
+const READY: Marker = Marker {
+    absent: "no-ready",
+    present: "ready",
+    expected: "dialect ready marker",
+};
+const SNAPSHOT: Marker = Marker {
+    absent: "unguided",
+    present: "guided",
+    expected: "guidance snapshot marker",
+};
 
 /// Re-interns a decoded probe name against the static probe universe so
 /// records can carry `&'static str` names. Unknown names are structured
 /// errors: the probe lists of supervisor and worker builds must agree.
-fn intern_probe(name: &str) -> Result<&'static str, WireError> {
+fn intern_probe(name: &str) -> Result<&'static str, CodecError> {
     static MAP: OnceLock<HashMap<&'static str, &'static str>> = OnceLock::new();
     MAP.get_or_init(|| {
         guidance::probe_universe()
@@ -354,20 +88,16 @@ fn intern_probe(name: &str) -> Result<&'static str, WireError> {
     })
     .get(name)
     .copied()
-    .ok_or_else(|| WireError::UnknownProbe(name.to_string()))
+    .ok_or_else(|| CodecError::UnknownProbe(name.to_string()))
 }
 
 // ---------------------------------------------------------------------------
-// Domain value encoders / decoders
+// Field layouts
 // ---------------------------------------------------------------------------
 
-fn write_profile(writer: &mut TokenWriter, profile: EngineProfile) {
-    writer.push_raw(profile.name());
-}
-
-fn read_profile(reader: &mut TokenReader) -> Result<EngineProfile, WireError> {
+fn read_profile(reader: &mut TokenReader) -> Result<EngineProfile, CodecError> {
     let token = reader.next()?;
-    EngineProfile::from_name(token).ok_or_else(|| WireError::UnknownProfile(token.to_string()))
+    EngineProfile::from_name(token).ok_or_else(|| CodecError::UnknownProfile(token.to_string()))
 }
 
 fn write_faults(writer: &mut TokenWriter, faults: &FaultSet) {
@@ -380,19 +110,19 @@ fn write_faults(writer: &mut TokenWriter, faults: &FaultSet) {
     }
 }
 
-fn read_faults(reader: &mut TokenReader) -> Result<FaultSet, WireError> {
+fn read_faults(reader: &mut TokenReader) -> Result<FaultSet, CodecError> {
     let token = reader.next()?;
     if token == "none" {
         return Ok(FaultSet::none());
     }
-    FaultSet::parse_names(token).map_err(|_| WireError::UnknownFault(token.to_string()))
+    FaultSet::parse_names(token).map_err(|_| CodecError::UnknownFault(token.to_string()))
 }
 
 fn write_backend_spec(writer: &mut TokenWriter, spec: &BackendSpec) {
     match spec {
         BackendSpec::InProcess { profile, faults } => {
             writer.push_raw("in-process");
-            write_profile(writer, *profile);
+            writer.push_raw(profile.name());
             write_faults(writer, faults);
         }
         BackendSpec::Stdio {
@@ -403,7 +133,7 @@ fn write_backend_spec(writer: &mut TokenWriter, spec: &BackendSpec) {
         } => {
             writer.push_raw("stdio");
             writer.push_str(&command.to_string_lossy());
-            write_profile(writer, *profile);
+            writer.push_raw(profile.name());
             write_faults(writer, faults);
             writer.push_bool(*hard_crash);
         }
@@ -414,98 +144,7 @@ fn write_backend_spec(writer: &mut TokenWriter, spec: &BackendSpec) {
     }
 }
 
-fn write_dialect(writer: &mut TokenWriter, dialect: &crate::matrix::DialectSpec) {
-    writer.push_str(&dialect.name);
-    writer.push_str(&dialect.command.to_string_lossy());
-    writer.push_usize(dialect.args.len());
-    for arg in &dialect.args {
-        writer.push_str(arg);
-    }
-    write_profile(writer, dialect.profile);
-    match &dialect.ready_prefix {
-        None => writer.push_raw("no-ready"),
-        Some(prefix) => {
-            writer.push_raw("ready");
-            writer.push_str(prefix);
-        }
-    }
-    writer.push_str(&dialect.terminator);
-    match &dialect.grammar {
-        crate::matrix::ReplyGrammar::SdbServer => writer.push_raw("sdb-server"),
-        crate::matrix::ReplyGrammar::Sentinel {
-            echo_command,
-            done_marker,
-            error_prefixes,
-        } => {
-            writer.push_raw("sentinel");
-            writer.push_str(echo_command);
-            writer.push_str(done_marker);
-            writer.push_usize(error_prefixes.len());
-            for (prefix, crash) in error_prefixes {
-                writer.push_str(prefix);
-                writer.push_bool(*crash);
-            }
-        }
-    }
-}
-
-fn read_dialect(reader: &mut TokenReader) -> Result<crate::matrix::DialectSpec, WireError> {
-    let name = reader.next_str()?;
-    let command = PathBuf::from(reader.next_str()?);
-    let n_args = reader.next_usize("dialect arg count")?;
-    let mut args = Vec::with_capacity(n_args.min(64));
-    for _ in 0..n_args {
-        args.push(reader.next_str()?);
-    }
-    let profile = read_profile(reader)?;
-    let ready_prefix = match reader.next()? {
-        "no-ready" => None,
-        "ready" => Some(reader.next_str()?),
-        other => {
-            return Err(WireError::Malformed {
-                expected: "dialect ready marker",
-                got: other.to_string(),
-            })
-        }
-    };
-    let terminator = reader.next_str()?;
-    let grammar = match reader.next()? {
-        "sdb-server" => crate::matrix::ReplyGrammar::SdbServer,
-        "sentinel" => {
-            let echo_command = reader.next_str()?;
-            let done_marker = reader.next_str()?;
-            let n_prefixes = reader.next_usize("error prefix count")?;
-            let mut error_prefixes = Vec::with_capacity(n_prefixes.min(64));
-            for _ in 0..n_prefixes {
-                let prefix = reader.next_str()?;
-                let crash = reader.next_bool("error prefix crash flag")?;
-                error_prefixes.push((prefix, crash));
-            }
-            crate::matrix::ReplyGrammar::Sentinel {
-                echo_command,
-                done_marker,
-                error_prefixes,
-            }
-        }
-        other => {
-            return Err(WireError::Malformed {
-                expected: "dialect reply grammar",
-                got: other.to_string(),
-            })
-        }
-    };
-    Ok(crate::matrix::DialectSpec {
-        name,
-        command,
-        args,
-        profile,
-        ready_prefix,
-        terminator,
-        grammar,
-    })
-}
-
-fn read_backend_spec(reader: &mut TokenReader) -> Result<BackendSpec, WireError> {
+fn read_backend_spec(reader: &mut TokenReader) -> Result<BackendSpec, CodecError> {
     match reader.next()? {
         "in-process" => Ok(BackendSpec::InProcess {
             profile: read_profile(reader)?,
@@ -520,11 +159,83 @@ fn read_backend_spec(reader: &mut TokenReader) -> Result<BackendSpec, WireError>
         "external" => Ok(BackendSpec::External {
             dialect: read_dialect(reader)?,
         }),
-        other => Err(WireError::Malformed {
-            expected: "backend spec kind",
-            got: other.to_string(),
-        }),
+        other => Err(reader.malformed("backend spec kind", other)),
     }
+}
+
+fn write_dialect(writer: &mut TokenWriter, dialect: &DialectSpec) {
+    writer.push_str(&dialect.name);
+    writer.push_str(&dialect.command.to_string_lossy());
+    writer.push_num(dialect.args.len());
+    for arg in &dialect.args {
+        writer.push_str(arg);
+    }
+    writer.push_raw(dialect.profile.name());
+    writer.push_option(
+        &READY,
+        dialect.ready_prefix.as_deref(),
+        TokenWriter::push_str,
+    );
+    writer.push_str(&dialect.terminator);
+    match &dialect.grammar {
+        ReplyGrammar::SdbServer => writer.push_raw("sdb-server"),
+        ReplyGrammar::Sentinel {
+            echo_command,
+            done_marker,
+            error_prefixes,
+        } => {
+            writer.push_raw("sentinel");
+            writer.push_str(echo_command);
+            writer.push_str(done_marker);
+            writer.push_num(error_prefixes.len());
+            for (prefix, crash) in error_prefixes {
+                writer.push_str(prefix);
+                writer.push_bool(*crash);
+            }
+        }
+    }
+}
+
+fn read_dialect(reader: &mut TokenReader) -> Result<DialectSpec, CodecError> {
+    let name = reader.next_str()?;
+    let command = PathBuf::from(reader.next_str()?);
+    let n_args: usize = reader.next_num("dialect arg count")?;
+    let mut args = Vec::with_capacity(n_args.min(64));
+    for _ in 0..n_args {
+        args.push(reader.next_str()?);
+    }
+    let profile = read_profile(reader)?;
+    let ready_prefix = reader.next_option(&READY, TokenReader::next_str)?;
+    let terminator = reader.next_str()?;
+    let grammar = match reader.next()? {
+        "sdb-server" => ReplyGrammar::SdbServer,
+        "sentinel" => {
+            let echo_command = reader.next_str()?;
+            let done_marker = reader.next_str()?;
+            let n_prefixes: usize = reader.next_num("error prefix count")?;
+            let mut error_prefixes = Vec::with_capacity(n_prefixes.min(64));
+            for _ in 0..n_prefixes {
+                let prefix = reader.next_str()?;
+                let crash = reader.next_bool("error prefix crash flag")?;
+                error_prefixes.push((prefix, crash));
+            }
+            ReplyGrammar::Sentinel {
+                echo_command,
+                done_marker,
+                error_prefixes,
+            }
+        }
+        other => return Err(reader.malformed("dialect reply grammar", other)),
+    };
+    Ok(DialectSpec {
+        name,
+        command,
+        args,
+        profile,
+        ready_prefix,
+        terminator,
+        grammar,
+    })
 }
 
 fn write_oracle(writer: &mut TokenWriter, oracle: &OracleKind) {
@@ -532,7 +243,7 @@ fn write_oracle(writer: &mut TokenWriter, oracle: &OracleKind) {
         OracleKind::Aei => writer.push_raw("aei"),
         OracleKind::Differential(profile) => {
             writer.push_raw("differential");
-            write_profile(writer, *profile);
+            writer.push_raw(profile.name());
         }
         OracleKind::DifferentialTwin(spec) => {
             writer.push_raw("twin");
@@ -543,169 +254,92 @@ fn write_oracle(writer: &mut TokenWriter, oracle: &OracleKind) {
     }
 }
 
-fn read_oracle(reader: &mut TokenReader) -> Result<OracleKind, WireError> {
+fn read_oracle(reader: &mut TokenReader) -> Result<OracleKind, CodecError> {
     match reader.next()? {
         "aei" => Ok(OracleKind::Aei),
         "differential" => Ok(OracleKind::Differential(read_profile(reader)?)),
         "twin" => Ok(OracleKind::DifferentialTwin(read_backend_spec(reader)?)),
         "index" => Ok(OracleKind::Index),
         "tlp" => Ok(OracleKind::Tlp),
-        other => Err(WireError::Malformed {
-            expected: "oracle kind",
-            got: other.to_string(),
-        }),
+        other => Err(reader.malformed("oracle kind", other)),
     }
 }
 
-fn write_campaign(writer: &mut TokenWriter, config: &CampaignConfig) -> Result<(), WireError> {
+fn write_campaign(writer: &mut TokenWriter, config: &CampaignConfig) -> Result<(), CodecError> {
     let spec = config
         .backend
         .wire_spec()
-        .ok_or_else(|| WireError::UnsupportedBackend(config.backend.name()))?;
+        .ok_or_else(|| CodecError::UnsupportedBackend(config.backend.name()))?;
     write_backend_spec(writer, &spec);
-    writer.push_usize(config.generator.num_geometries);
-    writer.push_usize(config.generator.num_tables);
-    writer.push_raw(match config.generator.strategy {
-        GenerationStrategy::RandomShapeOnly => "random-shape",
-        GenerationStrategy::GeometryAware => "geometry-aware",
-    });
-    writer.push_i64(config.generator.coordinate_range);
+    writer.push_num(config.generator.num_geometries);
+    writer.push_num(config.generator.num_tables);
+    writer.push_keyword(config.generator.strategy);
+    writer.push_num(config.generator.coordinate_range);
     writer.push_f64(config.generator.random_shape_probability);
-    writer.push_usize(config.queries_per_run);
-    writer.push_raw(match config.affine {
-        AffineStrategy::CanonicalizationOnly => "canonicalization",
-        AffineStrategy::GeneralInteger => "general",
-        AffineStrategy::SimilarityInteger => "similarity",
-    });
-    writer.push_usize(config.iterations);
+    writer.push_num(config.queries_per_run);
+    writer.push_keyword(config.affine);
+    writer.push_num(config.iterations);
     match config.time_budget {
         None => writer.push_raw("unbounded"),
         Some(budget) => writer.push_duration(budget),
     }
     writer.push_bool(config.attribute_findings);
-    writer.push_raw(match config.guidance {
-        GuidanceMode::Off => "off",
-        GuidanceMode::ColdProbe => "cold-probe",
-    });
-    match config.guidance_epoch {
-        None => writer.push_raw("no-epoch"),
-        Some(epoch) => {
-            writer.push_raw("epoch");
-            writer.push_usize(epoch);
-        }
-    }
-    match &config.mutations {
-        None => writer.push_raw("no-mutations"),
-        Some(mutations) => {
-            writer.push_raw("mutations");
-            writer.push_usize(mutations.statements_per_run);
+    writer.push_keyword(config.guidance);
+    writer.push_option(&EPOCH, config.guidance_epoch, TokenWriter::push_num);
+    writer.push_option(
+        &MUTATIONS,
+        config.mutations.as_ref(),
+        |writer, mutations| {
+            writer.push_num(mutations.statements_per_run);
             writer.push_bool(mutations.index_churn);
-        }
-    }
-    writer.push_usize(config.oracles.len());
+        },
+    );
+    writer.push_num(config.oracles.len());
     for oracle in &config.oracles {
         write_oracle(writer, oracle);
     }
-    writer.push_u64(config.seed);
+    writer.push_num(config.seed);
     Ok(())
 }
 
-fn read_campaign(reader: &mut TokenReader) -> Result<CampaignConfig, WireError> {
+fn read_campaign(reader: &mut TokenReader) -> Result<CampaignConfig, CodecError> {
     let backend = read_backend_spec(reader)?.build();
-    let num_geometries = reader.next_usize("num_geometries")?;
-    let num_tables = reader.next_usize("num_tables")?;
-    let strategy = match reader.next()? {
-        "random-shape" => GenerationStrategy::RandomShapeOnly,
-        "geometry-aware" => GenerationStrategy::GeometryAware,
-        other => {
-            return Err(WireError::Malformed {
-                expected: "generation strategy",
-                got: other.to_string(),
-            })
-        }
+    let generator = GeneratorConfig {
+        num_geometries: reader.next_num("num_geometries")?,
+        num_tables: reader.next_num("num_tables")?,
+        strategy: reader.next_keyword()?,
+        coordinate_range: reader.next_num("coordinate_range")?,
+        random_shape_probability: reader.next_f64("random_shape_probability")?,
     };
-    let coordinate_range = reader.next_i64("coordinate_range")?;
-    let random_shape_probability = reader.next_f64("random_shape_probability")?;
-    let queries_per_run = reader.next_usize("queries_per_run")?;
-    let affine = match reader.next()? {
-        "canonicalization" => AffineStrategy::CanonicalizationOnly,
-        "general" => AffineStrategy::GeneralInteger,
-        "similarity" => AffineStrategy::SimilarityInteger,
-        other => {
-            return Err(WireError::Malformed {
-                expected: "affine strategy",
-                got: other.to_string(),
-            })
-        }
-    };
-    let iterations = reader.next_usize("iterations")?;
-    let time_budget = {
-        let token = reader.next()?;
-        if token == "unbounded" {
-            None
-        } else {
-            let nanos: u64 = token.parse().map_err(|_| WireError::Malformed {
-                expected: "time budget nanos",
-                got: token.to_string(),
-            })?;
-            Some(Duration::from_nanos(nanos))
-        }
+    let queries_per_run = reader.next_num("queries_per_run")?;
+    let affine = reader.next_keyword()?;
+    let iterations = reader.next_num("iterations")?;
+    let time_budget = if reader.eat("unbounded") {
+        None
+    } else {
+        Some(reader.next_duration("time budget nanos")?)
     };
     let attribute_findings = reader.next_bool("attribute_findings")?;
-    let guidance = match reader.next()? {
-        "off" => GuidanceMode::Off,
-        "cold-probe" => GuidanceMode::ColdProbe,
-        other => {
-            return Err(WireError::Malformed {
-                expected: "guidance mode",
-                got: other.to_string(),
-            })
-        }
-    };
-    let guidance_epoch = match reader.next()? {
-        "no-epoch" => None,
-        "epoch" => Some(reader.next_usize("guidance epoch length")?),
-        other => {
-            return Err(WireError::Malformed {
-                expected: "guidance epoch marker",
-                got: other.to_string(),
-            })
-        }
-    };
-    let mutations = match reader.next()? {
-        "no-mutations" => None,
-        "mutations" => Some(crate::mutation::MutationConfig {
-            statements_per_run: reader.next_usize("mutation statements per run")?,
+    let guidance = reader.next_keyword()?;
+    let guidance_epoch =
+        reader.next_option(&EPOCH, |reader| reader.next_num("guidance epoch length"))?;
+    let mutations = reader.next_option(&MUTATIONS, |reader| {
+        Ok(crate::mutation::MutationConfig {
+            statements_per_run: reader.next_num("mutation statements per run")?,
             index_churn: reader.next_bool("mutation index churn")?,
-        }),
-        other => {
-            return Err(WireError::Malformed {
-                expected: "mutation marker",
-                got: other.to_string(),
-            })
-        }
-    };
-    let n_oracles = reader.next_usize("oracle count")?;
+        })
+    })?;
+    let n_oracles: usize = reader.next_num("oracle count")?;
+    if n_oracles == 0 {
+        return Err(reader.malformed("non-empty oracle suite", "0 oracles"));
+    }
     let mut oracles = Vec::with_capacity(n_oracles.min(64));
     for _ in 0..n_oracles {
         oracles.push(read_oracle(reader)?);
     }
-    if oracles.is_empty() {
-        return Err(WireError::Malformed {
-            expected: "non-empty oracle suite",
-            got: "0 oracles".to_string(),
-        });
-    }
-    let seed = reader.next_u64("seed")?;
     Ok(CampaignConfig {
         backend,
-        generator: GeneratorConfig {
-            num_geometries,
-            num_tables,
-            strategy,
-            coordinate_range,
-            random_shape_probability,
-        },
+        generator,
         queries_per_run,
         affine,
         iterations,
@@ -715,72 +349,54 @@ fn read_campaign(reader: &mut TokenReader) -> Result<CampaignConfig, WireError> 
         guidance_epoch,
         mutations,
         oracles,
-        seed,
+        seed: reader.next_num("seed")?,
     })
 }
 
 fn write_snapshot(writer: &mut TokenWriter, snapshot: &CoverageSnapshot) {
     let entries: Vec<(&'static str, u64)> = snapshot.entries().collect();
-    writer.push_usize(entries.len());
+    writer.push_num(entries.len());
     for (probe, count) in entries {
         writer.push_str(probe);
-        writer.push_u64(count);
+        writer.push_num(count);
     }
 }
 
-fn read_snapshot(reader: &mut TokenReader) -> Result<CoverageSnapshot, WireError> {
-    let n = reader.next_usize("snapshot entry count")?;
+fn read_snapshot(reader: &mut TokenReader) -> Result<CoverageSnapshot, CodecError> {
+    let n: usize = reader.next_num("snapshot entry count")?;
     let mut snapshot = CoverageSnapshot::new();
     for _ in 0..n {
         let probe = intern_probe(&reader.next_str()?)?;
-        let count = reader.next_u64("probe count")?;
+        let count = reader.next_num("probe count")?;
         snapshot.absorb(&[(probe, count)]);
     }
     Ok(snapshot)
 }
 
 fn write_finding(writer: &mut TokenWriter, finding: &Finding) {
-    writer.push_raw(match finding.kind {
-        FindingKind::Logic => "logic",
-        FindingKind::Crash => "crash",
-    });
-    writer.push_raw(finding.side.name());
+    writer.push_keyword(finding.kind);
+    writer.push_keyword(finding.side);
     writer.push_str(&finding.description);
-    writer.push_usize(finding.iteration);
+    writer.push_num(finding.iteration);
     writer.push_duration(finding.elapsed);
-    writer.push_usize(finding.attributed_faults.len());
+    writer.push_num(finding.attributed_faults.len());
     for fault in &finding.attributed_faults {
         writer.push_raw(&fault.name());
     }
 }
 
-fn read_finding(reader: &mut TokenReader) -> Result<Finding, WireError> {
-    let kind = match reader.next()? {
-        "logic" => FindingKind::Logic,
-        "crash" => FindingKind::Crash,
-        other => {
-            return Err(WireError::Malformed {
-                expected: "finding kind",
-                got: other.to_string(),
-            })
-        }
-    };
-    let side = {
-        let token = reader.next()?;
-        crate::oracles::DivergenceSide::from_name(token).ok_or_else(|| WireError::Malformed {
-            expected: "divergence side",
-            got: token.to_string(),
-        })?
-    };
+fn read_finding(reader: &mut TokenReader) -> Result<Finding, CodecError> {
+    let kind = reader.next_keyword()?;
+    let side = reader.next_keyword()?;
     let description = reader.next_str()?;
-    let iteration = reader.next_usize("finding iteration")?;
+    let iteration = reader.next_num("finding iteration")?;
     let elapsed = reader.next_duration("finding elapsed")?;
-    let n_faults = reader.next_usize("attributed fault count")?;
+    let n_faults: usize = reader.next_num("attributed fault count")?;
     let mut attributed_faults = Vec::with_capacity(n_faults.min(64));
     for _ in 0..n_faults {
         let token = reader.next()?;
-        let fault = spatter_sdb::FaultId::from_name(token)
-            .ok_or_else(|| WireError::UnknownFault(token.to_string()))?;
+        let fault =
+            FaultId::from_name(token).ok_or_else(|| CodecError::UnknownFault(token.to_string()))?;
         attributed_faults.push(fault);
     }
     Ok(Finding {
@@ -794,54 +410,51 @@ fn read_finding(reader: &mut TokenReader) -> Result<Finding, WireError> {
 }
 
 fn write_record(writer: &mut TokenWriter, record: &IterationRecord) {
-    writer.push_usize(record.iteration);
+    writer.push_num(record.iteration);
     // The replay frame ships verbatim (its iteration field is the record's):
     // the supervisor records worker-computed hashes, never recomputes them,
     // so replay artifacts are byte-identical across fleet shapes by
     // construction.
-    writer.push_u64(record.replay.sub_seed);
-    writer.push_u64(record.replay.setup_hash);
-    writer.push_u64(record.replay.outcome_hash);
-    writer.push_u64(record.replay.probe_hash);
-    writer.push_usize(record.replay.query_digests.len());
+    writer.push_num(record.replay.sub_seed);
+    writer.push_num(record.replay.setup_hash);
+    writer.push_num(record.replay.outcome_hash);
+    writer.push_num(record.replay.probe_hash);
+    writer.push_num(record.replay.query_digests.len());
     for digest in &record.replay.query_digests {
-        writer.push_u64(*digest);
+        writer.push_num(*digest);
     }
     writer.push_duration(record.generation_time);
     writer.push_duration(record.engine_time);
     writer.push_duration(record.coverage.0);
     writer.push_f64(record.coverage.1);
     writer.push_f64(record.coverage.2);
-    writer.push_usize(record.skipped);
-    writer.push_usize(record.findings.len());
+    writer.push_num(record.skipped);
+    writer.push_num(record.findings.len());
     for finding in &record.findings {
         write_finding(writer, finding);
     }
-    writer.push_usize(record.probe_delta.len());
+    writer.push_num(record.probe_delta.len());
     for (probe, count) in &record.probe_delta {
         writer.push_str(probe);
-        writer.push_u64(*count);
+        writer.push_num(*count);
     }
 }
 
-fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, WireError> {
-    let iteration = reader.next_usize("record iteration")?;
-    let replay = {
-        let mut frame = crate::replay::ReplayFrame {
-            iteration,
-            sub_seed: reader.next_u64("replay sub-seed")?,
-            setup_hash: reader.next_u64("replay setup hash")?,
-            outcome_hash: reader.next_u64("replay outcome hash")?,
-            probe_hash: reader.next_u64("replay probe hash")?,
-            query_digests: Vec::new(),
-        };
-        let n_digests = reader.next_usize("query digest count")?;
-        frame.query_digests.reserve(n_digests.min(1 << 20));
-        for _ in 0..n_digests {
-            frame.query_digests.push(reader.next_u64("query digest")?);
-        }
-        frame
+fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> {
+    let iteration = reader.next_num("record iteration")?;
+    let mut replay = crate::replay::ReplayFrame {
+        iteration,
+        sub_seed: reader.next_num("replay sub-seed")?,
+        setup_hash: reader.next_num("replay setup hash")?,
+        outcome_hash: reader.next_num("replay outcome hash")?,
+        probe_hash: reader.next_num("replay probe hash")?,
+        query_digests: Vec::new(),
     };
+    let n_digests: usize = reader.next_num("query digest count")?;
+    replay.query_digests.reserve(n_digests.min(1 << 20));
+    for _ in 0..n_digests {
+        replay.query_digests.push(reader.next_num("query digest")?);
+    }
     let generation_time = reader.next_duration("generation time")?;
     let engine_time = reader.next_duration("engine time")?;
     let coverage = (
@@ -849,18 +462,17 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, WireError> {
         reader.next_f64("topo coverage")?,
         reader.next_f64("sdb coverage")?,
     );
-    let skipped = reader.next_usize("skip count")?;
-    let n_findings = reader.next_usize("finding count")?;
+    let skipped = reader.next_num("skip count")?;
+    let n_findings: usize = reader.next_num("finding count")?;
     let mut findings = Vec::with_capacity(n_findings.min(64));
     for _ in 0..n_findings {
         findings.push(read_finding(reader)?);
     }
-    let n_probes = reader.next_usize("probe delta count")?;
+    let n_probes: usize = reader.next_num("probe delta count")?;
     let mut probe_delta = Vec::with_capacity(n_probes.min(256));
     for _ in 0..n_probes {
         let probe = intern_probe(&reader.next_str()?)?;
-        let count = reader.next_u64("probe count")?;
-        probe_delta.push((probe, count));
+        probe_delta.push((probe, reader.next_num("probe count")?));
     }
     Ok(IterationRecord {
         iteration,
@@ -874,88 +486,6 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, WireError> {
     })
 }
 
-fn write_shard_report(writer: &mut TokenWriter, report: &ShardReport) {
-    writer.push_usize(report.records.len());
-    for record in &report.records {
-        write_record(writer, record);
-    }
-}
-
-fn read_shard_report(reader: &mut TokenReader) -> Result<ShardReport, WireError> {
-    let n = reader.next_usize("record count")?;
-    let mut records = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        records.push(read_record(reader)?);
-    }
-    Ok(ShardReport { records })
-}
-
-// ---------------------------------------------------------------------------
-// Standalone payload lines (round-trip surface of the codec)
-// ---------------------------------------------------------------------------
-
-/// Encodes a campaign configuration as one line. Fails with
-/// [`WireError::UnsupportedBackend`] when the backend has no
-/// [`BackendSpec`].
-pub fn encode_campaign(config: &CampaignConfig) -> Result<String, WireError> {
-    let mut writer = TokenWriter::new();
-    write_campaign(&mut writer, config)?;
-    Ok(writer.finish())
-}
-
-/// Decodes a [`encode_campaign`] line, rebuilding the backend from its spec.
-pub fn decode_campaign(line: &str) -> Result<CampaignConfig, WireError> {
-    let mut reader = TokenReader::new(line);
-    let config = read_campaign(&mut reader)?;
-    reader.finish()?;
-    Ok(config)
-}
-
-/// Encodes one iteration record as one line.
-pub fn encode_record(record: &IterationRecord) -> String {
-    let mut writer = TokenWriter::new();
-    write_record(&mut writer, record);
-    writer.finish()
-}
-
-/// Decodes an [`encode_record`] line.
-pub fn decode_record(line: &str) -> Result<IterationRecord, WireError> {
-    let mut reader = TokenReader::new(line);
-    let record = read_record(&mut reader)?;
-    reader.finish()?;
-    Ok(record)
-}
-
-/// Encodes a whole shard report as one line.
-pub fn encode_shard_report(report: &ShardReport) -> String {
-    let mut writer = TokenWriter::new();
-    write_shard_report(&mut writer, report);
-    writer.finish()
-}
-
-/// Decodes an [`encode_shard_report`] line.
-pub fn decode_shard_report(line: &str) -> Result<ShardReport, WireError> {
-    let mut reader = TokenReader::new(line);
-    let report = read_shard_report(&mut reader)?;
-    reader.finish()?;
-    Ok(report)
-}
-
-/// Encodes a frozen coverage snapshot as one line.
-pub fn encode_snapshot(snapshot: &CoverageSnapshot) -> String {
-    let mut writer = TokenWriter::new();
-    write_snapshot(&mut writer, snapshot);
-    writer.finish()
-}
-
-/// Decodes an [`encode_snapshot`] line, re-interning probe names.
-pub fn decode_snapshot(line: &str) -> Result<CoverageSnapshot, WireError> {
-    let mut reader = TokenReader::new(line);
-    let snapshot = read_snapshot(&mut reader)?;
-    reader.finish()?;
-    Ok(snapshot)
-}
-
 // ---------------------------------------------------------------------------
 // Protocol messages
 // ---------------------------------------------------------------------------
@@ -966,19 +496,10 @@ pub fn encode_handshake() -> String {
 }
 
 /// Validates a worker handshake, rejecting any foreign protocol version.
-pub fn decode_handshake(line: &str) -> Result<(), WireError> {
+pub fn decode_handshake(line: &str) -> Result<(), CodecError> {
     let mut reader = TokenReader::new(line);
-    reader.expect("hello")?;
-    let theirs = reader.next_u32("wire version")?;
-    reader.finish()?;
-    if theirs == WIRE_VERSION {
-        Ok(())
-    } else {
-        Err(WireError::VersionMismatch {
-            ours: WIRE_VERSION,
-            theirs,
-        })
-    }
+    reader.header("hello", WIRE_VERSION)?;
+    reader.finish()
 }
 
 /// A supervisor-to-worker message.
@@ -991,7 +512,7 @@ pub enum ToWorker {
         threads: usize,
         /// The campaign configuration.
         campaign: CampaignConfig,
-        /// The frozen guidance snapshot ([`GuidanceMode::ColdProbe`] only).
+        /// The frozen guidance snapshot ([`crate::guidance::GuidanceMode::ColdProbe`] only).
         snapshot: Option<CoverageSnapshot>,
     },
     /// A lease over the iteration range `start .. start + len`.
@@ -1016,34 +537,25 @@ pub enum ToWorker {
     Exit,
 }
 
-/// Encodes the one-off worker configuration message.
+/// Encodes the one-off worker configuration message. Fails with
+/// [`CodecError::UnsupportedBackend`] when the campaign's backend has no
+/// [`BackendSpec`].
 pub fn encode_config_message(
     threads: usize,
     campaign: &CampaignConfig,
     snapshot: Option<&CoverageSnapshot>,
-) -> Result<String, WireError> {
+) -> Result<String, CodecError> {
     let mut writer = TokenWriter::new();
     writer.push_raw("config");
-    writer.push_usize(threads);
+    writer.push_num(threads);
     write_campaign(&mut writer, campaign)?;
-    match snapshot {
-        None => writer.push_raw("unguided"),
-        Some(snapshot) => {
-            writer.push_raw("guided");
-            write_snapshot(&mut writer, snapshot);
-        }
-    }
+    writer.push_option(&SNAPSHOT, snapshot, write_snapshot);
     Ok(writer.finish())
 }
 
 /// Encodes a lease grant.
 pub fn encode_lease_message(id: u64, start: usize, len: usize) -> String {
-    let mut writer = TokenWriter::new();
-    writer.push_raw("lease");
-    writer.push_u64(id);
-    writer.push_usize(start);
-    writer.push_usize(len);
-    writer.finish()
+    format!("lease {id} {start} {len}")
 }
 
 /// Encodes an epoch-barrier guidance refresh.
@@ -1060,43 +572,24 @@ pub fn encode_exit_message() -> String {
 }
 
 /// Decodes any supervisor-to-worker line.
-pub fn decode_to_worker(line: &str) -> Result<ToWorker, WireError> {
+pub fn decode_to_worker(line: &str) -> Result<ToWorker, CodecError> {
     let mut reader = TokenReader::new(line);
     let message = match reader.next()? {
-        "config" => {
-            let threads = reader.next_usize("worker threads")?;
-            let campaign = read_campaign(&mut reader)?;
-            let snapshot = match reader.next()? {
-                "unguided" => None,
-                "guided" => Some(read_snapshot(&mut reader)?),
-                other => {
-                    return Err(WireError::Malformed {
-                        expected: "guidance snapshot marker",
-                        got: other.to_string(),
-                    })
-                }
-            };
-            ToWorker::Config {
-                threads,
-                campaign,
-                snapshot,
-            }
-        }
+        "config" => ToWorker::Config {
+            threads: reader.next_num("worker threads")?,
+            campaign: read_campaign(&mut reader)?,
+            snapshot: reader.next_option(&SNAPSHOT, read_snapshot)?,
+        },
         "lease" => ToWorker::Lease {
-            id: reader.next_u64("lease id")?,
-            start: reader.next_usize("lease start")?,
-            len: reader.next_usize("lease length")?,
+            id: reader.next_num("lease id")?,
+            start: reader.next_num("lease start")?,
+            len: reader.next_num("lease length")?,
         },
         "epoch" => ToWorker::Epoch {
             snapshot: read_snapshot(&mut reader)?,
         },
         "exit" => ToWorker::Exit,
-        other => {
-            return Err(WireError::Malformed {
-                expected: "supervisor message",
-                got: other.to_string(),
-            })
-        }
+        other => return Err(reader.malformed("supervisor message", other)),
     };
     reader.finish()?;
     Ok(message)
@@ -1131,37 +624,29 @@ pub fn encode_configured_message() -> String {
 pub fn encode_record_message(lease: u64, record: &IterationRecord) -> String {
     let mut writer = TokenWriter::new();
     writer.push_raw("record");
-    writer.push_u64(lease);
+    writer.push_num(lease);
     write_record(&mut writer, record);
     writer.finish()
 }
 
 /// Encodes a lease completion.
 pub fn encode_done_message(lease: u64) -> String {
-    let mut writer = TokenWriter::new();
-    writer.push_raw("done");
-    writer.push_u64(lease);
-    writer.finish()
+    format!("done {lease}")
 }
 
 /// Decodes any worker-to-supervisor line (after the handshake).
-pub fn decode_from_worker(line: &str) -> Result<FromWorker, WireError> {
+pub fn decode_from_worker(line: &str) -> Result<FromWorker, CodecError> {
     let mut reader = TokenReader::new(line);
     let message = match reader.next()? {
         "configured" => FromWorker::Configured,
         "record" => FromWorker::Record {
-            lease: reader.next_u64("lease id")?,
+            lease: reader.next_num("lease id")?,
             record: read_record(&mut reader)?,
         },
         "done" => FromWorker::Done {
-            lease: reader.next_u64("lease id")?,
+            lease: reader.next_num("lease id")?,
         },
-        other => {
-            return Err(WireError::Malformed {
-                expected: "worker message",
-                got: other.to_string(),
-            })
-        }
+        other => return Err(reader.malformed("worker message", other)),
     };
     reader.finish()?;
     Ok(message)
@@ -1170,10 +655,15 @@ pub fn decode_from_worker(line: &str) -> Result<FromWorker, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::FindingKind;
+    use crate::generator::GenerationStrategy;
+    use crate::guidance::GuidanceMode;
     use crate::rng::{seq::IndexedRandom, RngExt, SeedableRng, StdRng};
+    use crate::transform::AffineStrategy;
     use spatter_sdb::FaultId;
     use spatter_topo::coverage::TOPO_PROBES;
     use std::sync::Arc;
+    use std::time::Duration;
 
     // -- random structure generators (the in-tree rng stands in for a
     //    property-testing crate: the workspace is std-only) ----------------
@@ -1389,26 +879,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn strings_round_trip_through_escaping() {
-        let cases = [
-            "",
-            " ",
-            "plain",
-            "with space",
-            "100% done",
-            "%-",
-            "%20",
-            "tabs\tand\nnewlines\r",
-            "unicode → é ü 測試",
-        ];
-        for case in cases {
-            let escaped = escape(case);
-            assert!(
-                !escaped.contains(char::is_whitespace) && !escaped.is_empty(),
-                "{escaped:?} is not one token"
-            );
-            assert_eq!(unescape(&escaped).as_deref(), Ok(case), "{case:?}");
+    /// Round-trips a record through a `record` message.
+    fn round_trip_record(record: &IterationRecord) -> (String, IterationRecord) {
+        let line = encode_record_message(7, record);
+        match decode_from_worker(&line).expect("round trip") {
+            FromWorker::Record { lease: 7, record } => (line, record),
+            other => panic!("expected record 7, got {other:?}"),
+        }
+    }
+
+    /// Round-trips a campaign through a `config` message.
+    fn round_trip_campaign(config: &CampaignConfig) -> (String, CampaignConfig) {
+        let line = encode_config_message(1, config, None).expect("encode");
+        match decode_to_worker(&line).expect("decode") {
+            ToWorker::Config { campaign, .. } => (line, campaign),
+            other => panic!("expected config, got {other:?}"),
         }
     }
 
@@ -1436,20 +921,19 @@ mod tests {
                 let mut record = random_record(&mut rng);
                 record.coverage.1 = f64::from_bits(bits_a);
                 record.coverage.2 = f64::from_bits(bits_b);
-                let decoded = decode_record(&encode_record(&record)).expect("round trip");
+                let (line, decoded) = round_trip_record(&record);
                 assert_eq!(decoded.coverage.1.to_bits(), bits_a);
                 assert_eq!(decoded.coverage.2.to_bits(), bits_b);
                 // Re-encoding the decoded record is the identity: no stage
                 // of the codec canonicalizes.
-                assert_eq!(encode_record(&decoded), encode_record(&record));
+                assert_eq!(encode_record_message(7, &decoded), line);
             }
         }
         // The same exactness through a campaign's f64 field.
         for &bits in &EXOTIC_F64_BITS {
             let mut config = random_campaign(&mut rng);
             config.generator.random_shape_probability = f64::from_bits(bits);
-            let line = encode_campaign(&config).expect("encode");
-            let decoded = decode_campaign(&line).expect("decode");
+            let (_, decoded) = round_trip_campaign(&config);
             assert_eq!(decoded.generator.random_shape_probability.to_bits(), bits);
         }
         // And the replay hasher distinguishes every distinct pattern.
@@ -1473,49 +957,12 @@ mod tests {
     }
 
     #[test]
-    fn non_ascii_escapes_are_rejected_not_mojibake() {
-        // `escape` never emits %XX for bytes ≥ 0x80 (multi-byte characters
-        // pass through as UTF-8), so such an escape can only come from a
-        // corrupted or foreign line. Decoding it as a Latin-1 char would
-        // silently change the payload — it must be a structured error.
-        for token in ["%e9", "%80", "a%ffb", "%c3%a9"] {
-            assert_eq!(
-                unescape(token),
-                Err(WireError::BadEscape(token.to_string())),
-                "{token}"
-            );
-        }
-        // ASCII escapes and raw multi-byte characters still round-trip.
-        assert_eq!(unescape("%41").as_deref(), Ok("A"));
-        assert_eq!(unescape(&escape("é → 測試")).as_deref(), Ok("é → 測試"));
-    }
-
-    #[test]
     fn records_round_trip_for_random_inputs() {
         let mut rng = StdRng::seed_from_u64(0xd157);
         for _ in 0..200 {
             let record = random_record(&mut rng);
-            let line = encode_record(&record);
-            let decoded = decode_record(&line).expect("round trip");
+            let (_, decoded) = round_trip_record(&record);
             assert_records_equal(&record, &decoded);
-        }
-    }
-
-    #[test]
-    fn shard_reports_round_trip_for_random_inputs() {
-        let mut rng = StdRng::seed_from_u64(0x5bad);
-        for _ in 0..25 {
-            let report = ShardReport {
-                records: (0..rng.random_range(0..6usize))
-                    .map(|_| random_record(&mut rng))
-                    .collect(),
-            };
-            let line = encode_shard_report(&report);
-            let decoded = decode_shard_report(&line).expect("round trip");
-            assert_eq!(report.records.len(), decoded.records.len());
-            for (a, b) in report.records.iter().zip(&decoded.records) {
-                assert_records_equal(a, b);
-            }
         }
     }
 
@@ -1526,9 +973,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xca3f41);
         for _ in 0..100 {
             let config = random_campaign(&mut rng);
-            let line = encode_campaign(&config).expect("encode");
-            let decoded = decode_campaign(&line).expect("decode");
-            assert_eq!(encode_campaign(&decoded).expect("re-encode"), line);
+            let (line, decoded) = round_trip_campaign(&config);
+            assert_eq!(
+                encode_config_message(1, &decoded, None).expect("re-encode"),
+                line
+            );
             assert_eq!(decoded.oracles, config.oracles);
             assert_eq!(decoded.generator, config.generator);
             assert_eq!(decoded.mutations, config.mutations);
@@ -1544,7 +993,10 @@ mod tests {
             ("topo.distance.dwithin", 1),
             ("topo.relate.noding", u64::MAX / 2),
         ]);
-        let decoded = decode_snapshot(&encode_snapshot(&snapshot)).expect("round trip");
+        let decoded = match decode_to_worker(&encode_epoch_message(&snapshot)) {
+            Ok(ToWorker::Epoch { snapshot }) => snapshot,
+            other => panic!("expected epoch, got {other:?}"),
+        };
         assert_eq!(decoded, snapshot);
         // Decoded names are the interned statics, usable as `&'static str`.
         assert_eq!(decoded.count("topo.predicate.intersects"), 41);
@@ -1552,42 +1004,42 @@ mod tests {
 
     #[test]
     fn unknown_probes_and_faults_are_structured_errors() {
-        assert_eq!(
-            decode_snapshot("1 not.a.probe 3"),
-            Err(WireError::UnknownProbe("not.a.probe".to_string()))
-        );
+        assert!(matches!(
+            decode_to_worker("epoch 1 not.a.probe 3"),
+            Err(CodecError::UnknownProbe(name)) if name == "not.a.probe"
+        ));
         let mut writer = TokenWriter::new();
         write_faults(&mut writer, &FaultSet::none());
         assert_eq!(writer.finish(), "none");
         let mut reader = TokenReader::new("NoSuchFault,AlsoNot");
         assert!(matches!(
             read_faults(&mut reader),
-            Err(WireError::UnknownFault(_))
+            Err(CodecError::UnknownFault(_))
         ));
         let mut reader = TokenReader::new("klingon_like");
         assert!(matches!(
             read_profile(&mut reader),
-            Err(WireError::UnknownProfile(_))
+            Err(CodecError::UnknownProfile(_))
         ));
     }
 
     #[test]
     fn truncated_and_garbage_input_never_panics() {
-        // Every prefix of a valid line is a structured decode error — the
-        // codec never panics and never silently succeeds on partial input.
+        // Every token prefix of a valid line is a structured decode error —
+        // the codec never panics and never silently succeeds on partial
+        // input.
         let mut rng = StdRng::seed_from_u64(7);
         let record = random_record(&mut rng);
-        let line = encode_record(&record);
-        let token_count = line.split_ascii_whitespace().count();
-        for keep in 0..token_count {
-            let prefix: Vec<&str> = line.split_ascii_whitespace().take(keep).collect();
-            let result = decode_record(&prefix.join(" "));
+        let line = encode_record_message(0, &record);
+        let tokens: Vec<&str> = line.split(' ').collect();
+        for keep in 0..tokens.len() {
+            let result = decode_from_worker(&tokens[..keep].join(" "));
             assert!(result.is_err(), "prefix of {keep} tokens must not decode");
         }
         // Trailing garbage after a valid message is rejected too.
         assert!(matches!(
-            decode_record(&format!("{line} surprise")),
-            Err(WireError::TrailingInput(_))
+            decode_from_worker(&format!("{line} surprise")),
+            Err(CodecError::TrailingInput { .. })
         ));
 
         // Arbitrary garbage lines decode to errors across every entry point.
@@ -1603,10 +1055,8 @@ mod tests {
             "hello world",
             "\u{1F980} claws",
             "record 0 18446744073709551616",
+            "epoch 1 topo.centroid%+9 1",
         ] {
-            assert!(decode_record(garbage).is_err());
-            assert!(decode_campaign(garbage).is_err());
-            assert!(decode_shard_report(garbage).is_err());
             assert!(decode_to_worker(garbage).is_err());
             assert!(decode_from_worker(garbage).is_err());
             assert!(decode_handshake(garbage).is_err());
@@ -1618,16 +1068,20 @@ mod tests {
         assert_eq!(decode_handshake(&encode_handshake()), Ok(()));
         assert_eq!(
             decode_handshake("hello 999"),
-            Err(WireError::VersionMismatch {
+            Err(CodecError::VersionMismatch {
+                magic: "hello",
                 ours: WIRE_VERSION,
                 theirs: 999
             })
         );
         assert!(decode_handshake("hello").is_err());
-        assert!(decode_handshake("goodbye 1").is_err());
+        assert_eq!(
+            decode_handshake("goodbye 1"),
+            Err(CodecError::MissingHeader { magic: "hello" })
+        );
         assert!(matches!(
             decode_handshake(&format!("hello {WIRE_VERSION} extra")),
-            Err(WireError::TrailingInput(_))
+            Err(CodecError::TrailingInput { .. })
         ));
     }
 
@@ -1657,8 +1111,8 @@ mod tests {
         }
         let config = CampaignConfig::default().with_backend(Arc::new(Opaque));
         assert!(matches!(
-            encode_campaign(&config),
-            Err(WireError::UnsupportedBackend(_))
+            encode_config_message(1, &config, None),
+            Err(CodecError::UnsupportedBackend(_))
         ));
     }
 

@@ -19,7 +19,8 @@
 //! why a distributed campaign merges byte-identically to a single-process
 //! one.
 
-use crate::dist::wire::{self, ToWorker, WireError};
+use crate::codec::CodecError;
+use crate::dist::wire::{self, ToWorker};
 use crate::guidance::Guidance;
 use crate::runner::CampaignRunner;
 use std::fmt;
@@ -32,7 +33,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub enum WorkerError {
     /// A supervisor line could not be decoded.
-    Wire(WireError),
+    Wire(CodecError),
     /// The stdio transport to the supervisor failed.
     Io(std::io::Error),
     /// A message arrived in the wrong state (e.g. a lease before the
@@ -52,8 +53,8 @@ impl fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-impl From<WireError> for WorkerError {
-    fn from(e: WireError) -> Self {
+impl From<CodecError> for WorkerError {
+    fn from(e: CodecError) -> Self {
         WorkerError::Wire(e)
     }
 }

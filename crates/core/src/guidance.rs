@@ -46,6 +46,7 @@
 //! this determinism by being *stationary*: arm scores do not update within a
 //! campaign, exploration comes from the per-iteration seeded draw.
 
+use crate::codec::Keyword;
 use crate::generator::GeneratorConfig;
 use crate::rng::{split_seed, RngExt, SeedableRng, StdRng};
 use crate::spec::DatabaseSpec;
@@ -74,6 +75,19 @@ pub enum GuidanceMode {
     /// Determinism and finding validity are unaffected — only the steering
     /// signal and the coverage report are weaker.
     ColdProbe,
+}
+
+impl GuidanceMode {
+    /// Stable lowercase name, used on the wire, in replay artifacts and on
+    /// command lines.
+    pub fn name(self) -> &'static str {
+        Keyword::token(self)
+    }
+
+    /// Parses the stable name back.
+    pub fn from_name(name: &str) -> Option<GuidanceMode> {
+        Keyword::from_token(name)
+    }
 }
 
 /// Sub-seed stream index for the knob bandit (decorrelates the bandit draw

@@ -41,7 +41,8 @@
 //! 6. [`dist`] — the multi-process layer over the same contract: a
 //!    [`dist::DistRunner`] supervisor spawns shared-nothing
 //!    `spatter-campaign-worker` processes, leases them iteration ranges
-//!    over a hand-rolled line-delimited wire codec ([`dist::wire`]), and
+//!    over a line-delimited wire layout ([`dist::wire`]) on the one line
+//!    codec ([`codec`]) every message and artifact shares, and
 //!    merges their streamed records index-ordered — byte-identical to the
 //!    in-process runner, surviving worker crashes by respawn + re-lease.
 //! 7. [`replay`] — the debugging story over the determinism contract:
@@ -58,6 +59,7 @@
 
 pub mod backend;
 pub mod campaign;
+pub mod codec;
 pub mod dist;
 pub mod fabric;
 pub mod generator;
@@ -77,6 +79,7 @@ pub use backend::{
     BackendError, BackendSpec, EngineBackend, EngineSession, InProcessBackend, StdioBackend,
 };
 pub use campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
+pub use codec::CodecError;
 pub use dist::{DistConfig, DistError, DistRunner, DistStats, LeasePolicy};
 pub use fabric::{ChannelControl, StdioTransport, TcpTransport, Transport, WorkerChannel};
 pub use generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
@@ -90,9 +93,7 @@ pub use oracles::{
     AeiOracle, DifferentialOracle, DivergenceSide, IndexOracle, Oracle, OracleOutcome, TlpOracle,
 };
 pub use queries::{QueryInstance, QueryTemplate, RangeFunction};
-pub use replay::{
-    Divergence, DivergenceLayer, ReplayError, ReplayFrame, ReplayLog, ReplayRecorder, ReplaySink,
-};
+pub use replay::{Divergence, DivergenceLayer, ReplayFrame, ReplayLog, ReplayRecorder, ReplaySink};
 pub use runner::{CampaignRunner, OracleKind, ScenarioParts, ShardReport};
 pub use spec::{DatabaseSpec, TableSpec};
 pub use transform::{AffineStrategy, TransformPlan};

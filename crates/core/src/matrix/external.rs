@@ -30,9 +30,9 @@
 //! transport error and is lazily respawned with its setup script replayed.
 
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
-use spatter_sdb::server::{sanitize_line, Response};
+use spatter_sdb::server::{read_frame, sanitize_line, Response};
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -214,10 +214,10 @@ impl ExternalBackend {
         };
         if let Some(prefix) = &self.dialect.ready_prefix {
             loop {
-                match handle.read_line() {
-                    Some(line) if line.starts_with(prefix.as_str()) => break,
-                    Some(_) => continue,
-                    None => {
+                match read_frame(&mut handle.stdout) {
+                    Ok(Some(line)) if line.starts_with(prefix.as_str()) => break,
+                    Ok(Some(_)) => continue,
+                    Ok(None) | Err(_) => {
                         handle.shutdown();
                         return Err(transport_lost());
                     }
@@ -275,21 +275,6 @@ struct ExternalHandle {
 }
 
 impl ExternalHandle {
-    /// Reads one line, `None` on EOF or I/O failure (both mean the process
-    /// is gone for our purposes).
-    fn read_line(&mut self) -> Option<String> {
-        let mut line = String::new();
-        match self.stdout.read_line(&mut line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => {
-                while line.ends_with('\n') || line.ends_with('\r') {
-                    line.pop();
-                }
-                Some(line)
-            }
-        }
-    }
-
     fn send_line(&mut self, line: &str) -> Result<(), BackendError> {
         writeln!(self.stdin, "{line}")
             .and_then(|()| self.stdin.flush())
@@ -328,7 +313,7 @@ impl ExternalHandle {
                 let mut rows = Vec::new();
                 let mut error: Option<(bool, String)> = None;
                 loop {
-                    let Some(reply) = self.read_line() else {
+                    let Ok(Some(reply)) = read_frame(&mut self.stdout) else {
                         return Err(transport_lost());
                     };
                     if reply == *done_marker {

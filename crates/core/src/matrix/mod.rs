@@ -35,11 +35,11 @@ pub use external::{DialectSpec, ExternalBackend, ReplyGrammar};
 
 use crate::backend::BackendSpec;
 use crate::campaign::{CampaignConfig, CampaignReport, FindingKind};
+use crate::codec::{escape, ArtifactReader, CodecError};
 use crate::oracles::DivergenceSide;
 use crate::replay::ReplayHasher;
 use crate::runner::{CampaignRunner, OracleKind};
 use std::cmp::Ordering;
-use std::fmt;
 
 /// The matrix artifact format version. Bumped whenever the header or line
 /// layout changes; decoding any other version is a structured error.
@@ -186,10 +186,7 @@ impl MatrixReport {
             self.cells.len(),
         ));
         for (index, label) in self.backends.iter().enumerate() {
-            out.push_str(&format!(
-                "backend {index} {}\n",
-                crate::dist::wire::escape(label)
-            ));
+            out.push_str(&format!("backend {index} {}\n", escape(label)));
         }
         for cell in &self.cells {
             out.push_str(&format!(
@@ -213,81 +210,46 @@ impl MatrixReport {
     }
 
     /// Decodes an [`encode`](MatrixReport::encode)d artifact; every
-    /// deviation is a structured [`MatrixError`].
-    pub fn decode(text: &str) -> Result<MatrixReport, MatrixError> {
-        let mut lines = text.lines().enumerate();
-        let (line_no, header) = lines.next().ok_or(MatrixError::MissingHeader)?;
-        let mut tokens = header.split_ascii_whitespace();
-        if tokens.next() != Some("spatter-matrix") {
-            return Err(MatrixError::MissingHeader);
-        }
-        let version = parse_u64(line_no + 1, "format version", tokens.next())? as u32;
-        if version != MATRIX_VERSION {
-            return Err(MatrixError::VersionMismatch {
-                ours: MATRIX_VERSION,
-                theirs: version,
-            });
-        }
-        expect_token(line_no + 1, "seed", tokens.next())?;
-        let seed = parse_u64(line_no + 1, "seed", tokens.next())?;
-        expect_token(line_no + 1, "backends", tokens.next())?;
-        let n_backends = parse_usize(line_no + 1, "backend count", tokens.next())?;
-        expect_token(line_no + 1, "cells", tokens.next())?;
-        let n_cells = parse_usize(line_no + 1, "cell count", tokens.next())?;
-        end_of_line(line_no + 1, tokens.next())?;
+    /// deviation is a structured [`CodecError`].
+    pub fn decode(text: &str) -> Result<MatrixReport, CodecError> {
+        let (mut lines, mut header) = ArtifactReader::open(text, "spatter-matrix", MATRIX_VERSION)?;
+        header.expect("seed")?;
+        let seed = header.next_num("seed")?;
+        header.expect("backends")?;
+        let n_backends = header.next_num("backend count")?;
+        header.expect("cells")?;
+        let n_cells = header.next_num("cell count")?;
+        header.finish()?;
 
-        let mut backends = Vec::with_capacity(n_backends.min(64));
-        for index in 0..n_backends {
-            let (line_no, line) = lines.next().ok_or(MatrixError::Truncated)?;
-            let mut tokens = line.split_ascii_whitespace();
-            expect_token(line_no + 1, "backend", tokens.next())?;
-            let declared = parse_usize(line_no + 1, "backend index", tokens.next())?;
+        let backends = lines.lines(n_backends, |index, line| {
+            line.expect("backend")?;
+            let declared: usize = line.next_num("backend index")?;
             if declared != index {
-                return Err(MatrixError::Malformed {
-                    line: line_no + 1,
-                    expected: "backend index in roster order",
-                    got: declared.to_string(),
-                });
+                return Err(line.malformed("backend index in roster order", declared));
             }
-            let label = tokens.next().ok_or(MatrixError::Truncated)?;
-            backends.push(crate::dist::wire::unescape(label).map_err(|_| {
-                MatrixError::Malformed {
-                    line: line_no + 1,
-                    expected: "backend label",
-                    got: label.to_string(),
-                }
-            })?);
-            end_of_line(line_no + 1, tokens.next())?;
-        }
-
-        let mut cells = Vec::with_capacity(n_cells.min(4096));
-        for _ in 0..n_cells {
-            let (line_no, line) = lines.next().ok_or(MatrixError::Truncated)?;
-            let mut tokens = line.split_ascii_whitespace();
-            expect_token(line_no + 1, "cell", tokens.next())?;
-            let left = parse_usize(line_no + 1, "cell left index", tokens.next())?;
-            let right = parse_usize(line_no + 1, "cell right index", tokens.next())?;
-            expect_token(line_no + 1, "iterations", tokens.next())?;
-            let iterations_run = parse_usize(line_no + 1, "cell iterations", tokens.next())?;
-            expect_token(line_no + 1, "left", tokens.next())?;
-            let bucket_left = parse_usize(line_no + 1, "left bucket", tokens.next())?;
-            expect_token(line_no + 1, "right", tokens.next())?;
-            let bucket_right = parse_usize(line_no + 1, "right bucket", tokens.next())?;
-            expect_token(line_no + 1, "both", tokens.next())?;
-            let bucket_both = parse_usize(line_no + 1, "both bucket", tokens.next())?;
-            expect_token(line_no + 1, "crash", tokens.next())?;
-            let bucket_crash = parse_usize(line_no + 1, "crash bucket", tokens.next())?;
-            expect_token(line_no + 1, "fingerprint", tokens.next())?;
-            let fingerprint = parse_u64(line_no + 1, "cell fingerprint", tokens.next())?;
-            end_of_line(line_no + 1, tokens.next())?;
+            line.next_str()
+        })?;
+        let cells = lines.lines(n_cells, |_, line| {
+            line.expect("cell")?;
+            let left = line.next_num("cell left index")?;
+            let right = line.next_num("cell right index")?;
             if left >= n_backends || right >= n_backends {
-                return Err(MatrixError::Malformed {
-                    line: line_no + 1,
-                    expected: "cell indexes within the roster",
-                    got: format!("{left}x{right}"),
-                });
+                return Err(
+                    line.malformed("cell indexes within the roster", format!("{left}x{right}"))
+                );
             }
-            cells.push(CellReport {
+            line.expect("iterations")?;
+            let iterations_run = line.next_num("cell iterations")?;
+            line.expect("left")?;
+            let bucket_left = line.next_num("left bucket")?;
+            line.expect("right")?;
+            let bucket_right = line.next_num("right bucket")?;
+            line.expect("both")?;
+            let bucket_both = line.next_num("both bucket")?;
+            line.expect("crash")?;
+            let bucket_crash = line.next_num("crash bucket")?;
+            line.expect("fingerprint")?;
+            Ok(CellReport {
                 left,
                 right,
                 iterations_run,
@@ -297,38 +259,16 @@ impl MatrixReport {
                     both: bucket_both,
                     crash: bucket_crash,
                 },
-                fingerprint,
-            });
-        }
-
-        let (line_no, line) = lines.next().ok_or(MatrixError::Truncated)?;
-        let mut tokens = line.split_ascii_whitespace();
-        expect_token(line_no + 1, "involvement", tokens.next())?;
-        let mut involvement = Vec::with_capacity(n_backends.min(64));
-        for _ in 0..n_backends {
-            involvement.push(parse_usize(
-                line_no + 1,
-                "involvement count",
-                tokens.next(),
-            )?);
-        }
-        end_of_line(line_no + 1, tokens.next())?;
-
-        let (line_no, line) = lines.next().ok_or(MatrixError::Truncated)?;
-        if line.trim() != "end" {
-            return Err(MatrixError::Malformed {
-                line: line_no + 1,
-                expected: "end footer",
-                got: line.to_string(),
-            });
-        }
-        if let Some((line_no, line)) = lines.find(|(_, line)| !line.trim().is_empty()) {
-            return Err(MatrixError::Malformed {
-                line: line_no + 1,
-                expected: "end of artifact",
-                got: line.to_string(),
-            });
-        }
+                fingerprint: line.next_num("cell fingerprint")?,
+            })
+        })?;
+        let involvement = lines.line(|line| {
+            line.expect("involvement")?;
+            (0..n_backends)
+                .map(|_| line.next_num("involvement count"))
+                .collect()
+        })?;
+        lines.footer()?;
         Ok(MatrixReport {
             seed,
             backends,
@@ -337,99 +277,6 @@ impl MatrixReport {
         })
     }
 }
-
-fn expect_token(
-    line: usize,
-    expected: &'static str,
-    token: Option<&str>,
-) -> Result<(), MatrixError> {
-    match token {
-        Some(token) if token == expected => Ok(()),
-        Some(other) => Err(MatrixError::Malformed {
-            line,
-            expected,
-            got: other.to_string(),
-        }),
-        None => Err(MatrixError::Truncated),
-    }
-}
-
-fn parse_u64(line: usize, expected: &'static str, token: Option<&str>) -> Result<u64, MatrixError> {
-    let token = token.ok_or(MatrixError::Truncated)?;
-    token.parse().map_err(|_| MatrixError::Malformed {
-        line,
-        expected,
-        got: token.to_string(),
-    })
-}
-
-fn parse_usize(
-    line: usize,
-    expected: &'static str,
-    token: Option<&str>,
-) -> Result<usize, MatrixError> {
-    let value = parse_u64(line, expected, token)?;
-    usize::try_from(value).map_err(|_| MatrixError::Malformed {
-        line,
-        expected,
-        got: value.to_string(),
-    })
-}
-
-fn end_of_line(line: usize, token: Option<&str>) -> Result<(), MatrixError> {
-    match token {
-        None => Ok(()),
-        Some(extra) => Err(MatrixError::Malformed {
-            line,
-            expected: "end of line",
-            got: extra.to_string(),
-        }),
-    }
-}
-
-/// Why a matrix artifact could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatrixError {
-    /// The input does not start with a `spatter-matrix` header line.
-    MissingHeader,
-    /// The artifact was written by a different format version.
-    VersionMismatch {
-        /// Our [`MATRIX_VERSION`].
-        ours: u32,
-        /// The version the artifact announces.
-        theirs: u32,
-    },
-    /// The input ended before the declared line count was reached.
-    Truncated,
-    /// A line did not have the expected shape.
-    Malformed {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What the decoder was trying to read.
-        expected: &'static str,
-        /// The offending token (or a description of it).
-        got: String,
-    },
-}
-
-impl fmt::Display for MatrixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MatrixError::MissingHeader => write!(f, "missing spatter-matrix header"),
-            MatrixError::VersionMismatch { ours, theirs } => {
-                write!(f, "matrix version mismatch: ours {ours}, artifact {theirs}")
-            }
-            MatrixError::Truncated => write!(f, "artifact truncated"),
-            MatrixError::Malformed {
-                line,
-                expected,
-                got,
-            } => write!(f, "line {line}: expected {expected}, got {got:?}"),
-        }
-    }
-}
-
-impl std::error::Error for MatrixError {}
 
 /// The matrix driver: instantiates and runs every cell campaign, then
 /// merges and buckets.
@@ -662,31 +509,47 @@ mod tests {
 
         assert_eq!(
             MatrixReport::decode("not-an-artifact\n"),
-            Err(MatrixError::MissingHeader)
+            Err(CodecError::MissingHeader {
+                magic: "spatter-matrix"
+            })
         );
         assert_eq!(
             MatrixReport::decode("spatter-matrix 99 seed 0 backends 0 cells 0\ninvolvement\nend\n"),
-            Err(MatrixError::VersionMismatch {
+            Err(CodecError::VersionMismatch {
+                magic: "spatter-matrix",
                 ours: 1,
                 theirs: 99
             })
         );
+        // A version past u32::MAX must not wrap onto a supported one
+        // (2^32 + 1 read `as u32` is 1).
+        assert!(matches!(
+            MatrixReport::decode(
+                "spatter-matrix 4294967297 seed 0 backends 0 cells 0\ninvolvement\nend\n"
+            ),
+            Err(CodecError::Malformed {
+                line: 1,
+                expected: "format version",
+                ..
+            })
+        ));
         // Truncation after the header is structured, not a panic.
         let header_only: String = encoded.lines().take(1).map(|l| format!("{l}\n")).collect();
         assert_eq!(
             MatrixReport::decode(&header_only),
-            Err(MatrixError::Truncated)
+            Err(CodecError::Truncated { line: 2 })
         );
         // Trailing garbage is rejected.
         assert!(matches!(
             MatrixReport::decode(&format!("{encoded}surprise\n")),
-            Err(MatrixError::Malformed { .. })
+            Err(CodecError::TrailingInput { .. })
         ));
         // A corrupted bucket count is a structured error naming the line.
         let corrupted = encoded.replace("left 1", "left eel");
         assert!(matches!(
             MatrixReport::decode(&corrupted),
-            Err(MatrixError::Malformed {
+            Err(CodecError::Malformed {
+                line: 4,
                 expected: "left bucket",
                 ..
             })

@@ -15,6 +15,7 @@
 //! interpreted.
 
 use crate::backend::{BackendError, EngineBackend, EngineSession, InProcessBackend};
+use crate::codec::Keyword;
 use crate::guidance::ScenarioKnobs;
 use crate::mutation::MutationScript;
 use crate::queries::{QueryInstance, QueryTemplate, RangeFunction};
@@ -45,21 +46,12 @@ pub enum DivergenceSide {
 impl DivergenceSide {
     /// Stable lowercase name, used on the wire and in reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            DivergenceSide::Left => "left",
-            DivergenceSide::Right => "right",
-            DivergenceSide::Both => "both",
-        }
+        Keyword::token(*self)
     }
 
-    /// Parses the stable name back (wire decode).
+    /// Parses the stable name back.
     pub fn from_name(name: &str) -> Option<DivergenceSide> {
-        match name {
-            "left" => Some(DivergenceSide::Left),
-            "right" => Some(DivergenceSide::Right),
-            "both" => Some(DivergenceSide::Both),
-            _ => None,
-        }
+        Keyword::from_token(name)
     }
 
     fn tag(&self) -> u64 {

@@ -3,8 +3,8 @@
 //! A replay log is meant to be written next to a campaign's report, diffed
 //! with `cmp`, attached to a bug report, and decoded by a *different* build
 //! than the one that wrote it — so the format is text, versioned, and
-//! decoded with structured [`ReplayError`]s that never panic (the same
-//! contract as [`crate::dist::wire`]):
+//! decoded with structured [`CodecError`]s that never panic (the same
+//! codec as [`crate::dist::wire`]):
 //!
 //! ```text
 //! spatter-replay 1 seed 3 iterations 12 guidance off frames 12
@@ -13,111 +13,28 @@
 //! end
 //! ```
 //!
-//! A campaign pinned to a guidance epoch carries an optional `epoch <n>`
-//! header token between the guidance mode and the frame count
-//! (`... guidance cold-probe epoch 7 frames 12`); headers without the token
-//! — every artifact written before the field existed — still decode, with
-//! the epoch absent.
+//! A campaign pinned to a guidance epoch carries an `epoch <n>` header
+//! token between the guidance mode and the frame count
+//! (`... guidance cold-probe epoch 7 frames 12`); without it the header
+//! decodes with the epoch absent.
 //!
 //! One header line (version, campaign identity, declared frame count), then
 //! exactly `frames` `frame` lines — iteration index plus the four hash
-//! layers of a [`ReplayFrame`], all as decimal `u64`s, optionally followed
-//! by a ` q <n> <digests...>` group carrying the per-query outcome digests
-//! (absent on pre-digest artifacts, which still decode) — and a closing
-//! `end` line. The declared count and the footer make truncation *detectable at
-//! any byte*: an artifact cut short mid-transfer — even inside the last
-//! digit of the last frame, which the count alone cannot catch — decodes
-//! to a structured error, never to a silently different log (which would
-//! bisect against the wrong campaign).
+//! layers of a [`ReplayFrame`], all as decimal `u64`s, followed by a
+//! ` q <n> <digests...>` group carrying the per-query outcome digests when
+//! the frame has any — and a closing `end` line. The header, the declared
+//! count, the footer and the trailing newline are checked by the artifact
+//! reader of [`crate::codec`]: an artifact cut short anywhere decodes to a
+//! structured error, never to a silently different log (which would bisect
+//! against the wrong campaign).
 
 use super::ReplayFrame;
+use crate::codec::{ArtifactReader, CodecError};
 use crate::guidance::GuidanceMode;
-use std::fmt;
 
 /// The replay artifact format version. Bumped whenever the header or frame
 /// layout changes; decoding any other version is a structured error.
 pub const REPLAY_VERSION: u32 = 1;
-
-/// Why a replay artifact could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayError {
-    /// The input does not start with a `spatter-replay` header line.
-    MissingHeader,
-    /// The artifact was written by a different format version.
-    VersionMismatch {
-        /// Our [`REPLAY_VERSION`].
-        ours: u32,
-        /// The version the artifact announces.
-        theirs: u32,
-    },
-    /// The input ended before the declared frame count was reached.
-    Truncated {
-        /// Frames decoded before the input ran out.
-        frames_found: usize,
-        /// Frames the header declared.
-        frames_declared: usize,
-    },
-    /// A line did not have the expected shape.
-    Malformed {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What the decoder was trying to read.
-        expected: &'static str,
-        /// The offending token (or a description of it).
-        got: String,
-    },
-    /// Non-empty lines follow the declared frames.
-    TrailingInput {
-        /// 1-based line number of the first trailing line.
-        line: usize,
-    },
-    /// The input does not end with a newline: the last line was cut short
-    /// mid-byte (a partial token still parses, so only the terminator makes
-    /// this detectable).
-    Unterminated,
-    /// Frame iterations are not strictly increasing.
-    NonMonotonic {
-        /// 1-based line number of the out-of-order frame.
-        line: usize,
-    },
-}
-
-impl fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplayError::MissingHeader => write!(f, "missing spatter-replay header"),
-            ReplayError::VersionMismatch { ours, theirs } => {
-                write!(f, "replay version mismatch: ours {ours}, artifact {theirs}")
-            }
-            ReplayError::Truncated {
-                frames_found,
-                frames_declared,
-            } => write!(
-                f,
-                "artifact truncated: {frames_found} of {frames_declared} declared frames"
-            ),
-            ReplayError::Malformed {
-                line,
-                expected,
-                got,
-            } => write!(f, "line {line}: expected {expected}, got {got:?}"),
-            ReplayError::TrailingInput { line } => {
-                write!(f, "line {line}: trailing input after the declared frames")
-            }
-            ReplayError::Unterminated => {
-                write!(f, "artifact does not end with a newline (cut mid-line?)")
-            }
-            ReplayError::NonMonotonic { line } => {
-                write!(
-                    f,
-                    "line {line}: frame iterations must be strictly increasing"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
 
 /// A decoded (or about-to-be-encoded) replay artifact: the campaign
 /// identity plus one [`ReplayFrame`] per executed iteration, in iteration
@@ -146,10 +63,7 @@ impl ReplayLog {
             "spatter-replay {REPLAY_VERSION} seed {} iterations {} guidance {}{} frames {}\n",
             self.seed,
             self.iterations,
-            match self.guidance {
-                GuidanceMode::Off => "off",
-                GuidanceMode::ColdProbe => "cold-probe",
-            },
+            self.guidance.name(),
             self.guidance_epoch
                 .map(|epoch| format!(" epoch {epoch}"))
                 .unwrap_or_default(),
@@ -164,11 +78,6 @@ impl ReplayLog {
                 frame.outcome_hash,
                 frame.probe_hash,
             ));
-            // The per-query digest stream is an optional trailing token
-            // group (like `epoch` in the header): frames without digests
-            // keep the historical line byte for byte, and pre-digest
-            // decoders would reject the token — which the version field
-            // covers — while pre-digest *artifacts* still decode here.
             if !frame.query_digests.is_empty() {
                 out.push_str(&format!(" q {}", frame.query_digests.len()));
                 for digest in &frame.query_digests {
@@ -183,129 +92,49 @@ impl ReplayLog {
 
     /// Decodes an artifact, returning a structured error — never panicking
     /// — on any malformed, truncated, version-skewed or trailing input.
-    pub fn decode(text: &str) -> Result<ReplayLog, ReplayError> {
-        if text.is_empty() {
-            return Err(ReplayError::MissingHeader);
-        }
-        if !text.ends_with('\n') {
-            return Err(ReplayError::Unterminated);
-        }
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(ReplayError::MissingHeader)?;
-        let mut tokens = header.split_ascii_whitespace();
-        if tokens.next() != Some("spatter-replay") {
-            return Err(ReplayError::MissingHeader);
-        }
-        let version = parse_u64(1, "format version", tokens.next())?;
-        if version != u64::from(REPLAY_VERSION) {
-            return Err(ReplayError::VersionMismatch {
-                ours: REPLAY_VERSION,
-                theirs: u32::try_from(version).unwrap_or(u32::MAX),
-            });
-        }
-        expect_keyword(1, "seed", tokens.next())?;
-        let seed = parse_u64(1, "campaign seed", tokens.next())?;
-        expect_keyword(1, "iterations", tokens.next())?;
-        let iterations = parse_usize(1, "iteration count", tokens.next())?;
-        expect_keyword(1, "guidance", tokens.next())?;
-        let guidance = match tokens.next() {
-            Some("off") => GuidanceMode::Off,
-            Some("cold-probe") => GuidanceMode::ColdProbe,
-            other => {
-                return Err(ReplayError::Malformed {
-                    line: 1,
-                    expected: "guidance mode",
-                    got: other.unwrap_or("end of line").to_string(),
-                })
-            }
-        };
-        // The epoch token is optional so pre-epoch artifacts still decode.
-        let mut next = tokens.next();
-        let guidance_epoch = if next == Some("epoch") {
-            let epoch = parse_usize(1, "guidance epoch", tokens.next())?;
-            next = tokens.next();
-            Some(epoch)
+    pub fn decode(text: &str) -> Result<ReplayLog, CodecError> {
+        let (mut lines, mut header) = ArtifactReader::open(text, "spatter-replay", REPLAY_VERSION)?;
+        header.expect("seed")?;
+        let seed = header.next_num("campaign seed")?;
+        header.expect("iterations")?;
+        let iterations = header.next_num("iteration count")?;
+        header.expect("guidance")?;
+        let guidance = header.next_keyword()?;
+        let guidance_epoch = if header.eat("epoch") {
+            Some(header.next_num("guidance epoch")?)
         } else {
             None
         };
-        expect_keyword(1, "frames", next)?;
-        let declared = parse_usize(1, "frame count", tokens.next())?;
-        if let Some(extra) = tokens.next() {
-            return Err(ReplayError::Malformed {
-                line: 1,
-                expected: "end of header",
-                got: extra.to_string(),
-            });
-        }
+        header.expect("frames")?;
+        let declared = header.next_num("frame count")?;
+        header.finish()?;
 
-        let mut frames: Vec<ReplayFrame> = Vec::with_capacity(declared.min(1 << 20));
-        let mut footer_seen = false;
-        for (index, line) in lines {
-            let line_no = index + 1;
-            if line.trim().is_empty() {
-                continue;
+        let mut last: Option<usize> = None;
+        let frames = lines.lines(declared, |_, line| {
+            line.expect("frame")?;
+            let iteration = line.next_num("frame iteration")?;
+            if last.is_some_and(|last| last >= iteration) {
+                return Err(CodecError::NonMonotonic { line: line.line() });
             }
-            if footer_seen {
-                return Err(ReplayError::TrailingInput { line: line_no });
-            }
-            if line.trim() == "end" {
-                if frames.len() < declared {
-                    return Err(ReplayError::Truncated {
-                        frames_found: frames.len(),
-                        frames_declared: declared,
-                    });
-                }
-                footer_seen = true;
-                continue;
-            }
-            if frames.len() == declared {
-                return Err(ReplayError::TrailingInput { line: line_no });
-            }
-            let mut tokens = line.split_ascii_whitespace();
-            expect_keyword(line_no, "frame", tokens.next())?;
-            let iteration = parse_usize(line_no, "frame iteration", tokens.next())?;
+            last = Some(iteration);
             let mut frame = ReplayFrame {
                 iteration,
-                sub_seed: parse_u64(line_no, "sub-seed", tokens.next())?,
-                setup_hash: parse_u64(line_no, "setup hash", tokens.next())?,
-                outcome_hash: parse_u64(line_no, "outcome hash", tokens.next())?,
-                probe_hash: parse_u64(line_no, "probe hash", tokens.next())?,
+                sub_seed: line.next_num("sub-seed")?,
+                setup_hash: line.next_num("setup hash")?,
+                outcome_hash: line.next_num("outcome hash")?,
+                probe_hash: line.next_num("probe hash")?,
                 query_digests: Vec::new(),
             };
-            // The `q` token group is optional: pre-digest frame lines end
-            // after the probe hash and decode with no digests.
-            let mut next = tokens.next();
-            if next == Some("q") {
-                let count = parse_usize(line_no, "query digest count", tokens.next())?;
+            if line.eat("q") {
+                let count: usize = line.next_num("query digest count")?;
                 frame.query_digests.reserve(count.min(1 << 20));
                 for _ in 0..count {
-                    frame
-                        .query_digests
-                        .push(parse_u64(line_no, "query digest", tokens.next())?);
+                    frame.query_digests.push(line.next_num("query digest")?);
                 }
-                next = tokens.next();
             }
-            if let Some(extra) = next {
-                return Err(ReplayError::Malformed {
-                    line: line_no,
-                    expected: "end of frame",
-                    got: extra.to_string(),
-                });
-            }
-            if frames
-                .last()
-                .is_some_and(|last| last.iteration >= iteration)
-            {
-                return Err(ReplayError::NonMonotonic { line: line_no });
-            }
-            frames.push(frame);
-        }
-        if !footer_seen {
-            return Err(ReplayError::Truncated {
-                frames_found: frames.len(),
-                frames_declared: declared,
-            });
-        }
+            Ok(frame)
+        })?;
+        lines.footer()?;
         Ok(ReplayLog {
             seed,
             iterations,
@@ -322,47 +151,6 @@ impl ReplayLog {
             .ok()
             .map(|index| &self.frames[index])
     }
-}
-
-fn expect_keyword(
-    line: usize,
-    keyword: &'static str,
-    token: Option<&str>,
-) -> Result<(), ReplayError> {
-    match token {
-        Some(t) if t == keyword => Ok(()),
-        other => Err(ReplayError::Malformed {
-            line,
-            expected: keyword,
-            got: other.unwrap_or("end of line").to_string(),
-        }),
-    }
-}
-
-fn parse_u64(line: usize, expected: &'static str, token: Option<&str>) -> Result<u64, ReplayError> {
-    let token = token.ok_or(ReplayError::Malformed {
-        line,
-        expected,
-        got: "end of line".to_string(),
-    })?;
-    token.parse().map_err(|_| ReplayError::Malformed {
-        line,
-        expected,
-        got: token.to_string(),
-    })
-}
-
-fn parse_usize(
-    line: usize,
-    expected: &'static str,
-    token: Option<&str>,
-) -> Result<usize, ReplayError> {
-    let value = parse_u64(line, expected, token)?;
-    usize::try_from(value).map_err(|_| ReplayError::Malformed {
-        line,
-        expected,
-        got: value.to_string(),
-    })
 }
 
 #[cfg(test)]
@@ -410,16 +198,16 @@ mod tests {
             "{text:?}"
         );
         assert_eq!(ReplayLog::decode(&text), Ok(log.clone()));
-        // Backward: a pre-epoch header (no token at all) still decodes.
-        let old = log.encode().replacen(" epoch 7", "", 1);
-        let decoded = ReplayLog::decode(&old).expect("old header decodes");
+        // A header without the token decodes with no epoch.
+        let unpinned = log.encode().replacen(" epoch 7", "", 1);
+        let decoded = ReplayLog::decode(&unpinned).expect("unpinned header decodes");
         assert_eq!(decoded.guidance_epoch, None);
         assert_eq!(decoded.frames, log.frames);
         // A mangled epoch value is a structured error, not a silent None.
         let bad = log.encode().replacen("epoch 7", "epoch x", 1);
         assert_eq!(
             ReplayLog::decode(&bad),
-            Err(ReplayError::Malformed {
+            Err(CodecError::Malformed {
                 line: 1,
                 expected: "guidance epoch",
                 got: "x".to_string()
@@ -434,7 +222,7 @@ mod tests {
         log.frames[3].query_digests = vec![42];
         let text = log.encode();
         // Digest-carrying frames grow a trailing ` q <n> <digests...>` group;
-        // digest-free frames keep the historical five-token line.
+        // digest-free frames are five tokens after `frame`.
         assert!(text.contains(&format!(
             "frame 1 {} {} {} {} q 3 11 {} 0\n",
             log.frames[1].sub_seed,
@@ -444,17 +232,21 @@ mod tests {
             u64::MAX
         )));
         assert_eq!(ReplayLog::decode(&text), Ok(log.clone()));
-        // Backward: a pre-digest artifact (no `q` group anywhere) decodes
-        // with empty digest streams.
-        let mut old = sample_log();
-        old.frames[1].iteration = 1;
-        let decoded = ReplayLog::decode(&old.encode()).expect("pre-digest artifact decodes");
+        // An artifact with no `q` group anywhere decodes with empty digest
+        // streams.
+        let decoded = ReplayLog::decode(&sample_log().encode()).expect("digest-free artifact");
         assert!(decoded.frames.iter().all(|f| f.query_digests.is_empty()));
-        // A digest count without the digests is a structured error.
+        // A digest count without all its digests is a structured error.
         let bad = text.replacen(" q 3 11", " q 3", 1);
+        assert_eq!(
+            ReplayLog::decode(&bad),
+            Err(CodecError::Truncated { line: 3 })
+        );
+        let bad = text.replacen(" q 3 11", " q 3 eleven", 1);
         assert!(matches!(
             ReplayLog::decode(&bad),
-            Err(ReplayError::Malformed {
+            Err(CodecError::Malformed {
+                line: 3,
                 expected: "query digest",
                 ..
             })
@@ -470,7 +262,8 @@ mod tests {
         );
         assert_eq!(
             ReplayLog::decode(&text),
-            Err(ReplayError::VersionMismatch {
+            Err(CodecError::VersionMismatch {
+                magic: "spatter-replay",
                 ours: REPLAY_VERSION,
                 theirs: 99
             })
@@ -485,16 +278,13 @@ mod tests {
         let cut_mid_token = &text[..text.len() - "\nend\n".len()];
         assert_eq!(
             ReplayLog::decode(cut_mid_token),
-            Err(ReplayError::Unterminated)
+            Err(CodecError::Unterminated)
         );
         // All frames present but no footer: a lost tail.
         let cut_footer = &text[..text.len() - "end\n".len()];
         assert_eq!(
             ReplayLog::decode(cut_footer),
-            Err(ReplayError::Truncated {
-                frames_found: 4,
-                frames_declared: 4
-            })
+            Err(CodecError::Truncated { line: 6 })
         );
     }
 
@@ -506,7 +296,7 @@ mod tests {
         log.frames.swap(1, 2);
         assert_eq!(
             ReplayLog::decode(&log.encode()),
-            Err(ReplayError::NonMonotonic { line: 4 })
+            Err(CodecError::NonMonotonic { line: 4 })
         );
     }
 }

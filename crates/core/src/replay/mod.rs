@@ -40,7 +40,7 @@ pub mod bisect;
 pub mod hash;
 pub mod reduce;
 
-pub use artifact::{ReplayError, ReplayLog, REPLAY_VERSION};
+pub use artifact::{ReplayLog, REPLAY_VERSION};
 pub use bisect::{BisectOutcome, Divergence, DivergenceLayer, ReplayExecutor};
 pub use hash::ReplayHasher;
 

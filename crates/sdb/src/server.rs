@@ -201,7 +201,7 @@ impl Response {
     /// Reads one response in wire form. An `Err` means the transport broke
     /// (EOF or I/O failure), not that the statement failed.
     pub fn read_from(input: &mut impl BufRead) -> std::io::Result<Response> {
-        let header = read_line(input)?;
+        let header = read_reply_frame(input)?;
         if header == "OK" {
             return Ok(Response::None);
         }
@@ -240,9 +240,11 @@ impl Response {
                         .map_err(|_| protocol_error(&format!("bad ROWS count: {header}")))?,
                 ),
             };
-            let mut rows = Vec::with_capacity(n);
+            // `n` is untrusted: a capacity hint of `ROWS 10^15` would abort
+            // the process on allocation before the first row is read.
+            let mut rows = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                let line = read_line(input)?;
+                let line = read_reply_frame(input)?;
                 let row = line
                     .strip_prefix("ROW ")
                     .ok_or_else(|| protocol_error(&format!("expected ROW line, got {line}")))?;
@@ -261,16 +263,29 @@ impl Response {
     }
 }
 
-fn read_line(input: &mut impl BufRead) -> std::io::Result<String> {
-    let mut line = String::new();
-    if input.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
+/// One reply frame; a closed stream is a transport error here.
+fn read_reply_frame(input: &mut impl BufRead) -> std::io::Result<String> {
+    read_frame(input)?.ok_or_else(|| {
+        std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "server closed the stream",
-        ));
+        )
+    })
+}
+
+/// Reads one newline-terminated frame of a line protocol, without its
+/// CR/LF: `Ok(None)` at a clean end of stream, and an `UnexpectedEof`
+/// error for a last line with no newline. A frame cut mid-write must never
+/// decode as a shorter valid one (`OK UPDATE 3` cut to `OK`, a probe count
+/// `156` cut to `15`). The one reader of every peer line that feeds a
+/// report: server replies, external-engine replies and campaign-worker
+/// messages. It goes through the reader's own [`BufRead::read_line`], so
+/// wrappers that observe lines keep seeing every frame.
+pub fn read_frame<R: BufRead + ?Sized>(input: &mut R) -> std::io::Result<Option<String>> {
+    let mut line = String::new();
+    if input.read_line(&mut line)? == 0 {
+        return Ok(None);
     }
-    // A frame is newline-terminated; EOF mid-line is a truncated frame, and
-    // accepting it would let `OK UPDATE 3` cut to `OK` read as bare success.
     if !line.ends_with('\n') {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
@@ -280,7 +295,7 @@ fn read_line(input: &mut impl BufRead) -> std::io::Result<String> {
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
-    Ok(line)
+    Ok(Some(line))
 }
 
 fn protocol_error(message: &str) -> std::io::Error {
@@ -475,6 +490,30 @@ mod tests {
             let mut reader = BufReader::new(wire.as_slice());
             assert_eq!(&Response::read_from(&mut reader).unwrap(), case);
         }
+    }
+
+    #[test]
+    fn an_absurd_row_count_is_an_error_not_an_allocation_abort() {
+        // The row count is a capacity hint from an untrusted peer; trusting
+        // it used to abort the whole process before reading a single row.
+        for reply in [
+            "ROWS 1000000000000000 -\n",
+            "ROWS 18446744073709551615 -\nROW 1\n",
+        ] {
+            let mut reader = BufReader::new(reply.as_bytes());
+            assert!(Response::read_from(&mut reader).is_err(), "{reply:?}");
+        }
+    }
+
+    #[test]
+    fn frames_are_complete_lines_or_errors() {
+        let mut reader = BufReader::new("one\r\ntwo\n\nthree".as_bytes());
+        assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some("one"));
+        assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some("two"));
+        assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(""));
+        let cut = read_frame(&mut reader).unwrap_err();
+        assert_eq!(cut.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
     }
 
     #[test]

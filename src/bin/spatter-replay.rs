@@ -111,11 +111,9 @@ impl CampaignFlags {
                 "--epoch" => flags.guidance_epoch = Some(parse(value("--epoch")?)?),
                 "--iteration" => flags.iteration = Some(parse(value("--iteration")?)?),
                 "--guidance" => {
-                    flags.guidance = match value("--guidance")?.as_str() {
-                        "off" => GuidanceMode::Off,
-                        "cold-probe" => GuidanceMode::ColdProbe,
-                        other => return Err(format!("unknown guidance mode {other:?}")),
-                    }
+                    let name = value("--guidance")?;
+                    flags.guidance = GuidanceMode::from_name(name)
+                        .ok_or_else(|| format!("unknown guidance mode {name:?}"))?;
                 }
                 "--profile" => {
                     let name = value("--profile")?;

@@ -307,7 +307,7 @@ fn worker_dying_before_the_handshake_is_recovered_by_respawn() {
 fn unencodable_campaigns_are_rejected_up_front() {
     // A backend with no wire spec cannot be distributed; the supervisor
     // reports the structured wire error instead of spawning anything.
-    use spatter_repro::core::dist::wire::WireError;
+    use spatter_repro::core::codec::CodecError;
     use spatter_repro::core::dist::DistError;
 
     #[derive(Debug)]
@@ -340,7 +340,7 @@ fn unencodable_campaigns_are_rejected_up_front() {
         .run()
         .expect_err("opaque backends cannot be distributed");
     assert!(
-        matches!(error, DistError::Wire(WireError::UnsupportedBackend(_))),
+        matches!(error, DistError::Wire(CodecError::UnsupportedBackend(_))),
         "{error}"
     );
 }

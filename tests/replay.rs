@@ -4,15 +4,14 @@
 //! `spatter-replay` command line.
 
 use spatter_repro::core::campaign::CampaignConfig;
+use spatter_repro::core::codec::CodecError;
 use spatter_repro::core::dist::{DistConfig, DistRunner};
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
 use spatter_repro::core::guidance::GuidanceMode;
 use spatter_repro::core::replay::bisect::{
     bisect_against_live, compare_logs, max_bisect_executions, ReplayExecutor,
 };
-use spatter_repro::core::replay::{
-    DivergenceLayer, ReplayError, ReplayLog, ReplayRecorder, ReplaySink,
-};
+use spatter_repro::core::replay::{DivergenceLayer, ReplayLog, ReplayRecorder, ReplaySink};
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
 use spatter_repro::sdb::EngineProfile;
@@ -159,14 +158,14 @@ fn damaged_artifacts_decode_to_structured_errors_never_panics() {
     let skewed = good.replacen("spatter-replay 1", "spatter-replay 99", 1);
     assert!(matches!(
         ReplayLog::decode(&skewed),
-        Err(ReplayError::VersionMismatch { theirs: 99, .. })
+        Err(CodecError::VersionMismatch { theirs: 99, .. })
     ));
 
     // Trailing input after the declared frames is rejected, not ignored.
     let trailing = format!("{good}frame 99 1 2 3 4\n");
     assert!(matches!(
         ReplayLog::decode(&trailing),
-        Err(ReplayError::TrailingInput { .. })
+        Err(CodecError::TrailingInput { .. })
     ));
 
     // Garbage appended as a partial line is also trailing input.
