@@ -207,6 +207,17 @@ pub trait EngineBackend: fmt::Debug + Send + Sync {
     /// finding.
     fn without_fault(&self, fault: FaultId) -> Box<dyn EngineBackend>;
 
+    /// Whether this backend's sessions report the seeded faults they fire
+    /// into the calling thread's [`spatter_sdb::faults::fired`] recorder
+    /// while it is armed — by firing in-process, or by folding in an
+    /// out-of-process engine's answer (or marking the set unknown) when the
+    /// session closes. Attribution re-checks a finding only against fired
+    /// faults when this holds, and against every fault otherwise. Wrappers
+    /// must not forward `true` unless their sessions keep that contract.
+    fn reports_fired_faults(&self) -> bool {
+        false
+    }
+
     /// Display name used in finding descriptions.
     fn name(&self) -> String {
         self.profile().name().to_string()
@@ -309,6 +320,11 @@ impl EngineBackend for InProcessBackend {
         let mut reduced = self.clone();
         reduced.faults.disable(fault);
         Box::new(reduced)
+    }
+
+    /// The engine runs on the calling thread and fires into its recorder.
+    fn reports_fired_faults(&self) -> bool {
+        true
     }
 
     fn wire_spec(&self) -> Option<BackendSpec> {
@@ -444,7 +460,7 @@ impl EngineBackend for StdioBackend {
             self.faults.clone(),
             self.hard_crash,
         ))
-        .open_session()
+        .open_reporting_session(true)
     }
 
     fn fault_ids(&self) -> Vec<FaultId> {
@@ -455,6 +471,12 @@ impl EngineBackend for StdioBackend {
         let mut reduced = self.clone();
         reduced.faults.disable(fault);
         Box::new(reduced)
+    }
+
+    /// Sessions ask the server for its fired set when they close (see
+    /// [`crate::matrix::ExternalBackend`]'s session).
+    fn reports_fired_faults(&self) -> bool {
+        true
     }
 
     fn wire_spec(&self) -> Option<BackendSpec> {

@@ -26,7 +26,7 @@ use crate::runner::CampaignRunner;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why a worker's serve loop stopped abnormally.
@@ -197,7 +197,9 @@ fn run_lease(
             .runner
             .run_iteration(iteration, state.start, state.guidance.as_ref());
         let line = wire::encode_record_message(lease, &record);
-        let mut guard = sink.lock().expect("record sink poisoned");
+        // A panic on another thread while it held the sink leaves at worst
+        // a recorded transport error behind; keep serving this lease.
+        let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.1.is_some() {
             // The transport already failed; stop producing.
             break;

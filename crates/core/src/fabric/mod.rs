@@ -40,7 +40,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -112,7 +112,7 @@ fn drain_stderr(stderr: impl Read + Send + 'static) -> (StderrTail, JoinHandle<(
     let handle = std::thread::spawn(move || {
         for line in BufReader::new(stderr).lines() {
             let Ok(line) = line else { break };
-            let mut tail = sink.lock().expect("stderr tail poisoned");
+            let mut tail = sink.lock().unwrap_or_else(PoisonError::into_inner);
             if tail.len() == STDERR_TAIL_LINES {
                 tail.pop_front();
             }
@@ -141,7 +141,8 @@ impl ChildHandle {
         if let Some(drain) = self.drain.take() {
             let _ = drain.join();
         }
-        std::mem::take(&mut *self.tail.lock().expect("stderr tail poisoned")).into()
+        // The tail is diagnostics only: a poisoned lock still holds lines.
+        std::mem::take(&mut *self.tail.lock().unwrap_or_else(PoisonError::into_inner)).into()
     }
 }
 

@@ -45,7 +45,7 @@ pub use bisect::{BisectOutcome, Divergence, DivergenceLayer, ReplayExecutor};
 pub use hash::ReplayHasher;
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The per-iteration state hashes. A pure function of
 /// `(campaign config, iteration index)`: identical no matter which thread,
@@ -135,9 +135,17 @@ impl ReplayRecorder {
         ReplayRecorder::default()
     }
 
+    /// Locks the frame map, recovering it from poisoning: every write is a
+    /// single `or_insert_with` of a finished frame, so a panic on another
+    /// thread cannot leave it half-updated, and one panicking worker must
+    /// not take every later reader down with it.
+    fn lock_frames(&self) -> MutexGuard<'_, BTreeMap<usize, ReplayFrame>> {
+        self.frames.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of distinct iterations recorded so far.
     pub fn len(&self) -> usize {
-        self.frames.lock().expect("replay recorder poisoned").len()
+        self.lock_frames().len()
     }
 
     /// Whether nothing has been recorded.
@@ -147,12 +155,7 @@ impl ReplayRecorder {
 
     /// The recorded frames in iteration order.
     pub fn frames(&self) -> Vec<ReplayFrame> {
-        self.frames
-            .lock()
-            .expect("replay recorder poisoned")
-            .values()
-            .cloned()
-            .collect()
+        self.lock_frames().values().cloned().collect()
     }
 
     /// Packages the recorded frames as a replay artifact, stamped with the
@@ -171,9 +174,7 @@ impl ReplayRecorder {
 
 impl ReplaySink for ReplayRecorder {
     fn record_frame(&self, frame: &ReplayFrame) {
-        self.frames
-            .lock()
-            .expect("replay recorder poisoned")
+        self.lock_frames()
             .entry(frame.iteration)
             .or_insert_with(|| frame.clone());
     }
@@ -207,6 +208,24 @@ mod tests {
             frames.iter().map(|f| f.iteration).collect::<Vec<_>>(),
             vec![1, 4]
         );
+    }
+
+    #[test]
+    fn a_poisoned_recorder_still_reads_and_records() {
+        let recorder = std::sync::Arc::new(ReplayRecorder::new());
+        recorder.record_frame(&frame(2));
+        let poisoner = std::sync::Arc::clone(&recorder);
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.frames.lock().unwrap();
+            panic!("a panic while the recorder is locked");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(recorder.frames.is_poisoned());
+        assert_eq!(recorder.len(), 1);
+        recorder.record_frame(&frame(5));
+        assert_eq!(recorder.len(), 2);
+        assert_eq!(recorder.frames().len(), 2);
     }
 
     #[test]

@@ -53,6 +53,7 @@ use crate::replay::{ReplayFrame, ReplayHasher, ReplaySink};
 use crate::rng::split_seed;
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
+use spatter_sdb::faults::fired;
 use spatter_sdb::{EngineProfile, FaultId};
 use spatter_topo::coverage::{self, local, CoverageSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -685,6 +686,24 @@ fn build_oracle(
 /// finding, against the backend's `without_fault` variants; backends with no
 /// known fault set (e.g. real engines) report nothing, which leaves the
 /// finding unattributed.
+///
+/// # Fired-fault filtering
+///
+/// A fault whose divergent branch never ran during a re-check cannot change
+/// that re-check when it is disabled: the engine without it executes the
+/// same branches, hits the same probes and returns the same result. So when
+/// the backend [`EngineBackend::reports_fired_faults`], the flagged query is
+/// first re-checked once on the full backend with the
+/// [`spatter_sdb::faults::fired`] recorder armed. A fault it fired still
+/// gets its own `without_fault` re-check; every other fault takes the full
+/// re-check's outcome — also when that outcome no longer reproduces the
+/// finding, exactly as its own re-check would have. The full re-check's
+/// probe hits are measured apart ([`local::isolate`]) and charged to the
+/// iteration once per skipped fault ([`local::charge`]), so the probe delta,
+/// the replay frame's probe hash and coverage guidance are those of the
+/// exhaustive loop. Backends that do not report firings, and re-checks whose
+/// fired set is unknown (a stdio server died or answered badly), fall back
+/// to re-checking every fault.
 fn attribute(
     oracle: &dyn Oracle,
     backend: &dyn EngineBackend,
@@ -693,19 +712,38 @@ fn attribute(
     query_index: usize,
     kind: FindingKind,
 ) -> Vec<FaultId> {
-    backend
-        .fault_ids()
-        .into_iter()
-        .filter(|&fault| {
-            let reduced = backend.without_fault(fault);
-            let outcome = oracle.check_one(reduced.as_ref(), spec, queries, query_index);
-            let still_fails = match kind {
-                FindingKind::Logic => outcome.is_logic_bug(),
-                FindingKind::Crash => outcome.is_crash(),
-            };
-            !still_fails
-        })
-        .collect()
+    let faults = backend.fault_ids();
+    let finding_gone = |outcome: OracleOutcome| match kind {
+        FindingKind::Logic => !outcome.is_logic_bug(),
+        FindingKind::Crash => !outcome.is_crash(),
+    };
+    let recheck_without = |fault: FaultId| {
+        let reduced = backend.without_fault(fault);
+        finding_gone(oracle.check_one(reduced.as_ref(), spec, queries, query_index))
+    };
+    if backend.reports_fired_faults() && !faults.is_empty() {
+        let ((outcome, fired), probes) = local::isolate(|| {
+            fired::measure(|| oracle.check_one(backend, spec, queries, query_index))
+        });
+        if let Some(fired) = fired {
+            let gone_on_full = finding_gone(outcome);
+            let mut skipped = 0;
+            let attributed = faults
+                .into_iter()
+                .filter(|&fault| {
+                    if fired.is_active(fault) {
+                        recheck_without(fault)
+                    } else {
+                        skipped += 1;
+                        gone_on_full
+                    }
+                })
+                .collect();
+            local::charge(&probes, skipped);
+            return attributed;
+        }
+    }
+    faults.into_iter().filter(|&f| recheck_without(f)).collect()
 }
 
 #[cfg(test)]

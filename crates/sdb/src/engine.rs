@@ -5,7 +5,7 @@ use crate::ast::{BinaryOp, ColumnType, Expr, SelectItem, SelectStatement, Statem
 use crate::catalog::{Database, SpatialIndex, Table};
 use crate::coverage;
 use crate::error::{SdbError, SdbResult};
-use crate::faults::{FaultId, FaultSet};
+use crate::faults::{fire, FaultId, FaultSet};
 use crate::functions::{self, DistancePredicate, FunctionContext};
 use crate::parser::{parse_script, parse_statement};
 use crate::profile::EngineProfile;
@@ -314,6 +314,7 @@ impl Engine {
                 .filter_map(|(_, row)| row[col_idx].as_geometry())
                 .collect();
             if !geometries.is_empty() && geometries.iter().all(|g| g.is_empty()) {
+                fire(FaultId::PostgisCrashIndexAllEmpty);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "GiST index build over a column of only EMPTY geometries".into(),
@@ -446,6 +447,7 @@ impl Engine {
             rows_updated += 1;
             let old_env = Database::value_envelope(&old_value);
             if stale_fault {
+                fire(FaultId::PostgisGistStaleOnMutation);
                 coverage::hit("sdb.fault.logic_path");
                 continue;
             }
@@ -760,8 +762,13 @@ impl Engine {
         }
         coverage::hit("sdb.exec.knn_index_scan");
         let gist_fault = self.faults.is_active(FaultId::PostgisGistIndexDropsRows);
-        let dropped_by_fault =
-            |row_idx: usize| -> bool { gist_fault && gist_fault_drops_row(&table.rows[row_idx]) };
+        let dropped_by_fault = |row_idx: usize| -> bool {
+            let dropped = gist_fault && gist_fault_drops_row(&table.rows[row_idx]);
+            if dropped {
+                fire(FaultId::PostgisGistIndexDropsRows);
+            }
+            dropped
+        };
         let mut eval_error = None;
         let neighbours = index.tree.nearest_with(&origin_env, k, |&row_idx| {
             if dropped_by_fault(row_idx) {
@@ -879,13 +886,14 @@ impl Engine {
             if !self.faults.is_active(FaultId::PostgisGistIndexDropsRows) {
                 rows.extend(index.tree.empty_envelope_entries().iter().copied());
             } else {
+                fire(FaultId::PostgisGistIndexDropsRows);
                 coverage::hit("sdb.fault.logic_path");
             }
         }
         if self.faults.is_active(FaultId::PostgisGistIndexDropsRows) {
             // The faulty scan also drops geometries lying in the negative
             // quadrant (a key-quantization bug).
-            rows.retain(|&row_idx| !gist_fault_drops_row(&table.rows[row_idx]));
+            gist_fault_retain(&mut rows, table);
         }
         rows.sort_unstable();
         Ok(Some(rows))
@@ -1052,6 +1060,7 @@ impl Engine {
             // is added), but the faulty engine additionally drops
             // negative-quadrant rows it should have returned.
             if gist_fault {
+                fire(FaultId::PostgisGistIndexDropsRows);
                 coverage::hit("sdb.fault.logic_path");
                 candidates.retain(|&ri| !gist_fault_drops_row(&right_table.rows[ri]));
             }
@@ -1104,6 +1113,7 @@ impl Engine {
                 {
                     // The faulty prepared cache treats a repeated inner
                     // geometry as already processed and skips it.
+                    fire(FaultId::GeosPreparedDuplicateDropped);
                     coverage::hit("sdb.fault.logic_path");
                     continue;
                 }
@@ -1154,6 +1164,7 @@ impl Engine {
             // additionally drops negative-quadrant rows it should have
             // returned.
             if gist_fault {
+                fire(FaultId::PostgisGistIndexDropsRows);
                 coverage::hit("sdb.fault.logic_path");
                 candidates.retain(|&ri| !gist_fault_drops_row(&right_table.rows[ri]));
             }
@@ -1643,6 +1654,16 @@ fn gist_fault_drops_row(row: &[Value]) -> bool {
     !row.iter()
         .filter_map(|v| v.as_geometry())
         .all(|g| g.envelope().is_empty() || g.envelope().min_x() >= 0.0)
+}
+
+/// Drops the index hits the faulty GiST scan loses, firing
+/// `PostgisGistIndexDropsRows` when it actually loses one.
+fn gist_fault_retain(rows: &mut Vec<usize>, table: &Table) {
+    let before = rows.len();
+    rows.retain(|&row_idx| !gist_fault_drops_row(&table.rows[row_idx]));
+    if rows.len() != before {
+        fire(FaultId::PostgisGistIndexDropsRows);
+    }
 }
 
 /// Applies the select's `ORDER BY` (stable sort, NULL keys last) and then

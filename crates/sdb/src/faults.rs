@@ -280,6 +280,121 @@ impl FaultSet {
     }
 }
 
+impl Extend<FaultId> for FaultSet {
+    fn extend<I: IntoIterator<Item = FaultId>>(&mut self, faults: I) {
+        self.enabled.extend(faults);
+    }
+}
+
+/// Records that the seeded fault `id` took its divergent branch: the
+/// faulty engine is about to do something (return a different value, skip
+/// or drop a row, crash, or merely hit a different coverage probe) that the
+/// same engine without `id` would not. Every such branch calls this, so a
+/// fault absent from a run's fired set provably did not influence that run.
+/// A no-op unless the calling thread's [`fired`] recorder is armed.
+pub fn fire(id: FaultId) {
+    fired::record(id);
+}
+
+/// The thread-local fired-fault recorder, shaped like the coverage
+/// recorder `spatter_topo::coverage::local`: [`fired::start`] arms it,
+/// [`fire`] records into it, [`fired::take`] disarms it and returns the set.
+///
+/// Attribution uses it to skip the "fault disabled" re-runs that cannot
+/// differ from the full engine's run. Work that executes out of process
+/// (the `spatter-sdb-server` binary) records on the server's side and the
+/// client folds the server's answer in with [`fired::absorb`]; when that
+/// answer is lost the client calls [`fired::mark_unknown`], and [`take`]
+/// then reports no set at all, which tells the caller to assume that any
+/// fault may have fired.
+///
+/// [`take`]: fired::take
+pub mod fired {
+    use super::{FaultCatalog, FaultId, FaultSet};
+    use std::cell::Cell;
+
+    // One bit per fault; the last variant bounds them all.
+    const _: () = assert!((FaultId::PostgisGistStaleOnMutation as u32) < 64);
+
+    #[derive(Debug, Clone, Copy)]
+    enum State {
+        Off,
+        Armed(u64),
+        Unknown,
+    }
+
+    thread_local! {
+        static STATE: Cell<State> = const { Cell::new(State::Off) };
+    }
+
+    /// Arms (or re-arms, discarding anything recorded so far) the calling
+    /// thread's recorder with an empty set.
+    pub fn start() {
+        STATE.with(|s| s.set(State::Armed(0)));
+    }
+
+    /// Whether the calling thread's recorder is armed (a set marked
+    /// unknown counts as armed until it is taken).
+    pub fn is_armed() -> bool {
+        !matches!(STATE.with(Cell::get), State::Off)
+    }
+
+    /// Disarms the recorder and returns the faults fired since
+    /// [`start`]. `None` when the recorder was never armed or the set was
+    /// marked unknown.
+    pub fn take() -> Option<FaultSet> {
+        match STATE.with(|s| s.replace(State::Off)) {
+            State::Armed(0) => Some(FaultSet::none()),
+            State::Armed(mask) => Some(FaultSet::with(
+                FaultCatalog::all()
+                    .into_iter()
+                    .chain(FaultCatalog::extensions())
+                    .map(|info| info.id)
+                    .filter(|&id| mask & bit(id) != 0),
+            )),
+            State::Off | State::Unknown => None,
+        }
+    }
+
+    /// Runs `f` with the recorder armed and returns its value alongside the
+    /// faults it fired — the [`start`]/[`take`] pair as one scoped
+    /// measurement.
+    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Option<FaultSet>) {
+        start();
+        let value = f();
+        (value, take())
+    }
+
+    /// Folds faults fired elsewhere (by an out-of-process engine) into the
+    /// armed recorder. A no-op when the recorder is off or unknown.
+    pub fn absorb(faults: &FaultSet) {
+        faults.iter().for_each(record);
+    }
+
+    /// Marks the armed recorder's set unknown: some work it was meant to
+    /// cover could not report what it fired. A no-op when the recorder is
+    /// off.
+    pub fn mark_unknown() {
+        STATE.with(|s| {
+            if let State::Armed(_) = s.get() {
+                s.set(State::Unknown);
+            }
+        });
+    }
+
+    fn bit(id: FaultId) -> u64 {
+        1 << (id as u32)
+    }
+
+    pub(super) fn record(id: FaultId) {
+        STATE.with(|s| {
+            if let State::Armed(mask) = s.get() {
+                s.set(State::Armed(mask | bit(id)));
+            }
+        });
+    }
+}
+
 /// The full catalogue of seeded faults (the paper's 35 reports).
 pub struct FaultCatalog;
 
@@ -711,6 +826,7 @@ impl FaultCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, EngineProfile};
 
     #[test]
     fn fault_names_round_trip() {
@@ -857,6 +973,187 @@ mod tests {
             FaultId::MysqlTouchesEmptyElement,
         ]);
         assert_eq!(set.iter().count(), 2);
+    }
+
+    /// The non-test half of an engine source file.
+    fn production_code(source: &'static str) -> &'static str {
+        source.split("#[cfg(test)]").next().unwrap_or(source)
+    }
+
+    /// Fault names following `marker` in `source`.
+    fn faults_after<'a>(source: &'a str, marker: &str) -> Vec<&'a str> {
+        source
+            .match_indices(marker)
+            .map(|(at, _)| {
+                let rest = &source[at + marker.len()..];
+                let end = rest
+                    .find(|c: char| !c.is_ascii_alphanumeric())
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_guarded_fault_fires_somewhere() {
+        let sources = [
+            production_code(include_str!("functions.rs")),
+            production_code(include_str!("engine.rs")),
+        ];
+        let mut guarded = BTreeSet::new();
+        let mut fired = BTreeSet::new();
+        for source in sources {
+            for marker in ["ctx.fault(FaultId::", "faults.is_active(FaultId::"] {
+                guarded.extend(faults_after(source, marker));
+            }
+            fired.extend(faults_after(source, "fire(FaultId::"));
+        }
+        assert!(guarded.len() >= 30, "the scan found only {guarded:?}");
+        for name in &guarded {
+            assert!(FaultId::from_name(name).is_some(), "{name} is no fault");
+        }
+        let silent: Vec<_> = guarded.difference(&fired).collect();
+        assert!(
+            silent.is_empty(),
+            "faults guarded but never fired: {silent:?}"
+        );
+    }
+
+    /// The paper's listings as `(profile, setup, query, fault)`: each
+    /// query, run on the stock engine of its profile after its setup, takes
+    /// exactly one fault's divergent branch. Listing 8 adds a non-EMPTY row
+    /// so the stock profile's all-EMPTY index-build crash stays out of it.
+    const LISTINGS: &[(EngineProfile, &str, &str, FaultId)] = &[
+        (
+            EngineProfile::PostgisLike,
+            "CREATE TABLE t1 (g geometry); CREATE TABLE t2 (g geometry);
+             INSERT INTO t1 (g) VALUES ('LINESTRING(0 1,2 0)');
+             INSERT INTO t2 (g) VALUES ('POINT(0.2 0.9)');",
+            "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Covers(t1.g,t2.g)",
+            FaultId::GeosCoversPrecisionLoss,
+        ),
+        (
+            EngineProfile::MysqlLike,
+            "SET @g1='MULTILINESTRING((990 280,100 20))';
+             SET @g2='GEOMETRYCOLLECTION(MULTILINESTRING((990 280, 100 20)),POLYGON((360 60,850 620,850 420,360 60)))';",
+            "SELECT ST_Crosses(ST_GeomFromText(@g1), ST_GeomFromText(@g2))",
+            FaultId::MysqlCrossesLargeCoordinates,
+        ),
+        (
+            EngineProfile::MysqlLike,
+            "SET @g1 = ST_GeomFromText('POLYGON((614 445,30 26,80 30,614 445))');
+             SET @g2 = ST_GeomFromText('GEOMETRYCOLLECTION(POLYGON((614 445,30 26,80 30,614 445)),POLYGON((190 1010,40 90,90 40,190 1010)))');",
+            "SELECT ST_Overlaps(ST_SwapXY(@g2), ST_SwapXY(@g1))",
+            FaultId::MysqlOverlapsAxisOrder,
+        ),
+        (
+            EngineProfile::PostgisLike,
+            "",
+            "SELECT ST_Distance('MULTIPOINT((1 0),(0 0))'::geometry, 'MULTIPOINT((-2 0),EMPTY)'::geometry)",
+            FaultId::GeosEmptyDistanceRecursion,
+        ),
+        (
+            EngineProfile::PostgisLike,
+            "",
+            "SELECT ST_Within('POINT(0 0)'::geometry, 'GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 0))'::geometry)",
+            FaultId::GeosMixedBoundaryLastOneWins,
+        ),
+        (
+            EngineProfile::PostgisLike,
+            "CREATE TABLE t (id int, geom geometry);
+             INSERT INTO t (id, geom) VALUES
+             (1,'GEOMETRYCOLLECTION(MULTIPOINT((0 0),(3 1)))'::geometry),
+             (2,'GEOMETRYCOLLECTION(MULTIPOINT((0 0),(3 1)))'::geometry),
+             (3,'MULTIPOLYGON(((0 0,5 0,0 5,0 0)))'::geometry);",
+            "SELECT a1.id, a2.id FROM t As a1, t As a2 WHERE ST_Contains(a1.geom, a2.geom)",
+            FaultId::GeosPreparedDuplicateDropped,
+        ),
+        (
+            EngineProfile::PostgisLike,
+            "CREATE TABLE t (id int, geom geometry);
+             INSERT INTO t (id, geom) VALUES (1, 'POINT EMPTY'), (2, 'POINT(1 1)');
+             CREATE INDEX idx ON t USING GIST (geom);
+             SET enable_seqscan = false;",
+            "SELECT COUNT(*) FROM t WHERE geom ~= 'POINT EMPTY'::geometry",
+            FaultId::PostgisGistIndexDropsRows,
+        ),
+        (
+            EngineProfile::PostgisLike,
+            "",
+            "SELECT ST_DFullyWithin('LINESTRING(0 0,0 1,1 0,0 0)'::geometry,'POLYGON((0 0,0 1,1 0,0 0))'::geometry,100)",
+            FaultId::PostgisDFullyWithinSmallCoords,
+        ),
+    ];
+
+    #[test]
+    fn each_listing_fires_exactly_its_fault() {
+        let listed: BTreeSet<FaultId> = FaultCatalog::all()
+            .into_iter()
+            .filter(|f| f.listing.is_some() && f.status != FaultStatus::Duplicate)
+            .map(|f| f.id)
+            .collect();
+        let covered: BTreeSet<FaultId> = LISTINGS.iter().map(|l| l.3).collect();
+        assert_eq!(covered, listed, "one case per listing fault");
+        for &(profile, setup, query, fault) in LISTINGS {
+            let mut engine = Engine::new(profile);
+            engine.execute_script(setup).unwrap();
+            let (result, fired_set) = fired::measure(|| engine.execute(query));
+            result.unwrap();
+            assert_eq!(fired_set, Some(FaultSet::with([fault])), "{query}");
+        }
+    }
+
+    #[test]
+    fn the_reference_engine_fires_nothing() {
+        for &(profile, setup, query, _) in LISTINGS {
+            let mut engine = Engine::reference(profile);
+            let (result, fired_set) = fired::measure(|| {
+                engine.execute_script(setup)?;
+                engine.execute(query)
+            });
+            result.unwrap();
+            assert_eq!(fired_set, Some(FaultSet::none()), "{query}");
+        }
+    }
+
+    #[test]
+    fn an_unarmed_recorder_records_nothing() {
+        assert!(!fired::is_armed());
+        fire(FaultId::GeosCoversPrecisionLoss);
+        assert_eq!(fired::take(), None);
+        let ((), set) = fired::measure(|| fire(FaultId::GeosCoversPrecisionLoss));
+        assert_eq!(
+            set,
+            Some(FaultSet::with([FaultId::GeosCoversPrecisionLoss]))
+        );
+        // Disarmed by the take: later firings go nowhere.
+        fire(FaultId::MysqlOverlapsAxisOrder);
+        assert!(!fired::is_armed());
+        assert_eq!(fired::take(), None);
+        // Absorbing into, or marking, a disarmed recorder does nothing.
+        fired::absorb(&FaultSet::with([FaultId::MysqlOverlapsAxisOrder]));
+        fired::mark_unknown();
+        assert_eq!(fired::take(), None);
+    }
+
+    #[test]
+    fn absorbed_and_unknown_sets() {
+        fired::start();
+        fire(FaultId::GeosCoversPrecisionLoss);
+        fired::absorb(&FaultSet::with([FaultId::PostgisGistStaleOnMutation]));
+        assert_eq!(
+            fired::take(),
+            Some(FaultSet::with([
+                FaultId::GeosCoversPrecisionLoss,
+                FaultId::PostgisGistStaleOnMutation,
+            ]))
+        );
+        fired::start();
+        fired::mark_unknown();
+        assert!(fired::is_armed());
+        fire(FaultId::GeosCoversPrecisionLoss);
+        assert_eq!(fired::take(), None);
+        assert!(!fired::is_armed());
     }
 
     #[test]

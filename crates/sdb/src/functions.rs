@@ -12,7 +12,7 @@
 
 use crate::coverage;
 use crate::error::{SdbError, SdbResult};
-use crate::faults::{FaultId, FaultSet};
+use crate::faults::{fire, FaultId, FaultSet};
 use crate::profile::EngineProfile;
 use crate::value::Value;
 use spatter_geom::affine::AffineMatrix;
@@ -119,6 +119,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if ctx.fault(FaultId::GeosEmptyDistanceRecursion)
                 && (has_empty_element(&b) || has_empty_element(&a))
             {
+                fire(FaultId::GeosEmptyDistanceRecursion);
                 coverage::hit("sdb.fault.logic_path");
                 // Faulty recursion: only the first element of the first
                 // argument is considered (Listing 5 returns 3 instead of 2).
@@ -171,6 +172,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             coverage::hit("sdb.expr.function_editing");
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::PostgisUnconfirmedEnvelopeEmpty) && g.is_empty() {
+                fire(FaultId::PostgisUnconfirmedEnvelopeEmpty);
                 coverage::hit("sdb.fault.logic_path");
                 return Ok(Value::Geometry(Geometry::Point(Point::new(0.0, 0.0))));
             }
@@ -192,6 +194,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                         | GeometryType::MultiPolygon
                 )
             {
+                fire(FaultId::GeosCrashConvexHullEmptyCollection);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "convex hull of collection with only EMPTY elements".into(),
@@ -205,6 +208,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if ctx.fault(FaultId::DuckdbCrashBoundaryCollection)
                 && matches!(g, Geometry::GeometryCollection(_))
             {
+                fire(FaultId::DuckdbCrashBoundaryCollection);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash("boundary of GEOMETRYCOLLECTION".into()));
             }
@@ -222,6 +226,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             let g = geometry_arg(args, 0, ctx)?;
             let n = int_arg(args, 1)?;
             if ctx.fault(FaultId::DuckdbCrashGeometryNZero) && n == 0 {
+                fire(FaultId::DuckdbCrashGeometryNZero);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash("ST_GeometryN with index 0".into()));
             }
@@ -251,6 +256,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 && (a.is_empty() || b.is_empty())
                 && a.geometry_type() != b.geometry_type()
             {
+                fire(FaultId::DuckdbCrashCollectEmptyMixed);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "ST_Collect of mixed EMPTY arguments".into(),
@@ -298,6 +304,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if ctx.fault(FaultId::PostgisCrashDumpRingsEmptyMulti)
                 && matches!(&g, Geometry::MultiPolygon(mp) if mp.polygons.is_empty())
             {
+                fire(FaultId::PostgisCrashDumpRingsEmptyMulti);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash("ST_DumpRings of MULTIPOLYGON EMPTY".into()));
             }
@@ -321,6 +328,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             };
             let extracted = editing::collection_extract(&g, target).map_err(execution)?;
             if ctx.fault(FaultId::DuckdbCrashCollectionExtractMismatch) && extracted.is_empty() {
+                fire(FaultId::DuckdbCrashCollectionExtractMismatch);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "ST_CollectionExtract found no element of the requested type".into(),
@@ -333,6 +341,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::GeosCrashPolygonizeDuplicatePoints) && has_duplicate_vertices(&g)
             {
+                fire(FaultId::GeosCrashPolygonizeDuplicatePoints);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "polygonize of linework with duplicate consecutive points".into(),
@@ -382,6 +391,7 @@ pub fn evaluate_distance_predicate(
         && ctx.fault(FaultId::PostgisDFullyWithinSmallCoords)
         && max_abs_coord(a) < 10.0
     {
+        fire(FaultId::PostgisDFullyWithinSmallCoords);
         coverage::hit("sdb.fault.logic_path");
         // The "wrong definition" of Listing 9: small-magnitude
         // geometries are judged not fully within any distance.
@@ -427,11 +437,13 @@ fn faulty_predicate_result(
         match predicate {
             Covers | Contains => {
                 if let Some(result) = exact_only_point_on_line(a, b) {
+                    fire(FaultId::GeosCoversPrecisionLoss);
                     return Some(result);
                 }
             }
             CoveredBy | Within => {
                 if let Some(result) = exact_only_point_on_line(b, a) {
+                    fire(FaultId::GeosCoversPrecisionLoss);
                     return Some(result);
                 }
             }
@@ -446,6 +458,7 @@ fn faulty_predicate_result(
             Within | CoveredBy => {
                 if let (Geometry::Point(p), Geometry::GeometryCollection(_)) = (a, b) {
                     if let Some(c) = p.coord {
+                        fire(FaultId::GeosMixedBoundaryLastOneWins);
                         return Some(last_one_wins_locate(c, b) == Location::Interior);
                     }
                 }
@@ -453,6 +466,7 @@ fn faulty_predicate_result(
             Contains | Covers => {
                 if let (Geometry::GeometryCollection(_), Geometry::Point(p)) = (a, b) {
                     if let Some(c) = p.coord {
+                        fire(FaultId::GeosMixedBoundaryLastOneWins);
                         return Some(last_one_wins_locate(c, a) == Location::Interior);
                     }
                 }
@@ -467,6 +481,7 @@ fn faulty_predicate_result(
         && matches!(predicate, Crosses | Overlaps)
         && (is_collection_with_empty_first(a) || is_collection_with_empty_first(b))
     {
+        fire(FaultId::GeosMixedDimensionFirstElement);
         return Some(faulty_dimension_predicate(predicate, a, b, ctx));
     }
 
@@ -476,6 +491,7 @@ fn faulty_predicate_result(
         && matches!(predicate, Intersects | Disjoint)
         && (first_element_is_empty(a) || first_element_is_empty(b))
     {
+        fire(FaultId::GeosIntersectsEmptyFirstElement);
         return Some(matches!(predicate, Disjoint));
     }
 
@@ -484,6 +500,7 @@ fn faulty_predicate_result(
         && predicate == Touches
         && (is_descending_linestring(a) || is_descending_linestring(b))
     {
+        fire(FaultId::GeosTouchesDirectionSensitive);
         return Some(!predicates::touches(a, b));
     }
 
@@ -492,6 +509,7 @@ fn faulty_predicate_result(
         && predicate == Equals
         && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
     {
+        fire(FaultId::GeosEqualsDuplicateVertices);
         return Some(false);
     }
 
@@ -501,6 +519,7 @@ fn faulty_predicate_result(
         && predicate == Disjoint
         && (has_empty_element(a) || has_empty_element(b))
     {
+        fire(FaultId::GeosDisjointEmptyElementMatrix);
         return Some(!a.envelope().intersects(&b.envelope()));
     }
 
@@ -509,6 +528,7 @@ fn faulty_predicate_result(
         && predicate == Equals
         && (has_fractional_coords(a) || has_fractional_coords(b))
     {
+        fire(FaultId::PostgisEqualsSnapToGrid);
         let snapped_a = snapped(a);
         let snapped_b = snapped(b);
         return Some(predicates::equals(&snapped_a, &snapped_b));
@@ -519,6 +539,7 @@ fn faulty_predicate_result(
     if ctx.fault(FaultId::PostgisContainsMultiPolygonFirstOnly) && predicate == Contains {
         if let Geometry::MultiPolygon(mp) = a {
             if mp.polygons.len() > 1 && mp.polygons.iter().any(|p| p.is_empty()) {
+                fire(FaultId::PostgisContainsMultiPolygonFirstOnly);
                 let first = Geometry::Polygon(mp.polygons[0].clone());
                 return Some(predicates::contains(&first, b));
             }
@@ -532,6 +553,7 @@ fn faulty_predicate_result(
         && matches!(b, Geometry::GeometryCollection(_))
         && has_empty_element(b)
     {
+        fire(FaultId::PostgisWithinEmptyCollectionMember);
         return Some(false);
     }
 
@@ -541,6 +563,7 @@ fn faulty_predicate_result(
         && predicate == Touches
         && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
     {
+        fire(FaultId::PostgisTouchesDuplicateVertices);
         return Some(!predicates::touches(a, b));
     }
 
@@ -549,6 +572,7 @@ fn faulty_predicate_result(
         if let Geometry::Polygon(p) = a {
             if let Some(ring) = p.exterior() {
                 if ring_orientation(ring) == RingOrientation::CounterClockwise {
+                    fire(FaultId::PostgisCoveredByRingOrientation);
                     return Some(false);
                 }
             }
@@ -562,6 +586,7 @@ fn faulty_predicate_result(
         && collection_has_multi_element(b)
         && max_abs_coord(a) > 500.0
     {
+        fire(FaultId::MysqlCrossesLargeCoordinates);
         return Some(true);
     }
 
@@ -570,6 +595,7 @@ fn faulty_predicate_result(
         if let Geometry::GeometryCollection(_) = a {
             let env = a.envelope();
             if !env.is_empty() && env.width() > env.height() {
+                fire(FaultId::MysqlOverlapsAxisOrder);
                 return Some(true);
             }
         }
@@ -580,6 +606,7 @@ fn faulty_predicate_result(
         && predicate == Touches
         && (has_empty_element(a) || has_empty_element(b))
     {
+        fire(FaultId::MysqlTouchesEmptyElement);
         return Some(true);
     }
 
@@ -589,6 +616,7 @@ fn faulty_predicate_result(
         && all_coords_negative(a)
         && all_coords_negative(b)
     {
+        fire(FaultId::MysqlDisjointNegativeCoordinates);
         return Some(true);
     }
 
@@ -598,6 +626,7 @@ fn faulty_predicate_result(
         && predicate == Within
         && matches!(b, Geometry::GeometryCollection(_))
     {
+        fire(FaultId::SqlServerUnconfirmedWithinCollection);
         return Some(false);
     }
 
@@ -608,6 +637,7 @@ fn faulty_predicate_result(
 /// fewer than four points crash the GEOS-analog relate.
 fn guard_crash_relate(a: &Geometry, b: &Geometry, ctx: &FunctionContext) -> SdbResult<()> {
     if ctx.fault(FaultId::GeosCrashRelateShortRing) && (has_short_ring(a) || has_short_ring(b)) {
+        fire(FaultId::GeosCrashRelateShortRing);
         coverage::hit("sdb.fault.crash_path");
         return Err(SdbError::Crash(
             "relate on polygon ring with fewer than 4 points".into(),
@@ -625,6 +655,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
             .to_ascii_uppercase()
             .contains("GEOMETRYCOLLECTION(GEOMETRYCOLLECTION EMPTY")
     {
+        fire(FaultId::DuckdbCrashNestedEmptyCollection);
         coverage::hit("sdb.fault.crash_path");
         return Err(SdbError::Crash(
             "nested EMPTY collection in WKT reader".into(),
@@ -635,6 +666,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
         && text.to_ascii_uppercase().contains("EMPTY")
         && !text.trim().eq_ignore_ascii_case("MULTIPOINT EMPTY")
     {
+        fire(FaultId::SqlServerUnconfirmedCrashEmptyMultipoint);
         coverage::hit("sdb.fault.crash_path");
         return Err(SdbError::Crash("MULTIPOINT with EMPTY element".into()));
     }
@@ -642,6 +674,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
     if ctx.fault(FaultId::DuckdbUnconfirmedEmptyPolygonWkt)
         && text.trim().eq_ignore_ascii_case("POLYGON(EMPTY)")
     {
+        fire(FaultId::DuckdbUnconfirmedEmptyPolygonWkt);
         coverage::hit("sdb.fault.logic_path");
         return Err(SdbError::InvalidGeometry(
             "POLYGON(EMPTY) parsed as NULL".into(),
@@ -774,6 +807,7 @@ fn faulty_dimension(geometry: &Geometry, ctx: &FunctionContext) -> Dimension {
 fn effective_dimension(geometry: &Geometry, ctx: &FunctionContext) -> Dimension {
     if ctx.fault(FaultId::GeosMixedDimensionFirstElement) {
         if let Geometry::GeometryCollection(c) = geometry {
+            fire(FaultId::GeosMixedDimensionFirstElement);
             return c
                 .geometries
                 .first()

@@ -48,10 +48,31 @@
 //! (exit code 101) instead of replying `ERR crash`, modelling a real DBMS
 //! backend dying mid-session; the client sees the transport fail and must
 //! reopen.
+//!
+//! # Control lines
+//!
+//! A line starting with a backslash is a request to the server, never SQL
+//! (the dialect has no backslash). One control line exists:
+//!
+//! ```text
+//! \fired                  -- request: the seeded faults fired so far
+//! FIRED <n> <names|->      -- reply: n distinct FaultId names, comma-separated
+//!                             (`-` when n is 0)
+//! ```
+//!
+//! The server records, for its whole process lifetime, every seeded fault
+//! that took its divergent branch ([`crate::faults::fire`]); the reply
+//! lists them in [`FaultId`] order, e.g. `FIRED 0 -` or
+//! `FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows`. Clients ask
+//! once, when they close a session whose fired set they need (fault
+//! attribution); [`read_fired`] accepts exactly the one encoding of a set
+//! and rejects everything else — a wrong count, an unknown, repeated or
+//! out-of-order name, a stray token, a missing newline — so a damaged reply
+//! reads as "unknown", never as a smaller set.
 
 use crate::engine::{Engine, ExecutionResult, QueryResult};
 use crate::error::SdbError;
-use crate::faults::FaultSet;
+use crate::faults::{fired, FaultId, FaultSet};
 use crate::profile::EngineProfile;
 use std::io::{BufRead, Write};
 
@@ -317,6 +338,49 @@ pub fn sanitize_line(text: &str) -> String {
     }
 }
 
+/// The control line requesting the fired-faults reply (see the module
+/// docs).
+pub const FIRED_REQUEST: &str = "\\fired";
+
+/// Writes the fired-faults reply for `faults` in wire form.
+pub fn write_fired(faults: &FaultSet, output: &mut impl Write) -> std::io::Result<()> {
+    let names = if faults.is_empty() {
+        "-".to_string()
+    } else {
+        faults.to_names()
+    };
+    writeln!(output, "FIRED {} {names}", faults.len())?;
+    output.flush()
+}
+
+/// Reads one fired-faults reply frame. `None` for anything but the exact
+/// encoding [`write_fired`] produces, or a broken stream: the caller must
+/// then treat the fired set as unknown.
+pub fn read_fired(input: &mut impl BufRead) -> Option<FaultSet> {
+    parse_fired(&read_frame(input).ok()??)
+}
+
+/// Decodes one fired-faults reply line (without its newline).
+fn parse_fired(line: &str) -> Option<FaultSet> {
+    let mut fields = line.strip_prefix("FIRED ")?.split(' ');
+    let (count, names) = (fields.next()?, fields.next()?);
+    if fields.next().is_some() {
+        return None;
+    }
+    let count: usize = count.parse().ok()?;
+    let names: Vec<&str> = match names {
+        "-" => Vec::new(),
+        list => list.split(',').collect(),
+    };
+    let faults: Vec<FaultId> = names
+        .iter()
+        .map(|name| FaultId::from_name(name))
+        .collect::<Option<_>>()?;
+    // Strictly ascending: one encoding per set, no repeats.
+    let canonical = faults.windows(2).all(|pair| pair[0] < pair[1]);
+    (canonical && faults.len() == count).then(|| FaultSet::with(faults))
+}
+
 /// Runs the serve loop over an engine until the input stream ends. In
 /// `hard_crash` mode a simulated crash terminates the whole process with
 /// [`HARD_CRASH_EXIT_CODE`] — the response is intentionally never written,
@@ -327,6 +391,7 @@ pub fn serve(
     mut output: impl Write,
 ) -> std::io::Result<()> {
     let mut engine = Engine::with_faults(config.profile, config.faults.clone());
+    let mut fired_so_far = FaultSet::none();
     writeln!(output, "READY {}", config.profile.name())?;
     output.flush()?;
     for line in input.lines() {
@@ -335,7 +400,12 @@ pub fn serve(
         if sql.is_empty() {
             continue;
         }
-        let result = engine.execute(sql);
+        if sql == FIRED_REQUEST {
+            write_fired(&fired_so_far, &mut output)?;
+            continue;
+        }
+        let (result, fired_now) = fired::measure(|| engine.execute(sql));
+        fired_so_far.extend(fired_now.iter().flat_map(FaultSet::iter));
         if config.hard_crash {
             if let Err(error) = &result {
                 if error.is_crash() {
@@ -568,6 +638,82 @@ mod tests {
             case.write_to(&mut wire).unwrap();
             let mut reader = BufReader::new(wire.as_slice());
             assert_eq!(Response::read_from(&mut reader).unwrap(), case);
+        }
+    }
+
+    #[test]
+    fn fired_request_reports_the_faults_fired_so_far() {
+        let config = ServerConfig {
+            profile: EngineProfile::PostgisLike,
+            faults: EngineProfile::PostgisLike.default_faults(),
+            hard_crash: false,
+        };
+        let lines = run(
+            &config,
+            "\\fired\n\
+             SELECT ST_Distance('MULTIPOINT((1 0),(0 0))'::geometry, 'MULTIPOINT((-2 0),EMPTY)'::geometry)\n\
+             \\fired\n\
+             SELECT ST_Within('POINT(0 0)'::geometry, 'GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 0))'::geometry)\n\
+             \\fired\n",
+        );
+        assert_eq!(
+            lines,
+            vec![
+                "READY postgis_like",
+                "FIRED 0 -",
+                "ROWS 1 3",
+                "ROW 3",
+                "FIRED 1 GeosEmptyDistanceRecursion",
+                "ROWS 1 0",
+                "ROW f",
+                "FIRED 2 GeosMixedBoundaryLastOneWins,GeosEmptyDistanceRecursion",
+            ]
+        );
+    }
+
+    #[test]
+    fn fired_reply_grammar_is_pinned() {
+        let two = FaultSet::with([
+            FaultId::GeosCoversPrecisionLoss,
+            FaultId::PostgisGistIndexDropsRows,
+        ]);
+        for set in [FaultSet::none(), two.clone()] {
+            let mut wire = Vec::new();
+            write_fired(&set, &mut wire).unwrap();
+            let line = String::from_utf8(wire).unwrap();
+            assert_eq!(parse_fired(line.trim_end_matches('\n')), Some(set));
+        }
+        assert_eq!(parse_fired("FIRED 0 -"), Some(FaultSet::none()));
+        assert_eq!(
+            parse_fired("FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows"),
+            Some(two)
+        );
+        let mut reader = BufReader::new("FIRED 0 -\nFIRED 0 -".as_bytes());
+        assert_eq!(read_fired(&mut reader), Some(FaultSet::none()));
+        assert_eq!(read_fired(&mut reader), None, "no newline: truncated");
+        assert_eq!(read_fired(&mut reader), None, "end of stream");
+        for bad in [
+            "",
+            "FIRED",
+            "FIRED ",
+            "FIRED 0",
+            "FIRED 0 ",
+            "FIRED 1 -",
+            "FIRED 0 GeosCoversPrecisionLoss",
+            "FIRED 2 GeosCoversPrecisionLoss",
+            "FIRED 1 GeosCoversPrecisionLoss,",
+            "FIRED 2 GeosCoversPrecisionLoss,GeosCoversPrecisionLoss",
+            "FIRED 2 PostgisGistIndexDropsRows,GeosCoversPrecisionLoss",
+            "FIRED 1 NoSuchFault",
+            "FIRED -1 -",
+            "FIRED x -",
+            "FIRED 0 - extra",
+            "FIRED  0 -",
+            "fired 0 -",
+            "OK",
+            "ERR error parse error",
+        ] {
+            assert_eq!(parse_fired(bad), None, "{bad:?}");
         }
     }
 

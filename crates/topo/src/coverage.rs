@@ -382,32 +382,46 @@ impl ColdProbeMap {
 /// inactive (every engine user outside a campaign pays only that), plus one
 /// `Vec` push of the immortal entry reference when active — no hashing, no
 /// branching on probe identity. Aggregation (group by entry address,
-/// resolve names, sort) is deferred to [`take`], which runs once per
-/// campaign iteration instead of once per hit.
+/// resolve names, sort) is deferred to [`take`](local::take), which runs
+/// once per campaign iteration instead of once per hit.
+///
+/// Work whose probe hits are known without running it — a re-run that
+/// would repeat an already measured run hit for hit — is charged with
+/// [`charge`](local::charge) as a compact `(probe, count)` tally instead of
+/// per-hit log entries; `take` folds the tally into the delta it returns.
 pub mod local {
     use super::ProbeEntry;
     use std::cell::RefCell;
 
+    /// One running recording: the raw per-hit log plus the charged tally.
+    #[derive(Default)]
+    struct Log {
+        hits: Vec<&'static ProbeEntry>,
+        charged: Vec<(&'static str, u64)>,
+    }
+
     thread_local! {
-        static LOG: RefCell<Option<Vec<&'static ProbeEntry>>> = const { RefCell::new(None) };
+        static LOG: RefCell<Option<Log>> = const { RefCell::new(None) };
     }
 
     /// Starts (or restarts, discarding any running log) recording probe
     /// hits of the calling thread.
     pub fn start() {
-        LOG.with(|l| *l.borrow_mut() = Some(Vec::new()));
+        LOG.with(|l| *l.borrow_mut() = Some(Log::default()));
     }
 
     /// Stops recording and returns the per-probe tally sorted by probe
-    /// name. Returns an empty vector when [`start`] was never called on
-    /// this thread.
+    /// name, charged hits included. Returns an empty vector when [`start`]
+    /// was never called on this thread.
     pub fn take() -> Vec<(&'static str, u64)> {
-        let mut entries: Vec<&'static ProbeEntry> =
-            LOG.with(|l| l.borrow_mut().take()).unwrap_or_default();
+        let Log {
+            hits: mut entries,
+            charged,
+        } = LOG.with(|l| l.borrow_mut().take()).unwrap_or_default();
         // Entries are unique per name (the registry dedups on registration),
         // so grouping by address is grouping by probe.
         entries.sort_unstable_by_key(|e| *e as *const ProbeEntry as usize);
-        let mut delta: Vec<(&'static str, u64)> = Vec::new();
+        let mut delta: Vec<(&'static str, u64)> = charged;
         let mut i = 0;
         while i < entries.len() {
             let first = entries[i];
@@ -419,7 +433,44 @@ pub mod local {
             delta.push((first.name, count));
         }
         delta.sort_unstable();
+        // Fold charged and logged counts of one probe into a single entry.
+        delta.dedup_by(|later, kept| {
+            if later.0 == kept.0 {
+                kept.1 += later.1;
+                true
+            } else {
+                false
+            }
+        });
         delta
+    }
+
+    /// Runs `f` under a fresh recording of its own and returns its value
+    /// alongside its probe delta, then resumes the recording that was
+    /// running before (if any) exactly as it was: `f`'s hits reach the
+    /// outer recording only if the caller [`charge`]s them.
+    pub fn isolate<T>(f: impl FnOnce() -> T) -> (T, Vec<(&'static str, u64)>) {
+        let outer = LOG.with(|l| l.borrow_mut().replace(Log::default()));
+        let value = f();
+        let delta = take();
+        LOG.with(|l| *l.borrow_mut() = outer);
+        (value, delta)
+    }
+
+    /// Charges `delta` (a tally as returned by [`take`]) `times` times to
+    /// the running recording, as if the work that produced it had run that
+    /// often again. A no-op when nothing is recording.
+    pub fn charge(delta: &[(&'static str, u64)], times: u64) {
+        if times == 0 {
+            // Zero-count entries would otherwise surface in the delta.
+            return;
+        }
+        LOG.with(|l| {
+            if let Some(log) = l.borrow_mut().as_mut() {
+                log.charged
+                    .extend(delta.iter().map(|&(name, count)| (name, count * times)));
+            }
+        });
     }
 
     /// Runs `f` with recording active and returns its value alongside the
@@ -437,7 +488,7 @@ pub mod local {
     pub(super) fn record(entry: &'static ProbeEntry) {
         LOG.with(|l| {
             if let Some(log) = l.borrow_mut().as_mut() {
-                log.push(entry);
+                log.hits.push(entry);
             }
         });
     }
@@ -609,6 +660,36 @@ mod tests {
         assert_eq!(delta, vec![("cov.local.mine", 2)]);
         // Recording stopped: further hits are not tallied.
         hit("cov.local.mine");
+        assert_eq!(local::take(), Vec::new());
+    }
+
+    #[test]
+    fn isolated_hits_reach_the_outer_recording_only_when_charged() {
+        local::start();
+        hit("cov.isolate.outer");
+        let (value, delta) = local::isolate(|| {
+            hit("cov.isolate.inner");
+            hit("cov.isolate.inner");
+            hit("cov.isolate.outer");
+            3
+        });
+        assert_eq!(value, 3);
+        assert_eq!(
+            delta,
+            vec![("cov.isolate.inner", 2), ("cov.isolate.outer", 1)]
+        );
+        // The outer recording resumed untouched, then takes the charge.
+        hit("cov.isolate.outer");
+        local::charge(&delta, 2);
+        local::charge(&delta, 0);
+        assert_eq!(
+            local::take(),
+            vec![("cov.isolate.inner", 4), ("cov.isolate.outer", 4)]
+        );
+        // Nothing recording: isolation still measures, charging is a no-op.
+        let ((), delta) = local::isolate(|| hit("cov.isolate.inner"));
+        assert_eq!(delta, vec![("cov.isolate.inner", 1)]);
+        local::charge(&delta, 5);
         assert_eq!(local::take(), Vec::new());
     }
 

@@ -14,7 +14,8 @@ use spatter_repro::core::rng::seq::IndexedRandom;
 use spatter_repro::core::rng::{RngExt, SeedableRng, StdRng};
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::sdb::engine::ExecutionResult;
-use spatter_repro::sdb::server::Response;
+use spatter_repro::sdb::server::{read_fired, write_fired, Response};
+use spatter_repro::sdb::{FaultId, FaultSet};
 use spatter_repro::topo::coverage::CoverageSnapshot;
 use std::io::BufReader;
 use std::sync::Arc;
@@ -224,4 +225,41 @@ fn mutated_server_replies_never_panic_or_abort() {
         }
     });
     assert!(cases >= 1_200, "{cases} cases");
+}
+
+#[test]
+fn mutated_fired_replies_decode_to_their_exact_set_or_unknown() {
+    let sets = [
+        FaultSet::none(),
+        FaultSet::with([FaultId::GeosEmptyDistanceRecursion]),
+        FaultSet::with([
+            FaultId::GeosCoversPrecisionLoss,
+            FaultId::PostgisGistIndexDropsRows,
+            FaultId::PostgisGistStaleOnMutation,
+        ]),
+    ];
+    let inputs: Vec<Vec<u8>> = sets
+        .iter()
+        .map(|set| {
+            let mut wire = Vec::new();
+            write_fired(set, &mut wire).expect("in-memory write");
+            wire
+        })
+        .collect();
+    let mut unknown = 0;
+    let cases = sweep(0xf12ed, &inputs, |bytes| {
+        // `None` is "unknown": attribution then re-checks every fault. A
+        // decoded set must be the one the first frame spells exactly, so
+        // damage can never shrink a set into a smaller valid one unnoticed.
+        match read_fired(&mut BufReader::new(bytes)) {
+            None => unknown += 1,
+            Some(set) => {
+                let mut wire = Vec::new();
+                write_fired(&set, &mut wire).expect("in-memory write");
+                assert!(bytes.starts_with(&wire), "{bytes:?} decoded as {set:?}");
+            }
+        }
+    });
+    assert!(cases >= 600, "{cases} cases");
+    assert!(unknown * 2 > cases, "most mutants must read as unknown");
 }
