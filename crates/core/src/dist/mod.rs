@@ -1,36 +1,36 @@
 //! Multi-process distributed campaigns: shared-nothing worker processes
 //! supervised over a line-delimited wire protocol.
 //!
-//! The thread-sharded [`CampaignRunner`] (PR 1) scales a campaign across
-//! one process's cores; this subsystem lifts the same sharding one level
-//! up, across *processes* — and, through the [`crate::fabric`] transport
-//! layer, across machines. A [`DistRunner`] supervisor connects K
-//! `spatter-campaign-worker` executors (child processes over stdio pipes,
-//! or remote peers over TCP — the supervisor event loop cannot tell the
-//! difference), each of which runs the existing thread-sharded executor
-//! over leased iteration ranges and streams its [`IterationRecord`]s back
-//! over the [`wire`] codec; the supervisor performs the same deterministic
-//! index-ordered merge as [`ShardReport::merge`]. Process isolation is the
-//! same move the `spatter-sdb-server` backend (PR 3) made for *engines* —
-//! here it is the campaign executors themselves that become
-//! crash-survivable and machine-distributable.
+//! A [`DistRunner`] supervisor connects K `spatter-campaign-worker`
+//! executors (child processes over stdio pipes, or remote peers over TCP
+//! through the [`crate::fabric`] transport layer — the supervisor event
+//! loop cannot tell the difference). Each worker serves leased iteration
+//! ranges with the runner's claim loop and streams its
+//! [`IterationRecord`](crate::runner::IterationRecord)s back over the
+//! [`wire`] codec.
+//!
+//! # Who owns what
+//!
+//! The supervisor owns only what belongs to leases: the pending queue,
+//! lease grants, reclaiming a dead worker's leases, respawns, and adaptive
+//! lease sizing. Everything about *which iteration runs under which
+//! guidance* belongs to the campaign's `Schedule` (`crate::schedule`), the
+//! same one the in-process [`CampaignRunner`] drives: the supervisor runs
+//! the warm-up through it, ships the warm-up snapshot in the configuration
+//! line, leases only the windows it releases, broadcasts each later
+//! window's snapshot as an `epoch` line (replayed to respawned workers),
+//! and hands every streamed record to it for the first-wins,
+//! index-ordered merge.
 //!
 //! # Determinism
 //!
 //! Every iteration is a pure function of `(campaign seed, iteration
-//! index)` — the runner's contract since PR 1 — so *where* an iteration
-//! executes can never change what it produces. The supervisor merges
-//! records by iteration index, not arrival order, which makes a
-//! distributed campaign **byte-identical** (findings, attribution, skip
+//! index)` and the guidance the schedule gave its window, so *where* an
+//! iteration executes can never change what it produces. A distributed
+//! campaign is therefore **byte-identical** (findings, attribution, skip
 //! counts, probe coverage — [`CampaignReport::determinism_fingerprint`])
 //! to the single-process runner for any transport and any processes ×
-//! threads split. Guided campaigns hold the same contract because the
-//! supervisor runs the warm-up prefix itself and ships the snapshot to
-//! every worker; with [`CampaignConfig::guidance_epoch`] set the snapshot
-//! is *refreshed* behind an epoch barrier — the supervisor absorbs the
-//! probe deltas of a completed window in iteration-index order and
-//! broadcasts the cumulative snapshot before leasing the next window, so
-//! the guidance each iteration sees is still a pure function of the seed.
+//! threads split, guided and epoch-guided campaigns included.
 //!
 //! # Crash survival and elastic leases
 //!
@@ -56,12 +56,11 @@ use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::codec::CodecError;
 use crate::dist::wire::FromWorker;
 use crate::fabric::{ChannelControl, StdioTransport, Transport};
-use crate::guidance::GuidanceMode;
 use crate::replay::ReplaySink;
-use crate::runner::{CampaignRunner, IterationRecord, ShardReport};
+use crate::runner::CampaignRunner;
+use crate::schedule::Schedule;
 use spatter_sdb::server::read_frame;
-use spatter_topo::coverage::CoverageSnapshot;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -389,16 +388,6 @@ impl DistRunner {
         self
     }
 
-    /// The campaign configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.campaign
-    }
-
-    /// The distribution configuration.
-    pub fn dist_config(&self) -> &DistConfig {
-        &self.dist
-    }
-
     /// Runs the distributed campaign and merges every worker's records into
     /// one report, byte-identical to the in-process runner's.
     ///
@@ -420,15 +409,17 @@ impl DistRunner {
     pub fn run_with_stats(&self) -> Result<(CampaignReport, DistStats), DistError> {
         let start = Instant::now();
 
-        // The guidance warm-up runs on the supervisor, exactly like the
-        // in-process runner's coordinating thread: its records are part of
-        // the campaign, and its snapshot is what every worker receives.
+        // The schedule runs the guidance warm-up here on the supervisor,
+        // like the in-process runner's calling thread: its records are part
+        // of the campaign, and its snapshot is what every worker receives.
         let mut runner = CampaignRunner::new(self.campaign.clone());
         if let Some(sink) = &self.replay_sink {
             runner = runner.with_replay_sink(Arc::clone(sink));
         }
-        let (warmup, snapshot) = runner.warmup_phase(start);
-        let first_iteration = warmup.records.len();
+        let mut schedule = Schedule::new(&self.campaign, start, |iteration| {
+            runner.run_iteration(iteration, start, None)
+        });
+        let first_window = schedule.next_window();
 
         // Workers get the budget *erased*: a worker that hit the budget
         // mid-lease would drop the lease's tail while still reporting it
@@ -441,29 +432,8 @@ impl DistRunner {
         let config_line = wire::encode_config_message(
             self.dist.threads_per_worker.max(1),
             &worker_campaign,
-            snapshot.as_ref(),
+            schedule.snapshot(),
         )?;
-
-        // With guidance epochs the supervisor leases only the current
-        // window: later windows become available when the barrier advances.
-        let epoch = match (
-            self.campaign.guidance,
-            self.campaign.guidance_epoch,
-            &snapshot,
-        ) {
-            (GuidanceMode::ColdProbe, Some(len), Some(snapshot)) if len > 0 => Some(EpochState {
-                len,
-                base: first_iteration,
-                end: self.campaign.iterations.min(first_iteration + len),
-                iterations: self.campaign.iterations,
-                snapshot: snapshot.clone(),
-            }),
-            _ => None,
-        };
-        let queue_end = match &epoch {
-            Some(epoch) => epoch.end,
-            None => self.campaign.iterations,
-        };
 
         let owned_transport: Box<dyn Transport>;
         let transport: &dyn Transport = match &self.transport {
@@ -479,36 +449,27 @@ impl DistRunner {
         };
 
         let mut stats = DistStats::default();
-        let mut completed: BTreeMap<usize, IterationRecord> = BTreeMap::new();
-
-        if first_iteration < self.campaign.iterations {
-            let mut pending = VecDeque::new();
-            if first_iteration < queue_end {
-                pending.push_back((first_iteration, queue_end - first_iteration));
-            }
+        if let Some(window) = first_window {
             let mut supervisor = Supervisor {
                 dist: &self.dist,
                 transport,
                 config_line,
                 slots: Vec::new(),
-                pending,
-                completed: &mut completed,
+                pending: VecDeque::from([(window.start, window.len())]),
+                schedule: &mut schedule,
                 next_lease: 0,
                 stats: &mut stats,
                 kill_armed: self.dist.kill_worker_after_records,
-                deadline: self.campaign.time_budget.map(|budget| start + budget),
                 replay_sink: self.replay_sink.as_deref(),
-                epoch,
                 epoch_line: None,
                 diagnostics: Vec::new(),
             };
             supervisor.run()?;
         }
 
+        stats.duplicate_records = schedule.duplicates();
         let merge_start = Instant::now();
-        let mut records = warmup.records;
-        records.extend(std::mem::take(&mut completed).into_values());
-        let report = ShardReport::merge(vec![ShardReport { records }], start.elapsed());
+        let report = schedule.into_report(start.elapsed());
         stats.merge_time = merge_start.elapsed();
         Ok((report, stats))
     }
@@ -563,41 +524,26 @@ struct WorkerSlot {
     last_lease_len: Option<usize>,
 }
 
-/// The epoch-barrier state of a guided campaign with
-/// [`CampaignConfig::guidance_epoch`] set: the current window
-/// `[base, end)` and the cumulative coverage snapshot of everything
-/// before it.
-struct EpochState {
-    len: usize,
-    base: usize,
-    end: usize,
-    iterations: usize,
-    snapshot: CoverageSnapshot,
-}
-
 /// The supervisor's event loop state (borrowed from
-/// [`DistRunner::run_with_stats`] so the stats and record map outlive it).
+/// [`DistRunner::run_with_stats`] so the stats and schedule outlive it).
 struct Supervisor<'a> {
     dist: &'a DistConfig,
     transport: &'a dyn Transport,
     config_line: String,
     slots: Vec<WorkerSlot>,
     pending: VecDeque<(usize, usize)>,
-    completed: &'a mut BTreeMap<usize, IterationRecord>,
+    /// The campaign's schedule: released windows, the time budget, and the
+    /// completed records.
+    schedule: &'a mut Schedule,
     next_lease: u64,
     stats: &'a mut DistStats,
     /// The armed kill switch; disarmed after firing so the respawned worker
     /// is not killed again.
     kill_armed: Option<(usize, usize)>,
-    /// The campaign's time-budget deadline on the supervisor clock; leases
-    /// are never granted past it (in-flight leases run to completion).
-    deadline: Option<Instant>,
     /// Where worker-computed replay frames are delivered (first-wins, like
     /// the record merge). The supervisor never recomputes a frame: what the
     /// executing worker hashed is what the artifact records.
     replay_sink: Option<&'a dyn ReplaySink>,
-    /// The guidance epoch barrier, when the campaign runs in epochs.
-    epoch: Option<EpochState>,
     /// The latest epoch broadcast line, replayed to respawned workers right
     /// after their handshake so a fresh incarnation never runs a
     /// current-window iteration under the stale warm-up snapshot.
@@ -664,14 +610,11 @@ impl Supervisor<'_> {
                                     None => cost,
                                 });
                             }
-                            let frame = record.replay.clone();
-                            if self.completed.insert(record.iteration, record).is_some() {
-                                self.stats.duplicate_records += 1;
-                            } else {
+                            if let Some(record) = self.schedule.complete(record) {
                                 if let Some(sink) = self.replay_sink {
-                                    sink.record_frame(&frame);
+                                    sink.record_frame(&record.replay);
                                 }
-                                self.maybe_advance_epoch(&events_tx)?;
+                                self.release_windows(&events_tx)?;
                             }
                             if let Some((victim, after)) = self.kill_armed {
                                 if victim == index && delivered >= after {
@@ -714,68 +657,45 @@ impl Supervisor<'_> {
         Ok(())
     }
 
-    /// All leases finished and nothing pending. (An epoch barrier cannot be
-    /// waiting here: the barrier advances the moment the last record of a
-    /// window arrives, pushing the next window into `pending` before
-    /// `finished` is next consulted.)
+    /// All leases finished and nothing pending. (A window barrier cannot
+    /// be waiting here: the schedule releases the next window the moment
+    /// the last record of the current one arrives, pushing it into
+    /// `pending` before `finished` is next consulted.)
     fn finished(&self) -> bool {
         self.pending.is_empty() && self.slots.iter().all(|s| s.outstanding.is_empty())
     }
 
-    /// Whether the epoch barrier will still release further windows.
-    fn more_epochs_coming(&self) -> bool {
-        self.epoch.as_ref().is_some_and(|e| e.end < e.iterations)
-    }
-
-    /// Advances the epoch barrier while complete windows allow: absorbs the
-    /// finished window's probe deltas in iteration-index order, broadcasts
-    /// the refreshed cumulative snapshot to the fleet, and only then
-    /// releases the next window for leasing — stdin ordering guarantees
-    /// every worker swaps its guidance before its first new-window lease.
-    fn maybe_advance_epoch(
+    /// Queues every window the schedule's barrier releases. Each carries a
+    /// refreshed cumulative snapshot, broadcast to the fleet before the
+    /// window is leased — stdin ordering guarantees every worker swaps its
+    /// guidance before its first lease of the new window.
+    fn release_windows(
         &mut self,
         events_tx: &mpsc::Sender<(usize, u64, WorkerEvent)>,
     ) -> Result<(), DistError> {
-        loop {
-            let (line, window) = {
-                let Some(epoch) = &mut self.epoch else {
-                    return Ok(());
-                };
-                if epoch.end >= epoch.iterations {
-                    return Ok(()); // final window: no barrier after it
+        while let Some(window) = self.schedule.next_window() {
+            if let Some(snapshot) = self.schedule.snapshot() {
+                let line = wire::encode_epoch_message(snapshot);
+                self.stats.guidance_epochs += 1;
+                let mut dead = Vec::new();
+                for (index, slot) in self.slots.iter_mut().enumerate() {
+                    if !slot.alive || slot.exiting {
+                        continue;
+                    }
+                    let sent = writeln!(slot.writer, "{line}").and_then(|()| slot.writer.flush());
+                    if sent.is_err() {
+                        dead.push(index);
+                    }
                 }
-                if !(epoch.base..epoch.end).all(|i| self.completed.contains_key(&i)) {
-                    return Ok(()); // window still executing
-                }
-                for iteration in epoch.base..epoch.end {
-                    let record = &self.completed[&iteration];
-                    epoch.snapshot.absorb(&record.probe_delta);
-                }
-                epoch.base = epoch.end;
-                epoch.end = epoch.iterations.min(epoch.base + epoch.len);
-                (
-                    wire::encode_epoch_message(&epoch.snapshot),
-                    (epoch.base, epoch.end - epoch.base),
-                )
-            };
-            self.stats.guidance_epochs += 1;
-            self.epoch_line = Some(line.clone());
-            let mut dead = Vec::new();
-            for (index, slot) in self.slots.iter_mut().enumerate() {
-                if !slot.alive || slot.exiting {
-                    continue;
-                }
-                let sent = writeln!(slot.writer, "{line}").and_then(|()| slot.writer.flush());
-                if sent.is_err() {
-                    dead.push(index);
+                self.epoch_line = Some(line);
+                for index in dead {
+                    self.handle_death(index, events_tx)?;
                 }
             }
-            for index in dead {
-                self.handle_death(index, events_tx)?;
-            }
-            self.pending.push_back(window);
+            self.pending.push_back((window.start, window.len()));
             self.dispatch(events_tx)?;
         }
+        Ok(())
     }
 
     /// Connects (or reconnects) a worker through the transport and performs
@@ -938,10 +858,7 @@ impl Supervisor<'_> {
         // Budget enforcement: past the deadline the remaining queue is
         // dropped (exactly like the in-process workers ceasing to claim
         // iterations), and the in-flight leases drain to completion.
-        if self
-            .deadline
-            .is_some_and(|deadline| Instant::now() >= deadline)
-        {
+        if self.schedule.expired() {
             self.pending.clear();
         }
         loop {
@@ -985,7 +902,7 @@ impl Supervisor<'_> {
     /// Sends `exit` to a worker that can receive no further leases, so idle
     /// processes drain instead of lingering until the end of the campaign.
     fn maybe_retire(&mut self, index: usize) {
-        if self.more_epochs_coming() {
+        if self.schedule.more_windows() {
             return; // the barrier will release more work for this slot
         }
         let slot = &mut self.slots[index];
@@ -1048,7 +965,7 @@ impl Supervisor<'_> {
         let mut reclaimed: Vec<(usize, usize)> = Vec::new();
         for lease in outstanding.iter().rev() {
             for iteration in (lease.start..lease.start + lease.len).rev() {
-                if !self.completed.contains_key(&iteration) {
+                if !self.schedule.is_complete(iteration) {
                     match reclaimed.last_mut() {
                         Some((start, len)) if iteration + 1 == *start => {
                             *start = iteration;

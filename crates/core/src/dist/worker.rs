@@ -4,17 +4,19 @@
 //! A worker is one shared-nothing campaign executor. It announces itself
 //! with the wire handshake, receives its [`CampaignConfig`] (backend spec,
 //! oracle suite, optional frozen guidance snapshot) exactly once, and then
-//! executes iteration leases: for each `lease` line it claims the leased
-//! iteration indices across its own pool of OS threads — the PR 1
-//! thread-sharded runner, one level down — and streams every finished
-//! [`IterationRecord`] back as a `record` line the moment it completes.
-//! Records are streamed (rather than batched per lease) so that when the
-//! process dies mid-lease the supervisor only re-leases the iterations it
-//! never received; everything already streamed is acknowledged work.
+//! executes iteration leases. The worker owns only the protocol: each
+//! `lease` line is served by the runner's one claim loop
+//! (`CampaignRunner::run_range`) over the worker's own thread pool, and
+//! every finished [`IterationRecord`](crate::runner::IterationRecord) is
+//! streamed back as a `record` line the moment it completes. Records are
+//! streamed (rather than batched per lease) so that when the process dies
+//! mid-lease the supervisor only re-leases the iterations it never
+//! received; everything already streamed is acknowledged work.
 //!
 //! Workers never read coverage state from anywhere but their own
-//! iterations: the guidance snapshot arrives frozen over the wire, and
-//! every guided decision is the same pure function of
+//! iterations: the guidance snapshot arrives over the wire (in the
+//! configuration, then in every `epoch` refresh the supervisor's schedule
+//! releases), and every guided decision is the same pure function of
 //! `(snapshot, seed, iteration)` the in-process runner computes — which is
 //! why a distributed campaign merges byte-identically to a single-process
 //! one.
@@ -25,7 +27,7 @@ use crate::guidance::Guidance;
 use crate::runner::CampaignRunner;
 use std::fmt;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -84,9 +86,10 @@ struct WorkerState {
 /// (which arrives over the wire).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Sleep this long before every iteration — the deliberate-straggler
-    /// switch behind `spatter-campaign-worker --iteration-delay-ms`, used
-    /// by the elastic-lease tests and benches. Wall-clock only: the
+    /// Sleep this long after every iteration, before its record is
+    /// streamed — the deliberate-straggler switch behind
+    /// `spatter-campaign-worker --iteration-delay-ms`, used by the
+    /// elastic-lease tests and benches. Wall-clock only: the
     /// iteration's *outputs* are untouched, so a straggling fleet still
     /// merges byte-identically.
     pub iteration_delay: Option<Duration>,
@@ -161,14 +164,10 @@ pub fn serve_with_options(
     Ok(())
 }
 
-/// Executes one lease across the worker's thread pool, streaming each
-/// iteration's record as soon as it finishes and closing with `done`.
-///
-/// Iterations are claimed from a shared atomic counter (the same
-/// work-stealing discipline as the thread-sharded runner), each one runs
-/// entirely on its claiming thread so the thread-local probe recorder
-/// measures exactly its delta, and the encoded record is written under a
-/// mutex so concurrent threads cannot interleave partial lines.
+/// Executes one lease with the runner's claim loop, streaming each
+/// iteration's record as soon as it finishes and closing with `done`. The
+/// encoded record is written under a mutex so concurrent threads cannot
+/// interleave partial lines; after a write fails, no thread streams again.
 fn run_lease(
     state: &WorkerState,
     lease: u64,
@@ -176,54 +175,30 @@ fn run_lease(
     len: usize,
     output: &mut (impl Write + Send),
 ) -> Result<(), WorkerError> {
-    let end = start.saturating_add(len);
-    let next = AtomicUsize::new(start);
     let sink = Mutex::new((output, None::<std::io::Error>));
-
-    let work = || loop {
-        if let Some(budget) = state.runner.config().time_budget {
-            if state.start.elapsed() >= budget {
-                break;
+    let range = start..start.saturating_add(len);
+    let guidance = state.guidance.as_ref();
+    state
+        .runner
+        .run_range(range, state.start, guidance, state.threads, |record| {
+            if let Some(delay) = state.iteration_delay {
+                std::thread::sleep(delay);
             }
-        }
-        let iteration = next.fetch_add(1, Ordering::Relaxed);
-        if iteration >= end {
-            break;
-        }
-        if let Some(delay) = state.iteration_delay {
-            std::thread::sleep(delay);
-        }
-        let record = state
-            .runner
-            .run_iteration(iteration, state.start, state.guidance.as_ref());
-        let line = wire::encode_record_message(lease, &record);
-        // A panic on another thread while it held the sink leaves at worst
-        // a recorded transport error behind; keep serving this lease.
-        let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-        if guard.1.is_some() {
-            // The transport already failed; stop producing.
-            break;
-        }
-        let result = writeln!(guard.0, "{line}").and_then(|()| guard.0.flush());
-        if let Err(e) = result {
-            guard.1 = Some(e);
-            break;
-        }
-    };
-
-    if state.threads <= 1 {
-        work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..state.threads {
-                // The closure captures only shared references, so it is
-                // `Copy`: each worker thread gets its own copy.
-                scope.spawn(work);
+            let line = wire::encode_record_message(lease, &record);
+            // A panic on another thread while it held the sink leaves at
+            // worst a recorded transport error behind; keep serving.
+            let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
+            if guard.1.is_some() {
+                return ControlFlow::Break(());
             }
+            if let Err(e) = writeln!(guard.0, "{line}").and_then(|()| guard.0.flush()) {
+                guard.1 = Some(e);
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
         });
-    }
 
-    let (output, error) = sink.into_inner().expect("record sink poisoned");
+    let (output, error) = sink.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(error) = error {
         return Err(WorkerError::Io(error));
     }
@@ -238,7 +213,7 @@ mod tests {
     use crate::campaign::{CampaignConfig, CampaignReport};
     use crate::dist::wire::FromWorker;
     use crate::generator::{GenerationStrategy, GeneratorConfig};
-    use crate::runner::ShardReport;
+    use crate::schedule::Schedule;
     use crate::transform::AffineStrategy;
     use spatter_sdb::EngineProfile;
     use std::io::BufReader;
@@ -323,7 +298,13 @@ mod tests {
                 record.iteration
             );
         }
-        let via_worker = ShardReport::merge(vec![ShardReport { records }], Duration::from_secs(1));
+        let mut schedule = Schedule::new(&campaign, Instant::now(), |_| {
+            unreachable!("an unguided campaign has no warm-up")
+        });
+        for record in records {
+            schedule.complete(record);
+        }
+        let via_worker = schedule.into_report(Duration::from_secs(1));
         assert_eq!(
             via_worker.determinism_fingerprint(),
             reference.determinism_fingerprint()

@@ -72,6 +72,7 @@ pub mod replay;
 pub mod rng;
 pub mod runner;
 pub mod scenarios;
+mod schedule;
 pub mod spec;
 pub mod transform;
 
@@ -94,6 +95,6 @@ pub use oracles::{
 };
 pub use queries::{QueryInstance, QueryTemplate, RangeFunction};
 pub use replay::{Divergence, DivergenceLayer, ReplayFrame, ReplayLog, ReplayRecorder, ReplaySink};
-pub use runner::{CampaignRunner, OracleKind, ScenarioParts, ShardReport};
+pub use runner::{CampaignRunner, OracleKind, ScenarioParts};
 pub use spec::{DatabaseSpec, TableSpec};
 pub use transform::{AffineStrategy, TransformPlan};

@@ -20,12 +20,18 @@
 //!   For a *non-monotone* divergence (a lone flipped frame), record the
 //!   live side too and use [`compare_logs`] — exactness is what artifacts
 //!   are for.
+//!
+//! The live side is a [`ReplayExecutor`]. It owns only random access to
+//! single iterations; which guidance each iteration ran under comes from
+//! the campaign's `Schedule` (`crate::schedule`), the same one the
+//! in-process runner and the fleet supervisor drive.
 
 use super::artifact::ReplayLog;
 use super::ReplayFrame;
 use crate::campaign::CampaignConfig;
 use crate::guidance::Guidance;
 use crate::runner::{CampaignRunner, IterationRecord};
+use crate::schedule::Schedule;
 use std::fmt;
 use std::time::Instant;
 
@@ -244,86 +250,61 @@ pub fn bisect_against_live(
 }
 
 /// A live re-execution harness over [`CampaignRunner`]: rebuilds the
-/// campaign (including the guidance warm-up, so guided iterations replay
-/// under the identical snapshot) and exposes single iterations.
+/// guidance of every window of the campaign and exposes single iterations.
 ///
-/// With [`CampaignConfig::guidance_epoch`] set, construction additionally
-/// replays the whole campaign once, sequentially, to reconstruct the
-/// cumulative snapshot each epoch window ran under — random access to
-/// iteration N needs the coverage of every window before N's.
+/// Construction walks the campaign's schedule sequentially: it runs the
+/// guidance warm-up, and executes a window only when a later window needs
+/// its coverage — so a campaign without
+/// [`CampaignConfig::guidance_epoch`] runs only the warm-up, and an epoch
+/// campaign runs every window but the last.
 ///
 /// Intended for iteration-bounded configs; a `time_budget` could truncate
 /// the warm-up and is erased here for that reason.
 pub struct ReplayExecutor {
     runner: CampaignRunner,
-    guidance: Option<Guidance>,
-    /// Per-window guidances of an epoch campaign, in window order.
-    epoch_guidances: Vec<Guidance>,
-    /// Window length of an epoch campaign (0 when epochs are off).
-    epoch_len: usize,
-    /// Iterations below this index ran unguided (the warm-up prefix).
-    warmup_len: usize,
+    /// The first iteration of every window the schedule released, with the
+    /// guidance it runs under, in window order. Iterations before the first
+    /// window are the unguided warm-up; the last window's guidance also
+    /// covers any iteration past the campaign's end.
+    windows: Vec<(usize, Option<Guidance>)>,
     start: Instant,
 }
 
 impl ReplayExecutor {
-    /// Builds the executor, running the guidance warm-up once when the
-    /// config is guided (its frames are pure functions of the config, like
-    /// every other iteration's) — and, for an epoch campaign, one full
-    /// sequential pass to rebuild every window's cumulative snapshot.
+    /// Builds the executor (see the type docs for what it executes).
     pub fn new(config: CampaignConfig) -> Self {
-        let config = CampaignConfig {
+        let runner = CampaignRunner::new(CampaignConfig {
             time_budget: None,
             ..config
-        };
-        let runner = CampaignRunner::new(config);
+        });
         let start = Instant::now();
-        let (warmup, snapshot) = runner.warmup_phase(start);
-        let warmup_len = warmup.records.len();
-
-        let mut epoch_guidances = Vec::new();
-        let mut epoch_len = 0;
-        match (&snapshot, runner.config().guidance_epoch) {
-            (Some(snapshot), Some(len)) if len > 0 => {
-                epoch_len = len;
-                let mut cumulative = snapshot.clone();
-                let iterations = runner.config().iterations;
-                let mut base = warmup_len;
-                while base < iterations {
-                    let end = iterations.min(base + len);
-                    let guidance = Guidance::from_snapshot(&cumulative);
-                    for iteration in base..end {
-                        let record = runner.run_iteration(iteration, start, Some(&guidance));
-                        cumulative.absorb(&record.probe_delta);
-                    }
-                    epoch_guidances.push(guidance);
-                    base = end;
+        let mut schedule = Schedule::new(runner.config(), start, |iteration| {
+            runner.run_iteration(iteration, start, None)
+        });
+        let mut windows = Vec::new();
+        while let Some(window) = schedule.next_window() {
+            let guidance = schedule.snapshot().map(Guidance::from_snapshot);
+            if schedule.more_windows() {
+                for iteration in window.clone() {
+                    schedule.complete(runner.run_iteration(iteration, start, guidance.as_ref()));
                 }
             }
-            _ => {}
+            windows.push((window.start, guidance));
         }
-
         ReplayExecutor {
-            guidance: snapshot.as_ref().map(Guidance::from_snapshot),
-            epoch_guidances,
-            epoch_len,
-            warmup_len,
             runner,
+            windows,
             start,
         }
     }
 
     /// The guidance iteration `iteration` executes under.
     fn guidance_for(&self, iteration: usize) -> Option<&Guidance> {
-        if iteration < self.warmup_len {
-            return None;
-        }
-        // epoch_len == 0 means epochs are off: fall back to the frozen
-        // warm-up snapshot (checked_div is None exactly then).
-        match (iteration - self.warmup_len).checked_div(self.epoch_len) {
-            Some(window) => self.epoch_guidances.get(window),
-            None => self.guidance.as_ref(),
-        }
+        self.windows
+            .iter()
+            .rev()
+            .find(|(first, _)| *first <= iteration)
+            .and_then(|(_, guidance)| guidance.as_ref())
     }
 
     /// Re-executes one iteration end to end, returning its full record.

@@ -1,49 +1,43 @@
-//! The sharded, multi-worker campaign runner.
+//! The in-process campaign runner.
 //!
 //! The paper's testing campaigns are throughput-bound (§5.1, Figure 7):
 //! Spatter finds bugs by running as many AEI iterations as the wall clock
 //! allows. Iterations are mutually independent — each one generates its own
 //! database, queries and transformation plan from a per-iteration sub-seed —
-//! so the runner partitions them across `n_workers` OS threads, each worker
-//! owning its own [`spatter_sdb::Engine`] instances, and merges the
-//! per-worker [`ShardReport`]s into one [`CampaignReport`] afterwards.
+//! so they can run on any thread of any process.
+//!
+//! # Who owns what
+//!
+//! * This module owns *one iteration* (`CampaignRunner::run_iteration`:
+//!   generation, the oracle suite, attribution, the replay frame) and the
+//!   one claim loop (`run_range`), which runs an iteration range across
+//!   scoped threads. The distributed worker serves its leases with the
+//!   same loop.
+//! * `crate::schedule` owns *which iteration runs under which guidance*:
+//!   the [`GuidanceMode::ColdProbe`](crate::guidance::GuidanceMode::ColdProbe)
+//!   warm-up of [`GUIDANCE_WARMUP`]
+//!   iterations, the windows after it (one frozen-snapshot window, or
+//!   [`CampaignConfig::guidance_epoch`]-length windows behind a barrier),
+//!   the time budget, and the index-ordered merge into the
+//!   [`CampaignReport`]. [`CampaignRunner::run`] only claims each released
+//!   window across its threads.
 //!
 //! # Determinism
 //!
 //! Every iteration derives its generator, query and transform seeds from
-//! [`crate::rng::split_seed`]`(config.seed, iteration)` — a pure function of
-//! the campaign seed and the iteration index. Which worker executes an
-//! iteration therefore never affects what that iteration does, and the merge
-//! step orders iteration records by index, so the findings, their
-//! attribution and the unique-fault set of a report are identical for any
-//! worker count (asserted by `identical_findings_for_any_worker_count`
+//! [`crate::rng::split_seed`]`(config.seed, iteration)`, and its guidance
+//! from a snapshot the schedule fixed before the window started. Guidance
+//! never reads the live counters: probe deltas are measured thread-locally
+//! per iteration. So which worker executes an iteration never affects what
+//! it does, and findings, attribution and probe coverage are identical for
+//! any worker count (asserted by `identical_findings_for_any_worker_count`
 //! below). Only wall-clock fields (`elapsed`, timelines, timing totals)
 //! depend on scheduling.
-//!
-//! # Coverage guidance
-//!
-//! With [`GuidanceMode::ColdProbe`] the first [`GUIDANCE_WARMUP`] iterations
-//! run unguided on the coordinating thread; their probe deltas — measured
-//! thread-locally, so concurrent activity elsewhere in the process cannot
-//! leak in — are frozen into one [`CoverageSnapshot`], and every remaining
-//! iteration derives its generation bias (editing functions, template
-//! families, scenario knobs) purely from that snapshot plus its own
-//! sub-seed. Guidance never reads the live counters, which is what keeps
-//! guided findings byte-identical at any worker count: the snapshot is fixed
-//! before the workers start, and everything after it is a pure function of
-//! `(snapshot, config.seed, iteration)`.
-//!
-//! With [`CampaignConfig::guidance_epoch`] the snapshot is additionally
-//! *refreshed* every E iterations behind a barrier: each window's records
-//! are absorbed in iteration-index order before the next window starts, so
-//! the guidance of every iteration is still a pure function of the seed —
-//! and the distributed supervisor ([`crate::dist`]) reproduces the same
-//! barrier over the wire, byte-identically.
 
 use crate::backend::{BackendSpec, EngineBackend};
 use crate::campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 use crate::generator::GeometryGenerator;
-use crate::guidance::{self, Guidance, GuidanceMode, ScenarioKnobs};
+use crate::guidance::{self, Guidance, ScenarioKnobs};
 use crate::mutation::MutationScript;
 use crate::oracles::{
     AeiOracle, DifferentialOracle, IndexOracle, Oracle, OracleOutcome, TlpOracle,
@@ -51,16 +45,19 @@ use crate::oracles::{
 use crate::queries::{random_queries_weighted, QueryInstance};
 use crate::replay::{ReplayFrame, ReplayHasher, ReplaySink};
 use crate::rng::split_seed;
+use crate::schedule::Schedule;
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
 use spatter_sdb::faults::fired;
 use spatter_sdb::{EngineProfile, FaultId};
-use spatter_topo::coverage::{self, local, CoverageSnapshot};
+use spatter_topo::coverage::{self, local};
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Number of unguided warm-up iterations a [`GuidanceMode::ColdProbe`]
+/// Number of unguided warm-up iterations a
+/// [`GuidanceMode::ColdProbe`](crate::guidance::GuidanceMode::ColdProbe)
 /// campaign runs to build its frozen coverage snapshot. Deliberately small:
 /// a couple of default scenarios warm every common probe, leaving exactly
 /// the rarely-reached paths (index scans, crash paths, exotic editing
@@ -158,78 +155,9 @@ pub struct ScenarioParts {
     pub generation_time: Duration,
 }
 
-/// The mergeable per-worker slice of a campaign: the iteration records one
-/// worker executed, in execution order.
-#[derive(Debug, Clone, Default)]
-pub struct ShardReport {
-    /// Records of the iterations this shard ran.
-    pub records: Vec<IterationRecord>,
-}
-
-impl ShardReport {
-    /// The probes this shard's iterations covered (union over its records).
-    /// A sorted set, so merging shard coverages is order-independent.
-    pub fn probe_coverage(&self) -> std::collections::BTreeSet<&'static str> {
-        self.records
-            .iter()
-            .flat_map(|r| r.probe_delta.iter())
-            .filter(|(_, count)| *count > 0)
-            .map(|(name, _)| *name)
-            .collect()
-    }
-
-    /// Merges shard reports into an aggregate report. Records are ordered by
-    /// iteration index first, so the merged findings and unique-fault
-    /// attribution are independent of how iterations were scheduled. The two
-    /// timelines are then re-sorted along their wall-clock axis: with
-    /// multiple workers, iteration order and completion-time order diverge
-    /// (worker A can finish iteration 10 before worker B finishes iteration
-    /// 2), and a bugs-over-time curve must not run backwards in time.
-    pub fn merge(shards: Vec<ShardReport>, total_time: Duration) -> CampaignReport {
-        let mut report = CampaignReport {
-            total_time,
-            ..CampaignReport::default()
-        };
-        // Per-shard coverage deltas merge first (a union of sorted sets, so
-        // shard order cannot matter), then the records flatten for the
-        // order-sensitive finding/timeline merge.
-        for shard in &shards {
-            report.probe_coverage.extend(shard.probe_coverage());
-        }
-        let mut records: Vec<IterationRecord> =
-            shards.into_iter().flat_map(|s| s.records).collect();
-        records.sort_by_key(|r| r.iteration);
-        let mut new_fault_times = Vec::new();
-        for record in records {
-            report.generation_time += record.generation_time;
-            report.engine_time += record.engine_time;
-            report.skipped_queries += record.skipped;
-            for finding in record.findings {
-                for fault in &finding.attributed_faults {
-                    if report.unique_faults.insert(*fault) {
-                        new_fault_times.push(finding.elapsed);
-                    }
-                }
-                report.findings.push(finding);
-            }
-            report.coverage_timeline.push(record.coverage);
-            report.iterations_run += 1;
-        }
-        new_fault_times.sort_unstable();
-        report.unique_bug_timeline = new_fault_times
-            .into_iter()
-            .enumerate()
-            .map(|(i, elapsed)| (elapsed, i + 1))
-            .collect();
-        report
-            .coverage_timeline
-            .sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        report
-    }
-}
-
-/// The sharded campaign runner: `CampaignRunner::new(config).run()` runs a
-/// campaign on one worker thread, [`CampaignRunner::with_workers`] shards it.
+/// The in-process campaign runner: `CampaignRunner::new(config).run()` runs a
+/// campaign on the calling thread, [`CampaignRunner::with_workers`] spreads
+/// it over several.
 pub struct CampaignRunner {
     config: CampaignConfig,
     n_workers: usize,
@@ -263,169 +191,82 @@ impl CampaignRunner {
         self
     }
 
-    /// Replaces the oracle suite run on every iteration (a convenience for
-    /// writing into [`CampaignConfig::oracles`]).
-    pub fn with_oracles(mut self, oracles: Vec<OracleKind>) -> Self {
-        assert!(!oracles.is_empty(), "oracle suite cannot be empty");
-        self.config.oracles = oracles;
-        self
-    }
-
     /// The campaign configuration.
     pub fn config(&self) -> &CampaignConfig {
         &self.config
     }
 
-    /// The configured worker count.
-    pub fn n_workers(&self) -> usize {
-        self.n_workers
-    }
-
-    /// Runs the campaign and merges the shards into an aggregate report.
+    /// Runs the campaign: the campaign's `Schedule` runs the warm-up and
+    /// releases the windows, and each window is claimed across the worker
+    /// threads.
     pub fn run(&self) -> CampaignReport {
         let start = Instant::now();
-        let (warmup, snapshot) = self.warmup_phase(start);
-        let first_iteration = warmup.records.len();
-        let mut shards = match (snapshot, self.config.guidance_epoch) {
-            (Some(snapshot), Some(epoch_len)) if epoch_len > 0 => {
-                self.run_epochs(start, first_iteration, snapshot, epoch_len)
-            }
-            (snapshot, _) => {
-                let guidance = snapshot.as_ref().map(Guidance::from_snapshot);
-                self.run_sharded(
-                    start,
-                    first_iteration,
-                    self.config.iterations,
-                    guidance.as_ref(),
-                )
-            }
-        };
-        shards.push(warmup);
-        ShardReport::merge(shards, start.elapsed())
+        let mut schedule = Schedule::new(&self.config, start, |iteration| {
+            self.run_iteration(iteration, start, None)
+        });
+        while let Some(window) = schedule.next_window() {
+            let guidance = schedule.snapshot().map(Guidance::from_snapshot);
+            let schedule = Mutex::new(&mut schedule);
+            self.run_range(window, start, guidance.as_ref(), self.n_workers, |record| {
+                schedule
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .complete(record);
+                ControlFlow::Continue(())
+            });
+        }
+        schedule.into_report(start.elapsed())
     }
 
-    /// The epoch-barrier loop of a guided campaign with
-    /// [`CampaignConfig::guidance_epoch`]: each window of `epoch_len`
-    /// iterations runs under guidance rebuilt from the cumulative snapshot
-    /// of everything before it, then the window's probe deltas are absorbed
-    /// in iteration-index order behind the barrier. The distributed
-    /// supervisor replays exactly this loop over the wire, so epoch
-    /// campaigns merge byte-identically at any fleet shape.
-    fn run_epochs(
+    /// The one claim loop: runs the iterations of `range` under `guidance`
+    /// on `threads` scoped threads (on the calling thread when `threads`
+    /// is 1). Each thread claims the next index from a shared counter until
+    /// the range is exhausted, the time budget is spent, or `on_record`
+    /// breaks. An iteration runs wholly on the thread that claimed it, so
+    /// the thread-local probe recorder measures exactly its delta, and
+    /// `on_record` receives its record on that thread as it completes.
+    pub(crate) fn run_range(
         &self,
+        range: Range<usize>,
         start: Instant,
-        first_iteration: usize,
-        mut snapshot: CoverageSnapshot,
-        epoch_len: usize,
-    ) -> Vec<ShardReport> {
-        let mut shards = Vec::new();
-        let mut base = first_iteration;
-        while base < self.config.iterations {
-            if let Some(budget) = self.config.time_budget {
-                if start.elapsed() >= budget {
-                    break;
-                }
-            }
-            let end = self.config.iterations.min(base + epoch_len);
-            let guidance = Guidance::from_snapshot(&snapshot);
-            let mut window = self.run_sharded(start, base, end, Some(&guidance));
-            let mut records: Vec<&IterationRecord> =
-                window.iter().flat_map(|s| s.records.iter()).collect();
-            records.sort_by_key(|r| r.iteration);
-            for record in records {
-                snapshot.absorb(&record.probe_delta);
-            }
-            shards.append(&mut window);
-            base = end;
-        }
-        shards
-    }
-
-    /// The guidance warm-up: with [`GuidanceMode::ColdProbe`], runs the
-    /// first [`GUIDANCE_WARMUP`] iterations unguided on the calling thread
-    /// and freezes their thread-locally-recorded probe deltas into the
-    /// campaign's coverage snapshot. Runs nothing (and produces no snapshot)
-    /// in [`GuidanceMode::Off`]. The raw snapshot — rather than the
-    /// [`Guidance`] built from it — is returned so the distributed
-    /// supervisor ([`crate::dist`]) can ship it to worker processes, which
-    /// rebuild the identical guidance on their side.
-    pub(crate) fn warmup_phase(&self, start: Instant) -> (ShardReport, Option<CoverageSnapshot>) {
-        let mut shard = ShardReport::default();
-        if self.config.guidance == GuidanceMode::Off {
-            return (shard, None);
-        }
-        let mut snapshot = CoverageSnapshot::new();
-        for iteration in 0..GUIDANCE_WARMUP.min(self.config.iterations) {
-            if let Some(budget) = self.config.time_budget {
-                if start.elapsed() >= budget {
-                    break;
-                }
-            }
-            let record = self.run_iteration(iteration, start, None);
-            snapshot.absorb(&record.probe_delta);
-            shard.records.push(record);
-        }
-        (shard, Some(snapshot))
-    }
-
-    /// Runs the iteration range `[first_iteration, end)`, returning the raw
-    /// per-worker shard reports.
-    fn run_sharded(
-        &self,
-        start: Instant,
-        first_iteration: usize,
-        end: usize,
         guidance: Option<&Guidance>,
-    ) -> Vec<ShardReport> {
-        let next_iteration = AtomicUsize::new(first_iteration);
-
-        if self.n_workers == 1 {
-            return vec![self.worker(start, &next_iteration, end, guidance)];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.n_workers)
-                .map(|_| scope.spawn(|| self.worker(start, &next_iteration, end, guidance)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        })
-    }
-
-    /// One worker: claims iteration indices from the shared counter until
-    /// the range is exhausted or the time budget is spent.
-    fn worker(
-        &self,
-        start: Instant,
-        next_iteration: &AtomicUsize,
-        end: usize,
-        guidance: Option<&Guidance>,
-    ) -> ShardReport {
-        let mut shard = ShardReport::default();
-        loop {
+        threads: usize,
+        on_record: impl Fn(IterationRecord) -> ControlFlow<()> + Sync,
+    ) {
+        let next = AtomicUsize::new(range.start);
+        let claim = || loop {
             if let Some(budget) = self.config.time_budget {
                 if start.elapsed() >= budget {
                     break;
                 }
             }
-            let iteration = next_iteration.fetch_add(1, Ordering::Relaxed);
-            if iteration >= end {
+            let iteration = next.fetch_add(1, Ordering::Relaxed);
+            if iteration >= range.end {
                 break;
             }
-            shard
-                .records
-                .push(self.run_iteration(iteration, start, guidance));
+            if on_record(self.run_iteration(iteration, start, guidance)).is_break() {
+                break;
+            }
+        };
+        if threads <= 1 {
+            claim();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    // The closure captures only shared references, so it is
+                    // `Copy`: each thread gets its own copy.
+                    scope.spawn(claim);
+                }
+            });
         }
-        shard
     }
 
     /// Executes one iteration end to end: generation (optionally biased by
     /// the frozen guidance), the oracle suite, and attribution of every
     /// flagged query. The whole iteration runs on the calling thread, so the
     /// thread-local probe recorder measures exactly its delta. Crate-visible
-    /// so the distributed worker ([`crate::dist::worker`]) executes leased
-    /// iterations through exactly this code path.
+    /// so the warm-up and the replay executor run iterations through
+    /// exactly this code path.
     pub(crate) fn run_iteration(
         &self,
         iteration: usize,
@@ -750,6 +591,7 @@ fn attribute(
 mod tests {
     use super::*;
     use crate::generator::{GenerationStrategy, GeneratorConfig};
+    use crate::guidance::GuidanceMode;
     use crate::transform::AffineStrategy;
 
     fn config(seed: u64, iterations: usize) -> CampaignConfig {
@@ -837,57 +679,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_orders_records_by_iteration() {
-        let record = |iteration: usize| IterationRecord {
-            iteration,
-            findings: Vec::new(),
-            generation_time: Duration::from_millis(1),
-            engine_time: Duration::from_millis(2),
-            coverage: (Duration::ZERO, 0.0, 0.0),
-            skipped: 1,
-            probe_delta: vec![("topo.predicate.intersects", iteration as u64)],
-            replay: ReplayFrame {
-                iteration,
-                sub_seed: iteration as u64,
-                setup_hash: 0,
-                outcome_hash: 0,
-                probe_hash: 0,
-                query_digests: Vec::new(),
-            },
-        };
-        let shards = vec![
-            ShardReport {
-                records: vec![record(3), record(0)],
-            },
-            ShardReport {
-                records: vec![record(2), record(1)],
-            },
-        ];
-        let report = ShardReport::merge(shards, Duration::from_secs(1));
-        assert_eq!(report.iterations_run, 4);
-        assert_eq!(report.generation_time, Duration::from_millis(4));
-        assert_eq!(report.engine_time, Duration::from_millis(8));
-        assert_eq!(report.coverage_timeline.len(), 4);
-        assert_eq!(report.skipped_queries, 4);
-        // Probe coverage is the union over records with non-zero counts
-        // (iteration 0's zero-count delta contributes nothing).
-        assert_eq!(report.probes_covered(), 1);
-        assert!(report.probe_coverage.contains("topo.predicate.intersects"));
-    }
-
-    #[test]
     fn oracle_suite_runs_baselines_per_shard() {
         let mut cfg = config(11, 4);
         cfg.attribute_findings = false;
-        let report = CampaignRunner::new(cfg)
-            .with_workers(2)
-            .with_oracles(vec![
-                OracleKind::Aei,
-                OracleKind::Index,
-                OracleKind::Tlp,
-                OracleKind::Differential(EngineProfile::MysqlLike),
-            ])
-            .run();
+        cfg.oracles = vec![
+            OracleKind::Aei,
+            OracleKind::Index,
+            OracleKind::Tlp,
+            OracleKind::Differential(EngineProfile::MysqlLike),
+        ];
+        let report = CampaignRunner::new(cfg).with_workers(2).run();
         assert_eq!(report.iterations_run, 4);
     }
 

@@ -16,7 +16,7 @@
 //!   listener and speaks the identical protocol over the socket, which is
 //!   how remote machines join a campaign fleet.
 //!
-//! `--iteration-delay-ms N` injects a fixed delay before every iteration;
+//! `--iteration-delay-ms N` injects a fixed delay after every iteration;
 //! it exists for straggler experiments (elastic-lease tests and benches)
 //! and has no effect on results, only on timing.
 

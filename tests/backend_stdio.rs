@@ -174,8 +174,9 @@ fn killed_server_reports_crash_and_the_session_reopens() {
 fn hard_crash_campaign_is_deterministic_across_worker_counts() {
     // A campaign whose generated scenarios hit crash faults (the stock
     // DuckDB-Spatial-like engine at this seed does) while --hard-crash kills
-    // the server at each one. Shards lose processes mid-run, respawn, and
-    // the merged ShardReport is still identical at every worker count.
+    // the server at each one. Worker threads lose processes mid-run,
+    // respawn, and the merged report is still identical at every worker
+    // count.
     let config = || {
         CampaignConfig {
             generator: GeneratorConfig {

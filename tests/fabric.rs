@@ -166,8 +166,8 @@ fn killed_worker_over_tcp_is_respawned_and_byte_identical() {
 fn epoch_barrier_guidance_is_byte_identical_across_the_fabric() {
     // Epoch campaigns re-merge probe coverage every 4 iterations and
     // broadcast the refreshed snapshot at the barrier. The supervisor's
-    // epoch loop and the in-process `run_epochs` must agree bytewise, over
-    // both transports and every split.
+    // leases and the in-process runner's threads drive the same schedule
+    // and must agree bytewise, over both transports and every split.
     let mut config = campaign(GuidanceMode::ColdProbe, 3, 12);
     config.guidance_epoch = Some(4);
     let (reference, reference_artifact) = baseline(config.clone());

@@ -72,20 +72,39 @@ fn replay_artifacts_are_byte_identical_across_every_execution_shape() {
     // The acceptance criterion: the encoded artifact — not merely the
     // fingerprint — is the same byte string whether the campaign ran on one
     // thread, four threads, or any procs × threads fleet, guided included.
-    for guidance in [GuidanceMode::Off, GuidanceMode::ColdProbe] {
-        let config = campaign(guidance, 3, 12);
-        let reference = record_in_process(&config, 1).encode();
+    // The live replay executor must rebuild every recorded frame too.
+    let mut epochs = campaign(GuidanceMode::ColdProbe, 3, 12);
+    // Warm-up [0,2), then the windows [2,5) [5,8) [8,11) [11,12).
+    epochs.guidance_epoch = Some(3);
+    for config in [
+        campaign(GuidanceMode::Off, 3, 12),
+        campaign(GuidanceMode::ColdProbe, 3, 12),
+        epochs,
+    ] {
+        let shape = format!("{:?} epoch {:?}", config.guidance, config.guidance_epoch);
+        let log = record_in_process(&config, 1);
+        let reference = log.encode();
         assert!(!reference.is_empty());
         assert_eq!(
             record_in_process(&config, 4).encode(),
             reference,
-            "{guidance:?}: 4 worker threads"
+            "{shape}: 4 worker threads"
         );
         for (processes, threads) in SPLITS {
             assert_eq!(
                 record_distributed(&config, processes, threads).encode(),
                 reference,
-                "{guidance:?}: {processes} procs x {threads} threads"
+                "{shape}: {processes} procs x {threads} threads"
+            );
+        }
+        let executor = ReplayExecutor::new(config.clone());
+        assert_eq!(log.frames.len(), 12);
+        for frame in &log.frames {
+            assert_eq!(
+                &executor.frame(frame.iteration),
+                frame,
+                "{shape}: replayed iteration {}",
+                frame.iteration
             );
         }
     }
