@@ -1,13 +1,21 @@
 //! Micro-benchmarks of the hot paths: DE-9IM relate, the geometry-aware
-//! generator and AEI database construction.
+//! generator, AEI database construction, the §7 distance-template plans
+//! (range join nested/prepared/indexed at 64/256/1024 rows, KNN sort vs
+//! R-tree nearest neighbour) and R-tree churn (reinsert vs rebuild). Each
+//! plan pair is checked for equal results before it is timed.
 //!
 //! Hermetic build environments have no crates.io mirror, so instead of
 //! criterion this uses a small manual harness: warm up, then report the mean
 //! over a fixed number of timed batches.
 
 use spatter_core::generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
+use spatter_core::rng::{RngExt, SeedableRng, StdRng};
 use spatter_core::transform::{AffineStrategy, TransformPlan};
+use spatter_geom::envelope::Envelope;
 use spatter_geom::wkt::parse_wkt;
+use spatter_index::RTree;
+use spatter_sdb::engine::plan;
+use spatter_sdb::{Engine, EngineProfile};
 use spatter_topo::predicates::NamedPredicate;
 use spatter_topo::relate::relate;
 use std::hint::black_box;
@@ -73,8 +81,183 @@ fn bench_generator() {
     });
 }
 
+/// An engine holding table `t` of `rows` deterministic pseudo-random integer
+/// points; `indexed` adds a GiST index and turns sequential scans off.
+fn points_engine(rows: usize, indexed: bool) -> Engine {
+    let mut engine = Engine::reference(EngineProfile::PostgisLike);
+    engine.execute("CREATE TABLE t (g geometry)").unwrap();
+    let mut rng = StdRng::seed_from_u64(1234);
+    for _ in 0..rows {
+        let (x, y) = (
+            rng.random_range(-100..=100i64),
+            rng.random_range(-100..=100i64),
+        );
+        engine
+            .execute(&format!("INSERT INTO t (g) VALUES ('POINT({x} {y})')"))
+            .unwrap();
+    }
+    if indexed {
+        engine
+            .execute("CREATE INDEX idx ON t USING GIST (g)")
+            .unwrap();
+        engine.execute("SET enable_seqscan = false").unwrap();
+    }
+    engine
+}
+
+/// The range-join distances every plan cycles through, in order.
+const DISTANCES: [usize; 8] = [1, 6, 11, 16, 21, 26, 31, 36];
+
+fn range_join_query(i: usize) -> String {
+    let d = DISTANCES[i % DISTANCES.len()];
+    format!("SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, {d})")
+}
+
+/// Times one range-join plan, one query per call, asserting every count
+/// includes each row's self-pair.
+fn bench_range_join(name: &str, engine: &mut Engine, rows: usize, batch: u32, repeats: u32) {
+    let mut i = 0;
+    bench(name, batch, repeats, || {
+        i += 1;
+        let count = engine.execute(&range_join_query(i)).unwrap().count();
+        assert!(
+            count.unwrap() >= rows as i64,
+            "every row is within any d of itself"
+        );
+    });
+}
+
+fn bench_distance_templates() {
+    // The nested loop is O(rows^2) per query, so its repeats shrink with rows.
+    for (rows, nested_repeats) in [(64, 5), (256, 3), (1024, 1)] {
+        let mut nested = points_engine(rows, false);
+        let mut prepared = points_engine(rows, false);
+        let mut indexed = points_engine(rows, true);
+        for i in 0..DISTANCES.len() {
+            let sql = range_join_query(i);
+            let expected =
+                plan::with_distance_join_disabled(|| nested.execute(&sql).unwrap().count());
+            assert_eq!(
+                expected,
+                prepared.execute(&sql).unwrap().count(),
+                "prepared plan diverged on probe {i}"
+            );
+            assert_eq!(
+                expected,
+                indexed.execute(&sql).unwrap().count(),
+                "index plan diverged on probe {i}"
+            );
+        }
+        plan::with_distance_join_disabled(|| {
+            bench_range_join(
+                &format!("range_join_nested/{rows}"),
+                &mut nested,
+                rows,
+                8,
+                nested_repeats,
+            )
+        });
+        bench_range_join(
+            &format!("range_join_prepared/{rows}"),
+            &mut prepared,
+            rows,
+            16,
+            5,
+        );
+        bench_range_join(
+            &format!("range_join_indexed/{rows}"),
+            &mut indexed,
+            rows,
+            16,
+            5,
+        );
+    }
+
+    let mut sorted = points_engine(64, false);
+    let mut nearest = points_engine(64, true);
+    let knn_query = |i: usize| {
+        let origin = (i as i64 % 201) - 100;
+        format!(
+            "SELECT ST_AsText(a.g) FROM t a ORDER BY ST_Distance(a.g, 'POINT({origin} 0)'::geometry) LIMIT 4"
+        )
+    };
+    for i in 0..40 {
+        let sql = knn_query(i);
+        assert_eq!(
+            sorted.execute(&sql).unwrap().rows,
+            nearest.execute(&sql).unwrap().rows,
+            "KNN plans diverged on probe {i}"
+        );
+    }
+    for (name, engine) in [
+        ("knn_seqscan_sort/64", &mut sorted),
+        ("knn_index_nearest/64", &mut nearest),
+    ] {
+        let mut i = 0;
+        bench(name, 100, 5, || {
+            i += 1;
+            assert_eq!(engine.execute(&knn_query(i)).unwrap().row_count(), 4);
+        });
+    }
+}
+
+const TREE_SIZE: usize = 4096;
+const CHURN: usize = 512;
+
+/// Moves `CHURN` of `TREE_SIZE` R-tree entries incrementally (delete +
+/// reinsert, alternately there and back) against bulk-loading the whole
+/// tree from the moved entry set.
+fn bench_rtree_churn() {
+    // Deterministic envelope cloud (SplitMix64-style scramble).
+    let base: Vec<(Envelope, usize)> = (0..TREE_SIZE)
+        .map(|i| {
+            let mut z = (i as u64).wrapping_add(0x9e3779b97f4a7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            let x = ((z >> 32) % 10_000) as f64 / 10.0 - 500.0;
+            let y = (z % 10_000) as f64 / 10.0 - 500.0;
+            (Envelope::from_bounds(x, y, x + 1.5, y + 1.5), i)
+        })
+        .collect();
+    let shift = |e: &Envelope| {
+        Envelope::from_bounds(
+            e.min_x() + 3.0,
+            e.min_y() - 2.0,
+            e.max_x() + 3.0,
+            e.max_y() - 2.0,
+        )
+    };
+    let moved: Vec<(Envelope, usize)> = base
+        .iter()
+        .enumerate()
+        .map(|(i, (e, v))| (if i < CHURN { shift(e) } else { *e }, *v))
+        .collect();
+
+    let mut tree: RTree<usize> = RTree::bulk_load(base.iter().cloned());
+    let mut shifted = false;
+    bench("rtree_reinsert/512_of_4096", 4, 10, || {
+        let (from, to) = if shifted {
+            (&moved, &base)
+        } else {
+            (&base, &moved)
+        };
+        for ((old, value), (new, _)) in from.iter().zip(to).take(CHURN) {
+            assert!(tree.reinsert(old, *new, *value));
+        }
+        shifted = !shifted;
+        assert_eq!(tree.len(), TREE_SIZE);
+    });
+    bench("rtree_rebuild/4096", 4, 10, || {
+        let rebuilt: RTree<usize> = RTree::bulk_load(moved.iter().cloned());
+        assert_eq!(rebuilt.len(), TREE_SIZE);
+        rebuilt
+    });
+}
+
 fn main() {
     println!("== Micro-benchmarks ==\n");
     bench_relate();
     bench_generator();
+    bench_distance_templates();
+    bench_rtree_churn();
 }

@@ -1,9 +1,16 @@
-//! Shared helpers for the benchmark harnesses that regenerate the paper's
-//! tables and figures (`cargo bench -p spatter-bench`).
+//! Shared helpers for the `cargo bench -p spatter-bench` targets.
 //!
-//! Each `[[bench]]` target corresponds to one table or figure of the
-//! evaluation section; see DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results.
+//! The targets are:
+//! - the paper benches, one per table or figure of the evaluation section:
+//!   `fig7_runtime`, `fig8_ablation` and `table2_bug_status` through
+//!   `table5_coverage`;
+//! - `micro`, per-call timings of the kernels (relate, generation, the
+//!   distance-template plans, R-tree churn) with plan-equality spot-checks;
+//! - `fabric` and `differential_matrix`, which time the campaign fabric's
+//!   transports and the N×N matrix.
+//!
+//! Campaign-level timing lives in perfbench (`python3 perfbench/run.py`),
+//! which carries the goldens, bounds and host-speed normalisation.
 
 use spatter_core::backend::{EngineBackend, InProcessBackend};
 use spatter_core::campaign::CampaignConfig;

@@ -37,8 +37,7 @@ fn config(guidance: GuidanceMode, seed: u64, iterations: usize) -> CampaignConfi
     }
 }
 
-/// The scheduling-independent projection of a report (shared with the
-/// coverage-guided bench via `CampaignReport::determinism_fingerprint`).
+/// The scheduling-independent projection of a report.
 fn fingerprint(report: &CampaignReport) -> String {
     report.determinism_fingerprint()
 }
@@ -96,20 +95,51 @@ fn guidance_mode_defaults_to_off() {
     assert_eq!(CampaignConfig::default().guidance, GuidanceMode::Off);
 }
 
-#[test]
-fn guided_campaign_covers_at_least_the_unguided_probes() {
-    // The acceptance bar of the guidance subsystem: per equal iteration
-    // budget, guided mode reaches at least as many distinct probes, because
-    // the knob bandit steers scenarios onto paths the uniform campaign never
-    // touches (the unguided AEI path never creates an index).
-    let unguided = CampaignRunner::new(config(GuidanceMode::Off, 5, 16)).run();
-    let guided = CampaignRunner::new(config(GuidanceMode::ColdProbe, 5, 16)).run();
+/// Earliest iteration whose finding was attributed to a seeded fault: the
+/// time-to-detection in iteration indices, which the host cannot skew.
+fn first_attributed_finding(report: &CampaignReport) -> Option<usize> {
+    report
+        .findings
+        .iter()
+        .filter(|f| !f.attributed_faults.is_empty())
+        .map(|f| f.iteration)
+        .min()
+}
+
+/// Runs `unguided` and its `ColdProbe` twin and asserts the guidance
+/// acceptance bar: per equal iteration budget, guided mode reaches at least
+/// as many distinct probes and detects a seeded fault no later.
+fn guided_and_unguided(unguided: CampaignConfig) -> (CampaignReport, CampaignReport) {
+    let guided = CampaignConfig {
+        guidance: GuidanceMode::ColdProbe,
+        ..unguided.clone()
+    };
+    let unguided = CampaignRunner::new(unguided).run();
+    let guided = CampaignRunner::new(guided).run();
     assert!(
         guided.probes_covered() >= unguided.probes_covered(),
         "guided covered {} probes, unguided {}",
         guided.probes_covered(),
         unguided.probes_covered()
     );
+    if let Some(u) = first_attributed_finding(&unguided) {
+        let g = first_attributed_finding(&guided).unwrap_or_else(|| {
+            panic!("guided mode missed the fault unguided found at iteration {u}")
+        });
+        assert!(
+            g <= u,
+            "guided first detection at iteration {g}, unguided at {u}"
+        );
+    }
+    (unguided, guided)
+}
+
+#[test]
+fn guided_campaign_covers_at_least_the_unguided_probes() {
+    // Guided mode outcovers the uniform campaign because the knob bandit
+    // steers scenarios onto paths it never touches (the unguided AEI path
+    // never creates an index).
+    let (unguided, guided) = guided_and_unguided(config(GuidanceMode::Off, 5, 16));
     // The index paths are reachable only through guidance.
     assert!(
         guided.probe_coverage.contains("sdb.exec.create_index"),
@@ -119,6 +149,13 @@ fn guided_campaign_covers_at_least_the_unguided_probes() {
         !unguided.probe_coverage.contains("sdb.exec.create_index"),
         "the unguided AEI scenario never creates an index"
     );
+    // The same bar on the reference campaign: the default configuration,
+    // seed 5, 48 iterations.
+    guided_and_unguided(CampaignConfig {
+        iterations: 48,
+        seed: 5,
+        ..CampaignConfig::default()
+    });
 }
 
 #[test]
