@@ -1,8 +1,9 @@
-//! Micro-benchmarks of the hot paths: DE-9IM relate, the geometry-aware
-//! generator, AEI database construction, the §7 distance-template plans
-//! (range join nested/prepared/indexed at 64/256/1024 rows, KNN sort vs
-//! R-tree nearest neighbour) and R-tree churn (reinsert vs rebuild). Each
-//! plan pair is checked for equal results before it is timed.
+//! Micro-benchmarks of the hot paths: a coverage probe hit (idle and
+//! recording), DE-9IM relate, the geometry-aware generator, AEI database
+//! construction, the §7 distance-template plans (range join
+//! nested/prepared/indexed at 64/256/1024 rows, KNN sort vs R-tree nearest
+//! neighbour) and R-tree churn (reinsert vs rebuild). Each plan pair is
+//! checked for equal results before it is timed.
 //!
 //! Hermetic build environments have no crates.io mirror, so instead of
 //! criterion this uses a small manual harness: warm up, then report the mean
@@ -16,15 +17,16 @@ use spatter_geom::wkt::parse_wkt;
 use spatter_index::RTree;
 use spatter_sdb::engine::plan;
 use spatter_sdb::{Engine, EngineProfile};
+use spatter_topo::coverage;
 use spatter_topo::predicates::NamedPredicate;
 use spatter_topo::relate::relate;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Times `f` over `batch` calls, repeated `repeats` times; prints the mean
-/// per-call latency of the fastest batch (criterion-style minimum-noise
+/// Times `f` over `batch` calls, repeated `repeats` times; returns the mean
+/// per-call seconds of the fastest batch (criterion-style minimum-noise
 /// estimate).
-fn bench<T>(name: &str, batch: u32, repeats: u32, mut f: impl FnMut() -> T) {
+fn best_per_call<T>(batch: u32, repeats: u32, mut f: impl FnMut() -> T) -> f64 {
     // Warm-up.
     for _ in 0..batch {
         black_box(f());
@@ -38,7 +40,51 @@ fn bench<T>(name: &str, batch: u32, repeats: u32, mut f: impl FnMut() -> T) {
         let per_call = start.elapsed().as_secs_f64() / batch as f64;
         best = best.min(per_call);
     }
+    best
+}
+
+/// Prints [`best_per_call`] in µs per call.
+fn bench<T>(name: &str, batch: u32, repeats: u32, f: impl FnMut() -> T) {
+    let best = best_per_call(batch, repeats, f);
     println!("{name:<32} {:>12.3} µs/iter", best * 1e6);
+}
+
+/// Probe names the `coverage_hit` rows cycle through: the hottest probes of
+/// the relate kernel.
+const HOT_PROBES: [&str; 4] = [
+    "topo.locate.point_in_ring",
+    "topo.locate.polygon_component",
+    "topo.segment.intersection_endpoint",
+    "topo.relate.noding",
+];
+
+/// The cost of one `coverage::hit`, with no recording running and inside a
+/// thread-local recording, in ns per hit.
+fn bench_coverage_hit() {
+    const HITS: u32 = 1_000;
+    let hits = || {
+        for _ in 0..HITS / HOT_PROBES.len() as u32 {
+            for name in HOT_PROBES {
+                coverage::hit(black_box(name));
+            }
+        }
+    };
+    coverage::local::take();
+    let idle = best_per_call(200, 20, hits);
+    println!(
+        "{:<32} {:>12.3} ns/hit",
+        "coverage_hit/idle",
+        idle * 1e9 / f64::from(HITS)
+    );
+    coverage::local::start();
+    let recording = best_per_call(200, 20, hits);
+    let delta = coverage::local::take();
+    assert_eq!(delta.len(), HOT_PROBES.len(), "every hit was recorded");
+    println!(
+        "{:<32} {:>12.3} ns/hit",
+        "coverage_hit/recording",
+        recording * 1e9 / f64::from(HITS)
+    );
 }
 
 fn bench_relate() {
@@ -53,6 +99,14 @@ fn bench_relate() {
     });
     bench("predicate_intersects", 200, 20, || {
         NamedPredicate::Intersects.evaluate(black_box(&polygon), black_box(&other))
+    });
+    // A multi-component geometry: every located node walks each component.
+    let collection = parse_wkt(
+        "GEOMETRYCOLLECTION(POINT(2 2),LINESTRING(-5 5,15 5),POLYGON((8 8,12 8,12 12,8 12,8 8)))",
+    )
+    .unwrap();
+    bench("relate_collection_polygon", 200, 20, || {
+        relate(black_box(&collection), black_box(&polygon))
     });
 }
 
@@ -256,6 +310,7 @@ fn bench_rtree_churn() {
 
 fn main() {
     println!("== Micro-benchmarks ==\n");
+    bench_coverage_hit();
     bench_relate();
     bench_generator();
     bench_distance_templates();

@@ -9,21 +9,32 @@
 //! hit since the last [`reset`]. The measurement intent (which components a
 //! test campaign exercises) is identical; only the unit differs.
 //!
-//! # Concurrency
+//! # Concurrency and per-hit cost
 //!
 //! Probes sit on the hottest paths of the engine (every relate call, every
-//! expression evaluation), and the sharded campaign runner executes
-//! iterations on many worker threads at once. The registry is therefore a
-//! fixed-capacity, open-addressed hash table of per-probe atomic counters:
-//! recording a hit after the first registration of a name is one relaxed
-//! load plus one relaxed `fetch_add` on that probe's own counter — no lock,
-//! no shared cache line between distinct probes. The previous implementation
-//! (a global `Mutex<HashSet>`) serialized every probe hit across all workers.
+//! point location, every segment intersection), and the sharded campaign
+//! runner executes iterations on many worker threads at once. The registry
+//! is therefore a fixed-capacity, open-addressed hash table of per-probe
+//! atomic counters — no lock, no shared cache line between distinct probes.
+//! The previous implementation (a global `Mutex<HashSet>`) serialized every
+//! probe hit across all workers.
+//!
+//! Hashing a probe name and comparing it against the table on every hit
+//! would cost more than the relate step it instruments, so [`hit`] first
+//! resolves the name through a small per-thread, direct-mapped cache keyed
+//! by the literal's address *and* length (a literal that is a prefix of
+//! another may share its start address). A cache hit costs one
+//! thread-local access, one compare, the relaxed `fetch_add` on the probe's
+//! global counter and — while a [`local`] recording runs — one increment of
+//! the thread's slot-indexed tally. A miss (the first hit of a call site on
+//! a thread, or a cache conflict) falls back to the hashed table lookup and
+//! refills the cache line. Registry slots never move once assigned, so a
+//! cached resolution never goes stale.
 //!
 //! Every query — membership, counting, snapshotting — verifies the **full
-//! probe name** against the stored key, never just the slot index: an
+//! probe name** against the stored key, never just the hash slot: an
 //! open-addressing collision can place two names in adjacent slots, and a
-//! slot-only check would report a never-hit name as hit whenever it collides
+//! hash-only check would report a never-hit name as hit whenever it collides
 //! with a hot one (the phantom-hit bug the collision regression test below
 //! pins down).
 //!
@@ -34,10 +45,11 @@
 //! probes did *this* iteration hit?" when other workers (or unrelated tests
 //! in the same binary) run concurrently. The [`local`] module provides a
 //! thread-local delta recorder for that question: between [`local::start`]
-//! and [`local::take`], every `hit` on the calling thread is also tallied
-//! privately, so a campaign iteration that executes entirely on one worker
-//! thread measures its own probe delta exactly, regardless of what the rest
-//! of the process is doing. The coverage-guided campaign runner builds its
+//! and [`local::take`], every `hit` on the calling thread also increments
+//! the thread's private count for the probe's registry slot, so a campaign
+//! iteration that executes entirely on one worker thread measures its own
+//! probe delta exactly, regardless of what the rest of the process is
+//! doing. The coverage-guided campaign runner builds its
 //! [`CoverageSnapshot`]s from these deltas, which is what keeps guided
 //! generation deterministic across worker counts.
 
@@ -113,12 +125,15 @@ pub const TOPO_PROBES: &[&str] = &[
     "topo.segment.intersection_endpoint",
 ];
 
-/// One registered probe: its name and its hit counter. Entries are leaked on
-/// first registration and live for the process lifetime, so `&'static`
-/// references to them can be handed out freely.
+/// One registered probe: its name, its hit counter and the table slot it
+/// occupies. Entries are leaked on first registration and live for the
+/// process lifetime, so `&'static` references to them can be handed out
+/// freely. The slot is unique per name and below [`TABLE_SLOTS`]; it indexes
+/// the thread-local tallies of [`local`].
 struct ProbeEntry {
     name: &'static str,
     count: AtomicU64,
+    slot: usize,
 }
 
 /// Slot count of the open-addressed table. Power of two, comfortably above
@@ -163,6 +178,14 @@ fn find(name: &str) -> Option<&'static ProbeEntry> {
     None
 }
 
+/// The entry registered in table slot `slot`, which must be occupied.
+fn registered(slot: usize) -> &'static ProbeEntry {
+    let entry = TABLE[slot].load(Ordering::Acquire);
+    assert!(!entry.is_null(), "probe slot {slot} is not registered");
+    // Safety: non-null slots point at leaked, immortal entries.
+    unsafe { &*entry }
+}
+
 /// Finds the entry for `name`, registering it first if needed.
 fn find_or_register(name: &'static str) -> &'static ProbeEntry {
     let mut slot = hash(name);
@@ -172,6 +195,7 @@ fn find_or_register(name: &'static str) -> &'static ProbeEntry {
             let entry = Box::into_raw(Box::new(ProbeEntry {
                 name,
                 count: AtomicU64::new(0),
+                slot,
             }));
             match TABLE[slot].compare_exchange(
                 ptr::null_mut(),
@@ -202,9 +226,16 @@ fn find_or_register(name: &'static str) -> &'static ProbeEntry {
 /// Records that the probe `name` executed. Unknown probe names are recorded
 /// too (they simply do not count towards the static denominator).
 pub fn hit(name: &'static str) {
-    let entry = find_or_register(name);
-    entry.count.fetch_add(1, Ordering::Relaxed);
-    local::record(entry);
+    let recorded = local::THREAD.try_with(|thread| {
+        let entry = thread.resolve(name);
+        entry.count.fetch_add(1, Ordering::Relaxed);
+        thread.record(entry.slot);
+    });
+    if recorded.is_err() {
+        // The thread's locals are already torn down (a hit from another
+        // thread-local's destructor): count globally, record nothing.
+        find_or_register(name).count.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// How often `name` was hit since the last [`reset`].
@@ -378,71 +409,152 @@ impl ColdProbeMap {
 /// Scoped, thread-local probe-delta recording (see the module docs).
 ///
 /// Probes fire per row-pair inside join scans, so the recorder's per-hit
-/// cost matters: one thread-local access and a borrow-flag check when
-/// inactive (every engine user outside a campaign pays only that), plus one
-/// `Vec` push of the immortal entry reference when active — no hashing, no
-/// branching on probe identity. Aggregation (group by entry address,
-/// resolve names, sort) is deferred to [`take`](local::take), which runs
-/// once per campaign iteration instead of once per hit.
+/// cost matters. A running recording is one fixed array of counts indexed by
+/// registry slot: [`super::hit`] adds 1 to its probe's slot, with no
+/// hashing, no allocation and no per-hit log, so the recorder's memory is
+/// bounded by the table size however many hits a recording sees.
+/// [`take`] walks the non-zero slots once per campaign iteration, resolves
+/// their names and sorts by name. Outside a recording a hit pays one
+/// borrow-flag check on top of the global count.
+///
+/// The array is allocated on the first [`start`] of a thread and reused by
+/// later recordings, so threads that never record never allocate one.
 ///
 /// Work whose probe hits are known without running it — a re-run that
 /// would repeat an already measured run hit for hit — is charged with
-/// [`charge`](local::charge) as a compact `(probe, count)` tally instead of
-/// per-hit log entries; `take` folds the tally into the delta it returns.
+/// [`charge`] as a compact `(probe, count)` tally, added slot by slot to the
+/// running recording.
 pub mod local {
-    use super::ProbeEntry;
-    use std::cell::RefCell;
+    use super::{find_or_register, registered, ProbeEntry, TABLE_SLOTS};
+    use std::cell::{Cell, RefCell};
 
-    /// One running recording: the raw per-hit log plus the charged tally.
-    #[derive(Default)]
-    struct Log {
-        hits: Vec<&'static ProbeEntry>,
-        charged: Vec<(&'static str, u64)>,
+    /// Lines of the per-thread name cache: a power of two, a few times the
+    /// number of `hit` call sites in the workspace, so conflicts are rare.
+    const CACHE_LINES: usize = 512;
+
+    /// One line of the name cache: the probe literal's address and length,
+    /// and the registry entry they resolve to (`None` while the line is
+    /// unfilled). Both parts of the key are needed — a literal that is a
+    /// prefix of another may share its start address, and two literals with
+    /// the same text at different addresses resolve to one entry.
+    #[derive(Clone, Copy)]
+    struct CacheLine {
+        ptr: *const u8,
+        len: usize,
+        entry: Option<&'static ProbeEntry>,
+    }
+
+    /// An unfilled line. All zero, so the cache needs no initialised
+    /// thread-local image.
+    const EMPTY_LINE: CacheLine = CacheLine {
+        ptr: std::ptr::null(),
+        len: 0,
+        entry: None,
+    };
+
+    /// Per-slot hit counts of one recording.
+    type Counts = Box<[u64; TABLE_SLOTS]>;
+
+    /// The calling thread's probe state: the name cache and the running
+    /// recording, if any.
+    pub(super) struct Thread {
+        cache: [Cell<CacheLine>; CACHE_LINES],
+        /// The running recording's counts; `None` when not recording.
+        counts: RefCell<Option<Counts>>,
+        /// A zeroed array left by the last [`take`], reused by the next
+        /// recording.
+        spare: Cell<Option<Counts>>,
     }
 
     thread_local! {
-        static LOG: RefCell<Option<Log>> = const { RefCell::new(None) };
+        pub(super) static THREAD: Thread = const {
+            Thread {
+                cache: [const { Cell::new(EMPTY_LINE) }; CACHE_LINES],
+                counts: RefCell::new(None),
+                spare: Cell::new(None),
+            }
+        };
     }
 
-    /// Starts (or restarts, discarding any running log) recording probe
+    impl Thread {
+        /// The registry entry of `name`, from the cache when it holds this
+        /// literal, else from the table (registering the name if needed).
+        pub(super) fn resolve(&self, name: &'static str) -> &'static ProbeEntry {
+            let (ptr, len) = (name.as_ptr(), name.len());
+            let line = &self.cache[cache_line(ptr, len)];
+            let cached = line.get();
+            if let Some(entry) = cached.entry {
+                if cached.ptr == ptr && cached.len == len {
+                    return entry;
+                }
+            }
+            let entry = find_or_register(name);
+            line.set(CacheLine {
+                ptr,
+                len,
+                entry: Some(entry),
+            });
+            entry
+        }
+
+        /// Counts one hit of registry slot `slot` if a recording runs.
+        pub(super) fn record(&self, slot: usize) {
+            if let Some(counts) = self.counts.borrow_mut().as_mut() {
+                counts[slot] += 1;
+            }
+        }
+
+        /// A zeroed count array: the spare one, or a new allocation.
+        fn fresh(&self) -> Counts {
+            self.spare.take().unwrap_or_else(|| {
+                vec![0; TABLE_SLOTS]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("the slice has TABLE_SLOTS elements")
+            })
+        }
+    }
+
+    /// The cache line of the name at `ptr` with length `len`: Fibonacci
+    /// hashing of its end address. Literals sit a few dozen bytes apart, and
+    /// a prefix literal sharing its start address with a longer one ends
+    /// elsewhere.
+    pub(super) fn cache_line(ptr: *const u8, len: usize) -> usize {
+        let end = (ptr as usize).wrapping_add(len) as u64;
+        (end.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - CACHE_LINES.trailing_zeros())) as usize
+    }
+
+    /// Starts (or restarts, discarding any running tally) recording probe
     /// hits of the calling thread.
     pub fn start() {
-        LOG.with(|l| *l.borrow_mut() = Some(Log::default()));
+        THREAD.with(|thread| {
+            let mut counts = thread.counts.borrow_mut();
+            match counts.as_mut() {
+                Some(running) => running.fill(0),
+                None => *counts = Some(thread.fresh()),
+            }
+        });
     }
 
     /// Stops recording and returns the per-probe tally sorted by probe
     /// name, charged hits included. Returns an empty vector when [`start`]
     /// was never called on this thread.
     pub fn take() -> Vec<(&'static str, u64)> {
-        let Log {
-            hits: mut entries,
-            charged,
-        } = LOG.with(|l| l.borrow_mut().take()).unwrap_or_default();
-        // Entries are unique per name (the registry dedups on registration),
-        // so grouping by address is grouping by probe.
-        entries.sort_unstable_by_key(|e| *e as *const ProbeEntry as usize);
-        let mut delta: Vec<(&'static str, u64)> = charged;
-        let mut i = 0;
-        while i < entries.len() {
-            let first = entries[i];
-            let mut count = 0u64;
-            while i < entries.len() && std::ptr::eq(entries[i], first) {
-                count += 1;
-                i += 1;
-            }
-            delta.push((first.name, count));
-        }
-        delta.sort_unstable();
-        // Fold charged and logged counts of one probe into a single entry.
-        delta.dedup_by(|later, kept| {
-            if later.0 == kept.0 {
-                kept.1 += later.1;
-                true
-            } else {
-                false
-            }
-        });
-        delta
+        THREAD.with(|thread| {
+            let Some(mut counts) = thread.counts.borrow_mut().take() else {
+                return Vec::new();
+            };
+            let mut delta: Vec<(&'static str, u64)> = counts
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, count)| **count > 0)
+                .map(|(slot, count)| (registered(slot).name, std::mem::take(count)))
+                .collect();
+            // Slots are unique per name, so no two entries share a name.
+            delta.sort_unstable_by_key(|&(name, _)| name);
+            thread.spare.set(Some(counts));
+            delta
+        })
     }
 
     /// Runs `f` under a fresh recording of its own and returns its value
@@ -450,10 +562,10 @@ pub mod local {
     /// running before (if any) exactly as it was: `f`'s hits reach the
     /// outer recording only if the caller [`charge`]s them.
     pub fn isolate<T>(f: impl FnOnce() -> T) -> (T, Vec<(&'static str, u64)>) {
-        let outer = LOG.with(|l| l.borrow_mut().replace(Log::default()));
+        let outer = THREAD.with(|thread| thread.counts.replace(Some(thread.fresh())));
         let value = f();
         let delta = take();
-        LOG.with(|l| *l.borrow_mut() = outer);
+        THREAD.with(|thread| *thread.counts.borrow_mut() = outer);
         (value, delta)
     }
 
@@ -461,14 +573,11 @@ pub mod local {
     /// the running recording, as if the work that produced it had run that
     /// often again. A no-op when nothing is recording.
     pub fn charge(delta: &[(&'static str, u64)], times: u64) {
-        if times == 0 {
-            // Zero-count entries would otherwise surface in the delta.
-            return;
-        }
-        LOG.with(|l| {
-            if let Some(log) = l.borrow_mut().as_mut() {
-                log.charged
-                    .extend(delta.iter().map(|&(name, count)| (name, count * times)));
+        THREAD.with(|thread| {
+            if let Some(counts) = thread.counts.borrow_mut().as_mut() {
+                for &(name, count) in delta {
+                    counts[thread.resolve(name).slot] += count * times;
+                }
             }
         });
     }
@@ -481,16 +590,6 @@ pub mod local {
         start();
         let value = f();
         (value, take())
-    }
-
-    /// Called by [`super::hit`] with the probe's immortal registry entry:
-    /// one thread-local access, one borrow-flag check, one `Vec` push.
-    pub(super) fn record(entry: &'static ProbeEntry) {
-        LOG.with(|l| {
-            if let Some(log) = l.borrow_mut().as_mut() {
-                log.hits.push(entry);
-            }
-        });
     }
 }
 
@@ -691,6 +790,97 @@ mod tests {
         assert_eq!(delta, vec![("cov.isolate.inner", 1)]);
         local::charge(&delta, 5);
         assert_eq!(local::take(), Vec::new());
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_tally() {
+        let literal: &'static str = "cov.same.text";
+        let leaked: &'static str = Box::leak(String::from(literal).into_boxed_str());
+        assert_ne!(literal.as_ptr(), leaked.as_ptr());
+        let ((), delta) = local::measure(|| {
+            hit(literal);
+            hit(leaked);
+            hit(literal);
+        });
+        assert_eq!(delta, vec![("cov.same.text", 3)]);
+    }
+
+    #[test]
+    fn prefixes_sharing_a_start_address_and_a_cache_line_stay_separate() {
+        // Every prefix of one string starts at its address, and there are
+        // more prefixes than cache lines, so two of them share a line: a
+        // cache keyed by address alone would hand one the other's entry.
+        let long: &'static str =
+            Box::leak(format!("cov.line.{}", "x".repeat(600)).into_boxed_str());
+        let mut first_on_line = std::collections::HashMap::new();
+        let (short, longer) = ("cov.line.".len()..=long.len())
+            .find_map(|end| {
+                let line = local::cache_line(long.as_ptr(), end);
+                let earlier = first_on_line.insert(line, end)?;
+                Some((&long[..earlier], &long[..end]))
+            })
+            .expect("more prefixes than cache lines");
+        let ((), delta) = local::measure(|| {
+            for _ in 0..3 {
+                hit(short);
+                hit(longer);
+            }
+            hit(short);
+        });
+        assert_eq!(delta, vec![(short, 4), (longer, 3)]);
+    }
+
+    #[test]
+    fn a_probe_first_registered_on_another_thread_is_recorded() {
+        local::start();
+        hit("cov.thread.mine");
+        // The other thread registers the name while this one records.
+        std::thread::spawn(|| hit("cov.thread.registered_elsewhere"))
+            .join()
+            .unwrap();
+        hit("cov.thread.registered_elsewhere");
+        hit("cov.thread.registered_elsewhere");
+        assert_eq!(
+            local::take(),
+            vec![
+                ("cov.thread.mine", 1),
+                ("cov.thread.registered_elsewhere", 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn nested_isolation_restores_the_outer_tally_exactly() {
+        local::start();
+        hit("cov.nest.outer");
+        hit("cov.nest.outer");
+        let ((inner_value, inner_delta), middle_delta) = local::isolate(|| {
+            hit("cov.nest.middle");
+            let inner = local::isolate(|| {
+                hit("cov.nest.inner");
+                hit("cov.nest.inner");
+                hit("cov.nest.inner");
+                "inner"
+            });
+            hit("cov.nest.middle");
+            inner
+        });
+        assert_eq!(inner_value, "inner");
+        assert_eq!(inner_delta, vec![("cov.nest.inner", 3)]);
+        assert_eq!(middle_delta, vec![("cov.nest.middle", 2)]);
+        hit("cov.nest.outer");
+        assert_eq!(local::take(), vec![("cov.nest.outer", 3)]);
+    }
+
+    #[test]
+    fn ten_million_hits_return_one_exact_count() {
+        const HITS: u64 = 10_000_000;
+        let ((), delta) = local::measure(|| {
+            for _ in 0..HITS {
+                hit("cov.many.hits");
+            }
+        });
+        assert_eq!(delta, vec![("cov.many.hits", HITS)]);
     }
 
     #[test]

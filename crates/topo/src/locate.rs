@@ -42,7 +42,20 @@ pub(crate) fn on_segment_tolerant(p: Coord, a: Coord, b: Coord) -> bool {
             .max(b.x.abs())
             .max(b.y.abs())
             .max(1.0);
-    point_segment_distance(p, a, b) <= 1e-9 * scale
+    let tolerance = 1e-9 * scale;
+    // A point outside the segment's envelope grown by twice the tolerance is
+    // farther than the tolerance from the segment, whatever the rounding of
+    // the projection below, so it is rejected without the square root. With
+    // a NaN anywhere the distance test is false as well.
+    let margin = 2.0 * tolerance;
+    if p.x < a.x.min(b.x) - margin
+        || p.x > a.x.max(b.x) + margin
+        || p.y < a.y.min(b.y) - margin
+        || p.y > a.y.max(b.y) + margin
+    {
+        return false;
+    }
+    point_segment_distance(p, a, b) <= tolerance
 }
 
 /// Topological location of a point relative to a geometry.
@@ -224,47 +237,50 @@ pub fn locate_in_polygon(point: Coord, polygon: &Polygon) -> Location {
 }
 
 /// Locates a point relative to a single closed ring using the crossing-number
-/// algorithm, with an explicit on-boundary pre-check so the crossing count
-/// never has to disambiguate degenerate configurations on the boundary
-/// itself.
+/// algorithm, with an on-boundary check on every ring segment so the
+/// crossing count never has to disambiguate degenerate configurations on
+/// the boundary itself.
+///
+/// An unclosed ring is closed implicitly for the crossing count; its
+/// implied closing edge is not part of the boundary check.
 pub fn locate_in_ring(point: Coord, ring: &LineString) -> Location {
     coverage::hit("topo.locate.point_in_ring");
-    if ring.coords.len() < 3 {
+    let coords = &ring.coords;
+    if coords.len() < 3 {
         return Location::Exterior;
     }
+    let mut inside = false;
     for (a, b) in ring.segments() {
         if on_segment_tolerant(point, a, b) {
             return Location::Boundary;
         }
+        inside ^= toggles_crossing(point, a, b);
     }
-    // Ensure closure for the crossing walk.
-    let mut coords = ring.coords.clone();
-    if !coords[0].approx_eq(&coords[coords.len() - 1]) {
-        coords.push(coords[0]);
-    }
-    let mut inside = false;
-    for w in coords.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        // Count edges that cross the horizontal ray to the right of `point`.
-        let crosses_upward = (a.y <= point.y) && (b.y > point.y);
-        let crosses_downward = (b.y <= point.y) && (a.y > point.y);
-        if crosses_upward || crosses_downward {
-            // Orientation tells us on which side of the edge the point lies.
-            let side = orientation(a, b, point);
-            let to_left_of_edge = if crosses_upward {
-                side == Orientation::CounterClockwise
-            } else {
-                side == Orientation::Clockwise
-            };
-            if to_left_of_edge {
-                inside = !inside;
-            }
-        }
+    let (first, last) = (coords[0], coords[coords.len() - 1]);
+    if !first.approx_eq(&last) {
+        inside ^= toggles_crossing(point, last, first);
     }
     if inside {
         Location::Interior
     } else {
         Location::Exterior
+    }
+}
+
+/// Whether edge `a-b` crosses the horizontal ray to the right of `point`,
+/// flipping its crossing parity.
+fn toggles_crossing(point: Coord, a: Coord, b: Coord) -> bool {
+    let crosses_upward = (a.y <= point.y) && (b.y > point.y);
+    let crosses_downward = (b.y <= point.y) && (a.y > point.y);
+    if !(crosses_upward || crosses_downward) {
+        return false;
+    }
+    // Orientation tells us on which side of the edge the point lies.
+    let side = orientation(a, b, point);
+    if crosses_upward {
+        side == Orientation::CounterClockwise
+    } else {
+        side == Orientation::Clockwise
     }
 }
 

@@ -80,19 +80,17 @@ pub fn relate(a: &Geometry, b: &Geometry) -> IntersectionMatrix {
 
     // --- Node labelling ----------------------------------------------------
     coverage::hit("topo.relate.node_labelling");
-    let mut nodes: Vec<Coord> = Vec::new();
-    let push_node = |c: Coord, nodes: &mut Vec<Coord>| {
-        if !nodes.iter().any(|n| n.approx_eq(&c)) {
-            nodes.push(c);
-        }
-    };
-    for edge in sub_edges_a.iter().chain(sub_edges_b.iter()) {
-        push_node(edge.p0, &mut nodes);
-        push_node(edge.p1, &mut nodes);
-    }
-    for &p in da.points.iter().chain(db.points.iter()) {
-        push_node(p, &mut nodes);
-    }
+    let mut nodes: Vec<Coord> = sub_edges_a
+        .iter()
+        .chain(sub_edges_b.iter())
+        .flat_map(|edge| [edge.p0, edge.p1])
+        .chain(da.points.iter().chain(db.points.iter()).copied())
+        .collect();
+    // Equal nodes share a key (`-0.0` and `0.0` included), so the stable
+    // sort makes them adjacent with the first occurrence leading. A node
+    // with a NaN component equals nothing and is kept every time.
+    nodes.sort_by_key(Coord::key);
+    nodes.dedup_by(|later, kept| later.approx_eq(kept));
     for node in &nodes {
         let loc_a = locate(*node, a);
         let loc_b = locate(*node, b);
@@ -175,19 +173,56 @@ struct Seg {
     /// For ring segments: whether the owning polygon's interior lies on the
     /// left of the directed segment `p0 -> p1`.
     interior_on_left: Option<bool>,
+    /// Bounding box corners, all NaN when a coordinate is not finite (every
+    /// comparison with them is false, so such a segment is never pruned).
+    lo: Coord,
+    hi: Coord,
+}
+
+impl Seg {
+    fn new(p0: Coord, p1: Coord, interior_on_left: Option<bool>) -> Seg {
+        let (lo, hi) = if p0.is_finite() && p1.is_finite() {
+            (
+                Coord::new(p0.x.min(p1.x), p0.y.min(p1.y)),
+                Coord::new(p0.x.max(p1.x), p0.y.max(p1.y)),
+            )
+        } else {
+            (
+                Coord::new(f64::NAN, f64::NAN),
+                Coord::new(f64::NAN, f64::NAN),
+            )
+        };
+        Seg {
+            p0,
+            p1,
+            interior_on_left,
+            lo,
+            hi,
+        }
+    }
+
+    /// Whether the two segments' bounding boxes are disjoint, in which case
+    /// they cannot intersect: every intersection [`segment_intersection`]
+    /// reports lies in both boxes.
+    fn box_disjoint(&self, other: &Seg) -> bool {
+        self.hi.x < other.lo.x
+            || other.hi.x < self.lo.x
+            || self.hi.y < other.lo.y
+            || other.hi.y < self.lo.y
+    }
 }
 
 /// A geometry decomposed into the primitives the relate engine works on.
-struct Decomposed {
+struct Decomposed<'g> {
     points: Vec<Coord>,
     segments: Vec<Seg>,
     /// The polygonal components only, for the dimension-2 analysis.
-    polygons: Vec<Polygon>,
+    polygons: Vec<&'g Polygon>,
     has_area: bool,
 }
 
-impl Decomposed {
-    fn build(geometry: &Geometry) -> Decomposed {
+impl<'g> Decomposed<'g> {
+    fn build(geometry: &'g Geometry) -> Decomposed<'g> {
         let mut d = Decomposed {
             points: Vec::new(),
             segments: Vec::new(),
@@ -198,7 +233,7 @@ impl Decomposed {
         d
     }
 
-    fn add(&mut self, geometry: &Geometry) {
+    fn add(&mut self, geometry: &'g Geometry) {
         match geometry {
             Geometry::Point(p) => {
                 if let Some(c) = p.coord {
@@ -242,20 +277,16 @@ impl Decomposed {
             if p0.approx_eq(&p1) {
                 continue;
             }
-            self.segments.push(Seg {
-                p0,
-                p1,
-                interior_on_left: None,
-            });
+            self.segments.push(Seg::new(p0, p1, None));
         }
     }
 
-    fn add_polygon(&mut self, polygon: &Polygon) {
+    fn add_polygon(&mut self, polygon: &'g Polygon) {
         if polygon.is_empty() {
             return;
         }
         self.has_area = true;
-        self.polygons.push(polygon.clone());
+        self.polygons.push(polygon);
         for (ring_idx, ring) in polygon.rings.iter().enumerate() {
             if ring.is_empty() {
                 continue;
@@ -269,11 +300,7 @@ impl Decomposed {
                     // information; the area analysis skips them.
                     for (p0, p1) in ring.segments() {
                         if !p0.approx_eq(&p1) {
-                            self.segments.push(Seg {
-                                p0,
-                                p1,
-                                interior_on_left: None,
-                            });
+                            self.segments.push(Seg::new(p0, p1, None));
                         }
                     }
                     continue;
@@ -286,11 +313,7 @@ impl Decomposed {
                 if p0.approx_eq(&p1) {
                     continue;
                 }
-                self.segments.push(Seg {
-                    p0,
-                    p1,
-                    interior_on_left: Some(interior_on_left),
-                });
+                self.segments.push(Seg::new(p0, p1, Some(interior_on_left)));
             }
         }
     }
@@ -331,8 +354,10 @@ struct SubEdge {
 /// both geometries and at isolated points lying on it.
 fn node_segments(own: &Decomposed, other: &Decomposed) -> Vec<SubEdge> {
     let mut out = Vec::new();
+    let mut params: Vec<f64> = Vec::new();
     for seg in &own.segments {
-        let mut params: Vec<f64> = vec![0.0, 1.0];
+        params.clear();
+        params.extend([0.0, 1.0]);
         let add_point = |c: Coord, params: &mut Vec<f64>| {
             if let Some(t) = param_on_segment(c, seg.p0, seg.p1) {
                 params.push(t);
@@ -343,6 +368,12 @@ fn node_segments(own: &Decomposed, other: &Decomposed) -> Vec<SubEdge> {
                 continue;
             }
             if other_seg.p0.approx_eq(&seg.p0) && other_seg.p1.approx_eq(&seg.p1) {
+                continue;
+            }
+            // Pairs with disjoint boxes have no intersection, and
+            // `segment_intersection` hits a probe only when it finds one,
+            // so skipping them changes neither the noding nor the probes.
+            if seg.box_disjoint(other_seg) {
                 continue;
             }
             match segment_intersection(seg.p0, seg.p1, other_seg.p0, other_seg.p1) {
