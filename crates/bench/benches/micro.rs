@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the hot paths: a coverage probe hit (idle and
-//! recording), DE-9IM relate, the geometry-aware generator, AEI database
+//! recording), DE-9IM relate (direct, and a relate-memo hit and miss), the
+//! geometry-aware generator, AEI database
 //! construction, the §7 distance-template plans (range join
 //! nested/prepared/indexed at 64/256/1024 rows, KNN sort vs R-tree nearest
 //! neighbour) and R-tree churn (reinsert vs rebuild). Each plan pair is
@@ -20,6 +21,7 @@ use spatter_sdb::{Engine, EngineProfile};
 use spatter_topo::coverage;
 use spatter_topo::predicates::NamedPredicate;
 use spatter_topo::relate::relate;
+use spatter_topo::RelateCache;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -97,6 +99,20 @@ fn bench_relate() {
     bench("relate_polygon_polygon", 200, 20, || {
         relate(black_box(&polygon), black_box(&other))
     });
+    // The same pair through the relate memo: a hit replays the stored
+    // matrix and probe delta; a miss runs `relate` under an isolated
+    // recording and stores the result. Each miss call uses a fresh memo, so
+    // the memo's first allocations (and its drop) count too.
+    let cache = RelateCache::new();
+    cache.relate(&polygon, &other);
+    let hit = best_per_call(2_000, 20, || {
+        cache.relate(black_box(&polygon), black_box(&other))
+    });
+    println!("{:<32} {:>12.3} ns/call", "relate_cache/hit", hit * 1e9);
+    let miss = best_per_call(200, 20, || {
+        RelateCache::new().relate(black_box(&polygon), black_box(&other))
+    });
+    println!("{:<32} {:>12.3} ns/call", "relate_cache/miss", miss * 1e9);
     bench("predicate_intersects", 200, 20, || {
         NamedPredicate::Intersects.evaluate(black_box(&polygon), black_box(&other))
     });

@@ -38,10 +38,11 @@ use crate::matrix::{DialectSpec, ExternalBackend};
 use spatter_sdb::ast::Statement;
 use spatter_sdb::parser::parse_statement;
 use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, SdbError};
+use spatter_topo::RelateCache;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Why a backend operation failed.
@@ -247,14 +248,29 @@ pub trait EngineBackend: fmt::Debug + Send + Sync {
 /// still amortizing every within-scenario reload.
 const PARSE_CACHE_CAPACITY: usize = 4096;
 
-type ParseCache = Arc<Mutex<HashMap<String, Arc<Statement>>>>;
+/// What every session of an [`InProcessBackend`] and of its `without_fault`
+/// variants shares: parsed statements, and the relate memo. Both are
+/// fault-independent (parsing never consults a fault, and `spatter-topo` has
+/// no fault hooks), so sharing them changes no result.
+#[derive(Debug, Default)]
+struct SharedCaches {
+    statements: Mutex<HashMap<String, Arc<Statement>>>,
+    /// Filled by the first `open_session`, so building a backend allocates
+    /// no memo.
+    relate: OnceLock<Arc<RelateCache>>,
+}
+
+type ParseCache = Arc<SharedCaches>;
 
 /// Locks the parse cache, recovering it from poisoning: it only holds
 /// immutable parsed statements, so a panic on another thread while the lock
 /// was held cannot have left it inconsistent, and one panic must not kill
 /// every later session.
 fn lock_cache(cache: &ParseCache) -> MutexGuard<'_, HashMap<String, Arc<Statement>>> {
-    cache.lock().unwrap_or_else(PoisonError::into_inner)
+    cache
+        .statements
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The default backend: [`spatter_sdb::Engine`] in this process.
@@ -263,7 +279,7 @@ pub struct InProcessBackend {
     profile: EngineProfile,
     faults: FaultSet,
     /// Shared across this backend's sessions (and its `without_fault`
-    /// attribution variants — parse results are fault-independent).
+    /// attribution variants).
     parse_cache: ParseCache,
 }
 
@@ -273,7 +289,7 @@ impl InProcessBackend {
         InProcessBackend {
             profile,
             faults,
-            parse_cache: Arc::new(Mutex::new(HashMap::new())),
+            parse_cache: ParseCache::default(),
         }
     }
 
@@ -306,8 +322,13 @@ impl EngineBackend for InProcessBackend {
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
+        let relate = self.parse_cache.relate.get_or_init(Arc::default);
         Ok(Box::new(InProcessSession {
-            engine: Engine::with_faults(self.profile, self.faults.clone()),
+            engine: Engine::with_relate_cache(
+                self.profile,
+                self.faults.clone(),
+                Arc::clone(relate),
+            ),
             parse_cache: Arc::clone(&self.parse_cache),
         }))
     }
@@ -577,6 +598,31 @@ mod tests {
     }
 
     #[test]
+    fn the_relate_memo_is_made_by_the_first_session_and_shared() {
+        let backend = InProcessBackend::stock(EngineProfile::PostgisLike);
+        assert!(backend.parse_cache.relate.get().is_none());
+        let reduced = backend.without_fault(FaultId::GeosCoversPrecisionLoss);
+        let query = "SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)";
+        let mut first = loaded_session(&backend);
+        assert_eq!(first.run_count(query), Ok(Some(2)));
+        let memo = Arc::clone(
+            backend
+                .parse_cache
+                .relate
+                .get()
+                .expect("made by the session"),
+        );
+        let related = memo.len();
+        assert!(related > 0);
+
+        // Another session and an attribution variant relate the same pairs
+        // through the same memo, adding no entry.
+        let mut second = loaded_session(reduced.as_ref());
+        assert_eq!(second.run_count(query), Ok(Some(2)));
+        assert_eq!(memo.len(), related);
+    }
+
+    #[test]
     fn without_fault_disables_exactly_one_fault() {
         let backend = InProcessBackend::stock(EngineProfile::PostgisLike);
         let all = backend.fault_ids();
@@ -629,12 +675,12 @@ mod tests {
         let backend = InProcessBackend::reference(EngineProfile::PostgisLike);
         let cache = Arc::clone(&backend.parse_cache);
         let panicked = std::thread::spawn(move || {
-            let _guard = cache.lock().unwrap();
+            let _guard = cache.statements.lock().unwrap();
             panic!("a panic while the parse cache is locked");
         })
         .join();
         assert!(panicked.is_err());
-        assert!(backend.parse_cache.is_poisoned());
+        assert!(backend.parse_cache.statements.is_poisoned());
 
         let mut session = loaded_session(&backend);
         assert_eq!(

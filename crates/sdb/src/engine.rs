@@ -14,6 +14,8 @@ use spatter_geom::{Envelope, Geometry};
 use spatter_index::RTree;
 use spatter_topo::predicates::NamedPredicate;
 use spatter_topo::prepared::PreparedGeometry;
+use spatter_topo::RelateCache;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The effect of a mutating statement (the db2 executor shape): how many rows
@@ -140,6 +142,9 @@ struct ExecScratch {
 pub struct Engine {
     profile: EngineProfile,
     faults: FaultSet,
+    /// Every DE-9IM matrix the engine computes goes through this memo. A
+    /// clone shares it, and so may engines with other fault sets.
+    relate: Arc<RelateCache>,
     database: Database,
     enable_seqscan: bool,
     enable_prepared: bool,
@@ -161,11 +166,23 @@ impl Engine {
         Engine::with_faults(profile, FaultSet::none())
     }
 
-    /// An engine with an explicit fault set.
+    /// An engine with an explicit fault set and a relate memo of its own.
     pub fn with_faults(profile: EngineProfile, faults: FaultSet) -> Self {
+        Engine::with_relate_cache(profile, faults, Arc::default())
+    }
+
+    /// An engine with an explicit fault set that relates geometry pairs
+    /// through `relate`, a memo it may share with other engines (see
+    /// [`RelateCache`]: the memo is fault-independent).
+    pub fn with_relate_cache(
+        profile: EngineProfile,
+        faults: FaultSet,
+        relate: Arc<RelateCache>,
+    ) -> Self {
         Engine {
             profile,
             faults,
+            relate,
             database: Database::new(),
             enable_seqscan: true,
             enable_prepared: true,
@@ -342,6 +359,7 @@ impl Engine {
         let ctx = FunctionContext {
             profile: self.profile,
             faults: &self.faults.clone(),
+            relate: &Arc::clone(&self.relate),
         };
         let schema = self.database.table(table)?.columns.clone();
         let column_order: Vec<usize> = if columns.is_empty() {
@@ -418,6 +436,7 @@ impl Engine {
         let ctx = FunctionContext {
             profile: self.profile,
             faults: &self.faults.clone(),
+            relate: &Arc::clone(&self.relate),
         };
         let table_data = self.database.table(table)?;
         let col_idx = table_data
@@ -472,6 +491,7 @@ impl Engine {
         let ctx = FunctionContext {
             profile: self.profile,
             faults: &self.faults.clone(),
+            relate: &Arc::clone(&self.relate),
         };
         let schema = self.database.table(table)?.columns.clone();
         let targets = self.matching_row_slots(table, where_clause, &ctx)?;
@@ -565,6 +585,7 @@ impl Engine {
         let ctx = FunctionContext {
             profile: self.profile,
             faults: &self.faults.clone(),
+            relate: &Arc::clone(&self.relate),
         };
         let value = evaluate_expr(value_expr, None, &self.database, &ctx)?;
         if let Some(variable) = name.strip_prefix('@') {
@@ -609,9 +630,11 @@ impl Engine {
         scratch: &mut ExecScratch,
     ) -> SdbResult<QueryResult> {
         let faults = self.faults.clone();
+        let relate = Arc::clone(&self.relate);
         let ctx = FunctionContext {
             profile: self.profile,
             faults: &faults,
+            relate: &relate,
         };
         match select.from.len() {
             0 => {
@@ -1092,6 +1115,21 @@ impl Engine {
         scratch: &mut ExecScratch,
     ) -> SdbResult<()> {
         let duplicate_fault = self.faults.is_active(FaultId::GeosPreparedDuplicateDropped);
+        // The faulty prepared cache compares shapes by their WKT: write each
+        // inner row's once per join, and only while that fault is active.
+        let right_wkts: Vec<Option<String>> = if duplicate_fault {
+            right_table
+                .rows
+                .iter()
+                .map(|rrow| {
+                    rrow.get(join.right_column_idx)
+                        .and_then(|v| v.as_geometry())
+                        .map(spatter_geom::wkt::write_wkt)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         for (li, lrow) in left_table.live_rows() {
             let Some(left_geom) = lrow[join.left_column_idx].as_geometry() else {
                 continue;
@@ -1101,25 +1139,28 @@ impl Engine {
             // surface on this path too, keeping the reference engine's
             // prepared/non-prepared equivalence.
             let _prepared = PreparedGeometry::new(left_geom.clone());
-            let mut matched_shapes: Vec<String> = Vec::new();
+            let mut left_wkt: Option<String> = None;
+            let mut matched_shapes: Vec<&str> = Vec::new();
             for (ri, rrow) in right_table.live_rows() {
                 let Some(right_geom) = rrow[join.right_column_idx].as_geometry() else {
                     continue;
                 };
-                let right_wkt = spatter_geom::wkt::write_wkt(right_geom);
-                if duplicate_fault
-                    && matched_shapes.contains(&right_wkt)
-                    && spatter_geom::wkt::write_wkt(left_geom) != right_wkt
-                {
-                    // The faulty prepared cache treats a repeated inner
-                    // geometry as already processed and skips it.
-                    fire(FaultId::GeosPreparedDuplicateDropped);
-                    coverage::hit("sdb.fault.logic_path");
-                    continue;
+                let right_wkt = right_wkts.get(ri).and_then(Option::as_deref);
+                if let Some(right_wkt) = right_wkt {
+                    if matched_shapes.contains(&right_wkt)
+                        && *left_wkt.get_or_insert_with(|| spatter_geom::wkt::write_wkt(left_geom))
+                            != right_wkt
+                    {
+                        // The faulty prepared cache treats a repeated inner
+                        // geometry as already processed and skips it.
+                        fire(FaultId::GeosPreparedDuplicateDropped);
+                        coverage::hit("sdb.fault.logic_path");
+                        continue;
+                    }
                 }
                 let held = join.evaluate(left_geom, right_geom, ctx)?;
                 if held {
-                    matched_shapes.push(right_wkt);
+                    matched_shapes.extend(right_wkt);
                     scratch.pairs.push((li, ri));
                 }
             }

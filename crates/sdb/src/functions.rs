@@ -23,15 +23,19 @@ use spatter_geom::{Coord, Dimension, Geometry, GeometryType, Point};
 use spatter_topo::de9im::Position;
 use spatter_topo::locate::Location;
 use spatter_topo::predicates::{self, NamedPredicate};
-use spatter_topo::{boundary, centroid, convex_hull, distance, editing, measures, relate};
+use spatter_topo::{boundary, centroid, convex_hull, distance, editing, measures, RelateCache};
 
-/// Evaluation context: the engine profile and its active faults.
+/// Evaluation context: the engine profile, its active faults and the memo
+/// every DE-9IM matrix the engine computes goes through.
 #[derive(Debug, Clone, Copy)]
 pub struct FunctionContext<'a> {
     /// The engine profile.
     pub profile: EngineProfile,
     /// The enabled faults.
     pub faults: &'a FaultSet,
+    /// The engine's relate memo. Faults never reach into `relate`, so one
+    /// memo may serve engines with different fault sets.
+    pub relate: &'a RelateCache,
 }
 
 impl<'a> FunctionContext<'a> {
@@ -106,11 +110,11 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 let pattern = pattern
                     .as_text()
                     .ok_or_else(|| SdbError::Execution("ST_Relate pattern must be text".into()))?;
-                return predicates::relate_pattern(&a, &b, pattern)
+                return predicates::relate_pattern_with(&a, &b, pattern, ctx.relate)
                     .map(Value::Bool)
                     .ok_or_else(|| SdbError::Execution("malformed DE-9IM pattern".into()));
             }
-            Ok(Value::Text(predicates::relate_string(&a, &b)))
+            Ok(Value::Text(ctx.relate.relate(&a, &b).to_relate_string()))
         }
         "ST_DISTANCE" => {
             coverage::hit("sdb.expr.function_measure");
@@ -418,7 +422,7 @@ pub fn evaluate_predicate(
         coverage::hit("sdb.fault.logic_path");
         return Ok(result);
     }
-    Ok(predicate.evaluate(a, b))
+    Ok(predicate.evaluate_with(a, b, ctx.relate))
 }
 
 /// Returns `Some(result)` when a seeded fault hijacks the predicate.
@@ -501,7 +505,7 @@ fn faulty_predicate_result(
         && (is_descending_linestring(a) || is_descending_linestring(b))
     {
         fire(FaultId::GeosTouchesDirectionSensitive);
-        return Some(!predicates::touches(a, b));
+        return Some(!Touches.evaluate_with(a, b, ctx.relate));
     }
 
     // GEOS: Equals fails on consecutive duplicate vertices.
@@ -531,7 +535,7 @@ fn faulty_predicate_result(
         fire(FaultId::PostgisEqualsSnapToGrid);
         let snapped_a = snapped(a);
         let snapped_b = snapped(b);
-        return Some(predicates::equals(&snapped_a, &snapped_b));
+        return Some(Equals.evaluate_with(&snapped_a, &snapped_b, ctx.relate));
     }
 
     // PostGIS: Contains with a MULTIPOLYGON container that carries an EMPTY
@@ -541,7 +545,7 @@ fn faulty_predicate_result(
             if mp.polygons.len() > 1 && mp.polygons.iter().any(|p| p.is_empty()) {
                 fire(FaultId::PostgisContainsMultiPolygonFirstOnly);
                 let first = Geometry::Polygon(mp.polygons[0].clone());
-                return Some(predicates::contains(&first, b));
+                return Some(Contains.evaluate_with(&first, b, ctx.relate));
             }
         }
     }
@@ -564,7 +568,7 @@ fn faulty_predicate_result(
         && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
     {
         fire(FaultId::PostgisTouchesDuplicateVertices);
-        return Some(!predicates::touches(a, b));
+        return Some(!Touches.evaluate_with(a, b, ctx.relate));
     }
 
     // PostGIS: CoveredBy depends on ring orientation.
@@ -703,7 +707,7 @@ pub fn validate_for_profile(geometry: &Geometry, ctx: &FunctionContext) -> SdbRe
             .collect();
         for i in 0..members.len() {
             for j in (i + 1)..members.len() {
-                let m = relate::relate(members[i], members[j]);
+                let m = ctx.relate.relate(members[i], members[j]);
                 if m.get(Position::Interior, Position::Interior).is_non_empty() {
                     return Err(SdbError::InvalidGeometry(
                         "collection elements intersect (self-intersection)".into(),
@@ -772,7 +776,7 @@ fn faulty_dimension_predicate(
 ) -> bool {
     let da = faulty_dimension(a, ctx);
     let db = faulty_dimension(b, ctx);
-    let m = relate::relate(a, b);
+    let m = ctx.relate.relate(a, b);
     match predicate {
         NamedPredicate::Crosses => {
             if da < db {
@@ -794,7 +798,7 @@ fn faulty_dimension_predicate(
                 m.matches("T*T***T**").unwrap_or(false)
             }
         }
-        _ => predicate.evaluate(a, b),
+        _ => predicate.evaluate_with(a, b, ctx.relate),
     }
 }
 
@@ -983,7 +987,11 @@ mod tests {
     use crate::faults::FaultSet;
 
     fn ctx_with<'a>(faults: &'a FaultSet, profile: EngineProfile) -> FunctionContext<'a> {
-        FunctionContext { profile, faults }
+        FunctionContext {
+            profile,
+            faults,
+            relate: Box::leak(Box::default()),
+        }
     }
 
     fn geometry(wkt: &str) -> Value {

@@ -229,12 +229,35 @@ pub fn hit(name: &'static str) {
     let recorded = local::THREAD.try_with(|thread| {
         let entry = thread.resolve(name);
         entry.count.fetch_add(1, Ordering::Relaxed);
-        thread.record(entry.slot);
+        thread.record(entry.slot, 1);
     });
     if recorded.is_err() {
         // The thread's locals are already torn down (a hit from another
         // thread-local's destructor): count globally, record nothing.
         find_or_register(name).count.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Replays `delta` (a tally as returned by [`local::take`]) as if the work
+/// that recorded it ran once more on the calling thread: every count goes to
+/// the probe's global counter and, while a [`local`] recording runs, to the
+/// thread's tally. [`hit_count`], [`hits`] and the running recording end up
+/// exactly as the repeated [`hit`]s would leave them; a memoised result
+/// (see [`crate::relate_cache`]) stays invisible to coverage this way.
+pub fn replay(delta: &[(&'static str, u64)]) {
+    let replayed = local::THREAD.try_with(|thread| {
+        for &(name, count) in delta {
+            let entry = thread.resolve(name);
+            entry.count.fetch_add(count, Ordering::Relaxed);
+            thread.record(entry.slot, count);
+        }
+    });
+    if replayed.is_err() {
+        for &(name, count) in delta {
+            find_or_register(name)
+                .count
+                .fetch_add(count, Ordering::Relaxed);
+        }
     }
 }
 
@@ -497,10 +520,10 @@ pub mod local {
             entry
         }
 
-        /// Counts one hit of registry slot `slot` if a recording runs.
-        pub(super) fn record(&self, slot: usize) {
+        /// Counts `count` hits of registry slot `slot` if a recording runs.
+        pub(super) fn record(&self, slot: usize, count: u64) {
             if let Some(counts) = self.counts.borrow_mut().as_mut() {
-                counts[slot] += 1;
+                counts[slot] += count;
             }
         }
 
@@ -881,6 +904,28 @@ mod tests {
             }
         });
         assert_eq!(delta, vec![("cov.many.hits", HITS)]);
+    }
+
+    #[test]
+    fn replay_reaches_the_global_counters_and_the_recording() {
+        let _guard = EXCLUSIVE.lock().unwrap();
+        let (before_a, before_b) = (hit_count("cov.replay.a"), hit_count("cov.replay.b"));
+        let ((), delta) = local::measure(|| {
+            hit("cov.replay.a");
+            let ((), isolated) = local::isolate(|| {
+                hit("cov.replay.a");
+                hit("cov.replay.b");
+            });
+            assert_eq!(isolated, vec![("cov.replay.a", 1), ("cov.replay.b", 1)]);
+            replay(&[("cov.replay.a", 3), ("cov.replay.b", 2)]);
+        });
+        assert_eq!(delta, vec![("cov.replay.a", 4), ("cov.replay.b", 2)]);
+        assert_eq!(hit_count("cov.replay.a") - before_a, 5);
+        assert_eq!(hit_count("cov.replay.b") - before_b, 3);
+        // Nothing recording: replay still counts globally.
+        replay(&[("cov.replay.b", 1)]);
+        assert_eq!(hit_count("cov.replay.b") - before_b, 4);
+        assert_eq!(local::take(), Vec::new());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! location (interior / boundary / exterior) in each geometry, and adding the
 //! area-interaction entries through ring-side analysis. On top of it,
 //! [`predicates`] exposes the named topological relationships
-//! (ST_Intersects, ST_Contains, ST_Covers, …) as matrix patterns.
+//! (ST_Intersects, ST_Contains, ST_Covers, …) as matrix patterns, and
+//! [`relate_cache::RelateCache`] memoises the matrix of each geometry pair
+//! for the engines that relate the same pairs over and over.
 //!
 //! The crate also provides the spatial measurements and editing functions the
 //! paper's derivative strategy applies (Table 1): boundary, convex hull,
@@ -36,8 +38,10 @@ pub mod measures;
 pub mod predicates;
 pub mod prepared;
 pub mod relate;
+pub mod relate_cache;
 pub mod segment;
 
 pub use de9im::IntersectionMatrix;
 pub use locate::Location;
 pub use predicates::NamedPredicate;
+pub use relate_cache::RelateCache;

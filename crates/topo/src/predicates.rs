@@ -9,6 +9,7 @@
 use crate::coverage;
 use crate::de9im::{IntersectionMatrix, Position};
 use crate::relate::relate;
+use crate::relate_cache::RelateCache;
 use spatter_geom::{Dimension, Geometry};
 
 /// The named topological relationship predicates supported by the engines.
@@ -87,139 +88,216 @@ impl NamedPredicate {
 
     /// Evaluates the predicate on a pair of geometries.
     pub fn evaluate(&self, a: &Geometry, b: &Geometry) -> bool {
+        self.evaluate_by(a, b, Matrices::Direct)
+    }
+
+    /// [`NamedPredicate::evaluate`] with every matrix served by `cache`:
+    /// the same verdict, and the same probe counts, as a direct call.
+    pub fn evaluate_with(&self, a: &Geometry, b: &Geometry, cache: &RelateCache) -> bool {
+        self.evaluate_by(a, b, Matrices::Memo(cache))
+    }
+
+    /// The one body of every predicate. Each hits its `topo.predicate.*`
+    /// probe on every call, wherever its matrix comes from.
+    fn evaluate_by(&self, a: &Geometry, b: &Geometry, matrices: Matrices) -> bool {
+        use NamedPredicate::*;
         match self {
-            NamedPredicate::Intersects => intersects(a, b),
-            NamedPredicate::Disjoint => disjoint(a, b),
-            NamedPredicate::Contains => contains(a, b),
-            NamedPredicate::Within => within(a, b),
-            NamedPredicate::Covers => covers(a, b),
-            NamedPredicate::CoveredBy => covered_by(a, b),
-            NamedPredicate::Crosses => crosses(a, b),
-            NamedPredicate::Overlaps => overlaps(a, b),
-            NamedPredicate::Touches => touches(a, b),
-            NamedPredicate::Equals => equals(a, b),
+            Intersects => {
+                coverage::hit("topo.predicate.intersects");
+                !disjoint_matrix(&matrices.relate(a, b))
+            }
+            Disjoint => {
+                coverage::hit("topo.predicate.disjoint");
+                disjoint_matrix(&matrices.relate(a, b))
+            }
+            // Every point of `a` lies in `b` and the interiors share a point.
+            Within => {
+                coverage::hit("topo.predicate.within");
+                matches(&matrices.relate(a, b), "T*F**F***")
+            }
+            Contains => {
+                coverage::hit("topo.predicate.contains");
+                matches(&matrices.relate(a, b), "T*****FF*")
+            }
+            Covers => {
+                coverage::hit("topo.predicate.covers");
+                let m = matrices.relate(a, b);
+                if a.is_empty() || b.is_empty() {
+                    return false;
+                }
+                // At least one of the four interior/boundary intersections is
+                // non-empty and nothing of b lies in a's exterior.
+                let touches_somewhere =
+                    m.get(Position::Interior, Position::Interior).is_non_empty()
+                        || m.get(Position::Interior, Position::Boundary).is_non_empty()
+                        || m.get(Position::Boundary, Position::Interior).is_non_empty()
+                        || m.get(Position::Boundary, Position::Boundary).is_non_empty();
+                let nothing_outside = !m.get(Position::Exterior, Position::Interior).is_non_empty()
+                    && !m.get(Position::Exterior, Position::Boundary).is_non_empty();
+                touches_somewhere && nothing_outside
+            }
+            CoveredBy => {
+                coverage::hit("topo.predicate.covered_by");
+                Covers.evaluate_by(b, a, matrices)
+            }
+            // The geometries share interior points, but neither is contained
+            // in the other, and the intersection has lower dimension than the
+            // higher-dimensional operand.
+            Crosses => {
+                coverage::hit("topo.predicate.crosses");
+                let da = a.dimension();
+                let db = b.dimension();
+                let m = matrices.relate(a, b);
+                if da < db {
+                    matches(&m, "T*T******")
+                } else if da > db {
+                    matches(&m, "T*****T**")
+                } else if da == Dimension::One && db == Dimension::One {
+                    matches(&m, "0********")
+                } else {
+                    false
+                }
+            }
+            // Same dimension, shared interior points, and neither is
+            // contained in the other.
+            Overlaps => {
+                coverage::hit("topo.predicate.overlaps");
+                let da = a.dimension();
+                let db = b.dimension();
+                if da != db {
+                    return false;
+                }
+                let m = matrices.relate(a, b);
+                if da == Dimension::One {
+                    matches(&m, "1*T***T**")
+                } else {
+                    matches(&m, "T*T***T**")
+                }
+            }
+            // The geometries intersect, but only on their boundaries.
+            Touches => {
+                coverage::hit("topo.predicate.touches");
+                let m = matrices.relate(a, b);
+                matches(&m, "FT*******") || matches(&m, "F**T*****") || matches(&m, "F***T****")
+            }
+            // The geometries represent the same point set.
+            Equals => {
+                coverage::hit("topo.predicate.equals");
+                matches(&matrices.relate(a, b), "T*F**FFF*")
+            }
         }
     }
 }
 
+/// Where a predicate's matrix comes from.
+#[derive(Clone, Copy)]
+enum Matrices<'c> {
+    /// A direct [`relate`] call.
+    Direct,
+    /// The memo, which answers with a direct call's matrix and probe counts.
+    Memo(&'c RelateCache),
+}
+
+impl Matrices<'_> {
+    fn relate(self, a: &Geometry, b: &Geometry) -> IntersectionMatrix {
+        match self {
+            Matrices::Direct => relate(a, b),
+            Matrices::Memo(cache) => cache.relate(a, b),
+        }
+    }
+}
+
+fn matches(m: &IntersectionMatrix, pattern: &str) -> bool {
+    m.matches(pattern).unwrap_or(false)
+}
+
+fn disjoint_matrix(m: &IntersectionMatrix) -> bool {
+    matches(m, "FF*FF****")
+}
+
 /// `ST_Intersects`: the geometries share at least one point.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.intersects");
-    !disjoint_matrix(&relate(a, b))
+    NamedPredicate::Intersects.evaluate(a, b)
 }
 
 /// `ST_Disjoint`: the geometries share no point.
 pub fn disjoint(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.disjoint");
-    disjoint_matrix(&relate(a, b))
-}
-
-fn disjoint_matrix(m: &IntersectionMatrix) -> bool {
-    m.matches("FF*FF****").unwrap_or(false)
+    NamedPredicate::Disjoint.evaluate(a, b)
 }
 
 /// `ST_Within`: every point of `a` lies in `b` and the interiors share a
 /// point.
 pub fn within(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.within");
-    relate(a, b).matches("T*F**F***").unwrap_or(false)
+    NamedPredicate::Within.evaluate(a, b)
 }
 
 /// `ST_Contains`: the converse of [`within`].
 pub fn contains(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.contains");
-    relate(a, b).matches("T*****FF*").unwrap_or(false)
+    NamedPredicate::Contains.evaluate(a, b)
 }
 
 /// `ST_Covers`: no point of `b` lies outside `a`.
 pub fn covers(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.covers");
-    let m = relate(a, b);
-    if a.is_empty() || b.is_empty() {
-        return false;
-    }
-    // At least one of the four interior/boundary intersections is non-empty
-    // and nothing of b lies in a's exterior.
-    let touches_somewhere = m.get(Position::Interior, Position::Interior).is_non_empty()
-        || m.get(Position::Interior, Position::Boundary).is_non_empty()
-        || m.get(Position::Boundary, Position::Interior).is_non_empty()
-        || m.get(Position::Boundary, Position::Boundary).is_non_empty();
-    let nothing_outside = !m.get(Position::Exterior, Position::Interior).is_non_empty()
-        && !m.get(Position::Exterior, Position::Boundary).is_non_empty();
-    touches_somewhere && nothing_outside
+    NamedPredicate::Covers.evaluate(a, b)
 }
 
 /// `ST_CoveredBy`: no point of `a` lies outside `b`.
 pub fn covered_by(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.covered_by");
-    covers(b, a)
+    NamedPredicate::CoveredBy.evaluate(a, b)
 }
 
 /// `ST_Crosses`: the geometries share interior points, but neither is
 /// contained in the other, and the intersection has lower dimension than the
 /// higher-dimensional operand.
 pub fn crosses(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.crosses");
-    let da = a.dimension();
-    let db = b.dimension();
-    let m = relate(a, b);
-    if da < db {
-        m.matches("T*T******").unwrap_or(false)
-    } else if da > db {
-        m.matches("T*****T**").unwrap_or(false)
-    } else if da == Dimension::One && db == Dimension::One {
-        m.matches("0********").unwrap_or(false)
-    } else {
-        false
-    }
+    NamedPredicate::Crosses.evaluate(a, b)
 }
 
 /// `ST_Overlaps`: the geometries have the same dimension, share interior
 /// points, and neither is contained in the other.
 pub fn overlaps(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.overlaps");
-    let da = a.dimension();
-    let db = b.dimension();
-    if da != db {
-        return false;
-    }
-    let m = relate(a, b);
-    if da == Dimension::One {
-        m.matches("1*T***T**").unwrap_or(false)
-    } else {
-        m.matches("T*T***T**").unwrap_or(false)
-    }
+    NamedPredicate::Overlaps.evaluate(a, b)
 }
 
 /// `ST_Touches`: the geometries intersect, but only on their boundaries.
 pub fn touches(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.touches");
-    let m = relate(a, b);
-    m.matches("FT*******").unwrap_or(false)
-        || m.matches("F**T*****").unwrap_or(false)
-        || m.matches("F***T****").unwrap_or(false)
+    NamedPredicate::Touches.evaluate(a, b)
 }
 
 /// `ST_Equals`: the geometries represent the same point set.
 pub fn equals(a: &Geometry, b: &Geometry) -> bool {
-    coverage::hit("topo.predicate.equals");
-    relate(a, b).matches("T*F**FFF*").unwrap_or(false)
-}
-
-/// `ST_Relate(a, b)`: the full DE-9IM string.
-pub fn relate_string(a: &Geometry, b: &Geometry) -> String {
-    relate(a, b).to_relate_string()
+    NamedPredicate::Equals.evaluate(a, b)
 }
 
 /// `ST_Relate(a, b, pattern)`: pattern matching against the matrix.
 pub fn relate_pattern(a: &Geometry, b: &Geometry, pattern: &str) -> Option<bool> {
+    relate_pattern_by(a, b, pattern, Matrices::Direct)
+}
+
+/// [`relate_pattern`] with the matrix served by `cache`.
+pub fn relate_pattern_with(
+    a: &Geometry,
+    b: &Geometry,
+    pattern: &str,
+    cache: &RelateCache,
+) -> Option<bool> {
+    relate_pattern_by(a, b, pattern, Matrices::Memo(cache))
+}
+
+fn relate_pattern_by(
+    a: &Geometry,
+    b: &Geometry,
+    pattern: &str,
+    matrices: Matrices,
+) -> Option<bool> {
     coverage::hit("topo.predicate.relate_pattern");
-    relate(a, b).matches(pattern)
+    matrices.relate(a, b).matches(pattern)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::local;
     use spatter_geom::wkt::parse_wkt;
 
     fn g(wkt: &str) -> Geometry {
@@ -363,7 +441,7 @@ mod tests {
     fn relate_pattern_matches_relate_string() {
         let a = g("POLYGON((0 0,4 0,4 4,0 4,0 0))");
         let b = g("LINESTRING(-2 0,6 0)");
-        assert_eq!(relate_string(&a, &b), "FF21F1102");
+        assert_eq!(relate(&a, &b).to_relate_string(), "FF21F1102");
         assert_eq!(relate_pattern(&a, &b, "FF2*F****"), Some(true));
         assert_eq!(relate_pattern(&a, &b, "T********"), Some(false));
         assert_eq!(relate_pattern(&a, &b, "bad"), None);
@@ -393,6 +471,31 @@ mod tests {
             );
         }
         assert_eq!(NamedPredicate::from_function_name("ST_Buffer"), None);
+    }
+
+    #[test]
+    fn evaluate_with_a_memo_matches_evaluate_and_its_probes() {
+        let shapes = [
+            g("POLYGON((0 0,4 0,4 4,0 4,0 0))"),
+            g("POLYGON((2 2,6 2,6 6,2 6,2 2))"),
+            g("LINESTRING(-1 2,5 2)"),
+            g("LINESTRING(0 0,3 0)"),
+            g("POINT(0 2)"),
+            g("POINT EMPTY"),
+        ];
+        let cache = RelateCache::new();
+        // Cold, then warm.
+        for _ in 0..2 {
+            for p in NamedPredicate::ALL {
+                for a in &shapes {
+                    for b in &shapes {
+                        let direct = local::measure(|| p.evaluate(a, b));
+                        let memoised = local::measure(|| p.evaluate_with(a, b, &cache));
+                        assert_eq!(memoised, direct, "{p:?} {a:?} {b:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

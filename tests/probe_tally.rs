@@ -23,11 +23,20 @@ use std::sync::Arc;
 const SEED: u64 = 5;
 const ITERATIONS: usize = 8;
 
+/// The default campaign's frames hash, on any number of workers.
+const DEFAULT_FRAMES: u64 = 13_955_932_596_563_251_885;
+
 /// Runs `config` with a replay recorder and hashes every field of every
 /// frame, in iteration order.
 fn frames_hash(config: CampaignConfig) -> u64 {
+    frames_hash_on(config, 1)
+}
+
+/// [`frames_hash`] with the campaign spread over `workers` threads.
+fn frames_hash_on(config: CampaignConfig, workers: usize) -> u64 {
     let recorder = Arc::new(ReplayRecorder::new());
     CampaignRunner::new(config)
+        .with_workers(workers)
         .with_replay_sink(recorder.clone() as Arc<dyn ReplaySink>)
         .run();
     let frames = recorder.frames();
@@ -59,8 +68,21 @@ fn base() -> CampaignConfig {
 fn default_campaign_probe_tallies_are_pinned() {
     assert_eq!(
         frames_hash(base()),
-        13_955_932_596_563_251_885,
+        DEFAULT_FRAMES,
         "default campaign frames"
+    );
+}
+
+#[test]
+fn workers_sharing_one_relate_memo_record_the_same_frames() {
+    // Three workers run the iterations over the campaign's one backend, so
+    // every session relates through one memo that they fill and read in an
+    // order the scheduler picks. Hits replay the cold call's probe delta, so
+    // no frame may depend on that order.
+    assert_eq!(
+        frames_hash_on(base(), 3),
+        DEFAULT_FRAMES,
+        "default campaign frames on 3 workers"
     );
 }
 

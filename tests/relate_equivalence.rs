@@ -19,6 +19,11 @@
 //! The constants were recorded before the relate kernel stopped cloning
 //! polygons and ring coordinates, deduplicated nodes by sorting, and pruned
 //! noding by segment envelopes.
+//!
+//! The same families also run pair by pair through a fresh
+//! [`RelateCache`], cold and then warm: every memoised call must return a
+//! direct call's matrix, record its probe delta and move the global probe
+//! counters by as much, and a failure names the pair.
 
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
 use spatter_repro::core::replay::ReplayHasher;
@@ -26,9 +31,12 @@ use spatter_repro::core::scenarios::{confirmed_logic_scenarios, distance_templat
 use spatter_repro::core::spec::DatabaseSpec;
 use spatter_repro::core::transform::{AffineStrategy, TransformPlan};
 use spatter_repro::geom::wkt::parse_wkt;
+use spatter_repro::geom::wkt::write_wkt;
 use spatter_repro::geom::{Coord, Geometry, LineString, Polygon};
-use spatter_repro::topo::coverage::local;
+use spatter_repro::topo::coverage::{hit_count, local, TOPO_PROBES};
 use spatter_repro::topo::relate::relate;
+use spatter_repro::topo::{IntersectionMatrix, RelateCache};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Seeds of the generated databases, per generation strategy.
 const GENERATOR_SEEDS: [u64; 4] = [11, 12, 13, 14];
@@ -78,21 +86,15 @@ fn generated_databases() -> Vec<DatabaseSpec> {
     specs
 }
 
-#[test]
-fn generated_pairs_are_pinned() {
-    let mut hasher = ReplayHasher::new();
-    let mut pairs = 0;
-    for spec in generated_databases() {
-        pairs += hash_all_pairs(&mut hasher, &geometries_of(&spec));
-    }
-    assert_eq!(pairs, 800);
-    assert_eq!(hasher.finish(), 4870570048084332277, "generated pairs");
+/// The geometry sets of the generated family, one per database.
+fn generated_sets() -> Vec<Vec<Geometry>> {
+    generated_databases().iter().map(geometries_of).collect()
 }
 
-#[test]
-fn affine_images_are_pinned() {
-    let mut hasher = ReplayHasher::new();
-    let mut pairs = 0;
+/// The geometry sets of the affine-image family: every generated database
+/// under every AEI strategy.
+fn affine_sets() -> Vec<Vec<Geometry>> {
+    let mut sets = Vec::new();
     for (i, spec) in generated_databases().iter().enumerate() {
         for strategy in [
             AffineStrategy::CanonicalizationOnly,
@@ -100,8 +102,40 @@ fn affine_images_are_pinned() {
             AffineStrategy::SimilarityInteger,
         ] {
             let image = TransformPlan::random(strategy, 100 + i as u64).apply(spec);
-            pairs += hash_all_pairs(&mut hasher, &geometries_of(&image));
+            sets.push(geometries_of(&image));
         }
+    }
+    sets
+}
+
+/// The geometry sets of the listing family, one per reduced scenario.
+fn listing_sets() -> Vec<Vec<Geometry>> {
+    confirmed_logic_scenarios()
+        .into_iter()
+        .chain(distance_template_scenarios())
+        .map(|scenario| geometries_of(&scenario.spec))
+        .collect()
+}
+
+#[test]
+fn generated_pairs_are_pinned() {
+    let _serial = serial();
+    let mut hasher = ReplayHasher::new();
+    let mut pairs = 0;
+    for set in generated_sets() {
+        pairs += hash_all_pairs(&mut hasher, &set);
+    }
+    assert_eq!(pairs, 800);
+    assert_eq!(hasher.finish(), 4870570048084332277, "generated pairs");
+}
+
+#[test]
+fn affine_images_are_pinned() {
+    let _serial = serial();
+    let mut hasher = ReplayHasher::new();
+    let mut pairs = 0;
+    for set in affine_sets() {
+        pairs += hash_all_pairs(&mut hasher, &set);
     }
     assert_eq!(pairs, 2400);
     assert_eq!(hasher.finish(), 208825578648129052, "affine images");
@@ -109,13 +143,11 @@ fn affine_images_are_pinned() {
 
 #[test]
 fn listing_pairs_are_pinned() {
+    let _serial = serial();
     let mut hasher = ReplayHasher::new();
     let mut pairs = 0;
-    for scenario in confirmed_logic_scenarios()
-        .into_iter()
-        .chain(distance_template_scenarios())
-    {
-        pairs += hash_all_pairs(&mut hasher, &geometries_of(&scenario.spec));
+    for set in listing_sets() {
+        pairs += hash_all_pairs(&mut hasher, &set);
     }
     assert!(pairs > 0);
     assert_eq!(hasher.finish(), 166227484105176311, "listing pairs");
@@ -200,9 +232,73 @@ fn adversarial_geometries() -> Vec<Geometry> {
 
 #[test]
 fn adversarial_pairs_are_pinned() {
+    let _serial = serial();
     let mut hasher = ReplayHasher::new();
     let geometries = adversarial_geometries();
     let pairs = hash_all_pairs(&mut hasher, &geometries);
     assert_eq!(pairs, geometries.len() * geometries.len());
     assert_eq!(hasher.finish(), 1065396230218982059, "adversarial pairs");
+}
+
+/// Every test of this file takes this lock: the memo test compares global
+/// probe counters, which any concurrent `relate` would move.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What one `relate` call returns and records: the matrix, the thread's
+/// probe delta, and how far it moved each global `topo.*` counter.
+type Observed = (IntersectionMatrix, Vec<(&'static str, u64)>, Vec<u64>);
+
+fn observe(f: impl FnOnce() -> IntersectionMatrix) -> Observed {
+    let before: Vec<u64> = TOPO_PROBES.iter().map(|p| hit_count(p)).collect();
+    let (matrix, delta) = local::measure(f);
+    let moved = TOPO_PROBES
+        .iter()
+        .zip(before)
+        .map(|(p, count)| hit_count(p) - count)
+        .collect();
+    (matrix, delta, moved)
+}
+
+/// Relates every ordered pair of `geometries` through a fresh memo twice,
+/// cold then warm, and demands each call match a direct `relate`.
+fn assert_memo_matches_direct(family: &str, geometries: &[Geometry]) {
+    let cache = RelateCache::new();
+    for pass in ["cold", "warm"] {
+        for a in geometries {
+            for b in geometries {
+                let direct = observe(|| relate(a, b));
+                let memoised = observe(|| cache.relate(a, b));
+                assert!(
+                    direct.1.iter().all(|(p, _)| TOPO_PROBES.contains(p)),
+                    "{family}: relate hit a probe outside TOPO_PROBES"
+                );
+                assert_eq!(
+                    memoised,
+                    direct,
+                    "{family}, {pass} memo: relate({}, {})",
+                    write_wkt(a),
+                    write_wkt(b)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn memo_matches_direct_relate_pair_by_pair() {
+    let _serial = serial();
+    let families = [
+        ("generated", generated_sets()),
+        ("affine images", affine_sets()),
+        ("listings", listing_sets()),
+        ("adversarial", vec![adversarial_geometries()]),
+    ];
+    for (family, sets) in &families {
+        for set in sets {
+            assert_memo_matches_direct(family, set);
+        }
+    }
 }
