@@ -16,7 +16,6 @@ use spatter_core::transform::{AffineStrategy, TransformPlan};
 use spatter_geom::envelope::Envelope;
 use spatter_geom::wkt::parse_wkt;
 use spatter_index::RTree;
-use spatter_sdb::engine::plan;
 use spatter_sdb::{Engine, EngineProfile};
 use spatter_topo::coverage;
 use spatter_topo::predicates::NamedPredicate;
@@ -201,12 +200,12 @@ fn bench_distance_templates() {
     // The nested loop is O(rows^2) per query, so its repeats shrink with rows.
     for (rows, nested_repeats) in [(64, 5), (256, 3), (1024, 1)] {
         let mut nested = points_engine(rows, false);
+        nested.execute("SET enable_distance_join = false").unwrap();
         let mut prepared = points_engine(rows, false);
         let mut indexed = points_engine(rows, true);
         for i in 0..DISTANCES.len() {
             let sql = range_join_query(i);
-            let expected =
-                plan::with_distance_join_disabled(|| nested.execute(&sql).unwrap().count());
+            let expected = nested.execute(&sql).unwrap().count();
             assert_eq!(
                 expected,
                 prepared.execute(&sql).unwrap().count(),
@@ -218,15 +217,13 @@ fn bench_distance_templates() {
                 "index plan diverged on probe {i}"
             );
         }
-        plan::with_distance_join_disabled(|| {
-            bench_range_join(
-                &format!("range_join_nested/{rows}"),
-                &mut nested,
-                rows,
-                8,
-                nested_repeats,
-            )
-        });
+        bench_range_join(
+            &format!("range_join_nested/{rows}"),
+            &mut nested,
+            rows,
+            8,
+            nested_repeats,
+        );
         bench_range_join(
             &format!("range_join_prepared/{rows}"),
             &mut prepared,

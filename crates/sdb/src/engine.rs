@@ -88,43 +88,6 @@ impl QueryResult {
     }
 }
 
-/// Process-wide physical-plan switches, used by equivalence tests and
-/// benchmarks to force the legacy paths. Plans only change how a result is
-/// computed, never what it is, so flipping these is always safe.
-pub mod plan {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static DISTANCE_JOIN_ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Enables or disables the distance-join physical plans
-    /// (`ST_DWithin`/`ST_DFullyWithin` joins via index probe or prepared
-    /// envelope screen). When disabled, distance joins take the general
-    /// nested loop. On by default.
-    pub fn set_distance_join_enabled(enabled: bool) {
-        DISTANCE_JOIN_ENABLED.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Whether distance joins may use their dedicated physical plans.
-    pub fn distance_join_enabled() -> bool {
-        DISTANCE_JOIN_ENABLED.load(Ordering::SeqCst)
-    }
-
-    /// Runs `f` with the distance-join plans disabled, re-enabling them
-    /// afterwards even if `f` panics. The switch is process global, so
-    /// callers comparing plans concurrently must serialize themselves.
-    pub fn with_distance_join_disabled<T>(f: impl FnOnce() -> T) -> T {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_distance_join_enabled(true);
-            }
-        }
-        let _restore = Restore;
-        set_distance_join_enabled(false);
-        f()
-    }
-}
-
 /// Reusable per-engine buffers for the join paths: index-probe candidates,
 /// matched pair lists and the prepared distance join's cached inner
 /// envelopes. Taken out of the engine for the duration of one SELECT (so the
@@ -148,6 +111,7 @@ pub struct Engine {
     database: Database,
     enable_seqscan: bool,
     enable_prepared: bool,
+    enable_distance_join: bool,
     engine_time: Duration,
     statements_executed: usize,
     scratch: ExecScratch,
@@ -186,6 +150,7 @@ impl Engine {
             database: Database::new(),
             enable_seqscan: true,
             enable_prepared: true,
+            enable_distance_join: true,
             engine_time: Duration::ZERO,
             statements_executed: 0,
             scratch: ExecScratch::default(),
@@ -597,6 +562,7 @@ impl Engine {
         match name.to_ascii_lowercase().as_str() {
             "enable_seqscan" => self.enable_seqscan = value.is_truthy(),
             "enable_prepared" => self.enable_prepared = value.is_truthy(),
+            "enable_distance_join" => self.enable_distance_join = value.is_truthy(),
             other => {
                 return Err(SdbError::Semantic(format!("unknown setting {other}")));
             }
@@ -659,131 +625,238 @@ impl Engine {
                     effect: None,
                 })
             }
-            1 => self.select_single_table(select, &ctx),
-            2 => self.select_join(select, &ctx, scratch),
+            1 | 2 => {
+                if select.from.len() == 1 {
+                    // Every single-table plan filters one table; the probe
+                    // counts even a scan of a table that no longer exists.
+                    coverage::hit("sdb.exec.filter_scan");
+                }
+                let tables = select
+                    .from
+                    .iter()
+                    .map(|table_ref| self.database.table(&table_ref.table))
+                    .collect::<SdbResult<Vec<&Table>>>()?;
+                let condition = combine_conditions(&select.join_on, &select.where_clause);
+                let plan = self.plan(select, &tables, condition.as_ref(), &ctx);
+                self.execute_plan(&plan, select, &tables, condition.as_ref(), &ctx, scratch)
+            }
             n => Err(SdbError::Semantic(format!(
                 "queries over {n} tables are not supported"
             ))),
         }
     }
 
-    fn select_single_table(
+    /// The engine's one plan decision for a SELECT over `tables` (one or
+    /// two, in FROM order) filtered by `condition`. It is the only reader of
+    /// `enable_seqscan`, `enable_prepared` and `enable_distance_join`, and
+    /// it evaluates each plan's row-independent constant — the `~=` probe,
+    /// the KNN origin, the distance threshold — once. A constant that
+    /// depends on the row or fails to evaluate keeps the general plan, which
+    /// evaluates it per row and reports its error there.
+    fn plan(
         &self,
         select: &SelectStatement,
+        tables: &[&Table],
+        condition: Option<&Expr>,
         ctx: &FunctionContext,
-    ) -> SdbResult<QueryResult> {
-        coverage::hit("sdb.exec.filter_scan");
-        let table_ref = &select.from[0];
-        let table = self.database.table(&table_ref.table)?;
-        let condition = combine_conditions(&select.join_on, &select.where_clause);
-        let pure_count = is_pure_count(select);
-
-        // KNN fast path: `ORDER BY ST_Distance(col, <origin>) LIMIT k` with
-        // sequential scans disabled runs a best-first nearest-neighbour
-        // search over the GiST-analog index instead of sorting a full scan.
-        if !pure_count {
-            if let Some(rows) = self.try_index_knn(select, table_ref, table, &condition, ctx)? {
-                return project(select, table_ref, table, &rows, &self.database, ctx);
+    ) -> Plan {
+        let (left_ref, left) = (&select.from[0], tables[0]);
+        let Some(&right) = tables.get(1) else {
+            if self.enable_seqscan {
+                return Plan::SeqScan;
             }
-        }
-
-        // Try an index scan for `col ~= <geometry>` filters when sequential
-        // scans are disabled (Listing 8's scenario).
-        let candidate_rows: Vec<usize> =
-            if let Some(rows) = self.try_index_filter(table_ref, table, condition.as_ref(), ctx)? {
-                rows
-            } else {
-                table.live_rows().map(|(slot, _)| slot).collect()
+            let index_plan = match condition {
+                Some(condition) => self.same_box_plan(condition, left_ref, left, ctx),
+                None if !is_pure_count(select) => self.knn_plan(select, left_ref, left, ctx),
+                None => None,
             };
-
-        let mut matching = Vec::new();
-        for row_idx in candidate_rows {
-            let row = &table.rows[row_idx];
-            if row.is_empty() {
-                // Tombstoned slot (or a stale index entry pointing at one).
-                continue;
-            }
-            let keep = match &condition {
-                None => true,
-                Some(expr) => {
-                    let binding = RowBinding::single(table_ref, table, row);
-                    evaluate_expr(expr, Some(&binding), &self.database, ctx)?.is_truthy()
-                }
-            };
-            if keep {
-                matching.push(row.clone());
-            }
+            return index_plan.unwrap_or(Plan::SeqScan);
+        };
+        let right_ref = &select.from[1];
+        let Some(join) = condition.and_then(|condition| {
+            kernel_join(
+                condition,
+                [left_ref, right_ref],
+                [left, right],
+                self.enable_distance_join,
+                &self.database,
+                ctx,
+            )
+        }) else {
+            return Plan::NestedLoopJoin;
+        };
+        // ST_Disjoint holds exactly on the pairs an envelope probe prunes, so
+        // it never takes the index (real engines give it no index operator
+        // support either).
+        let indexable = match join.kernel {
+            Kernel::Predicate(predicate) => predicate.has_index_support(),
+            Kernel::Distance(..) => true,
+        };
+        if !self.enable_seqscan
+            && indexable
+            && self
+                .index_on_column(right_ref, right, join.right_column)
+                .is_some()
+        {
+            Plan::IndexJoin(join)
+        } else if self.enable_prepared {
+            Plan::PreparedJoin(join)
+        } else {
+            Plan::NestedLoopJoin
         }
-        if !pure_count {
-            matching = order_and_limit(select, matching, |expr, row| {
-                let binding = RowBinding::single(table_ref, table, row);
-                order_key(expr, &binding, &self.database, ctx)
-            })?;
-        }
-        project(select, table_ref, table, &matching, &self.database, ctx)
     }
 
-    /// The index-accelerated nearest-neighbour path. Returns `None` when the
-    /// query does not have the KNN shape (`SELECT ... FROM t ORDER BY
-    /// ST_Distance(t.col, <row-independent origin>) LIMIT k` with no filter),
-    /// sequential scans are enabled, or the column carries no spatial index.
-    fn try_index_knn(
+    /// The `~=` window plan for `col ~= <probe>` on an indexed column
+    /// (Listing 8's scenario).
+    fn same_box_plan(
+        &self,
+        condition: &Expr,
+        table_ref: &TableRef,
+        table: &Table,
+        ctx: &FunctionContext,
+    ) -> Option<Plan> {
+        let Expr::Binary {
+            op: BinaryOp::SameBox,
+            left,
+            right,
+        } = condition
+        else {
+            return None;
+        };
+        let Expr::Column { column, .. } = left.as_ref() else {
+            return None;
+        };
+        let column = table.column_index(column)?;
+        self.index_on_column(table_ref, table, column)?;
+        let probe = evaluate_expr(right, None, &self.database, ctx).ok()?;
+        Some(Plan::IndexFilter {
+            column,
+            probe: probe.as_geometry()?.envelope(),
+        })
+    }
+
+    /// The index nearest-neighbour plan for `SELECT ... FROM t ORDER BY
+    /// ST_Distance(t.col, <origin>) LIMIT k` with no filter, on an indexed
+    /// column and a non-EMPTY origin.
+    fn knn_plan(
         &self,
         select: &SelectStatement,
         table_ref: &TableRef,
         table: &Table,
-        condition: &Option<Expr>,
         ctx: &FunctionContext,
-    ) -> SdbResult<Option<Vec<Vec<Value>>>> {
-        if self.enable_seqscan || condition.is_some() {
-            return Ok(None);
-        }
-        let Some(order) = &select.order_by else {
-            return Ok(None);
-        };
-        let Some(k) = select.limit else {
-            return Ok(None);
-        };
-        if order.descending {
-            return Ok(None);
-        }
+    ) -> Option<Plan> {
+        let order = select.order_by.as_ref().filter(|order| !order.descending)?;
+        let k = select.limit?;
         let Expr::Function { name, args } = &order.expr else {
-            return Ok(None);
+            return None;
         };
-        if !name.eq_ignore_ascii_case("ST_DISTANCE") || args.len() != 2 {
-            return Ok(None);
-        }
-        let Expr::Column {
+        let [Expr::Column {
             table: qualifier,
             column,
-        } = &args[0]
+        }, origin] = args.as_slice()
         else {
-            return Ok(None);
+            return None;
         };
-        if let Some(qualifier) = qualifier {
-            if !qualifier.eq_ignore_ascii_case(&table_ref.alias) {
-                return Ok(None);
+        if !name.eq_ignore_ascii_case("ST_DISTANCE")
+            || qualifier
+                .as_ref()
+                .is_some_and(|q| !q.eq_ignore_ascii_case(&table_ref.alias))
+        {
+            return None;
+        }
+        let column = table.column_index(column)?;
+        self.index_on_column(table_ref, table, column)?;
+        let origin = evaluate_expr(origin, None, &self.database, ctx).ok()?;
+        let origin = origin.as_geometry()?.envelope();
+        (!origin.is_empty()).then_some(Plan::IndexKnn { column, origin, k })
+    }
+
+    /// The spatial index on one column of a FROM table, if there is one.
+    fn index_on_column(
+        &self,
+        table_ref: &TableRef,
+        table: &Table,
+        column: usize,
+    ) -> Option<&SpatialIndex> {
+        self.database
+            .index_on(&table_ref.table, &table.columns[column].0)
+    }
+
+    /// The index an index plan was built on. The planner only picks such a
+    /// plan when [`Engine::index_on_column`] finds one, and the database
+    /// cannot change between planning and execution: both borrow the engine.
+    fn planned_index(&self, table_ref: &TableRef, table: &Table, column: usize) -> &SpatialIndex {
+        self.index_on_column(table_ref, table, column)
+            .expect("index plans are only built on an existing index")
+    }
+
+    /// Runs a plan built by [`Engine::plan`] over the same tables.
+    fn execute_plan(
+        &self,
+        plan: &Plan,
+        select: &SelectStatement,
+        tables: &[&Table],
+        condition: Option<&Expr>,
+        ctx: &FunctionContext,
+        scratch: &mut ExecScratch,
+    ) -> SdbResult<QueryResult> {
+        let (table_ref, table) = (&select.from[0], tables[0]);
+        let bind = |slot: usize| RowBinding::single(table_ref, table, &table.rows[slot]);
+        let candidate_rows: Vec<usize> = match plan {
+            Plan::SeqScan => table.live_rows().map(|(slot, _)| slot).collect(),
+            Plan::IndexFilter { column, probe } => {
+                self.index_filter(table, self.planned_index(table_ref, table, *column), probe)
+            }
+            Plan::IndexKnn { column, origin, k } => {
+                let index = self.planned_index(table_ref, table, *column);
+                let rows = self.index_knn(select, table, index, origin, *k, ctx)?;
+                return project(select, &rows, bind, &self.database, ctx);
+            }
+            Plan::NestedLoopJoin | Plan::PreparedJoin(_) | Plan::IndexJoin(_) => {
+                return self.execute_join(plan, select, tables, condition, ctx, scratch);
+            }
+        };
+        let mut matching = Vec::new();
+        for slot in candidate_rows {
+            // Skips tombstoned slots (and stale index entries pointing at one).
+            if !table.is_live(slot) {
+                continue;
+            }
+            let keep = match condition {
+                None => true,
+                Some(expr) => {
+                    evaluate_expr(expr, Some(&bind(slot)), &self.database, ctx)?.is_truthy()
+                }
+            };
+            if keep {
+                matching.push(slot);
             }
         }
-        if table.column_index(column).is_none() {
-            return Ok(None);
+        if !is_pure_count(select) {
+            matching = order_and_limit(select, matching, |expr, &slot| {
+                order_key(expr, &bind(slot), &self.database, ctx)
+            })?;
         }
-        let Some(index) = self.database.index_on(&table_ref.table, column) else {
-            return Ok(None);
-        };
-        // The origin must be evaluable without a row binding; anything else
-        // (another column, an unknown variable) falls back to the sort path.
-        let Ok(origin) = evaluate_expr(&args[1], None, &self.database, ctx) else {
-            return Ok(None);
-        };
-        let Some(origin_geom) = origin.as_geometry() else {
-            return Ok(None);
-        };
-        let origin_env = origin_geom.envelope();
-        if origin_env.is_empty() {
-            return Ok(None);
-        }
+        project(select, &matching, bind, &self.database, ctx)
+    }
+
+    /// The nearest-neighbour scan of an [`Plan::IndexKnn`] plan: a
+    /// best-first search of the index instead of sorting a full scan.
+    fn index_knn(
+        &self,
+        select: &SelectStatement,
+        table: &Table,
+        index: &SpatialIndex,
+        origin: &Envelope,
+        k: usize,
+        ctx: &FunctionContext,
+    ) -> SdbResult<Vec<usize>> {
         coverage::hit("sdb.exec.knn_index_scan");
+        let table_ref = &select.from[0];
+        let order = select
+            .order_by
+            .as_ref()
+            .expect("KNN plans are only built for an ORDER BY");
         let gist_fault = self.faults.is_active(FaultId::PostgisGistIndexDropsRows);
         let dropped_by_fault = |row_idx: usize| -> bool {
             let dropped = gist_fault && gist_fault_drops_row(&table.rows[row_idx]);
@@ -793,7 +866,7 @@ impl Engine {
             dropped
         };
         let mut eval_error = None;
-        let neighbours = index.tree.nearest_with(&origin_env, k, |&row_idx| {
+        let neighbours = index.tree.nearest_with(origin, k, |&row_idx| {
             if dropped_by_fault(row_idx) {
                 coverage::hit("sdb.fault.logic_path");
                 return None;
@@ -855,54 +928,20 @@ impl Engine {
                 }
             }
         }
-        Ok(Some(
-            row_indices
-                .into_iter()
-                .map(|row_idx| table.rows[row_idx].clone())
-                .collect(),
-        ))
+        Ok(row_indices)
     }
 
-    /// Index-accelerated filtering for a single-table query. Returns `None`
-    /// when the index cannot be used (no index, seqscan enabled, or an
-    /// unsupported filter shape).
-    fn try_index_filter(
-        &self,
-        table_ref: &TableRef,
-        table: &Table,
-        condition: Option<&Expr>,
-        ctx: &FunctionContext,
-    ) -> SdbResult<Option<Vec<usize>>> {
-        if self.enable_seqscan {
-            return Ok(None);
-        }
-        let Some(Expr::Binary {
-            op: BinaryOp::SameBox,
-            left,
-            right,
-        }) = condition
-        else {
-            return Ok(None);
-        };
-        let Expr::Column { column, .. } = left.as_ref() else {
-            return Ok(None);
-        };
-        let Some(index) = self.database.index_on(&table_ref.table, column) else {
-            return Ok(None);
-        };
-        let probe = evaluate_expr(right, None, &self.database, ctx)?;
-        let Some(probe_geom) = probe.as_geometry() else {
-            return Ok(None);
-        };
+    /// The candidate rows of an [`Plan::IndexFilter`] plan: the index
+    /// entries whose box equals `probe`, in row order.
+    fn index_filter(&self, table: &Table, index: &SpatialIndex, probe: &Envelope) -> Vec<usize> {
         coverage::hit("sdb.exec.join_index_scan");
-        let probe_env = probe_geom.envelope();
         let mut rows: Vec<usize> = index
             .tree
-            .query_same_box(&probe_env)
+            .query_same_box(probe)
             .into_iter()
             .copied()
             .collect();
-        if probe_env.is_empty() {
+        if probe.is_empty() {
             // Correct behaviour: EMPTY geometries all share the empty
             // bounding box, so they match an EMPTY probe. The seeded GiST
             // fault omits this compensation (Listing 8: count 0 instead of 1).
@@ -919,108 +958,66 @@ impl Engine {
             gist_fault_retain(&mut rows, table);
         }
         rows.sort_unstable();
-        Ok(Some(rows))
+        rows
     }
 
-    fn select_join(
+    /// Runs a join plan: matches pairs of row slots, then orders, limits
+    /// and projects them.
+    fn execute_join(
         &self,
+        plan: &Plan,
         select: &SelectStatement,
+        tables: &[&Table],
+        condition: Option<&Expr>,
         ctx: &FunctionContext,
         scratch: &mut ExecScratch,
     ) -> SdbResult<QueryResult> {
-        let left_ref = &select.from[0];
-        let right_ref = &select.from[1];
-        let left_table = self.database.table(&left_ref.table)?;
-        let right_table = self.database.table(&right_ref.table)?;
-        let condition = combine_conditions(&select.join_on, &select.where_clause);
-
-        // Identify the join shapes used by Spatter's query templates: a
-        // single named predicate or distance predicate over the two geometry
-        // columns (in either argument order).
-        let join_plan = condition.as_ref().and_then(|expr| {
-            join_plan_shape(
-                expr,
+        let (left_ref, right_ref) = (&select.from[0], &select.from[1]);
+        let (left_table, right_table) = (tables[0], tables[1]);
+        let bind = |(li, ri): (usize, usize)| {
+            RowBinding::pair(
                 left_ref,
-                right_ref,
                 left_table,
+                &left_table.rows[li],
+                right_ref,
                 right_table,
-                &self.database,
-                ctx,
+                &right_table.rows[ri],
             )
-        });
-
+        };
         scratch.pairs.clear();
-        let mut planned = false;
-        match &join_plan {
-            Some(JoinPlan::Predicate(join)) => {
-                // The envelope-intersection index probe is only a sound
-                // prefilter for predicates that imply envelope interaction;
-                // ST_Disjoint holds exactly on the pairs the probe prunes, so
-                // it falls through to the nested loop even with seqscan
-                // disabled (real engines give it no index operator support
-                // either).
-                if !self.enable_seqscan && join.predicate.has_index_support() {
-                    if let Some(index) =
-                        self.database.index_on(&right_ref.table, &join.right_column)
-                    {
-                        coverage::hit("sdb.exec.join_index_scan");
-                        self.index_join(join, left_table, right_table, index, ctx, scratch)?;
-                        planned = true;
-                    }
-                }
-                if !planned && self.enable_prepared {
+        match plan {
+            Plan::IndexJoin(join) => {
+                coverage::hit(match join.kernel {
+                    Kernel::Predicate(_) => "sdb.exec.join_index_scan",
+                    Kernel::Distance(..) => "sdb.exec.join_distance_index",
+                });
+                let index = self.planned_index(right_ref, right_table, join.right_column);
+                self.index_join(join, left_table, right_table, index, ctx, scratch)?;
+            }
+            Plan::PreparedJoin(join) => match join.kernel {
+                Kernel::Predicate(_) => {
                     coverage::hit("sdb.exec.join_prepared");
                     self.prepared_join(join, left_table, right_table, ctx, scratch)?;
-                    planned = true;
                 }
-            }
-            Some(JoinPlan::Distance(join)) => {
-                if !self.enable_seqscan {
-                    if let Some(index) =
-                        self.database.index_on(&right_ref.table, &join.right_column)
-                    {
-                        coverage::hit("sdb.exec.join_distance_index");
-                        self.distance_index_join(
-                            join,
-                            left_table,
-                            right_table,
-                            index,
-                            ctx,
-                            scratch,
-                        );
-                        planned = true;
-                    }
-                }
-                if !planned && self.enable_prepared {
+                Kernel::Distance(_, d) => {
                     coverage::hit("sdb.exec.join_distance_prepared");
-                    self.distance_prepared_join(join, left_table, right_table, ctx, scratch);
-                    planned = true;
+                    distance_prepared_join(join, d, left_table, right_table, ctx, scratch)?;
                 }
-            }
-            None => {}
-        }
-
-        if !planned {
-            // General nested-loop join.
-            coverage::hit("sdb.exec.join_nested_loop");
-            for (li, lrow) in left_table.live_rows() {
-                for (ri, rrow) in right_table.live_rows() {
-                    let keep = match &condition {
-                        None => true,
-                        Some(expr) => {
-                            let binding = RowBinding::pair(
-                                left_ref,
-                                left_table,
-                                lrow,
-                                right_ref,
-                                right_table,
-                                rrow,
-                            );
-                            evaluate_expr(expr, Some(&binding), &self.database, ctx)?.is_truthy()
+            },
+            _ => {
+                coverage::hit("sdb.exec.join_nested_loop");
+                for (li, _) in left_table.live_rows() {
+                    for (ri, _) in right_table.live_rows() {
+                        let keep = match condition {
+                            None => true,
+                            Some(expr) => {
+                                evaluate_expr(expr, Some(&bind((li, ri))), &self.database, ctx)?
+                                    .is_truthy()
+                            }
+                        };
+                        if keep {
+                            scratch.pairs.push((li, ri));
                         }
-                    };
-                    if keep {
-                        scratch.pairs.push((li, ri));
                     }
                 }
             }
@@ -1028,39 +1025,23 @@ impl Engine {
 
         let mut matching = std::mem::take(&mut scratch.pairs);
         if !is_pure_count(select) {
-            matching = order_and_limit(select, matching, |expr, &(li, ri)| {
-                let binding = RowBinding::pair(
-                    left_ref,
-                    left_table,
-                    &left_table.rows[li],
-                    right_ref,
-                    right_table,
-                    &right_table.rows[ri],
-                );
-                order_key(expr, &binding, &self.database, ctx)
+            matching = order_and_limit(select, matching, |expr, &pair| {
+                order_key(expr, &bind(pair), &self.database, ctx)
             })?;
         }
-        let result = build_join_result(
-            select,
-            left_ref,
-            right_ref,
-            left_table,
-            right_table,
-            &matching,
-            &self.database,
-            ctx,
-        );
+        let result = project(select, &matching, bind, &self.database, ctx);
         // Hand the pair buffer (or the ordered rebuild of it) back for reuse
         // by the next join.
         scratch.pairs = matching;
         result
     }
 
-    /// Index nested-loop join: probe the inner index with each outer
-    /// geometry's envelope, then verify the predicate on the candidates.
+    /// Index nested-loop join, for either kernel: probe the inner index with
+    /// each outer geometry's envelope through the kernel's R-tree query, then
+    /// verify the candidates with the kernel.
     fn index_join(
         &self,
-        join: &PredicateJoin,
+        join: &KernelJoin,
         left_table: &Table,
         right_table: &Table,
         index: &SpatialIndex,
@@ -1071,17 +1052,11 @@ impl Engine {
         let ExecScratch {
             candidates, pairs, ..
         } = scratch;
-        for (li, lrow) in left_table.live_rows() {
-            let Some(left_geom) = lrow[join.left_column_idx].as_geometry() else {
-                continue;
-            };
-            let probe = left_geom.envelope();
-            index.tree.query_intersects_into(&probe, candidates);
-            // EMPTY geometries never appear in envelope queries; the correct
-            // engine still has to consider them for predicates that can hold
-            // on EMPTY operands (none of the supported ones can, so nothing
-            // is added), but the faulty engine additionally drops
-            // negative-quadrant rows it should have returned.
+        for (li, left_geom) in geometries(left_table, join.left_column) {
+            join.kernel
+                .index_candidates(&index.tree, &left_geom.envelope(), candidates);
+            // The faulty index additionally drops negative-quadrant rows it
+            // should have returned.
             if gist_fault {
                 fire(FaultId::PostgisGistIndexDropsRows);
                 coverage::hit("sdb.fault.logic_path");
@@ -1091,12 +1066,12 @@ impl Engine {
             for &ri in candidates.iter() {
                 // `.get` guards stale index entries referencing tombstones.
                 let Some(right_geom) = right_table.rows[ri]
-                    .get(join.right_column_idx)
+                    .get(join.right_column)
                     .and_then(|v| v.as_geometry())
                 else {
                     continue;
                 };
-                if join.evaluate(left_geom, right_geom, ctx)? {
+                if join.holds(left_geom, right_geom, ctx)? {
                     pairs.push((li, ri));
                 }
             }
@@ -1108,7 +1083,7 @@ impl Engine {
     /// for every inner row (the component of Listing 7's bug).
     fn prepared_join(
         &self,
-        join: &PredicateJoin,
+        join: &KernelJoin,
         left_table: &Table,
         right_table: &Table,
         ctx: &FunctionContext,
@@ -1122,7 +1097,7 @@ impl Engine {
                 .rows
                 .iter()
                 .map(|rrow| {
-                    rrow.get(join.right_column_idx)
+                    rrow.get(join.right_column)
                         .and_then(|v| v.as_geometry())
                         .map(spatter_geom::wkt::write_wkt)
                 })
@@ -1130,10 +1105,7 @@ impl Engine {
         } else {
             Vec::new()
         };
-        for (li, lrow) in left_table.live_rows() {
-            let Some(left_geom) = lrow[join.left_column_idx].as_geometry() else {
-                continue;
-            };
+        for (li, left_geom) in geometries(left_table, join.left_column) {
             // The prepare step itself; the predicate verdicts below go through
             // the shared library so that its seeded faults (and crashes)
             // surface on this path too, keeping the reference engine's
@@ -1141,10 +1113,7 @@ impl Engine {
             let _prepared = PreparedGeometry::new(left_geom.clone());
             let mut left_wkt: Option<String> = None;
             let mut matched_shapes: Vec<&str> = Vec::new();
-            for (ri, rrow) in right_table.live_rows() {
-                let Some(right_geom) = rrow[join.right_column_idx].as_geometry() else {
-                    continue;
-                };
+            for (ri, right_geom) in geometries(right_table, join.right_column) {
                 let right_wkt = right_wkts.get(ri).and_then(Option::as_deref);
                 if let Some(right_wkt) = right_wkt {
                     if matched_shapes.contains(&right_wkt)
@@ -1158,8 +1127,7 @@ impl Engine {
                         continue;
                     }
                 }
-                let held = join.evaluate(left_geom, right_geom, ctx)?;
-                if held {
+                if join.holds(left_geom, right_geom, ctx)? {
                     matched_shapes.extend(right_wkt);
                     scratch.pairs.push((li, ri));
                 }
@@ -1167,122 +1135,67 @@ impl Engine {
         }
         Ok(())
     }
+}
 
-    /// Distance index join: probe the inner R-tree for entries within `d` of
-    /// each outer geometry's envelope — the "envelope expanded by `d`" probe
-    /// expressed as a squared-distance leaf test rather than literal
-    /// `max_x + d` arithmetic, so no rounding slack is introduced — then
-    /// verify the candidates through the shared distance kernel.
-    fn distance_index_join(
-        &self,
-        join: &DistanceJoin,
-        left_table: &Table,
-        right_table: &Table,
-        index: &SpatialIndex,
-        ctx: &FunctionContext,
-        scratch: &mut ExecScratch,
-    ) {
-        let gist_fault = self.faults.is_active(FaultId::PostgisGistIndexDropsRows);
-        let d = join.distance;
-        // A negative (or NaN) threshold never holds; probe with a NaN radius,
-        // which matches nothing, instead of the spuriously positive d².
-        let d_sq = if d >= 0.0 { d * d } else { f64::NAN };
-        let ExecScratch {
-            candidates, pairs, ..
-        } = scratch;
-        for (li, lrow) in left_table.live_rows() {
-            let Some(left_geom) = lrow[join.left_column_idx].as_geometry() else {
+/// Prepared distance join: the inner table's envelopes are computed once and
+/// cached, then each pair is screened on the cached envelopes before the
+/// exact kernel runs. The screen is the kernel's own first test, so it can
+/// only skip pairs the kernel would reject.
+fn distance_prepared_join(
+    join: &KernelJoin,
+    d: f64,
+    left_table: &Table,
+    right_table: &Table,
+    ctx: &FunctionContext,
+    scratch: &mut ExecScratch,
+) -> SdbResult<()> {
+    if d.is_nan() || d < 0.0 {
+        // Negative or NaN thresholds never hold for any pair.
+        return Ok(());
+    }
+    let d_sq = d * d;
+    let ExecScratch {
+        right_envelopes,
+        pairs,
+        ..
+    } = scratch;
+    right_envelopes.clear();
+    // Tombstoned rows get an EMPTY envelope (`.get` on the empty row), which
+    // the screen rejects with its infinite distance.
+    right_envelopes.extend(right_table.rows.iter().map(|rrow| {
+        rrow.get(join.right_column)
+            .and_then(|v| v.as_geometry())
+            .map(|g| g.envelope())
+            .unwrap_or_else(Envelope::empty)
+    }));
+    for (li, left_geom) in geometries(left_table, join.left_column) {
+        let left_env = left_geom.envelope();
+        for (ri, rrow) in right_table.rows.iter().enumerate() {
+            // The kernel rejects pairs with an EMPTY side or with boxes
+            // further apart than `d` outright (`distance_sq` of an EMPTY
+            // envelope is infinite, which covers both cases; `>` is false for
+            // a NaN/overflowed d², disabling the screen rather than
+            // mis-pruning).
+            if left_env.distance_sq(&right_envelopes[ri]) > d_sq {
+                continue;
+            }
+            let Some(right_geom) = rrow.get(join.right_column).and_then(|v| v.as_geometry()) else {
                 continue;
             };
-            let probe = left_geom.envelope();
-            index
-                .tree
-                .query_within_distance_into(&probe, d_sq, candidates);
-            // The probe's leaf test is exactly the distance kernel's envelope
-            // rejection test, so pruned pairs are pairs the kernel would
-            // reject: EMPTY inner geometries never appear (distance to EMPTY
-            // never holds) and nothing else is lost. The faulty index
-            // additionally drops negative-quadrant rows it should have
-            // returned.
-            if gist_fault {
-                fire(FaultId::PostgisGistIndexDropsRows);
-                coverage::hit("sdb.fault.logic_path");
-                candidates.retain(|&ri| !gist_fault_drops_row(&right_table.rows[ri]));
-            }
-            candidates.sort_unstable();
-            for &ri in candidates.iter() {
-                // `.get` guards stale index entries referencing tombstones.
-                let Some(right_geom) = right_table.rows[ri]
-                    .get(join.right_column_idx)
-                    .and_then(|v| v.as_geometry())
-                else {
-                    continue;
-                };
-                if join.evaluate(left_geom, right_geom, ctx) {
-                    pairs.push((li, ri));
-                }
+            if join.holds(left_geom, right_geom, ctx)? {
+                pairs.push((li, ri));
             }
         }
     }
+    Ok(())
+}
 
-    /// Prepared distance join: the inner table's envelopes are computed once
-    /// and cached, then each pair is screened on the cached envelopes before
-    /// the exact kernel runs. The screen is the kernel's own first test, so
-    /// it can only skip pairs the kernel would reject.
-    fn distance_prepared_join(
-        &self,
-        join: &DistanceJoin,
-        left_table: &Table,
-        right_table: &Table,
-        ctx: &FunctionContext,
-        scratch: &mut ExecScratch,
-    ) {
-        let d = join.distance;
-        if d.is_nan() || d < 0.0 {
-            // Negative or NaN thresholds never hold for any pair.
-            return;
-        }
-        let d_sq = d * d;
-        let ExecScratch {
-            right_envelopes,
-            pairs,
-            ..
-        } = scratch;
-        right_envelopes.clear();
-        // Tombstoned rows get an EMPTY envelope (`.get` on the empty row),
-        // which the screen rejects with its infinite distance.
-        right_envelopes.extend(right_table.rows.iter().map(|rrow| {
-            rrow.get(join.right_column_idx)
-                .and_then(|v| v.as_geometry())
-                .map(|g| g.envelope())
-                .unwrap_or_else(Envelope::empty)
-        }));
-        for (li, lrow) in left_table.live_rows() {
-            let Some(left_geom) = lrow[join.left_column_idx].as_geometry() else {
-                continue;
-            };
-            let left_env = left_geom.envelope();
-            for (ri, rrow) in right_table.rows.iter().enumerate() {
-                // The kernel rejects pairs with an EMPTY side or with boxes
-                // further apart than `d` outright (`distance_sq` of an EMPTY
-                // envelope is infinite, which covers both cases; `>` is false
-                // for a NaN/overflowed d², disabling the screen rather than
-                // mis-pruning).
-                if left_env.distance_sq(&right_envelopes[ri]) > d_sq {
-                    continue;
-                }
-                let Some(right_geom) = rrow
-                    .get(join.right_column_idx)
-                    .and_then(|v| v.as_geometry())
-                else {
-                    continue;
-                };
-                if join.evaluate(left_geom, right_geom, ctx) {
-                    pairs.push((li, ri));
-                }
-            }
-        }
-    }
+/// The live rows of `table` whose `column` holds a geometry, as `(slot,
+/// geometry)` pairs in slot order: the outer loop of every kernel join.
+fn geometries(table: &Table, column: usize) -> impl Iterator<Item = (usize, &Geometry)> {
+    table
+        .live_rows()
+        .filter_map(move |(slot, row)| row[column].as_geometry().map(|g| (slot, g)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1516,79 +1429,109 @@ fn coerce_for_column(
 }
 
 // ---------------------------------------------------------------------------
-// Join helpers
+// Plans
 // ---------------------------------------------------------------------------
 
-/// The canonical "predicate join" shape of Spatter's query template:
-/// `<Predicate>(left.geom, right.geom)`, or the commuted
-/// `<Predicate>(right.geom, left.geom)`.
-struct PredicateJoin {
-    predicate: NamedPredicate,
-    left_column_idx: usize,
-    right_column_idx: usize,
-    right_column: String,
+/// How the engine runs one SELECT over one or two tables: the whole plan
+/// decision as plain data, built by [`Engine::plan`] and run by
+/// [`Engine::execute_plan`]. Plans only change how a result is computed,
+/// never what it is — except where a seeded fault sits on one plan's own
+/// path (the GiST index, the prepared cache), which is what the Index
+/// oracle compares plans to find.
+#[derive(Debug, PartialEq)]
+enum Plan {
+    /// Every live row, filtered by the condition.
+    SeqScan,
+    /// `col ~= <probe>` on an indexed column: the index entries whose box
+    /// equals the probe's, then the condition.
+    IndexFilter {
+        /// The indexed column.
+        column: usize,
+        /// The envelope of the evaluated probe geometry.
+        probe: Envelope,
+    },
+    /// `ORDER BY ST_Distance(col, <origin>) LIMIT k` with no filter, on an
+    /// indexed column: a best-first nearest-neighbour search of the index.
+    IndexKnn {
+        /// The indexed column.
+        column: usize,
+        /// The envelope of the evaluated (non-EMPTY) origin geometry.
+        origin: Envelope,
+        /// The `LIMIT`.
+        k: usize,
+    },
+    /// Every pair of live rows, filtered by the condition.
+    NestedLoopJoin,
+    /// The kernel over every pair, each outer geometry prepared once.
+    PreparedJoin(KernelJoin),
+    /// The kernel over the inner index's candidates for each outer geometry.
+    IndexJoin(KernelJoin),
+}
+
+/// The per-pair test of a join whose `ON` is one kernel call over the two
+/// geometry columns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kernel {
+    /// A named topological predicate, `ST_Intersects(a.g, b.g)` and the like.
+    Predicate(NamedPredicate),
+    /// `ST_DWithin`/`ST_DFullyWithin(a.g, b.g, d)` with its row-independent
+    /// threshold `d`.
+    Distance(DistancePredicate, f64),
+}
+
+impl Kernel {
+    /// Fills `out` with the index entries that may pass the kernel against
+    /// an outer geometry with `envelope`. Neither query loses a pair the
+    /// kernel accepts: the predicates with index support only hold on
+    /// interacting envelopes and never on an EMPTY operand (which envelope
+    /// queries never return), and the distance query's leaf test —
+    /// "envelope expanded by `d`" as a squared-distance test, so no rounding
+    /// slack — is the distance kernel's own envelope rejection.
+    fn index_candidates(self, tree: &RTree<usize>, envelope: &Envelope, out: &mut Vec<usize>) {
+        match self {
+            Kernel::Predicate(_) => tree.query_intersects_into(envelope, out),
+            Kernel::Distance(_, d) => {
+                // A negative (or NaN) threshold never holds; probe with a NaN
+                // radius, which matches nothing, instead of the spuriously
+                // positive d².
+                let d_sq = if d >= 0.0 { d * d } else { f64::NAN };
+                tree.query_within_distance_into(envelope, d_sq, out)
+            }
+        }
+    }
+}
+
+/// A join planned on its kernel: which column of each table the kernel
+/// compares, and in which SQL argument order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct KernelJoin {
+    kernel: Kernel,
+    left_column: usize,
+    right_column: usize,
     /// The SQL spelled the right table's column as the first argument.
     /// Verdicts are always computed in the original SQL argument order —
-    /// seeded faults are argument-order sensitive, so a commuted join must
-    /// behave exactly like the nested loop it replaces.
+    /// seeded faults (e.g. `PostgisDFullyWithinSmallCoords`, which triggers
+    /// on the first argument as written) are argument-order sensitive, so a
+    /// commuted join must behave exactly like the nested loop it replaces.
     swapped: bool,
 }
 
-impl PredicateJoin {
-    fn evaluate(
-        &self,
-        left_geom: &Geometry,
-        right_geom: &Geometry,
-        ctx: &FunctionContext,
-    ) -> SdbResult<bool> {
-        if self.swapped {
-            functions::evaluate_predicate(self.predicate, right_geom, left_geom, ctx)
+impl KernelJoin {
+    /// The kernel's verdict on one pair, through the same functions the
+    /// expression interpreter calls.
+    fn holds(&self, left: &Geometry, right: &Geometry, ctx: &FunctionContext) -> SdbResult<bool> {
+        let (a, b) = if self.swapped {
+            (right, left)
         } else {
-            functions::evaluate_predicate(self.predicate, left_geom, right_geom, ctx)
+            (left, right)
+        };
+        match self.kernel {
+            Kernel::Predicate(predicate) => functions::evaluate_predicate(predicate, a, b, ctx),
+            Kernel::Distance(kind, d) => {
+                Ok(functions::evaluate_distance_predicate(kind, a, b, d, ctx))
+            }
         }
     }
-}
-
-/// The distance-join shape: `ST_DWithin(left.geom, right.geom, d)` /
-/// `ST_DFullyWithin(...)` with a row-independent third argument, in either
-/// argument order.
-struct DistanceJoin {
-    kind: DistancePredicate,
-    distance: f64,
-    left_column_idx: usize,
-    right_column_idx: usize,
-    right_column: String,
-    /// See [`PredicateJoin::swapped`]; the `PostgisDFullyWithinSmallCoords`
-    /// fault triggers on the first argument as written.
-    swapped: bool,
-}
-
-impl DistanceJoin {
-    fn evaluate(&self, left_geom: &Geometry, right_geom: &Geometry, ctx: &FunctionContext) -> bool {
-        if self.swapped {
-            functions::evaluate_distance_predicate(
-                self.kind,
-                right_geom,
-                left_geom,
-                self.distance,
-                ctx,
-            )
-        } else {
-            functions::evaluate_distance_predicate(
-                self.kind,
-                left_geom,
-                right_geom,
-                self.distance,
-                ctx,
-            )
-        }
-    }
-}
-
-/// A recognized join condition with a dedicated physical plan.
-enum JoinPlan {
-    Predicate(PredicateJoin),
-    Distance(DistanceJoin),
 }
 
 /// Matches a pair of column expressions against the two join aliases, in
@@ -1624,60 +1567,60 @@ fn join_column_pair<'a>(
     None
 }
 
-fn join_plan_shape(
+/// Recognizes a join condition that is one kernel call over a geometry
+/// column of each table, in either argument order. Distance calls qualify
+/// only when `distance_joins` is on, the profile has the function, and the
+/// threshold evaluates to a number without a row.
+fn kernel_join(
     expr: &Expr,
-    left_ref: &TableRef,
-    right_ref: &TableRef,
-    left_table: &Table,
-    right_table: &Table,
+    [left_ref, right_ref]: [&TableRef; 2],
+    [left_table, right_table]: [&Table; 2],
+    distance_joins: bool,
     database: &Database,
     ctx: &FunctionContext,
-) -> Option<JoinPlan> {
+) -> Option<KernelJoin> {
     let Expr::Function { name, args } = expr else {
         return None;
     };
-    if let Some(predicate) = NamedPredicate::from_function_name(name) {
-        if args.len() != 2 {
-            return None;
+    let (kernel, (lc, rc, swapped)) = match NamedPredicate::from_function_name(name) {
+        Some(predicate) => {
+            let [first, second] = args.as_slice() else {
+                return None;
+            };
+            (
+                Kernel::Predicate(predicate),
+                join_column_pair(first, second, left_ref, right_ref)?,
+            )
         }
-        let (lc, rc, swapped) = join_column_pair(&args[0], &args[1], left_ref, right_ref)?;
-        return Some(JoinPlan::Predicate(PredicateJoin {
-            predicate,
-            left_column_idx: left_table.column_index(lc)?,
-            right_column_idx: right_table.column_index(rc)?,
-            right_column: rc.to_string(),
-            swapped,
-        }));
-    }
-    let kind = match name.to_ascii_uppercase().as_str() {
-        "ST_DWITHIN" => DistancePredicate::DWithin,
-        "ST_DFULLYWITHIN" => DistancePredicate::DFullyWithin,
-        _ => return None,
+        None => {
+            let kind = match name.to_ascii_uppercase().as_str() {
+                "ST_DWITHIN" => DistancePredicate::DWithin,
+                "ST_DFULLYWITHIN" => DistancePredicate::DFullyWithin,
+                _ => return None,
+            };
+            let [first, second, d] = args.as_slice() else {
+                return None;
+            };
+            // Profiles that lack the function must keep erroring through the
+            // general expression path rather than silently executing the
+            // kernel.
+            if !distance_joins || !ctx.profile.supports_function(kind.function_name()) {
+                return None;
+            }
+            let columns = join_column_pair(first, second, left_ref, right_ref)?;
+            // Anything but a number — another column, an unknown variable —
+            // keeps the nested loop, which evaluates it per pair and reports
+            // its errors there.
+            let d = evaluate_expr(d, None, database, ctx).ok()?.as_double()?;
+            (Kernel::Distance(kind, d), columns)
+        }
     };
-    if !plan::distance_join_enabled() || args.len() != 3 {
-        return None;
-    }
-    // Profiles that lack the function must keep erroring through the general
-    // expression path rather than silently executing the kernel.
-    if !ctx.profile.supports_function(kind.function_name()) {
-        return None;
-    }
-    let (lc, rc, swapped) = join_column_pair(&args[0], &args[1], left_ref, right_ref)?;
-    // The threshold must be row independent (constant folding); anything else
-    // — another column, an unknown variable, a non-numeric value — falls back
-    // to the nested loop, which reproduces today's behaviour including its
-    // errors.
-    let distance = evaluate_expr(&args[2], None, database, ctx)
-        .ok()?
-        .as_double()?;
-    Some(JoinPlan::Distance(DistanceJoin {
-        kind,
-        distance,
-        left_column_idx: left_table.column_index(lc)?,
-        right_column_idx: right_table.column_index(rc)?,
-        right_column: rc.to_string(),
+    Some(KernelJoin {
+        kernel,
+        left_column: left_table.column_index(lc)?,
+        right_column: right_table.column_index(rc)?,
         swapped,
-    }))
+    })
 }
 
 /// Whether the select is a bare aggregate (`SELECT COUNT(*)`): ordering is
@@ -1790,56 +1733,17 @@ fn combine_conditions(join_on: &Option<Expr>, where_clause: &Option<Expr>) -> Op
     }
 }
 
-fn project(
+/// Evaluates the select list over the matched items of a plan — row slots
+/// of one table, or pairs of slots of two — each bound to its rows by
+/// `bind`.
+fn project<'t, T: Copy>(
     select: &SelectStatement,
-    table_ref: &TableRef,
-    table: &Table,
-    rows: &[Vec<Value>],
+    matching: &[T],
+    bind: impl Fn(T) -> RowBinding<'t>,
     database: &Database,
     ctx: &FunctionContext,
 ) -> SdbResult<QueryResult> {
-    if select.items.len() == 1 && select.items[0] == SelectItem::CountStar {
-        coverage::hit("sdb.exec.count_star");
-        return Ok(QueryResult {
-            columns: vec!["count".into()],
-            rows: vec![vec![Value::Int(rows.len() as i64)]],
-            effect: None,
-        });
-    }
-    coverage::hit("sdb.exec.projection");
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for row in rows {
-        let binding = RowBinding::single(table_ref, table, row);
-        let mut out = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            match item {
-                SelectItem::CountStar => out.push(Value::Int(rows.len() as i64)),
-                SelectItem::Expr(expr) => {
-                    out.push(evaluate_expr(expr, Some(&binding), database, ctx)?)
-                }
-            }
-        }
-        out_rows.push(out);
-    }
-    Ok(QueryResult {
-        columns: (0..select.items.len()).map(|i| format!("col{i}")).collect(),
-        rows: out_rows,
-        effect: None,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_join_result(
-    select: &SelectStatement,
-    left_ref: &TableRef,
-    right_ref: &TableRef,
-    left_table: &Table,
-    right_table: &Table,
-    matching: &[(usize, usize)],
-    database: &Database,
-    ctx: &FunctionContext,
-) -> SdbResult<QueryResult> {
-    if select.items.len() == 1 && select.items[0] == SelectItem::CountStar {
+    if is_pure_count(select) {
         coverage::hit("sdb.exec.count_star");
         return Ok(QueryResult {
             columns: vec!["count".into()],
@@ -1849,18 +1753,11 @@ fn build_join_result(
     }
     coverage::hit("sdb.exec.projection");
     let mut out_rows = Vec::with_capacity(matching.len());
-    for &(li, ri) in matching {
-        let binding = RowBinding::pair(
-            left_ref,
-            left_table,
-            &left_table.rows[li],
-            right_ref,
-            right_table,
-            &right_table.rows[ri],
-        );
+    for &item in matching {
+        let binding = bind(item);
         let mut out = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            match item {
+        for select_item in &select.items {
+            match select_item {
                 SelectItem::CountStar => out.push(Value::Int(matching.len() as i64)),
                 SelectItem::Expr(expr) => {
                     out.push(evaluate_expr(expr, Some(&binding), database, ctx)?)
@@ -1897,6 +1794,25 @@ mod tests {
 
     fn count(engine: &mut Engine, sql: &str) -> i64 {
         engine.execute(sql).unwrap().count().unwrap()
+    }
+
+    /// The plan `sql`, a SELECT over one or two tables, gets on `engine`.
+    fn plan_of(engine: &Engine, sql: &str) -> Plan {
+        let Statement::Select(select) = parse_statement(sql).unwrap() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let tables: Vec<&Table> = select
+            .from
+            .iter()
+            .map(|table_ref| engine.database.table(&table_ref.table).unwrap())
+            .collect();
+        let condition = combine_conditions(&select.join_on, &select.where_clause);
+        let ctx = FunctionContext {
+            profile: engine.profile,
+            faults: &engine.faults,
+            relate: &engine.relate,
+        };
+        engine.plan(&select, &tables, condition.as_ref(), &ctx)
     }
 
     #[test]
@@ -2286,16 +2202,8 @@ mod tests {
         assert_eq!(pairs, vec![(1, 1), (2, 2)]);
     }
 
-    /// Serializes the unit tests that flip the process-global
-    /// [`plan`] switches, so they cannot race each other or the tests that
-    /// assert which plan a distance join takes.
-    static PLAN_TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    use plan::with_distance_join_disabled as with_distance_plan_disabled;
-
     #[test]
     fn range_join_counts_are_plan_independent() {
-        let _guard = PLAN_TOGGLE_LOCK.lock().unwrap();
         let queries = [
             (
                 "SELECT COUNT(*) FROM a JOIN b ON ST_DWithin(a.g, b.g, 5)",
@@ -2324,36 +2232,30 @@ mod tests {
         for (sql, expected) in queries {
             assert_eq!(count(&mut engine, sql), expected, "prepared plan: {sql}");
         }
-        with_distance_plan_disabled(|| {
-            for (sql, expected) in queries {
-                assert_eq!(count(&mut engine, sql), expected, "nested loop: {sql}");
-            }
-        });
+        engine.execute("SET enable_distance_join = false").unwrap();
+        for (sql, expected) in queries {
+            assert_eq!(count(&mut engine, sql), expected, "nested loop: {sql}");
+        }
     }
 
     #[test]
     fn distance_joins_take_the_dedicated_plans() {
-        let _guard = PLAN_TOGGLE_LOCK.lock().unwrap();
         let setup = "CREATE TABLE a (g geometry);
             CREATE TABLE b (g geometry);
             INSERT INTO a (g) VALUES ('POINT(0 0)');
             INSERT INTO b (g) VALUES ('POINT(1 1)'), ('POINT(50 50)');";
         let query = "SELECT COUNT(*) FROM a JOIN b ON ST_DWithin(a.g, b.g, 5)";
-
-        let probes_for = |engine: &mut Engine| -> Vec<&'static str> {
-            spatter_topo::coverage::local::start();
-            assert_eq!(count(engine, query), 1);
-            spatter_topo::coverage::local::take()
-                .into_iter()
-                .map(|(name, _)| name)
-                .collect()
+        let join = KernelJoin {
+            kernel: Kernel::Distance(DistancePredicate::DWithin, 5.0),
+            left_column: 0,
+            right_column: 0,
+            swapped: false,
         };
 
         let mut engine = Engine::reference(EngineProfile::PostgisLike);
         engine.execute_script(setup).unwrap();
-        let prepared = probes_for(&mut engine);
-        assert!(prepared.contains(&"sdb.exec.join_distance_prepared"));
-        assert!(!prepared.contains(&"sdb.exec.join_nested_loop"));
+        assert_eq!(plan_of(&engine, query), Plan::PreparedJoin(join));
+        assert_eq!(count(&mut engine, query), 1);
 
         engine
             .execute_script(
@@ -2361,17 +2263,15 @@ mod tests {
                  SET enable_seqscan = false;",
             )
             .unwrap();
-        let indexed = probes_for(&mut engine);
-        assert!(indexed.contains(&"sdb.exec.join_distance_index"));
-        assert!(!indexed.contains(&"sdb.exec.join_distance_prepared"));
+        assert_eq!(plan_of(&engine, query), Plan::IndexJoin(join));
+        assert_eq!(count(&mut engine, query), 1);
 
         // With the plan disabled the join falls back to the general loop.
-        engine.execute("SET enable_seqscan = true;").unwrap();
-        with_distance_plan_disabled(|| {
-            let nested = probes_for(&mut engine);
-            assert!(nested.contains(&"sdb.exec.join_nested_loop"));
-            assert!(!nested.contains(&"sdb.exec.join_distance_prepared"));
-        });
+        engine
+            .execute_script("SET enable_seqscan = true; SET enable_distance_join = false;")
+            .unwrap();
+        assert_eq!(plan_of(&engine, query), Plan::NestedLoopJoin);
+        assert_eq!(count(&mut engine, query), 1);
     }
 
     #[test]
@@ -2454,27 +2354,28 @@ mod tests {
             let mut engine = Engine::reference(EngineProfile::PostgisLike);
             engine.execute_script(setup).unwrap();
             let expected = count(&mut engine, &forward);
-            spatter_topo::coverage::local::start();
-            let got = count(&mut engine, &commuted);
-            let probes: Vec<&'static str> = spatter_topo::coverage::local::take()
-                .into_iter()
-                .map(|(name, _)| name)
-                .collect();
-            assert_eq!(got, expected, "{predicate} is symmetric");
-            assert!(
-                probes.contains(&"sdb.exec.join_prepared"),
-                "{predicate}: the commuted form takes the prepared plan"
+            assert_eq!(
+                count(&mut engine, &commuted),
+                expected,
+                "{predicate} is symmetric"
             );
-            assert!(
-                !probes.contains(&"sdb.exec.join_nested_loop"),
-                "{predicate}: the commuted form must not fall to the nested loop"
+            assert_eq!(
+                plan_of(&engine, &commuted),
+                Plan::PreparedJoin(KernelJoin {
+                    kernel: Kernel::Predicate(
+                        NamedPredicate::from_function_name(predicate).unwrap()
+                    ),
+                    left_column: 0,
+                    right_column: 0,
+                    swapped: true,
+                }),
+                "{predicate}: the commuted form takes the prepared plan"
             );
         }
     }
 
     #[test]
     fn commuted_distance_joins_preserve_sql_argument_order_for_faults() {
-        let _guard = PLAN_TOGGLE_LOCK.lock().unwrap();
         // The DFullyWithin fault triggers on the *first* argument as written
         // in the SQL: with `ST_DFullyWithin(b.g, a.g, d)` the small-coordinate
         // check must apply to b.g even though b is the inner join table.
@@ -2502,10 +2403,9 @@ mod tests {
         assert_eq!(count(&mut faulty, forward), 1);
         assert_eq!(count(&mut faulty, commuted), 0);
         // The nested loop agrees on both orders, so the plan is faithful.
-        with_distance_plan_disabled(|| {
-            assert_eq!(count(&mut faulty, forward), 1);
-            assert_eq!(count(&mut faulty, commuted), 0);
-        });
+        faulty.execute("SET enable_distance_join = false").unwrap();
+        assert_eq!(count(&mut faulty, forward), 1);
+        assert_eq!(count(&mut faulty, commuted), 0);
 
         // Without the fault the predicate is symmetric and both orders plan
         // identically.
@@ -2513,6 +2413,223 @@ mod tests {
         fixed.execute_script(setup).unwrap();
         assert_eq!(count(&mut fixed, forward), 1);
         assert_eq!(count(&mut fixed, commuted), 1);
+    }
+
+    /// The three plan switches of a session.
+    #[derive(Debug, Clone, Copy)]
+    struct Switches {
+        seqscan: bool,
+        prepared: bool,
+        distance_join: bool,
+    }
+
+    #[test]
+    fn every_plan_table_row_is_planned_under_every_setting() {
+        let setup = "CREATE TABLE a (id int, g geometry);
+            CREATE TABLE b (id int, g geometry);
+            CREATE TABLE t (id int, g geometry);
+            INSERT INTO a (id, g) VALUES (1, 'POINT(0 0)'), (2, 'POINT(-4 1)');
+            INSERT INTO b (id, g) VALUES (1, 'POINT(1 1)'), (2, 'POLYGON EMPTY');
+            INSERT INTO t (id, g) VALUES (1, 'POINT(2 2)'), (2, 'POINT(-1 0)');";
+        let indexes = "CREATE INDEX idx_b ON b USING GIST (g);
+            CREATE INDEX idx_t ON t USING GIST (g);";
+        let join = |kernel, swapped| KernelJoin {
+            kernel,
+            left_column: 1,
+            right_column: 1,
+            swapped,
+        };
+        let intersects = join(Kernel::Predicate(NamedPredicate::Intersects), false);
+        let commuted_contains = join(Kernel::Predicate(NamedPredicate::Contains), true);
+        let disjoint = join(Kernel::Predicate(NamedPredicate::Disjoint), false);
+        let dwithin = join(Kernel::Distance(DistancePredicate::DWithin, 5.0), false);
+        let commuted_dfully = join(Kernel::Distance(DistancePredicate::DFullyWithin, 2.5), true);
+        // Every kernel join: the index when seqscans are off and the inner
+        // column is indexed (and the kernel may use one), else the prepared
+        // scan when enabled, else the nested loop.
+        let kernel_plan = |s: Switches, join: KernelJoin, indexed: bool| {
+            if !s.seqscan && indexed {
+                Plan::IndexJoin(join)
+            } else if s.prepared {
+                Plan::PreparedJoin(join)
+            } else {
+                Plan::NestedLoopJoin
+            }
+        };
+        let distance_plan = move |s: Switches, join: KernelJoin, indexed: bool| {
+            if s.distance_join {
+                kernel_plan(s, join, indexed)
+            } else {
+                Plan::NestedLoopJoin
+            }
+        };
+        let envelope = |wkt: &str| spatter_geom::wkt::parse_wkt(wkt).unwrap().envelope();
+        let (probe, origin) = (envelope("POINT(2 2)"), envelope("POINT(0 0)"));
+        let index_or_seqscan = move |s: Switches, plan: Plan| {
+            if s.seqscan {
+                Plan::SeqScan
+            } else {
+                plan
+            }
+        };
+        type Expected = Box<dyn Fn(Switches) -> Plan>;
+        let knn = "SELECT t.id FROM t ORDER BY ST_Distance(t.g, 'POINT(0 0)'::geometry) LIMIT 2";
+        let same_box = "SELECT COUNT(*) FROM t WHERE t.g ~= 'POINT(2 2)'::geometry";
+        let cases: Vec<(&str, EngineProfile, bool, Expected)> = vec![
+            // Index scan / prepared scan.
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.g, b.g)",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(move |s| kernel_plan(s, intersects, true)),
+            ),
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.g, b.g)",
+                EngineProfile::PostgisLike,
+                false,
+                Box::new(move |s| kernel_plan(s, intersects, false)),
+            ),
+            (
+                "SELECT a.id FROM a, b WHERE ST_Contains(b.g, a.g)",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(move |s| kernel_plan(s, commuted_contains, true)),
+            ),
+            // ST_Disjoint has no index support: never the index scan.
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_Disjoint(a.g, b.g)",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(move |s| kernel_plan(s, disjoint, false)),
+            ),
+            // Distance index / distance prepared.
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_DWithin(a.g, b.g, 5)",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(move |s| distance_plan(s, dwithin, true)),
+            ),
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_DFullyWithin(b.g, a.g, 2.5)",
+                EngineProfile::PostgisLike,
+                false,
+                Box::new(move |s| distance_plan(s, commuted_dfully, false)),
+            ),
+            // Nested loop: a negated ON, a non-constant d, a function the
+            // profile lacks, no ON at all.
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON NOT ST_DWithin(a.g, b.g, 5)",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(|_| Plan::NestedLoopJoin),
+            ),
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_DWithin(a.g, b.g, a.id)",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(|_| Plan::NestedLoopJoin),
+            ),
+            (
+                "SELECT COUNT(*) FROM a JOIN b ON ST_DFullyWithin(a.g, b.g, 5)",
+                EngineProfile::MysqlLike,
+                true,
+                Box::new(|_| Plan::NestedLoopJoin),
+            ),
+            (
+                "SELECT COUNT(*) FROM a, b",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(|_| Plan::NestedLoopJoin),
+            ),
+            // The `~=` window; a row-dependent probe keeps the scan.
+            (
+                same_box,
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(move |s| index_or_seqscan(s, Plan::IndexFilter { column: 1, probe })),
+            ),
+            (
+                same_box,
+                EngineProfile::PostgisLike,
+                false,
+                Box::new(|_| Plan::SeqScan),
+            ),
+            (
+                "SELECT COUNT(*) FROM t WHERE t.g ~= t.g",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(|_| Plan::SeqScan),
+            ),
+            // KNN with and without an index; a count never takes it.
+            (
+                knn,
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(move |s| {
+                    index_or_seqscan(
+                        s,
+                        Plan::IndexKnn {
+                            column: 1,
+                            origin,
+                            k: 2,
+                        },
+                    )
+                }),
+            ),
+            (
+                knn,
+                EngineProfile::PostgisLike,
+                false,
+                Box::new(|_| Plan::SeqScan),
+            ),
+            (
+                "SELECT COUNT(*) FROM t ORDER BY ST_Distance(t.g, 'POINT(0 0)'::geometry) LIMIT 2",
+                EngineProfile::PostgisLike,
+                true,
+                Box::new(|_| Plan::SeqScan),
+            ),
+        ];
+        for (sql, profile, indexed, expected) in &cases {
+            let mut answers = Vec::new();
+            for bits in 0..8u8 {
+                let s = Switches {
+                    seqscan: bits & 1 != 0,
+                    prepared: bits & 2 != 0,
+                    distance_join: bits & 4 != 0,
+                };
+                let mut engine = Engine::reference(*profile);
+                engine.execute_script(setup).unwrap();
+                if *indexed {
+                    engine.execute_script(indexes).unwrap();
+                }
+                engine
+                    .execute_script(&format!(
+                        "SET enable_seqscan = {}; SET enable_prepared = {}; \
+                         SET enable_distance_join = {};",
+                        s.seqscan, s.prepared, s.distance_join
+                    ))
+                    .unwrap();
+                assert_eq!(plan_of(&engine, sql), expected(s), "{sql} under {s:?}");
+                answers.push(format!("{:?}", engine.execute(sql)));
+            }
+            assert!(
+                answers.iter().all(|answer| *answer == answers[0]),
+                "{sql}: every plan gives the same answer: {answers:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_row_dependent_same_box_probe_falls_back_to_the_scan() {
+        let setup = "CREATE TABLE t (g geometry);
+            INSERT INTO t (g) VALUES ('POINT(0 0)'), ('POINT(1 1)'), ('POLYGON EMPTY');
+            CREATE INDEX idx ON t USING GIST (g);";
+        let query = "SELECT COUNT(*) FROM t WHERE t.g ~= t.g";
+        let mut engine = Engine::reference(EngineProfile::PostgisLike);
+        engine.execute_script(setup).unwrap();
+        assert_eq!(count(&mut engine, query), 3);
+        engine.execute("SET enable_seqscan = false").unwrap();
+        assert_eq!(count(&mut engine, query), 3);
     }
 
     #[test]

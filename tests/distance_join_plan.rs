@@ -15,29 +15,19 @@
 //!   disabled, at 1/2/4 workers;
 //! * registration of the new probes in the coverage universes.
 //!
-//! The plan toggle (`engine::plan::set_distance_join_enabled`) is process
-//! global, so every test in this binary that flips it or asserts on a plan
-//! outcome serializes on [`PLAN_TOGGLE_LOCK`].
+//! The distance-join plans are a session setting (`SET enable_distance_join
+//! = false` sends distance joins to the nested loop), so each plan runs on
+//! an engine of its own and the tests need no shared state.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Arc;
 
+use spatter_repro::core::backend::{BackendError, EngineBackend, EngineSession, InProcessBackend};
 use spatter_repro::core::campaign::{CampaignConfig, CampaignReport};
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
 use spatter_repro::core::guidance::{self, GuidanceMode};
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
-use spatter_repro::sdb::engine::plan;
 use spatter_repro::sdb::{Engine, EngineProfile, FaultId, FaultSet};
-
-static PLAN_TOGGLE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    PLAN_TOGGLE_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-use plan::with_distance_join_disabled as with_plan_disabled;
 
 // ---------------------------------------------------------------------------
 // Seeded plan-equivalence sweep
@@ -107,7 +97,6 @@ fn fill_tables(engine: &mut Engine, rng: &mut Lcg) {
 
 #[test]
 fn sweep_nested_prepared_and_index_plans_return_identical_rows() {
-    let _guard = lock();
     let distances = [0.0, 0.5, 2.0, 5.0, 17.3];
     let mut diverged = Vec::new();
     for sub_seed in 0..216u64 {
@@ -136,7 +125,7 @@ fn sweep_nested_prepared_and_index_plans_return_identical_rows() {
             ),
         ];
 
-        let run_plan = |setup_extra: &str, disable_plan: bool| {
+        let run_plan = |setup_extra: &str| {
             let mut engine = Engine::with_faults(EngineProfile::PostgisLike, faults.clone());
             fill_tables(
                 &mut engine,
@@ -145,25 +134,16 @@ fn sweep_nested_prepared_and_index_plans_return_identical_rows() {
             if !setup_extra.is_empty() {
                 engine.execute_script(setup_extra).unwrap();
             }
-            let mut exec = || {
-                queries
-                    .iter()
-                    .map(|q| format!("{:?}", engine.execute(q).unwrap()))
-                    .collect::<Vec<_>>()
-            };
-            if disable_plan {
-                with_plan_disabled(exec)
-            } else {
-                exec()
-            }
+            queries
+                .iter()
+                .map(|q| format!("{:?}", engine.execute(q).unwrap()))
+                .collect::<Vec<_>>()
         };
 
-        let nested = run_plan("", true);
-        let prepared = run_plan("", false);
-        let indexed = run_plan(
-            "CREATE INDEX idx_b ON b USING GIST (g); SET enable_seqscan = false;",
-            false,
-        );
+        let nested = run_plan("SET enable_distance_join = false;");
+        let prepared = run_plan("");
+        let indexed =
+            run_plan("CREATE INDEX idx_b ON b USING GIST (g); SET enable_seqscan = false;");
         if prepared != nested {
             diverged.push(format!("seed {sub_seed}: prepared != nested ({queries:?})"));
         }
@@ -222,9 +202,38 @@ fn result_projection(report: &CampaignReport) -> String {
     )
 }
 
+/// The stock in-process backend, except that every session — the
+/// attribution variants' included — opens with `SET enable_distance_join =
+/// false`.
+#[derive(Debug)]
+struct NestedDistanceJoins(Box<dyn EngineBackend>);
+
+impl EngineBackend for NestedDistanceJoins {
+    fn profile(&self) -> EngineProfile {
+        self.0.profile()
+    }
+
+    fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
+        let mut session = self.0.open_session()?;
+        session.load(&["SET enable_distance_join = false".to_string()])?;
+        Ok(session)
+    }
+
+    fn fault_ids(&self) -> Vec<FaultId> {
+        self.0.fault_ids()
+    }
+
+    fn without_fault(&self, fault: FaultId) -> Box<dyn EngineBackend> {
+        Box::new(NestedDistanceJoins(self.0.without_fault(fault)))
+    }
+
+    fn reports_fired_faults(&self) -> bool {
+        self.0.reports_fired_faults()
+    }
+}
+
 #[test]
 fn campaign_reports_are_plan_independent_at_every_worker_count() {
-    let _guard = lock();
     // Unguided stock campaigns route every range join through the prepared
     // distance plan (they never create an index); with the plan disabled the
     // same queries take the nested loop. Findings, attributed faults, and
@@ -233,11 +242,13 @@ fn campaign_reports_are_plan_independent_at_every_worker_count() {
         let enabled = CampaignRunner::new(config(GuidanceMode::Off, 11, 12))
             .with_workers(workers)
             .run();
-        let disabled = with_plan_disabled(|| {
-            CampaignRunner::new(config(GuidanceMode::Off, 11, 12))
+        let nested = NestedDistanceJoins(Box::new(InProcessBackend::stock(
+            EngineProfile::PostgisLike,
+        )));
+        let disabled =
+            CampaignRunner::new(config(GuidanceMode::Off, 11, 12).with_backend(Arc::new(nested)))
                 .with_workers(workers)
-                .run()
-        });
+                .run();
         assert_eq!(
             result_projection(&enabled),
             result_projection(&disabled),
@@ -260,7 +271,6 @@ fn campaign_reports_are_plan_independent_at_every_worker_count() {
 
 #[test]
 fn campaigns_with_the_distance_plan_stay_deterministic_across_workers() {
-    let _guard = lock();
     // Worker-count byte-identity (full fingerprint, probe coverage included)
     // with the new plan active, guided and unguided.
     for guidance in [GuidanceMode::Off, GuidanceMode::ColdProbe] {
