@@ -184,6 +184,15 @@ pub trait EngineSession {
     /// Figure 7 measurement). For out-of-process backends this is the
     /// request round-trip time.
     fn engine_time(&self) -> Duration;
+
+    /// The seeded faults that took their divergent branch in this session
+    /// so far, or `None` when that is unknown. A fault outside a known set
+    /// influenced nothing the session did, so attribution need not re-run
+    /// the session's work without it; `None` (the default, right for any
+    /// engine that cannot report) makes attribution re-check every fault.
+    fn fired_faults(&mut self) -> Option<FaultSet> {
+        None
+    }
 }
 
 /// A factory of engine sessions: one engine configuration (which system,
@@ -207,17 +216,6 @@ pub trait EngineBackend: fmt::Debug + Send + Sync {
     /// applied"), used by attribution to find the fault responsible for a
     /// finding.
     fn without_fault(&self, fault: FaultId) -> Box<dyn EngineBackend>;
-
-    /// Whether this backend's sessions report the seeded faults they fire
-    /// into the calling thread's [`spatter_sdb::faults::fired`] recorder
-    /// while it is armed — by firing in-process, or by folding in an
-    /// out-of-process engine's answer (or marking the set unknown) when the
-    /// session closes. Attribution re-checks a finding only against fired
-    /// faults when this holds, and against every fault otherwise. Wrappers
-    /// must not forward `true` unless their sessions keep that contract.
-    fn reports_fired_faults(&self) -> bool {
-        false
-    }
 
     /// Display name used in finding descriptions.
     fn name(&self) -> String {
@@ -343,11 +341,6 @@ impl EngineBackend for InProcessBackend {
         Box::new(reduced)
     }
 
-    /// The engine runs on the calling thread and fires into its recorder.
-    fn reports_fired_faults(&self) -> bool {
-        true
-    }
-
     fn wire_spec(&self) -> Option<BackendSpec> {
         Some(BackendSpec::InProcess {
             profile: self.profile,
@@ -413,6 +406,10 @@ impl EngineSession for InProcessSession {
 
     fn engine_time(&self) -> Duration {
         self.engine.execution_stats().0
+    }
+
+    fn fired_faults(&mut self) -> Option<FaultSet> {
+        Some(self.engine.fired_faults())
     }
 }
 
@@ -481,7 +478,7 @@ impl EngineBackend for StdioBackend {
             self.faults.clone(),
             self.hard_crash,
         ))
-        .open_reporting_session(true)
+        .open_session()
     }
 
     fn fault_ids(&self) -> Vec<FaultId> {
@@ -492,12 +489,6 @@ impl EngineBackend for StdioBackend {
         let mut reduced = self.clone();
         reduced.faults.disable(fault);
         Box::new(reduced)
-    }
-
-    /// Sessions ask the server for its fired set when they close (see
-    /// [`crate::matrix::ExternalBackend`]'s session).
-    fn reports_fired_faults(&self) -> bool {
-        true
     }
 
     fn wire_spec(&self) -> Option<BackendSpec> {
@@ -620,6 +611,49 @@ mod tests {
         let mut second = loaded_session(reduced.as_ref());
         assert_eq!(second.run_count(query), Ok(Some(2)));
         assert_eq!(memo.len(), related);
+    }
+
+    /// Listing 1: the seeded `GeosCoversPrecisionLoss` drops the pair.
+    fn listing1_session(backend: &dyn EngineBackend) -> Box<dyn EngineSession> {
+        let mut session = backend.open_session().unwrap();
+        session
+            .load(&[
+                "CREATE TABLE t1 (g geometry)".to_string(),
+                "CREATE TABLE t2 (g geometry)".to_string(),
+                "INSERT INTO t1 (g) VALUES ('LINESTRING(0 1,2 0)')".to_string(),
+                "INSERT INTO t2 (g) VALUES ('POINT(0.2 0.9)')".to_string(),
+            ])
+            .unwrap();
+        session
+    }
+
+    const LISTING1_QUERY: &str = "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Covers(t1.g, t2.g)";
+
+    #[test]
+    fn interleaved_sessions_report_only_their_own_fired_faults() {
+        let backend = InProcessBackend::stock(EngineProfile::PostgisLike);
+        let mut covers = listing1_session(&backend);
+        let mut plain = loaded_session(&backend);
+        assert_eq!(plain.fired_faults(), Some(FaultSet::none()));
+        assert_eq!(covers.run_count(LISTING1_QUERY), Ok(Some(0)));
+        assert_eq!(
+            plain.run_count("SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, 5)"),
+            Ok(Some(4))
+        );
+        assert_eq!(
+            covers.fired_faults(),
+            Some(FaultSet::with([FaultId::GeosCoversPrecisionLoss]))
+        );
+        assert_eq!(plain.fired_faults(), Some(FaultSet::none()));
+    }
+
+    #[test]
+    fn a_session_without_the_fault_fires_nothing_on_listing1() {
+        let backend = InProcessBackend::stock(EngineProfile::PostgisLike)
+            .without_fault(FaultId::GeosCoversPrecisionLoss);
+        let mut session = listing1_session(backend.as_ref());
+        assert_eq!(session.run_count(LISTING1_QUERY), Ok(Some(1)));
+        assert_eq!(session.fired_faults(), Some(FaultSet::none()));
     }
 
     #[test]

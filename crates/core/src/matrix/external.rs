@@ -29,15 +29,13 @@
 //! [`EngineBackend::fault_ids`]. A dead subprocess surfaces the canonical
 //! transport error and is lazily respawned with its setup script replayed.
 //!
-//! Sessions opened for a [`StdioBackend`](crate::backend::StdioBackend)
-//! also report the server's fired faults: when one closes while the calling
-//! thread's [`fired`] recorder is armed, it sends the server's
-//! [`FIRED_REQUEST`] control line and folds the answer into the recorder.
-//! A session whose server died at any point, or whose answer does not
-//! parse, marks the set unknown instead.
+//! Sessions speaking [`ReplyGrammar::SdbServer`] also report the server's
+//! fired faults ([`EngineSession::fired_faults`]): asked for them, a session
+//! sends the server's [`FIRED_REQUEST`] control line and returns the parsed
+//! answer. A session whose server died at any point, whose answer does not
+//! parse, or that speaks another grammar reports them unknown (`None`).
 
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
-use spatter_sdb::faults::fired;
 use spatter_sdb::server::{read_fired, read_frame, sanitize_line, Response, FIRED_REQUEST};
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
 use std::io::{BufReader, Write};
@@ -181,23 +179,6 @@ impl ExternalBackend {
         &self.dialect
     }
 
-    /// Opens a session; with `reports_fired` it reports the server's fired
-    /// faults when it closes (see the module docs).
-    pub(crate) fn open_reporting_session(
-        &self,
-        reports_fired: bool,
-    ) -> Result<Box<dyn EngineSession>, BackendError> {
-        let handle = self.spawn()?;
-        Ok(Box::new(ExternalSession {
-            backend: self.clone(),
-            handle: Some(handle),
-            setup: Vec::new(),
-            engine_time: Duration::ZERO,
-            reports_fired,
-            lost_process: false,
-        }))
-    }
-
     fn spawn(&self) -> Result<ExternalHandle, BackendError> {
         let mut command = Command::new(&self.dialect.command);
         command
@@ -259,7 +240,14 @@ impl EngineBackend for ExternalBackend {
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        self.open_reporting_session(false)
+        let handle = self.spawn()?;
+        Ok(Box::new(ExternalSession {
+            backend: self.clone(),
+            handle: Some(handle),
+            setup: Vec::new(),
+            engine_time: Duration::ZERO,
+            lost_process: false,
+        }))
     }
 
     /// Empty: an external engine's faults are unknown, so campaign
@@ -400,8 +388,6 @@ struct ExternalSession {
     handle: Option<ExternalHandle>,
     setup: Vec<String>,
     engine_time: Duration,
-    /// Whether closing the session reports the server's fired faults.
-    reports_fired: bool,
     /// Whether a server process of this session died: its fired faults
     /// died with it.
     lost_process: bool,
@@ -436,18 +422,6 @@ impl ExternalSession {
         }
     }
 
-    /// The faults the session's server fired, or `None` when that is not
-    /// known: a server died (or never respawned), or its reply was lost or
-    /// malformed.
-    fn fired_faults(&mut self) -> Option<FaultSet> {
-        if self.lost_process {
-            return None;
-        }
-        let handle = self.handle.as_mut()?;
-        handle.send_line(FIRED_REQUEST).ok()?;
-        read_fired(&mut handle.stdout)
-    }
-
     fn check(response: Response) -> Result<Response, BackendError> {
         match response {
             Response::Error {
@@ -459,17 +433,6 @@ impl ExternalSession {
                 message,
             } => Err(BackendError::Semantic(message)),
             other => Ok(other),
-        }
-    }
-}
-
-impl Drop for ExternalSession {
-    fn drop(&mut self) {
-        if self.reports_fired && fired::is_armed() {
-            match self.fired_faults() {
-                Some(faults) => fired::absorb(&faults),
-                None => fired::mark_unknown(),
-            }
         }
     }
 }
@@ -500,6 +463,18 @@ impl EngineSession for ExternalSession {
 
     fn engine_time(&self) -> Duration {
         self.engine_time
+    }
+
+    /// The faults the session's server fired, or `None` when that is not
+    /// known: the dialect is not the sdb-server's, a server died (or never
+    /// respawned), or its reply was lost or malformed.
+    fn fired_faults(&mut self) -> Option<FaultSet> {
+        if self.lost_process || self.backend.dialect.grammar != ReplyGrammar::SdbServer {
+            return None;
+        }
+        let handle = self.handle.as_mut()?;
+        handle.send_line(FIRED_REQUEST).ok()?;
+        read_fired(&mut handle.stdout)
     }
 }
 

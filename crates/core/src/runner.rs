@@ -34,7 +34,7 @@
 //! below). Only wall-clock fields (`elapsed`, timelines, timing totals)
 //! depend on scheduling.
 
-use crate::backend::{BackendSpec, EngineBackend};
+use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
 use crate::campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 use crate::generator::GeometryGenerator;
 use crate::guidance::{self, Guidance, ScenarioKnobs};
@@ -48,8 +48,7 @@ use crate::rng::split_seed;
 use crate::schedule::Schedule;
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
-use spatter_sdb::faults::fired;
-use spatter_sdb::{EngineProfile, FaultId};
+use spatter_sdb::{EngineProfile, FaultId, FaultSet};
 use spatter_topo::coverage::{self, local};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -532,19 +531,20 @@ fn build_oracle(
 ///
 /// A fault whose divergent branch never ran during a re-check cannot change
 /// that re-check when it is disabled: the engine without it executes the
-/// same branches, hits the same probes and returns the same result. So when
-/// the backend [`EngineBackend::reports_fired_faults`], the flagged query is
-/// first re-checked once on the full backend with the
-/// [`spatter_sdb::faults::fired`] recorder armed. A fault it fired still
-/// gets its own `without_fault` re-check; every other fault takes the full
-/// re-check's outcome — also when that outcome no longer reproduces the
-/// finding, exactly as its own re-check would have. The full re-check's
-/// probe hits are measured apart ([`local::isolate`]) and charged to the
-/// iteration once per skipped fault ([`local::charge`]), so the probe delta,
-/// the replay frame's probe hash and coverage guidance are those of the
-/// exhaustive loop. Backends that do not report firings, and re-checks whose
-/// fired set is unknown (a stdio server died or answered badly), fall back
-/// to re-checking every fault.
+/// same branches, hits the same probes and returns the same result. So the
+/// flagged query is first re-checked once on the full backend, and every
+/// session the oracle opens on it reports its
+/// [`EngineSession::fired_faults`] when dropped ([`FiredCollector`]). A
+/// fault some session fired still gets its own `without_fault` re-check;
+/// every other fault takes the full re-check's outcome — also when that
+/// outcome no longer reproduces the finding, exactly as its own re-check
+/// would have. The full re-check's probe hits are measured apart
+/// ([`local::isolate`]) and charged to the iteration once per skipped fault
+/// ([`local::charge`]), so the probe delta, the replay frame's probe hash
+/// and coverage guidance are those of the exhaustive loop. When any session
+/// cannot say what it fired (an engine that does not report, a stdio server
+/// that died or answered badly), attribution falls back to re-checking
+/// every fault.
 fn attribute(
     oracle: &dyn Oracle,
     backend: &dyn EngineBackend,
@@ -562,11 +562,11 @@ fn attribute(
         let reduced = backend.without_fault(fault);
         finding_gone(oracle.check_one(reduced.as_ref(), spec, queries, query_index))
     };
-    if backend.reports_fired_faults() && !faults.is_empty() {
-        let ((outcome, fired), probes) = local::isolate(|| {
-            fired::measure(|| oracle.check_one(backend, spec, queries, query_index))
-        });
-        if let Some(fired) = fired {
+    if !faults.is_empty() {
+        let collector = FiredCollector::new(backend);
+        let (outcome, probes) =
+            local::isolate(|| oracle.check_one(&collector, spec, queries, query_index));
+        if let Some(fired) = collector.fired() {
             let gone_on_full = finding_gone(outcome);
             let mut skipped = 0;
             let attributed = faults
@@ -587,12 +587,108 @@ fn attribute(
     faults.into_iter().filter(|&f| recheck_without(f)).collect()
 }
 
+/// The backend under test during attribution's full re-check: every session
+/// it opens adds its fired faults to `fired` when dropped, loads that failed
+/// included. Sessions the oracle opens elsewhere (a differential oracle's
+/// comparison engine) are not seen: `without_fault` never changes them.
+#[derive(Debug)]
+struct FiredCollector<'a> {
+    inner: &'a dyn EngineBackend,
+    /// The union so far; `None` once a session could not report.
+    fired: Arc<Mutex<Option<FaultSet>>>,
+}
+
+impl<'a> FiredCollector<'a> {
+    fn new(inner: &'a dyn EngineBackend) -> Self {
+        FiredCollector {
+            inner,
+            fired: Arc::new(Mutex::new(Some(FaultSet::none()))),
+        }
+    }
+
+    /// What the sessions dropped so far fired, if all of them could say.
+    fn fired(&self) -> Option<FaultSet> {
+        self.fired
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+}
+
+impl EngineBackend for FiredCollector<'_> {
+    fn profile(&self) -> EngineProfile {
+        self.inner.profile()
+    }
+
+    fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
+        Ok(Box::new(CollectedSession {
+            inner: self.inner.open_session()?,
+            fired: Arc::clone(&self.fired),
+        }))
+    }
+
+    fn fault_ids(&self) -> Vec<FaultId> {
+        self.inner.fault_ids()
+    }
+
+    fn without_fault(&self, fault: FaultId) -> Box<dyn EngineBackend> {
+        self.inner.without_fault(fault)
+    }
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn supports_function(&self, function: &str) -> bool {
+        self.inner.supports_function(function)
+    }
+}
+
+struct CollectedSession {
+    inner: Box<dyn EngineSession>,
+    fired: Arc<Mutex<Option<FaultSet>>>,
+}
+
+impl EngineSession for CollectedSession {
+    fn load(&mut self, statements: &[String]) -> Result<(), BackendError> {
+        self.inner.load(statements)
+    }
+
+    fn run_count(&mut self, sql: &str) -> Result<Option<i64>, BackendError> {
+        self.inner.run_count(sql)
+    }
+
+    fn run_rows(&mut self, sql: &str) -> Result<Vec<String>, BackendError> {
+        self.inner.run_rows(sql)
+    }
+
+    fn engine_time(&self) -> Duration {
+        self.inner.engine_time()
+    }
+}
+
+impl Drop for CollectedSession {
+    fn drop(&mut self) {
+        let mut fired = self.fired.lock().unwrap_or_else(PoisonError::into_inner);
+        // Once the union is unknown, no session need be asked again.
+        if let Some(union) = fired.as_mut() {
+            match self.inner.fired_faults() {
+                Some(set) => union.extend(set.iter()),
+                None => *fired = None,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::InProcessBackend;
     use crate::generator::{GenerationStrategy, GeneratorConfig};
     use crate::guidance::GuidanceMode;
     use crate::transform::AffineStrategy;
+    use spatter_geom::wkt::parse_wkt;
+    use spatter_topo::predicates::NamedPredicate;
 
     fn config(seed: u64, iterations: usize) -> CampaignConfig {
         CampaignConfig {
@@ -698,6 +794,40 @@ mod tests {
         assert_send_sync::<dyn Oracle>();
         assert_send_sync::<spatter_sdb::Engine>();
         assert_send_sync::<spatter_index::RTree<usize>>();
+    }
+
+    #[test]
+    fn the_fired_collector_ignores_the_comparison_engine() {
+        // Listing 1 as a database: the stock engine fires
+        // GeosCoversPrecisionLoss on it and counts 0 instead of 1.
+        let mut spec = DatabaseSpec::with_tables(2);
+        spec.tables[0]
+            .geometries
+            .push(parse_wkt("LINESTRING(0 1,2 0)").unwrap());
+        spec.tables[1]
+            .geometries
+            .push(parse_wkt("POINT(0.2 0.9)").unwrap());
+        let queries = [QueryInstance::topo("t0", "t1", NamedPredicate::Covers)];
+        let oracle = DifferentialOracle::against_stock(EngineProfile::PostgisLike);
+        let covers = FaultSet::with([FaultId::GeosCoversPrecisionLoss]);
+
+        let stock = InProcessBackend::stock(EngineProfile::PostgisLike);
+        let collector = FiredCollector::new(&stock);
+        assert!(!oracle
+            .check_one(&collector, &spec, &queries, 0)
+            .is_logic_bug());
+        assert_eq!(collector.fired(), Some(covers.clone()));
+
+        // Only the comparison engine fires; the collector sees none of it.
+        let unreached = InProcessBackend::new(
+            EngineProfile::PostgisLike,
+            FaultSet::with([FaultId::PostgisGistIndexDropsRows]),
+        );
+        let collector = FiredCollector::new(&unreached);
+        assert!(oracle
+            .check_one(&collector, &spec, &queries, 0)
+            .is_logic_bug());
+        assert_eq!(collector.fired(), Some(FaultSet::none()));
     }
 
     #[test]

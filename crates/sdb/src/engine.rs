@@ -5,7 +5,7 @@ use crate::ast::{BinaryOp, ColumnType, Expr, SelectItem, SelectStatement, Statem
 use crate::catalog::{Database, SpatialIndex, Table};
 use crate::coverage;
 use crate::error::{SdbError, SdbResult};
-use crate::faults::{fire, FaultId, FaultSet};
+use crate::faults::{FaultId, FaultSet};
 use crate::functions::{self, DistancePredicate, FunctionContext};
 use crate::parser::{parse_script, parse_statement};
 use crate::profile::EngineProfile;
@@ -103,11 +103,10 @@ struct ExecScratch {
 /// A spatial SQL engine instance: one profile, one fault set, one database.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    profile: EngineProfile,
-    faults: FaultSet,
-    /// Every DE-9IM matrix the engine computes goes through this memo. A
-    /// clone shares it, and so may engines with other fault sets.
-    relate: Arc<RelateCache>,
+    /// The profile, the faults (enabled and fired), and the relate memo
+    /// every DE-9IM matrix goes through. A clone shares the memo, and so
+    /// may engines with other fault sets.
+    ctx: FunctionContext,
     database: Database,
     enable_seqscan: bool,
     enable_prepared: bool,
@@ -144,9 +143,12 @@ impl Engine {
         relate: Arc<RelateCache>,
     ) -> Self {
         Engine {
-            profile,
-            faults,
-            relate,
+            ctx: FunctionContext {
+                profile,
+                faults,
+                relate,
+                fired: Default::default(),
+            },
             database: Database::new(),
             enable_seqscan: true,
             enable_prepared: true,
@@ -159,18 +161,20 @@ impl Engine {
 
     /// The engine's profile.
     pub fn profile(&self) -> EngineProfile {
-        self.profile
+        self.ctx.profile
     }
 
     /// The enabled faults.
     pub fn faults(&self) -> &FaultSet {
-        &self.faults
+        &self.ctx.faults
     }
 
-    /// Mutable access to the fault set (used by the campaign harness to
-    /// "apply fixes").
-    pub fn faults_mut(&mut self) -> &mut FaultSet {
-        &mut self.faults
+    /// The faults that took their divergent branch since the engine was
+    /// built (a clone keeps its original's). A fault outside this set
+    /// provably influenced nothing the engine did, which is what lets
+    /// attribution skip re-running without it.
+    pub fn fired_faults(&self) -> FaultSet {
+        self.ctx.fired.to_set()
     }
 
     /// The underlying database (for introspection in tests and examples).
@@ -290,13 +294,14 @@ impl Engine {
         let col_idx = table_data
             .column_index(column)
             .ok_or_else(|| SdbError::Semantic(format!("column {column} does not exist")))?;
-        if self.faults.is_active(FaultId::PostgisCrashIndexAllEmpty) {
+        let ctx = &self.ctx;
+        if ctx.faults.is_active(FaultId::PostgisCrashIndexAllEmpty) {
             let geometries: Vec<&Geometry> = table_data
                 .live_rows()
                 .filter_map(|(_, row)| row[col_idx].as_geometry())
                 .collect();
             if !geometries.is_empty() && geometries.iter().all(|g| g.is_empty()) {
-                fire(FaultId::PostgisCrashIndexAllEmpty);
+                ctx.fire(FaultId::PostgisCrashIndexAllEmpty);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "GiST index build over a column of only EMPTY geometries".into(),
@@ -321,11 +326,7 @@ impl Engine {
         columns: &[String],
         rows: &[Vec<Expr>],
     ) -> SdbResult<QueryResult> {
-        let ctx = FunctionContext {
-            profile: self.profile,
-            faults: &self.faults.clone(),
-            relate: &Arc::clone(&self.relate),
-        };
+        let ctx = &self.ctx;
         let schema = self.database.table(table)?.columns.clone();
         let column_order: Vec<usize> = if columns.is_empty() {
             (0..schema.len()).collect()
@@ -350,8 +351,8 @@ impl Engine {
             }
             let mut row = vec![Value::Null; schema.len()];
             for (expr, &target) in row_exprs.iter().zip(column_order.iter()) {
-                let value = evaluate_expr(expr, None, &self.database, &ctx)?;
-                let value = coerce_for_column(value, schema[target].1, &ctx)?;
+                let value = evaluate_expr(expr, None, &self.database, ctx)?;
+                let value = coerce_for_column(value, schema[target].1, ctx)?;
                 row[target] = value;
             }
             materialized_rows.push(row);
@@ -398,11 +399,7 @@ impl Engine {
         value_expr: &Expr,
         where_clause: Option<&Expr>,
     ) -> SdbResult<QueryResult> {
-        let ctx = FunctionContext {
-            profile: self.profile,
-            faults: &self.faults.clone(),
-            relate: &Arc::clone(&self.relate),
-        };
+        let ctx = &self.ctx;
         let table_data = self.database.table(table)?;
         let col_idx = table_data
             .column_index(column)
@@ -411,16 +408,16 @@ impl Engine {
         // Generated workloads only use row-independent SET expressions; a
         // row-dependent one would need per-row evaluation, which no template
         // emits, so it surfaces as a semantic error here.
-        let new_value = evaluate_expr(value_expr, None, &self.database, &ctx)?;
-        let new_value = coerce_for_column(new_value, column_type, &ctx)?;
+        let new_value = evaluate_expr(value_expr, None, &self.database, ctx)?;
+        let new_value = coerce_for_column(new_value, column_type, ctx)?;
         let new_env = Database::value_envelope(&new_value);
-        let targets = self.matching_row_slots(table, where_clause, &ctx)?;
+        let targets = self.matching_row_slots(table, where_clause)?;
         // The seeded stale-index fault: maintenance "forgets" the reinsert
         // when the new geometry reaches into the negative-x half-plane
         // (mirroring `gist_fault_drops_row`'s quantization criterion), so the
         // index keeps answering from the pre-update envelope. Only mutation
         // workloads can reach this path.
-        let stale_fault = self.faults.is_active(FaultId::PostgisGistStaleOnMutation)
+        let stale_fault = ctx.faults.is_active(FaultId::PostgisGistStaleOnMutation)
             && !new_env.is_empty()
             && new_env.min_x() < 0.0;
         let mut rows_updated = 0usize;
@@ -431,7 +428,7 @@ impl Engine {
             rows_updated += 1;
             let old_env = Database::value_envelope(&old_value);
             if stale_fault {
-                fire(FaultId::PostgisGistStaleOnMutation);
+                ctx.fire(FaultId::PostgisGistStaleOnMutation);
                 coverage::hit("sdb.fault.logic_path");
                 continue;
             }
@@ -453,13 +450,8 @@ impl Engine {
     }
 
     fn delete(&mut self, table: &str, where_clause: Option<&Expr>) -> SdbResult<QueryResult> {
-        let ctx = FunctionContext {
-            profile: self.profile,
-            faults: &self.faults.clone(),
-            relate: &Arc::clone(&self.relate),
-        };
         let schema = self.database.table(table)?.columns.clone();
-        let targets = self.matching_row_slots(table, where_clause, &ctx)?;
+        let targets = self.matching_row_slots(table, where_clause)?;
         let mut rows_deleted = 0usize;
         for slot in targets {
             let Some(old_row) = self.database.table_mut(table)?.tombstone(slot) else {
@@ -498,8 +490,8 @@ impl Engine {
         &self,
         table_name: &str,
         where_clause: Option<&Expr>,
-        ctx: &FunctionContext,
     ) -> SdbResult<Vec<usize>> {
+        let ctx = &self.ctx;
         let table = self.database.table(table_name)?;
         let Some(condition) = where_clause else {
             return Ok(table.live_rows().map(|(slot, _)| slot).collect());
@@ -547,12 +539,8 @@ impl Engine {
     }
 
     fn set(&mut self, name: &str, value_expr: &Expr) -> SdbResult<QueryResult> {
-        let ctx = FunctionContext {
-            profile: self.profile,
-            faults: &self.faults.clone(),
-            relate: &Arc::clone(&self.relate),
-        };
-        let value = evaluate_expr(value_expr, None, &self.database, &ctx)?;
+        let ctx = &self.ctx;
+        let value = evaluate_expr(value_expr, None, &self.database, ctx)?;
         if let Some(variable) = name.strip_prefix('@') {
             coverage::hit("sdb.exec.set_variable");
             self.database.set_variable(&format!("@{variable}"), value);
@@ -595,13 +583,7 @@ impl Engine {
         select: &SelectStatement,
         scratch: &mut ExecScratch,
     ) -> SdbResult<QueryResult> {
-        let faults = self.faults.clone();
-        let relate = Arc::clone(&self.relate);
-        let ctx = FunctionContext {
-            profile: self.profile,
-            faults: &faults,
-            relate: &relate,
-        };
+        let ctx = &self.ctx;
         match select.from.len() {
             0 => {
                 coverage::hit("sdb.exec.scalar_select");
@@ -614,7 +596,7 @@ impl Engine {
                             columns.push("count".to_string());
                         }
                         SelectItem::Expr(expr) => {
-                            row.push(evaluate_expr(expr, None, &self.database, &ctx)?);
+                            row.push(evaluate_expr(expr, None, &self.database, ctx)?);
                             columns.push(format!("col{idx}"));
                         }
                     }
@@ -637,8 +619,8 @@ impl Engine {
                     .map(|table_ref| self.database.table(&table_ref.table))
                     .collect::<SdbResult<Vec<&Table>>>()?;
                 let condition = combine_conditions(&select.join_on, &select.where_clause);
-                let plan = self.plan(select, &tables, condition.as_ref(), &ctx);
-                self.execute_plan(&plan, select, &tables, condition.as_ref(), &ctx, scratch)
+                let plan = self.plan(select, &tables, condition.as_ref());
+                self.execute_plan(&plan, select, &tables, condition.as_ref(), scratch)
             }
             n => Err(SdbError::Semantic(format!(
                 "queries over {n} tables are not supported"
@@ -653,21 +635,16 @@ impl Engine {
     /// the KNN origin, the distance threshold — once. A constant that
     /// depends on the row or fails to evaluate keeps the general plan, which
     /// evaluates it per row and reports its error there.
-    fn plan(
-        &self,
-        select: &SelectStatement,
-        tables: &[&Table],
-        condition: Option<&Expr>,
-        ctx: &FunctionContext,
-    ) -> Plan {
+    fn plan(&self, select: &SelectStatement, tables: &[&Table], condition: Option<&Expr>) -> Plan {
+        let ctx = &self.ctx;
         let (left_ref, left) = (&select.from[0], tables[0]);
         let Some(&right) = tables.get(1) else {
             if self.enable_seqscan {
                 return Plan::SeqScan;
             }
             let index_plan = match condition {
-                Some(condition) => self.same_box_plan(condition, left_ref, left, ctx),
-                None if !is_pure_count(select) => self.knn_plan(select, left_ref, left, ctx),
+                Some(condition) => self.same_box_plan(condition, left_ref, left),
+                None if !is_pure_count(select) => self.knn_plan(select, left_ref, left),
                 None => None,
             };
             return index_plan.unwrap_or(Plan::SeqScan);
@@ -708,13 +685,8 @@ impl Engine {
 
     /// The `~=` window plan for `col ~= <probe>` on an indexed column
     /// (Listing 8's scenario).
-    fn same_box_plan(
-        &self,
-        condition: &Expr,
-        table_ref: &TableRef,
-        table: &Table,
-        ctx: &FunctionContext,
-    ) -> Option<Plan> {
+    fn same_box_plan(&self, condition: &Expr, table_ref: &TableRef, table: &Table) -> Option<Plan> {
+        let ctx = &self.ctx;
         let Expr::Binary {
             op: BinaryOp::SameBox,
             left,
@@ -743,8 +715,8 @@ impl Engine {
         select: &SelectStatement,
         table_ref: &TableRef,
         table: &Table,
-        ctx: &FunctionContext,
     ) -> Option<Plan> {
+        let ctx = &self.ctx;
         let order = select.order_by.as_ref().filter(|order| !order.descending)?;
         let k = select.limit?;
         let Expr::Function { name, args } = &order.expr else {
@@ -797,9 +769,9 @@ impl Engine {
         select: &SelectStatement,
         tables: &[&Table],
         condition: Option<&Expr>,
-        ctx: &FunctionContext,
         scratch: &mut ExecScratch,
     ) -> SdbResult<QueryResult> {
+        let ctx = &self.ctx;
         let (table_ref, table) = (&select.from[0], tables[0]);
         let bind = |slot: usize| RowBinding::single(table_ref, table, &table.rows[slot]);
         let candidate_rows: Vec<usize> = match plan {
@@ -809,11 +781,11 @@ impl Engine {
             }
             Plan::IndexKnn { column, origin, k } => {
                 let index = self.planned_index(table_ref, table, *column);
-                let rows = self.index_knn(select, table, index, origin, *k, ctx)?;
+                let rows = self.index_knn(select, table, index, origin, *k)?;
                 return project(select, &rows, bind, &self.database, ctx);
             }
             Plan::NestedLoopJoin | Plan::PreparedJoin(_) | Plan::IndexJoin(_) => {
-                return self.execute_join(plan, select, tables, condition, ctx, scratch);
+                return self.execute_join(plan, select, tables, condition, scratch);
             }
         };
         let mut matching = Vec::new();
@@ -849,19 +821,19 @@ impl Engine {
         index: &SpatialIndex,
         origin: &Envelope,
         k: usize,
-        ctx: &FunctionContext,
     ) -> SdbResult<Vec<usize>> {
+        let ctx = &self.ctx;
         coverage::hit("sdb.exec.knn_index_scan");
         let table_ref = &select.from[0];
         let order = select
             .order_by
             .as_ref()
             .expect("KNN plans are only built for an ORDER BY");
-        let gist_fault = self.faults.is_active(FaultId::PostgisGistIndexDropsRows);
+        let gist_fault = ctx.faults.is_active(FaultId::PostgisGistIndexDropsRows);
         let dropped_by_fault = |row_idx: usize| -> bool {
             let dropped = gist_fault && gist_fault_drops_row(&table.rows[row_idx]);
             if dropped {
-                fire(FaultId::PostgisGistIndexDropsRows);
+                ctx.fire(FaultId::PostgisGistIndexDropsRows);
             }
             dropped
         };
@@ -935,6 +907,8 @@ impl Engine {
     /// entries whose box equals `probe`, in row order.
     fn index_filter(&self, table: &Table, index: &SpatialIndex, probe: &Envelope) -> Vec<usize> {
         coverage::hit("sdb.exec.join_index_scan");
+        let ctx = &self.ctx;
+        let gist_fault = ctx.faults.is_active(FaultId::PostgisGistIndexDropsRows);
         let mut rows: Vec<usize> = index
             .tree
             .query_same_box(probe)
@@ -945,17 +919,17 @@ impl Engine {
             // Correct behaviour: EMPTY geometries all share the empty
             // bounding box, so they match an EMPTY probe. The seeded GiST
             // fault omits this compensation (Listing 8: count 0 instead of 1).
-            if !self.faults.is_active(FaultId::PostgisGistIndexDropsRows) {
+            if !gist_fault {
                 rows.extend(index.tree.empty_envelope_entries().iter().copied());
             } else {
-                fire(FaultId::PostgisGistIndexDropsRows);
+                ctx.fire(FaultId::PostgisGistIndexDropsRows);
                 coverage::hit("sdb.fault.logic_path");
             }
         }
-        if self.faults.is_active(FaultId::PostgisGistIndexDropsRows) {
+        if gist_fault {
             // The faulty scan also drops geometries lying in the negative
             // quadrant (a key-quantization bug).
-            gist_fault_retain(&mut rows, table);
+            gist_fault_retain(&mut rows, table, ctx);
         }
         rows.sort_unstable();
         rows
@@ -969,9 +943,9 @@ impl Engine {
         select: &SelectStatement,
         tables: &[&Table],
         condition: Option<&Expr>,
-        ctx: &FunctionContext,
         scratch: &mut ExecScratch,
     ) -> SdbResult<QueryResult> {
+        let ctx = &self.ctx;
         let (left_ref, right_ref) = (&select.from[0], &select.from[1]);
         let (left_table, right_table) = (tables[0], tables[1]);
         let bind = |(li, ri): (usize, usize)| {
@@ -992,12 +966,12 @@ impl Engine {
                     Kernel::Distance(..) => "sdb.exec.join_distance_index",
                 });
                 let index = self.planned_index(right_ref, right_table, join.right_column);
-                self.index_join(join, left_table, right_table, index, ctx, scratch)?;
+                self.index_join(join, left_table, right_table, index, scratch)?;
             }
             Plan::PreparedJoin(join) => match join.kernel {
                 Kernel::Predicate(_) => {
                     coverage::hit("sdb.exec.join_prepared");
-                    self.prepared_join(join, left_table, right_table, ctx, scratch)?;
+                    self.prepared_join(join, left_table, right_table, scratch)?;
                 }
                 Kernel::Distance(_, d) => {
                     coverage::hit("sdb.exec.join_distance_prepared");
@@ -1045,10 +1019,10 @@ impl Engine {
         left_table: &Table,
         right_table: &Table,
         index: &SpatialIndex,
-        ctx: &FunctionContext,
         scratch: &mut ExecScratch,
     ) -> SdbResult<()> {
-        let gist_fault = self.faults.is_active(FaultId::PostgisGistIndexDropsRows);
+        let ctx = &self.ctx;
+        let gist_fault = ctx.faults.is_active(FaultId::PostgisGistIndexDropsRows);
         let ExecScratch {
             candidates, pairs, ..
         } = scratch;
@@ -1058,7 +1032,7 @@ impl Engine {
             // The faulty index additionally drops negative-quadrant rows it
             // should have returned.
             if gist_fault {
-                fire(FaultId::PostgisGistIndexDropsRows);
+                ctx.fire(FaultId::PostgisGistIndexDropsRows);
                 coverage::hit("sdb.fault.logic_path");
                 candidates.retain(|&ri| !gist_fault_drops_row(&right_table.rows[ri]));
             }
@@ -1086,10 +1060,10 @@ impl Engine {
         join: &KernelJoin,
         left_table: &Table,
         right_table: &Table,
-        ctx: &FunctionContext,
         scratch: &mut ExecScratch,
     ) -> SdbResult<()> {
-        let duplicate_fault = self.faults.is_active(FaultId::GeosPreparedDuplicateDropped);
+        let ctx = &self.ctx;
+        let duplicate_fault = ctx.faults.is_active(FaultId::GeosPreparedDuplicateDropped);
         // The faulty prepared cache compares shapes by their WKT: write each
         // inner row's once per join, and only while that fault is active.
         let right_wkts: Vec<Option<String>> = if duplicate_fault {
@@ -1122,7 +1096,7 @@ impl Engine {
                     {
                         // The faulty prepared cache treats a repeated inner
                         // geometry as already processed and skips it.
-                        fire(FaultId::GeosPreparedDuplicateDropped);
+                        ctx.fire(FaultId::GeosPreparedDuplicateDropped);
                         coverage::hit("sdb.fault.logic_path");
                         continue;
                     }
@@ -1642,11 +1616,11 @@ fn gist_fault_drops_row(row: &[Value]) -> bool {
 
 /// Drops the index hits the faulty GiST scan loses, firing
 /// `PostgisGistIndexDropsRows` when it actually loses one.
-fn gist_fault_retain(rows: &mut Vec<usize>, table: &Table) {
+fn gist_fault_retain(rows: &mut Vec<usize>, table: &Table, ctx: &FunctionContext) {
     let before = rows.len();
     rows.retain(|&row_idx| !gist_fault_drops_row(&table.rows[row_idx]));
     if rows.len() != before {
-        fire(FaultId::PostgisGistIndexDropsRows);
+        ctx.fire(FaultId::PostgisGistIndexDropsRows);
     }
 }
 
@@ -1807,12 +1781,7 @@ mod tests {
             .map(|table_ref| engine.database.table(&table_ref.table).unwrap())
             .collect();
         let condition = combine_conditions(&select.join_on, &select.where_clause);
-        let ctx = FunctionContext {
-            profile: engine.profile,
-            faults: &engine.faults,
-            relate: &engine.relate,
-        };
-        engine.plan(&select, &tables, condition.as_ref(), &ctx)
+        engine.plan(&select, &tables, condition.as_ref())
     }
 
     #[test]

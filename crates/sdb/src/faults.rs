@@ -13,6 +13,7 @@
 //! Table 4, which the paper established by manual analysis).
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The systems of the paper's evaluation (Table 2 rows). `Geos` is the shared
 /// third-party library used by the PostGIS-like and DuckDB-like profiles.
@@ -170,11 +171,15 @@ impl FaultId {
 
     /// Parses a fault from its [`FaultId::name`] form.
     pub fn from_name(name: &str) -> Option<FaultId> {
+        FaultId::all().find(|id| id.name() == name)
+    }
+
+    /// Every fault: the catalogue's, then the extensions.
+    fn all() -> impl Iterator<Item = FaultId> {
         FaultCatalog::all()
             .into_iter()
             .chain(FaultCatalog::extensions())
             .map(|info| info.id)
-            .find(|id| id.name() == name)
     }
 }
 
@@ -286,112 +291,30 @@ impl Extend<FaultId> for FaultSet {
     }
 }
 
-/// Records that the seeded fault `id` took its divergent branch: the
-/// faulty engine is about to do something (return a different value, skip
-/// or drop a row, crash, or merely hit a different coverage probe) that the
-/// same engine without `id` would not. Every such branch calls this, so a
-/// fault absent from a run's fired set provably did not influence that run.
-/// A no-op unless the calling thread's [`fired`] recorder is armed.
-pub fn fire(id: FaultId) {
-    fired::record(id);
+/// The seeded faults an engine has fired, one bit per [`FaultId`]. Atomic
+/// so that the engine stays `Send + Sync` while kernels record through a
+/// shared borrow; `Relaxed` because the bits publish no other data. A clone
+/// copies the bits.
+#[derive(Debug, Default)]
+pub(crate) struct FiredFaults(AtomicU64);
+
+// One bit per fault; the last variant bounds them all.
+const _: () = assert!((FaultId::PostgisGistStaleOnMutation as u32) < 64);
+
+impl FiredFaults {
+    pub(crate) fn record(&self, id: FaultId) {
+        self.0.fetch_or(1 << id as u32, Ordering::Relaxed);
+    }
+
+    pub(crate) fn to_set(&self) -> FaultSet {
+        let mask = self.0.load(Ordering::Relaxed);
+        FaultSet::with(FaultId::all().filter(|&id| mask & (1 << id as u32) != 0))
+    }
 }
 
-/// The thread-local fired-fault recorder, shaped like the coverage
-/// recorder `spatter_topo::coverage::local`: [`fired::start`] arms it,
-/// [`fire`] records into it, [`fired::take`] disarms it and returns the set.
-///
-/// Attribution uses it to skip the "fault disabled" re-runs that cannot
-/// differ from the full engine's run. Work that executes out of process
-/// (the `spatter-sdb-server` binary) records on the server's side and the
-/// client folds the server's answer in with [`fired::absorb`]; when that
-/// answer is lost the client calls [`fired::mark_unknown`], and [`take`]
-/// then reports no set at all, which tells the caller to assume that any
-/// fault may have fired.
-///
-/// [`take`]: fired::take
-pub mod fired {
-    use super::{FaultCatalog, FaultId, FaultSet};
-    use std::cell::Cell;
-
-    // One bit per fault; the last variant bounds them all.
-    const _: () = assert!((FaultId::PostgisGistStaleOnMutation as u32) < 64);
-
-    #[derive(Debug, Clone, Copy)]
-    enum State {
-        Off,
-        Armed(u64),
-        Unknown,
-    }
-
-    thread_local! {
-        static STATE: Cell<State> = const { Cell::new(State::Off) };
-    }
-
-    /// Arms (or re-arms, discarding anything recorded so far) the calling
-    /// thread's recorder with an empty set.
-    pub fn start() {
-        STATE.with(|s| s.set(State::Armed(0)));
-    }
-
-    /// Whether the calling thread's recorder is armed (a set marked
-    /// unknown counts as armed until it is taken).
-    pub fn is_armed() -> bool {
-        !matches!(STATE.with(Cell::get), State::Off)
-    }
-
-    /// Disarms the recorder and returns the faults fired since
-    /// [`start`]. `None` when the recorder was never armed or the set was
-    /// marked unknown.
-    pub fn take() -> Option<FaultSet> {
-        match STATE.with(|s| s.replace(State::Off)) {
-            State::Armed(0) => Some(FaultSet::none()),
-            State::Armed(mask) => Some(FaultSet::with(
-                FaultCatalog::all()
-                    .into_iter()
-                    .chain(FaultCatalog::extensions())
-                    .map(|info| info.id)
-                    .filter(|&id| mask & bit(id) != 0),
-            )),
-            State::Off | State::Unknown => None,
-        }
-    }
-
-    /// Runs `f` with the recorder armed and returns its value alongside the
-    /// faults it fired — the [`start`]/[`take`] pair as one scoped
-    /// measurement.
-    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Option<FaultSet>) {
-        start();
-        let value = f();
-        (value, take())
-    }
-
-    /// Folds faults fired elsewhere (by an out-of-process engine) into the
-    /// armed recorder. A no-op when the recorder is off or unknown.
-    pub fn absorb(faults: &FaultSet) {
-        faults.iter().for_each(record);
-    }
-
-    /// Marks the armed recorder's set unknown: some work it was meant to
-    /// cover could not report what it fired. A no-op when the recorder is
-    /// off.
-    pub fn mark_unknown() {
-        STATE.with(|s| {
-            if let State::Armed(_) = s.get() {
-                s.set(State::Unknown);
-            }
-        });
-    }
-
-    fn bit(id: FaultId) -> u64 {
-        1 << (id as u32)
-    }
-
-    pub(super) fn record(id: FaultId) {
-        STATE.with(|s| {
-            if let State::Armed(mask) = s.get() {
-                s.set(State::Armed(mask | bit(id)));
-            }
-        });
+impl Clone for FiredFaults {
+    fn clone(&self) -> Self {
+        FiredFaults(AtomicU64::new(self.0.load(Ordering::Relaxed)))
     }
 }
 
@@ -1097,9 +1020,8 @@ mod tests {
         for &(profile, setup, query, fault) in LISTINGS {
             let mut engine = Engine::new(profile);
             engine.execute_script(setup).unwrap();
-            let (result, fired_set) = fired::measure(|| engine.execute(query));
-            result.unwrap();
-            assert_eq!(fired_set, Some(FaultSet::with([fault])), "{query}");
+            engine.execute(query).unwrap();
+            assert_eq!(engine.fired_faults(), FaultSet::with([fault]), "{query}");
         }
     }
 
@@ -1107,53 +1029,10 @@ mod tests {
     fn the_reference_engine_fires_nothing() {
         for &(profile, setup, query, _) in LISTINGS {
             let mut engine = Engine::reference(profile);
-            let (result, fired_set) = fired::measure(|| {
-                engine.execute_script(setup)?;
-                engine.execute(query)
-            });
-            result.unwrap();
-            assert_eq!(fired_set, Some(FaultSet::none()), "{query}");
+            engine.execute_script(setup).unwrap();
+            engine.execute(query).unwrap();
+            assert_eq!(engine.fired_faults(), FaultSet::none(), "{query}");
         }
-    }
-
-    #[test]
-    fn an_unarmed_recorder_records_nothing() {
-        assert!(!fired::is_armed());
-        fire(FaultId::GeosCoversPrecisionLoss);
-        assert_eq!(fired::take(), None);
-        let ((), set) = fired::measure(|| fire(FaultId::GeosCoversPrecisionLoss));
-        assert_eq!(
-            set,
-            Some(FaultSet::with([FaultId::GeosCoversPrecisionLoss]))
-        );
-        // Disarmed by the take: later firings go nowhere.
-        fire(FaultId::MysqlOverlapsAxisOrder);
-        assert!(!fired::is_armed());
-        assert_eq!(fired::take(), None);
-        // Absorbing into, or marking, a disarmed recorder does nothing.
-        fired::absorb(&FaultSet::with([FaultId::MysqlOverlapsAxisOrder]));
-        fired::mark_unknown();
-        assert_eq!(fired::take(), None);
-    }
-
-    #[test]
-    fn absorbed_and_unknown_sets() {
-        fired::start();
-        fire(FaultId::GeosCoversPrecisionLoss);
-        fired::absorb(&FaultSet::with([FaultId::PostgisGistStaleOnMutation]));
-        assert_eq!(
-            fired::take(),
-            Some(FaultSet::with([
-                FaultId::GeosCoversPrecisionLoss,
-                FaultId::PostgisGistStaleOnMutation,
-            ]))
-        );
-        fired::start();
-        fired::mark_unknown();
-        assert!(fired::is_armed());
-        fire(FaultId::GeosCoversPrecisionLoss);
-        assert_eq!(fired::take(), None);
-        assert!(!fired::is_armed());
     }
 
     #[test]

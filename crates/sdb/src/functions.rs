@@ -12,7 +12,7 @@
 
 use crate::coverage;
 use crate::error::{SdbError, SdbResult};
-use crate::faults::{fire, FaultId, FaultSet};
+use crate::faults::{FaultId, FaultSet, FiredFaults};
 use crate::profile::EngineProfile;
 use crate::value::Value;
 use spatter_geom::affine::AffineMatrix;
@@ -24,23 +24,37 @@ use spatter_topo::de9im::Position;
 use spatter_topo::locate::Location;
 use spatter_topo::predicates::{self, NamedPredicate};
 use spatter_topo::{boundary, centroid, convex_hull, distance, editing, measures, RelateCache};
+use std::sync::Arc;
 
-/// Evaluation context: the engine profile, its active faults and the memo
-/// every DE-9IM matrix the engine computes goes through.
-#[derive(Debug, Clone, Copy)]
-pub struct FunctionContext<'a> {
+/// What every function and kernel reads of its engine: the profile, the
+/// active faults, the memo every DE-9IM matrix goes through, and the faults
+/// fired so far. The engine owns one and lends it to every statement.
+#[derive(Debug, Clone)]
+pub struct FunctionContext {
     /// The engine profile.
     pub profile: EngineProfile,
     /// The enabled faults.
-    pub faults: &'a FaultSet,
+    pub faults: FaultSet,
     /// The engine's relate memo. Faults never reach into `relate`, so one
     /// memo may serve engines with different fault sets.
-    pub relate: &'a RelateCache,
+    pub relate: Arc<RelateCache>,
+    /// The faults fired since the engine was built.
+    pub(crate) fired: FiredFaults,
 }
 
-impl<'a> FunctionContext<'a> {
+impl FunctionContext {
     fn fault(&self, id: FaultId) -> bool {
         self.faults.is_active(id)
+    }
+
+    /// Records that the seeded fault `id` took its divergent branch: the
+    /// faulty engine is about to do something (return a different value,
+    /// skip or drop a row, crash, or merely hit a different coverage probe)
+    /// that the same engine without `id` would not. Every such branch calls
+    /// this, so a fault absent from an engine's fired set provably did not
+    /// influence anything that engine did.
+    pub(crate) fn fire(&self, id: FaultId) {
+        self.fired.record(id);
     }
 }
 
@@ -110,7 +124,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 let pattern = pattern
                     .as_text()
                     .ok_or_else(|| SdbError::Execution("ST_Relate pattern must be text".into()))?;
-                return predicates::relate_pattern_with(&a, &b, pattern, ctx.relate)
+                return predicates::relate_pattern_with(&a, &b, pattern, &ctx.relate)
                     .map(Value::Bool)
                     .ok_or_else(|| SdbError::Execution("malformed DE-9IM pattern".into()));
             }
@@ -123,7 +137,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if ctx.fault(FaultId::GeosEmptyDistanceRecursion)
                 && (has_empty_element(&b) || has_empty_element(&a))
             {
-                fire(FaultId::GeosEmptyDistanceRecursion);
+                ctx.fire(FaultId::GeosEmptyDistanceRecursion);
                 coverage::hit("sdb.fault.logic_path");
                 // Faulty recursion: only the first element of the first
                 // argument is considered (Listing 5 returns 3 instead of 2).
@@ -176,7 +190,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             coverage::hit("sdb.expr.function_editing");
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::PostgisUnconfirmedEnvelopeEmpty) && g.is_empty() {
-                fire(FaultId::PostgisUnconfirmedEnvelopeEmpty);
+                ctx.fire(FaultId::PostgisUnconfirmedEnvelopeEmpty);
                 coverage::hit("sdb.fault.logic_path");
                 return Ok(Value::Geometry(Geometry::Point(Point::new(0.0, 0.0))));
             }
@@ -198,7 +212,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                         | GeometryType::MultiPolygon
                 )
             {
-                fire(FaultId::GeosCrashConvexHullEmptyCollection);
+                ctx.fire(FaultId::GeosCrashConvexHullEmptyCollection);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "convex hull of collection with only EMPTY elements".into(),
@@ -212,7 +226,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if ctx.fault(FaultId::DuckdbCrashBoundaryCollection)
                 && matches!(g, Geometry::GeometryCollection(_))
             {
-                fire(FaultId::DuckdbCrashBoundaryCollection);
+                ctx.fire(FaultId::DuckdbCrashBoundaryCollection);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash("boundary of GEOMETRYCOLLECTION".into()));
             }
@@ -230,7 +244,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             let g = geometry_arg(args, 0, ctx)?;
             let n = int_arg(args, 1)?;
             if ctx.fault(FaultId::DuckdbCrashGeometryNZero) && n == 0 {
-                fire(FaultId::DuckdbCrashGeometryNZero);
+                ctx.fire(FaultId::DuckdbCrashGeometryNZero);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash("ST_GeometryN with index 0".into()));
             }
@@ -260,7 +274,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 && (a.is_empty() || b.is_empty())
                 && a.geometry_type() != b.geometry_type()
             {
-                fire(FaultId::DuckdbCrashCollectEmptyMixed);
+                ctx.fire(FaultId::DuckdbCrashCollectEmptyMixed);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "ST_Collect of mixed EMPTY arguments".into(),
@@ -308,7 +322,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if ctx.fault(FaultId::PostgisCrashDumpRingsEmptyMulti)
                 && matches!(&g, Geometry::MultiPolygon(mp) if mp.polygons.is_empty())
             {
-                fire(FaultId::PostgisCrashDumpRingsEmptyMulti);
+                ctx.fire(FaultId::PostgisCrashDumpRingsEmptyMulti);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash("ST_DumpRings of MULTIPOLYGON EMPTY".into()));
             }
@@ -332,7 +346,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             };
             let extracted = editing::collection_extract(&g, target).map_err(execution)?;
             if ctx.fault(FaultId::DuckdbCrashCollectionExtractMismatch) && extracted.is_empty() {
-                fire(FaultId::DuckdbCrashCollectionExtractMismatch);
+                ctx.fire(FaultId::DuckdbCrashCollectionExtractMismatch);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "ST_CollectionExtract found no element of the requested type".into(),
@@ -345,7 +359,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::GeosCrashPolygonizeDuplicatePoints) && has_duplicate_vertices(&g)
             {
-                fire(FaultId::GeosCrashPolygonizeDuplicatePoints);
+                ctx.fire(FaultId::GeosCrashPolygonizeDuplicatePoints);
                 coverage::hit("sdb.fault.crash_path");
                 return Err(SdbError::Crash(
                     "polygonize of linework with duplicate consecutive points".into(),
@@ -395,7 +409,7 @@ pub fn evaluate_distance_predicate(
         && ctx.fault(FaultId::PostgisDFullyWithinSmallCoords)
         && max_abs_coord(a) < 10.0
     {
-        fire(FaultId::PostgisDFullyWithinSmallCoords);
+        ctx.fire(FaultId::PostgisDFullyWithinSmallCoords);
         coverage::hit("sdb.fault.logic_path");
         // The "wrong definition" of Listing 9: small-magnitude
         // geometries are judged not fully within any distance.
@@ -422,7 +436,7 @@ pub fn evaluate_predicate(
         coverage::hit("sdb.fault.logic_path");
         return Ok(result);
     }
-    Ok(predicate.evaluate_with(a, b, ctx.relate))
+    Ok(predicate.evaluate_with(a, b, &ctx.relate))
 }
 
 /// Returns `Some(result)` when a seeded fault hijacks the predicate.
@@ -441,13 +455,13 @@ fn faulty_predicate_result(
         match predicate {
             Covers | Contains => {
                 if let Some(result) = exact_only_point_on_line(a, b) {
-                    fire(FaultId::GeosCoversPrecisionLoss);
+                    ctx.fire(FaultId::GeosCoversPrecisionLoss);
                     return Some(result);
                 }
             }
             CoveredBy | Within => {
                 if let Some(result) = exact_only_point_on_line(b, a) {
-                    fire(FaultId::GeosCoversPrecisionLoss);
+                    ctx.fire(FaultId::GeosCoversPrecisionLoss);
                     return Some(result);
                 }
             }
@@ -462,7 +476,7 @@ fn faulty_predicate_result(
             Within | CoveredBy => {
                 if let (Geometry::Point(p), Geometry::GeometryCollection(_)) = (a, b) {
                     if let Some(c) = p.coord {
-                        fire(FaultId::GeosMixedBoundaryLastOneWins);
+                        ctx.fire(FaultId::GeosMixedBoundaryLastOneWins);
                         return Some(last_one_wins_locate(c, b) == Location::Interior);
                     }
                 }
@@ -470,7 +484,7 @@ fn faulty_predicate_result(
             Contains | Covers => {
                 if let (Geometry::GeometryCollection(_), Geometry::Point(p)) = (a, b) {
                     if let Some(c) = p.coord {
-                        fire(FaultId::GeosMixedBoundaryLastOneWins);
+                        ctx.fire(FaultId::GeosMixedBoundaryLastOneWins);
                         return Some(last_one_wins_locate(c, a) == Location::Interior);
                     }
                 }
@@ -485,7 +499,7 @@ fn faulty_predicate_result(
         && matches!(predicate, Crosses | Overlaps)
         && (is_collection_with_empty_first(a) || is_collection_with_empty_first(b))
     {
-        fire(FaultId::GeosMixedDimensionFirstElement);
+        ctx.fire(FaultId::GeosMixedDimensionFirstElement);
         return Some(faulty_dimension_predicate(predicate, a, b, ctx));
     }
 
@@ -495,7 +509,7 @@ fn faulty_predicate_result(
         && matches!(predicate, Intersects | Disjoint)
         && (first_element_is_empty(a) || first_element_is_empty(b))
     {
-        fire(FaultId::GeosIntersectsEmptyFirstElement);
+        ctx.fire(FaultId::GeosIntersectsEmptyFirstElement);
         return Some(matches!(predicate, Disjoint));
     }
 
@@ -504,8 +518,8 @@ fn faulty_predicate_result(
         && predicate == Touches
         && (is_descending_linestring(a) || is_descending_linestring(b))
     {
-        fire(FaultId::GeosTouchesDirectionSensitive);
-        return Some(!Touches.evaluate_with(a, b, ctx.relate));
+        ctx.fire(FaultId::GeosTouchesDirectionSensitive);
+        return Some(!Touches.evaluate_with(a, b, &ctx.relate));
     }
 
     // GEOS: Equals fails on consecutive duplicate vertices.
@@ -513,7 +527,7 @@ fn faulty_predicate_result(
         && predicate == Equals
         && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
     {
-        fire(FaultId::GeosEqualsDuplicateVertices);
+        ctx.fire(FaultId::GeosEqualsDuplicateVertices);
         return Some(false);
     }
 
@@ -523,7 +537,7 @@ fn faulty_predicate_result(
         && predicate == Disjoint
         && (has_empty_element(a) || has_empty_element(b))
     {
-        fire(FaultId::GeosDisjointEmptyElementMatrix);
+        ctx.fire(FaultId::GeosDisjointEmptyElementMatrix);
         return Some(!a.envelope().intersects(&b.envelope()));
     }
 
@@ -532,10 +546,10 @@ fn faulty_predicate_result(
         && predicate == Equals
         && (has_fractional_coords(a) || has_fractional_coords(b))
     {
-        fire(FaultId::PostgisEqualsSnapToGrid);
+        ctx.fire(FaultId::PostgisEqualsSnapToGrid);
         let snapped_a = snapped(a);
         let snapped_b = snapped(b);
-        return Some(Equals.evaluate_with(&snapped_a, &snapped_b, ctx.relate));
+        return Some(Equals.evaluate_with(&snapped_a, &snapped_b, &ctx.relate));
     }
 
     // PostGIS: Contains with a MULTIPOLYGON container that carries an EMPTY
@@ -543,9 +557,9 @@ fn faulty_predicate_result(
     if ctx.fault(FaultId::PostgisContainsMultiPolygonFirstOnly) && predicate == Contains {
         if let Geometry::MultiPolygon(mp) = a {
             if mp.polygons.len() > 1 && mp.polygons.iter().any(|p| p.is_empty()) {
-                fire(FaultId::PostgisContainsMultiPolygonFirstOnly);
+                ctx.fire(FaultId::PostgisContainsMultiPolygonFirstOnly);
                 let first = Geometry::Polygon(mp.polygons[0].clone());
-                return Some(Contains.evaluate_with(&first, b, ctx.relate));
+                return Some(Contains.evaluate_with(&first, b, &ctx.relate));
             }
         }
     }
@@ -557,7 +571,7 @@ fn faulty_predicate_result(
         && matches!(b, Geometry::GeometryCollection(_))
         && has_empty_element(b)
     {
-        fire(FaultId::PostgisWithinEmptyCollectionMember);
+        ctx.fire(FaultId::PostgisWithinEmptyCollectionMember);
         return Some(false);
     }
 
@@ -567,8 +581,8 @@ fn faulty_predicate_result(
         && predicate == Touches
         && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
     {
-        fire(FaultId::PostgisTouchesDuplicateVertices);
-        return Some(!Touches.evaluate_with(a, b, ctx.relate));
+        ctx.fire(FaultId::PostgisTouchesDuplicateVertices);
+        return Some(!Touches.evaluate_with(a, b, &ctx.relate));
     }
 
     // PostGIS: CoveredBy depends on ring orientation.
@@ -576,7 +590,7 @@ fn faulty_predicate_result(
         if let Geometry::Polygon(p) = a {
             if let Some(ring) = p.exterior() {
                 if ring_orientation(ring) == RingOrientation::CounterClockwise {
-                    fire(FaultId::PostgisCoveredByRingOrientation);
+                    ctx.fire(FaultId::PostgisCoveredByRingOrientation);
                     return Some(false);
                 }
             }
@@ -590,7 +604,7 @@ fn faulty_predicate_result(
         && collection_has_multi_element(b)
         && max_abs_coord(a) > 500.0
     {
-        fire(FaultId::MysqlCrossesLargeCoordinates);
+        ctx.fire(FaultId::MysqlCrossesLargeCoordinates);
         return Some(true);
     }
 
@@ -599,7 +613,7 @@ fn faulty_predicate_result(
         if let Geometry::GeometryCollection(_) = a {
             let env = a.envelope();
             if !env.is_empty() && env.width() > env.height() {
-                fire(FaultId::MysqlOverlapsAxisOrder);
+                ctx.fire(FaultId::MysqlOverlapsAxisOrder);
                 return Some(true);
             }
         }
@@ -610,7 +624,7 @@ fn faulty_predicate_result(
         && predicate == Touches
         && (has_empty_element(a) || has_empty_element(b))
     {
-        fire(FaultId::MysqlTouchesEmptyElement);
+        ctx.fire(FaultId::MysqlTouchesEmptyElement);
         return Some(true);
     }
 
@@ -620,7 +634,7 @@ fn faulty_predicate_result(
         && all_coords_negative(a)
         && all_coords_negative(b)
     {
-        fire(FaultId::MysqlDisjointNegativeCoordinates);
+        ctx.fire(FaultId::MysqlDisjointNegativeCoordinates);
         return Some(true);
     }
 
@@ -630,7 +644,7 @@ fn faulty_predicate_result(
         && predicate == Within
         && matches!(b, Geometry::GeometryCollection(_))
     {
-        fire(FaultId::SqlServerUnconfirmedWithinCollection);
+        ctx.fire(FaultId::SqlServerUnconfirmedWithinCollection);
         return Some(false);
     }
 
@@ -641,7 +655,7 @@ fn faulty_predicate_result(
 /// fewer than four points crash the GEOS-analog relate.
 fn guard_crash_relate(a: &Geometry, b: &Geometry, ctx: &FunctionContext) -> SdbResult<()> {
     if ctx.fault(FaultId::GeosCrashRelateShortRing) && (has_short_ring(a) || has_short_ring(b)) {
-        fire(FaultId::GeosCrashRelateShortRing);
+        ctx.fire(FaultId::GeosCrashRelateShortRing);
         coverage::hit("sdb.fault.crash_path");
         return Err(SdbError::Crash(
             "relate on polygon ring with fewer than 4 points".into(),
@@ -659,7 +673,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
             .to_ascii_uppercase()
             .contains("GEOMETRYCOLLECTION(GEOMETRYCOLLECTION EMPTY")
     {
-        fire(FaultId::DuckdbCrashNestedEmptyCollection);
+        ctx.fire(FaultId::DuckdbCrashNestedEmptyCollection);
         coverage::hit("sdb.fault.crash_path");
         return Err(SdbError::Crash(
             "nested EMPTY collection in WKT reader".into(),
@@ -670,7 +684,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
         && text.to_ascii_uppercase().contains("EMPTY")
         && !text.trim().eq_ignore_ascii_case("MULTIPOINT EMPTY")
     {
-        fire(FaultId::SqlServerUnconfirmedCrashEmptyMultipoint);
+        ctx.fire(FaultId::SqlServerUnconfirmedCrashEmptyMultipoint);
         coverage::hit("sdb.fault.crash_path");
         return Err(SdbError::Crash("MULTIPOINT with EMPTY element".into()));
     }
@@ -678,7 +692,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
     if ctx.fault(FaultId::DuckdbUnconfirmedEmptyPolygonWkt)
         && text.trim().eq_ignore_ascii_case("POLYGON(EMPTY)")
     {
-        fire(FaultId::DuckdbUnconfirmedEmptyPolygonWkt);
+        ctx.fire(FaultId::DuckdbUnconfirmedEmptyPolygonWkt);
         coverage::hit("sdb.fault.logic_path");
         return Err(SdbError::InvalidGeometry(
             "POLYGON(EMPTY) parsed as NULL".into(),
@@ -798,7 +812,7 @@ fn faulty_dimension_predicate(
                 m.matches("T*T***T**").unwrap_or(false)
             }
         }
-        _ => predicate.evaluate_with(a, b, ctx.relate),
+        _ => predicate.evaluate_with(a, b, &ctx.relate),
     }
 }
 
@@ -811,7 +825,7 @@ fn faulty_dimension(geometry: &Geometry, ctx: &FunctionContext) -> Dimension {
 fn effective_dimension(geometry: &Geometry, ctx: &FunctionContext) -> Dimension {
     if ctx.fault(FaultId::GeosMixedDimensionFirstElement) {
         if let Geometry::GeometryCollection(c) = geometry {
-            fire(FaultId::GeosMixedDimensionFirstElement);
+            ctx.fire(FaultId::GeosMixedDimensionFirstElement);
             return c
                 .geometries
                 .first()
@@ -986,11 +1000,12 @@ mod tests {
     use super::*;
     use crate::faults::FaultSet;
 
-    fn ctx_with<'a>(faults: &'a FaultSet, profile: EngineProfile) -> FunctionContext<'a> {
+    fn ctx_with(faults: &FaultSet, profile: EngineProfile) -> FunctionContext {
         FunctionContext {
             profile,
-            faults,
-            relate: Box::leak(Box::default()),
+            faults: faults.clone(),
+            relate: Arc::default(),
+            fired: Default::default(),
         }
     }
 

@@ -60,19 +60,19 @@
 //!                             (`-` when n is 0)
 //! ```
 //!
-//! The server records, for its whole process lifetime, every seeded fault
-//! that took its divergent branch ([`crate::faults::fire`]); the reply
-//! lists them in [`FaultId`] order, e.g. `FIRED 0 -` or
-//! `FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows`. Clients ask
-//! once, when they close a session whose fired set they need (fault
-//! attribution); [`read_fired`] accepts exactly the one encoding of a set
+//! The reply is the server engine's [`Engine::fired_faults`]: every seeded
+//! fault that took its divergent branch in the process's lifetime, listed
+//! in [`FaultId`] order, e.g. `FIRED 0 -` or
+//! `FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows`. A client
+//! asks once per session whose fired set it needs (fault attribution, via
+//! `EngineSession::fired_faults`); [`read_fired`] accepts exactly the one encoding of a set
 //! and rejects everything else — a wrong count, an unknown, repeated or
 //! out-of-order name, a stray token, a missing newline — so a damaged reply
 //! reads as "unknown", never as a smaller set.
 
 use crate::engine::{Engine, ExecutionResult, QueryResult};
 use crate::error::SdbError;
-use crate::faults::{fired, FaultId, FaultSet};
+use crate::faults::{FaultId, FaultSet};
 use crate::profile::EngineProfile;
 use std::io::{BufRead, Write};
 
@@ -391,7 +391,6 @@ pub fn serve(
     mut output: impl Write,
 ) -> std::io::Result<()> {
     let mut engine = Engine::with_faults(config.profile, config.faults.clone());
-    let mut fired_so_far = FaultSet::none();
     writeln!(output, "READY {}", config.profile.name())?;
     output.flush()?;
     for line in input.lines() {
@@ -401,11 +400,10 @@ pub fn serve(
             continue;
         }
         if sql == FIRED_REQUEST {
-            write_fired(&fired_so_far, &mut output)?;
+            write_fired(&engine.fired_faults(), &mut output)?;
             continue;
         }
-        let (result, fired_now) = fired::measure(|| engine.execute(sql));
-        fired_so_far.extend(fired_now.iter().flat_map(FaultSet::iter));
+        let result = engine.execute(sql);
         if config.hard_crash {
             if let Err(error) = &result {
                 if error.is_crash() {

@@ -3,8 +3,9 @@
 //! `runner::attribute` re-checks a finding only against the seeded faults
 //! whose divergent branch ran in a full-backend re-check, and reuses that
 //! re-check for every other fault. These tests run each campaign twice —
-//! once on a backend that reports fired faults (filtered attribution) and
-//! once behind a wrapper that does not (exhaustive attribution) — and demand
+//! once on a backend whose sessions report their fired faults (filtered
+//! attribution) and once behind a wrapper whose sessions do not (exhaustive
+//! attribution) — and demand
 //! byte-identical results: the determinism fingerprint, and every replay
 //! frame (setup, outcome and probe hashes, and the per-query digests). The
 //! probe hash covers the iteration's probe delta count for count, so it
@@ -22,13 +23,15 @@ use spatter_repro::core::runner::{CampaignRunner, OracleKind};
 use spatter_repro::sdb::{EngineProfile, FaultId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn server_path() -> &'static str {
     env!("CARGO_BIN_EXE_spatter-sdb-server")
 }
 
 /// A pass-through backend that counts `without_fault` re-checks and either
-/// forwards or withholds the wrapped backend's fired-fault reporting.
+/// forwards its sessions' fired-fault reports or wraps every session so that
+/// it reports none.
 #[derive(Debug)]
 struct Wrapped {
     inner: Arc<dyn EngineBackend>,
@@ -52,7 +55,12 @@ impl EngineBackend for Wrapped {
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        self.inner.open_session()
+        let session = self.inner.open_session()?;
+        Ok(if self.reports_fired {
+            session
+        } else {
+            Box::new(Unreporting(session))
+        })
     }
 
     fn fault_ids(&self) -> Vec<FaultId> {
@@ -68,16 +76,33 @@ impl EngineBackend for Wrapped {
         })
     }
 
-    fn reports_fired_faults(&self) -> bool {
-        self.reports_fired && self.inner.reports_fired_faults()
-    }
-
     fn name(&self) -> String {
         self.inner.name()
     }
 
     fn supports_function(&self, function: &str) -> bool {
         self.inner.supports_function(function)
+    }
+}
+
+/// A pass-through session that keeps the default `fired_faults`: unknown.
+struct Unreporting(Box<dyn EngineSession>);
+
+impl EngineSession for Unreporting {
+    fn load(&mut self, statements: &[String]) -> Result<(), BackendError> {
+        self.0.load(statements)
+    }
+
+    fn run_count(&mut self, sql: &str) -> Result<Option<i64>, BackendError> {
+        self.0.run_count(sql)
+    }
+
+    fn run_rows(&mut self, sql: &str) -> Result<Vec<String>, BackendError> {
+        self.0.run_rows(sql)
+    }
+
+    fn engine_time(&self) -> Duration {
+        self.0.engine_time()
     }
 }
 
@@ -120,7 +145,8 @@ fn assert_equivalent(
     config: &CampaignConfig,
     backend: Arc<dyn EngineBackend>,
 ) -> Comparison {
-    assert!(backend.reports_fired_faults(), "{label}");
+    let fired = backend.open_session().expect(label).fired_faults();
+    assert!(fired.is_some(), "{label}: a fresh session must report");
     let (filtered, report, filtered_rechecks) =
         run(config, Wrapped::new(Arc::clone(&backend), true));
     let (exhaustive, _, exhaustive_rechecks) = run(config, Wrapped::new(backend, false));

@@ -171,6 +171,54 @@ fn killed_server_reports_crash_and_the_session_reopens() {
 }
 
 #[test]
+fn stdio_sessions_report_the_server_fired_faults_until_it_dies() {
+    // Listing 1 over the wire: the stock server fires GeosCoversPrecisionLoss.
+    let backend = StdioBackend::stock(server_path(), EngineProfile::PostgisLike);
+    let mut session = backend.open_session().expect("open");
+    session
+        .load(&[
+            "CREATE TABLE t1 (g geometry)".to_string(),
+            "CREATE TABLE t2 (g geometry)".to_string(),
+            "INSERT INTO t1 (g) VALUES ('LINESTRING(0 1,2 0)')".to_string(),
+            "INSERT INTO t2 (g) VALUES ('POINT(0.2 0.9)')".to_string(),
+        ])
+        .expect("load");
+    assert_eq!(session.fired_faults(), Some(FaultSet::none()));
+    let covers = "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Covers(t1.g, t2.g)";
+    assert_eq!(session.run_count(covers), Ok(Some(0)));
+    assert_eq!(
+        session.fired_faults(),
+        Some(FaultSet::with([FaultId::GeosCoversPrecisionLoss]))
+    );
+
+    // A --hard-crash server that died took its fired set with it, and the
+    // respawned server cannot answer for it.
+    let backend = StdioBackend::new(
+        server_path(),
+        EngineProfile::MysqlLike,
+        FaultSet::with([FaultId::GeosCrashRelateShortRing]),
+    )
+    .with_hard_crash(true);
+    let mut session = backend.open_session().expect("open");
+    session
+        .load(&[
+            "CREATE TABLE t (g geometry)".to_string(),
+            "INSERT INTO t (g) VALUES ('POLYGON((0 0,1 1,0 0))'), ('POINT(0 0)')".to_string(),
+        ])
+        .expect("load");
+    assert_eq!(session.fired_faults(), Some(FaultSet::none()));
+    let crash = session.run_count("SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)");
+    assert!(
+        matches!(crash, Err(BackendError::Transport(_))),
+        "{crash:?}"
+    );
+    assert_eq!(session.fired_faults(), None);
+    let ok_sql = "SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, 100)";
+    assert_eq!(session.run_count(ok_sql), Ok(Some(4)));
+    assert_eq!(session.fired_faults(), None);
+}
+
+#[test]
 fn hard_crash_campaign_is_deterministic_across_worker_counts() {
     // A campaign whose generated scenarios hit crash faults (the stock
     // DuckDB-Spatial-like engine at this seed does) while --hard-crash kills

@@ -226,10 +226,6 @@ impl EngineBackend for NestedDistanceJoins {
     fn without_fault(&self, fault: FaultId) -> Box<dyn EngineBackend> {
         Box::new(NestedDistanceJoins(self.0.without_fault(fault)))
     }
-
-    fn reports_fired_faults(&self) -> bool {
-        self.0.reports_fired_faults()
-    }
 }
 
 #[test]
