@@ -27,14 +27,20 @@
 //!   [`BackendError::Transport`] failure for that query and transparently
 //!   respawns the server — replaying its setup statements — before the next
 //!   one, so a campaign shard survives an engine crash instead of losing the
-//!   shard.
+//!   shard. A session does not start a process of its own: it takes an idle
+//!   server from a pool the backend shares with its clones and
+//!   `without_fault` variants, much as [`InProcessBackend`] shares its
+//!   caches, and resets it to a fresh engine with the session's fault set
+//!   (the server's `\reset` control line). A new server is spawned only
+//!   when no idle one answers the reset.
 //!
 //! Errors carry a three-way taxonomy ([`BackendError`]) that
 //! [`crate::oracles::OracleOutcome`] maps from in exactly one place (its
 //! `From<BackendError>` impl): crashes and transport failures are findings,
 //! semantic errors make a query inapplicable.
 
-use crate::matrix::{DialectSpec, ExternalBackend};
+use crate::matrix::external::ServerPool;
+use crate::matrix::DialectSpec;
 use spatter_sdb::ast::Statement;
 use spatter_sdb::parser::parse_statement;
 use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, SdbError};
@@ -426,24 +432,28 @@ fn map_sdb_error(error: SdbError) -> BackendError {
 
 /// A backend that drives a `spatter-sdb-server` process over stdio: the
 /// sdb-server dialect of [`crate::matrix::ExternalBackend`], plus the fault
-/// set the server is launched with — which is what lets attribution disable
-/// one fault at a time ([`EngineBackend::without_fault`]).
+/// set its sessions' servers are reset to — which is what lets attribution
+/// disable one fault at a time ([`EngineBackend::without_fault`]). Clones
+/// and `without_fault` variants share one pool of servers; building a
+/// backend spawns none.
 #[derive(Debug, Clone)]
 pub struct StdioBackend {
-    command: PathBuf,
-    profile: EngineProfile,
     faults: FaultSet,
     hard_crash: bool,
+    /// Shared by every clone and `without_fault` variant. Its servers
+    /// launch with no faults: a session resets its server to `faults`
+    /// before using it, so the launch set never reaches a session.
+    pool: Arc<ServerPool>,
 }
 
 impl StdioBackend {
     /// A backend spawning `command` with an explicit fault set.
     pub fn new(command: impl Into<PathBuf>, profile: EngineProfile, faults: FaultSet) -> Self {
+        let dialect = DialectSpec::sdb_server(command, profile, FaultSet::none(), false);
         StdioBackend {
-            command: command.into(),
-            profile,
             faults,
             hard_crash: false,
+            pool: Arc::new(ServerPool::new(dialect)),
         }
     }
 
@@ -456,29 +466,26 @@ impl StdioBackend {
     /// the server process instead of replying, exercising the
     /// transport-failure recovery path.
     pub fn with_hard_crash(mut self, hard_crash: bool) -> Self {
+        let dialect =
+            DialectSpec::sdb_server(self.command(), self.profile(), FaultSet::none(), hard_crash);
         self.hard_crash = hard_crash;
+        self.pool = Arc::new(ServerPool::new(dialect));
         self
     }
 
     /// The server binary this backend spawns.
     pub fn command(&self) -> &Path {
-        &self.command
+        &self.pool.dialect().command
     }
 }
 
 impl EngineBackend for StdioBackend {
     fn profile(&self) -> EngineProfile {
-        self.profile
+        self.pool.dialect().profile
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        ExternalBackend::new(DialectSpec::sdb_server(
-            self.command.clone(),
-            self.profile,
-            self.faults.clone(),
-            self.hard_crash,
-        ))
-        .open_session()
+        self.pool.open_session(&self.faults)
     }
 
     fn fault_ids(&self) -> Vec<FaultId> {
@@ -493,8 +500,8 @@ impl EngineBackend for StdioBackend {
 
     fn wire_spec(&self) -> Option<BackendSpec> {
         Some(BackendSpec::Stdio {
-            command: self.command.clone(),
-            profile: self.profile,
+            command: self.command().to_path_buf(),
+            profile: self.profile(),
             faults: self.faults.clone(),
             hard_crash: self.hard_crash,
         })

@@ -29,6 +29,17 @@
 //! [`EngineBackend::fault_ids`]. A dead subprocess surfaces the canonical
 //! transport error and is lazily respawned with its setup script replayed.
 //!
+//! Where a session's processes come from depends on its backend. An
+//! [`ExternalBackend`] spawns a new process for every session and kills it
+//! when the session ends. A [`StdioBackend`](crate::backend::StdioBackend)
+//! takes `spatter-sdb-server` processes from a [`ServerPool`] it shares
+//! with its clones and `without_fault` variants: a session sends an idle
+//! server the `\reset` control line with its own fault set and uses it only
+//! if the reply is exactly `READY <profile>`; otherwise it kills that
+//! server and tries the next, spawning one when none is left. When the
+//! session ends, a live server goes back to the pool; one lost to a failed
+//! request was killed already and is never returned.
+//!
 //! Sessions speaking [`ReplyGrammar::SdbServer`] also report the server's
 //! fired faults ([`EngineSession::fired_faults`]): asked for them, a session
 //! sends the server's [`FIRED_REQUEST`] control line and returns the parsed
@@ -36,11 +47,15 @@
 //! parse, or that speaks another grammar reports them unknown (`None`).
 
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
-use spatter_sdb::server::{read_fired, read_frame, sanitize_line, Response, FIRED_REQUEST};
+use spatter_sdb::server::{
+    fault_spec, read_fired, read_frame, read_ready, sanitize_line, Response, FIRED_REQUEST,
+    RESET_REQUEST,
+};
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How an external engine's replies are parsed back into the backend
@@ -109,11 +124,7 @@ impl DialectSpec {
             "--profile".to_string(),
             profile.name().to_string(),
             "--faults".to_string(),
-            if faults.is_empty() {
-                "none".to_string()
-            } else {
-                faults.to_names()
-            },
+            fault_spec(&faults),
         ];
         if hard_crash {
             args.push("--hard-crash".to_string());
@@ -165,73 +176,76 @@ impl DialectSpec {
 /// An [`EngineBackend`] over the subprocess a [`DialectSpec`] describes.
 #[derive(Debug, Clone)]
 pub struct ExternalBackend {
-    dialect: DialectSpec,
+    dialect: Arc<DialectSpec>,
 }
 
 impl ExternalBackend {
     /// A backend speaking the given dialect.
     pub fn new(dialect: DialectSpec) -> Self {
-        ExternalBackend { dialect }
+        ExternalBackend {
+            dialect: Arc::new(dialect),
+        }
     }
 
     /// The dialect this backend speaks.
     pub fn dialect(&self) -> &DialectSpec {
         &self.dialect
     }
+}
 
-    fn spawn(&self) -> Result<ExternalHandle, BackendError> {
-        let mut command = Command::new(&self.dialect.command);
-        command
-            .args(&self.dialect.args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        // A binary that does not exist or cannot be executed is a harness
-        // misconfiguration (wrong path, unbuilt server), not evidence about
-        // the engine under test: surfacing it as a `Transport` error would
-        // flood a campaign report with bogus crash findings, so it aborts
-        // loudly. Any other failure here — a transient spawn error (EAGAIN,
-        // fd exhaustion under process churn) or an engine dying before its
-        // ready line (OOM-killed, signalled) — goes through the canonical
-        // transport error so finding descriptions stay byte-identical across
-        // worker counts and reruns, and the respawn path gets to retry.
-        let mut child = match command.spawn() {
-            Ok(child) => child,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::NotFound | std::io::ErrorKind::PermissionDenied
-                ) =>
-            {
-                panic!(
-                    "cannot spawn engine {}: {e} — backend misconfigured \
-                     (build the engine binary and check the command path)",
-                    self.dialect.command.display()
-                )
-            }
-            Err(_) => return Err(transport_lost()),
-        };
-        let stdin = child.stdin.take().expect("stdin piped");
-        let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
-        let mut handle = ExternalHandle {
-            child,
-            stdin,
-            stdout,
-        };
-        if let Some(prefix) = &self.dialect.ready_prefix {
-            loop {
-                match read_frame(&mut handle.stdout) {
-                    Ok(Some(line)) if line.starts_with(prefix.as_str()) => break,
-                    Ok(Some(_)) => continue,
-                    Ok(None) | Err(_) => {
-                        handle.shutdown();
-                        return Err(transport_lost());
-                    }
+/// Launches the process `dialect` describes and waits for its ready line.
+fn spawn(dialect: &DialectSpec) -> Result<ExternalHandle, BackendError> {
+    let mut command = Command::new(&dialect.command);
+    command
+        .args(&dialect.args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    // A binary that does not exist or cannot be executed is a harness
+    // misconfiguration (wrong path, unbuilt server), not evidence about
+    // the engine under test: surfacing it as a `Transport` error would
+    // flood a campaign report with bogus crash findings, so it aborts
+    // loudly. Any other failure here — a transient spawn error (EAGAIN,
+    // fd exhaustion under process churn) or an engine dying before its
+    // ready line (OOM-killed, signalled) — goes through the canonical
+    // transport error so finding descriptions stay byte-identical across
+    // worker counts and reruns, and the respawn path gets to retry.
+    let mut child = match command.spawn() {
+        Ok(child) => child,
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::NotFound | std::io::ErrorKind::PermissionDenied
+            ) =>
+        {
+            panic!(
+                "cannot spawn engine {}: {e} — backend misconfigured \
+                 (build the engine binary and check the command path)",
+                dialect.command.display()
+            )
+        }
+        Err(_) => return Err(transport_lost()),
+    };
+    let stdin = child.stdin.take().expect("stdin piped");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut handle = ExternalHandle {
+        child,
+        stdin,
+        stdout,
+    };
+    if let Some(prefix) = &dialect.ready_prefix {
+        loop {
+            match read_frame(&mut handle.stdout) {
+                Ok(Some(line)) if line.starts_with(prefix.as_str()) => break,
+                Ok(Some(_)) => continue,
+                Ok(None) | Err(_) => {
+                    handle.shutdown();
+                    return Err(transport_lost());
                 }
             }
         }
-        Ok(handle)
     }
+    Ok(handle)
 }
 
 impl EngineBackend for ExternalBackend {
@@ -240,14 +254,7 @@ impl EngineBackend for ExternalBackend {
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        let handle = self.spawn()?;
-        Ok(Box::new(ExternalSession {
-            backend: self.clone(),
-            handle: Some(handle),
-            setup: Vec::new(),
-            engine_time: Duration::ZERO,
-            lost_process: false,
-        }))
+        ExternalSession::open(Servers::Spawn(Arc::clone(&self.dialect)))
     }
 
     /// Empty: an external engine's faults are unknown, so campaign
@@ -269,12 +276,94 @@ impl EngineBackend for ExternalBackend {
 
     fn wire_spec(&self) -> Option<BackendSpec> {
         Some(BackendSpec::External {
-            dialect: self.dialect.clone(),
+            dialect: DialectSpec::clone(&self.dialect),
         })
     }
 }
 
+/// The `spatter-sdb-server` processes of one
+/// [`StdioBackend`](crate::backend::StdioBackend), shared by all its clones
+/// and `without_fault` variants (the fault set travels with the `\reset`).
+/// It spawns nothing until a session needs a server and keeps every live
+/// server that comes back, so it never holds more servers than were once in
+/// use at the same time (an AEI check holds two sessions per worker thread:
+/// the original and the transformed database). It kills and reaps every
+/// idle server when the last backend holding it drops.
+#[derive(Debug)]
+pub(crate) struct ServerPool {
+    /// How to launch a server: built once, for every session.
+    dialect: DialectSpec,
+    /// Live servers no session holds, each answered its last request.
+    idle: Mutex<Vec<ExternalHandle>>,
+}
+
+impl ServerPool {
+    /// An empty pool of servers launched as `dialect` says (an sdb-server
+    /// dialect, see [`DialectSpec::sdb_server`]).
+    pub(crate) fn new(dialect: DialectSpec) -> Self {
+        ServerPool {
+            dialect,
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// How the pool launches its servers.
+    pub(crate) fn dialect(&self) -> &DialectSpec {
+        &self.dialect
+    }
+
+    /// Opens a session whose servers come from this pool, each reset to an
+    /// engine with `faults` before the session uses it.
+    pub(crate) fn open_session(
+        self: &Arc<Self>,
+        faults: &FaultSet,
+    ) -> Result<Box<dyn EngineSession>, BackendError> {
+        ExternalSession::open(Servers::Pool {
+            pool: Arc::clone(self),
+            reset: format!("{RESET_REQUEST} {}", fault_spec(faults)),
+        })
+    }
+
+    /// The number of idle servers.
+    #[cfg(test)]
+    fn idle(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Locks the idle list, recovering it from poisoning: a panic elsewhere
+    /// cannot leave a `Vec` of handles inconsistent.
+    fn lock(&self) -> MutexGuard<'_, Vec<ExternalHandle>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A server reset with `reset`: the first idle one that answers the
+    /// reset exactly, or else a new one. Idle servers that fail the reset
+    /// are killed on the way. The lock is held only to pop, never across
+    /// the reset's I/O.
+    fn take(&self, reset: &str) -> Result<ExternalHandle, BackendError> {
+        loop {
+            let idle = self.lock().pop();
+            let Some(mut handle) = idle else { break };
+            if handle.reset(reset, self.dialect.profile) {
+                return Ok(handle);
+            }
+        }
+        let mut handle = spawn(&self.dialect)?;
+        if handle.reset(reset, self.dialect.profile) {
+            Ok(handle)
+        } else {
+            Err(transport_lost())
+        }
+    }
+
+    /// Keeps a live server for a later session.
+    fn give_back(&self, handle: ExternalHandle) {
+        self.lock().push(handle);
+    }
+}
+
 /// One live subprocess: pipes plus the child handle.
+#[derive(Debug)]
 struct ExternalHandle {
     child: Child,
     stdin: ChildStdin,
@@ -282,10 +371,18 @@ struct ExternalHandle {
 }
 
 impl ExternalHandle {
+    /// Sends `line` and its newline in one write.
     fn send_line(&mut self, line: &str) -> Result<(), BackendError> {
-        writeln!(self.stdin, "{line}")
-            .and_then(|()| self.stdin.flush())
-            .map_err(|_| transport_lost())
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.stdin.write_all(&frame).map_err(|_| transport_lost())
+    }
+
+    /// Sends a `\reset` line; whether the reply is exactly the `READY`
+    /// frame of `profile`.
+    fn reset(&mut self, line: &str, profile: EngineProfile) -> bool {
+        self.send_line(line).is_ok() && read_ready(&mut self.stdout, profile)
     }
 
     /// One request/response round trip under the dialect's grammar. Any I/O
@@ -374,6 +471,34 @@ fn transport_lost() -> BackendError {
     BackendError::Transport("engine process terminated".into())
 }
 
+/// Where a session's processes come from.
+enum Servers {
+    /// A new process each time, killed when the session is done with it.
+    Spawn(Arc<DialectSpec>),
+    /// `spatter-sdb-server` processes of a pool, each reset with the line
+    /// `reset` before use; a live one goes back when the session ends.
+    Pool {
+        pool: Arc<ServerPool>,
+        reset: String,
+    },
+}
+
+impl Servers {
+    fn dialect(&self) -> &DialectSpec {
+        match self {
+            Servers::Spawn(dialect) => dialect,
+            Servers::Pool { pool, .. } => &pool.dialect,
+        }
+    }
+
+    fn server(&self) -> Result<ExternalHandle, BackendError> {
+        match self {
+            Servers::Spawn(dialect) => spawn(dialect),
+            Servers::Pool { pool, reset } => pool.take(reset),
+        }
+    }
+}
+
 /// A session over one subprocess: the one session behind both
 /// [`ExternalBackend`] and [`StdioBackend`](crate::backend::StdioBackend).
 /// It remembers its setup script so that when the process dies the next
@@ -384,7 +509,7 @@ fn transport_lost() -> BackendError {
 /// at the first failure, so a respawned process replays exactly what the
 /// dead one was asked to execute.
 struct ExternalSession {
-    backend: ExternalBackend,
+    servers: Servers,
     handle: Option<ExternalHandle>,
     setup: Vec<String>,
     engine_time: Duration,
@@ -394,6 +519,17 @@ struct ExternalSession {
 }
 
 impl ExternalSession {
+    fn open(servers: Servers) -> Result<Box<dyn EngineSession>, BackendError> {
+        let handle = servers.server()?;
+        Ok(Box::new(ExternalSession {
+            servers,
+            handle: Some(handle),
+            setup: Vec::new(),
+            engine_time: Duration::ZERO,
+            lost_process: false,
+        }))
+    }
+
     fn request(&mut self, sql: &str) -> Result<Response, BackendError> {
         let started = Instant::now();
         let result = self.request_inner(sql);
@@ -403,14 +539,14 @@ impl ExternalSession {
 
     fn request_inner(&mut self, sql: &str) -> Result<Response, BackendError> {
         if self.handle.is_none() {
-            let mut handle = self.backend.spawn()?;
+            let mut handle = self.servers.server()?;
             for statement in &self.setup {
-                handle.request(&self.backend.dialect, statement)?;
+                handle.request(self.servers.dialect(), statement)?;
             }
             self.handle = Some(handle);
         }
         let handle = self.handle.as_mut().expect("respawned above");
-        match handle.request(&self.backend.dialect, sql) {
+        match handle.request(self.servers.dialect(), sql) {
             Ok(response) => Ok(response),
             Err(error) => {
                 if let Some(mut dead) = self.handle.take() {
@@ -469,12 +605,31 @@ impl EngineSession for ExternalSession {
     /// known: the dialect is not the sdb-server's, a server died (or never
     /// respawned), or its reply was lost or malformed.
     fn fired_faults(&mut self) -> Option<FaultSet> {
-        if self.lost_process || self.backend.dialect.grammar != ReplyGrammar::SdbServer {
+        if self.lost_process || self.servers.dialect().grammar != ReplyGrammar::SdbServer {
             return None;
         }
         let handle = self.handle.as_mut()?;
-        handle.send_line(FIRED_REQUEST).ok()?;
-        read_fired(&mut handle.stdout)
+        let fired = handle
+            .send_line(FIRED_REQUEST)
+            .ok()
+            .and_then(|()| read_fired(&mut handle.stdout));
+        if fired.is_none() {
+            // A server that did not answer in step is never pooled: drop it
+            // (killing it), and the next request respawns one.
+            self.handle = None;
+            self.lost_process = true;
+        }
+        fired
+    }
+}
+
+impl Drop for ExternalSession {
+    /// A pooled session's live server goes back to its pool; any other
+    /// handle is killed with the session.
+    fn drop(&mut self) {
+        if let (Servers::Pool { pool, .. }, Some(handle)) = (&self.servers, self.handle.take()) {
+            pool.give_back(handle);
+        }
     }
 }
 
@@ -529,6 +684,74 @@ mod tests {
         // without_fault yields an equivalent backend, never panics.
         let same = backend.without_fault(FaultId::GeosCoversPrecisionLoss);
         assert_eq!(same.wire_spec(), backend.wire_spec());
+    }
+
+    /// A pool of stand-in servers: each says `READY <reply>` at start and
+    /// in answer to every line it reads.
+    fn echo_pool(reply: &str) -> Arc<ServerPool> {
+        let script =
+            format!("echo 'READY {reply}'; while read -r line; do echo 'READY {reply}'; done");
+        Arc::new(ServerPool::new(DialectSpec {
+            name: "echo".to_string(),
+            command: PathBuf::from("sh"),
+            args: vec!["-c".to_string(), script],
+            profile: EngineProfile::PostgisLike,
+            ready_prefix: Some("READY".to_string()),
+            terminator: String::new(),
+            grammar: ReplyGrammar::SdbServer,
+        }))
+    }
+
+    #[test]
+    fn the_pool_reuses_every_live_server_that_comes_back() {
+        let pool = echo_pool("postgis_like");
+        assert_eq!(pool.idle(), 0, "building a pool spawns nothing");
+        let sessions: Vec<_> = (0..3)
+            .map(|_| pool.open_session(&FaultSet::none()).expect("open"))
+            .collect();
+        assert_eq!(pool.idle(), 0);
+        drop(sessions);
+        assert_eq!(pool.idle(), 3);
+        let reused = pool.open_session(&FaultSet::none()).expect("open");
+        assert_eq!(pool.idle(), 2);
+        drop(reused);
+        assert_eq!(pool.idle(), 3);
+    }
+
+    #[test]
+    fn a_server_that_answers_fired_out_of_step_is_not_pooled() {
+        // The stand-in answers `\fired` with a READY line, not a FIRED frame.
+        let pool = echo_pool("postgis_like");
+        let mut session = pool.open_session(&FaultSet::none()).expect("open");
+        assert_eq!(session.fired_faults(), None);
+        drop(session);
+        assert_eq!(pool.idle(), 0);
+    }
+
+    #[test]
+    fn a_dead_idle_server_is_replaced_without_an_error() {
+        let pool = echo_pool("postgis_like");
+        drop(pool.open_session(&FaultSet::none()).expect("open"));
+        {
+            let mut idle = pool.lock();
+            let dead = &mut idle[0].child;
+            dead.kill().expect("kill");
+            dead.wait().expect("reap");
+        }
+        let session = pool.open_session(&FaultSet::none()).expect("a new server");
+        assert_eq!(pool.idle(), 0, "the dead server was dropped");
+        drop(session);
+        assert_eq!(pool.idle(), 1);
+    }
+
+    #[test]
+    fn a_server_that_answers_the_reset_with_another_frame_is_not_used() {
+        // Its launch line passes the ready prefix, but its reset reply names
+        // another profile: neither an idle nor a new such server is used.
+        let pool = echo_pool("mysql_like");
+        let open = pool.open_session(&FaultSet::none()).map(|_| ());
+        assert_eq!(open, Err(transport_lost()));
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! WKT literals are single-line). Responses:
 //!
 //! ```text
-//! READY <profile>          -- handshake, once at startup
+//! READY <profile>          -- handshake at startup, and the reply to a reset
 //! OK                       -- statement executed, no rows, no mutation effect
 //! OK UPDATE <n>            -- UPDATE touched n rows
 //! OK DELETE <n>            -- DELETE removed n rows
@@ -34,7 +34,9 @@
 //! clients and servers interoperate on load-once workloads. Replies are
 //! newline-terminated frames; a frame truncated anywhere before its final
 //! newline decodes as a transport error, never as a shorter valid reply
-//! (`OK UPDATE 3` cut to `OK` must not read as a bare success).
+//! (`OK UPDATE 3` cut to `OK` must not read as a bare success). A reply
+//! that fits the server's 8 KiB output buffer leaves it in one write,
+//! however many lines it has.
 //!
 //! Only the first column of each row is transmitted: the oracle layer
 //! observes either a `COUNT(*)` scalar or the `ST_AsText` column of a KNN
@@ -52,29 +54,45 @@
 //! # Control lines
 //!
 //! A line starting with a backslash is a request to the server, never SQL
-//! (the dialect has no backslash). One control line exists:
+//! (the dialect has no backslash). Two control lines exist:
 //!
 //! ```text
-//! \fired                  -- request: the seeded faults fired so far
+//! \fired                   -- request: the seeded faults fired so far
 //! FIRED <n> <names|->      -- reply: n distinct FaultId names, comma-separated
 //!                             (`-` when n is 0)
+//! \reset <faults>          -- request: a fresh engine with these faults
+//!                             (`stock`, `none` or a FaultId list, as --faults)
+//! READY <profile>          -- reply: the fresh engine is in place
+//! ERR error <message>      -- reply: a bad spec; the engine is unchanged
 //! ```
 //!
-//! The reply is the server engine's [`Engine::fired_faults`]: every seeded
-//! fault that took its divergent branch in the process's lifetime, listed
-//! in [`FaultId`] order, e.g. `FIRED 0 -` or
+//! The `\fired` reply is the server engine's [`Engine::fired_faults`]: every
+//! seeded fault that took its divergent branch since the engine was built,
+//! listed in [`FaultId`] order, e.g. `FIRED 0 -` or
 //! `FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows`. A client
 //! asks once per session whose fired set it needs (fault attribution, via
 //! `EngineSession::fired_faults`); [`read_fired`] accepts exactly the one encoding of a set
 //! and rejects everything else — a wrong count, an unknown, repeated or
 //! out-of-order name, a stray token, a missing newline — so a damaged reply
 //! reads as "unknown", never as a smaller set.
+//!
+//! `\reset` lets a client reuse one process for many sessions, the way
+//! SQL-based testers give each run a fresh database rather than a fresh
+//! server. The server drops its engine — tables, indexes, `SET` switches,
+//! fired faults — and builds a new one of its profile with the given fault
+//! set. The new engine keeps the process's relate memo
+//! ([`RelateCache`]): the memo is bit-exact and fault-independent, so a
+//! warm memo changes no answer. [`read_ready`] accepts only the exact
+//! `READY <profile>` frame, so a client can tell a good reset from a dead
+//! or confused server.
 
 use crate::engine::{Engine, ExecutionResult, QueryResult};
 use crate::error::SdbError;
 use crate::faults::{FaultId, FaultSet};
 use crate::profile::EngineProfile;
-use std::io::{BufRead, Write};
+use spatter_topo::RelateCache;
+use std::io::{BufRead, BufWriter, Write};
+use std::sync::Arc;
 
 /// The exit code of a `--hard-crash` termination (chosen to match a Rust
 /// panic so supervisors treat it as abnormal).
@@ -121,16 +139,32 @@ impl ServerConfig {
                 other => return Err(format!("unknown argument {other}")),
             }
         }
-        let faults = match faults_spec.as_str() {
-            "stock" => profile.default_faults(),
-            "none" => FaultSet::none(),
-            list => FaultSet::parse_names(list)?,
-        };
         Ok(ServerConfig {
             profile,
-            faults,
+            faults: parse_fault_spec(profile, &faults_spec)?,
             hard_crash,
         })
+    }
+}
+
+/// Parses a fault-set spec, as `--faults` and `\reset` take it: `stock`
+/// (the profile's default faults), `none`, or a comma-separated [`FaultId`]
+/// list.
+pub fn parse_fault_spec(profile: EngineProfile, spec: &str) -> Result<FaultSet, String> {
+    match spec {
+        "stock" => Ok(profile.default_faults()),
+        "none" => Ok(FaultSet::none()),
+        list => FaultSet::parse_names(list),
+    }
+}
+
+/// The spec [`parse_fault_spec`] reads back as exactly `faults`: `none`, or
+/// the names of the faults.
+pub fn fault_spec(faults: &FaultSet) -> String {
+    if faults.is_empty() {
+        "none".to_string()
+    } else {
+        faults.to_names()
     }
 }
 
@@ -381,37 +415,110 @@ fn parse_fired(line: &str) -> Option<FaultSet> {
     (canonical && faults.len() == count).then(|| FaultSet::with(faults))
 }
 
-/// Runs the serve loop over an engine until the input stream ends. In
-/// `hard_crash` mode a simulated crash terminates the whole process with
-/// [`HARD_CRASH_EXIT_CODE`] — the response is intentionally never written,
-/// exactly like a real backend dying before it can answer.
+/// The control line that replaces the server's engine (see the module
+/// docs); the fault spec follows after one space.
+pub const RESET_REQUEST: &str = "\\reset";
+
+/// Writes the handshake frame, which is also the reply to a good reset.
+pub fn write_ready(profile: EngineProfile, output: &mut impl Write) -> std::io::Result<()> {
+    writeln!(output, "READY {}", profile.name())?;
+    output.flush()
+}
+
+/// Reads one frame and tells whether it is exactly the one [`write_ready`]
+/// writes for `profile`. Anything else — another profile, an `ERR` reply,
+/// a stray token, a missing newline, a closed stream — is `false`: the
+/// client must then not trust the server.
+pub fn read_ready(input: &mut impl BufRead, profile: EngineProfile) -> bool {
+    matches!(
+        read_frame(input),
+        Ok(Some(frame)) if frame.strip_prefix("READY ") == Some(profile.name())
+    )
+}
+
+/// One server process between input lines: its engine, and the relate memo
+/// every engine it builds shares.
+struct Server {
+    hard_crash: bool,
+    relate: Arc<RelateCache>,
+    engine: Engine,
+}
+
+impl Server {
+    fn new(config: &ServerConfig) -> Server {
+        let relate = Arc::new(RelateCache::default());
+        Server {
+            hard_crash: config.hard_crash,
+            engine: Engine::with_relate_cache(
+                config.profile,
+                config.faults.clone(),
+                Arc::clone(&relate),
+            ),
+            relate,
+        }
+    }
+
+    /// Answers one input line. `Ok(false)` means a simulated crash in
+    /// `--hard-crash` mode: the process must end without a reply.
+    fn answer(&mut self, line: &str, output: &mut impl Write) -> std::io::Result<bool> {
+        let sql = line.trim();
+        if sql.is_empty() {
+            return Ok(true);
+        }
+        if sql == FIRED_REQUEST {
+            write_fired(&self.engine.fired_faults(), output)?;
+            return Ok(true);
+        }
+        if let Some(spec) = sql.strip_prefix(RESET_REQUEST) {
+            match self.reset(spec) {
+                Ok(()) => write_ready(self.engine.profile(), output)?,
+                Err(message) => Response::Error {
+                    crash: false,
+                    message,
+                }
+                .write_to(output)?,
+            }
+            return Ok(true);
+        }
+        let result = self.engine.execute(sql);
+        if self.hard_crash && matches!(&result, Err(error) if error.is_crash()) {
+            return Ok(false);
+        }
+        Response::from_result(&result).write_to(output)?;
+        Ok(true)
+    }
+
+    /// Replaces the engine with a fresh one carrying the faults `spec`
+    /// (what follows `\reset`) names; on a bad spec the engine stays.
+    fn reset(&mut self, spec: &str) -> Result<(), String> {
+        let spec = spec
+            .strip_prefix(' ')
+            .ok_or_else(|| format!("usage: {RESET_REQUEST} <stock|none|FaultId,...>"))?;
+        let profile = self.engine.profile();
+        let faults = parse_fault_spec(profile, spec)?;
+        self.engine = Engine::with_relate_cache(profile, faults, Arc::clone(&self.relate));
+        Ok(())
+    }
+}
+
+/// Runs the serve loop over an engine until the input stream ends. A reply
+/// goes out in one write when it fits the buffer: `output` is buffered
+/// here and flushed once per reply. In `hard_crash` mode a simulated crash
+/// terminates the whole process with [`HARD_CRASH_EXIT_CODE`] — the
+/// response is intentionally never written, exactly like a real backend
+/// dying before it can answer.
 pub fn serve(
     config: &ServerConfig,
     input: impl BufRead,
-    mut output: impl Write,
+    output: impl Write,
 ) -> std::io::Result<()> {
-    let mut engine = Engine::with_faults(config.profile, config.faults.clone());
-    writeln!(output, "READY {}", config.profile.name())?;
-    output.flush()?;
+    let mut output = BufWriter::new(output);
+    let mut server = Server::new(config);
+    write_ready(config.profile, &mut output)?;
     for line in input.lines() {
-        let line = line?;
-        let sql = line.trim();
-        if sql.is_empty() {
-            continue;
+        if !server.answer(&line?, &mut output)? {
+            std::process::exit(HARD_CRASH_EXIT_CODE);
         }
-        if sql == FIRED_REQUEST {
-            write_fired(&engine.fired_faults(), &mut output)?;
-            continue;
-        }
-        let result = engine.execute(sql);
-        if config.hard_crash {
-            if let Err(error) = &result {
-                if error.is_crash() {
-                    std::process::exit(HARD_CRASH_EXIT_CODE);
-                }
-            }
-        }
-        Response::from_result(&result).write_to(&mut output)?;
     }
     Ok(())
 }
@@ -421,6 +528,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultId;
     use std::io::BufReader;
+    use std::time::Duration;
 
     fn run(config: &ServerConfig, script: &str) -> Vec<String> {
         let mut output = Vec::new();
@@ -713,6 +821,237 @@ mod tests {
         ] {
             assert_eq!(parse_fired(bad), None, "{bad:?}");
         }
+    }
+
+    /// A sink that counts the `write` calls it gets.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const LISTING1_SETUP: [&str; 4] = [
+        "CREATE TABLE t1 (g geometry)",
+        "CREATE TABLE t2 (g geometry)",
+        "INSERT INTO t1 (g) VALUES ('LINESTRING(0 1,2 0)')",
+        "INSERT INTO t2 (g) VALUES ('POINT(0.2 0.9)')",
+    ];
+    const LISTING1_QUERY: &str = "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Covers(t1.g, t2.g)";
+    /// Relates Listing 1's pair (the seeded fault answers `ST_Covers`
+    /// without relating it).
+    const RELATING_QUERY: &str = "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Intersects(t1.g, t2.g)";
+
+    /// A stock server that has a table, an index, both plan switches off,
+    /// a fired fault and a filled relate memo.
+    fn used_server() -> Server {
+        let mut server = Server::new(&ServerConfig {
+            profile: EngineProfile::PostgisLike,
+            faults: EngineProfile::PostgisLike.default_faults(),
+            hard_crash: false,
+        });
+        let mut sink = Vec::new();
+        for line in LISTING1_SETUP.into_iter().chain([
+            RELATING_QUERY,
+            "CREATE INDEX i2 ON t2 USING GIST (g)",
+            "SET enable_seqscan = false",
+            "SET enable_prepared = false",
+            LISTING1_QUERY,
+        ]) {
+            assert!(server.answer(line, &mut sink).unwrap());
+        }
+        assert!(String::from_utf8(sink)
+            .unwrap()
+            .ends_with("ROWS 1 0\nROW 0\n"));
+        assert!(server
+            .engine
+            .fired_faults()
+            .is_active(FaultId::GeosCoversPrecisionLoss));
+        assert!(!server.relate.is_empty());
+        server
+    }
+
+    #[test]
+    fn every_reset_spec_gives_a_fresh_engine_on_the_same_memo() {
+        let listed = FaultSet::with([
+            FaultId::GeosCoversPrecisionLoss,
+            FaultId::PostgisGistIndexDropsRows,
+        ]);
+        for (spec, faults) in [
+            ("stock", EngineProfile::PostgisLike.default_faults()),
+            ("none", FaultSet::none()),
+            ("GeosCoversPrecisionLoss,PostgisGistIndexDropsRows", listed),
+        ] {
+            let mut server = used_server();
+            let related = server.relate.len();
+            let mut reply = Vec::new();
+            assert!(server
+                .answer(&format!("{RESET_REQUEST} {spec}"), &mut reply)
+                .unwrap());
+            assert_eq!(reply, b"READY postgis_like\n", "{spec}");
+            let engine = &server.engine;
+            assert_eq!(engine.faults(), &faults, "{spec}");
+            assert!(engine.database().table_names().is_empty(), "{spec}");
+            assert!(engine.database().indexes().next().is_none(), "{spec}");
+            assert!(engine.seqscan_enabled() && engine.prepared_enabled());
+            assert!(engine.fired_faults().is_empty(), "{spec}");
+            assert_eq!(engine.execution_stats(), (Duration::ZERO, 0));
+
+            // The fresh engine relates Listing 1 through the memo the old
+            // one filled: every pair is a hit, no entry is added.
+            let mut sink = Vec::new();
+            for line in LISTING1_SETUP
+                .into_iter()
+                .chain([RELATING_QUERY, LISTING1_QUERY])
+            {
+                assert!(server.answer(line, &mut sink).unwrap());
+            }
+            let expected = if faults.is_active(FaultId::GeosCoversPrecisionLoss) {
+                "ROWS 1 0\nROW 0\n"
+            } else {
+                "ROWS 1 1\nROW 1\n"
+            };
+            assert!(String::from_utf8(sink).unwrap().ends_with(expected));
+            assert_eq!(server.relate.len(), related, "{spec}");
+        }
+    }
+
+    #[test]
+    fn a_bad_reset_spec_is_an_error_and_keeps_the_engine() {
+        for line in [
+            "\\reset Bogus",
+            "\\reset stock,Bogus",
+            "\\reset",
+            "\\resetstock",
+            "\\reset  stock",
+        ] {
+            let mut server = used_server();
+            let fired = server.engine.fired_faults();
+            let mut reply = Vec::new();
+            assert!(server.answer(line, &mut reply).unwrap());
+            let reply = String::from_utf8(reply).unwrap();
+            assert!(reply.starts_with("ERR error "), "{line:?}: {reply:?}");
+            assert_eq!(reply.lines().count(), 1, "{line:?}");
+            let engine = &server.engine;
+            assert_eq!(engine.database().table_names().len(), 2, "{line:?}");
+            assert!(!engine.seqscan_enabled() && !engine.prepared_enabled());
+            assert_eq!(engine.fired_faults(), fired, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn reset_replies_on_the_wire() {
+        let lines = run(
+            &reference_config(),
+            "CREATE TABLE t (g geometry)\n\
+             \\reset stock\n\
+             \\fired\n\
+             SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)\n\
+             \\reset NoSuchFault\n\
+             CREATE TABLE t (g geometry)\n",
+        );
+        assert_eq!(lines.len(), 7, "{lines:?}");
+        assert_eq!(
+            lines[..4],
+            [
+                "READY postgis_like",
+                "OK",
+                "READY postgis_like",
+                "FIRED 0 -"
+            ]
+        );
+        assert!(lines[4].starts_with("ERR error "), "{:?}", lines[4]);
+        assert_eq!(lines[5], "ERR error unknown fault NoSuchFault");
+        // The failed reset kept the (empty) engine the good one built.
+        assert_eq!(lines[6], "OK");
+    }
+
+    #[test]
+    fn read_ready_accepts_only_the_exact_frame() {
+        for profile in [EngineProfile::PostgisLike, EngineProfile::MysqlLike] {
+            let mut wire = Vec::new();
+            write_ready(profile, &mut wire).unwrap();
+            assert!(read_ready(&mut BufReader::new(wire.as_slice()), profile));
+        }
+        let postgis = EngineProfile::PostgisLike;
+        for bad in [
+            "",
+            "READY postgis_like",
+            "READY mysql_like\n",
+            "READY\n",
+            "READY \n",
+            "READY  postgis_like\n",
+            "READY postgis_like \n",
+            "READY postgis_likeX\n",
+            "ready postgis_like\n",
+            "OK\n",
+            "ERR error unknown fault Bogus\n",
+        ] {
+            assert!(
+                !read_ready(&mut BufReader::new(bad.as_bytes()), postgis),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        let mut sink = CountingSink::default();
+        serve(
+            &reference_config(),
+            BufReader::new(
+                "CREATE TABLE t (g geometry)\n\
+                 INSERT INTO t (g) VALUES ('POINT(0 0)'), ('POINT(3 4)'), ('POINT(1 1)')\n\
+                 SELECT ST_AsText(a.g) FROM t a ORDER BY ST_Distance(a.g, 'POINT(0 0)'::geometry) LIMIT 3\n\
+                 \\fired\n\
+                 \\reset stock\n\
+                 NOT EVEN SQL\n"
+                    .as_bytes(),
+            ),
+            &mut sink,
+        )
+        .unwrap();
+        let text = String::from_utf8(sink.bytes).unwrap();
+        // READY, OK, OK, ROWS (four lines), FIRED, READY, ERR.
+        assert_eq!(text.lines().count(), 10, "{text}");
+        assert_eq!(sink.writes, 7, "{text}");
+    }
+
+    #[test]
+    fn a_hard_crash_writes_nothing_for_the_crashing_statement() {
+        let mut server = Server::new(&ServerConfig {
+            profile: EngineProfile::MysqlLike,
+            faults: FaultSet::with([FaultId::GeosCrashRelateShortRing]),
+            hard_crash: true,
+        });
+        let mut sink = CountingSink::default();
+        for line in [
+            "CREATE TABLE t (g geometry)",
+            "INSERT INTO t (g) VALUES ('POLYGON((0 0,1 1,0 0))'), ('POINT(0 0)')",
+        ] {
+            assert!(server.answer(line, &mut sink).unwrap());
+        }
+        assert_eq!(sink.writes, 2);
+        let mut crash = CountingSink::default();
+        let survive = server
+            .answer(
+                "SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)",
+                &mut crash,
+            )
+            .unwrap();
+        assert!(!survive, "the process must end");
+        assert_eq!((crash.writes, crash.bytes.len()), (0, 0));
     }
 
     #[test]

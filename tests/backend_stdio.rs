@@ -1,7 +1,9 @@
 //! End-to-end tests of the SQL-over-stdio backend: the same oracles and
 //! campaign runner that drive the in-process engine drive a
 //! `spatter-sdb-server` subprocess, with identical findings — and survive the
-//! server process dying mid-session.
+//! server process dying mid-session. Sessions reuse pooled servers through
+//! the `\reset` control line: the pool tests count launches through a
+//! shell wrapper that logs each server's PID.
 //!
 //! The binary path comes from `CARGO_BIN_EXE_*`, which Cargo guarantees is
 //! built before these tests run.
@@ -14,6 +16,8 @@ use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
 use spatter_repro::core::FindingKind;
 use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet};
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 fn server_path() -> &'static str {
@@ -267,4 +271,229 @@ fn hard_crash_campaign_is_deterministic_across_worker_counts() {
             "{n_workers} workers"
         );
     }
+}
+
+/// A shell wrapper around the server in a directory of its own: it appends
+/// its PID to a log, then `exec`s the server, so each logged PID is one
+/// launched server.
+struct LoggedServer {
+    dir: PathBuf,
+}
+
+impl LoggedServer {
+    fn new(name: &str) -> LoggedServer {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!(
+            "spatter-backend-stdio-{}-{name}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let script = dir.join("server.sh");
+        std::fs::write(
+            &script,
+            format!(
+                "#!/bin/sh\necho $$ >> '{}'\nexec '{}' \"$@\"\n",
+                dir.join("launches").display(),
+                server_path()
+            ),
+        )
+        .expect("write wrapper");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("chmod wrapper");
+        LoggedServer { dir }
+    }
+
+    fn command(&self) -> PathBuf {
+        self.dir.join("server.sh")
+    }
+
+    /// The PIDs of the servers launched so far, in launch order.
+    fn launches(&self) -> Vec<u32> {
+        std::fs::read_to_string(self.dir.join("launches"))
+            .unwrap_or_default()
+            .lines()
+            .map(|pid| pid.parse().expect("a PID per line"))
+            .collect()
+    }
+}
+
+impl Drop for LoggedServer {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Whether a process exists: an exited but unreaped server still does.
+fn exists(pid: u32) -> bool {
+    Command::new("sh")
+        .args(["-c", &format!("kill -0 {pid}")])
+        .stderr(Stdio::null())
+        .status()
+        .expect("run sh")
+        .success()
+}
+
+fn statements(sql: &[&str]) -> Vec<String> {
+    sql.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn nothing_leaks_across_a_reused_server() {
+    // Under the default switches the join takes the prepared plan, whose
+    // seeded fault drops the repeated point. A leaked `enable_seqscan =
+    // false` would take the GiST index join instead (its fault drops the
+    // negative-x point), a leaked `enable_prepared = false` the nested
+    // loop (no fault fires): the fired set tells the plans apart.
+    let logged = LoggedServer::new("leaks");
+    let backend = StdioBackend::new(
+        logged.command(),
+        EngineProfile::PostgisLike,
+        FaultSet::with([
+            FaultId::GeosPreparedDuplicateDropped,
+            FaultId::PostgisGistIndexDropsRows,
+        ]),
+    );
+    let setup = statements(&[
+        "CREATE TABLE t1 (g geometry)",
+        "CREATE TABLE t2 (g geometry)",
+        "INSERT INTO t1 (g) VALUES ('POLYGON((-2 -2,4 -2,4 4,-2 4,-2 -2))')",
+        "INSERT INTO t2 (g) VALUES ('POINT(1 1)'), ('POINT(1 1)'), ('POINT(-1 1)')",
+        "CREATE INDEX t2_g ON t2 USING GIST (g)",
+    ]);
+    let join = "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Intersects(t1.g, t2.g)";
+
+    let mut first = backend.open_session().expect("open");
+    first.load(&setup).expect("load");
+    first
+        .load(&statements(&[
+            "SET enable_seqscan = false",
+            "SET enable_prepared = false",
+        ]))
+        .expect("set");
+    assert_eq!(first.run_count(join), Ok(Some(2)));
+    assert_eq!(
+        first.fired_faults(),
+        Some(FaultSet::with([FaultId::PostgisGistIndexDropsRows]))
+    );
+    drop(first);
+
+    let mut second = backend.open_session().expect("open");
+    assert_eq!(logged.launches().len(), 1, "the server is reused");
+    assert!(
+        matches!(second.run_count(join), Err(BackendError::Semantic(_))),
+        "no table survives the reset"
+    );
+    assert_eq!(second.fired_faults(), Some(FaultSet::none()));
+    second.load(&setup).expect("the tables are new again");
+    assert_eq!(second.run_count(join), Ok(Some(2)));
+    assert_eq!(
+        second.fired_faults(),
+        Some(FaultSet::with([FaultId::GeosPreparedDuplicateDropped]))
+    );
+}
+
+#[test]
+fn listing1_runs_on_one_server_for_the_stock_backend_and_its_variant() {
+    let logged = LoggedServer::new("listing1");
+    let stock = StdioBackend::stock(logged.command(), EngineProfile::PostgisLike);
+    let fixed = stock.without_fault(FaultId::GeosCoversPrecisionLoss);
+    let setup = statements(&[
+        "CREATE TABLE t1 (g geometry)",
+        "CREATE TABLE t2 (g geometry)",
+        "INSERT INTO t1 (g) VALUES ('LINESTRING(0 1,2 0)')",
+        "INSERT INTO t2 (g) VALUES ('POINT(0.2 0.9)')",
+    ]);
+    let covers = "SELECT COUNT(*) FROM t1 JOIN t2 ON ST_Covers(t1.g, t2.g)";
+    for (backend, count, fired) in [
+        (
+            &stock as &dyn EngineBackend,
+            0,
+            FaultSet::with([FaultId::GeosCoversPrecisionLoss]),
+        ),
+        (fixed.as_ref(), 1, FaultSet::none()),
+    ] {
+        let mut session = backend.open_session().expect("open");
+        session.load(&setup).expect("load");
+        assert_eq!(session.run_count(covers), Ok(Some(count)));
+        assert_eq!(session.fired_faults(), Some(fired));
+    }
+    assert_eq!(logged.launches().len(), 1, "the variant reused the server");
+}
+
+#[test]
+fn a_dead_hard_crash_server_is_never_pooled() {
+    let logged = LoggedServer::new("hard-crash");
+    let backend = StdioBackend::new(
+        logged.command(),
+        EngineProfile::MysqlLike,
+        FaultSet::with([FaultId::GeosCrashRelateShortRing]),
+    )
+    .with_hard_crash(true);
+    let setup = statements(&[
+        "CREATE TABLE t (g geometry)",
+        "INSERT INTO t (g) VALUES ('POLYGON((0 0,1 1,0 0))'), ('POINT(0 0)')",
+    ]);
+    let ok_sql = "SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, 100)";
+    let mut session = backend.open_session().expect("open");
+    session.load(&setup).expect("load");
+    let crash = session.run_count("SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)");
+    assert!(
+        matches!(crash, Err(BackendError::Transport(_))),
+        "{crash:?}"
+    );
+    let dead = logged.launches();
+    assert_eq!(dead.len(), 1);
+    assert!(!exists(dead[0]), "the dead server is reaped at once");
+    drop(session);
+
+    // Nothing went back to the pool: the next session needs a new server,
+    // which then serves the session after it too.
+    for _ in 0..2 {
+        let mut session = backend.open_session().expect("open");
+        session.load(&setup).expect("load");
+        assert_eq!(session.run_count(ok_sql), Ok(Some(4)));
+    }
+    assert_eq!(logged.launches().len(), 2);
+}
+
+#[test]
+fn a_one_thread_default_campaign_spawns_two_servers() {
+    // AEI holds two sessions at a time (the original and the transformed
+    // database); every other session of the campaign, attribution's
+    // included, reuses one of those two servers.
+    let logged = LoggedServer::new("campaign");
+    let config = CampaignConfig {
+        iterations: 12,
+        ..CampaignConfig::default()
+    }
+    .with_backend(Arc::new(StdioBackend::stock(
+        logged.command(),
+        EngineProfile::PostgisLike,
+    )));
+    let report = CampaignRunner::new(config).with_workers(1).run();
+    assert_eq!(report.iterations_run, 12);
+    assert_eq!(logged.launches().len(), 2);
+}
+
+#[test]
+fn dropping_the_last_backend_clone_reaps_every_server() {
+    let logged = LoggedServer::new("reap");
+    let backend = StdioBackend::stock(logged.command(), EngineProfile::PostgisLike);
+    assert!(logged.launches().is_empty(), "building spawns nothing");
+    let variant = backend.without_fault(FaultId::GeosCoversPrecisionLoss);
+    let sessions: Vec<_> = (0..3)
+        .map(|_| backend.open_session().expect("open"))
+        .chain([variant.open_session().expect("open")])
+        .collect();
+    drop(sessions);
+    let servers = logged.launches();
+    assert_eq!(servers.len(), 4);
+    drop(backend);
+    assert!(
+        servers.iter().all(|&pid| exists(pid)),
+        "the variant still holds the pool"
+    );
+    drop(variant);
+    let left: Vec<u32> = servers.into_iter().filter(|&pid| exists(pid)).collect();
+    assert!(left.is_empty(), "servers left running: {left:?}");
 }

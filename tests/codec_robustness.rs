@@ -1,6 +1,6 @@
 //! A seeded byte-mutation sweep over every decoder of untrusted lines: the
 //! supervisor/worker wire messages, the replay and matrix artifacts, and
-//! `spatter-sdb-server` replies. Every mutated input must decode or fail
+//! `spatter-sdb-server` replies (fired-fault and reset replies included). Every mutated input must decode or fail
 //! with a structured error — never panic, and never abort the process (an
 //! untrusted count used as an allocation size does the latter).
 
@@ -14,8 +14,8 @@ use spatter_repro::core::rng::seq::IndexedRandom;
 use spatter_repro::core::rng::{RngExt, SeedableRng, StdRng};
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::sdb::engine::ExecutionResult;
-use spatter_repro::sdb::server::{read_fired, write_fired, Response};
-use spatter_repro::sdb::{FaultId, FaultSet};
+use spatter_repro::sdb::server::{read_fired, read_ready, write_fired, write_ready, Response};
+use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet};
 use spatter_repro::topo::coverage::CoverageSnapshot;
 use std::io::BufReader;
 use std::sync::Arc;
@@ -262,4 +262,32 @@ fn mutated_fired_replies_decode_to_their_exact_set_or_unknown() {
     });
     assert!(cases >= 600, "{cases} cases");
     assert!(unknown * 2 > cases, "most mutants must read as unknown");
+}
+
+#[test]
+fn mutated_reset_replies_never_read_as_ready_unless_exact() {
+    // A pooled server is reused only on the exact `READY <profile>` frame;
+    // a damaged reply, or a bad-spec `ERR`, must make the client kill it.
+    let profile = EngineProfile::PostgisLike;
+    let mut ready = Vec::new();
+    write_ready(profile, &mut ready).expect("in-memory write");
+    let mut rejected = Vec::new();
+    Response::Error {
+        crash: false,
+        message: "unknown fault Bogus".into(),
+    }
+    .write_to(&mut rejected)
+    .expect("in-memory write");
+    let mut other_profile = Vec::new();
+    write_ready(EngineProfile::MysqlLike, &mut other_profile).expect("in-memory write");
+    let inputs = [ready.clone(), rejected, other_profile];
+    let mut accepted = 0;
+    let cases = sweep(0x2e5e7, &inputs, |bytes| {
+        if read_ready(&mut BufReader::new(bytes), profile) {
+            assert!(bytes.starts_with(&ready), "{bytes:?} read as READY");
+            accepted += 1;
+        }
+    });
+    assert!(cases >= 600, "{cases} cases");
+    assert!(accepted * 2 < cases, "most mutants must be rejected");
 }
