@@ -13,15 +13,13 @@ fn main() {
         ("GAG", GenerationStrategy::GeometryAware),
         ("RSG", GenerationStrategy::RandomShapeOnly),
     ] {
-        spatter_topo::coverage::reset();
         let report = run_campaign(default_campaign(
             EngineProfile::PostgisLike,
             strategy,
             seconds,
             77,
         ));
-        let (_, _, topo_frac) = spatter_topo::coverage::topo_coverage();
-        let (_, _, sdb_frac) = spatter_sdb::coverage::sdb_coverage();
+        let (_, topo_frac, sdb_frac) = report.coverage_timeline.last().copied().unwrap_or_default();
         println!(
             "{label}: iterations {:>4}, findings {:>4}, unique bugs {:>2}, geometry-library coverage {:.1}%, engine coverage {:.1}%",
             report.iterations_run,

@@ -3,43 +3,42 @@
 
 use spatter_bench::{default_campaign, run_campaign, run_unit_test_corpus};
 use spatter_core::generator::GenerationStrategy;
+use spatter_sdb::coverage::SDB_PROBES;
 use spatter_sdb::EngineProfile;
+use spatter_topo::coverage::{local, TOPO_PROBES};
+use std::collections::BTreeSet;
 
-fn coverage_line(label: &str) {
-    let (topo_hit, topo_total, topo_frac) = spatter_topo::coverage::topo_coverage();
-    let (sdb_hit, sdb_total, sdb_frac) = spatter_sdb::coverage::sdb_coverage();
+fn coverage_line(label: &str, probes: &BTreeSet<&'static str>) {
+    let hit = |list: &[&str]| list.iter().filter(|p| probes.contains(*p)).count();
+    let (topo_hit, topo_total) = (hit(TOPO_PROBES), TOPO_PROBES.len());
+    let (sdb_hit, sdb_total) = (hit(SDB_PROBES), SDB_PROBES.len());
     println!(
         "  {label:<22} geometry library {topo_hit:>2}/{topo_total} ({:.1}%)   engine {sdb_hit:>2}/{sdb_total} ({:.1}%)",
-        topo_frac * 100.0,
-        sdb_frac * 100.0
+        topo_hit as f64 / topo_total as f64 * 100.0,
+        sdb_hit as f64 / sdb_total as f64 * 100.0
     );
-}
-
-fn run_spatter() {
-    let report = run_campaign(default_campaign(
-        EngineProfile::PostgisLike,
-        GenerationStrategy::GeometryAware,
-        6,
-        5,
-    ));
-    let _ = report;
 }
 
 fn main() {
     println!("== Table 5: probe coverage of the tested components ==\n");
 
-    spatter_topo::coverage::reset();
-    run_spatter();
-    coverage_line("Spatter");
+    let spatter = run_campaign(default_campaign(
+        EngineProfile::PostgisLike,
+        GenerationStrategy::GeometryAware,
+        6,
+        5,
+    ))
+    .probe_coverage;
+    coverage_line("Spatter", &spatter);
 
-    spatter_topo::coverage::reset();
-    run_unit_test_corpus();
-    coverage_line("Unit tests");
+    let ((), delta) = local::measure(run_unit_test_corpus);
+    let unit: BTreeSet<&'static str> = delta.into_iter().map(|(name, _)| name).collect();
+    coverage_line("Unit tests", &unit);
 
-    spatter_topo::coverage::reset();
-    run_unit_test_corpus();
-    run_spatter();
-    coverage_line("Unit tests + Spatter");
+    coverage_line(
+        "Unit tests + Spatter",
+        &unit.union(&spatter).copied().collect(),
+    );
 
     println!("\nPaper reference (gcov line coverage of PostGIS / GEOS): Spatter 15.8%/20.1%,");
     println!("unit tests 79.5%/54.8%, unit tests + Spatter 79.9%/55.2%. The probe-based");

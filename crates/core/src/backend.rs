@@ -135,27 +135,21 @@ pub enum BackendSpec {
 impl BackendSpec {
     /// Builds the backend this spec describes.
     pub fn build(&self) -> Arc<dyn EngineBackend> {
-        self.build_boxed().into()
-    }
-
-    /// [`BackendSpec::build`] as a boxed trait object (the form
-    /// [`crate::oracles::DifferentialOracle::against`] consumes).
-    pub fn build_boxed(&self) -> Box<dyn EngineBackend> {
         match self {
             BackendSpec::InProcess { profile, faults } => {
-                Box::new(InProcessBackend::new(*profile, faults.clone()))
+                Arc::new(InProcessBackend::new(*profile, faults.clone()))
             }
             BackendSpec::Stdio {
                 command,
                 profile,
                 faults,
                 hard_crash,
-            } => Box::new(
+            } => Arc::new(
                 StdioBackend::new(command.clone(), *profile, faults.clone())
                     .with_hard_crash(*hard_crash),
             ),
             BackendSpec::External { dialect } => {
-                Box::new(crate::matrix::ExternalBackend::new(dialect.clone()))
+                Arc::new(crate::matrix::ExternalBackend::new(dialect.clone()))
             }
         }
     }
@@ -699,8 +693,7 @@ mod tests {
         )
         .with_hard_crash(true);
         let spec = stdio.wire_spec().expect("stdio specs exist");
-        assert_eq!(spec.build().wire_spec(), Some(spec.clone()));
-        assert_eq!(spec.build_boxed().wire_spec(), Some(spec));
+        assert_eq!(spec.build().wire_spec(), Some(spec));
     }
 
     #[test]

@@ -192,7 +192,9 @@ pub struct CampaignReport {
     /// unique fault (Figure 8a).
     pub unique_bug_timeline: Vec<(Duration, usize)>,
     /// Timeline of (elapsed, topo coverage fraction, engine coverage
-    /// fraction) snapshots, one per iteration (Figure 8b/8c).
+    /// fraction) entries, one per iteration (Figure 8b/8c), sorted by
+    /// elapsed time. The fractions count the probes of the iteration and
+    /// every lower index, so only the elapsed times depend on scheduling.
     pub coverage_timeline: Vec<(Duration, f64, f64)>,
     /// Number of query checks skipped because a distance-parameterised
     /// template met a non-similarity transformation (§7): skipping is the

@@ -51,8 +51,10 @@ use std::sync::OnceLock;
 /// Version 5 added the external-adapter backend spec (`external <dialect>`),
 /// the divergence-side token on findings, and the per-query outcome digest
 /// stream on record replay frames — the matrix subsystem's additions, so
-/// matrix cells can ride the fabric.
-pub const WIRE_VERSION: u32 = 5;
+/// matrix cells can ride the fabric. Version 6 dropped the two coverage
+/// fractions from record messages: the supervisor computes them from the
+/// records' probe deltas when it merges.
+pub const WIRE_VERSION: u32 = 6;
 
 const EPOCH: Marker = Marker {
     absent: "no-epoch",
@@ -425,9 +427,7 @@ fn write_record(writer: &mut TokenWriter, record: &IterationRecord) {
     }
     writer.push_duration(record.generation_time);
     writer.push_duration(record.engine_time);
-    writer.push_duration(record.coverage.0);
-    writer.push_f64(record.coverage.1);
-    writer.push_f64(record.coverage.2);
+    writer.push_duration(record.finished);
     writer.push_num(record.skipped);
     writer.push_num(record.findings.len());
     for finding in &record.findings {
@@ -457,11 +457,7 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> 
     }
     let generation_time = reader.next_duration("generation time")?;
     let engine_time = reader.next_duration("engine time")?;
-    let coverage = (
-        reader.next_duration("coverage elapsed")?,
-        reader.next_f64("topo coverage")?,
-        reader.next_f64("sdb coverage")?,
-    );
+    let finished = reader.next_duration("finish time")?;
     let skipped = reader.next_num("skip count")?;
     let n_findings: usize = reader.next_num("finding count")?;
     let mut findings = Vec::with_capacity(n_findings.min(64));
@@ -479,7 +475,7 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> 
         findings,
         generation_time,
         engine_time,
-        coverage,
+        finished,
         skipped,
         probe_delta,
         replay,
@@ -718,11 +714,7 @@ mod tests {
             findings: (0..n_findings).map(|_| random_finding(rng)).collect(),
             generation_time: Duration::from_nanos(rng.next_u64() >> 16),
             engine_time: Duration::from_nanos(rng.next_u64() >> 16),
-            coverage: (
-                Duration::from_nanos(rng.next_u64() >> 16),
-                f64::from_bits(rng.next_u64() >> 2),
-                (rng.random_range(0..1000u64)) as f64 / 999.0,
-            ),
+            finished: Duration::from_nanos(rng.next_u64() >> 16),
             skipped: rng.random_range(0..50usize),
             probe_delta: (0..n_probes)
                 .filter_map(|_| {
@@ -862,10 +854,7 @@ mod tests {
         assert_eq!(a.replay, b.replay);
         assert_eq!(a.generation_time, b.generation_time);
         assert_eq!(a.engine_time, b.engine_time);
-        assert_eq!(a.coverage.0, b.coverage.0);
-        // Bit-exact f64 transport, NaNs included.
-        assert_eq!(a.coverage.1.to_bits(), b.coverage.1.to_bits());
-        assert_eq!(a.coverage.2.to_bits(), b.coverage.2.to_bits());
+        assert_eq!(a.finished, b.finished);
         assert_eq!(a.skipped, b.skipped);
         assert_eq!(a.probe_delta, b.probe_delta);
         assert_eq!(a.findings.len(), b.findings.len());
@@ -916,25 +905,18 @@ mod tests {
     #[test]
     fn exotic_f64_bit_patterns_round_trip_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(0xf64);
-        for &bits_a in &EXOTIC_F64_BITS {
-            for &bits_b in &EXOTIC_F64_BITS {
-                let mut record = random_record(&mut rng);
-                record.coverage.1 = f64::from_bits(bits_a);
-                record.coverage.2 = f64::from_bits(bits_b);
-                let (line, decoded) = round_trip_record(&record);
-                assert_eq!(decoded.coverage.1.to_bits(), bits_a);
-                assert_eq!(decoded.coverage.2.to_bits(), bits_b);
-                // Re-encoding the decoded record is the identity: no stage
-                // of the codec canonicalizes.
-                assert_eq!(encode_record_message(7, &decoded), line);
-            }
-        }
-        // The same exactness through a campaign's f64 field.
+        // A campaign's f64 field crosses the wire bit for bit.
         for &bits in &EXOTIC_F64_BITS {
             let mut config = random_campaign(&mut rng);
             config.generator.random_shape_probability = f64::from_bits(bits);
-            let (_, decoded) = round_trip_campaign(&config);
+            let (line, decoded) = round_trip_campaign(&config);
             assert_eq!(decoded.generator.random_shape_probability.to_bits(), bits);
+            // Re-encoding the decoded campaign is the identity: no stage of
+            // the codec canonicalizes.
+            assert_eq!(
+                encode_config_message(1, &decoded, None).expect("encode"),
+                line
+            );
         }
         // And the replay hasher distinguishes every distinct pattern.
         let digests: Vec<u64> = EXOTIC_F64_BITS

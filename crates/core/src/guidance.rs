@@ -42,7 +42,7 @@
 //! ([`spatter_topo::coverage::local`], immune to concurrent pollution) and
 //! merged into one [`CoverageSnapshot`]. Every guided decision afterwards is
 //! a pure function of that frozen snapshot plus the iteration sub-seed —
-//! guidance reads the snapshot, never the live counters. The bandit pays for
+//! guidance reads the snapshot, never a running tally. The bandit pays for
 //! this determinism by being *stationary*: arm scores do not update within a
 //! campaign, exploration comes from the per-iteration seeded draw.
 

@@ -24,6 +24,7 @@ use crate::transform::TransformPlan;
 use spatter_geom::wkt::{parse_wkt, write_wkt};
 use spatter_sdb::EngineProfile;
 use spatter_topo::distance as topo_distance;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which engine of a comparison a finding implicates. Every oracle compares
@@ -601,7 +602,7 @@ impl Oracle for AeiOracle {
 pub struct DifferentialOracle {
     /// The comparison engine (the engine under test comes from `check`'s
     /// backend argument).
-    pub other: Box<dyn EngineBackend>,
+    pub other: Arc<dyn EngineBackend>,
 }
 
 impl DifferentialOracle {
@@ -610,13 +611,14 @@ impl DifferentialOracle {
     /// SDBMSs).
     pub fn against_stock(other_profile: EngineProfile) -> Self {
         DifferentialOracle {
-            other: Box::new(InProcessBackend::stock(other_profile)),
+            other: Arc::new(InProcessBackend::stock(other_profile)),
         }
     }
 
     /// Compares against an arbitrary engine backend (e.g. a stdio-driven
-    /// out-of-process engine).
-    pub fn against(other: Box<dyn EngineBackend>) -> Self {
+    /// out-of-process engine). The backend may be shared: a campaign runner
+    /// builds each comparison engine once and hands it to every iteration.
+    pub fn against(other: Arc<dyn EngineBackend>) -> Self {
         DifferentialOracle { other }
     }
 }
@@ -912,7 +914,7 @@ mod tests {
             .geometries
             .push(parse_wkt("GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 0))").unwrap());
         let queries = vec![QueryInstance::topo("t0", "t1", NamedPredicate::Within)];
-        let oracle = DifferentialOracle::against(Box::new(reference(EngineProfile::MysqlLike)));
+        let oracle = DifferentialOracle::against(Arc::new(reference(EngineProfile::MysqlLike)));
         let faults = FaultSet::with([FaultId::GeosMixedBoundaryLastOneWins]);
         let outcomes = oracle.check(
             &backend(EngineProfile::PostgisLike, &faults),

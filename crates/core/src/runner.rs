@@ -27,12 +27,12 @@
 //! Every iteration derives its generator, query and transform seeds from
 //! [`crate::rng::split_seed`]`(config.seed, iteration)`, and its guidance
 //! from a snapshot the schedule fixed before the window started. Guidance
-//! never reads the live counters: probe deltas are measured thread-locally
+//! never reads a running tally: probe deltas are measured thread-locally
 //! per iteration. So which worker executes an iteration never affects what
-//! it does, and findings, attribution and probe coverage are identical for
-//! any worker count (asserted by `identical_findings_for_any_worker_count`
-//! below). Only wall-clock fields (`elapsed`, timelines, timing totals)
-//! depend on scheduling.
+//! it does, and findings, attribution, probe coverage and the coverage
+//! timeline's fractions are identical for any worker count (asserted by
+//! `identical_findings_for_any_worker_count` below). Only wall-clock fields
+//! (`elapsed`, the timelines' times, timing totals) depend on scheduling.
 
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
 use crate::campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
@@ -49,7 +49,7 @@ use crate::schedule::Schedule;
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
-use spatter_topo::coverage::{self, local};
+use spatter_topo::coverage::local;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -87,18 +87,6 @@ pub enum OracleKind {
     Tlp,
 }
 
-impl OracleKind {
-    /// Display name used when labelling findings of non-AEI oracles.
-    fn name(&self) -> &'static str {
-        match self {
-            OracleKind::Aei => "AEI",
-            OracleKind::Differential(_) | OracleKind::DifferentialTwin(_) => "Differential",
-            OracleKind::Index => "Index",
-            OracleKind::Tlp => "TLP",
-        }
-    }
-}
-
 /// Everything one iteration produced. Wall-clock fields are measured on the
 /// executing worker; all other fields are pure functions of the sub-seed.
 #[derive(Debug, Clone)]
@@ -111,9 +99,10 @@ pub struct IterationRecord {
     pub generation_time: Duration,
     /// Time spent executing statements inside engines.
     pub engine_time: Duration,
-    /// `(elapsed, topo fraction, engine fraction)` coverage snapshot taken
-    /// when the iteration finished.
-    pub coverage: (Duration, f64, f64),
+    /// Campaign-clock time at which the iteration finished. The coverage
+    /// fractions of [`CampaignReport::coverage_timeline`] are computed from
+    /// `probe_delta` when the report is merged.
+    pub finished: Duration,
     /// Query checks skipped because a distance-parameterised template met a
     /// non-similarity transformation (§7).
     pub skipped: usize,
@@ -159,6 +148,11 @@ pub struct ScenarioParts {
 /// it over several.
 pub struct CampaignRunner {
     config: CampaignConfig,
+    /// The oracle of each suite entry, built once, so that a differential
+    /// oracle's comparison engine keeps its parse cache, relate memo and
+    /// server pool for the whole campaign. `None` marks an AEI entry, whose
+    /// oracle is bound to each iteration's scenario ([`aei_oracle`]).
+    suite: Vec<Option<Box<dyn Oracle>>>,
     n_workers: usize,
     replay_sink: Option<Arc<dyn ReplaySink>>,
 }
@@ -169,6 +163,7 @@ impl CampaignRunner {
     pub fn new(config: CampaignConfig) -> Self {
         assert!(!config.oracles.is_empty(), "oracle suite cannot be empty");
         CampaignRunner {
+            suite: config.oracles.iter().map(fixed_oracle).collect(),
             config,
             n_workers: 1,
             replay_sink: None,
@@ -329,8 +324,15 @@ impl CampaignRunner {
         // outcome diverged, not just the iteration.
         let mut query_hashers: Vec<ReplayHasher> =
             queries.iter().map(|_| ReplayHasher::new()).collect();
-        for (oracle_index, kind) in self.config.oracles.iter().enumerate() {
-            let oracle = build_oracle(kind, &plan, &knobs, script.as_ref());
+        for (oracle_index, fixed) in self.suite.iter().enumerate() {
+            let aei;
+            let oracle: &dyn Oracle = match fixed {
+                Some(oracle) => oracle.as_ref(),
+                None => {
+                    aei = aei_oracle(&plan, &knobs, script.as_ref());
+                    &aei
+                }
+            };
             let (outcomes, oracle_time) = oracle.check_timed(backend, &spec, &queries);
             engine_time += oracle_time;
             for (query_index, (_query, outcome)) in queries.iter().zip(outcomes.iter()).enumerate()
@@ -356,19 +358,12 @@ impl CampaignRunner {
                 };
                 // AEI findings keep their historical unprefixed descriptions;
                 // suite findings say which oracle produced them.
-                let description = match kind {
-                    OracleKind::Aei => description,
-                    other => format!("[{}] {description}", other.name()),
+                let description = match fixed {
+                    None => description,
+                    Some(_) => format!("[{}] {description}", oracle.name()),
                 };
                 let attributed = if self.config.attribute_findings {
-                    attribute(
-                        oracle.as_ref(),
-                        backend,
-                        &spec,
-                        &queries,
-                        query_index,
-                        finding_kind,
-                    )
+                    attribute(oracle, backend, &spec, &queries, query_index, finding_kind)
                 } else {
                     Vec::new()
                 };
@@ -409,18 +404,12 @@ impl CampaignRunner {
         if let Some(sink) = &self.replay_sink {
             sink.record_frame(&replay);
         }
-        let (topo_hit, topo_total, _) = coverage::topo_coverage();
-        let (sdb_hit, sdb_total, _) = spatter_sdb::coverage::sdb_coverage();
         IterationRecord {
             iteration,
             findings,
             generation_time,
             engine_time,
-            coverage: (
-                start.elapsed(),
-                topo_hit as f64 / topo_total as f64,
-                sdb_hit as f64 / sdb_total as f64,
-            ),
+            finished: start.elapsed(),
             skipped,
             probe_delta,
             replay,
@@ -488,34 +477,35 @@ impl CampaignRunner {
     }
 }
 
-/// Instantiates the oracle for a suite entry. The AEI oracle is bound to the
-/// iteration's transformation plan, scenario knobs and mutation script (so
-/// attribution re-runs replay the exact scenario); the baselines are
-/// stateless, define their own scan configurations (the Index oracle *is* an
-/// index-on/off comparison) and check the load-once database — the mutation
-/// workload is an AEI concern, since only the AEI path keeps the two frames
-/// equivalent statement by statement.
-fn build_oracle(
-    kind: &OracleKind,
+/// The AEI oracle of one iteration, bound to its transformation plan,
+/// scenario knobs and mutation script (so attribution re-runs replay the
+/// exact scenario).
+fn aei_oracle(
     plan: &TransformPlan,
     knobs: &ScenarioKnobs,
     script: Option<&MutationScript>,
-) -> Box<dyn Oracle> {
-    match kind {
-        OracleKind::Aei => {
-            let oracle = AeiOracle::new(plan.clone()).with_knobs(knobs.clone());
-            Box::new(match script {
-                Some(script) => oracle.with_mutations(script.clone()),
-                None => oracle,
-            })
-        }
+) -> AeiOracle {
+    let oracle = AeiOracle::new(plan.clone()).with_knobs(knobs.clone());
+    match script {
+        Some(script) => oracle.with_mutations(script.clone()),
+        None => oracle,
+    }
+}
+
+/// The oracle of a suite entry that does not depend on the iteration: every
+/// entry but AEI. The baselines are stateless apart from a differential
+/// oracle's comparison engine, define their own scan configurations (the
+/// Index oracle *is* an index-on/off comparison) and check the load-once
+/// database — the mutation workload is an AEI concern, since only the AEI
+/// path keeps the two frames equivalent statement by statement.
+fn fixed_oracle(kind: &OracleKind) -> Option<Box<dyn Oracle>> {
+    Some(match kind {
+        OracleKind::Aei => return None,
         OracleKind::Differential(profile) => Box::new(DifferentialOracle::against_stock(*profile)),
-        OracleKind::DifferentialTwin(spec) => {
-            Box::new(DifferentialOracle::against(spec.build_boxed()))
-        }
+        OracleKind::DifferentialTwin(spec) => Box::new(DifferentialOracle::against(spec.build())),
         OracleKind::Index => Box::new(IndexOracle),
         OracleKind::Tlp => Box::new(TlpOracle),
-    }
+    })
 }
 
 /// Attributes a finding to the seeded fault(s) whose individual removal makes
@@ -726,6 +716,19 @@ mod tests {
             .collect()
     }
 
+    /// A report's coverage fractions, bit for bit, in iteration-index
+    /// order: both fractions only grow with the index, so sorting recovers
+    /// that order from the elapsed-time order of the timeline.
+    fn coverage_fractions(report: &CampaignReport) -> Vec<(u64, u64)> {
+        let mut fractions: Vec<_> = report
+            .coverage_timeline
+            .iter()
+            .map(|&(_, topo, sdb)| (topo.to_bits(), sdb.to_bits()))
+            .collect();
+        fractions.sort_unstable();
+        fractions
+    }
+
     #[test]
     fn identical_findings_for_any_worker_count() {
         let baseline = CampaignRunner::new(config(3, 12)).run();
@@ -733,7 +736,10 @@ mod tests {
             !baseline.findings.is_empty(),
             "seed 3 should produce findings on the stock engine"
         );
-        for n_workers in [2, 4] {
+        assert!(coverage_fractions(&baseline)[0] > (0, 0));
+        // One worker again: a second run in the same process starts from
+        // nothing the first one left behind.
+        for n_workers in [1, 2, 4] {
             let parallel = CampaignRunner::new(config(3, 12))
                 .with_workers(n_workers)
                 .run();
@@ -745,6 +751,11 @@ mod tests {
             );
             assert_eq!(
                 parallel.unique_faults, baseline.unique_faults,
+                "{n_workers} workers"
+            );
+            assert_eq!(
+                coverage_fractions(&parallel),
+                coverage_fractions(&baseline),
                 "{n_workers} workers"
             );
         }

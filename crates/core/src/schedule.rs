@@ -25,7 +25,8 @@
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::guidance::GuidanceMode;
 use crate::runner::{IterationRecord, GUIDANCE_WARMUP};
-use spatter_topo::coverage::CoverageSnapshot;
+use spatter_sdb::coverage::SDB_PROBES;
+use spatter_topo::coverage::{CoverageSnapshot, TOPO_PROBES};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -152,10 +153,11 @@ impl Schedule {
     }
 
     /// Merges the completed records into the campaign report. Records are
-    /// taken in iteration-index order, so findings and unique-fault
-    /// attribution never depend on where an iteration ran. The two
-    /// timelines are then sorted along their wall-clock axis: with several
-    /// workers, index order and completion order differ, and a
+    /// taken in iteration-index order, so findings, unique-fault
+    /// attribution and each iteration's coverage fractions (the probes of
+    /// it and every lower index) never depend on where an iteration ran.
+    /// The two timelines are then sorted along their wall-clock axis: with
+    /// several workers, index order and completion order differ, and a
     /// bugs-over-time curve must not run backwards in time.
     pub(crate) fn into_report(self, total_time: Duration) -> CampaignReport {
         let mut report = CampaignReport {
@@ -174,6 +176,13 @@ impl Schedule {
                     .filter(|(_, count)| *count > 0)
                     .map(|(name, _)| *name),
             );
+            let share = |probes: &[&str]| {
+                let hit = probes.iter().filter(|p| report.probe_coverage.contains(*p));
+                hit.count() as f64 / probes.len() as f64
+            };
+            report
+                .coverage_timeline
+                .push((record.finished, share(TOPO_PROBES), share(SDB_PROBES)));
             for finding in record.findings {
                 for fault in &finding.attributed_faults {
                     if report.unique_faults.insert(*fault) {
@@ -182,7 +191,6 @@ impl Schedule {
                 }
                 report.findings.push(finding);
             }
-            report.coverage_timeline.push(record.coverage);
             report.iterations_run += 1;
         }
         new_fault_times.sort_unstable();
@@ -209,7 +217,7 @@ mod tests {
             findings: Vec::new(),
             generation_time: Duration::from_millis(1),
             engine_time: Duration::from_millis(2),
-            coverage: (Duration::ZERO, 0.0, 0.0),
+            finished: Duration::ZERO,
             skipped: 1,
             probe_delta: vec![("topo.predicate.intersects", iteration as u64)],
             replay: ReplayFrame {
@@ -386,5 +394,12 @@ mod tests {
         // (iteration 0's zero-count delta contributes nothing).
         assert_eq!(report.probes_covered(), 1);
         assert!(report.probe_coverage.contains("topo.predicate.intersects"));
+        // Each iteration's coverage counts its own probes and those of every
+        // lower index, whatever order the records completed in.
+        let topo = 1.0 / TOPO_PROBES.len() as f64;
+        assert_eq!(
+            report.coverage_timeline,
+            [0.0, topo, topo, topo].map(|topo| (Duration::ZERO, topo, 0.0))
+        );
     }
 }

@@ -1,10 +1,8 @@
 //! Coverage probes for the engine layer (the "PostGIS module" analog of
 //! Table 5). See `spatter_topo::coverage` for the mechanism; this module only
-//! contributes the engine-side probe list and convenience helpers.
+//! contributes the engine-side probe list.
 
-use spatter_topo::coverage as topo_coverage;
-
-pub use spatter_topo::coverage::{ColdProbeMap, CoverageSnapshot};
+pub use spatter_topo::coverage::{hit, ColdProbeMap, CoverageSnapshot};
 
 /// The probes of the SQL-engine layer.
 pub const SDB_PROBES: &[&str] = &[
@@ -49,18 +47,6 @@ pub const SDB_PROBES: &[&str] = &[
     "sdb.fault.crash_path",
 ];
 
-/// Records an engine-layer probe hit.
-pub fn hit(name: &'static str) {
-    topo_coverage::hit(name);
-}
-
-/// Coverage summary of the engine probes: `(hit, total, fraction)`.
-pub fn sdb_coverage() -> (usize, usize, f64) {
-    let hit = topo_coverage::hit_count_in(SDB_PROBES);
-    let total = SDB_PROBES.len();
-    (hit, total, hit as f64 / total as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,20 +55,18 @@ mod tests {
     fn probes_are_unique_and_counted_separately_from_topo() {
         let set: std::collections::HashSet<_> = SDB_PROBES.iter().collect();
         assert_eq!(set.len(), SDB_PROBES.len());
-        // Other tests of this binary execute engine code concurrently, so
-        // only lower bounds on the shared global registry are stable here.
-        hit("sdb.exec.insert");
-        hit("topo.predicate.intersects");
-        let (sdb_hit, sdb_total, _) = sdb_coverage();
-        assert!(sdb_hit >= 1);
-        assert_eq!(sdb_total, SDB_PROBES.len());
-        assert!(topo_coverage::hit_count("sdb.exec.insert") >= 1);
-        let (topo_hit, _, _) = topo_coverage::topo_coverage();
-        assert!(topo_hit >= 1);
+        let ((), delta) = spatter_topo::coverage::local::measure(|| {
+            hit("sdb.exec.insert");
+            hit("topo.predicate.intersects");
+        });
+        assert_eq!(
+            delta,
+            vec![("sdb.exec.insert", 1), ("topo.predicate.intersects", 1)]
+        );
         // An sdb probe never counts towards the topo denominator.
         assert!(!SDB_PROBES
             .iter()
-            .any(|p| topo_coverage::TOPO_PROBES.contains(p)));
+            .any(|p| spatter_topo::coverage::TOPO_PROBES.contains(p)));
     }
 
     #[test]

@@ -5,57 +5,57 @@
 //! reproduction is a Rust workspace rather than an instrumented C build, the
 //! same experiment is expressed with named *probes*: every component of the
 //! geometry library and SQL engine registers a static probe name and calls
-//! [`hit`] when it executes. Coverage is the fraction of registered probes
-//! hit since the last [`reset`]. The measurement intent (which components a
-//! test campaign exercises) is identical; only the unit differs.
+//! [`hit`] when it executes. Coverage is the fraction of a probe list that a
+//! measured span of work hit: [`local::measure`] (or [`local::start`] and
+//! [`local::take`]) returns that span's per-probe tally, and
+//! [`CoverageSnapshot`] accumulates tallies. The measurement intent (which
+//! components a test campaign exercises) is identical; only the unit
+//! differs.
 //!
 //! # Concurrency and per-hit cost
 //!
 //! Probes sit on the hottest paths of the engine (every relate call, every
 //! point location, every segment intersection), and the sharded campaign
-//! runner executes iterations on many worker threads at once. The registry
-//! is therefore a fixed-capacity, open-addressed hash table of per-probe
-//! atomic counters — no lock, no shared cache line between distinct probes.
-//! The previous implementation (a global `Mutex<HashSet>`) serialized every
-//! probe hit across all workers.
+//! runner executes iterations on many worker threads at once. Nothing a hit
+//! writes is shared: the registry only maps each probe name to a fixed slot
+//! of a fixed-capacity, open-addressed table (written once per name, on
+//! registration), and the count goes into the calling thread's own tally.
+//! There is no process-wide count, so what one thread measures never depends
+//! on what other threads (or earlier campaigns of the same process) did.
 //!
-//! Hashing a probe name and comparing it against the table on every hit
-//! would cost more than the relate step it instruments, so [`hit`] first
-//! resolves the name through a small per-thread, direct-mapped cache keyed
-//! by the literal's address *and* length (a literal that is a prefix of
-//! another may share its start address). A cache hit costs one
-//! thread-local access, one compare, the relaxed `fetch_add` on the probe's
-//! global counter and — while a [`local`] recording runs — one increment of
-//! the thread's slot-indexed tally. A miss (the first hit of a call site on
-//! a thread, or a cache conflict) falls back to the hashed table lookup and
+//! Outside a [`local`] recording a hit costs one thread-local access and
+//! one borrow-flag check. Inside one, hashing a probe name and comparing it
+//! against the table on every hit would cost more than the relate step it
+//! instruments, so [`hit`] resolves the name through a small per-thread,
+//! direct-mapped cache keyed by the literal's address *and* length (a
+//! literal that is a prefix of another may share its start address). A
+//! cache hit costs one compare and one increment of the thread's
+//! slot-indexed tally. A miss (the first recorded hit of a call site on a
+//! thread, or a cache conflict) falls back to the hashed table lookup and
 //! refills the cache line. Registry slots never move once assigned, so a
 //! cached resolution never goes stale.
 //!
-//! Every query — membership, counting, snapshotting — verifies the **full
-//! probe name** against the stored key, never just the hash slot: an
-//! open-addressing collision can place two names in adjacent slots, and a
-//! hash-only check would report a never-hit name as hit whenever it collides
-//! with a hot one (the phantom-hit bug the collision regression test below
-//! pins down).
+//! Registration verifies the **full probe name** against the stored key,
+//! never just the hash slot: an open-addressing collision can place two
+//! names in adjacent slots, and a hash-only check would give them one slot,
+//! so a hot probe would make its never-hit neighbour look hit (the
+//! phantom-hit bug the collision regression test below pins down).
 //!
 //! # Scoped measurement
 //!
-//! The global counters accumulate hits from every thread of the process —
-//! fine for the Figure 8 coverage fractions, useless for asking "which
-//! probes did *this* iteration hit?" when other workers (or unrelated tests
-//! in the same binary) run concurrently. The [`local`] module provides a
-//! thread-local delta recorder for that question: between [`local::start`]
-//! and [`local::take`], every `hit` on the calling thread also increments
-//! the thread's private count for the probe's registry slot, so a campaign
+//! The [`local`] module is the only probe count: between [`local::start`]
+//! and [`local::take`], every `hit` on the calling thread increments the
+//! thread's private count for the probe's registry slot, so a campaign
 //! iteration that executes entirely on one worker thread measures its own
 //! probe delta exactly, regardless of what the rest of the process is
-//! doing. The coverage-guided campaign runner builds its
-//! [`CoverageSnapshot`]s from these deltas, which is what keeps guided
-//! generation deterministic across worker counts.
+//! doing. Hits outside a recording are not counted anywhere. The campaign
+//! runner builds guidance [`CoverageSnapshot`]s and the Figure 8 coverage
+//! timeline from these deltas, merged in iteration-index order, which keeps
+//! both identical across worker counts, fleet splits and repeated runs.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// The complete list of probes in the `spatter-topo` crate ("GEOS analog"
 /// component). Keeping the list static gives a stable denominator.
@@ -125,14 +125,13 @@ pub const TOPO_PROBES: &[&str] = &[
     "topo.segment.intersection_endpoint",
 ];
 
-/// One registered probe: its name, its hit counter and the table slot it
-/// occupies. Entries are leaked on first registration and live for the
-/// process lifetime, so `&'static` references to them can be handed out
-/// freely. The slot is unique per name and below [`TABLE_SLOTS`]; it indexes
-/// the thread-local tallies of [`local`].
+/// One registered probe: its name and the table slot it occupies. Entries
+/// are leaked on first registration and live for the process lifetime, so
+/// `&'static` references to them can be handed out freely. The slot is
+/// unique per name and below [`TABLE_SLOTS`]; it indexes the thread-local
+/// tallies of [`local`].
 struct ProbeEntry {
     name: &'static str,
-    count: AtomicU64,
     slot: usize,
 }
 
@@ -141,9 +140,9 @@ struct ProbeEntry {
 /// panics rather than silently dropping probes if it ever fills up.
 const TABLE_SLOTS: usize = 1024;
 
-/// The global probe table. A null slot is empty; a non-null slot points at a
-/// leaked [`ProbeEntry`] and is never unlinked (resets only zero counters),
-/// so readers never observe a dangling pointer.
+/// The probe registry. A null slot is empty; a non-null slot points at a
+/// leaked [`ProbeEntry`] and is never unlinked, so readers never observe a
+/// dangling pointer.
 static TABLE: [AtomicPtr<ProbeEntry>; TABLE_SLOTS] =
     [const { AtomicPtr::new(ptr::null_mut()) }; TABLE_SLOTS];
 
@@ -157,27 +156,6 @@ fn hash(name: &str) -> usize {
     h as usize & (TABLE_SLOTS - 1)
 }
 
-/// Read-only lookup: walks the probe chain of `name` and returns its entry
-/// only when the **stored key matches the full name**. Colliding names that
-/// landed in the chain are stepped over, and a never-registered name returns
-/// `None` — it can never alias another probe's counter.
-fn find(name: &str) -> Option<&'static ProbeEntry> {
-    let mut slot = hash(name);
-    for _ in 0..TABLE_SLOTS {
-        let current = TABLE[slot].load(Ordering::Acquire);
-        if current.is_null() {
-            return None;
-        }
-        // Safety: non-null slots point at leaked, immortal entries.
-        let existing = unsafe { &*current };
-        if existing.name == name {
-            return Some(existing);
-        }
-        slot = (slot + 1) & (TABLE_SLOTS - 1);
-    }
-    None
-}
-
 /// The entry registered in table slot `slot`, which must be occupied.
 fn registered(slot: usize) -> &'static ProbeEntry {
     let entry = TABLE[slot].load(Ordering::Acquire);
@@ -186,17 +164,16 @@ fn registered(slot: usize) -> &'static ProbeEntry {
     unsafe { &*entry }
 }
 
-/// Finds the entry for `name`, registering it first if needed.
+/// Finds the entry for `name`, registering it first if needed. Walks the
+/// probe chain of `name` and matches the **full name** against each stored
+/// key, so colliding names that landed in the chain are stepped over and
+/// never share a slot.
 fn find_or_register(name: &'static str) -> &'static ProbeEntry {
     let mut slot = hash(name);
     for _ in 0..TABLE_SLOTS {
         let current = TABLE[slot].load(Ordering::Acquire);
         if current.is_null() {
-            let entry = Box::into_raw(Box::new(ProbeEntry {
-                name,
-                count: AtomicU64::new(0),
-                slot,
-            }));
+            let entry = Box::into_raw(Box::new(ProbeEntry { name, slot }));
             match TABLE[slot].compare_exchange(
                 ptr::null_mut(),
                 entry,
@@ -223,95 +200,13 @@ fn find_or_register(name: &'static str) -> &'static ProbeEntry {
     panic!("coverage probe table is full ({TABLE_SLOTS} slots)");
 }
 
-/// Records that the probe `name` executed. Unknown probe names are recorded
-/// too (they simply do not count towards the static denominator).
+/// Records that the probe `name` executed: one count in the calling
+/// thread's running [`local`] recording, if any. Unknown probe names are
+/// recorded too (they simply do not count towards the static denominators).
 pub fn hit(name: &'static str) {
-    let recorded = local::THREAD.try_with(|thread| {
-        let entry = thread.resolve(name);
-        entry.count.fetch_add(1, Ordering::Relaxed);
-        thread.record(entry.slot, 1);
-    });
-    if recorded.is_err() {
-        // The thread's locals are already torn down (a hit from another
-        // thread-local's destructor): count globally, record nothing.
-        find_or_register(name).count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Replays `delta` (a tally as returned by [`local::take`]) as if the work
-/// that recorded it ran once more on the calling thread: every count goes to
-/// the probe's global counter and, while a [`local`] recording runs, to the
-/// thread's tally. [`hit_count`], [`hits`] and the running recording end up
-/// exactly as the repeated [`hit`]s would leave them; a memoised result
-/// (see [`crate::relate_cache`]) stays invisible to coverage this way.
-pub fn replay(delta: &[(&'static str, u64)]) {
-    let replayed = local::THREAD.try_with(|thread| {
-        for &(name, count) in delta {
-            let entry = thread.resolve(name);
-            entry.count.fetch_add(count, Ordering::Relaxed);
-            thread.record(entry.slot, count);
-        }
-    });
-    if replayed.is_err() {
-        for &(name, count) in delta {
-            find_or_register(name)
-                .count
-                .fetch_add(count, Ordering::Relaxed);
-        }
-    }
-}
-
-/// How often `name` was hit since the last [`reset`].
-pub fn hit_count(name: &'static str) -> u64 {
-    hit_count_of(name)
-}
-
-/// [`hit_count`] for names that are not `'static` (snapshot captures, report
-/// tooling). Never-registered names count 0.
-pub fn hit_count_of(name: &str) -> u64 {
-    find(name).map_or(0, |e| e.count.load(Ordering::Relaxed))
-}
-
-/// Clears all recorded probe hits (names stay registered; counters go to 0).
-pub fn reset() {
-    for slot in &TABLE {
-        let current = slot.load(Ordering::Acquire);
-        if !current.is_null() {
-            // Safety: non-null slots point at leaked, immortal entries.
-            unsafe { &*current }.count.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Returns the set of probes hit since the last reset.
-pub fn hits() -> HashSet<&'static str> {
-    let mut set = HashSet::new();
-    for slot in &TABLE {
-        let current = slot.load(Ordering::Acquire);
-        if !current.is_null() {
-            // Safety: non-null slots point at leaked, immortal entries.
-            let entry = unsafe { &*current };
-            if entry.count.load(Ordering::Relaxed) > 0 {
-                set.insert(entry.name);
-            }
-        }
-    }
-    set
-}
-
-/// Number of probes of a given list that were hit. Each name is looked up
-/// individually with the full key verified, so a never-hit (or never even
-/// registered) probe name always counts 0 — a slot collision with a hot
-/// probe cannot manufacture a phantom hit.
-pub fn hit_count_in(probes: &[&str]) -> usize {
-    probes.iter().filter(|p| hit_count_of(p) > 0).count()
-}
-
-/// Coverage summary of this crate's probes: `(hit, total, fraction)`.
-pub fn topo_coverage() -> (usize, usize, f64) {
-    let hit = hit_count_in(TOPO_PROBES);
-    let total = TOPO_PROBES.len();
-    (hit, total, hit as f64 / total as f64)
+    // After the thread's locals are torn down (a hit from another
+    // thread-local's destructor) there is no recording to count into.
+    let _ = local::THREAD.try_with(|thread| thread.record(name));
 }
 
 // ---------------------------------------------------------------------------
@@ -322,11 +217,9 @@ pub fn topo_coverage() -> (usize, usize, f64) {
 ///
 /// Snapshots are plain sorted maps, cheap to diff and merge, and carry no
 /// connection to the live registry: code that consumes one (the
-/// coverage-guided campaign runner) sees a frozen view, never the
-/// still-moving global counters. They are built by absorbing the
-/// thread-local deltas of [`local::take`] — deliberately *not* by reading
-/// the global counters, whose state depends on what every other thread in
-/// the process happens to be doing.
+/// coverage-guided campaign runner) sees a frozen view. They are built by
+/// absorbing the thread-local deltas of [`local::take`], so their contents
+/// never depend on what other threads of the process happen to be doing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageSnapshot {
     counts: BTreeMap<&'static str, u64>,
@@ -438,7 +331,7 @@ impl ColdProbeMap {
 /// bounded by the table size however many hits a recording sees.
 /// [`take`] walks the non-zero slots once per campaign iteration, resolves
 /// their names and sorts by name. Outside a recording a hit pays one
-/// borrow-flag check on top of the global count.
+/// borrow-flag check and counts nothing.
 ///
 /// The array is allocated on the first [`start`] of a thread and reused by
 /// later recordings, so threads that never record never allocate one.
@@ -502,7 +395,7 @@ pub mod local {
     impl Thread {
         /// The registry entry of `name`, from the cache when it holds this
         /// literal, else from the table (registering the name if needed).
-        pub(super) fn resolve(&self, name: &'static str) -> &'static ProbeEntry {
+        fn resolve(&self, name: &'static str) -> &'static ProbeEntry {
             let (ptr, len) = (name.as_ptr(), name.len());
             let line = &self.cache[cache_line(ptr, len)];
             let cached = line.get();
@@ -520,10 +413,10 @@ pub mod local {
             entry
         }
 
-        /// Counts `count` hits of registry slot `slot` if a recording runs.
-        pub(super) fn record(&self, slot: usize, count: u64) {
+        /// Counts one hit of `name` if a recording runs.
+        pub(super) fn record(&self, name: &'static str) {
             if let Some(counts) = self.counts.borrow_mut().as_mut() {
-                counts[slot] += count;
+                counts[self.resolve(name).slot] += 1;
             }
         }
 
@@ -619,79 +512,51 @@ pub mod local {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Tests below mutate the process-global registry; serialize them so the
-    /// default multi-threaded test harness cannot interleave their resets.
-    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+    use std::collections::HashSet;
 
     #[test]
-    fn hits_accumulate_and_reset() {
-        let _guard = EXCLUSIVE.lock().unwrap();
-        // Unique names so concurrently-running relate/predicate tests (which
-        // legitimately hit the real probes) cannot perturb the counts.
-        reset();
-        hit("cov.unit.a");
-        hit("cov.unit.a");
-        hit("cov.unit.b");
-        assert_eq!(hit_count("cov.unit.a"), 2);
-        assert_eq!(hit_count("cov.unit.b"), 1);
-        hit("topo.predicate.intersects");
-        let (h, total, frac) = topo_coverage();
-        assert!(h >= 1);
-        assert_eq!(total, TOPO_PROBES.len());
-        assert!(frac > 0.0 && frac <= 1.0);
-        reset();
-        assert_eq!(hit_count("cov.unit.a"), 0);
-        assert_eq!(hit_count("cov.unit.b"), 0);
-    }
-
-    #[test]
-    fn unknown_probes_do_not_inflate_coverage() {
-        let _guard = EXCLUSIVE.lock().unwrap();
-        hit("not.a.real.probe");
-        assert!(hits().contains("not.a.real.probe"));
+    fn unknown_probes_are_recorded_but_do_not_inflate_coverage() {
+        let ((), delta) = local::measure(|| hit("not.a.real.probe"));
+        assert_eq!(delta, vec![("not.a.real.probe", 1)]);
         // Unknown names are recorded but can never count towards the static
         // denominator, which only ever tallies the TOPO_PROBES list.
         assert!(!TOPO_PROBES.contains(&"not.a.real.probe"));
-        // Only the name that was actually hit counts; a never-hit name
-        // counts 0 even alongside a hot one, and a never-registered list
-        // reports a clean zero.
-        assert_eq!(hit_count_in(&["not.a.real.probe", "also.not.real"]), 1);
-        assert_eq!(hit_count_in(&["also.not.real"]), 0);
-        assert_eq!(hit_count_of("also.not.real"), 0);
+        // Only the name that was actually hit counts; a never-hit (and
+        // never-registered) name stays cold even alongside a hot one.
+        let mut snapshot = CoverageSnapshot::new();
+        snapshot.absorb(&delta);
+        let listed = ["not.a.real.probe", "also.not.real"];
+        let cold = ColdProbeMap::from_snapshot(&snapshot, &listed);
         assert_eq!(
-            hit_count_in(&["never.registered.1", "never.registered.2"]),
-            0
+            cold.cold_probes().collect::<Vec<_>>(),
+            vec!["also.not.real"]
         );
     }
 
     #[test]
     fn colliding_probe_names_never_alias() {
-        let _guard = EXCLUSIVE.lock().unwrap();
         // These three names share one open-addressing slot (FNV-1a mod 1024),
-        // so they occupy a single probe chain. Counting and membership must
-        // still verify the full key: hitting one of them must not make its
-        // chain neighbours look hit (the phantom-hit regression).
+        // so they occupy a single probe chain. Registration must still
+        // verify the full key: hitting one of them must not make its chain
+        // neighbours look hit (the phantom-hit regression).
         let colliding: [&'static str; 3] =
             ["cov.collide.0", "cov.collide.1214", "cov.collide.2228"];
         assert!(
             colliding.iter().all(|n| hash(n) == hash(colliding[0])),
             "test names no longer collide; recompute them"
         );
-        reset();
-        hit(colliding[0]);
-        hit(colliding[0]);
-        assert_eq!(hit_count(colliding[0]), 2);
-        assert_eq!(hit_count(colliding[1]), 0);
-        assert_eq!(hit_count(colliding[2]), 0);
-        assert_eq!(hit_count_in(&colliding), 1);
-        // Each colliding probe keeps its own independent counter.
-        hit(colliding[2]);
-        assert_eq!(hit_count(colliding[0]), 2);
-        assert_eq!(hit_count(colliding[1]), 0);
-        assert_eq!(hit_count(colliding[2]), 1);
-        assert_eq!(hit_count_in(&colliding), 2);
+        let ((), delta) = local::measure(|| {
+            hit(colliding[0]);
+            hit(colliding[0]);
+        });
+        assert_eq!(delta, vec![(colliding[0], 2)]);
+        // Each colliding probe keeps its own independent count.
+        let ((), delta) = local::measure(|| {
+            hit(colliding[0]);
+            hit(colliding[0]);
+            hit(colliding[2]);
+        });
+        assert_eq!(delta, vec![(colliding[0], 2), (colliding[2], 1)]);
     }
 
     #[test]
@@ -702,30 +567,34 @@ mod tests {
 
     #[test]
     fn concurrent_hits_are_all_counted() {
-        // Contention-free counting: every worker hammers its own probe plus
-        // one shared probe; the totals must be exact, not approximate.
-        let _guard = EXCLUSIVE.lock().unwrap();
-        reset();
+        // Every worker hammers its own probe plus one shared probe while
+        // recording; each thread's tally must be exact, not approximate.
         let names: &[&'static str] = &[
             "cov.test.worker0",
             "cov.test.worker1",
             "cov.test.worker2",
             "cov.test.worker3",
         ];
-        std::thread::scope(|scope| {
-            for name in names {
-                scope.spawn(move || {
-                    for _ in 0..10_000 {
-                        hit(name);
-                        hit("cov.test.shared");
-                    }
-                });
-            }
+        let deltas: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = names
+                .iter()
+                .map(|&name| {
+                    scope.spawn(move || {
+                        local::measure(|| {
+                            for _ in 0..10_000 {
+                                hit(name);
+                                hit("cov.test.shared");
+                            }
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        for name in names {
-            assert_eq!(hit_count(name), 10_000);
+        for (name, delta) in names.iter().zip(&deltas) {
+            assert_eq!(delta, &vec![("cov.test.shared", 10_000), (*name, 10_000)]);
         }
-        assert_eq!(hit_count("cov.test.shared"), 40_000);
     }
 
     #[test]
@@ -766,15 +635,13 @@ mod tests {
 
     #[test]
     fn local_recorder_is_scoped_to_the_thread() {
-        // No EXCLUSIVE guard needed: the recorder is thread-local by design,
-        // which is exactly what this test demonstrates.
         local::start();
         hit("cov.local.mine");
         hit("cov.local.mine");
         let other = std::thread::spawn(|| {
             // Hits on another thread are invisible to this thread's tally
-            // (and that thread never started recording, so its hits only go
-            // to the global counters).
+            // (and that thread never started recording, so its hits are
+            // counted nowhere).
             hit("cov.local.other");
         });
         other.join().unwrap();
@@ -858,7 +725,7 @@ mod tests {
         local::start();
         hit("cov.thread.mine");
         // The other thread registers the name while this one records.
-        std::thread::spawn(|| hit("cov.thread.registered_elsewhere"))
+        std::thread::spawn(|| local::measure(|| hit("cov.thread.registered_elsewhere")))
             .join()
             .unwrap();
         hit("cov.thread.registered_elsewhere");
@@ -904,28 +771,6 @@ mod tests {
             }
         });
         assert_eq!(delta, vec![("cov.many.hits", HITS)]);
-    }
-
-    #[test]
-    fn replay_reaches_the_global_counters_and_the_recording() {
-        let _guard = EXCLUSIVE.lock().unwrap();
-        let (before_a, before_b) = (hit_count("cov.replay.a"), hit_count("cov.replay.b"));
-        let ((), delta) = local::measure(|| {
-            hit("cov.replay.a");
-            let ((), isolated) = local::isolate(|| {
-                hit("cov.replay.a");
-                hit("cov.replay.b");
-            });
-            assert_eq!(isolated, vec![("cov.replay.a", 1), ("cov.replay.b", 1)]);
-            replay(&[("cov.replay.a", 3), ("cov.replay.b", 2)]);
-        });
-        assert_eq!(delta, vec![("cov.replay.a", 4), ("cov.replay.b", 2)]);
-        assert_eq!(hit_count("cov.replay.a") - before_a, 5);
-        assert_eq!(hit_count("cov.replay.b") - before_b, 3);
-        // Nothing recording: replay still counts globally.
-        replay(&[("cov.replay.b", 1)]);
-        assert_eq!(hit_count("cov.replay.b") - before_b, 4);
-        assert_eq!(local::take(), Vec::new());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! A bounded, bit-exact memo of [`relate`]: each ordered geometry pair's
 //! DE-9IM matrix is computed once and served from memory afterwards, with
-//! its probe tally replayed so that coverage cannot tell the difference.
+//! its probe tally charged again so that coverage cannot tell the
+//! difference.
 //!
 //! Spatter's oracles evaluate the same predicates over the same table pairs
 //! by design: AEI runs every query on the original database, the Index
@@ -21,15 +22,14 @@
 //! as the transpose of another: the matrix would transpose, but the probe
 //! tally of `relate(b, a)` may differ from that of `relate(a, b)`.
 //!
-//! # The replay contract
+//! # The probe contract
 //!
 //! A miss runs [`relate`] under [`local::isolate`], stores the matrix with
 //! the probe delta the call recorded, and charges that delta to the running
-//! recording. A hit returns the stored matrix and replays the delta through
-//! [`coverage::replay`], which adds it to the global counters and to the
-//! running recording. Either way `hit_count`, `hits()` and every recorded
-//! tally end up exactly as a direct `relate(a, b)` would leave them, so
-//! replay frames, guidance and the coverage experiments are unchanged.
+//! recording. A hit returns the stored matrix and charges the stored delta
+//! with [`local::charge`]. Either way the running recording ends up exactly
+//! as a direct `relate(a, b)` would leave it, so replay frames, guidance and
+//! the coverage experiments are unchanged.
 //!
 //! # Why one memo may serve every fault variant
 //!
@@ -63,7 +63,7 @@
 //! and recovers from poisoning: entries are written whole, so a panic on
 //! another thread cannot leave a half-written one behind.
 
-use crate::coverage::{self, local};
+use crate::coverage::local;
 use crate::de9im::IntersectionMatrix;
 use crate::relate::relate;
 use spatter_geom::{Coord, Geometry, Point, Polygon};
@@ -175,7 +175,7 @@ impl RelateCache {
             }
             let cached = self.lock().get(key_a, key_b);
             if let Some((matrix, delta)) = cached {
-                coverage::replay(&delta);
+                local::charge(&delta, 1);
                 return matrix;
             }
             let (matrix, delta) = local::isolate(|| relate(a, b));

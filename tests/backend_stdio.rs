@@ -12,6 +12,7 @@ use spatter_repro::core::backend::{BackendError, EngineBackend, InProcessBackend
 use spatter_repro::core::campaign::{CampaignConfig, CampaignReport};
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
 use spatter_repro::core::oracles::OracleOutcome;
+use spatter_repro::core::replay::ReplayHasher;
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
 use spatter_repro::core::FindingKind;
@@ -496,4 +497,36 @@ fn dropping_the_last_backend_clone_reaps_every_server() {
     drop(variant);
     let left: Vec<u32> = servers.into_iter().filter(|&pid| exists(pid)).collect();
     assert!(left.is_empty(), "servers left running: {left:?}");
+}
+
+#[test]
+fn a_differential_stdio_pair_campaign_builds_its_twin_once() {
+    // The comparison engine is built once per runner, so its server pool
+    // serves all 12 iterations: the oracle holds one twin session at a
+    // time. Identical engines never disagree, so the fingerprint holds no
+    // finding and no server path, and it is pinned.
+    let logged = LoggedServer::new("differential-pair");
+    let config = CampaignConfig {
+        iterations: 12,
+        ..CampaignConfig::differential_stdio_pair(
+            logged.command(),
+            EngineProfile::PostgisLike,
+            EngineProfile::PostgisLike.default_faults(),
+        )
+    };
+    let report = CampaignRunner::new(config).with_workers(1).run();
+    assert_eq!(report.iterations_run, 12);
+    assert!(
+        logged.launches().len() <= 2,
+        "servers launched: {:?}",
+        logged.launches()
+    );
+    let mut hasher = ReplayHasher::new();
+    hasher.write_str(&report.determinism_fingerprint());
+    assert_eq!(
+        hasher.finish(),
+        15575245306331884583,
+        "{}",
+        report.determinism_fingerprint()
+    );
 }

@@ -52,6 +52,19 @@ fn fingerprint(report: &CampaignReport) -> String {
     report.determinism_fingerprint()
 }
 
+/// A report's coverage fractions, bit for bit, in iteration-index order:
+/// both fractions only grow with the index, so sorting recovers that order
+/// from the elapsed-time order of the timeline.
+fn coverage_fractions(report: &CampaignReport) -> Vec<(u64, u64)> {
+    let mut fractions: Vec<_> = report
+        .coverage_timeline
+        .iter()
+        .map(|&(_, topo, sdb)| (topo.to_bits(), sdb.to_bits()))
+        .collect();
+    fractions.sort_unstable();
+    fractions
+}
+
 #[test]
 fn distributed_campaign_is_byte_identical_to_in_process() {
     let baseline = CampaignRunner::new(campaign(GuidanceMode::Off, 3, 12)).run();
@@ -73,6 +86,13 @@ fn distributed_campaign_is_byte_identical_to_in_process() {
             "{processes} procs x {threads} threads"
         );
         assert_eq!(report.unique_faults, baseline.unique_faults);
+        // Each worker process measures only its own iterations; the
+        // supervisor's merge computes the same fractions as the runner's.
+        assert_eq!(
+            coverage_fractions(&report),
+            coverage_fractions(&baseline),
+            "{processes} procs x {threads} threads"
+        );
     }
 }
 

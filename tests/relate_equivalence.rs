@@ -22,8 +22,8 @@
 //!
 //! The same families also run pair by pair through a fresh
 //! [`RelateCache`], cold and then warm: every memoised call must return a
-//! direct call's matrix, record its probe delta and move the global probe
-//! counters by as much, and a failure names the pair.
+//! direct call's matrix and record its probe delta, and a failure names the
+//! pair.
 
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
 use spatter_repro::core::replay::ReplayHasher;
@@ -33,10 +33,9 @@ use spatter_repro::core::transform::{AffineStrategy, TransformPlan};
 use spatter_repro::geom::wkt::parse_wkt;
 use spatter_repro::geom::wkt::write_wkt;
 use spatter_repro::geom::{Coord, Geometry, LineString, Polygon};
-use spatter_repro::topo::coverage::{hit_count, local, TOPO_PROBES};
+use spatter_repro::topo::coverage::{local, TOPO_PROBES};
 use spatter_repro::topo::relate::relate;
-use spatter_repro::topo::{IntersectionMatrix, RelateCache};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use spatter_repro::topo::RelateCache;
 
 /// Seeds of the generated databases, per generation strategy.
 const GENERATOR_SEEDS: [u64; 4] = [11, 12, 13, 14];
@@ -119,7 +118,6 @@ fn listing_sets() -> Vec<Vec<Geometry>> {
 
 #[test]
 fn generated_pairs_are_pinned() {
-    let _serial = serial();
     let mut hasher = ReplayHasher::new();
     let mut pairs = 0;
     for set in generated_sets() {
@@ -131,7 +129,6 @@ fn generated_pairs_are_pinned() {
 
 #[test]
 fn affine_images_are_pinned() {
-    let _serial = serial();
     let mut hasher = ReplayHasher::new();
     let mut pairs = 0;
     for set in affine_sets() {
@@ -143,7 +140,6 @@ fn affine_images_are_pinned() {
 
 #[test]
 fn listing_pairs_are_pinned() {
-    let _serial = serial();
     let mut hasher = ReplayHasher::new();
     let mut pairs = 0;
     for set in listing_sets() {
@@ -232,34 +228,11 @@ fn adversarial_geometries() -> Vec<Geometry> {
 
 #[test]
 fn adversarial_pairs_are_pinned() {
-    let _serial = serial();
     let mut hasher = ReplayHasher::new();
     let geometries = adversarial_geometries();
     let pairs = hash_all_pairs(&mut hasher, &geometries);
     assert_eq!(pairs, geometries.len() * geometries.len());
     assert_eq!(hasher.finish(), 1065396230218982059, "adversarial pairs");
-}
-
-/// Every test of this file takes this lock: the memo test compares global
-/// probe counters, which any concurrent `relate` would move.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What one `relate` call returns and records: the matrix, the thread's
-/// probe delta, and how far it moved each global `topo.*` counter.
-type Observed = (IntersectionMatrix, Vec<(&'static str, u64)>, Vec<u64>);
-
-fn observe(f: impl FnOnce() -> IntersectionMatrix) -> Observed {
-    let before: Vec<u64> = TOPO_PROBES.iter().map(|p| hit_count(p)).collect();
-    let (matrix, delta) = local::measure(f);
-    let moved = TOPO_PROBES
-        .iter()
-        .zip(before)
-        .map(|(p, count)| hit_count(p) - count)
-        .collect();
-    (matrix, delta, moved)
 }
 
 /// Relates every ordered pair of `geometries` through a fresh memo twice,
@@ -269,8 +242,8 @@ fn assert_memo_matches_direct(family: &str, geometries: &[Geometry]) {
     for pass in ["cold", "warm"] {
         for a in geometries {
             for b in geometries {
-                let direct = observe(|| relate(a, b));
-                let memoised = observe(|| cache.relate(a, b));
+                let direct = local::measure(|| relate(a, b));
+                let memoised = local::measure(|| cache.relate(a, b));
                 assert!(
                     direct.1.iter().all(|(p, _)| TOPO_PROBES.contains(p)),
                     "{family}: relate hit a probe outside TOPO_PROBES"
@@ -289,7 +262,6 @@ fn assert_memo_matches_direct(family: &str, geometries: &[Geometry]) {
 
 #[test]
 fn memo_matches_direct_relate_pair_by_pair() {
-    let _serial = serial();
     let families = [
         ("generated", generated_sets()),
         ("affine images", affine_sets()),
