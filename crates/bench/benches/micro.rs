@@ -17,8 +17,9 @@ use spatter_geom::envelope::Envelope;
 use spatter_geom::wkt::parse_wkt;
 use spatter_index::RTree;
 use spatter_sdb::{Engine, EngineProfile};
-use spatter_topo::coverage;
+use spatter_topo::coverage::{self, Probe};
 use spatter_topo::predicates::NamedPredicate;
+use spatter_topo::probe;
 use spatter_topo::relate::relate;
 use spatter_topo::RelateCache;
 use std::hint::black_box;
@@ -50,13 +51,13 @@ fn bench<T>(name: &str, batch: u32, repeats: u32, f: impl FnMut() -> T) {
     println!("{name:<32} {:>12.3} µs/iter", best * 1e6);
 }
 
-/// Probe names the `coverage_hit` rows cycle through: the hottest probes of
-/// the relate kernel.
-const HOT_PROBES: [&str; 4] = [
-    "topo.locate.point_in_ring",
-    "topo.locate.polygon_component",
-    "topo.segment.intersection_endpoint",
-    "topo.relate.noding",
+/// Probes the `coverage_hit` rows cycle through: the hottest probes of the
+/// relate kernel.
+const HOT_PROBES: [Probe; 4] = [
+    probe!("topo.locate.point_in_ring"),
+    probe!("topo.locate.polygon_component"),
+    probe!("topo.segment.intersection_endpoint"),
+    probe!("topo.relate.noding"),
 ];
 
 /// The cost of one `coverage::hit`, with no recording running and inside a
@@ -65,8 +66,8 @@ fn bench_coverage_hit() {
     const HITS: u32 = 1_000;
     let hits = || {
         for _ in 0..HITS / HOT_PROBES.len() as u32 {
-            for name in HOT_PROBES {
-                coverage::hit(black_box(name));
+            for probe in HOT_PROBES {
+                coverage::hit(black_box(probe));
             }
         }
     };

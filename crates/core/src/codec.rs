@@ -73,7 +73,7 @@ pub enum CodecError {
     },
     /// A percent-escape in a string token is not one the encoder emits.
     BadEscape(String),
-    /// A probe name that is not part of the static probe universe.
+    /// A probe name that is not in the static probe table.
     UnknownProbe(String),
     /// A fault name [`spatter_sdb::FaultId::from_name`] does not know.
     UnknownFault(String),

@@ -645,13 +645,15 @@ impl Supervisor<'_> {
             }
         }
 
-        // Clean shutdown: every slot gets an exit line; write failures are
-        // irrelevant because all work is already merged.
+        // Clean shutdown: every live slot gets an exit line (write failures
+        // are irrelevant because all work is already merged), then every
+        // slot is reaped, which lets the workers exit together and reap
+        // their own engine servers first.
+        for slot in self.slots.iter_mut().filter(|slot| slot.alive) {
+            let _ = writeln!(slot.writer, "{}", wire::encode_exit_message());
+            let _ = slot.writer.flush();
+        }
         for slot in &mut self.slots {
-            if slot.alive {
-                let _ = writeln!(slot.writer, "{}", wire::encode_exit_message());
-                let _ = slot.writer.flush();
-            }
             let _ = slot.control.reap();
         }
         Ok(())

@@ -25,21 +25,18 @@
 //! The distributed merge must be byte-identical to the in-process one, so
 //! nothing on the wire may lose precision: `f64`s travel as their IEEE-754
 //! bit patterns ([`f64::to_bits`]), durations as integer nanoseconds, and
-//! probe names are re-interned against the static probe universe on decode
+//! probe names are looked up in the static probe table on decode
 //! (an unknown probe is a structured error, not a silently minted string).
 
 use crate::backend::BackendSpec;
 use crate::campaign::{CampaignConfig, Finding};
 use crate::codec::{CodecError, Marker, TokenReader, TokenWriter};
 use crate::generator::GeneratorConfig;
-use crate::guidance;
 use crate::matrix::{DialectSpec, ReplyGrammar};
 use crate::runner::{IterationRecord, OracleKind};
 use spatter_sdb::{EngineProfile, FaultId, FaultSet};
-use spatter_topo::coverage::CoverageSnapshot;
-use std::collections::HashMap;
+use spatter_topo::coverage::{CoverageSnapshot, Probe};
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// The wire protocol version. Bumped whenever any message layout changes;
 /// supervisor and worker must agree exactly. Version 2 added the replay
@@ -77,20 +74,13 @@ const SNAPSHOT: Marker = Marker {
     expected: "guidance snapshot marker",
 };
 
-/// Re-interns a decoded probe name against the static probe universe so
-/// records can carry `&'static str` names. Unknown names are structured
-/// errors: the probe lists of supervisor and worker builds must agree.
+/// Looks a decoded probe name up in the static probe table so records can
+/// carry `&'static str` names. Unknown names are structured errors: the
+/// probe tables of supervisor and worker builds must agree.
 fn intern_probe(name: &str) -> Result<&'static str, CodecError> {
-    static MAP: OnceLock<HashMap<&'static str, &'static str>> = OnceLock::new();
-    MAP.get_or_init(|| {
-        guidance::probe_universe()
-            .into_iter()
-            .map(|p| (p, p))
-            .collect()
-    })
-    .get(name)
-    .copied()
-    .ok_or_else(|| CodecError::UnknownProbe(name.to_string()))
+    Probe::from_name(name)
+        .map(Probe::name)
+        .ok_or_else(|| CodecError::UnknownProbe(name.to_string()))
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ use std::time::{Duration, Instant};
 /// are the ones that explain a death).
 const STDERR_TAIL_LINES: usize = 32;
 
+/// How long reaping waits for a worker to exit on its own before killing
+/// it. A worker told to exit drops its backend first, which stops and reaps
+/// the engine servers it started; a kill would orphan them.
+const EXIT_GRACE: Duration = Duration::from_secs(1);
+
 /// How a worker behind a channel is killed, reaped and diagnosed. The
 /// supervisor owns one per slot, next to the channel's reader and writer.
 pub trait ChannelControl: Send {
@@ -57,7 +62,8 @@ pub trait ChannelControl: Send {
     /// already tearing the slot down.
     fn kill(&mut self);
 
-    /// Releases the worker's resources (waits on a child process, joins the
+    /// Releases the worker's resources (gives a child process a bounded
+    /// moment to exit on its own, then kills and waits on it, and joins the
     /// stderr drain) and returns the captured stderr tail, oldest line
     /// first. Empty when the transport has no stderr to observe (a remote
     /// socket peer). Idempotent: later calls return an empty tail.
@@ -136,6 +142,10 @@ impl ChildHandle {
     }
 
     fn reap(&mut self) -> Vec<String> {
+        let deadline = Instant::now() + EXIT_GRACE;
+        while matches!(self.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let _ = self.child.kill();
         let _ = self.child.wait();
         if let Some(drain) = self.drain.take() {
@@ -411,6 +421,7 @@ impl Transport for TcpTransport {
             Ok(stream) => stream,
             Err(error) => {
                 if let Some(mut child) = child {
+                    child.kill();
                     child.reap();
                 }
                 return Err(error);

@@ -1,7 +1,7 @@
 //! Coverage-guided scenario generation (the ROADMAP's "Coverage-guided
 //! generation" item).
 //!
-//! The lock-free per-probe hit counters make coverage feedback nearly free,
+//! The thread-local per-probe tallies make coverage feedback nearly free,
 //! and clause-guided fuzzers (SQLaser) show that steering generation towards
 //! under-exercised code paths finds logic bugs that uniform sampling misses.
 //! This module turns the probe counters into *generation bias* along three
@@ -50,11 +50,9 @@ use crate::codec::Keyword;
 use crate::generator::GeneratorConfig;
 use crate::rng::{split_seed, RngExt, SeedableRng, StdRng};
 use crate::spec::DatabaseSpec;
-use spatter_sdb::coverage::SDB_PROBES;
-use spatter_topo::coverage::{ColdProbeMap, CoverageSnapshot, TOPO_PROBES};
+use spatter_topo::coverage::{ColdProbeMap, CoverageSnapshot, Probe, PROBES};
 use spatter_topo::editing::EditFunction;
-use std::collections::HashSet;
-use std::sync::OnceLock;
+use spatter_topo::probe;
 
 /// Whether (and how) a campaign biases generation with coverage feedback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,23 +125,6 @@ fn rarity_boost(base: u64, count: u64) -> u64 {
     }
 }
 
-/// The probe universe guidance steers over: both instrumented layers.
-pub fn probe_universe() -> Vec<&'static str> {
-    TOPO_PROBES
-        .iter()
-        .chain(SDB_PROBES.iter())
-        .copied()
-        .collect()
-}
-
-/// Membership test against the probe universe (used to restrict recorded
-/// per-iteration deltas to known probes).
-pub fn is_universe_probe(name: &str) -> bool {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| probe_universe().into_iter().collect())
-        .contains(name)
-}
-
 /// The frozen guidance context of one campaign: the warm-up snapshot's
 /// per-probe hit counts. Immutable by construction — every derived bias is
 /// a pure function of this state (plus a sub-seed).
@@ -160,22 +141,22 @@ impl Guidance {
         }
     }
 
-    /// The cold-probe classification of the snapshot against the probe
-    /// universe (derived on demand; the rarity-weighted boosts read the
-    /// snapshot counts directly).
+    /// The cold-probe classification of the snapshot against every probe
+    /// of both instrumented layers (derived on demand; the rarity-weighted
+    /// boosts read the snapshot counts directly).
     pub fn cold(&self) -> ColdProbeMap {
-        ColdProbeMap::from_snapshot(&self.snapshot, &probe_universe())
+        ColdProbeMap::from_snapshot(&self.snapshot, PROBES)
     }
 
     /// The rarity-weighted boost of one probe given a base boost: full for
     /// a cold probe, log-decayed once hit (see [`rarity_boost`]).
-    fn probe_boost(&self, base: u64, probe: &str) -> u64 {
-        rarity_boost(base, self.snapshot.count(probe))
+    fn probe_boost(&self, base: u64, probe: Probe) -> u64 {
+        rarity_boost(base, self.snapshot.count(probe.name()))
     }
 
     /// The summed rarity boosts of a probe list.
-    fn boost_in(&self, base: u64, probes: &[&str]) -> u64 {
-        probes.iter().map(|p| self.probe_boost(base, p)).sum()
+    fn boost_in(&self, base: u64, probes: &[Probe]) -> u64 {
+        probes.iter().map(|&p| self.probe_boost(base, p)).sum()
     }
 
     /// Editing-function weights for the derivative strategy: every function
@@ -186,12 +167,7 @@ impl Guidance {
         EditBias {
             weights: EditFunction::ALL
                 .iter()
-                .map(|&edit| {
-                    (
-                        edit,
-                        1 + self.probe_boost(COLD_EDIT_BOOST, edit.probe_name()),
-                    )
-                })
+                .map(|&edit| (edit, 1 + self.probe_boost(COLD_EDIT_BOOST, edit.probe())))
                 .collect(),
         }
     }
@@ -323,27 +299,27 @@ impl TemplateWeights {
 }
 
 /// Probes characteristic of the topological-join family.
-const TOPO_FAMILY_PROBES: &[&str] = &[
-    "sdb.exec.join_prepared",
-    "sdb.exec.join_nested_loop",
-    "topo.relate.polygon_polygon",
-    "topo.predicate.relate_pattern",
+const TOPO_FAMILY_PROBES: &[Probe] = &[
+    probe!("sdb.exec.join_prepared"),
+    probe!("sdb.exec.join_nested_loop"),
+    probe!("topo.relate.polygon_polygon"),
+    probe!("topo.predicate.relate_pattern"),
 ];
 
 /// Probes characteristic of the range-join family.
-const RANGE_FAMILY_PROBES: &[&str] = &[
-    "topo.distance.dwithin",
-    "topo.distance.dfullywithin",
-    "topo.distance.range_margin_check",
-    "topo.distance.segment",
+const RANGE_FAMILY_PROBES: &[Probe] = &[
+    probe!("topo.distance.dwithin"),
+    probe!("topo.distance.dfullywithin"),
+    probe!("topo.distance.range_margin_check"),
+    probe!("topo.distance.segment"),
 ];
 
 /// Probes characteristic of the KNN family.
-const KNN_FAMILY_PROBES: &[&str] = &[
-    "sdb.exec.order_by",
-    "sdb.exec.limit",
-    "sdb.exec.knn_index_scan",
-    "topo.distance.knn_tie_check",
+const KNN_FAMILY_PROBES: &[Probe] = &[
+    probe!("sdb.exec.order_by"),
+    probe!("sdb.exec.limit"),
+    probe!("sdb.exec.knn_index_scan"),
+    probe!("topo.distance.knn_tie_check"),
 ];
 
 // ---------------------------------------------------------------------------
@@ -407,7 +383,7 @@ impl ScenarioKnobs {
 /// One bandit arm: a knob preset plus the probes it aims to warm up.
 struct KnobArm {
     knobs: ScenarioKnobs,
-    targets: &'static [&'static str],
+    targets: &'static [Probe],
     base_weight: u64,
 }
 
@@ -432,12 +408,12 @@ fn knob_arms() -> Vec<KnobArm> {
                 ..ScenarioKnobs::default()
             },
             targets: &[
-                "sdb.exec.create_index",
-                "sdb.exec.join_index_scan",
-                "sdb.exec.join_distance_index",
-                "sdb.exec.knn_index_scan",
-                "sdb.exec.set_setting",
-                "sdb.fault.crash_path",
+                probe!("sdb.exec.create_index"),
+                probe!("sdb.exec.join_index_scan"),
+                probe!("sdb.exec.join_distance_index"),
+                probe!("sdb.exec.knn_index_scan"),
+                probe!("sdb.exec.set_setting"),
+                probe!("sdb.fault.crash_path"),
             ],
             base_weight: 1,
         },
@@ -448,7 +424,10 @@ fn knob_arms() -> Vec<KnobArm> {
                 create_indexes: true,
                 ..ScenarioKnobs::default()
             },
-            targets: &["sdb.exec.create_index", "sdb.fault.crash_path"],
+            targets: &[
+                probe!("sdb.exec.create_index"),
+                probe!("sdb.fault.crash_path"),
+            ],
             base_weight: 1,
         },
         // Forcing the nested loop reaches the general join path that the
@@ -458,7 +437,10 @@ fn knob_arms() -> Vec<KnobArm> {
                 disable_prepared: true,
                 ..ScenarioKnobs::default()
             },
-            targets: &["sdb.exec.join_nested_loop", "sdb.exec.set_setting"],
+            targets: &[
+                probe!("sdb.exec.join_nested_loop"),
+                probe!("sdb.exec.set_setting"),
+            ],
             base_weight: 1,
         },
         // Geometry-kind mix: a derivative-heavy database reaches the editing
@@ -469,13 +451,13 @@ fn knob_arms() -> Vec<KnobArm> {
                 ..ScenarioKnobs::default()
             },
             targets: &[
-                "topo.editing.set_point",
-                "topo.editing.polygonize",
-                "topo.editing.dump_rings",
-                "topo.editing.collection_extract",
-                "topo.editing.point_n",
-                "topo.boundary.collection",
-                "topo.relate.collection",
+                probe!("topo.editing.set_point"),
+                probe!("topo.editing.polygonize"),
+                probe!("topo.editing.dump_rings"),
+                probe!("topo.editing.collection_extract"),
+                probe!("topo.editing.point_n"),
+                probe!("topo.boundary.collection"),
+                probe!("topo.relate.collection"),
             ],
             base_weight: 1,
         },
@@ -485,6 +467,7 @@ fn knob_arms() -> Vec<KnobArm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// A hit count large enough that every rarity boost rounds down to 0
     /// (`base / (1 + log2(count + 1)) = 0` for the boosts used here): the
@@ -502,22 +485,10 @@ mod tests {
         snapshot_hitting_counted(probes, HOT)
     }
 
-    /// A snapshot where every universe probe was hit hard (nothing cold,
+    /// A snapshot where every probe was hit hard (nothing cold,
     /// nothing rare).
     fn saturated_snapshot() -> CoverageSnapshot {
-        let universe = probe_universe();
-        snapshot_hitting(&universe)
-    }
-
-    #[test]
-    fn universe_spans_both_layers_without_duplicates() {
-        let universe = probe_universe();
-        assert_eq!(universe.len(), TOPO_PROBES.len() + SDB_PROBES.len());
-        let set: HashSet<_> = universe.iter().collect();
-        assert_eq!(set.len(), universe.len());
-        assert!(is_universe_probe("topo.predicate.intersects"));
-        assert!(is_universe_probe("sdb.exec.knn_index_scan"));
-        assert!(!is_universe_probe("not.a.probe"));
+        snapshot_hitting(PROBES)
     }
 
     #[test]
@@ -587,7 +558,7 @@ mod tests {
         // cold boost — numerically, not just proportionally, because the
         // weighted draws consume raw RNG output.
         let guidance = Guidance::from_snapshot(&CoverageSnapshot::new());
-        assert_eq!(guidance.cold().len(), probe_universe().len());
+        assert_eq!(guidance.cold().len(), PROBES.len());
         assert!(Guidance::from_snapshot(&saturated_snapshot())
             .cold()
             .is_empty());
@@ -646,9 +617,10 @@ mod tests {
     fn template_weights_shift_towards_cold_families() {
         // Everything hot except the KNN probes: the KNN family gains weight,
         // the others stay at their doubled baseline.
-        let hot_probes: Vec<&'static str> = probe_universe()
-            .into_iter()
-            .filter(|p| !KNN_FAMILY_PROBES.contains(p))
+        let hot_probes: Vec<&'static str> = PROBES
+            .iter()
+            .copied()
+            .filter(|&p| KNN_FAMILY_PROBES.iter().all(|knn| knn.name() != p))
             .collect();
         let snapshot = snapshot_hitting(&hot_probes);
         let weights = Guidance::from_snapshot(&snapshot).template_weights();
@@ -726,22 +698,5 @@ mod tests {
         let mut config = GeneratorConfig::default();
         knobs.apply_generator(&mut config);
         assert_eq!(config.random_shape_probability, 0.25);
-    }
-
-    #[test]
-    fn every_arm_target_is_a_universe_probe() {
-        for arm in knob_arms() {
-            for target in arm.targets {
-                assert!(is_universe_probe(target), "{target} not in universe");
-            }
-        }
-        for probes in [TOPO_FAMILY_PROBES, RANGE_FAMILY_PROBES, KNN_FAMILY_PROBES] {
-            for probe in probes {
-                assert!(is_universe_probe(probe), "{probe} not in universe");
-            }
-        }
-        for edit in EditFunction::ALL {
-            assert!(is_universe_probe(edit.probe_name()));
-        }
     }
 }

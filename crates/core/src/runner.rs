@@ -37,7 +37,7 @@
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
 use crate::campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 use crate::generator::GeometryGenerator;
-use crate::guidance::{self, Guidance, ScenarioKnobs};
+use crate::guidance::{Guidance, ScenarioKnobs};
 use crate::mutation::MutationScript;
 use crate::oracles::{
     AeiOracle, DifferentialOracle, IndexOracle, Oracle, OracleOutcome, TlpOracle,
@@ -106,7 +106,7 @@ pub struct IterationRecord {
     /// Query checks skipped because a distance-parameterised template met a
     /// non-similarity transformation (§7).
     pub skipped: usize,
-    /// The universe probes this iteration hit, with counts — measured by the
+    /// The probes this iteration hit, with counts — measured by the
     /// thread-local recorder around exactly this iteration's work (scenario
     /// execution, oracle suite, attribution re-runs), sorted by probe name.
     /// A pure function of the iteration's sub-seed, so it is identical no
@@ -384,10 +384,7 @@ impl CampaignRunner {
             }
         }
 
-        let probe_delta: Vec<(&'static str, u64)> = local::take()
-            .into_iter()
-            .filter(|(name, _)| guidance::is_universe_probe(name))
-            .collect();
+        let probe_delta = local::take();
         let mut probe_hasher = ReplayHasher::new();
         for (name, count) in &probe_delta {
             probe_hasher.write_str(name);

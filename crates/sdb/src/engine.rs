@@ -3,7 +3,7 @@
 
 use crate::ast::{BinaryOp, ColumnType, Expr, SelectItem, SelectStatement, Statement, TableRef};
 use crate::catalog::{Database, SpatialIndex, Table};
-use crate::coverage;
+use crate::coverage::{self, probe};
 use crate::error::{SdbError, SdbResult};
 use crate::faults::{FaultId, FaultSet};
 use crate::functions::{self, DistancePredicate, FunctionContext};
@@ -234,17 +234,17 @@ impl Engine {
     fn dispatch(&mut self, statement: &Statement) -> SdbResult<QueryResult> {
         match statement {
             Statement::CreateTable { name, columns } => {
-                coverage::hit("sdb.exec.create_table");
+                coverage::hit(probe!("sdb.exec.create_table"));
                 self.database.create_table(name, columns.clone())?;
                 Ok(QueryResult::none())
             }
             Statement::DropTable { name } => {
-                coverage::hit("sdb.exec.drop_table");
+                coverage::hit(probe!("sdb.exec.drop_table"));
                 self.database.drop_table(name)?;
                 Ok(QueryResult::with_effect(ExecutionResult::DropTable))
             }
             Statement::DropIndex { name } => {
-                coverage::hit("sdb.exec.drop_index");
+                coverage::hit(probe!("sdb.exec.drop_index"));
                 self.database.drop_index(name)?;
                 Ok(QueryResult::with_effect(ExecutionResult::DropIndex))
             }
@@ -253,7 +253,7 @@ impl Engine {
                 table,
                 column,
             } => {
-                coverage::hit("sdb.exec.create_index");
+                coverage::hit(probe!("sdb.exec.create_index"));
                 self.create_index(name, table, column)
             }
             Statement::Insert {
@@ -261,7 +261,7 @@ impl Engine {
                 columns,
                 rows,
             } => {
-                coverage::hit("sdb.exec.insert");
+                coverage::hit(probe!("sdb.exec.insert"));
                 self.insert(table, columns, rows)
             }
             Statement::Update {
@@ -270,14 +270,14 @@ impl Engine {
                 value,
                 where_clause,
             } => {
-                coverage::hit("sdb.exec.update");
+                coverage::hit(probe!("sdb.exec.update"));
                 self.update(table, column, value, where_clause.as_ref())
             }
             Statement::Delete {
                 table,
                 where_clause,
             } => {
-                coverage::hit("sdb.exec.delete");
+                coverage::hit(probe!("sdb.exec.delete"));
                 self.delete(table, where_clause.as_ref())
             }
             Statement::Set { name, value } => self.set(name, value),
@@ -302,7 +302,7 @@ impl Engine {
                 .collect();
             if !geometries.is_empty() && geometries.iter().all(|g| g.is_empty()) {
                 ctx.fire(FaultId::PostgisCrashIndexAllEmpty);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash(
                     "GiST index build over a column of only EMPTY geometries".into(),
                 ));
@@ -429,7 +429,7 @@ impl Engine {
             let old_env = Database::value_envelope(&old_value);
             if stale_fault {
                 ctx.fire(FaultId::PostgisGistStaleOnMutation);
-                coverage::hit("sdb.fault.logic_path");
+                coverage::hit(probe!("sdb.fault.logic_path"));
                 continue;
             }
             for idx in self.database.indexes_for_mut(table) {
@@ -542,11 +542,11 @@ impl Engine {
         let ctx = &self.ctx;
         let value = evaluate_expr(value_expr, None, &self.database, ctx)?;
         if let Some(variable) = name.strip_prefix('@') {
-            coverage::hit("sdb.exec.set_variable");
+            coverage::hit(probe!("sdb.exec.set_variable"));
             self.database.set_variable(&format!("@{variable}"), value);
             return Ok(QueryResult::none());
         }
-        coverage::hit("sdb.exec.set_setting");
+        coverage::hit(probe!("sdb.exec.set_setting"));
         match name.to_ascii_lowercase().as_str() {
             "enable_seqscan" => self.enable_seqscan = value.is_truthy(),
             "enable_prepared" => self.enable_prepared = value.is_truthy(),
@@ -586,7 +586,7 @@ impl Engine {
         let ctx = &self.ctx;
         match select.from.len() {
             0 => {
-                coverage::hit("sdb.exec.scalar_select");
+                coverage::hit(probe!("sdb.exec.scalar_select"));
                 let mut row = Vec::new();
                 let mut columns = Vec::new();
                 for (idx, item) in select.items.iter().enumerate() {
@@ -611,7 +611,7 @@ impl Engine {
                 if select.from.len() == 1 {
                     // Every single-table plan filters one table; the probe
                     // counts even a scan of a table that no longer exists.
-                    coverage::hit("sdb.exec.filter_scan");
+                    coverage::hit(probe!("sdb.exec.filter_scan"));
                 }
                 let tables = select
                     .from
@@ -823,7 +823,7 @@ impl Engine {
         k: usize,
     ) -> SdbResult<Vec<usize>> {
         let ctx = &self.ctx;
-        coverage::hit("sdb.exec.knn_index_scan");
+        coverage::hit(probe!("sdb.exec.knn_index_scan"));
         let table_ref = &select.from[0];
         let order = select
             .order_by
@@ -840,7 +840,7 @@ impl Engine {
         let mut eval_error = None;
         let neighbours = index.tree.nearest_with(origin, k, |&row_idx| {
             if dropped_by_fault(row_idx) {
-                coverage::hit("sdb.fault.logic_path");
+                coverage::hit(probe!("sdb.fault.logic_path"));
                 return None;
             }
             let row = &table.rows[row_idx];
@@ -906,7 +906,7 @@ impl Engine {
     /// The candidate rows of an [`Plan::IndexFilter`] plan: the index
     /// entries whose box equals `probe`, in row order.
     fn index_filter(&self, table: &Table, index: &SpatialIndex, probe: &Envelope) -> Vec<usize> {
-        coverage::hit("sdb.exec.join_index_scan");
+        coverage::hit(probe!("sdb.exec.join_index_scan"));
         let ctx = &self.ctx;
         let gist_fault = ctx.faults.is_active(FaultId::PostgisGistIndexDropsRows);
         let mut rows: Vec<usize> = index
@@ -923,7 +923,7 @@ impl Engine {
                 rows.extend(index.tree.empty_envelope_entries().iter().copied());
             } else {
                 ctx.fire(FaultId::PostgisGistIndexDropsRows);
-                coverage::hit("sdb.fault.logic_path");
+                coverage::hit(probe!("sdb.fault.logic_path"));
             }
         }
         if gist_fault {
@@ -962,24 +962,24 @@ impl Engine {
         match plan {
             Plan::IndexJoin(join) => {
                 coverage::hit(match join.kernel {
-                    Kernel::Predicate(_) => "sdb.exec.join_index_scan",
-                    Kernel::Distance(..) => "sdb.exec.join_distance_index",
+                    Kernel::Predicate(_) => probe!("sdb.exec.join_index_scan"),
+                    Kernel::Distance(..) => probe!("sdb.exec.join_distance_index"),
                 });
                 let index = self.planned_index(right_ref, right_table, join.right_column);
                 self.index_join(join, left_table, right_table, index, scratch)?;
             }
             Plan::PreparedJoin(join) => match join.kernel {
                 Kernel::Predicate(_) => {
-                    coverage::hit("sdb.exec.join_prepared");
+                    coverage::hit(probe!("sdb.exec.join_prepared"));
                     self.prepared_join(join, left_table, right_table, scratch)?;
                 }
                 Kernel::Distance(_, d) => {
-                    coverage::hit("sdb.exec.join_distance_prepared");
+                    coverage::hit(probe!("sdb.exec.join_distance_prepared"));
                     distance_prepared_join(join, d, left_table, right_table, ctx, scratch)?;
                 }
             },
             _ => {
-                coverage::hit("sdb.exec.join_nested_loop");
+                coverage::hit(probe!("sdb.exec.join_nested_loop"));
                 for (li, _) in left_table.live_rows() {
                     for (ri, _) in right_table.live_rows() {
                         let keep = match condition {
@@ -1033,7 +1033,7 @@ impl Engine {
             // should have returned.
             if gist_fault {
                 ctx.fire(FaultId::PostgisGistIndexDropsRows);
-                coverage::hit("sdb.fault.logic_path");
+                coverage::hit(probe!("sdb.fault.logic_path"));
                 candidates.retain(|&ri| !gist_fault_drops_row(&right_table.rows[ri]));
             }
             candidates.sort_unstable();
@@ -1097,7 +1097,7 @@ impl Engine {
                         // The faulty prepared cache treats a repeated inner
                         // geometry as already processed and skips it.
                         ctx.fire(FaultId::GeosPreparedDuplicateDropped);
-                        coverage::hit("sdb.fault.logic_path");
+                        coverage::hit(probe!("sdb.fault.logic_path"));
                         continue;
                     }
                 }
@@ -1231,14 +1231,14 @@ fn evaluate_expr(
     match expr {
         Expr::Literal(value) => Ok(value.clone()),
         Expr::Variable(name) => {
-            coverage::hit("sdb.expr.variable");
+            coverage::hit(probe!("sdb.expr.variable"));
             database
                 .variable(&format!("@{name}"))
                 .cloned()
                 .ok_or_else(|| SdbError::Semantic(format!("unknown variable @{name}")))
         }
         Expr::Column { table, column } => {
-            coverage::hit("sdb.expr.column");
+            coverage::hit(probe!("sdb.expr.column"));
             binding
                 .and_then(|b| b.lookup(table.as_deref(), column))
                 .ok_or_else(|| {
@@ -1288,7 +1288,7 @@ fn evaluate_expr(
             functions::evaluate(name, &evaluated, ctx)
         }
         Expr::Not(inner) => {
-            coverage::hit("sdb.expr.logical");
+            coverage::hit(probe!("sdb.expr.logical"));
             let value = evaluate_expr(inner, binding, database, ctx)?;
             Ok(Value::Bool(!value.is_truthy()))
         }
@@ -1308,15 +1308,15 @@ fn evaluate_binary(
 ) -> SdbResult<Value> {
     match op {
         BinaryOp::And => {
-            coverage::hit("sdb.expr.logical");
+            coverage::hit(probe!("sdb.expr.logical"));
             Ok(Value::Bool(lhs.is_truthy() && rhs.is_truthy()))
         }
         BinaryOp::Or => {
-            coverage::hit("sdb.expr.logical");
+            coverage::hit(probe!("sdb.expr.logical"));
             Ok(Value::Bool(lhs.is_truthy() || rhs.is_truthy()))
         }
         BinaryOp::SameBox => {
-            coverage::hit("sdb.expr.samebox");
+            coverage::hit(probe!("sdb.expr.samebox"));
             let a = coerce_geometry(lhs, ctx)?;
             let b = coerce_geometry(rhs, ctx)?;
             Ok(Value::Bool(a.envelope().same_box(&b.envelope())))
@@ -1327,7 +1327,7 @@ fn evaluate_binary(
         | BinaryOp::LtEq
         | BinaryOp::Gt
         | BinaryOp::GtEq => {
-            coverage::hit("sdb.expr.comparison");
+            coverage::hit(probe!("sdb.expr.comparison"));
             let ordering = compare_values(&lhs, &rhs)?;
             let result = match op {
                 BinaryOp::Eq => ordering == std::cmp::Ordering::Equal,
@@ -1634,7 +1634,7 @@ fn order_and_limit<T>(
     mut key_of: impl FnMut(&Expr, &T) -> SdbResult<Option<f64>>,
 ) -> SdbResult<Vec<T>> {
     if let Some(order) = &select.order_by {
-        coverage::hit("sdb.exec.order_by");
+        coverage::hit(probe!("sdb.exec.order_by"));
         let mut keyed = Vec::with_capacity(items.len());
         for (pos, item) in items.into_iter().enumerate() {
             let key = key_of(&order.expr, &item)?;
@@ -1644,7 +1644,7 @@ fn order_and_limit<T>(
         items = keyed.into_iter().map(|(_, _, item)| item).collect();
     }
     if let Some(limit) = select.limit {
-        coverage::hit("sdb.exec.limit");
+        coverage::hit(probe!("sdb.exec.limit"));
         items.truncate(limit);
     }
     Ok(items)
@@ -1718,14 +1718,14 @@ fn project<'t, T: Copy>(
     ctx: &FunctionContext,
 ) -> SdbResult<QueryResult> {
     if is_pure_count(select) {
-        coverage::hit("sdb.exec.count_star");
+        coverage::hit(probe!("sdb.exec.count_star"));
         return Ok(QueryResult {
             columns: vec!["count".into()],
             rows: vec![vec![Value::Int(matching.len() as i64)]],
             effect: None,
         });
     }
-    coverage::hit("sdb.exec.projection");
+    coverage::hit(probe!("sdb.exec.projection"));
     let mut out_rows = Vec::with_capacity(matching.len());
     for &item in matching {
         let binding = bind(item);

@@ -10,7 +10,7 @@
 //! because the original and transformed databases exercise different paths
 //! (§7).
 
-use crate::coverage;
+use crate::coverage::{self, probe};
 use crate::error::{SdbError, SdbResult};
 use crate::faults::{FaultId, FaultSet, FiredFaults};
 use crate::profile::EngineProfile;
@@ -66,7 +66,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
     }
 
     if let Some(predicate) = NamedPredicate::from_function_name(&upper) {
-        coverage::hit("sdb.expr.function_predicate");
+        coverage::hit(probe!("sdb.expr.function_predicate"));
         let a = geometry_arg(args, 0, ctx)?;
         let b = geometry_arg(args, 1, ctx)?;
         return evaluate_predicate(predicate, &a, &b, ctx).map(Value::Bool);
@@ -74,7 +74,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
 
     match upper.as_str() {
         "ST_GEOMFROMTEXT" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let text = args
                 .first()
                 .and_then(|v| v.as_text())
@@ -82,27 +82,27 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             Ok(Value::Geometry(parse_geometry_text(text, ctx)?))
         }
         "ST_ASTEXT" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Text(write_wkt(&g)))
         }
         "ST_ISVALID" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Bool(check_validity(&g).is_valid()))
         }
         "ST_ISEMPTY" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Bool(g.is_empty()))
         }
         "ST_GEOMETRYTYPE" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Text(format!("ST_{}", g.geometry_type().wkt_name())))
         }
         "ST_DIMENSION" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             let dim = effective_dimension(&g, ctx);
             Ok(dim
@@ -111,12 +111,12 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 .unwrap_or(Value::Null))
         }
         "ST_NUMGEOMETRIES" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Int(g.num_geometries() as i64))
         }
         "ST_RELATE" => {
-            coverage::hit("sdb.expr.function_predicate");
+            coverage::hit(probe!("sdb.expr.function_predicate"));
             let a = geometry_arg(args, 0, ctx)?;
             let b = geometry_arg(args, 1, ctx)?;
             guard_crash_relate(&a, &b, ctx)?;
@@ -131,14 +131,14 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             Ok(Value::Text(ctx.relate.relate(&a, &b).to_relate_string()))
         }
         "ST_DISTANCE" => {
-            coverage::hit("sdb.expr.function_measure");
+            coverage::hit(probe!("sdb.expr.function_measure"));
             let a = geometry_arg(args, 0, ctx)?;
             let b = geometry_arg(args, 1, ctx)?;
             if ctx.fault(FaultId::GeosEmptyDistanceRecursion)
                 && (has_empty_element(&b) || has_empty_element(&a))
             {
                 ctx.fire(FaultId::GeosEmptyDistanceRecursion);
-                coverage::hit("sdb.fault.logic_path");
+                coverage::hit(probe!("sdb.fault.logic_path"));
                 // Faulty recursion: only the first element of the first
                 // argument is considered (Listing 5 returns 3 instead of 2).
                 let first = a.geometry_n(1).unwrap_or_else(|| a.clone());
@@ -151,7 +151,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 .unwrap_or(Value::Null))
         }
         "ST_DWITHIN" => {
-            coverage::hit("sdb.expr.function_measure");
+            coverage::hit(probe!("sdb.expr.function_measure"));
             let a = geometry_arg(args, 0, ctx)?;
             let b = geometry_arg(args, 1, ctx)?;
             let d = double_arg(args, 2)?;
@@ -164,7 +164,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             )))
         }
         "ST_DFULLYWITHIN" => {
-            coverage::hit("sdb.expr.function_measure");
+            coverage::hit(probe!("sdb.expr.function_measure"));
             let a = geometry_arg(args, 0, ctx)?;
             let b = geometry_arg(args, 1, ctx)?;
             let d = double_arg(args, 2)?;
@@ -177,21 +177,21 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             )))
         }
         "ST_AREA" => {
-            coverage::hit("sdb.expr.function_measure");
+            coverage::hit(probe!("sdb.expr.function_measure"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Double(measures::area(&g)))
         }
         "ST_LENGTH" => {
-            coverage::hit("sdb.expr.function_measure");
+            coverage::hit(probe!("sdb.expr.function_measure"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Double(measures::length(&g)))
         }
         "ST_ENVELOPE" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::PostgisUnconfirmedEnvelopeEmpty) && g.is_empty() {
                 ctx.fire(FaultId::PostgisUnconfirmedEnvelopeEmpty);
-                coverage::hit("sdb.fault.logic_path");
+                coverage::hit(probe!("sdb.fault.logic_path"));
                 return Ok(Value::Geometry(Geometry::Point(Point::new(0.0, 0.0))));
             }
             Ok(Value::Geometry(
@@ -199,7 +199,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             ))
         }
         "ST_CONVEXHULL" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::GeosCrashConvexHullEmptyCollection)
                 && g.is_empty()
@@ -213,7 +213,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 )
             {
                 ctx.fire(FaultId::GeosCrashConvexHullEmptyCollection);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash(
                     "convex hull of collection with only EMPTY elements".into(),
                 ));
@@ -221,31 +221,31 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             Ok(Value::Geometry(convex_hull::convex_hull(&g)))
         }
         "ST_BOUNDARY" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::DuckdbCrashBoundaryCollection)
                 && matches!(g, Geometry::GeometryCollection(_))
             {
                 ctx.fire(FaultId::DuckdbCrashBoundaryCollection);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash("boundary of GEOMETRYCOLLECTION".into()));
             }
             Ok(Value::Geometry(boundary::boundary(&g)))
         }
         "ST_CENTROID" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(centroid::centroid(&g)
                 .map(|p| Value::Geometry(Geometry::Point(p)))
                 .unwrap_or(Value::Null))
         }
         "ST_GEOMETRYN" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             let n = int_arg(args, 1)?;
             if ctx.fault(FaultId::DuckdbCrashGeometryNZero) && n == 0 {
                 ctx.fire(FaultId::DuckdbCrashGeometryNZero);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash("ST_GeometryN with index 0".into()));
             }
             if n <= 0 {
@@ -256,7 +256,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 .unwrap_or(Value::Null))
         }
         "ST_POINTN" => {
-            coverage::hit("sdb.expr.function_accessor");
+            coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
             let n = int_arg(args, 1)?;
             if n <= 0 {
@@ -267,7 +267,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 .unwrap_or(Value::Null))
         }
         "ST_COLLECT" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let a = geometry_arg(args, 0, ctx)?;
             let b = geometry_arg(args, 1, ctx)?;
             if ctx.fault(FaultId::DuckdbCrashCollectEmptyMixed)
@@ -275,7 +275,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 && a.geometry_type() != b.geometry_type()
             {
                 ctx.fire(FaultId::DuckdbCrashCollectEmptyMixed);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash(
                     "ST_Collect of mixed EMPTY arguments".into(),
                 ));
@@ -285,12 +285,12 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             ))
         }
         "ST_REVERSE" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(Value::Geometry(editing::reverse(&g).map_err(execution)?))
         }
         "ST_SWAPXY" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             let mut swapped = g.clone();
             let swap = AffineMatrix::swap_xy();
@@ -298,7 +298,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             Ok(Value::Geometry(swapped))
         }
         "ST_SETPOINT" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             let n = int_arg(args, 1)?;
             let p = geometry_arg(args, 2, ctx)?;
@@ -310,20 +310,20 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 .unwrap_or(Value::Null))
         }
         "ST_FORCEPOLYGONCW" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             Ok(editing::force_polygon_cw(&g)
                 .map(Value::Geometry)
                 .unwrap_or(Value::Null))
         }
         "ST_DUMPRINGS" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::PostgisCrashDumpRingsEmptyMulti)
                 && matches!(&g, Geometry::MultiPolygon(mp) if mp.polygons.is_empty())
             {
                 ctx.fire(FaultId::PostgisCrashDumpRingsEmptyMulti);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash("ST_DumpRings of MULTIPOLYGON EMPTY".into()));
             }
             Ok(editing::dump_rings(&g)
@@ -331,7 +331,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 .unwrap_or(Value::Null))
         }
         "ST_COLLECTIONEXTRACT" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             let type_code = int_arg(args, 1)?;
             let target = match type_code {
@@ -347,7 +347,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             let extracted = editing::collection_extract(&g, target).map_err(execution)?;
             if ctx.fault(FaultId::DuckdbCrashCollectionExtractMismatch) && extracted.is_empty() {
                 ctx.fire(FaultId::DuckdbCrashCollectionExtractMismatch);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash(
                     "ST_CollectionExtract found no element of the requested type".into(),
                 ));
@@ -355,12 +355,12 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             Ok(Value::Geometry(extracted))
         }
         "ST_POLYGONIZE" => {
-            coverage::hit("sdb.expr.function_editing");
+            coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
             if ctx.fault(FaultId::GeosCrashPolygonizeDuplicatePoints) && has_duplicate_vertices(&g)
             {
                 ctx.fire(FaultId::GeosCrashPolygonizeDuplicatePoints);
-                coverage::hit("sdb.fault.crash_path");
+                coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash(
                     "polygonize of linework with duplicate consecutive points".into(),
                 ));
@@ -410,7 +410,7 @@ pub fn evaluate_distance_predicate(
         && max_abs_coord(a) < 10.0
     {
         ctx.fire(FaultId::PostgisDFullyWithinSmallCoords);
-        coverage::hit("sdb.fault.logic_path");
+        coverage::hit(probe!("sdb.fault.logic_path"));
         // The "wrong definition" of Listing 9: small-magnitude
         // geometries are judged not fully within any distance.
         return false;
@@ -433,7 +433,7 @@ pub fn evaluate_predicate(
     validate_for_profile(b, ctx)?;
 
     if let Some(result) = faulty_predicate_result(predicate, a, b, ctx) {
-        coverage::hit("sdb.fault.logic_path");
+        coverage::hit(probe!("sdb.fault.logic_path"));
         return Ok(result);
     }
     Ok(predicate.evaluate_with(a, b, &ctx.relate))
@@ -656,7 +656,7 @@ fn faulty_predicate_result(
 fn guard_crash_relate(a: &Geometry, b: &Geometry, ctx: &FunctionContext) -> SdbResult<()> {
     if ctx.fault(FaultId::GeosCrashRelateShortRing) && (has_short_ring(a) || has_short_ring(b)) {
         ctx.fire(FaultId::GeosCrashRelateShortRing);
-        coverage::hit("sdb.fault.crash_path");
+        coverage::hit(probe!("sdb.fault.crash_path"));
         return Err(SdbError::Crash(
             "relate on polygon ring with fewer than 4 points".into(),
         ));
@@ -667,14 +667,14 @@ fn guard_crash_relate(a: &Geometry, b: &Geometry, ctx: &FunctionContext) -> SdbR
 /// Parses a WKT literal into a geometry, applying profile validation rules
 /// and ingestion-related seeded faults.
 pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geometry> {
-    coverage::hit("sdb.expr.cast_geometry");
+    coverage::hit(probe!("sdb.expr.cast_geometry"));
     if ctx.fault(FaultId::DuckdbCrashNestedEmptyCollection)
         && text
             .to_ascii_uppercase()
             .contains("GEOMETRYCOLLECTION(GEOMETRYCOLLECTION EMPTY")
     {
         ctx.fire(FaultId::DuckdbCrashNestedEmptyCollection);
-        coverage::hit("sdb.fault.crash_path");
+        coverage::hit(probe!("sdb.fault.crash_path"));
         return Err(SdbError::Crash(
             "nested EMPTY collection in WKT reader".into(),
         ));
@@ -685,7 +685,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
         && !text.trim().eq_ignore_ascii_case("MULTIPOINT EMPTY")
     {
         ctx.fire(FaultId::SqlServerUnconfirmedCrashEmptyMultipoint);
-        coverage::hit("sdb.fault.crash_path");
+        coverage::hit(probe!("sdb.fault.crash_path"));
         return Err(SdbError::Crash("MULTIPOINT with EMPTY element".into()));
     }
     let geometry = parse_wkt(text).map_err(|e| SdbError::InvalidGeometry(e.to_string()))?;
@@ -693,7 +693,7 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
         && text.trim().eq_ignore_ascii_case("POLYGON(EMPTY)")
     {
         ctx.fire(FaultId::DuckdbUnconfirmedEmptyPolygonWkt);
-        coverage::hit("sdb.fault.logic_path");
+        coverage::hit(probe!("sdb.fault.logic_path"));
         return Err(SdbError::InvalidGeometry(
             "POLYGON(EMPTY) parsed as NULL".into(),
         ));
@@ -708,7 +708,7 @@ pub fn validate_for_profile(geometry: &Geometry, ctx: &FunctionContext) -> SdbRe
     if !ctx.profile.strict_validation() {
         return Ok(());
     }
-    coverage::hit("sdb.validate.geometry");
+    coverage::hit(probe!("sdb.validate.geometry"));
     let validity = check_validity(geometry);
     if let Some(reason) = validity.reason() {
         return Err(SdbError::InvalidGeometry(reason.to_string()));

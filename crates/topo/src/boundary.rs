@@ -9,7 +9,7 @@
 //!   "last-one-wins" strategy that caused the GEOS bug of Listing 6 is a
 //!   seeded fault in the engine crate, not implemented here).
 
-use crate::coverage;
+use crate::{coverage, probe};
 use spatter_geom::{
     Coord, Geometry, GeometryCollection, LineString, MultiLineString, MultiPoint, Point,
 };
@@ -18,25 +18,25 @@ use spatter_geom::{
 pub fn boundary(geometry: &Geometry) -> Geometry {
     match geometry {
         Geometry::Point(_) | Geometry::MultiPoint(_) => {
-            coverage::hit("topo.boundary.point");
+            coverage::hit(probe!("topo.boundary.point"));
             Geometry::GeometryCollection(GeometryCollection::empty())
         }
         Geometry::LineString(l) => {
-            coverage::hit("topo.boundary.linestring");
+            coverage::hit(probe!("topo.boundary.linestring"));
             boundary_of_lines(std::slice::from_ref(l))
         }
         Geometry::MultiLineString(m) => {
-            coverage::hit("topo.boundary.multilinestring");
+            coverage::hit(probe!("topo.boundary.multilinestring"));
             boundary_of_lines(&m.lines)
         }
         Geometry::Polygon(p) => {
-            coverage::hit("topo.boundary.polygon");
+            coverage::hit(probe!("topo.boundary.polygon"));
             let rings: Vec<LineString> =
                 p.rings.iter().filter(|r| !r.is_empty()).cloned().collect();
             rings_as_lines(rings)
         }
         Geometry::MultiPolygon(m) => {
-            coverage::hit("topo.boundary.multipolygon");
+            coverage::hit(probe!("topo.boundary.multipolygon"));
             let rings: Vec<LineString> = m
                 .polygons
                 .iter()
@@ -47,7 +47,7 @@ pub fn boundary(geometry: &Geometry) -> Geometry {
             rings_as_lines(rings)
         }
         Geometry::GeometryCollection(c) => {
-            coverage::hit("topo.boundary.collection");
+            coverage::hit(probe!("topo.boundary.collection"));
             boundary_of_collection(c.geometries.as_slice())
         }
     }

@@ -5,13 +5,13 @@
 //! it has linear parts, the length-weighted centroid; otherwise the average
 //! of the points.
 
-use crate::coverage;
+use crate::{coverage, probe};
 use spatter_geom::orientation::signed_area;
 use spatter_geom::{Coord, Geometry, LineString, Point, Polygon};
 
 /// Computes the centroid of a geometry; `None` for EMPTY input.
 pub fn centroid(geometry: &Geometry) -> Option<Point> {
-    coverage::hit("topo.centroid");
+    coverage::hit(probe!("topo.centroid"));
     let mut acc = Accumulator::default();
     acc.add(geometry);
     acc.finish().map(Point::from_coord)

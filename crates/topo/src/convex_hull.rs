@@ -1,7 +1,7 @@
 //! Convex hull (`ST_ConvexHull`), one of the generic editing functions of
 //! Table 1 used by the derivative strategy.
 
-use crate::coverage;
+use crate::{coverage, probe};
 use spatter_geom::orientation::cross;
 use spatter_geom::{Coord, Geometry, GeometryCollection, LineString, Point, Polygon};
 
@@ -11,7 +11,7 @@ use spatter_geom::{Coord, Geometry, GeometryCollection, LineString, Point, Polyg
 /// `GEOMETRYCOLLECTION EMPTY`, a single point yields a POINT, collinear
 /// points yield a LINESTRING.
 pub fn convex_hull(geometry: &Geometry) -> Geometry {
-    coverage::hit("topo.convex_hull");
+    coverage::hit(probe!("topo.convex_hull"));
     let mut coords: Vec<Coord> = Vec::new();
     geometry.for_each_coord(&mut |c| coords.push(*c));
     // Deduplicate identical coordinates.

@@ -2,9 +2,9 @@
 //! `ST_DWithin`, `ST_DFullyWithin`), the functionality behind Listing 5 and
 //! Listing 9.
 
-use crate::coverage;
 use crate::locate::{locate_in_polygon, Location};
 use crate::segment::{point_segment_distance_sq, segment_segment_distance_sq};
+use crate::{coverage, probe};
 use spatter_geom::{Coord, Envelope, Geometry, LineString, Polygon};
 
 /// Minimum distance between two geometries.
@@ -31,27 +31,27 @@ pub fn distance_sq(a: &Geometry, b: &Geometry) -> Option<f64> {
     if pa.is_empty() || pb.is_empty() {
         return None;
     }
-    coverage::hit("topo.distance.multi_recursion");
+    coverage::hit(probe!("topo.distance.multi_recursion"));
     let mut best = f64::INFINITY;
 
     // Point-to-point / point-to-segment / segment-to-segment distances.
     for &p in &pa.points {
         for &q in &pb.points {
-            coverage::hit("topo.distance.point_point");
+            coverage::hit(probe!("topo.distance.point_point"));
             best = best.min(p.distance_sq(&q));
         }
         for seg in &pb.segments {
-            coverage::hit("topo.distance.segment");
+            coverage::hit(probe!("topo.distance.segment"));
             best = best.min(point_segment_distance_sq(p, seg.0, seg.1));
         }
     }
     for seg in &pa.segments {
         for &q in &pb.points {
-            coverage::hit("topo.distance.segment");
+            coverage::hit(probe!("topo.distance.segment"));
             best = best.min(point_segment_distance_sq(q, seg.0, seg.1));
         }
         for other in &pb.segments {
-            coverage::hit("topo.distance.segment");
+            coverage::hit(probe!("topo.distance.segment"));
             best = best.min(segment_segment_distance_sq(seg.0, seg.1, other.0, other.1));
         }
     }
@@ -59,7 +59,7 @@ pub fn distance_sq(a: &Geometry, b: &Geometry) -> Option<f64> {
     // Containment: anything inside a polygon is at distance zero even if it
     // is far from the polygon's rings.
     if best > 0.0 {
-        coverage::hit("topo.distance.polygon_containment");
+        coverage::hit(probe!("topo.distance.polygon_containment"));
         if pa.contains_any_point_of(&pb) || pb.contains_any_point_of(&pa) {
             best = 0.0;
         }
@@ -101,7 +101,7 @@ fn envelope_screen(env_a: &Envelope, env_b: &Envelope, d: f64) -> Result<f64, bo
 
 /// `ST_DWithin`: the minimum distance does not exceed `d`.
 pub fn dwithin(a: &Geometry, b: &Geometry, d: f64) -> bool {
-    coverage::hit("topo.distance.dwithin");
+    coverage::hit(probe!("topo.distance.dwithin"));
     match envelope_screen(&a.envelope(), &b.envelope(), d) {
         Err(verdict) => verdict,
         Ok(d_sq) if d_sq.is_finite() => {
@@ -147,7 +147,7 @@ pub fn max_distance_sq(a: &Geometry, b: &Geometry) -> Option<f64> {
 /// `ST_DFullyWithin`: every point of each geometry lies within `d` of the
 /// other geometry.
 pub fn dfully_within(a: &Geometry, b: &Geometry, d: f64) -> bool {
-    coverage::hit("topo.distance.dfullywithin");
+    coverage::hit(probe!("topo.distance.dfullywithin"));
     match envelope_screen(&a.envelope(), &b.envelope(), d) {
         Err(verdict) => verdict,
         Ok(d_sq) if d_sq.is_finite() => {
@@ -174,7 +174,7 @@ fn ambiguously_close(a: f64, b: f64) -> bool {
 /// comparison is meaningful. Candidates with undefined distance (fully EMPTY
 /// geometries) sort after every defined one and never create a tie.
 pub fn knn_tie_at_cutoff(origin: &Geometry, candidates: &[Geometry], k: usize) -> bool {
-    coverage::hit("topo.distance.knn_tie_check");
+    coverage::hit(probe!("topo.distance.knn_tie_check"));
     if k == 0 {
         return false;
     }
@@ -195,7 +195,7 @@ pub fn knn_tie_at_cutoff(origin: &Geometry, candidates: &[Geometry], k: usize) -
 /// transformed side through floating point, so comparisons within the margin
 /// are excluded from metamorphic checks rather than reported as findings.
 pub fn range_boundary_ambiguous(value: f64, threshold: f64) -> bool {
-    coverage::hit("topo.distance.range_margin_check");
+    coverage::hit(probe!("topo.distance.range_margin_check"));
     ambiguously_close(value, threshold)
 }
 

@@ -7,7 +7,8 @@
 
 use crate::boundary;
 use crate::convex_hull;
-use crate::coverage;
+use crate::coverage::{self, Probe};
+use crate::probe;
 use spatter_geom::error::{GeomError, GeomResult};
 use spatter_geom::orientation::{ring_orientation, RingOrientation};
 use spatter_geom::{
@@ -105,27 +106,27 @@ impl EditFunction {
     /// The coverage probe this function's implementation hits — the handle
     /// the coverage-guided generator uses to steer the derivative strategy
     /// towards editing functions whose code paths are still cold.
-    pub fn probe_name(&self) -> &'static str {
+    pub fn probe(&self) -> Probe {
         match self {
-            EditFunction::SetPoint => "topo.editing.set_point",
-            EditFunction::Polygonize => "topo.editing.polygonize",
-            EditFunction::DumpRings => "topo.editing.dump_rings",
-            EditFunction::ForcePolygonCW => "topo.editing.force_polygon_cw",
-            EditFunction::GeometryN => "topo.editing.geometry_n",
-            EditFunction::CollectionExtract => "topo.editing.collection_extract",
-            EditFunction::Boundary => "topo.editing.boundary",
-            EditFunction::ConvexHull => "topo.editing.convex_hull",
-            EditFunction::Envelope => "topo.editing.envelope",
-            EditFunction::Reverse => "topo.editing.reverse",
-            EditFunction::PointN => "topo.editing.point_n",
-            EditFunction::Collect => "topo.editing.collect",
+            EditFunction::SetPoint => probe!("topo.editing.set_point"),
+            EditFunction::Polygonize => probe!("topo.editing.polygonize"),
+            EditFunction::DumpRings => probe!("topo.editing.dump_rings"),
+            EditFunction::ForcePolygonCW => probe!("topo.editing.force_polygon_cw"),
+            EditFunction::GeometryN => probe!("topo.editing.geometry_n"),
+            EditFunction::CollectionExtract => probe!("topo.editing.collection_extract"),
+            EditFunction::Boundary => probe!("topo.editing.boundary"),
+            EditFunction::ConvexHull => probe!("topo.editing.convex_hull"),
+            EditFunction::Envelope => probe!("topo.editing.envelope"),
+            EditFunction::Reverse => probe!("topo.editing.reverse"),
+            EditFunction::PointN => probe!("topo.editing.point_n"),
+            EditFunction::Collect => probe!("topo.editing.collect"),
         }
     }
 }
 
 /// `ST_SetPoint`: replace the `index`-th (0-based) vertex of a LINESTRING.
 pub fn set_point(line: &Geometry, index: usize, point: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.set_point");
+    coverage::hit(probe!("topo.editing.set_point"));
     let Geometry::LineString(l) = line else {
         return Err(GeomError::UnsupportedType {
             operation: "ST_SetPoint",
@@ -158,7 +159,7 @@ pub fn set_point(line: &Geometry, index: usize, point: &Geometry) -> GeomResult<
 /// implementation turns every closed linestring (of the input or its
 /// elements) into a polygon and returns them wrapped in a collection.
 pub fn polygonize(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.polygonize");
+    coverage::hit(probe!("topo.editing.polygonize"));
     let mut polygons: Vec<Geometry> = Vec::new();
     for part in geometry.flatten() {
         if let Geometry::LineString(l) = part {
@@ -175,7 +176,7 @@ pub fn polygonize(geometry: &Geometry) -> GeomResult<Geometry> {
 /// `ST_DumpRings`: the rings of a polygon, each as a single-ring polygon,
 /// wrapped in a collection.
 pub fn dump_rings(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.dump_rings");
+    coverage::hit(probe!("topo.editing.dump_rings"));
     let rings: Vec<Geometry> = match geometry {
         Geometry::Polygon(p) => p
             .rings
@@ -202,7 +203,7 @@ pub fn dump_rings(geometry: &Geometry) -> GeomResult<Geometry> {
 
 /// `ST_ForcePolygonCW`: clockwise exterior rings and counter-clockwise holes.
 pub fn force_polygon_cw(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.force_polygon_cw");
+    coverage::hit(probe!("topo.editing.force_polygon_cw"));
     fn fix(polygon: &Polygon) -> Polygon {
         let rings = polygon
             .rings
@@ -235,7 +236,7 @@ pub fn force_polygon_cw(geometry: &Geometry) -> GeomResult<Geometry> {
 
 /// `ST_GeometryN`: the `n`-th (1-based) element of a MULTI or MIXED geometry.
 pub fn geometry_n(geometry: &Geometry, n: usize) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.geometry_n");
+    coverage::hit(probe!("topo.editing.geometry_n"));
     geometry.geometry_n(n).ok_or_else(|| {
         GeomError::InvalidGeometry(format!(
             "element {n} out of range for geometry with {} elements",
@@ -247,7 +248,7 @@ pub fn geometry_n(geometry: &Geometry, n: usize) -> GeomResult<Geometry> {
 /// `ST_CollectionExtract`: the elements of a given basic type, as the
 /// corresponding MULTI geometry.
 pub fn collection_extract(geometry: &Geometry, target: GeometryType) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.collection_extract");
+    coverage::hit(probe!("topo.editing.collection_extract"));
     let flat = geometry.flatten();
     match target {
         GeometryType::Point => Ok(Geometry::MultiPoint(MultiPoint::new(
@@ -283,20 +284,20 @@ pub fn collection_extract(geometry: &Geometry, target: GeometryType) -> GeomResu
 
 /// `ST_Boundary`.
 pub fn boundary_of(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.boundary");
+    coverage::hit(probe!("topo.editing.boundary"));
     Ok(boundary::boundary(geometry))
 }
 
 /// `ST_ConvexHull`.
 pub fn convex_hull_of(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.convex_hull");
+    coverage::hit(probe!("topo.editing.convex_hull"));
     Ok(convex_hull::convex_hull(geometry))
 }
 
 /// `ST_Envelope`: the bounding box as a polygon (degenerate inputs yield a
 /// point or a line, as in PostGIS).
 pub fn envelope_of(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.envelope");
+    coverage::hit(probe!("topo.editing.envelope"));
     let env = geometry.envelope();
     if env.is_empty() {
         return Ok(Geometry::Polygon(Polygon::empty()));
@@ -324,7 +325,7 @@ pub fn envelope_of(geometry: &Geometry) -> GeomResult<Geometry> {
 
 /// `ST_Reverse`: reverse vertex order everywhere.
 pub fn reverse(geometry: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.reverse");
+    coverage::hit(probe!("topo.editing.reverse"));
     fn rev(geometry: &Geometry) -> Geometry {
         match geometry {
             Geometry::LineString(l) => Geometry::LineString(l.reversed()),
@@ -351,7 +352,7 @@ pub fn reverse(geometry: &Geometry) -> GeomResult<Geometry> {
 
 /// `ST_PointN`: the `n`-th (1-based) vertex of a LINESTRING.
 pub fn point_n(geometry: &Geometry, n: usize) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.point_n");
+    coverage::hit(probe!("topo.editing.point_n"));
     let Geometry::LineString(l) = geometry else {
         return Err(GeomError::UnsupportedType {
             operation: "ST_PointN",
@@ -371,7 +372,7 @@ pub fn point_n(geometry: &Geometry, n: usize) -> GeomResult<Geometry> {
 /// type produce the corresponding MULTI geometry; anything else produces a
 /// GEOMETRYCOLLECTION.
 pub fn collect(a: &Geometry, b: &Geometry) -> GeomResult<Geometry> {
-    coverage::hit("topo.editing.collect");
+    coverage::hit(probe!("topo.editing.collect"));
     match (a, b) {
         (Geometry::Point(pa), Geometry::Point(pb)) => {
             Ok(Geometry::MultiPoint(MultiPoint::new(vec![
@@ -551,15 +552,6 @@ mod tests {
         assert_eq!(EditFunction::GeometryN.category(), "Multi-Dimensional");
         assert_eq!(EditFunction::ConvexHull.category(), "Generic");
         assert_eq!(EditFunction::Collect.function_name(), "ST_Collect");
-        // Every editing function advertises a probe that exists in the
-        // static probe list (the guided generator keys off these names).
-        for edit in EditFunction::ALL {
-            assert!(
-                crate::coverage::TOPO_PROBES.contains(&edit.probe_name()),
-                "{} probe missing from TOPO_PROBES",
-                edit.function_name()
-            );
-        }
     }
 
     #[test]

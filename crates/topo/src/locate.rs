@@ -19,8 +19,8 @@
 //! (the root cause of Listing 6) is *not* implemented here — the engine crate
 //! injects it as a seeded fault on top of this reference behaviour.
 
-use crate::coverage;
 use crate::segment::point_segment_distance;
+use crate::{coverage, probe};
 use spatter_geom::orientation::{orientation, Orientation};
 use spatter_geom::{Coord, Geometry, LineString, Polygon};
 
@@ -78,13 +78,13 @@ pub fn locate(point: Coord, geometry: &Geometry) -> Location {
 
     visit_components(geometry, &mut |component| match component {
         Component::Point(c) => {
-            coverage::hit("topo.locate.point_component");
+            coverage::hit(probe!("topo.locate.point_component"));
             if c.approx_eq(&point) {
                 point_or_area_interior = true;
             }
         }
         Component::Line(line) => {
-            coverage::hit("topo.locate.line_component");
+            coverage::hit(probe!("topo.locate.line_component"));
             match locate_on_linestring(point, line) {
                 LineLocation::Interior => line_interior = true,
                 LineLocation::Endpoint => line_endpoint_count += 1,
@@ -92,7 +92,7 @@ pub fn locate(point: Coord, geometry: &Geometry) -> Location {
             }
         }
         Component::Polygon(polygon) => {
-            coverage::hit("topo.locate.polygon_component");
+            coverage::hit(probe!("topo.locate.polygon_component"));
             match locate_in_polygon(point, polygon) {
                 Location::Interior => point_or_area_interior = true,
                 Location::Boundary => polygon_boundary = true,
@@ -110,7 +110,7 @@ pub fn locate(point: Coord, geometry: &Geometry) -> Location {
         return Location::Interior;
     }
     if line_endpoint_count > 0 {
-        coverage::hit("topo.locate.mod2_boundary");
+        coverage::hit(probe!("topo.locate.mod2_boundary"));
         // Mod-2 rule: odd endpoint count => boundary, even => interior.
         return if line_endpoint_count % 2 == 1 {
             Location::Boundary
@@ -244,7 +244,7 @@ pub fn locate_in_polygon(point: Coord, polygon: &Polygon) -> Location {
 /// An unclosed ring is closed implicitly for the crossing count; its
 /// implied closing edge is not part of the boundary check.
 pub fn locate_in_ring(point: Coord, ring: &LineString) -> Location {
-    coverage::hit("topo.locate.point_in_ring");
+    coverage::hit(probe!("topo.locate.point_in_ring"));
     let coords = &ring.coords;
     if coords.len() < 3 {
         return Location::Exterior;

@@ -1,13 +1,13 @@
 //! Scalar measurements: area, length, number of points.
 
-use crate::coverage;
+use crate::{coverage, probe};
 use spatter_geom::orientation::signed_area;
 use spatter_geom::{Geometry, Polygon};
 
 /// Area of a geometry. Points and lines have zero area; polygon holes are
 /// subtracted; collections sum their members.
 pub fn area(geometry: &Geometry) -> f64 {
-    coverage::hit("topo.measures.area");
+    coverage::hit(probe!("topo.measures.area"));
     match geometry {
         Geometry::Polygon(p) => polygon_area(p),
         Geometry::MultiPolygon(m) => m.polygons.iter().map(polygon_area).sum(),
@@ -32,7 +32,7 @@ fn polygon_area(p: &Polygon) -> f64 {
 /// Length of a geometry: the total length of all linear parts (polygon rings
 /// do not count towards `ST_Length`, matching PostGIS).
 pub fn length(geometry: &Geometry) -> f64 {
-    coverage::hit("topo.measures.length");
+    coverage::hit(probe!("topo.measures.length"));
     match geometry {
         Geometry::LineString(l) => l.length(),
         Geometry::MultiLineString(m) => m.lines.iter().map(|l| l.length()).sum(),

@@ -6,10 +6,10 @@
 //! `ST_Equals`) plus the PostGIS/DuckDB-specific extensions the paper uses
 //! (`ST_Covers`, `ST_CoveredBy`), and `ST_Relate` pattern matching.
 
-use crate::coverage;
 use crate::de9im::{IntersectionMatrix, Position};
 use crate::relate::relate;
 use crate::relate_cache::RelateCache;
+use crate::{coverage, probe};
 use spatter_geom::{Dimension, Geometry};
 
 /// The named topological relationship predicates supported by the engines.
@@ -103,24 +103,24 @@ impl NamedPredicate {
         use NamedPredicate::*;
         match self {
             Intersects => {
-                coverage::hit("topo.predicate.intersects");
+                coverage::hit(probe!("topo.predicate.intersects"));
                 !disjoint_matrix(&matrices.relate(a, b))
             }
             Disjoint => {
-                coverage::hit("topo.predicate.disjoint");
+                coverage::hit(probe!("topo.predicate.disjoint"));
                 disjoint_matrix(&matrices.relate(a, b))
             }
             // Every point of `a` lies in `b` and the interiors share a point.
             Within => {
-                coverage::hit("topo.predicate.within");
+                coverage::hit(probe!("topo.predicate.within"));
                 matches(&matrices.relate(a, b), "T*F**F***")
             }
             Contains => {
-                coverage::hit("topo.predicate.contains");
+                coverage::hit(probe!("topo.predicate.contains"));
                 matches(&matrices.relate(a, b), "T*****FF*")
             }
             Covers => {
-                coverage::hit("topo.predicate.covers");
+                coverage::hit(probe!("topo.predicate.covers"));
                 let m = matrices.relate(a, b);
                 if a.is_empty() || b.is_empty() {
                     return false;
@@ -137,14 +137,14 @@ impl NamedPredicate {
                 touches_somewhere && nothing_outside
             }
             CoveredBy => {
-                coverage::hit("topo.predicate.covered_by");
+                coverage::hit(probe!("topo.predicate.covered_by"));
                 Covers.evaluate_by(b, a, matrices)
             }
             // The geometries share interior points, but neither is contained
             // in the other, and the intersection has lower dimension than the
             // higher-dimensional operand.
             Crosses => {
-                coverage::hit("topo.predicate.crosses");
+                coverage::hit(probe!("topo.predicate.crosses"));
                 let da = a.dimension();
                 let db = b.dimension();
                 let m = matrices.relate(a, b);
@@ -161,7 +161,7 @@ impl NamedPredicate {
             // Same dimension, shared interior points, and neither is
             // contained in the other.
             Overlaps => {
-                coverage::hit("topo.predicate.overlaps");
+                coverage::hit(probe!("topo.predicate.overlaps"));
                 let da = a.dimension();
                 let db = b.dimension();
                 if da != db {
@@ -176,13 +176,13 @@ impl NamedPredicate {
             }
             // The geometries intersect, but only on their boundaries.
             Touches => {
-                coverage::hit("topo.predicate.touches");
+                coverage::hit(probe!("topo.predicate.touches"));
                 let m = matrices.relate(a, b);
                 matches(&m, "FT*******") || matches(&m, "F**T*****") || matches(&m, "F***T****")
             }
             // The geometries represent the same point set.
             Equals => {
-                coverage::hit("topo.predicate.equals");
+                coverage::hit(probe!("topo.predicate.equals"));
                 matches(&matrices.relate(a, b), "T*F**FFF*")
             }
         }
@@ -290,7 +290,7 @@ fn relate_pattern_by(
     pattern: &str,
     matrices: Matrices,
 ) -> Option<bool> {
-    coverage::hit("topo.predicate.relate_pattern");
+    coverage::hit(probe!("topo.predicate.relate_pattern"));
     matrices.relate(a, b).matches(pattern)
 }
 

@@ -9,8 +9,8 @@
 //! that property (the envelope check is a *conservative* short circuit); the
 //! seeded fault in the engine crate breaks it the same way the real bug did.
 
-use crate::coverage;
 use crate::predicates::NamedPredicate;
+use crate::{coverage, probe};
 use spatter_geom::{Envelope, Geometry};
 
 /// A geometry plus cached data for fast repeated predicate evaluation.
@@ -23,7 +23,7 @@ pub struct PreparedGeometry {
 impl PreparedGeometry {
     /// Prepares a geometry.
     pub fn new(geometry: Geometry) -> Self {
-        coverage::hit("topo.prepared.build");
+        coverage::hit(probe!("topo.prepared.build"));
         let envelope = geometry.envelope();
         PreparedGeometry { geometry, envelope }
     }
@@ -42,7 +42,7 @@ impl PreparedGeometry {
     /// argument. Envelope-based short circuits are applied only when they are
     /// sound for the predicate in question.
     pub fn evaluate(&self, predicate: NamedPredicate, other: &Geometry) -> bool {
-        coverage::hit("topo.prepared.predicate");
+        coverage::hit(probe!("topo.prepared.predicate"));
         let other_env = other.envelope();
         let envelopes_interact = self.envelope.intersects(&other_env);
         match predicate {

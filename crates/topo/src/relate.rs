@@ -21,10 +21,10 @@
 //! generates (proper crossings introduce the only rounding, and only in the
 //! coordinates of the crossing node itself).
 
-use crate::coverage;
 use crate::de9im::{IntersectionMatrix, Position};
 use crate::locate::{locate, locate_in_polygon, Location};
 use crate::segment::{segment_intersection, SegmentIntersection};
+use crate::{coverage, probe};
 use spatter_geom::orientation::{
     orientation, point_on_segment, ring_orientation, Orientation, RingOrientation,
 };
@@ -42,7 +42,7 @@ pub fn relate(a: &Geometry, b: &Geometry) -> IntersectionMatrix {
     im.set(Position::Exterior, Position::Exterior, Dimension::Two);
 
     if a_empty || b_empty {
-        coverage::hit("topo.relate.empty_case");
+        coverage::hit(probe!("topo.relate.empty_case"));
         if !b_empty {
             im.set(
                 Position::Exterior,
@@ -74,12 +74,12 @@ pub fn relate(a: &Geometry, b: &Geometry) -> IntersectionMatrix {
     let db = Decomposed::build(b);
 
     // --- Noding ------------------------------------------------------------
-    coverage::hit("topo.relate.noding");
+    coverage::hit(probe!("topo.relate.noding"));
     let sub_edges_a = node_segments(&da, &db);
     let sub_edges_b = node_segments(&db, &da);
 
     // --- Node labelling ----------------------------------------------------
-    coverage::hit("topo.relate.node_labelling");
+    coverage::hit(probe!("topo.relate.node_labelling"));
     let mut nodes: Vec<Coord> = sub_edges_a
         .iter()
         .chain(sub_edges_b.iter())
@@ -98,7 +98,7 @@ pub fn relate(a: &Geometry, b: &Geometry) -> IntersectionMatrix {
     }
 
     // --- Sub-edge labelling ------------------------------------------------
-    coverage::hit("topo.relate.edge_labelling");
+    coverage::hit(probe!("topo.relate.edge_labelling"));
     for edge in sub_edges_a.iter().chain(sub_edges_b.iter()) {
         let m = edge.p0.midpoint(&edge.p1);
         let loc_a = locate(m, a);
@@ -114,7 +114,7 @@ pub fn relate(a: &Geometry, b: &Geometry) -> IntersectionMatrix {
         im.set_at_least(Position::Exterior, Position::Interior, Dimension::Two);
     }
     if da.has_area && db.has_area {
-        coverage::hit("topo.relate.area_side_analysis");
+        coverage::hit(probe!("topo.relate.area_side_analysis"));
         area_analysis(&mut im, &sub_edges_a, &da, &db, false);
         area_analysis(&mut im, &sub_edges_b, &db, &da, true);
     }
@@ -146,16 +146,16 @@ fn record_pair_probe(a: &Geometry, b: &Geometry) {
     let has_collection = matches!(a, Geometry::GeometryCollection(_))
         || matches!(b, Geometry::GeometryCollection(_));
     if has_collection {
-        coverage::hit("topo.relate.collection");
+        coverage::hit(probe!("topo.relate.collection"));
     }
     let (lo, hi) = if da <= db { (da, db) } else { (db, da) };
     let probe = match (lo, hi) {
-        (Dimension::Zero, Dimension::Zero) => "topo.relate.point_point",
-        (Dimension::Zero, Dimension::One) => "topo.relate.point_line",
-        (Dimension::Zero, Dimension::Two) => "topo.relate.point_polygon",
-        (Dimension::One, Dimension::One) => "topo.relate.line_line",
-        (Dimension::One, Dimension::Two) => "topo.relate.line_polygon",
-        (Dimension::Two, Dimension::Two) => "topo.relate.polygon_polygon",
+        (Dimension::Zero, Dimension::Zero) => probe!("topo.relate.point_point"),
+        (Dimension::Zero, Dimension::One) => probe!("topo.relate.point_line"),
+        (Dimension::Zero, Dimension::Two) => probe!("topo.relate.point_polygon"),
+        (Dimension::One, Dimension::One) => probe!("topo.relate.line_line"),
+        (Dimension::One, Dimension::Two) => probe!("topo.relate.line_polygon"),
+        (Dimension::Two, Dimension::Two) => probe!("topo.relate.polygon_polygon"),
         _ => return,
     };
     coverage::hit(probe);

@@ -53,7 +53,7 @@
 //! - pairs: a table of 2,048 entries of ~40 bytes, about 170 KiB;
 //! - deltas: at most one per pair, each at most 26 `(probe, count)` entries
 //!   (the probes of the relate, locate, boundary and segment modules;
-//!   24 bytes each plus a 16-byte header), with their table about 1.4 MiB.
+//!   16 bytes each plus a 16-byte header), with their table about 0.9 MiB.
 //!
 //! That is under 4 MiB in all. Generated geometries have keys of about a
 //! dozen words, a delta has about seven entries and a quarter of the deltas
@@ -63,7 +63,7 @@
 //! and recovers from poisoning: entries are written whole, so a panic on
 //! another thread cannot leave a half-written one behind.
 
-use crate::coverage::local;
+use crate::coverage::{local, Probe};
 use crate::de9im::IntersectionMatrix;
 use crate::relate::relate;
 use spatter_geom::{Coord, Geometry, Point, Polygon};
@@ -83,7 +83,7 @@ pub const OPERAND_CAPACITY: usize = 1024;
 pub const MAX_OPERAND_WORDS: usize = 256;
 
 /// A probe tally as recorded by [`local::isolate`].
-type Delta = Arc<[(&'static str, u64)]>;
+type Delta = Arc<[(Probe, u64)]>;
 
 /// One memoised `relate(a, b)`: its matrix and the probe delta it recorded.
 struct Relation {
@@ -112,7 +112,7 @@ impl Memo {
         a: &[u64],
         b: &[u64],
         matrix: IntersectionMatrix,
-        delta: Vec<(&'static str, u64)>,
+        delta: Vec<(Probe, u64)>,
     ) {
         if self.pairs.len() >= PAIR_CAPACITY || self.operands.len() + 2 > OPERAND_CAPACITY {
             // Ids index the current operand set, so everything goes together.

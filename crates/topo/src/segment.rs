@@ -1,6 +1,6 @@
 //! Segment–segment intersection, the primitive underneath noding.
 
-use crate::coverage;
+use crate::{coverage, probe};
 use spatter_geom::orientation::{cross, orientation, point_on_segment, Orientation};
 use spatter_geom::Coord;
 
@@ -30,7 +30,7 @@ pub fn segment_intersection(a0: Coord, a1: Coord, b0: Coord, b1: Coord) -> Segme
         && o3 != Orientation::Collinear
         && o4 != Orientation::Collinear
     {
-        coverage::hit("topo.segment.intersection_proper");
+        coverage::hit(probe!("topo.segment.intersection_proper"));
         return SegmentIntersection::Point(line_intersection_point(a0, a1, b0, b1));
     }
 
@@ -46,13 +46,13 @@ pub fn segment_intersection(a0: Coord, a1: Coord, b0: Coord, b1: Coord) -> Segme
     // Touching configurations: an endpoint of one lies on the other segment.
     for p in [b0, b1] {
         if point_on_segment(p, a0, a1) {
-            coverage::hit("topo.segment.intersection_endpoint");
+            coverage::hit(probe!("topo.segment.intersection_endpoint"));
             return SegmentIntersection::Point(p);
         }
     }
     for p in [a0, a1] {
         if point_on_segment(p, b0, b1) {
-            coverage::hit("topo.segment.intersection_endpoint");
+            coverage::hit(probe!("topo.segment.intersection_endpoint"));
             return SegmentIntersection::Point(p);
         }
     }
@@ -119,10 +119,10 @@ fn collinear_overlap(a0: Coord, a1: Coord, b0: Coord, b1: Coord) -> SegmentInter
         a0
     };
     if lo == hi {
-        coverage::hit("topo.segment.intersection_endpoint");
+        coverage::hit(probe!("topo.segment.intersection_endpoint"));
         SegmentIntersection::Point(coord_at(lo))
     } else {
-        coverage::hit("topo.segment.intersection_collinear");
+        coverage::hit(probe!("topo.segment.intersection_collinear"));
         SegmentIntersection::Overlap(coord_at(lo), coord_at(hi))
     }
 }

@@ -12,8 +12,7 @@
 //!   plan, and the index plan must return identical rows — including under
 //!   the seeded GiST fault and with EMPTY geometries in both tables;
 //! * whole campaigns whose reports stay equal with the plan enabled and
-//!   disabled, at 1/2/4 workers;
-//! * registration of the new probes in the coverage universes.
+//!   disabled, at 1/2/4 workers.
 //!
 //! The distance-join plans are a session setting (`SET enable_distance_join
 //! = false` sends distance joins to the nested loop), so each plan runs on
@@ -24,7 +23,7 @@ use std::sync::Arc;
 use spatter_repro::core::backend::{BackendError, EngineBackend, EngineSession, InProcessBackend};
 use spatter_repro::core::campaign::{CampaignConfig, CampaignReport};
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
-use spatter_repro::core::guidance::{self, GuidanceMode};
+use spatter_repro::core::guidance::GuidanceMode;
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::core::transform::AffineStrategy;
 use spatter_repro::sdb::{Engine, EngineProfile, FaultId, FaultSet};
@@ -281,27 +280,5 @@ fn campaigns_with_the_distance_plan_stay_deterministic_across_workers() {
                 "{guidance:?} at {workers} workers"
             );
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Probe registration
-// ---------------------------------------------------------------------------
-
-#[test]
-fn distance_plan_probes_are_registered_in_the_coverage_universes() {
-    for probe in [
-        "sdb.exec.join_distance_index",
-        "sdb.exec.join_distance_prepared",
-    ] {
-        assert!(
-            spatter_repro::sdb::coverage::SDB_PROBES.contains(&probe),
-            "{probe} missing from SDB_PROBES"
-        );
-        assert!(
-            guidance::probe_universe().contains(&probe),
-            "{probe} missing from the guidance probe universe"
-        );
-        assert!(guidance::is_universe_probe(probe));
     }
 }

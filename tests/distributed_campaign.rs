@@ -364,3 +364,56 @@ fn unencodable_campaigns_are_rejected_up_front() {
         "{error}"
     );
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_clean_fleet_shutdown_leaves_no_engine_server_behind() {
+    // Each worker of a stdio-backed fleet starts `spatter-sdb-server`s for
+    // its sessions. Told to exit, a worker must get the chance to drop its
+    // backend, which kills and reaps those servers: a worker killed at once
+    // orphans them, and an orphan lingers (running, then as a zombie of
+    // PID 1) after the supervisor returns. The servers run behind a wrapper
+    // that logs each one's PID before it `exec`s the server.
+    use spatter_repro::core::backend::StdioBackend;
+    use std::os::unix::fs::PermissionsExt;
+
+    let dir = std::env::temp_dir().join(format!("spatter-fleet-servers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("launches");
+    let wrapper = dir.join("server.sh");
+    std::fs::write(
+        &wrapper,
+        format!(
+            "#!/bin/sh\necho $$ >> '{}'\nexec '{}' \"$@\"\n",
+            log.display(),
+            server_path()
+        ),
+    )
+    .expect("write wrapper");
+    std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755))
+        .expect("chmod wrapper");
+
+    let config = campaign(GuidanceMode::Off, 3, 8).with_backend(std::sync::Arc::new(
+        StdioBackend::stock(&wrapper, EngineProfile::PostgisLike),
+    ));
+    let dist = DistConfig::new(worker_path())
+        .with_processes(2)
+        .with_threads_per_worker(1);
+    let report = DistRunner::new(config, dist)
+        .run()
+        .expect("stdio-backed fleet campaign");
+    let servers: Vec<u32> = std::fs::read_to_string(&log)
+        .unwrap_or_default()
+        .lines()
+        .map(|pid| pid.parse().expect("a PID per line"))
+        .collect();
+    let left: Vec<u32> = servers
+        .iter()
+        .copied()
+        .filter(|pid| std::path::Path::new(&format!("/proc/{pid}")).exists())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.iterations_run, 8);
+    assert!(!servers.is_empty(), "the workers started servers");
+    assert!(left.is_empty(), "servers outlived the fleet: {left:?}");
+}
