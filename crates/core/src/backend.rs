@@ -43,7 +43,7 @@ use crate::matrix::external::ServerPool;
 use crate::matrix::DialectSpec;
 use spatter_sdb::ast::Statement;
 use spatter_sdb::parser::parse_statement;
-use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, SdbError};
+use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, FiredLog, SdbError};
 use spatter_topo::RelateCache;
 use std::collections::HashMap;
 use std::fmt;
@@ -185,13 +185,30 @@ pub trait EngineSession {
     /// request round-trip time.
     fn engine_time(&self) -> Duration;
 
-    /// The seeded faults that took their divergent branch in this session
-    /// so far, or `None` when that is unknown. A fault outside a known set
-    /// influenced nothing the session did, so attribution need not re-run
-    /// the session's work without it; `None` (the default, right for any
-    /// engine that cannot report) makes attribution re-check every fault.
-    fn fired_faults(&mut self) -> Option<FaultSet> {
+    /// How many statements the session has run: the position of its next
+    /// statement in [`EngineSession::fired_log`]. Each statement of a
+    /// [`EngineSession::load`] batch counts up to the one that failed, and
+    /// each `run_count` or `run_rows` counts, whatever its result. `None`
+    /// (the default) when unknown. Meant to be cheap: an oracle check reads
+    /// it around every step.
+    fn statements(&self) -> Option<usize> {
         None
+    }
+
+    /// Which seeded faults took their divergent branch in each statement of
+    /// this session so far, by position (see [`EngineSession::statements`]),
+    /// or `None` when that is unknown. A fault no statement of a span fired
+    /// influenced nothing that span did, so attribution need not re-run it
+    /// without the fault; `None` (the default, right for any engine that
+    /// cannot report) makes attribution re-check every fault.
+    fn fired_log(&mut self) -> Option<FiredLog> {
+        None
+    }
+
+    /// The seeded faults any statement of this session fired so far (the
+    /// union of [`EngineSession::fired_log`]), or `None` when unknown.
+    fn fired_faults(&mut self) -> Option<FaultSet> {
+        self.fired_log().map(|log| log.union())
     }
 }
 
@@ -367,7 +384,9 @@ impl InProcessSession {
         let statement = match cached {
             Some(statement) => statement,
             None => {
-                let statement = Arc::new(parse_statement(sql).map_err(map_sdb_error)?);
+                let parsed = parse_statement(sql)
+                    .map_err(|error| map_sdb_error(self.engine.reject_unparsed(error)))?;
+                let statement = Arc::new(parsed);
                 let mut cache = lock_cache(&self.parse_cache);
                 if cache.len() >= PARSE_CACHE_CAPACITY {
                     cache.clear();
@@ -408,8 +427,12 @@ impl EngineSession for InProcessSession {
         self.engine.execution_stats().0
     }
 
-    fn fired_faults(&mut self) -> Option<FaultSet> {
-        Some(self.engine.fired_faults())
+    fn statements(&self) -> Option<usize> {
+        Some(self.engine.logged_statements())
+    }
+
+    fn fired_log(&mut self) -> Option<FiredLog> {
+        Some(self.engine.fired_log().clone())
     }
 }
 

@@ -188,6 +188,9 @@ pub struct CampaignReport {
     pub generation_time: Duration,
     /// Time spent executing statements inside the engine.
     pub engine_time: Duration,
+    /// Time spent attributing findings to seeded faults (the `without_fault`
+    /// re-checks and their bookkeeping).
+    pub attribute_time: Duration,
     /// Timeline of (elapsed, unique bug count) pairs, one entry per new
     /// unique fault (Figure 8a).
     pub unique_bug_timeline: Vec<(Duration, usize)>,

@@ -50,8 +50,9 @@ use std::path::PathBuf;
 /// stream on record replay frames — the matrix subsystem's additions, so
 /// matrix cells can ride the fabric. Version 6 dropped the two coverage
 /// fractions from record messages: the supervisor computes them from the
-/// records' probe deltas when it merges.
-pub const WIRE_VERSION: u32 = 6;
+/// records' probe deltas when it merges. Version 7 added the attribution
+/// time to record messages.
+pub const WIRE_VERSION: u32 = 7;
 
 const EPOCH: Marker = Marker {
     absent: "no-epoch",
@@ -417,6 +418,7 @@ fn write_record(writer: &mut TokenWriter, record: &IterationRecord) {
     }
     writer.push_duration(record.generation_time);
     writer.push_duration(record.engine_time);
+    writer.push_duration(record.attribute_time);
     writer.push_duration(record.finished);
     writer.push_num(record.skipped);
     writer.push_num(record.findings.len());
@@ -447,6 +449,7 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> 
     }
     let generation_time = reader.next_duration("generation time")?;
     let engine_time = reader.next_duration("engine time")?;
+    let attribute_time = reader.next_duration("attribute time")?;
     let finished = reader.next_duration("finish time")?;
     let skipped = reader.next_num("skip count")?;
     let n_findings: usize = reader.next_num("finding count")?;
@@ -465,6 +468,7 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> 
         findings,
         generation_time,
         engine_time,
+        attribute_time,
         finished,
         skipped,
         probe_delta,
@@ -704,6 +708,7 @@ mod tests {
             findings: (0..n_findings).map(|_| random_finding(rng)).collect(),
             generation_time: Duration::from_nanos(rng.next_u64() >> 16),
             engine_time: Duration::from_nanos(rng.next_u64() >> 16),
+            attribute_time: Duration::from_nanos(rng.next_u64() >> 16),
             finished: Duration::from_nanos(rng.next_u64() >> 16),
             skipped: rng.random_range(0..50usize),
             probe_delta: (0..n_probes)
@@ -844,6 +849,7 @@ mod tests {
         assert_eq!(a.replay, b.replay);
         assert_eq!(a.generation_time, b.generation_time);
         assert_eq!(a.engine_time, b.engine_time);
+        assert_eq!(a.attribute_time, b.attribute_time);
         assert_eq!(a.finished, b.finished);
         assert_eq!(a.skipped, b.skipped);
         assert_eq!(a.probe_delta, b.probe_delta);

@@ -40,18 +40,21 @@
 //! session ends, a live server goes back to the pool; one lost to a failed
 //! request was killed already and is never returned.
 //!
-//! Sessions speaking [`ReplyGrammar::SdbServer`] also report the server's
-//! fired faults ([`EngineSession::fired_faults`]): asked for them, a session
-//! sends the server's [`FIRED_REQUEST`] control line and returns the parsed
-//! answer. A session whose server died at any point, whose answer does not
-//! parse, or that speaks another grammar reports them unknown (`None`).
+//! Sessions speaking [`ReplyGrammar::SdbServer`] also report which of their
+//! statements fired which seeded faults ([`EngineSession::fired_log`]):
+//! asked for that, a session sends the server's [`FIRED_REQUEST`] control
+//! line and returns the parsed log, one round trip for the whole session.
+//! A session whose server died at any point, whose answer does not parse
+//! or names a statement it never sent, that answered a blank statement
+//! itself (the server never saw it, so positions would shift), or that
+//! speaks another grammar reports it unknown (`None`).
 
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
 use spatter_sdb::server::{
     fault_spec, read_fired, read_frame, read_ready, sanitize_line, Response, FIRED_REQUEST,
     RESET_REQUEST,
 };
-use spatter_sdb::{EngineProfile, FaultId, FaultSet};
+use spatter_sdb::{EngineProfile, FaultId, FaultSet, FiredLog};
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -513,9 +516,13 @@ struct ExternalSession {
     handle: Option<ExternalHandle>,
     setup: Vec<String>,
     engine_time: Duration,
-    /// Whether a server process of this session died: its fired faults
-    /// died with it.
-    lost_process: bool,
+    /// Statements sent to the current server since its reset: the positions
+    /// its fired log may name.
+    sent: usize,
+    /// Whether the server's fired log no longer speaks for this session's
+    /// statements: a server died (its log died with it), or a blank
+    /// statement was answered here without reaching it.
+    untracked: bool,
 }
 
 impl ExternalSession {
@@ -526,7 +533,8 @@ impl ExternalSession {
             handle: Some(handle),
             setup: Vec::new(),
             engine_time: Duration::ZERO,
-            lost_process: false,
+            sent: 0,
+            untracked: false,
         }))
     }
 
@@ -546,13 +554,17 @@ impl ExternalSession {
             self.handle = Some(handle);
         }
         let handle = self.handle.as_mut().expect("respawned above");
+        if sql.trim().is_empty() {
+            self.untracked = true;
+        }
+        self.sent += 1;
         match handle.request(self.servers.dialect(), sql) {
             Ok(response) => Ok(response),
             Err(error) => {
                 if let Some(mut dead) = self.handle.take() {
                     dead.shutdown();
                 }
-                self.lost_process = true;
+                self.untracked = true;
                 Err(error)
             }
         }
@@ -601,25 +613,30 @@ impl EngineSession for ExternalSession {
         self.engine_time
     }
 
-    /// The faults the session's server fired, or `None` when that is not
-    /// known: the dialect is not the sdb-server's, a server died (or never
-    /// respawned), or its reply was lost or malformed.
-    fn fired_faults(&mut self) -> Option<FaultSet> {
-        if self.lost_process || self.servers.dialect().grammar != ReplyGrammar::SdbServer {
+    fn statements(&self) -> Option<usize> {
+        (!self.untracked).then_some(self.sent)
+    }
+
+    /// The server's fired log, or `None` when it is not known: the dialect
+    /// is not the sdb-server's, the log stopped speaking for this session
+    /// (`untracked`), or the reply was lost, malformed or named a statement
+    /// this session never sent.
+    fn fired_log(&mut self) -> Option<FiredLog> {
+        if self.untracked || self.servers.dialect().grammar != ReplyGrammar::SdbServer {
             return None;
         }
         let handle = self.handle.as_mut()?;
-        let fired = handle
+        let log = handle
             .send_line(FIRED_REQUEST)
             .ok()
-            .and_then(|()| read_fired(&mut handle.stdout));
-        if fired.is_none() {
+            .and_then(|()| read_fired(&mut handle.stdout, self.sent));
+        if log.is_none() {
             // A server that did not answer in step is never pooled: drop it
             // (killing it), and the next request respawns one.
             self.handle = None;
-            self.lost_process = true;
+            self.untracked = true;
         }
-        fired
+        log
     }
 }
 

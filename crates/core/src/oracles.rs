@@ -13,6 +13,24 @@
 //! real-engine adapter. Backend errors reach [`OracleOutcome`] through its
 //! `From<BackendError>` impl — the single place the error taxonomy is
 //! interpreted.
+//!
+//! # Recorded facts
+//!
+//! Attribution ([`crate::runner`]) asks, for every flagged query, what
+//! re-checking it alone on the backend under test would do: which seeded
+//! faults its statements fire, and which probes it hits. The check that
+//! flagged the query already ran every statement of that re-check, so
+//! [`Oracle::check_recorded`] can answer from what it did. A check is a
+//! sequence of *steps* — the setup loads, each mutation batch, each query
+//! — and a re-check of query `k` repeats exactly the setup, the mutation
+//! batches `0..=k` and query `k`'s own step. Recording measures each step's
+//! probe hits apart ([`local::isolate`], charged back once so the
+//! iteration's tally is unchanged), notes which statements of which
+//! session it ran, and reads each session's [`FiredLog`] once, after the
+//! last step, when a query was flagged. A query's facts are unknown (`None`)
+//! when a step of its re-check ran on a session after that session failed
+//! (a fatal error, or a load that stopped early), or when a session on the
+//! backend under test cannot report its log.
 
 use crate::backend::{BackendError, EngineBackend, EngineSession, InProcessBackend};
 use crate::codec::Keyword;
@@ -22,10 +40,12 @@ use crate::queries::{QueryInstance, QueryTemplate, RangeFunction};
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
 use spatter_geom::wkt::{parse_wkt, write_wkt};
-use spatter_sdb::EngineProfile;
+use spatter_sdb::{EngineProfile, FaultSet, FiredLog};
+use spatter_topo::coverage::{local, Probe};
 use spatter_topo::distance as topo_distance;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which engine of a comparison a finding implicates. Every oracle compares
 /// two executions; the *left* side is always the engine under test (the
@@ -184,28 +204,27 @@ pub trait Oracle: Send + Sync {
     /// The oracle's display name (used in the Table 4 harness).
     fn name(&self) -> &'static str;
 
-    /// Checks one scenario against an engine backend; returns one outcome
-    /// per query. Sessions are opened once per scenario and reused for the
+    /// Checks one scenario against an engine backend, recording each
+    /// flagged query's [`QueryFacts`] when `record` is set (see the module
+    /// docs). Sessions are opened once per scenario and reused for the
     /// whole query batch.
+    fn check_recorded(
+        &self,
+        backend: &dyn EngineBackend,
+        spec: &DatabaseSpec,
+        queries: &[QueryInstance],
+        record: bool,
+    ) -> Checked;
+
+    /// Checks one scenario against an engine backend; returns one outcome
+    /// per query.
     fn check(
         &self,
         backend: &dyn EngineBackend,
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
-    ) -> Vec<OracleOutcome>;
-
-    /// [`Oracle::check`] plus the time it spent in engines (the Figure 7
-    /// split). By default this is the wall time of the check; oracles that
-    /// can measure in-engine time exactly report that instead.
-    fn check_timed(
-        &self,
-        backend: &dyn EngineBackend,
-        spec: &DatabaseSpec,
-        queries: &[QueryInstance],
-    ) -> (Vec<OracleOutcome>, Duration) {
-        let started = Instant::now();
-        let outcomes = self.check(backend, spec, queries);
-        (outcomes, started.elapsed())
+    ) -> Vec<OracleOutcome> {
+        self.check_recorded(backend, spec, queries, false).outcomes
     }
 
     /// Re-checks only query `index` of a scenario whose full batch is
@@ -227,24 +246,272 @@ pub trait Oracle: Send + Sync {
     }
 }
 
-/// Opens a session and loads a statement batch into it, mapping failures to
-/// the scenario-wide outcome (crash, or inapplicable for semantic errors).
-/// The error carries the engine time the failed load consumed, so the AEI
-/// oracle can account for it in [`Oracle::check_timed`]; oracles that don't
-/// track engine time just discard it. Shared so every oracle classifies
-/// load errors the same way.
-fn open_loaded(
-    backend: &dyn EngineBackend,
-    statements: &[String],
-) -> Result<Box<dyn EngineSession>, (OracleOutcome, Duration)> {
-    let mut session = backend
-        .open_session()
-        .map_err(|error| (OracleOutcome::from(error), Duration::ZERO))?;
-    if let Err(error) = session.load(statements) {
-        let spent = session.engine_time();
-        return Err((error.into(), spent));
+/// What one [`Oracle::check_recorded`] found.
+#[derive(Debug)]
+pub struct Checked {
+    /// One outcome per query (one for the whole scenario when its setup
+    /// failed and there are no queries).
+    pub outcomes: Vec<OracleOutcome>,
+    /// Time spent executing statements in the check's sessions (the
+    /// Figure 7 split).
+    pub engine_time: Duration,
+    /// Per outcome: the facts of a flagged query when the check recorded
+    /// them and they are known; `None` otherwise.
+    pub facts: Vec<Option<QueryFacts>>,
+}
+
+/// What re-checking one flagged query alone on the backend under test would
+/// do, as recorded by the check that flagged it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryFacts {
+    /// The seeded faults the re-check's statements fire on the backend
+    /// under test (a differential oracle's comparison engine is not that
+    /// backend, so its faults are not here).
+    pub fired: FaultSet,
+    /// The probes the re-check hits — in every session, the comparison
+    /// engine's included, and in the oracle's own screens — sorted by
+    /// probe.
+    pub probes: Vec<(Probe, u64)>,
+}
+
+/// Which queries' re-checks repeat a step of a check.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    /// Every query's from this index on: the setup (`From(0)`), and the
+    /// AEI oracle's mutation batch of that index.
+    From(usize),
+    /// Only this query's: the query's own statements.
+    Only(usize),
+}
+
+impl Scope {
+    fn covers(self, query: usize) -> bool {
+        match self {
+            Scope::From(first) => query >= first,
+            Scope::Only(only) => query == only,
+        }
     }
-    Ok(session)
+}
+
+/// One recorded step of a check.
+struct Step {
+    scope: Scope,
+    /// The sessions the step used, with the positions of the statements it
+    /// ran in each ([`EngineSession::statements`]; `None` when the session
+    /// cannot say, which counts as using it).
+    statements: Vec<(usize, Option<Range<usize>>)>,
+    /// Whether a session the step used had failed before it.
+    after_failure: bool,
+    probes: Vec<(Probe, u64)>,
+}
+
+/// A session of a check, noting when it fails.
+struct Counted {
+    inner: Box<dyn EngineSession>,
+    /// Whether it runs on the backend under test (a differential oracle's
+    /// comparison engine does not).
+    under_test: bool,
+    /// The session's statement position when the check opened it (a
+    /// backend may hand out sessions that already ran statements).
+    opened_at: Option<usize>,
+    /// A load failed (its later statements never ran) or a statement failed
+    /// fatally: later steps on the session need not repeat a re-check.
+    failed: bool,
+}
+
+impl Counted {
+    fn note<T>(&mut self, result: Result<T, BackendError>) -> Result<T, BackendError> {
+        if matches!(&result, Err(error) if error.is_fatal()) {
+            self.failed = true;
+        }
+        result
+    }
+}
+
+impl EngineSession for Counted {
+    fn load(&mut self, statements: &[String]) -> Result<(), BackendError> {
+        let result = self.inner.load(statements);
+        self.failed |= result.is_err();
+        result
+    }
+
+    fn run_count(&mut self, sql: &str) -> Result<Option<i64>, BackendError> {
+        let result = self.inner.run_count(sql);
+        self.note(result)
+    }
+
+    fn run_rows(&mut self, sql: &str) -> Result<Vec<String>, BackendError> {
+        let result = self.inner.run_rows(sql);
+        self.note(result)
+    }
+
+    fn engine_time(&self) -> Duration {
+        self.inner.engine_time()
+    }
+}
+
+/// A session of a [`Check`], by opening order.
+#[derive(Debug, Clone, Copy)]
+struct SessionId(usize);
+
+/// The sessions of one check.
+#[derive(Default)]
+struct Sessions(Vec<Counted>);
+
+impl Sessions {
+    /// Opens a session and loads a statement batch into it, mapping
+    /// failures to the scenario-wide outcome (crash, or inapplicable for
+    /// semantic errors) — shared so every oracle classifies load errors the
+    /// same way. A session whose load failed stays in the check: its
+    /// statements and engine time count.
+    fn open_loaded(
+        &mut self,
+        backend: &dyn EngineBackend,
+        statements: &[String],
+        under_test: bool,
+    ) -> Result<SessionId, OracleOutcome> {
+        let inner = backend.open_session()?;
+        let id = SessionId(self.0.len());
+        self.0.push(Counted {
+            opened_at: inner.statements(),
+            inner,
+            under_test,
+            failed: false,
+        });
+        self.get(id).load(statements)?;
+        Ok(id)
+    }
+
+    fn get(&mut self, id: SessionId) -> &mut dyn EngineSession {
+        &mut self.0[id.0]
+    }
+
+    /// Two sessions at once, `a` opened before `b`.
+    fn pair(
+        &mut self,
+        a: SessionId,
+        b: SessionId,
+    ) -> (&mut dyn EngineSession, &mut dyn EngineSession) {
+        let (left, right) = self.0.split_at_mut(b.0);
+        (&mut left[a.0], &mut right[0])
+    }
+}
+
+/// One oracle check: its sessions and, when recording, its steps.
+struct Check {
+    record: bool,
+    sessions: Sessions,
+    steps: Vec<Step>,
+}
+
+impl Check {
+    fn new(record: bool) -> Check {
+        Check {
+            record,
+            sessions: Sessions::default(),
+            steps: Vec::new(),
+        }
+    }
+
+    /// Runs `f` as one step of the check, repeated by the re-checks of the
+    /// queries `scope` covers.
+    fn step<T>(&mut self, scope: Scope, f: impl FnOnce(&mut Sessions) -> T) -> T {
+        if !self.record {
+            return f(&mut self.sessions);
+        }
+        let before: Vec<(Option<usize>, bool)> = self
+            .sessions
+            .0
+            .iter()
+            .map(|session| (session.inner.statements(), session.failed))
+            .collect();
+        let (value, probes) = local::isolate(|| f(&mut self.sessions));
+        local::charge(&probes, 1);
+        let mut after_failure = false;
+        let mut statements = Vec::new();
+        for (index, session) in self.sessions.0.iter().enumerate() {
+            let (start, failed) = before
+                .get(index)
+                .copied()
+                .unwrap_or((session.opened_at, false));
+            let positions = match (start, session.inner.statements()) {
+                (Some(start), Some(end)) if start == end => continue,
+                (Some(start), Some(end)) => Some(start..end),
+                _ => None,
+            };
+            after_failure |= failed;
+            statements.push((index, positions));
+        }
+        self.steps.push(Step {
+            scope,
+            statements,
+            after_failure,
+            probes,
+        });
+        value
+    }
+
+    /// Ends the check: sums the engine time, and when recording and a query
+    /// was flagged, reads the fired logs and derives each flagged query's
+    /// facts.
+    fn finish(mut self, outcomes: Vec<OracleOutcome>) -> Checked {
+        let engine_time = self.sessions.0.iter().map(|s| s.engine_time()).sum();
+        let flagged = |outcome: &OracleOutcome| outcome.is_logic_bug() || outcome.is_crash();
+        let facts = if self.record && outcomes.iter().any(flagged) {
+            let logs: Vec<Option<FiredLog>> = self
+                .sessions
+                .0
+                .iter_mut()
+                .map(|session| {
+                    session
+                        .under_test
+                        .then(|| session.inner.fired_log())
+                        .flatten()
+                })
+                .collect();
+            outcomes
+                .iter()
+                .enumerate()
+                .map(|(query, outcome)| {
+                    flagged(outcome).then(|| self.facts(query, &logs)).flatten()
+                })
+                .collect()
+        } else {
+            vec![None; outcomes.len()]
+        };
+        Checked {
+            outcomes,
+            engine_time,
+            facts,
+        }
+    }
+
+    /// The facts of query `query`'s re-check: the steps it repeats.
+    fn facts(&self, query: usize, logs: &[Option<FiredLog>]) -> Option<QueryFacts> {
+        let mut fired = FaultSet::none();
+        let mut probes = Vec::new();
+        for step in self.steps.iter().filter(|step| step.scope.covers(query)) {
+            if step.after_failure {
+                return None;
+            }
+            for (session, positions) in &step.statements {
+                if self.sessions.0[*session].under_test {
+                    let positions = positions.clone()?;
+                    fired.extend(logs[*session].as_ref()?.fired_in(positions).iter());
+                }
+            }
+            probes.extend_from_slice(&step.probes);
+        }
+        probes.sort_unstable_by_key(|&(probe, _)| probe);
+        probes.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        Some(QueryFacts { fired, probes })
+    }
 }
 
 /// Runs a count query, mapping non-fatal (semantic) errors to `None`.
@@ -485,28 +752,30 @@ impl AeiOracle {
 
     /// Opens one loaded session per frame, then checks every query — or,
     /// with `only = Some(k)`, just query `k`, after replaying the mutation
-    /// prefix that produced the state it observed. Returns the outcomes and
-    /// the exact time spent inside the engine.
+    /// prefix that produced the state it observed.
     fn run(
         &self,
         backend: &dyn EngineBackend,
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
         only: Option<usize>,
-    ) -> (Vec<OracleOutcome>, Duration) {
+        record: bool,
+    ) -> Checked {
         let expected = if only.is_some() {
             1
         } else {
             queries.len().max(1)
         };
-        let transformed = self.plan.apply(spec);
-        let mut session1 = match open_loaded(backend, &self.knobs.setup_sql(spec)) {
-            Ok(session) => session,
-            Err((outcome, spent)) => return (vec![outcome; expected], spent),
-        };
-        let mut session2 = match open_loaded(backend, &self.knobs.setup_sql(&transformed)) {
-            Ok(session) => session,
-            Err((outcome, spent)) => return (vec![outcome; expected], spent),
+        let mut check = Check::new(record);
+        let opened = check.step(Scope::From(0), |sessions| {
+            let transformed = self.plan.apply(spec);
+            let sdb1 = sessions.open_loaded(backend, &self.knobs.setup_sql(spec), true)?;
+            let sdb2 = sessions.open_loaded(backend, &self.knobs.setup_sql(&transformed), true)?;
+            Ok((sdb1, sdb2))
+        });
+        let (sdb1, sdb2) = match opened {
+            Ok(pair) => pair,
+            Err(outcome) => return check.finish(vec![outcome; expected]),
         };
 
         // Without a script no query depends on its predecessors, so a single
@@ -523,31 +792,38 @@ impl AeiOracle {
             if let Some(script) = &self.script {
                 // A failing mutation batch poisons the rest of the run the
                 // same way a failing setup load poisons a whole scenario.
-                let failure = match session1.load(&script.frame1_batch(index)) {
-                    Err(error) => Some(OracleOutcome::from(error)),
-                    Ok(()) => session2
-                        .load(&script.frame2_batch(index, &self.plan))
-                        .err()
-                        .map(OracleOutcome::from),
-                };
+                let failure = check.step(Scope::From(index), |sessions| {
+                    let (session1, session2) = sessions.pair(sdb1, sdb2);
+                    let failure = match session1.load(&script.frame1_batch(index)) {
+                        Err(error) => Some(OracleOutcome::from(error)),
+                        Ok(()) => session2
+                            .load(&script.frame2_batch(index, &self.plan))
+                            .err()
+                            .map(OracleOutcome::from),
+                    };
+                    if failure.is_none() {
+                        script.apply_batch_to_spec(
+                            index,
+                            evolved.get_or_insert_with(|| spec.clone()),
+                        );
+                    }
+                    failure
+                });
                 if let Some(outcome) = failure {
                     outcomes.resize(expected, outcome);
                     break;
                 }
-                script.apply_batch_to_spec(index, evolved.get_or_insert_with(|| spec.clone()));
             }
             if only.is_some_and(|target| target != index) {
                 continue;
             }
-            outcomes.push(check_aei_query(
-                session1.as_mut(),
-                session2.as_mut(),
-                evolved.as_ref().unwrap_or(spec),
-                query,
-                &self.plan,
-            ));
+            let view = evolved.as_ref().unwrap_or(spec);
+            outcomes.push(check.step(Scope::Only(index), |sessions| {
+                let (session1, session2) = sessions.pair(sdb1, sdb2);
+                check_aei_query(session1, session2, view, query, &self.plan)
+            }));
         }
-        (outcomes, session1.engine_time() + session2.engine_time())
+        check.finish(outcomes)
     }
 }
 
@@ -556,24 +832,14 @@ impl Oracle for AeiOracle {
         "AEI"
     }
 
-    fn check(
+    fn check_recorded(
         &self,
         backend: &dyn EngineBackend,
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
-    ) -> Vec<OracleOutcome> {
-        self.run(backend, spec, queries, None).0
-    }
-
-    /// Reports the exact in-engine time: loading both frames, applying the
-    /// mutation batches and running every query on both.
-    fn check_timed(
-        &self,
-        backend: &dyn EngineBackend,
-        spec: &DatabaseSpec,
-        queries: &[QueryInstance],
-    ) -> (Vec<OracleOutcome>, Duration) {
-        self.run(backend, spec, queries, None)
+        record: bool,
+    ) -> Checked {
+        self.run(backend, spec, queries, None, record)
     }
 
     fn check_one(
@@ -583,8 +849,8 @@ impl Oracle for AeiOracle {
         queries: &[QueryInstance],
         index: usize,
     ) -> OracleOutcome {
-        let (outcomes, _) = self.run(backend, spec, queries, Some(index));
-        outcomes
+        self.run(backend, spec, queries, Some(index), false)
+            .outcomes
             .into_iter()
             .next()
             .unwrap_or(OracleOutcome::Inapplicable)
@@ -628,61 +894,85 @@ impl Oracle for DifferentialOracle {
         "Differential"
     }
 
-    fn check(
+    fn check_recorded(
         &self,
         backend: &dyn EngineBackend,
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
-    ) -> Vec<OracleOutcome> {
-        let mut session1 = match open_loaded(backend, &spec.to_sql()) {
-            Ok(session) => session,
-            Err((outcome, _)) => return vec![outcome; queries.len().max(1)],
+        record: bool,
+    ) -> Checked {
+        let mut check = Check::new(record);
+        let opened = check.step(Scope::From(0), |sessions| {
+            let setup = spec.to_sql();
+            let ours = sessions.open_loaded(backend, &setup, true)?;
+            // Failures of the *comparison* engine are not findings about the
+            // engine under test.
+            let theirs = sessions
+                .open_loaded(self.other.as_ref(), &setup, false)
+                .map_err(|_| OracleOutcome::Inapplicable)?;
+            Ok((ours, theirs))
+        });
+        let (ours, theirs) = match opened {
+            Ok(pair) => pair,
+            Err(outcome) => return check.finish(vec![outcome; queries.len().max(1)]),
         };
-        // Failures of the *comparison* engine are not findings about the
-        // engine under test.
-        let mut session2 = match open_loaded(self.other.as_ref(), &spec.to_sql()) {
-            Ok(session) => session,
-            Err(_) => return vec![OracleOutcome::Inapplicable; queries.len().max(1)],
-        };
-        queries
+        let outcomes = queries
             .iter()
-            .map(|query| {
-                // The queried function must exist in both engines; otherwise
-                // the comparison is impossible (ST_Covers & friends).
-                if !self.other.supports_function(query.template.function_name()) {
-                    return OracleOutcome::Inapplicable;
-                }
-                let sql = query.to_sql();
-                let observed1 = match run_observed(session1.as_mut(), query, &sql) {
-                    Ok(observed) => observed,
-                    Err(outcome) => return outcome,
-                };
-                let observed2 = match run_observed(session2.as_mut(), query, &sql) {
-                    Ok(observed) => observed,
-                    // A fatal error of the comparison engine is a finding
-                    // about *it*, not about the engine under test: surface it
-                    // re-sided so matrix bucketing blames the right engine.
-                    Err(outcome) => return outcome.with_side(DivergenceSide::Right),
-                };
-                match (observed1, observed2) {
-                    (Some(a), Some(b)) if a != b => OracleOutcome::LogicBug {
-                        description: format!(
-                            "{}: {} returned {}, {} returned {}",
-                            query.template.function_name(),
-                            backend.name(),
-                            a.describe(),
-                            self.other.name(),
-                            b.describe()
-                        ),
-                        // Two independent engines disagree; neither answer is
-                        // locally known to be wrong.
-                        side: DivergenceSide::Both,
-                    },
-                    (Some(_), Some(_)) => OracleOutcome::Pass,
-                    _ => OracleOutcome::Inapplicable,
-                }
+            .enumerate()
+            .map(|(index, query)| {
+                check.step(Scope::Only(index), |sessions| {
+                    let (session1, session2) = sessions.pair(ours, theirs);
+                    self.compare(backend, session1, session2, query)
+                })
             })
-            .collect()
+            .collect();
+        check.finish(outcomes)
+    }
+}
+
+impl DifferentialOracle {
+    /// Checks one query on a loaded session of each engine.
+    fn compare(
+        &self,
+        backend: &dyn EngineBackend,
+        session1: &mut dyn EngineSession,
+        session2: &mut dyn EngineSession,
+        query: &QueryInstance,
+    ) -> OracleOutcome {
+        // The queried function must exist in both engines; otherwise the
+        // comparison is impossible (ST_Covers & friends).
+        if !self.other.supports_function(query.template.function_name()) {
+            return OracleOutcome::Inapplicable;
+        }
+        let sql = query.to_sql();
+        let observed1 = match run_observed(session1, query, &sql) {
+            Ok(observed) => observed,
+            Err(outcome) => return outcome,
+        };
+        let observed2 = match run_observed(session2, query, &sql) {
+            Ok(observed) => observed,
+            // A fatal error of the comparison engine is a finding about *it*,
+            // not about the engine under test: surface it re-sided so matrix
+            // bucketing blames the right engine.
+            Err(outcome) => return outcome.with_side(DivergenceSide::Right),
+        };
+        match (observed1, observed2) {
+            (Some(a), Some(b)) if a != b => OracleOutcome::LogicBug {
+                description: format!(
+                    "{}: {} returned {}, {} returned {}",
+                    query.template.function_name(),
+                    backend.name(),
+                    a.describe(),
+                    self.other.name(),
+                    b.describe()
+                ),
+                // Two independent engines disagree; neither answer is
+                // locally known to be wrong.
+                side: DivergenceSide::Both,
+            },
+            (Some(_), Some(_)) => OracleOutcome::Pass,
+            _ => OracleOutcome::Inapplicable,
+        }
     }
 }
 
@@ -700,53 +990,61 @@ impl Oracle for IndexOracle {
         "Index"
     }
 
-    fn check(
+    fn check_recorded(
         &self,
         backend: &dyn EngineBackend,
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
-    ) -> Vec<OracleOutcome> {
-        let mut seq = match open_loaded(backend, &spec.to_sql()) {
-            Ok(session) => session,
-            Err((outcome, _)) => return vec![outcome; queries.len().max(1)],
+        record: bool,
+    ) -> Checked {
+        let mut check = Check::new(record);
+        let opened = check.step(Scope::From(0), |sessions| {
+            let seq = sessions.open_loaded(backend, &spec.to_sql(), true)?;
+            let indexed = sessions.open_loaded(backend, &spec.to_sql_with_indexes(), true)?;
+            match sessions
+                .get(indexed)
+                .load(&["SET enable_seqscan = false".to_string()])
+            {
+                Ok(()) => Ok((seq, indexed)),
+                Err(_) => Err(OracleOutcome::Inapplicable),
+            }
+        });
+        let (seq, indexed) = match opened {
+            Ok(pair) => pair,
+            Err(outcome) => return check.finish(vec![outcome; queries.len().max(1)]),
         };
-        let mut indexed = match open_loaded(backend, &spec.to_sql_with_indexes()) {
-            Ok(session) => session,
-            Err((outcome, _)) => return vec![outcome; queries.len().max(1)],
-        };
-        if indexed
-            .load(&["SET enable_seqscan = false".to_string()])
-            .is_err()
-        {
-            return vec![OracleOutcome::Inapplicable; queries.len().max(1)];
-        }
-        queries
+        let outcomes = queries
             .iter()
-            .map(|query| {
-                let sql = query.to_sql();
-                let observed_seq = match run_observed(seq.as_mut(), query, &sql) {
-                    Ok(observed) => observed,
-                    Err(outcome) => return outcome,
-                };
-                let observed_idx = match run_observed(indexed.as_mut(), query, &sql) {
-                    Ok(observed) => observed,
-                    Err(outcome) => return outcome,
-                };
-                match (observed_seq, observed_idx) {
-                    (Some(a), Some(b)) if a != b => OracleOutcome::LogicBug {
-                        description: format!(
-                            "{}: sequential scan returned {}, index scan returned {}",
-                            query.template.function_name(),
-                            a.describe(),
-                            b.describe()
-                        ),
-                        side: DivergenceSide::Left,
-                    },
-                    (Some(_), Some(_)) => OracleOutcome::Pass,
-                    _ => OracleOutcome::Inapplicable,
-                }
+            .enumerate()
+            .map(|(index, query)| {
+                check.step(Scope::Only(index), |sessions| {
+                    let (seq, indexed) = sessions.pair(seq, indexed);
+                    let sql = query.to_sql();
+                    let observed_seq = match run_observed(seq, query, &sql) {
+                        Ok(observed) => observed,
+                        Err(outcome) => return outcome,
+                    };
+                    let observed_idx = match run_observed(indexed, query, &sql) {
+                        Ok(observed) => observed,
+                        Err(outcome) => return outcome,
+                    };
+                    match (observed_seq, observed_idx) {
+                        (Some(a), Some(b)) if a != b => OracleOutcome::LogicBug {
+                            description: format!(
+                                "{}: sequential scan returned {}, index scan returned {}",
+                                query.template.function_name(),
+                                a.describe(),
+                                b.describe()
+                            ),
+                            side: DivergenceSide::Left,
+                        },
+                        (Some(_), Some(_)) => OracleOutcome::Pass,
+                        _ => OracleOutcome::Inapplicable,
+                    }
+                })
             })
-            .collect()
+            .collect();
+        check.finish(outcomes)
     }
 }
 
@@ -764,57 +1062,70 @@ impl Oracle for TlpOracle {
         "TLP"
     }
 
-    fn check(
+    fn check_recorded(
         &self,
         backend: &dyn EngineBackend,
         spec: &DatabaseSpec,
         queries: &[QueryInstance],
-    ) -> Vec<OracleOutcome> {
-        let mut session = match open_loaded(backend, &spec.to_sql()) {
+        record: bool,
+    ) -> Checked {
+        let mut check = Check::new(record);
+        let opened = check.step(Scope::From(0), |sessions| {
+            sessions.open_loaded(backend, &spec.to_sql(), true)
+        });
+        let session = match opened {
             Ok(session) => session,
-            Err((outcome, _)) => return vec![outcome; queries.len().max(1)],
+            Err(outcome) => return check.finish(vec![outcome; queries.len().max(1)]),
         };
-        queries
+        let outcomes = queries
             .iter()
-            .map(|query| {
-                // KNN queries have no boolean condition to partition.
-                let Some((_, negated_sql)) = query.tlp_partition_sql() else {
-                    return OracleOutcome::Inapplicable;
-                };
-                let rows1 = spec
-                    .tables
-                    .iter()
-                    .find(|t| t.name == query.table1)
-                    .map(|t| t.geometries.len())
-                    .unwrap_or(0);
-                let rows2 = spec
-                    .tables
-                    .iter()
-                    .find(|t| t.name == query.table2)
-                    .map(|t| t.geometries.len())
-                    .unwrap_or(0);
-                let expected_total = (rows1 * rows2) as i64;
-                let positive = match run_count(session.as_mut(), &query.to_sql()) {
-                    Ok(c) => c,
-                    Err(outcome) => return outcome,
-                };
-                let negative = match run_count(session.as_mut(), &negated_sql) {
-                    Ok(c) => c,
-                    Err(outcome) => return outcome,
-                };
-                match (positive, negative) {
-                    (Some(p), Some(n)) if p + n != expected_total => OracleOutcome::LogicBug {
-                        description: format!(
-                            "{}: {p} + NOT {n} != |cross product| {expected_total}",
-                            query.template.function_name()
-                        ),
-                        side: DivergenceSide::Left,
-                    },
-                    (Some(_), Some(_)) => OracleOutcome::Pass,
-                    _ => OracleOutcome::Inapplicable,
-                }
+            .enumerate()
+            .map(|(index, query)| {
+                check.step(Scope::Only(index), |sessions| {
+                    partition(sessions.get(session), spec, query)
+                })
             })
-            .collect()
+            .collect();
+        check.finish(outcomes)
+    }
+}
+
+/// Checks one query's ternary partition on a loaded session.
+fn partition(
+    session: &mut dyn EngineSession,
+    spec: &DatabaseSpec,
+    query: &QueryInstance,
+) -> OracleOutcome {
+    // KNN queries have no boolean condition to partition.
+    let Some((_, negated_sql)) = query.tlp_partition_sql() else {
+        return OracleOutcome::Inapplicable;
+    };
+    let rows = |name: &str| {
+        spec.tables
+            .iter()
+            .find(|t| t.name == name)
+            .map(|t| t.geometries.len())
+            .unwrap_or(0)
+    };
+    let expected_total = (rows(&query.table1) * rows(&query.table2)) as i64;
+    let positive = match run_count(session, &query.to_sql()) {
+        Ok(c) => c,
+        Err(outcome) => return outcome,
+    };
+    let negative = match run_count(session, &negated_sql) {
+        Ok(c) => c,
+        Err(outcome) => return outcome,
+    };
+    match (positive, negative) {
+        (Some(p), Some(n)) if p + n != expected_total => OracleOutcome::LogicBug {
+            description: format!(
+                "{}: {p} + NOT {n} != |cross product| {expected_total}",
+                query.template.function_name()
+            ),
+            side: DivergenceSide::Left,
+        },
+        (Some(_), Some(_)) => OracleOutcome::Pass,
+        _ => OracleOutcome::Inapplicable,
     }
 }
 
@@ -1251,6 +1562,72 @@ mod tests {
         let oracle = AeiOracle::new(plan).with_knobs(knobs);
         let outcomes = oracle.check(&reference(EngineProfile::PostgisLike), &spec, &queries);
         assert_eq!(outcomes[0], OracleOutcome::Pass);
+    }
+
+    #[test]
+    fn recorded_facts_leave_the_comparison_engine_out_of_the_fired_set() {
+        // Listing 1: only the stock comparison engine fires (its covers
+        // fault drops the pair), the engine under test carries an unrelated
+        // fault. The finding's facts name no fault, but its tally holds the
+        // comparison engine's probes too.
+        let (spec, queries) = listing1_scenario();
+        let oracle = DifferentialOracle::against_stock(EngineProfile::PostgisLike);
+        let unreached = backend(
+            EngineProfile::PostgisLike,
+            &FaultSet::with([FaultId::PostgisGistIndexDropsRows]),
+        );
+        let checked = oracle.check_recorded(&unreached, &spec, &queries, true);
+        assert!(checked.outcomes[0].is_logic_bug(), "{checked:?}");
+        let facts = checked.facts[0].as_ref().expect("recorded");
+        assert_eq!(facts.fired, FaultSet::none());
+        let (_, alone) = local::isolate(|| {
+            oracle.check_one(&reference(EngineProfile::PostgisLike), &spec, &queries, 0)
+        });
+        assert_eq!(facts.probes, alone, "the same steps on a fault-free engine");
+        // The stock engine under test fires the covers fault itself.
+        let stock = InProcessBackend::stock(EngineProfile::PostgisLike);
+        let checked = oracle.check_recorded(&stock, &spec, &queries, true);
+        assert!(
+            !checked.outcomes[0].is_logic_bug(),
+            "both sides drop the pair"
+        );
+        assert_eq!(
+            checked.facts,
+            vec![None],
+            "nothing flagged, nothing recorded"
+        );
+        // Without recording there are no facts.
+        let checked = oracle.check_recorded(&unreached, &spec, &queries, false);
+        assert_eq!(checked.facts, vec![None]);
+    }
+
+    #[test]
+    fn facts_after_a_crash_on_the_session_are_unknown() {
+        // Both queries crash the same sessions: the first crash is recorded
+        // (its step is what a re-check repeats), the second ran after it.
+        let mut spec = DatabaseSpec::with_tables(1);
+        spec.tables[0]
+            .geometries
+            .push(parse_wkt("POLYGON((0 0,1 1,0 0))").unwrap());
+        spec.tables[0]
+            .geometries
+            .push(parse_wkt("POINT(0 0)").unwrap());
+        let query = QueryInstance::topo("t0", "t0", NamedPredicate::Intersects);
+        let queries = vec![query.clone(), query];
+        let faults = FaultSet::with([FaultId::GeosCrashRelateShortRing]);
+        let oracle = AeiOracle::new(TransformPlan::canonicalization_only());
+        let checked = oracle.check_recorded(
+            &backend(EngineProfile::MysqlLike, &faults),
+            &spec,
+            &queries,
+            true,
+        );
+        assert!(checked.outcomes.iter().all(OracleOutcome::is_crash));
+        let first = checked.facts[0]
+            .as_ref()
+            .expect("the crashing step is recorded");
+        assert_eq!(first.fired, faults);
+        assert_eq!(checked.facts[1], None);
     }
 
     #[test]

@@ -34,13 +34,13 @@
 //! `identical_findings_for_any_worker_count` below). Only wall-clock fields
 //! (`elapsed`, the timelines' times, timing totals) depend on scheduling.
 
-use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
+use crate::backend::{BackendSpec, EngineBackend};
 use crate::campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 use crate::generator::GeometryGenerator;
 use crate::guidance::{Guidance, ScenarioKnobs};
 use crate::mutation::MutationScript;
 use crate::oracles::{
-    AeiOracle, DifferentialOracle, IndexOracle, Oracle, OracleOutcome, TlpOracle,
+    AeiOracle, DifferentialOracle, IndexOracle, Oracle, OracleOutcome, QueryFacts, TlpOracle,
 };
 use crate::queries::{random_queries_weighted, QueryInstance};
 use crate::replay::{ReplayFrame, ReplayHasher, ReplaySink};
@@ -48,7 +48,7 @@ use crate::rng::split_seed;
 use crate::schedule::Schedule;
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
-use spatter_sdb::{EngineProfile, FaultId, FaultSet};
+use spatter_sdb::{EngineProfile, FaultId};
 use spatter_topo::coverage::local;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,6 +99,8 @@ pub struct IterationRecord {
     pub generation_time: Duration,
     /// Time spent executing statements inside engines.
     pub engine_time: Duration,
+    /// Time spent attributing the iteration's findings to seeded faults.
+    pub attribute_time: Duration,
     /// Campaign-clock time at which the iteration finished. The coverage
     /// fractions of [`CampaignReport::coverage_timeline`] are computed from
     /// `probe_delta` when the report is merged.
@@ -315,6 +317,7 @@ impl CampaignRunner {
 
         // --- Execution + validation --------------------------------------
         let mut engine_time = Duration::ZERO;
+        let mut attribute_time = Duration::ZERO;
         let mut findings = Vec::new();
         let mut skipped = 0;
         let mut outcome_hasher = ReplayHasher::new();
@@ -333,10 +336,13 @@ impl CampaignRunner {
                     &aei
                 }
             };
-            let (outcomes, oracle_time) = oracle.check_timed(backend, &spec, &queries);
-            engine_time += oracle_time;
-            for (query_index, (_query, outcome)) in queries.iter().zip(outcomes.iter()).enumerate()
-            {
+            let checked =
+                oracle.check_recorded(backend, &spec, &queries, self.config.attribute_findings);
+            engine_time += checked.engine_time;
+            let outcomes = queries
+                .iter()
+                .zip(checked.outcomes.iter().zip(&checked.facts));
+            for (query_index, (_query, (outcome, facts))) in outcomes.enumerate() {
                 outcome_hasher.write_usize(oracle_index);
                 outcome_hasher.write_usize(query_index);
                 outcome.absorb_into(&mut outcome_hasher);
@@ -363,7 +369,18 @@ impl CampaignRunner {
                     Some(_) => format!("[{}] {description}", oracle.name()),
                 };
                 let attributed = if self.config.attribute_findings {
-                    attribute(oracle, backend, &spec, &queries, query_index, finding_kind)
+                    let started = Instant::now();
+                    let attributed = attribute(
+                        oracle,
+                        backend,
+                        &spec,
+                        &queries,
+                        query_index,
+                        finding_kind,
+                        facts.as_ref(),
+                    );
+                    attribute_time += started.elapsed();
+                    attributed
                 } else {
                     Vec::new()
                 };
@@ -406,6 +423,7 @@ impl CampaignRunner {
             findings,
             generation_time,
             engine_time,
+            attribute_time,
             finished: start.elapsed(),
             skipped,
             probe_delta,
@@ -514,24 +532,20 @@ fn fixed_oracle(kind: &OracleKind) -> Option<Box<dyn Oracle>> {
 /// known fault set (e.g. real engines) report nothing, which leaves the
 /// finding unattributed.
 ///
-/// # Fired-fault filtering
+/// # Recorded facts
 ///
 /// A fault whose divergent branch never ran during a re-check cannot change
 /// that re-check when it is disabled: the engine without it executes the
-/// same branches, hits the same probes and returns the same result. So the
-/// flagged query is first re-checked once on the full backend, and every
-/// session the oracle opens on it reports its
-/// [`EngineSession::fired_faults`] when dropped ([`FiredCollector`]). A
-/// fault some session fired still gets its own `without_fault` re-check;
-/// every other fault takes the full re-check's outcome — also when that
-/// outcome no longer reproduces the finding, exactly as its own re-check
-/// would have. The full re-check's probe hits are measured apart
-/// ([`local::isolate`]) and charged to the iteration once per skipped fault
+/// same branches, hits the same probes and returns the same result — the
+/// finding. The check that flagged the query recorded what a re-check of it
+/// on the full backend fires and hits ([`QueryFacts`], see
+/// [`crate::oracles`]), so only a fault in `facts.fired` gets its own
+/// `without_fault` re-check; every other fault keeps the finding, and the
+/// re-check's probe tally is charged to the iteration once per such fault
 /// ([`local::charge`]), so the probe delta, the replay frame's probe hash
-/// and coverage guidance are those of the exhaustive loop. When any session
-/// cannot say what it fired (an engine that does not report, a stdio server
-/// that died or answered badly), attribution falls back to re-checking
-/// every fault.
+/// and coverage guidance are those of the exhaustive loop. Without facts (a
+/// session that cannot say what it fired, a step that ran after a session
+/// failed) attribution re-checks every fault.
 fn attribute(
     oracle: &dyn Oracle,
     backend: &dyn EngineBackend,
@@ -539,143 +553,46 @@ fn attribute(
     queries: &[QueryInstance],
     query_index: usize,
     kind: FindingKind,
+    facts: Option<&QueryFacts>,
 ) -> Vec<FaultId> {
+    let gone_without = |fault: FaultId| {
+        let outcome = oracle.check_one(
+            backend.without_fault(fault).as_ref(),
+            spec,
+            queries,
+            query_index,
+        );
+        match kind {
+            FindingKind::Logic => !outcome.is_logic_bug(),
+            FindingKind::Crash => !outcome.is_crash(),
+        }
+    };
     let faults = backend.fault_ids();
-    let finding_gone = |outcome: OracleOutcome| match kind {
-        FindingKind::Logic => !outcome.is_logic_bug(),
-        FindingKind::Crash => !outcome.is_crash(),
+    let Some(facts) = facts else {
+        return faults
+            .into_iter()
+            .filter(|&fault| gone_without(fault))
+            .collect();
     };
-    let recheck_without = |fault: FaultId| {
-        let reduced = backend.without_fault(fault);
-        finding_gone(oracle.check_one(reduced.as_ref(), spec, queries, query_index))
-    };
-    if !faults.is_empty() {
-        let collector = FiredCollector::new(backend);
-        let (outcome, probes) =
-            local::isolate(|| oracle.check_one(&collector, spec, queries, query_index));
-        if let Some(fired) = collector.fired() {
-            let gone_on_full = finding_gone(outcome);
-            let mut skipped = 0;
-            let attributed = faults
-                .into_iter()
-                .filter(|&fault| {
-                    if fired.is_active(fault) {
-                        recheck_without(fault)
-                    } else {
-                        skipped += 1;
-                        gone_on_full
-                    }
-                })
-                .collect();
-            local::charge(&probes, skipped);
-            return attributed;
-        }
-    }
-    faults.into_iter().filter(|&f| recheck_without(f)).collect()
-}
-
-/// The backend under test during attribution's full re-check: every session
-/// it opens adds its fired faults to `fired` when dropped, loads that failed
-/// included. Sessions the oracle opens elsewhere (a differential oracle's
-/// comparison engine) are not seen: `without_fault` never changes them.
-#[derive(Debug)]
-struct FiredCollector<'a> {
-    inner: &'a dyn EngineBackend,
-    /// The union so far; `None` once a session could not report.
-    fired: Arc<Mutex<Option<FaultSet>>>,
-}
-
-impl<'a> FiredCollector<'a> {
-    fn new(inner: &'a dyn EngineBackend) -> Self {
-        FiredCollector {
-            inner,
-            fired: Arc::new(Mutex::new(Some(FaultSet::none()))),
-        }
-    }
-
-    /// What the sessions dropped so far fired, if all of them could say.
-    fn fired(&self) -> Option<FaultSet> {
-        self.fired
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-}
-
-impl EngineBackend for FiredCollector<'_> {
-    fn profile(&self) -> EngineProfile {
-        self.inner.profile()
-    }
-
-    fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        Ok(Box::new(CollectedSession {
-            inner: self.inner.open_session()?,
-            fired: Arc::clone(&self.fired),
-        }))
-    }
-
-    fn fault_ids(&self) -> Vec<FaultId> {
-        self.inner.fault_ids()
-    }
-
-    fn without_fault(&self, fault: FaultId) -> Box<dyn EngineBackend> {
-        self.inner.without_fault(fault)
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn supports_function(&self, function: &str) -> bool {
-        self.inner.supports_function(function)
-    }
-}
-
-struct CollectedSession {
-    inner: Box<dyn EngineSession>,
-    fired: Arc<Mutex<Option<FaultSet>>>,
-}
-
-impl EngineSession for CollectedSession {
-    fn load(&mut self, statements: &[String]) -> Result<(), BackendError> {
-        self.inner.load(statements)
-    }
-
-    fn run_count(&mut self, sql: &str) -> Result<Option<i64>, BackendError> {
-        self.inner.run_count(sql)
-    }
-
-    fn run_rows(&mut self, sql: &str) -> Result<Vec<String>, BackendError> {
-        self.inner.run_rows(sql)
-    }
-
-    fn engine_time(&self) -> Duration {
-        self.inner.engine_time()
-    }
-}
-
-impl Drop for CollectedSession {
-    fn drop(&mut self) {
-        let mut fired = self.fired.lock().unwrap_or_else(PoisonError::into_inner);
-        // Once the union is unknown, no session need be asked again.
-        if let Some(union) = fired.as_mut() {
-            match self.inner.fired_faults() {
-                Some(set) => union.extend(set.iter()),
-                None => *fired = None,
-            }
-        }
-    }
+    let mut kept = 0;
+    let attributed = faults
+        .into_iter()
+        .filter(|&fault| {
+            let fired = facts.fired.is_active(fault);
+            kept += u64::from(!fired);
+            fired && gone_without(fault)
+        })
+        .collect();
+    local::charge(&facts.probes, kept);
+    attributed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::InProcessBackend;
     use crate::generator::{GenerationStrategy, GeneratorConfig};
     use crate::guidance::GuidanceMode;
     use crate::transform::AffineStrategy;
-    use spatter_geom::wkt::parse_wkt;
-    use spatter_topo::predicates::NamedPredicate;
 
     fn config(seed: u64, iterations: usize) -> CampaignConfig {
         CampaignConfig {
@@ -802,40 +719,6 @@ mod tests {
         assert_send_sync::<dyn Oracle>();
         assert_send_sync::<spatter_sdb::Engine>();
         assert_send_sync::<spatter_index::RTree<usize>>();
-    }
-
-    #[test]
-    fn the_fired_collector_ignores_the_comparison_engine() {
-        // Listing 1 as a database: the stock engine fires
-        // GeosCoversPrecisionLoss on it and counts 0 instead of 1.
-        let mut spec = DatabaseSpec::with_tables(2);
-        spec.tables[0]
-            .geometries
-            .push(parse_wkt("LINESTRING(0 1,2 0)").unwrap());
-        spec.tables[1]
-            .geometries
-            .push(parse_wkt("POINT(0.2 0.9)").unwrap());
-        let queries = [QueryInstance::topo("t0", "t1", NamedPredicate::Covers)];
-        let oracle = DifferentialOracle::against_stock(EngineProfile::PostgisLike);
-        let covers = FaultSet::with([FaultId::GeosCoversPrecisionLoss]);
-
-        let stock = InProcessBackend::stock(EngineProfile::PostgisLike);
-        let collector = FiredCollector::new(&stock);
-        assert!(!oracle
-            .check_one(&collector, &spec, &queries, 0)
-            .is_logic_bug());
-        assert_eq!(collector.fired(), Some(covers.clone()));
-
-        // Only the comparison engine fires; the collector sees none of it.
-        let unreached = InProcessBackend::new(
-            EngineProfile::PostgisLike,
-            FaultSet::with([FaultId::PostgisGistIndexDropsRows]),
-        );
-        let collector = FiredCollector::new(&unreached);
-        assert!(oracle
-            .check_one(&collector, &spec, &queries, 0)
-            .is_logic_bug());
-        assert_eq!(collector.fired(), Some(FaultSet::none()));
     }
 
     #[test]

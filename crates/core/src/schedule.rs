@@ -168,6 +168,7 @@ impl Schedule {
         for record in self.completed.into_values() {
             report.generation_time += record.generation_time;
             report.engine_time += record.engine_time;
+            report.attribute_time += record.attribute_time;
             report.skipped_queries += record.skipped;
             report.probe_coverage.extend(
                 record
@@ -217,6 +218,7 @@ mod tests {
             findings: Vec::new(),
             generation_time: Duration::from_millis(1),
             engine_time: Duration::from_millis(2),
+            attribute_time: Duration::from_millis(3),
             finished: Duration::ZERO,
             skipped: 1,
             probe_delta: vec![("topo.predicate.intersects", iteration as u64)],
@@ -388,6 +390,7 @@ mod tests {
         assert_eq!(report.total_time, Duration::from_secs(1));
         assert_eq!(report.generation_time, Duration::from_millis(4));
         assert_eq!(report.engine_time, Duration::from_millis(8));
+        assert_eq!(report.attribute_time, Duration::from_millis(12));
         assert_eq!(report.coverage_timeline.len(), 4);
         assert_eq!(report.skipped_queries, 4);
         // Probe coverage is the union over records with non-zero counts

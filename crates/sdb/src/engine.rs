@@ -5,7 +5,7 @@ use crate::ast::{BinaryOp, ColumnType, Expr, SelectItem, SelectStatement, Statem
 use crate::catalog::{Database, SpatialIndex, Table};
 use crate::coverage::{self, probe};
 use crate::error::{SdbError, SdbResult};
-use crate::faults::{FaultId, FaultSet};
+use crate::faults::{FaultId, FaultSet, FiredLog};
 use crate::functions::{self, DistancePredicate, FunctionContext};
 use crate::parser::{parse_script, parse_statement};
 use crate::profile::EngineProfile;
@@ -113,6 +113,10 @@ pub struct Engine {
     enable_distance_join: bool,
     engine_time: Duration,
     statements_executed: usize,
+    /// Which faults each statement fired, and how many statements the log
+    /// has seen (those that failed to parse included).
+    fired_log: FiredLog,
+    logged_statements: usize,
     scratch: ExecScratch,
 }
 
@@ -155,6 +159,8 @@ impl Engine {
             enable_distance_join: true,
             engine_time: Duration::ZERO,
             statements_executed: 0,
+            fired_log: FiredLog::default(),
+            logged_statements: 0,
             scratch: ExecScratch::default(),
         }
     }
@@ -174,7 +180,30 @@ impl Engine {
     /// provably influenced nothing the engine did, which is what lets
     /// attribution skip re-running without it.
     pub fn fired_faults(&self) -> FaultSet {
-        self.ctx.fired.to_set()
+        self.fired_log.union()
+    }
+
+    /// The faults each statement fired, by the statement's position among
+    /// every statement the engine was given since it was built: those of
+    /// [`Engine::execute`] and [`Engine::execute_parsed`], and those
+    /// counted by [`Engine::reject_unparsed`].
+    pub fn fired_log(&self) -> &FiredLog {
+        &self.fired_log
+    }
+
+    /// How many statements the fired log has seen: the position of the
+    /// next one.
+    pub fn logged_statements(&self) -> usize {
+        self.logged_statements
+    }
+
+    /// Counts a statement that failed to parse before it reached the engine
+    /// (a caller parsing through a cache of its own) as one statement of
+    /// the fired log, so positions stay those of the statements the caller
+    /// was given; returns the parse error.
+    pub fn reject_unparsed(&mut self, error: SdbError) -> SdbError {
+        self.logged_statements += 1;
+        error
     }
 
     /// The underlying database (for introspection in tests and examples).
@@ -207,7 +236,7 @@ impl Engine {
 
     /// Executes one SQL statement.
     pub fn execute(&mut self, sql: &str) -> SdbResult<QueryResult> {
-        let statement = parse_statement(sql)?;
+        let statement = parse_statement(sql).map_err(|error| self.reject_unparsed(error))?;
         self.execute_parsed(&statement)
     }
 
@@ -228,6 +257,9 @@ impl Engine {
         let result = self.dispatch(statement);
         self.engine_time += start.elapsed();
         self.statements_executed += 1;
+        let fired = self.ctx.fired.take();
+        self.fired_log.push(self.logged_statements, fired);
+        self.logged_statements += 1;
         result
     }
 

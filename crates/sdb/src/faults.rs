@@ -13,6 +13,7 @@
 //! Table 4, which the paper established by manual analysis).
 
 use std::collections::BTreeSet;
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The systems of the paper's evaluation (Table 2 rows). `Geos` is the shared
@@ -291,10 +292,10 @@ impl Extend<FaultId> for FaultSet {
     }
 }
 
-/// The seeded faults an engine has fired, one bit per [`FaultId`]. Atomic
-/// so that the engine stays `Send + Sync` while kernels record through a
-/// shared borrow; `Relaxed` because the bits publish no other data. A clone
-/// copies the bits.
+/// The seeded faults the statement an engine is running has fired so far,
+/// one bit per [`FaultId`]. Atomic so that the engine stays `Send + Sync`
+/// while kernels record through a shared borrow; `Relaxed` because the bits
+/// publish no other data. A clone copies the bits.
 #[derive(Debug, Default)]
 pub(crate) struct FiredFaults(AtomicU64);
 
@@ -306,9 +307,66 @@ impl FiredFaults {
         self.0.fetch_or(1 << id as u32, Ordering::Relaxed);
     }
 
-    pub(crate) fn to_set(&self) -> FaultSet {
-        let mask = self.0.load(Ordering::Relaxed);
+    /// The faults recorded since the last take, clearing them.
+    pub(crate) fn take(&mut self) -> FaultSet {
+        let mask = std::mem::take(self.0.get_mut());
+        if mask == 0 {
+            // Almost every statement: skip walking the catalogue.
+            return FaultSet::none();
+        }
         FaultSet::with(FaultId::all().filter(|&id| mask & (1 << id as u32) != 0))
+    }
+}
+
+/// Which seeded faults each statement of a session fired: one entry per
+/// statement that fired any, keyed by the statement's position in the
+/// session (0 for its first), in statement order. Sparse because almost no
+/// statement fires anything. Attribution reads the faults a span of
+/// statements fired ([`FiredLog::fired_in`]) — the statements a re-check
+/// would repeat — rather than everything the session did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FiredLog {
+    entries: Vec<(usize, FaultSet)>,
+}
+
+impl FiredLog {
+    /// The log of these entries, or `None` unless it is their one
+    /// encoding: positions strictly ascending, no entry empty.
+    pub fn from_entries(entries: Vec<(usize, FaultSet)>) -> Option<FiredLog> {
+        let canonical = entries.windows(2).all(|pair| pair[0].0 < pair[1].0)
+            && entries.iter().all(|(_, fired)| !fired.is_empty());
+        canonical.then_some(FiredLog { entries })
+    }
+
+    /// Logs what statement `statement` fired; nothing when it fired
+    /// nothing. Statements must be logged in order.
+    pub(crate) fn push(&mut self, statement: usize, fired: FaultSet) {
+        if !fired.is_empty() {
+            self.entries.push((statement, fired));
+        }
+    }
+
+    /// The entries, in statement order.
+    pub fn entries(&self) -> &[(usize, FaultSet)] {
+        &self.entries
+    }
+
+    /// The faults the statements at positions `statements` fired.
+    pub fn fired_in(&self, statements: impl RangeBounds<usize>) -> FaultSet {
+        let mut fired = FaultSet::none();
+        for (_, set) in self
+            .entries
+            .iter()
+            .filter(|(at, _)| statements.contains(at))
+        {
+            fired.extend(set.iter());
+        }
+        fired
+    }
+
+    /// The faults any statement fired.
+    pub fn union(&self) -> FaultSet {
+        self.fired_in(..)
     }
 }
 

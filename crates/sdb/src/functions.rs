@@ -38,7 +38,8 @@ pub struct FunctionContext {
     /// The engine's relate memo. Faults never reach into `relate`, so one
     /// memo may serve engines with different fault sets.
     pub relate: Arc<RelateCache>,
-    /// The faults fired since the engine was built.
+    /// The faults fired by the statement running now; the engine logs and
+    /// clears them when it finishes.
     pub(crate) fired: FiredFaults,
 }
 

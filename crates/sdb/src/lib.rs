@@ -35,7 +35,7 @@ pub mod value;
 pub use engine::{Engine, QueryResult};
 pub use error::{SdbError, SdbResult};
 pub use faults::{
-    FaultCatalog, FaultId, FaultInfo, FaultKind, FaultSet, FaultStatus, TriggerClass,
+    FaultCatalog, FaultId, FaultInfo, FaultKind, FaultSet, FaultStatus, FiredLog, TriggerClass,
 };
 pub use profile::EngineProfile;
 pub use value::Value;

@@ -57,24 +57,31 @@
 //! (the dialect has no backslash). Two control lines exist:
 //!
 //! ```text
-//! \fired                   -- request: the seeded faults fired so far
-//! FIRED <n> <names|->      -- reply: n distinct FaultId names, comma-separated
-//!                             (`-` when n is 0)
+//! \fired                   -- request: which statements fired which faults
+//! FIRED <n> <entries|->    -- reply: n entries `<statement>:<names>`, joined
+//!                             by `;` (`-` when n is 0)
 //! \reset <faults>          -- request: a fresh engine with these faults
 //!                             (`stock`, `none` or a FaultId list, as --faults)
 //! READY <profile>          -- reply: the fresh engine is in place
 //! ERR error <message>      -- reply: a bad spec; the engine is unchanged
 //! ```
 //!
-//! The `\fired` reply is the server engine's [`Engine::fired_faults`]: every
-//! seeded fault that took its divergent branch since the engine was built,
-//! listed in [`FaultId`] order, e.g. `FIRED 0 -` or
-//! `FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows`. A client
-//! asks once per session whose fired set it needs (fault attribution, via
-//! `EngineSession::fired_faults`); [`read_fired`] accepts exactly the one encoding of a set
-//! and rejects everything else — a wrong count, an unknown, repeated or
-//! out-of-order name, a stray token, a missing newline — so a damaged reply
-//! reads as "unknown", never as a smaller set.
+//! The `\fired` reply is the server engine's [`Engine::fired_log`]: for
+//! every SQL statement since the engine was built (0 for the first, those
+//! that failed to parse included, control lines and blank lines not) that
+//! fired a seeded fault, its position and the faults it fired, in statement
+//! order and each list in [`FaultId`] order, e.g. `FIRED 0 -` or
+//! `FIRED 2 3:GeosCoversPrecisionLoss;7:GeosMixedBoundaryLastOneWins,PostgisGistIndexDropsRows`.
+//! Fault attribution needs the faults fired by the statements a re-check
+//! would repeat, not the whole session's, and one reply per session serves
+//! every such span: a client asks once, after the session's last statement,
+//! and only when a check flagged something (via
+//! `EngineSession::fired_log`). [`read_fired`] accepts exactly the one
+//! encoding of a log, and only positions below the number of statements the
+//! client sent; it rejects everything else — a wrong count, an unknown,
+//! repeated or out-of-order name or position, an empty list, a stray token,
+//! a missing newline — so a damaged reply reads as "unknown", never as a
+//! smaller log.
 //!
 //! `\reset` lets a client reuse one process for many sessions, the way
 //! SQL-based testers give each run a fresh database rather than a fresh
@@ -88,7 +95,7 @@
 
 use crate::engine::{Engine, ExecutionResult, QueryResult};
 use crate::error::SdbError;
-use crate::faults::{FaultId, FaultSet};
+use crate::faults::{FaultId, FaultSet, FiredLog};
 use crate::profile::EngineProfile;
 use spatter_topo::RelateCache;
 use std::io::{BufRead, BufWriter, Write};
@@ -372,47 +379,73 @@ pub fn sanitize_line(text: &str) -> String {
     }
 }
 
-/// The control line requesting the fired-faults reply (see the module
-/// docs).
+/// The control line requesting the fired-log reply (see the module docs).
 pub const FIRED_REQUEST: &str = "\\fired";
 
-/// Writes the fired-faults reply for `faults` in wire form.
-pub fn write_fired(faults: &FaultSet, output: &mut impl Write) -> std::io::Result<()> {
-    let names = if faults.is_empty() {
+/// Writes the fired-log reply for `log` in wire form.
+pub fn write_fired(log: &FiredLog, output: &mut impl Write) -> std::io::Result<()> {
+    let entries = if log.entries().is_empty() {
         "-".to_string()
     } else {
-        faults.to_names()
+        log.entries()
+            .iter()
+            .map(|(statement, fired)| format!("{statement}:{}", fired.to_names()))
+            .collect::<Vec<_>>()
+            .join(";")
     };
-    writeln!(output, "FIRED {} {names}", faults.len())?;
+    writeln!(output, "FIRED {} {entries}", log.entries().len())?;
     output.flush()
 }
 
-/// Reads one fired-faults reply frame. `None` for anything but the exact
-/// encoding [`write_fired`] produces, or a broken stream: the caller must
-/// then treat the fired set as unknown.
-pub fn read_fired(input: &mut impl BufRead) -> Option<FaultSet> {
-    parse_fired(&read_frame(input).ok()??)
+/// Reads one fired-log reply frame for a session that sent the server
+/// `statements` statements since its reset. `None` for anything but the
+/// exact encoding [`write_fired`] produces, for a log naming a statement
+/// the session did not send, or for a broken stream: the caller must then
+/// treat the log as unknown.
+pub fn read_fired(input: &mut impl BufRead, statements: usize) -> Option<FiredLog> {
+    parse_fired(&read_frame(input).ok()??, statements)
 }
 
-/// Decodes one fired-faults reply line (without its newline).
-fn parse_fired(line: &str) -> Option<FaultSet> {
+/// Decodes one fired-log reply line (without its newline).
+fn parse_fired(line: &str, statements: usize) -> Option<FiredLog> {
     let mut fields = line.strip_prefix("FIRED ")?.split(' ');
-    let (count, names) = (fields.next()?, fields.next()?);
+    let (count, entries) = (fields.next()?, fields.next()?);
     if fields.next().is_some() {
         return None;
     }
-    let count: usize = count.parse().ok()?;
-    let names: Vec<&str> = match names {
+    let count = parse_number(count)?;
+    let entries: Vec<(usize, FaultSet)> = match entries {
         "-" => Vec::new(),
-        list => list.split(',').collect(),
+        list => list
+            .split(';')
+            .map(|entry| parse_fired_entry(entry, statements))
+            .collect::<Option<_>>()?,
     };
+    if entries.len() != count {
+        return None;
+    }
+    FiredLog::from_entries(entries)
+}
+
+/// Decodes a decimal number in its one spelling: digits only, no leading
+/// zero (`usize::from_str` would also take `+1` and `01`).
+fn parse_number(text: &str) -> Option<usize> {
+    let canonical =
+        text.bytes().all(|b| b.is_ascii_digit()) && !(text.len() > 1 && text.starts_with('0'));
+    canonical.then(|| text.parse().ok()).flatten()
+}
+
+/// Decodes one `<statement>:<FaultId,...>` entry of a fired-log reply.
+fn parse_fired_entry(entry: &str, statements: usize) -> Option<(usize, FaultSet)> {
+    let (statement, names) = entry.split_once(':')?;
+    let statement = parse_number(statement)?;
     let faults: Vec<FaultId> = names
-        .iter()
-        .map(|name| FaultId::from_name(name))
+        .split(',')
+        .map(FaultId::from_name)
         .collect::<Option<_>>()?;
     // Strictly ascending: one encoding per set, no repeats.
     let canonical = faults.windows(2).all(|pair| pair[0] < pair[1]);
-    (canonical && faults.len() == count).then(|| FaultSet::with(faults))
+    (canonical && statement < statements).then(|| (statement, FaultSet::with(faults)))
 }
 
 /// The control line that replaces the server's engine (see the module
@@ -466,7 +499,7 @@ impl Server {
             return Ok(true);
         }
         if sql == FIRED_REQUEST {
-            write_fired(&self.engine.fired_faults(), output)?;
+            write_fired(self.engine.fired_log(), output)?;
             return Ok(true);
         }
         if let Some(spec) = sql.strip_prefix(RESET_REQUEST) {
@@ -748,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn fired_request_reports_the_faults_fired_so_far() {
+    fn fired_request_reports_each_statement_in_order_and_resets_empty() {
         let config = ServerConfig {
             profile: EngineProfile::PostgisLike,
             faults: EngineProfile::PostgisLike.default_faults(),
@@ -758,8 +791,13 @@ mod tests {
             &config,
             "\\fired\n\
              SELECT ST_Distance('MULTIPOINT((1 0),(0 0))'::geometry, 'MULTIPOINT((-2 0),EMPTY)'::geometry)\n\
+             NOT SQL\n\
+             \n\
              \\fired\n\
              SELECT ST_Within('POINT(0 0)'::geometry, 'GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 0))'::geometry)\n\
+             SELECT ST_Distance('MULTIPOINT((1 0),(0 0))'::geometry, 'MULTIPOINT((-2 0),EMPTY)'::geometry)\n\
+             \\fired\n\
+             \\reset stock\n\
              \\fired\n",
         );
         assert_eq!(
@@ -769,12 +807,30 @@ mod tests {
                 "FIRED 0 -",
                 "ROWS 1 3",
                 "ROW 3",
-                "FIRED 1 GeosEmptyDistanceRecursion",
+                "ERR error parse error: unsupported statement starting with Some(Ident(\"NOT\"))",
+                "FIRED 1 0:GeosEmptyDistanceRecursion",
                 "ROWS 1 0",
                 "ROW f",
-                "FIRED 2 GeosMixedBoundaryLastOneWins,GeosEmptyDistanceRecursion",
+                "ROWS 1 3",
+                "ROW 3",
+                // The parse error is statement 1; the blank line and the
+                // control lines are none.
+                "FIRED 3 0:GeosEmptyDistanceRecursion;2:GeosMixedBoundaryLastOneWins;\
+                 3:GeosEmptyDistanceRecursion",
+                "READY postgis_like",
+                "FIRED 0 -",
             ]
         );
+    }
+
+    /// The wire form of `log`, without its newline.
+    fn fired_line(log: &FiredLog) -> String {
+        let mut wire = Vec::new();
+        write_fired(log, &mut wire).unwrap();
+        String::from_utf8(wire)
+            .unwrap()
+            .trim_end_matches('\n')
+            .to_string()
     }
 
     #[test]
@@ -783,21 +839,28 @@ mod tests {
             FaultId::GeosCoversPrecisionLoss,
             FaultId::PostgisGistIndexDropsRows,
         ]);
-        for set in [FaultSet::none(), two.clone()] {
-            let mut wire = Vec::new();
-            write_fired(&set, &mut wire).unwrap();
-            let line = String::from_utf8(wire).unwrap();
-            assert_eq!(parse_fired(line.trim_end_matches('\n')), Some(set));
+        let one = FaultSet::with([FaultId::GeosEmptyDistanceRecursion]);
+        let logs = [
+            FiredLog::default(),
+            FiredLog::from_entries(vec![(0, one.clone())]).unwrap(),
+            FiredLog::from_entries(vec![(4, two.clone()), (11, one.clone())]).unwrap(),
+        ];
+        for log in &logs {
+            assert_eq!(parse_fired(&fired_line(log), 12), Some(log.clone()));
         }
-        assert_eq!(parse_fired("FIRED 0 -"), Some(FaultSet::none()));
+        assert_eq!(fired_line(&logs[0]), "FIRED 0 -");
         assert_eq!(
-            parse_fired("FIRED 2 GeosCoversPrecisionLoss,PostgisGistIndexDropsRows"),
-            Some(two)
+            fired_line(&logs[2]),
+            "FIRED 2 4:GeosCoversPrecisionLoss,PostgisGistIndexDropsRows;\
+             11:GeosEmptyDistanceRecursion"
         );
+        // A log naming a statement the client did not send is rejected.
+        assert_eq!(parse_fired(&fired_line(&logs[2]), 11), None);
+        assert_eq!(parse_fired(&fired_line(&logs[1]), 0), None);
         let mut reader = BufReader::new("FIRED 0 -\nFIRED 0 -".as_bytes());
-        assert_eq!(read_fired(&mut reader), Some(FaultSet::none()));
-        assert_eq!(read_fired(&mut reader), None, "no newline: truncated");
-        assert_eq!(read_fired(&mut reader), None, "end of stream");
+        assert_eq!(read_fired(&mut reader, 0), Some(FiredLog::default()));
+        assert_eq!(read_fired(&mut reader, 0), None, "no newline: truncated");
+        assert_eq!(read_fired(&mut reader, 0), None, "end of stream");
         for bad in [
             "",
             "FIRED",
@@ -805,12 +868,23 @@ mod tests {
             "FIRED 0",
             "FIRED 0 ",
             "FIRED 1 -",
-            "FIRED 0 GeosCoversPrecisionLoss",
-            "FIRED 2 GeosCoversPrecisionLoss",
-            "FIRED 1 GeosCoversPrecisionLoss,",
-            "FIRED 2 GeosCoversPrecisionLoss,GeosCoversPrecisionLoss",
-            "FIRED 2 PostgisGistIndexDropsRows,GeosCoversPrecisionLoss",
-            "FIRED 1 NoSuchFault",
+            "FIRED 0 0:GeosCoversPrecisionLoss",
+            "FIRED 2 0:GeosCoversPrecisionLoss",
+            "FIRED 1 0:",
+            "FIRED 1 :GeosCoversPrecisionLoss",
+            "FIRED 1 0GeosCoversPrecisionLoss",
+            "FIRED 1 0:GeosCoversPrecisionLoss,",
+            "FIRED 1 0:GeosCoversPrecisionLoss;",
+            "FIRED 1 00:GeosCoversPrecisionLoss",
+            "FIRED 1 +1:GeosCoversPrecisionLoss",
+            "FIRED 1 -1:GeosCoversPrecisionLoss",
+            "FIRED 01 0:GeosCoversPrecisionLoss",
+            "FIRED +1 0:GeosCoversPrecisionLoss",
+            "FIRED 1 0:GeosCoversPrecisionLoss,GeosCoversPrecisionLoss",
+            "FIRED 1 0:PostgisGistIndexDropsRows,GeosCoversPrecisionLoss",
+            "FIRED 2 1:GeosCoversPrecisionLoss;1:PostgisGistIndexDropsRows",
+            "FIRED 2 3:GeosCoversPrecisionLoss;1:PostgisGistIndexDropsRows",
+            "FIRED 1 0:NoSuchFault",
             "FIRED -1 -",
             "FIRED x -",
             "FIRED 0 - extra",
@@ -819,7 +893,7 @@ mod tests {
             "OK",
             "ERR error parse error",
         ] {
-            assert_eq!(parse_fired(bad), None, "{bad:?}");
+            assert_eq!(parse_fired(bad, 12), None, "{bad:?}");
         }
     }
 

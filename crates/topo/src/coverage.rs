@@ -117,7 +117,11 @@ pub const PROBES: &[&str] = &[
     "topo.segment.intersection_endpoint",
     // The SQL-engine ("PostGIS analog") probes: `SDB_PROBES`. No code hits the
     // five `sdb.parse.*` probes yet; they stay listed because Table 5's
-    // engine denominator and cold-probe guidance count them.
+    // engine denominator and cold-probe guidance count them. Hitting them
+    // from the parser would make a load's probe tally depend on the
+    // backend's shared parse cache (a cached statement is not parsed
+    // again), while attribution charges each flagged query the tally its
+    // check recorded, which assumes a re-check would hit the same probes.
     "sdb.parse.create_table",
     "sdb.parse.create_index",
     "sdb.parse.insert",

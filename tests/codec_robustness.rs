@@ -1,6 +1,6 @@
 //! A seeded byte-mutation sweep over every decoder of untrusted lines: the
 //! supervisor/worker wire messages, the replay and matrix artifacts, and
-//! `spatter-sdb-server` replies (fired-fault and reset replies included). Every mutated input must decode or fail
+//! `spatter-sdb-server` replies (fired-log and reset replies included). Every mutated input must decode or fail
 //! with a structured error — never panic, and never abort the process (an
 //! untrusted count used as an allocation size does the latter).
 
@@ -15,7 +15,7 @@ use spatter_repro::core::rng::{RngExt, SeedableRng, StdRng};
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::sdb::engine::ExecutionResult;
 use spatter_repro::sdb::server::{read_fired, read_ready, write_fired, write_ready, Response};
-use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet};
+use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet, FiredLog};
 use spatter_repro::topo::coverage::CoverageSnapshot;
 use std::io::BufReader;
 use std::sync::Arc;
@@ -227,41 +227,73 @@ fn mutated_server_replies_never_panic_or_abort() {
     assert!(cases >= 1_200, "{cases} cases");
 }
 
+/// The wire form of a fired log.
+fn fired_wire(log: &FiredLog) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_fired(log, &mut wire).expect("in-memory write");
+    wire
+}
+
 #[test]
 fn mutated_fired_replies_decode_to_their_exact_set_or_unknown() {
-    let sets = [
-        FaultSet::none(),
-        FaultSet::with([FaultId::GeosEmptyDistanceRecursion]),
-        FaultSet::with([
-            FaultId::GeosCoversPrecisionLoss,
-            FaultId::PostgisGistIndexDropsRows,
-            FaultId::PostgisGistStaleOnMutation,
-        ]),
+    // The `\fired` reply is a per-statement log: for each statement that
+    // fired seeded faults, its position and their set.
+    let covers = FaultSet::with([FaultId::GeosCoversPrecisionLoss]);
+    let three = FaultSet::with([
+        FaultId::GeosEmptyDistanceRecursion,
+        FaultId::PostgisGistIndexDropsRows,
+        FaultId::PostgisGistStaleOnMutation,
+    ]);
+    let logs = [
+        FiredLog::default(),
+        FiredLog::from_entries(vec![(0, covers.clone())]).expect("canonical"),
+        FiredLog::from_entries(vec![(7, three), (19, covers.clone()), (210, covers)])
+            .expect("canonical"),
     ];
-    let inputs: Vec<Vec<u8>> = sets
-        .iter()
-        .map(|set| {
-            let mut wire = Vec::new();
-            write_fired(set, &mut wire).expect("in-memory write");
-            wire
-        })
-        .collect();
+    // The client sent statements up to position 210.
+    const SENT: usize = 211;
+    let inputs: Vec<Vec<u8>> = logs.iter().map(fired_wire).collect();
     let mut unknown = 0;
     let cases = sweep(0xf12ed, &inputs, |bytes| {
         // `None` is "unknown": attribution then re-checks every fault. A
-        // decoded set must be the one the first frame spells exactly, so
-        // damage can never shrink a set into a smaller valid one unnoticed.
-        match read_fired(&mut BufReader::new(bytes)) {
+        // decoded log must be the one the first frame spells exactly, so
+        // damage can never shrink a log into a smaller valid one unnoticed.
+        match read_fired(&mut BufReader::new(bytes), SENT) {
             None => unknown += 1,
-            Some(set) => {
-                let mut wire = Vec::new();
-                write_fired(&set, &mut wire).expect("in-memory write");
-                assert!(bytes.starts_with(&wire), "{bytes:?} decoded as {set:?}");
-            }
+            Some(log) => assert!(
+                bytes.starts_with(&fired_wire(&log)),
+                "{bytes:?} decoded as {log:?}"
+            ),
         }
     });
     assert!(cases >= 600, "{cases} cases");
     assert!(unknown * 2 > cases, "most mutants must read as unknown");
+    for (log, wire) in logs.iter().zip(&inputs) {
+        // Every proper prefix is a truncated frame.
+        for cut in 0..wire.len() {
+            assert_eq!(
+                read_fired(&mut BufReader::new(&wire[..cut]), SENT),
+                None,
+                "{:?}",
+                &wire[..cut]
+            );
+        }
+        // A reply naming a statement the client never sent is rejected.
+        let last = log
+            .entries()
+            .last()
+            .map_or(0, |(statement, _)| statement + 1);
+        assert_eq!(
+            read_fired(&mut BufReader::new(wire.as_slice()), last),
+            Some(log.clone())
+        );
+        if last > 0 {
+            assert_eq!(
+                read_fired(&mut BufReader::new(wire.as_slice()), last - 1),
+                None
+            );
+        }
+    }
 }
 
 #[test]
