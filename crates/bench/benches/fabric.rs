@@ -1,7 +1,7 @@
 //! Campaign-fabric benchmark: what the transport and scheduling layers
 //! cost on top of the campaign itself.
 //!
-//! Three comparisons over the default campaign config:
+//! Two comparisons over the default campaign config:
 //!
 //! 1. **stdio vs TCP** — the same 2-process fleet driven over child-process
 //!    pipes and over loopback sockets (48 iterations each): the TCP framing
@@ -9,9 +9,6 @@
 //! 2. **Epoch-barrier exchange** — a guided campaign with the frozen
 //!    warm-up snapshot vs the same campaign re-merging and re-broadcasting
 //!    coverage every 8 iterations: the price of fresher guidance.
-//! 3. **Fixed vs adaptive leases under a straggler** — one slot slowed by
-//!    20ms/iteration: the adaptive policy should cut campaign completion
-//!    time (the tail is the straggler finishing its last lease).
 //!
 //! Emits `BENCH_fabric.json` in the workspace root. All rows need the
 //! `spatter-campaign-worker` binary (built by `cargo build --workspace`);
@@ -23,7 +20,7 @@ use spatter_core::fabric::TcpTransport;
 use spatter_core::guidance::GuidanceMode;
 use spatter_core::runner::CampaignRunner;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const ITERATIONS: usize = 48;
 
@@ -97,7 +94,7 @@ fn worker_binary() -> Option<PathBuf> {
 }
 
 fn main() {
-    println!("== Campaign fabric: transport, epoch, and lease overhead (x{ITERATIONS}) ==\n");
+    println!("== Campaign fabric: transport and epoch overhead (x{ITERATIONS}) ==\n");
 
     let reference = bench_in_process();
     let mut samples = vec![reference];
@@ -132,27 +129,6 @@ fn main() {
             fleet(),
             false,
         ));
-        let straggler = |dist: DistConfig| {
-            dist.with_processes(2)
-                .with_threads_per_worker(1)
-                .with_worker_slot_args(0, vec!["--iteration-delay-ms".into(), "20".into()])
-        };
-        samples.push(bench_fleet(
-            "straggler-fixed",
-            campaign(GuidanceMode::Off, None),
-            straggler(DistConfig::new(&worker).with_lease_chunk(1)),
-            false,
-        ));
-        samples.push(bench_fleet(
-            "straggler-adaptive",
-            campaign(GuidanceMode::Off, None),
-            straggler(DistConfig::new(&worker).with_adaptive_leases(
-                1,
-                4,
-                Duration::from_millis(150),
-            )),
-            false,
-        ));
     } else {
         println!(
             "note: spatter-campaign-worker binary not found next to the bench \
@@ -160,14 +136,13 @@ fn main() {
         );
     }
 
-    let widths = [18, 9, 10, 8, 8, 9, 12];
+    let widths = [18, 9, 10, 8, 9, 12];
     spatter_bench::print_row(
         &[
             "config",
             "time (s)",
             "iters/sec",
             "leases",
-            "resized",
             "epochs",
             "rec/slot",
         ]
@@ -175,14 +150,13 @@ fn main() {
         &widths,
     );
     for sample in &samples {
-        let (leases, resized, epochs, per_slot) = match &sample.stats {
+        let (leases, epochs, per_slot) = match &sample.stats {
             Some(stats) => (
                 stats.leases_granted.to_string(),
-                stats.leases_resized.to_string(),
                 stats.guidance_epochs.to_string(),
                 format!("{:?}", stats.records_per_slot),
             ),
-            None => ("-".into(), "-".into(), "-".into(), "-".into()),
+            None => ("-".into(), "-".into(), "-".into()),
         };
         spatter_bench::print_row(
             &[
@@ -190,7 +164,6 @@ fn main() {
                 format!("{:.3}", sample.seconds),
                 format!("{:.2}", sample.iters_per_sec),
                 leases,
-                resized,
                 epochs,
                 per_slot,
             ],
@@ -199,14 +172,9 @@ fn main() {
     }
 
     // Determinism spot checks: identical configs agree bytewise regardless
-    // of transport or lease policy.
+    // of transport.
     let by_label = |label: &str| samples.iter().find(|s| s.label == label);
-    for (a, b) in [
-        ("in-process", "stdio"),
-        ("stdio", "tcp"),
-        ("in-process", "straggler-fixed"),
-        ("straggler-fixed", "straggler-adaptive"),
-    ] {
+    for (a, b) in [("in-process", "stdio"), ("stdio", "tcp")] {
         if let (Some(a), Some(b)) = (by_label(a), by_label(b)) {
             assert_eq!(
                 a.fingerprint, b.fingerprint,
@@ -219,16 +187,12 @@ fn main() {
     let entries: Vec<String> = samples
         .iter()
         .map(|s| {
-            let (leases, resized, epochs) = match &s.stats {
-                Some(stats) => (
-                    stats.leases_granted,
-                    stats.leases_resized,
-                    stats.guidance_epochs,
-                ),
-                None => (0, 0, 0),
+            let (leases, epochs) = match &s.stats {
+                Some(stats) => (stats.leases_granted, stats.guidance_epochs),
+                None => (0, 0),
             };
             format!(
-                "    {{\"config\": \"{}\", \"iterations\": {ITERATIONS}, \"seconds\": {:.4}, \"iters_per_sec\": {:.3}, \"leases\": {leases}, \"leases_resized\": {resized}, \"guidance_epochs\": {epochs}}}",
+                "    {{\"config\": \"{}\", \"iterations\": {ITERATIONS}, \"seconds\": {:.4}, \"iters_per_sec\": {:.3}, \"leases\": {leases}, \"guidance_epochs\": {epochs}}}",
                 s.label, s.seconds, s.iters_per_sec
             )
         })
@@ -241,10 +205,9 @@ fn main() {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"fabric\",\n  \"config\": \"CampaignConfig::default() x{ITERATIONS} iterations, 2x2 fleet\",\n  \"host_available_parallelism\": {cores},\n  \"tcp_overhead_vs_stdio\": {:.4},\n  \"epoch_overhead_vs_frozen\": {:.4},\n  \"adaptive_speedup_vs_fixed_straggler\": {:.4},\n  \"samples\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"fabric\",\n  \"config\": \"CampaignConfig::default() x{ITERATIONS} iterations, 2x2 fleet\",\n  \"host_available_parallelism\": {cores},\n  \"tcp_overhead_vs_stdio\": {:.4},\n  \"epoch_overhead_vs_frozen\": {:.4},\n  \"samples\": [\n{}\n  ]\n}}\n",
         overhead("stdio", "tcp"),
         overhead("guided-frozen", "guided-epoch8"),
-        overhead("straggler-adaptive", "straggler-fixed"),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json");

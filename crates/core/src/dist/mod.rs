@@ -12,15 +12,14 @@
 //! # Who owns what
 //!
 //! The supervisor owns only what belongs to leases: the pending queue,
-//! lease grants, reclaiming a dead worker's leases, respawns, and adaptive
-//! lease sizing. Everything about *which iteration runs under which
-//! guidance* belongs to the campaign's `Schedule` (`crate::schedule`), the
-//! same one the in-process [`CampaignRunner`] drives: the supervisor runs
-//! the warm-up through it, ships the warm-up snapshot in the configuration
-//! line, leases only the windows it releases, broadcasts each later
-//! window's snapshot as an `epoch` line (replayed to respawned workers),
-//! and hands every streamed record to it for the first-wins,
-//! index-ordered merge.
+//! lease grants, reclaiming a dead worker's leases, and respawns.
+//! Everything about *which iteration runs under which guidance* belongs to
+//! the campaign's `Schedule` (`crate::schedule`), the same one the
+//! in-process [`CampaignRunner`] drives: the supervisor runs the warm-up
+//! through it, ships the warm-up snapshot in the configuration line,
+//! leases only the windows it releases, broadcasts each later window's
+//! snapshot as an `epoch` line (replayed to respawned workers), and hands
+//! every streamed record to it for the first-wins, index-ordered merge.
 //!
 //! # Determinism
 //!
@@ -32,22 +31,20 @@
 //! to the single-process runner for any transport and any processes ×
 //! threads split, guided and epoch-guided campaigns included.
 //!
-//! # Crash survival and elastic leases
+//! # Leases and crash survival
 //!
-//! Work is distributed as small chunked *leases* rather than static
-//! per-worker ranges: a fast worker simply takes more leases, so one
-//! finding-heavy (attribution-heavy) range cannot straggle the campaign
-//! behind an idle fleet. With [`LeasePolicy::Adaptive`] lease length is
-//! additionally sized per worker from an EWMA of its observed
-//! per-iteration cost, so a slow worker is granted short leases (little to
-//! reclaim, little tail latency) while fast workers get long ones (less
-//! protocol chatter). Workers stream each record as it completes; when a
-//! worker dies (crash, OOM-kill, the supervisor's own fault injection in
-//! tests) the supervisor reclaims exactly the *unacknowledged* iterations
-//! of its outstanding leases, re-enqueues them for the surviving workers,
-//! captures the dead worker's stderr tail into [`SlotDiagnostics`], and
-//! respawns the slot — the distributed equivalent of `StdioBackend`'s
-//! respawn-and-replay.
+//! Work is distributed as small *leases* of `LEASE_LEN` (2) iterations
+//! rather than static per-worker ranges, at most `LEASES_IN_FLIGHT` (2)
+//! per worker. A worker is granted its next lease when it reports one
+//! done, so a fast worker simply takes more leases and one
+//! attribution-heavy range, or one slow worker, cannot straggle the
+//! campaign behind an idle fleet. Workers stream each record as it
+//! completes; when a worker dies (crash, OOM-kill, the supervisor's own
+//! fault injection in tests) the supervisor reclaims exactly the
+//! *unacknowledged* iterations of its outstanding leases, re-enqueues them
+//! for the surviving workers, captures the dead worker's stderr tail into
+//! [`SlotDiagnostics`], and respawns the slot — the distributed equivalent
+//! of `StdioBackend`'s respawn-and-replay.
 
 pub mod wire;
 pub mod worker;
@@ -72,32 +69,10 @@ use std::time::{Duration, Instant};
 /// the re-lease window after a crash small.
 const LEASES_IN_FLIGHT: usize = 2;
 
-/// EWMA weight of the newest per-iteration cost observation under
-/// [`LeasePolicy::Adaptive`].
-const EWMA_ALPHA: f64 = 0.3;
-
-/// How lease lengths are chosen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeasePolicy {
-    /// Every lease is [`DistConfig::lease_chunk`] iterations.
-    Fixed,
-    /// Lease length is sized per worker from an EWMA of the wall time the
-    /// supervisor observes between that worker's records: slow workers get
-    /// leases near `min` (small reclaim window, small tail), fast workers
-    /// up to `max` (less protocol chatter). Until a worker has delivered
-    /// two records it is granted `min`. Lease *sizing* is wall-clock
-    /// driven, but which iteration lands where never changes what it
-    /// produces — the merged report stays byte-identical to any other
-    /// policy or fleet shape.
-    Adaptive {
-        /// Smallest lease ever granted (clamped to at least 1).
-        min: usize,
-        /// Largest lease ever granted.
-        max: usize,
-        /// Wall time one lease should take; length ≈ `target / ewma_cost`.
-        target: Duration,
-    },
-}
+/// Iterations per lease (the last lease of a window may be shorter). Small
+/// leases steal well: an attribution-heavy stretch of the queue is
+/// re-leasable in small pieces, and a dead worker leaves little to redo.
+const LEASE_LEN: usize = 2;
 
 /// Configuration of the distributed supervisor (everything that is about
 /// *how* to run the campaign across processes; the campaign itself lives in
@@ -113,18 +88,8 @@ pub struct DistConfig {
     /// Worker threads per process; the total parallelism is
     /// `processes × threads_per_worker`.
     pub threads_per_worker: usize,
-    /// Iterations per lease under [`LeasePolicy::Fixed`]. Small leases
-    /// steal better (an attribution-heavy chunk is re-leasable in small
-    /// pieces); large leases amortize protocol chatter.
-    pub lease_chunk: usize,
-    /// The lease sizing policy.
-    pub lease_policy: LeasePolicy,
     /// Total worker respawns the campaign tolerates before giving up.
     pub max_respawns: usize,
-    /// Extra command-line arguments for specific worker slots, passed to
-    /// the transport's spawner (e.g. `--iteration-delay-ms` to make one
-    /// slot a deliberate straggler in tests).
-    pub worker_slot_args: Vec<(usize, Vec<String>)>,
     /// Test-only fault injection: kill worker process `.0` as soon as it
     /// has delivered `.1` records. The campaign must still complete, and
     /// byte-identically — this is how the crash-recovery tests make a
@@ -134,16 +99,13 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// A supervisor configuration for a worker binary, with 2 processes ×
-    /// 2 threads and small fixed leases.
+    /// 2 threads.
     pub fn new(worker_command: impl Into<PathBuf>) -> Self {
         DistConfig {
             worker_command: worker_command.into(),
             processes: 2,
             threads_per_worker: 2,
-            lease_chunk: 2,
-            lease_policy: LeasePolicy::Fixed,
             max_respawns: 3,
-            worker_slot_args: Vec::new(),
             kill_worker_after_records: None,
         }
     }
@@ -157,31 +119,6 @@ impl DistConfig {
     /// Sets the per-process thread count.
     pub fn with_threads_per_worker(mut self, threads: usize) -> Self {
         self.threads_per_worker = threads.max(1);
-        self
-    }
-
-    /// Sets the fixed lease chunk size (and selects [`LeasePolicy::Fixed`]).
-    pub fn with_lease_chunk(mut self, chunk: usize) -> Self {
-        self.lease_chunk = chunk.max(1);
-        self.lease_policy = LeasePolicy::Fixed;
-        self
-    }
-
-    /// Selects [`LeasePolicy::Adaptive`] lease sizing.
-    pub fn with_adaptive_leases(mut self, min: usize, max: usize, target: Duration) -> Self {
-        let min = min.max(1);
-        self.lease_policy = LeasePolicy::Adaptive {
-            min,
-            max: max.max(min),
-            target,
-        };
-        self
-    }
-
-    /// Appends extra arguments for one worker slot (see
-    /// [`DistConfig::worker_slot_args`]).
-    pub fn with_worker_slot_args(mut self, slot: usize, args: Vec<String>) -> Self {
-        self.worker_slot_args.push((slot, args));
         self
     }
 
@@ -325,10 +262,6 @@ pub struct DistStats {
     pub respawns: usize,
     /// Leases granted (including re-leases of reclaimed work).
     pub leases_granted: usize,
-    /// Adaptive-lease grants whose length differed from the same slot's
-    /// previous grant — how often [`LeasePolicy::Adaptive`] actually
-    /// resized. Always 0 under [`LeasePolicy::Fixed`].
-    pub leases_resized: usize,
     /// Iteration records received from workers.
     pub records_received: usize,
     /// Records delivered by each worker slot (across its incarnations).
@@ -435,16 +368,12 @@ impl DistRunner {
             schedule.snapshot(),
         )?;
 
-        let owned_transport: Box<dyn Transport>;
+        let stdio;
         let transport: &dyn Transport = match &self.transport {
             Some(transport) => transport.as_ref(),
             None => {
-                let mut stdio = StdioTransport::new(&self.dist.worker_command);
-                for (slot, args) in &self.dist.worker_slot_args {
-                    stdio = stdio.with_slot_args(*slot, args.clone());
-                }
-                owned_transport = Box::new(stdio);
-                owned_transport.as_ref()
+                stdio = StdioTransport::new(&self.dist.worker_command);
+                &stdio
             }
         };
 
@@ -515,13 +444,6 @@ struct WorkerSlot {
     records_delivered: usize,
     alive: bool,
     exiting: bool,
-    /// EWMA of the wall time between this worker's records, the cost
-    /// signal of [`LeasePolicy::Adaptive`].
-    ewma_cost: Option<f64>,
-    last_record_at: Option<Instant>,
-    /// The length of this slot's previous lease grant, for the
-    /// `leases_resized` stat.
-    last_lease_len: Option<usize>,
 }
 
 /// The supervisor's event loop state (borrowed from
@@ -597,19 +519,11 @@ impl Supervisor<'_> {
                     self.stats.decode_time += decode_start.elapsed();
                     match message {
                         Ok(FromWorker::Record { record, .. }) => {
-                            let now = Instant::now();
                             self.stats.records_received += 1;
                             self.stats.records_per_slot[index] += 1;
                             let slot = &mut self.slots[index];
                             slot.records_delivered += 1;
                             let delivered = slot.records_delivered;
-                            if let Some(previous) = slot.last_record_at.replace(now) {
-                                let cost = now.duration_since(previous).as_secs_f64();
-                                slot.ewma_cost = Some(match slot.ewma_cost {
-                                    Some(ewma) => (1.0 - EWMA_ALPHA) * ewma + EWMA_ALPHA * cost,
-                                    None => cost,
-                                });
-                            }
                             if let Some(record) = self.schedule.complete(record) {
                                 if let Some(sink) = self.replay_sink {
                                     sink.record_frame(&record.replay);
@@ -766,9 +680,6 @@ impl Supervisor<'_> {
             records_delivered: 0,
             alive: true,
             exiting: false,
-            ewma_cost: None,
-            last_record_at: None,
-            last_lease_len: None,
         })
     }
 
@@ -833,25 +744,6 @@ impl Supervisor<'_> {
         }
     }
 
-    /// The lease length a grant to `index` should have under the policy.
-    fn lease_len_for(&self, index: usize) -> usize {
-        match &self.dist.lease_policy {
-            LeasePolicy::Fixed => self.dist.lease_chunk.max(1),
-            LeasePolicy::Adaptive { min, max, target } => {
-                let min = (*min).max(1);
-                let max = (*max).max(min);
-                match self.slots[index].ewma_cost {
-                    None => min,
-                    Some(cost) if cost <= f64::EPSILON => max,
-                    Some(cost) => {
-                        let ideal = (target.as_secs_f64() / cost) as usize;
-                        ideal.clamp(min, max)
-                    }
-                }
-            }
-        }
-    }
-
     /// Grants pending leases to every worker with spare in-flight capacity.
     fn dispatch(
         &mut self,
@@ -874,21 +766,10 @@ impl Supervisor<'_> {
             else {
                 return Ok(());
             };
-            let lease_len = self.lease_len_for(index);
-            let (start, len) = take_lease(&mut self.pending, lease_len).expect("checked non-empty");
+            let (start, len) = take_lease(&mut self.pending, LEASE_LEN).expect("checked non-empty");
             let id = self.next_lease;
             self.next_lease += 1;
             self.stats.leases_granted += 1;
-            // A grant whose adaptive length differs from the slot's previous
-            // grant is a resize (queue-tail truncation is not).
-            if matches!(self.dist.lease_policy, LeasePolicy::Adaptive { .. })
-                && self.slots[index]
-                    .last_lease_len
-                    .is_some_and(|previous| previous != lease_len)
-            {
-                self.stats.leases_resized += 1;
-            }
-            self.slots[index].last_lease_len = Some(lease_len);
             let line = wire::encode_lease_message(id, start, len);
             let slot = &mut self.slots[index];
             slot.outstanding.push(LeaseInfo { id, start, len });
@@ -1125,25 +1006,11 @@ mod tests {
         let config = DistConfig::new("/bin/worker")
             .with_processes(0)
             .with_threads_per_worker(0)
-            .with_lease_chunk(0)
             .with_max_respawns(7)
             .with_kill_worker_after_records(1, 3);
         assert_eq!(config.processes, 1);
         assert_eq!(config.threads_per_worker, 1);
-        assert_eq!(config.lease_chunk, 1);
-        assert_eq!(config.lease_policy, LeasePolicy::Fixed);
         assert_eq!(config.max_respawns, 7);
         assert_eq!(config.kill_worker_after_records, Some((1, 3)));
-
-        let adaptive =
-            DistConfig::new("/bin/worker").with_adaptive_leases(0, 0, Duration::from_millis(250));
-        assert_eq!(
-            adaptive.lease_policy,
-            LeasePolicy::Adaptive {
-                min: 1,
-                max: 1,
-                target: Duration::from_millis(250)
-            }
-        );
     }
 }

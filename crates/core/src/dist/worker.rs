@@ -29,7 +29,7 @@ use std::fmt;
 use std::io::{BufRead, Write};
 use std::ops::ControlFlow;
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a worker's serve loop stopped abnormally.
 #[derive(Debug)]
@@ -78,37 +78,13 @@ struct WorkerState {
     /// arrives. Only wall-clock fields (excluded from the determinism
     /// fingerprint) observe it.
     start: Instant,
-    /// Test-only straggler injection (see [`ServeOptions`]).
-    iteration_delay: Option<Duration>,
-}
-
-/// Serve-loop knobs that are about the *worker process*, not the campaign
-/// (which arrives over the wire).
-#[derive(Debug, Clone, Default)]
-pub struct ServeOptions {
-    /// Sleep this long after every iteration, before its record is
-    /// streamed — the deliberate-straggler switch behind
-    /// `spatter-campaign-worker --iteration-delay-ms`, used by the
-    /// elastic-lease tests and benches. Wall-clock only: the
-    /// iteration's *outputs* are untouched, so a straggling fleet still
-    /// merges byte-identically.
-    pub iteration_delay: Option<Duration>,
 }
 
 /// Runs the worker serve loop until the supervisor sends `exit` or closes
 /// the stream. Clean EOF is a normal shutdown (the supervisor went away);
 /// malformed input is an error so a version- or build-skewed pairing fails
 /// loudly instead of corrupting a campaign.
-pub fn serve(input: impl BufRead, output: impl Write + Send) -> Result<(), WorkerError> {
-    serve_with_options(input, output, ServeOptions::default())
-}
-
-/// [`serve`] with explicit [`ServeOptions`].
-pub fn serve_with_options(
-    input: impl BufRead,
-    mut output: impl Write + Send,
-    options: ServeOptions,
-) -> Result<(), WorkerError> {
+pub fn serve(input: impl BufRead, mut output: impl Write + Send) -> Result<(), WorkerError> {
     writeln!(output, "{}", wire::encode_handshake())?;
     output.flush()?;
 
@@ -134,7 +110,6 @@ pub fn serve_with_options(
                     guidance: snapshot.as_ref().map(Guidance::from_snapshot),
                     threads: threads.max(1),
                     start: Instant::now(),
-                    iteration_delay: options.iteration_delay,
                 });
                 writeln!(output, "{}", wire::encode_configured_message())?;
                 output.flush()?;
@@ -181,9 +156,6 @@ fn run_lease(
     state
         .runner
         .run_range(range, state.start, guidance, state.threads, |record| {
-            if let Some(delay) = state.iteration_delay {
-                std::thread::sleep(delay);
-            }
             let line = wire::encode_record_message(lease, &record);
             // A panic on another thread while it held the sink leaves at
             // worst a recorded transport error behind; keep serving.

@@ -2,21 +2,19 @@
 //! supervisor.
 //!
 //! [`crate::dist::DistRunner`] drives `spatter-campaign-worker` executors
-//! over a line-delimited wire protocol ([`crate::dist::wire`]). Until this
-//! module existed the only way to reach a worker was a child process over
-//! inherited stdio pipes — one box, by construction. A [`Transport`]
-//! abstracts the *plumbing* (how bytes reach a worker and how its lifecycle
-//! is controlled) away from the *protocol* (which is transport-agnostic:
-//! single lines in both directions, opened by the `hello <WIRE_VERSION>`
-//! handshake), so the same supervisor event loop drives local pipes and
-//! remote sockets through one code path, and replay frames ride either
-//! transport verbatim.
+//! over a line-delimited wire protocol ([`crate::dist::wire`]). A
+//! [`Transport`] abstracts the *plumbing* (how bytes reach a worker and
+//! how its lifecycle is controlled) away from the *protocol* (which is
+//! transport-agnostic: single lines in both directions, opened by the
+//! `hello <WIRE_VERSION>` handshake), so the same supervisor event loop
+//! drives local pipes and remote sockets through one code path, and replay
+//! frames ride either transport verbatim.
 //!
 //! Two implementations ship:
 //!
-//! * [`StdioTransport`] — the historical child-process launcher, now with
-//!   the worker's stderr captured into a bounded per-slot tail instead of
-//!   inherited (and lost) — the supervisor surfaces it when a worker dies.
+//! * [`StdioTransport`] — one child process per slot over its stdin/stdout
+//!   pipes, with the worker's stderr captured into a bounded per-slot tail
+//!   that the supervisor surfaces when a worker dies.
 //! * [`TcpTransport`] — a std-only socket transport: the supervisor binds a
 //!   `TcpListener` (loopback by default; binding a routable address is an
 //!   explicit opt-in, the protocol is unauthenticated) and each
@@ -29,11 +27,11 @@
 //! # Timeouts
 //!
 //! A socket peer can stall forever where a dead child closes its pipes, so
-//! the TCP transport arms a read timeout for the handshake phase and the
-//! supervisor calls [`ChannelControl::handshake_complete`] once the version
-//! exchange is done — after which the stream must block indefinitely again
-//! (a campaign iteration may legitimately take minutes, and a timeout
-//! firing mid-line would corrupt the framing).
+//! the TCP transport arms a 10 s read timeout for the handshake phase and
+//! the supervisor calls [`ChannelControl::handshake_complete`] once the
+//! version exchange is done — after which the stream must block
+//! indefinitely again (a campaign iteration may legitimately take minutes,
+//! and a timeout firing mid-line would corrupt the framing).
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -52,6 +50,9 @@ const STDERR_TAIL_LINES: usize = 32;
 /// it. A worker told to exit drops its backend first, which stops and reaps
 /// the engine servers it started; a kill would orphan them.
 const EXIT_GRACE: Duration = Duration::from_secs(1);
+
+/// Read deadline covering the handshake phase of a fresh TCP stream.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How a worker behind a channel is killed, reaped and diagnosed. The
 /// supervisor owns one per slot, next to the channel's reader and writer.
@@ -156,10 +157,10 @@ impl ChildHandle {
     }
 }
 
-/// Spawns a worker child with piped stderr and the per-slot argument set.
+/// Spawns a worker child with piped stdio and the given arguments.
 fn spawn_child(
     command: &PathBuf,
-    args: impl IntoIterator<Item = String>,
+    args: &[String],
 ) -> io::Result<(Child, StderrTail, JoinHandle<()>)> {
     let mut child = Command::new(command)
         .args(args)
@@ -185,9 +186,6 @@ fn spawn_child(
 /// the per-slot diagnostic tail.
 pub struct StdioTransport {
     command: PathBuf,
-    /// Extra command-line arguments for specific slots (e.g. an iteration
-    /// delay that turns one slot into a deliberate straggler in tests).
-    slot_args: Vec<(usize, Vec<String>)>,
 }
 
 impl StdioTransport {
@@ -195,22 +193,7 @@ impl StdioTransport {
     pub fn new(command: impl Into<PathBuf>) -> Self {
         StdioTransport {
             command: command.into(),
-            slot_args: Vec::new(),
         }
-    }
-
-    /// Appends extra arguments to the command of one slot.
-    pub fn with_slot_args(mut self, slot: usize, args: Vec<String>) -> Self {
-        self.slot_args.push((slot, args));
-        self
-    }
-
-    fn args_for(&self, index: usize) -> Vec<String> {
-        self.slot_args
-            .iter()
-            .filter(|(slot, _)| *slot == index)
-            .flat_map(|(_, args)| args.iter().cloned())
-            .collect()
     }
 }
 
@@ -235,8 +218,8 @@ impl Transport for StdioTransport {
         "stdio"
     }
 
-    fn connect(&self, index: usize) -> io::Result<WorkerChannel> {
-        let (mut child, tail, drain) = spawn_child(&self.command, self.args_for(index))?;
+    fn connect(&self, _index: usize) -> io::Result<WorkerChannel> {
+        let (mut child, tail, drain) = spawn_child(&self.command, &[])?;
         let Some(stdin) = child.stdin.take() else {
             let _ = child.kill();
             let _ = child.wait();
@@ -277,14 +260,11 @@ pub struct TcpTransport {
     address: SocketAddr,
     /// How long one [`Transport::connect`] call waits for an inbound worker.
     accept_window: Duration,
-    /// Read deadline covering the handshake phase of a fresh stream.
-    handshake_timeout: Duration,
     /// When set, `connect` spawns this command locally with
     /// `--connect <addr>` appended — the single-box (and respawn-capable)
     /// mode used by tests, CI and benches. When `None`, `connect` only
     /// accepts: the fleet is launched externally.
     spawn_command: Option<PathBuf>,
-    slot_args: Vec<(usize, Vec<String>)>,
 }
 
 impl TcpTransport {
@@ -307,9 +287,7 @@ impl TcpTransport {
             listener,
             address,
             accept_window: Duration::from_secs(10),
-            handshake_timeout: Duration::from_secs(10),
             spawn_command: None,
-            slot_args: Vec::new(),
         })
     }
 
@@ -324,21 +302,9 @@ impl TcpTransport {
         self
     }
 
-    /// Sets the handshake-phase read deadline.
-    pub fn with_handshake_timeout(mut self, timeout: Duration) -> Self {
-        self.handshake_timeout = timeout;
-        self
-    }
-
     /// Makes `connect` spawn the dialing worker itself (single-box mode).
     pub fn with_spawned_workers(mut self, command: impl Into<PathBuf>) -> Self {
         self.spawn_command = Some(command.into());
-        self
-    }
-
-    /// Appends extra arguments to the spawned command of one slot.
-    pub fn with_slot_args(mut self, slot: usize, args: Vec<String>) -> Self {
-        self.slot_args.push((slot, args));
         self
     }
 
@@ -398,18 +364,12 @@ impl Transport for TcpTransport {
         "tcp"
     }
 
-    fn connect(&self, index: usize) -> io::Result<WorkerChannel> {
+    fn connect(&self, _index: usize) -> io::Result<WorkerChannel> {
         let child = match &self.spawn_command {
             None => None,
             Some(command) => {
-                let mut args = vec!["--connect".to_string(), self.address.to_string()];
-                args.extend(
-                    self.slot_args
-                        .iter()
-                        .filter(|(slot, _)| *slot == index)
-                        .flat_map(|(_, extra)| extra.iter().cloned()),
-                );
-                let (child, tail, drain) = spawn_child(command, args)?;
+                let args = ["--connect".to_string(), self.address.to_string()];
+                let (child, tail, drain) = spawn_child(command, &args)?;
                 Some(ChildHandle {
                     child,
                     tail,
@@ -431,7 +391,7 @@ impl Transport for TcpTransport {
         // stream must block (with the handshake deadline armed) so the
         // reader thread parks on it instead of spinning.
         stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(self.handshake_timeout))?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let _ = stream.set_nodelay(true);
         let reader = stream.try_clone()?;
         let writer = stream.try_clone()?;

@@ -81,7 +81,7 @@ pub use backend::{
 };
 pub use campaign::{CampaignConfig, CampaignReport, Finding, FindingKind};
 pub use codec::CodecError;
-pub use dist::{DistConfig, DistError, DistRunner, DistStats, LeasePolicy};
+pub use dist::{DistConfig, DistError, DistRunner, DistStats};
 pub use fabric::{ChannelControl, StdioTransport, TcpTransport, Transport, WorkerChannel};
 pub use generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
 pub use guidance::{EditBias, Guidance, GuidanceMode, ScenarioKnobs, TemplateWeights};

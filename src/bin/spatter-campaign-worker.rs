@@ -15,34 +15,24 @@
 //! - `--connect host:port` — the worker dials the supervisor's TCP
 //!   listener and speaks the identical protocol over the socket, which is
 //!   how remote machines join a campaign fleet.
-//!
-//! `--iteration-delay-ms N` injects a fixed delay after every iteration;
-//! it exists for straggler experiments (elastic-lease tests and benches)
-//! and has no effect on results, only on timing.
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::time::Duration;
 
-use spatter_repro::core::dist::worker::{serve_with_options, ServeOptions};
+use spatter_repro::core::dist::worker::serve;
 
 fn usage() -> ! {
-    eprintln!("usage: spatter-campaign-worker [--connect host:port] [--iteration-delay-ms N]");
+    eprintln!("usage: spatter-campaign-worker [--connect host:port]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut connect: Option<String> = None;
-    let mut options = ServeOptions::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--connect" => match args.next() {
                 Some(addr) => connect = Some(addr),
-                None => usage(),
-            },
-            "--iteration-delay-ms" => match args.next().and_then(|raw| raw.parse::<u64>().ok()) {
-                Some(millis) => options.iteration_delay = Some(Duration::from_millis(millis)),
                 None => usage(),
             },
             _ => usage(),
@@ -54,7 +44,7 @@ fn main() {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 match stream.try_clone() {
-                    Ok(reader) => serve_with_options(BufReader::new(reader), stream, options),
+                    Ok(reader) => serve(BufReader::new(reader), stream),
                     Err(error) => Err(error.into()),
                 }
             }
@@ -68,7 +58,7 @@ fn main() {
             // Unlocked stdout: the worker writes record lines from several
             // threads under its own mutex, and `StdoutLock` is not `Send`.
             let stdout = std::io::stdout();
-            serve_with_options(stdin, stdout, options)
+            serve(stdin, stdout)
         }
     };
     if let Err(error) = outcome {

@@ -1,11 +1,13 @@
 //! Fired-fault attribution against the exhaustive loop it replaces.
 //!
 //! `runner::attribute` re-checks a finding only against the seeded faults
-//! whose divergent branch ran in a full-backend re-check, and reuses that
-//! re-check for every other fault. These tests run each campaign twice —
-//! once on a backend whose sessions report their fired faults (filtered
-//! attribution) and once behind a wrapper whose sessions do not (exhaustive
-//! attribution) — and demand
+//! whose divergent branch ran while the oracle's own check evaluated the
+//! flagged query. The check records those facts from its sessions'
+//! `statements` and `fired_log`, and every other fault is charged the
+//! recorded probe tally instead of a re-check. These tests run each
+//! campaign twice — once on a backend whose sessions report both (filtered
+//! attribution) and once behind a wrapper whose sessions keep the defaults,
+//! `None`, so the facts are unknown (exhaustive attribution) — and demand
 //! byte-identical results: the determinism fingerprint, and every replay
 //! frame (setup, outcome and probe hashes, and the per-query digests). The
 //! probe hash covers the iteration's probe delta count for count, so it
@@ -30,8 +32,8 @@ fn server_path() -> &'static str {
 }
 
 /// A pass-through backend that counts `without_fault` re-checks and either
-/// forwards its sessions' fired-fault reports or wraps every session so that
-/// it reports none.
+/// hands out its sessions as they are (they report their statement count
+/// and fired log) or wraps every session so that it reports neither.
 #[derive(Debug)]
 struct Wrapped {
     inner: Arc<dyn EngineBackend>,
@@ -85,7 +87,9 @@ impl EngineBackend for Wrapped {
     }
 }
 
-/// A pass-through session that keeps the default `fired_faults`: unknown.
+/// A pass-through session that keeps the defaults of `statements` and
+/// `fired_log` (`None`): an oracle check through it records no facts, so
+/// its campaign attributes with the exhaustive loop.
 struct Unreporting(Box<dyn EngineSession>);
 
 impl EngineSession for Unreporting {
@@ -288,7 +292,7 @@ fn default_campaign_rechecks_only_the_fired_faults() {
     let findings = report.findings.len();
     println!(
         "default campaign: {findings} findings, {rechecks} fired-fault re-checks \
-         instead of {} (one full re-check per finding besides)",
+         instead of {} (the exhaustive loop's)",
         findings * faults
     );
     assert!(findings > 0);

@@ -157,12 +157,12 @@ fn killed_worker_under_guidance_still_merges_byte_identically() {
 
 #[test]
 fn lease_stealing_lets_a_small_fleet_finish_a_lopsided_queue() {
-    // More leases than processes, chunk size 1: every worker keeps pulling
-    // work, and the merged report still covers every iteration exactly once.
+    // More leases than processes, two iterations each: every worker keeps
+    // pulling work, and the merged report still covers every iteration
+    // exactly once.
     let dist = DistConfig::new(worker_path())
         .with_processes(2)
-        .with_threads_per_worker(1)
-        .with_lease_chunk(1);
+        .with_threads_per_worker(1);
     let (report, stats) = DistRunner::new(campaign(GuidanceMode::Off, 7, 9), dist)
         .run_with_stats()
         .expect("distributed campaign");
@@ -170,8 +170,8 @@ fn lease_stealing_lets_a_small_fleet_finish_a_lopsided_queue() {
     assert_eq!(report.iterations_run, 9);
     assert_eq!(fingerprint(&report), fingerprint(&baseline));
     assert_eq!(
-        stats.leases_granted, 9,
-        "chunk 1 means one lease per iteration"
+        stats.leases_granted, 5,
+        "leases of two iterations: four full ones and a last one of one"
     );
     assert_eq!(stats.records_received, 9);
 }
@@ -187,8 +187,7 @@ fn time_budget_stops_lease_granting_without_losing_records() {
     config.time_budget = Some(std::time::Duration::from_millis(300));
     let dist = DistConfig::new(worker_path())
         .with_processes(2)
-        .with_threads_per_worker(1)
-        .with_lease_chunk(2);
+        .with_threads_per_worker(1);
     let (report, stats) = DistRunner::new(config, dist)
         .run_with_stats()
         .expect("budgeted campaign");

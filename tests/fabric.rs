@@ -1,18 +1,19 @@
 //! End-to-end tests of the campaign fabric: the pluggable transport layer
-//! (stdio child processes vs TCP sockets), elastic lease sizing, and the
-//! epoch-barrier guidance exchange.
+//! (stdio child processes vs TCP sockets), work stealing under a slow
+//! slot, and the epoch-barrier guidance exchange.
 //!
 //! The invariant under test is the determinism contract of ISSUE 8: the
 //! campaign report *and* the replay artifact are byte-identical across
 //! {stdio, TCP} × any processes × threads split × {guided, unguided},
 //! including runs that kill and respawn workers over TCP.
 
+use std::io::{self, BufRead, Read};
 use std::sync::Arc;
 use std::time::Duration;
 
 use spatter_repro::core::campaign::{CampaignConfig, CampaignReport};
 use spatter_repro::core::dist::{DistConfig, DistError, DistRunner};
-use spatter_repro::core::fabric::TcpTransport;
+use spatter_repro::core::fabric::{StdioTransport, TcpTransport, Transport, WorkerChannel};
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig};
 use spatter_repro::core::guidance::GuidanceMode;
 use spatter_repro::core::replay::{ReplayRecorder, ReplaySink};
@@ -205,14 +206,72 @@ fn epoch_barrier_guidance_is_byte_identical_across_the_fabric() {
     }
 }
 
+/// The stdio transport with slot 0 made a straggler on the supervisor's
+/// side: every `record` line it delivers is held back by a fixed delay
+/// before the supervisor sees it (the supervisor reads frames through
+/// `read_line`), so its `done` lines arrive late and it asks for leases
+/// late. The worker binary itself runs at full speed.
+struct DelayingTransport {
+    inner: StdioTransport,
+    delay: Duration,
+}
+
+impl Transport for DelayingTransport {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn connect(&self, index: usize) -> io::Result<WorkerChannel> {
+        let mut channel = self.inner.connect(index)?;
+        if index == 0 {
+            channel.reader = Box::new(DelayingReader {
+                inner: channel.reader,
+                delay: self.delay,
+            });
+        }
+        Ok(channel)
+    }
+}
+
+struct DelayingReader {
+    inner: Box<dyn BufRead + Send>,
+    delay: Duration,
+}
+
+impl Read for DelayingReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl BufRead for DelayingReader {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amount: usize) {
+        self.inner.consume(amount)
+    }
+
+    fn read_line(&mut self, buf: &mut String) -> io::Result<usize> {
+        let before = buf.len();
+        let read = self.inner.read_line(buf)?;
+        if buf[before..].starts_with("record ") {
+            std::thread::sleep(self.delay);
+        }
+        Ok(read)
+    }
+}
+
 #[test]
-fn adaptive_leases_starve_a_straggler_without_changing_bytes() {
-    // Slot 0 is an injected straggler (40ms per iteration); slot 1 runs at
-    // full speed. Under the adaptive policy the supervisor's per-slot cost
-    // EWMA shrinks the straggler's leases to the minimum and grows the fast
-    // slot's toward the maximum — fewer iterations land on the slow slot,
-    // and the merged report stays byte-identical to every other shape.
-    // Attribution is off so the injected delay dominates the iteration cost.
+fn fixed_leases_steal_work_from_a_straggler_without_changing_bytes() {
+    // Slot 0's records reach the supervisor 150ms late each; slot 1 runs
+    // at full speed. Every lease is two iterations and each slot holds two
+    // at once, so the first four leases are split evenly and the fast slot
+    // takes the rest as it reports its own done: fewer iterations land on
+    // the slow slot, and the merged report stays byte-identical to the
+    // in-process run. Attribution is off so the delay dominates the
+    // iteration cost.
     let config = || {
         let mut config = campaign(GuidanceMode::Off, 3, 16);
         config.attribute_findings = false;
@@ -220,35 +279,26 @@ fn adaptive_leases_starve_a_straggler_without_changing_bytes() {
     };
     let (reference, _) = baseline(config());
 
-    let straggler_args = vec!["--iteration-delay-ms".to_string(), "40".to_string()];
-    let fixed = DistConfig::new(worker_path())
+    let transport = DelayingTransport {
+        inner: StdioTransport::new(worker_path()),
+        delay: Duration::from_millis(150),
+    };
+    let dist = DistConfig::new(worker_path())
         .with_processes(2)
-        .with_threads_per_worker(1)
-        .with_lease_chunk(1)
-        .with_worker_slot_args(0, straggler_args.clone());
-    let (fixed_report, fixed_stats) = DistRunner::new(config(), fixed)
+        .with_threads_per_worker(1);
+    let (report, stats) = DistRunner::new(config(), dist)
+        .with_transport(Box::new(transport))
         .run_with_stats()
-        .expect("fixed-lease straggler campaign");
-    assert_eq!(fingerprint(&fixed_report), fingerprint(&reference));
-    assert_eq!(fixed_stats.leases_resized, 0, "fixed policy never resizes");
-
-    let adaptive = DistConfig::new(worker_path())
-        .with_processes(2)
-        .with_threads_per_worker(1)
-        .with_adaptive_leases(1, 4, Duration::from_millis(150))
-        .with_worker_slot_args(0, straggler_args);
-    let (report, stats) = DistRunner::new(config(), adaptive)
-        .run_with_stats()
-        .expect("adaptive-lease straggler campaign");
+        .expect("straggler campaign");
     assert_eq!(fingerprint(&report), fingerprint(&reference));
     assert_eq!(stats.records_received, 16);
     assert!(
         stats.records_per_slot[0] < stats.records_per_slot[1],
         "the straggler must execute fewer iterations: {stats:?}"
     );
-    assert!(
-        stats.leases_resized >= 1,
-        "the adaptive policy must have resized at least once: {stats:?}"
+    assert_eq!(
+        stats.leases_granted, 8,
+        "16 iterations in leases of 2, none reclaimed: {stats:?}"
     );
 }
 
