@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot paths: a coverage probe hit (idle and
-//! recording), DE-9IM relate (direct, and a relate-memo hit and miss), the
-//! geometry-aware generator, AEI database
+//! recording), DE-9IM relate (direct, and a relate-memo hit, transposed hit
+//! and miss), the geometry-aware generator, AEI database
 //! construction, the §7 distance-template plans (range join
 //! nested/prepared/indexed at 64/256/1024 rows, KNN sort vs R-tree nearest
 //! neighbour) and R-tree churn (reinsert vs rebuild). Each plan pair is
@@ -100,15 +100,26 @@ fn bench_relate() {
         relate(black_box(&polygon), black_box(&other))
     });
     // The same pair through the relate memo: a hit replays the stored
-    // matrix and probe delta; a miss runs `relate` under an isolated
-    // recording and stores the result. Each miss call uses a fresh memo, so
-    // the memo's first allocations (and its drop) count too.
+    // matrix and probe delta, and a transposed hit serves `(other, polygon)`
+    // from the stored `(polygon, other)` by transposing the matrix; a miss
+    // runs `relate` under an isolated recording and stores the result. Each
+    // miss call uses a fresh memo, so the memo's first allocations (and its
+    // drop) count too.
     let cache = RelateCache::new();
     cache.relate(&polygon, &other);
     let hit = best_per_call(2_000, 20, || {
         cache.relate(black_box(&polygon), black_box(&other))
     });
     println!("{:<32} {:>12.3} ns/call", "relate_cache/hit", hit * 1e9);
+    let transposed_hit = best_per_call(2_000, 20, || {
+        cache.relate(black_box(&other), black_box(&polygon))
+    });
+    assert_eq!(cache.len(), 1, "the transposed pair must be a hit");
+    println!(
+        "{:<32} {:>12.3} ns/call",
+        "relate_cache/transposed_hit",
+        transposed_hit * 1e9
+    );
     let miss = best_per_call(200, 20, || {
         RelateCache::new().relate(black_box(&polygon), black_box(&other))
     });

@@ -11,8 +11,9 @@
 //! area-interaction entries through ring-side analysis. On top of it,
 //! [`predicates`] exposes the named topological relationships
 //! (ST_Intersects, ST_Contains, ST_Covers, …) as matrix patterns, and
-//! [`relate_cache::RelateCache`] memoises the matrix of each geometry pair
-//! for the engines that relate the same pairs over and over.
+//! [`relate_cache::RelateCache`] memoises the matrix of each unordered
+//! geometry pair, serving either argument order, for the engines that relate
+//! the same pairs over and over.
 //!
 //! The crate also provides the spatial measurements and editing functions the
 //! paper's derivative strategy applies (Table 1): boundary, convex hull,

@@ -843,6 +843,8 @@ mod tests {
         );
     }
 
+    /// `relate(b, a)` is `relate(a, b)` transposed, and records the same
+    /// probe delta: the relate memo serves one from the other.
     #[test]
     fn relate_is_consistent_under_transposition() {
         let pairs = [
@@ -853,11 +855,20 @@ mod tests {
                 "POLYGON((0 0,4 0,4 4,0 4,0 0))",
                 "POLYGON((2 2,6 2,6 6,2 6,2 2))",
             ),
+            // A node key holding both `-0.0` and `0.0`.
+            ("POLYGON((-0 -0,2 0,2 2,0 2,0 -0))", "LINESTRING(0 0,-0 2)"),
+            ("POINT EMPTY", "POLYGON((0 0,4 0,4 4,0 4,0 0))"),
+            (
+                "GEOMETRYCOLLECTION(POINT(0 0),LINESTRING(0 0,1 0),POLYGON((2 0,4 0,4 2,2 0)))",
+                "LINESTRING(-1 0,5 0)",
+            ),
         ];
         for (a, b) in pairs {
-            let ab = relate(&parse_wkt(a).unwrap(), &parse_wkt(b).unwrap());
-            let ba = relate(&parse_wkt(b).unwrap(), &parse_wkt(a).unwrap());
+            let (ga, gb) = (parse_wkt(a).unwrap(), parse_wkt(b).unwrap());
+            let (ab, ab_delta) = coverage::local::measure(|| relate(&ga, &gb));
+            let (ba, ba_delta) = coverage::local::measure(|| relate(&gb, &ga));
             assert_eq!(ab.transposed(), ba, "transpose consistency for {a} / {b}");
+            assert_eq!(ab_delta, ba_delta, "probe delta for {a} / {b}");
         }
     }
 }

@@ -1,7 +1,7 @@
-//! A bounded, bit-exact memo of [`relate`]: each ordered geometry pair's
-//! DE-9IM matrix is computed once and served from memory afterwards, with
-//! its probe tally charged again so that coverage cannot tell the
-//! difference.
+//! A bounded, bit-exact memo of [`relate`]: each unordered geometry pair's
+//! DE-9IM matrix is computed once and served from memory afterwards, in
+//! either argument order, with its probe tally charged again so that
+//! coverage cannot tell the difference.
 //!
 //! Spatter's oracles evaluate the same predicates over the same table pairs
 //! by design: AEI runs every query on the original database, the Index
@@ -18,18 +18,45 @@
 //! bit for bit: `-0.0` and `0.0` differ, distinct NaN payloads differ, and
 //! `MULTIPOINT((1 2),(3 4))` never meets `GEOMETRYCOLLECTION(POINT(1 2),
 //! POINT(3 4))`. Each operand is interned once under a small id, and a pair
-//! is stored under `(id_a, id_b)` in argument order. A pair is never served
-//! as the transpose of another: the matrix would transpose, but the probe
-//! tally of `relate(b, a)` may differ from that of `relate(a, b)`.
+//! is stored once, under `(min(id_a, id_b), max(id_a, id_b))`, with the
+//! matrix in that orientation: `relate(a, b)` is stored transposed when
+//! `id_a > id_b` and transposed back when it is served.
+//!
+//! # Why `relate(b, a)` may be served from `relate(a, b)`
+//!
+//! Its matrix is the transpose, and its probe delta is the same, because
+//! the two calls run the same multiset of probed steps:
+//!
+//! - the pair probe is chosen from the unordered pair of dimensions, and the
+//!   collection probe fires when either operand is a collection;
+//! - the EMPTY case is the same test in both orders and takes the boundary
+//!   of the same non-empty operand;
+//! - noding runs in both directions either way, so every segment
+//!   intersection is computed with the same arguments;
+//! - the deduplicated node set is the same; only the representative of a
+//!   key that holds both `0.0` and `-0.0` may differ, and [`locate`] treats
+//!   the two alike;
+//! - every node and every sub-edge midpoint is located in both operands;
+//! - the area analysis runs over both operands' ring edges, with the roles
+//!   swapped;
+//! - every matrix write is a `set` or `set_at_least` on a cell whose
+//!   transposed cell the other order writes, which commutes with
+//!   transposition.
+//!
+//! `tests/relate_equivalence.rs` checks this pair by pair over every input
+//! family.
+//!
+//! [`locate`]: crate::locate::locate
 //!
 //! # The probe contract
 //!
 //! A miss runs [`relate`] under [`local::isolate`], stores the matrix with
 //! the probe delta the call recorded, and charges that delta to the running
-//! recording. A hit returns the stored matrix and charges the stored delta
-//! with [`local::charge`]. Either way the running recording ends up exactly
-//! as a direct `relate(a, b)` would leave it, so replay frames, guidance and
-//! the coverage experiments are unchanged.
+//! recording. A hit, in either argument order, returns the stored matrix
+//! (transposed if need be) and charges the stored delta with
+//! [`local::charge`]. Either way the running recording ends up exactly as a
+//! direct `relate(a, b)` would leave it, so replay frames, guidance and the
+//! coverage experiments are unchanged.
 //!
 //! # Why one memo may serve every fault variant
 //!
@@ -42,15 +69,15 @@
 //!
 //! # Bounds
 //!
-//! The memo holds at most [`PAIR_CAPACITY`] pairs and [`OPERAND_CAPACITY`]
-//! operands and is cleared when either is full. Operands whose key exceeds
-//! [`MAX_OPERAND_WORDS`] words bypass it and are related directly. Equal
-//! probe deltas are stored once and shared. Worst case at capacity, on a
-//! 64-bit target:
+//! The memo holds at most [`PAIR_CAPACITY`] unordered pairs (each served in
+//! both argument orders) and [`OPERAND_CAPACITY`] operands and is cleared
+//! when either is full. Operands whose key exceeds [`MAX_OPERAND_WORDS`]
+//! words bypass it and are related directly. Equal probe deltas are stored
+//! once and shared. Worst case at capacity, on a 64-bit target:
 //!
 //! - operands: 1,024 keys of at most 256 words (2 KiB) plus their table,
 //!   about 2.1 MiB;
-//! - pairs: a table of 2,048 entries of ~40 bytes, about 170 KiB;
+//! - pairs: a table of 2,048 unordered pairs of ~40 bytes, about 170 KiB;
 //! - deltas: at most one per pair, each at most 26 `(probe, count)` entries
 //!   (the probes of the relate, locate, boundary and segment modules;
 //!   16 bytes each plus a 16-byte header), with their table about 0.9 MiB.
@@ -72,7 +99,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Pairs kept before the memo is cleared.
+/// Unordered pairs kept before the memo is cleared.
 pub const PAIR_CAPACITY: usize = 2048;
 
 /// Interned operands kept before the memo is cleared.
@@ -85,7 +112,9 @@ pub const MAX_OPERAND_WORDS: usize = 256;
 /// A probe tally as recorded by [`local::isolate`].
 type Delta = Arc<[(Probe, u64)]>;
 
-/// One memoised `relate(a, b)`: its matrix and the probe delta it recorded.
+/// One memoised pair: the matrix of `relate(a, b)` for the operand `a` with
+/// the lower id, and the probe delta that call recorded (that of
+/// `relate(b, a)` too).
 struct Relation {
     matrix: IntersectionMatrix,
     delta: Delta,
@@ -94,6 +123,7 @@ struct Relation {
 #[derive(Default)]
 struct Memo {
     operands: HashMap<Box<[u64]>, u32>,
+    /// Keyed by the operand ids, lower first.
     pairs: HashMap<(u32, u32), Relation>,
     /// Every distinct delta, stored once: most pairs of a table repeat
     /// another pair's probe tally exactly.
@@ -102,9 +132,10 @@ struct Memo {
 
 impl Memo {
     fn get(&self, a: &[u64], b: &[u64]) -> Option<(IntersectionMatrix, Delta)> {
-        let pair = (*self.operands.get(a)?, *self.operands.get(b)?);
-        let relation = self.pairs.get(&pair)?;
-        Some((relation.matrix, Arc::clone(&relation.delta)))
+        let (id_a, id_b) = (*self.operands.get(a)?, *self.operands.get(b)?);
+        let relation = self.pairs.get(&(id_a.min(id_b), id_a.max(id_b)))?;
+        let matrix = oriented(id_a, id_b, relation.matrix);
+        Some((matrix, Arc::clone(&relation.delta)))
     }
 
     fn insert(
@@ -128,8 +159,10 @@ impl Memo {
                 shared
             }
         };
-        let pair = (self.intern(a), self.intern(b));
-        self.pairs.insert(pair, Relation { matrix, delta });
+        let (id_a, id_b) = (self.intern(a), self.intern(b));
+        let matrix = oriented(id_a, id_b, matrix);
+        self.pairs
+            .insert((id_a.min(id_b), id_a.max(id_b)), Relation { matrix, delta });
     }
 
     fn intern(&mut self, key: &[u64]) -> u32 {
@@ -139,6 +172,18 @@ impl Memo {
         let id = self.operands.len() as u32;
         self.operands.insert(key.into(), id);
         id
+    }
+}
+
+/// `relate(a, b)`'s matrix as stored under the unordered key of operands
+/// `id_a` and `id_b`, or the stored matrix as `relate(a, b)` returns it:
+/// transposed when `id_a > id_b`. Transposition is its own inverse, so one
+/// function serves both directions.
+fn oriented(id_a: u32, id_b: u32, matrix: IntersectionMatrix) -> IntersectionMatrix {
+    if id_a > id_b {
+        matrix.transposed()
+    } else {
+        matrix
     }
 }
 
@@ -159,9 +204,9 @@ impl RelateCache {
         RelateCache::default()
     }
 
-    /// `relate(a, b)`, served from the memo when this ordered pair was
-    /// related before. The matrix and every probe count are those of a
-    /// direct call.
+    /// `relate(a, b)`, served from the memo when this pair was related
+    /// before in either order. The matrix and every probe count are those
+    /// of a direct call.
     pub fn relate(&self, a: &Geometry, b: &Geometry) -> IntersectionMatrix {
         KEYS.with(|keys| {
             let mut keys = keys.borrow_mut();
@@ -185,7 +230,7 @@ impl RelateCache {
         })
     }
 
-    /// Number of memoised pairs.
+    /// Number of memoised unordered pairs.
     pub fn len(&self) -> usize {
         self.lock().pairs.len()
     }
@@ -365,15 +410,17 @@ mod tests {
     }
 
     #[test]
-    fn a_pair_and_its_transpose_are_separate_entries() {
+    fn a_pair_and_its_transpose_share_one_entry() {
         let a = g("POLYGON((0 0,4 0,4 4,0 4,0 0))");
         let b = g("LINESTRING(-1 2,5 2)");
         let cache = RelateCache::new();
+        // `(b, a)` first: `b` gets the lower id, so the cold `(a, b)` call
+        // is served transposed; the warm round serves both orders.
         for _ in 0..2 {
-            assert_matches_direct(&cache, &a, &b);
             assert_matches_direct(&cache, &b, &a);
+            assert_matches_direct(&cache, &a, &b);
         }
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 1);
         assert_eq!(cache.lock().operands.len(), 2);
     }
 
@@ -426,16 +473,20 @@ mod tests {
             assert!(memo.operands.len() <= OPERAND_CAPACITY);
             assert!(memo.pairs.len() <= PAIR_CAPACITY);
         }
-        // ... then the pair bound (pairs over a small operand set).
-        let small: Vec<Geometry> = (0..60).map(|i| point(f64::from(i), 1.0)).collect();
+        // ... then the pair bound (pairs over a small operand set: 70
+        // operands make 2,485 unordered pairs).
+        let small: Vec<Geometry> = (0..70).map(|i| point(f64::from(i), 1.0)).collect();
+        let mut peak = 0;
         for a in &small {
             for b in &small {
                 cache.relate(a, b);
                 let memo = cache.lock();
                 assert!(memo.operands.len() <= OPERAND_CAPACITY);
                 assert!(memo.pairs.len() <= PAIR_CAPACITY);
+                peak = peak.max(memo.pairs.len());
             }
         }
+        assert_eq!(peak, PAIR_CAPACITY);
         // Results after a clear are still those of a direct call.
         assert_matches_direct(&cache, &small[3], &small[7]);
         assert_matches_direct(&cache, &small[3], &small[7]);
@@ -457,7 +508,7 @@ mod tests {
         assert!(cache.memo.is_poisoned());
         assert_matches_direct(&cache, &a, &b);
         assert_matches_direct(&cache, &b, &a);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -500,6 +551,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.len(), geometries.len() * geometries.len());
+        let n = geometries.len();
+        assert_eq!(cache.len(), n * (n + 1) / 2);
     }
 }

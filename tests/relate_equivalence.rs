@@ -23,7 +23,9 @@
 //! The same families also run pair by pair through a fresh
 //! [`RelateCache`], cold and then warm: every memoised call must return a
 //! direct call's matrix and record its probe delta, and a failure names the
-//! pair.
+//! pair. A transposition sweep checks, pair by pair, that `relate(b, a)` is
+//! `relate(a, b)` transposed with the identical probe delta, which is what
+//! lets the memo serve one from the other.
 
 use spatter_repro::core::generator::{GenerationStrategy, GeneratorConfig, GeometryGenerator};
 use spatter_repro::core::replay::ReplayHasher;
@@ -260,17 +262,49 @@ fn assert_memo_matches_direct(family: &str, geometries: &[Geometry]) {
     }
 }
 
-#[test]
-fn memo_matches_direct_relate_pair_by_pair() {
-    let families = [
+/// Every input family with its name, for the pair-by-pair checks.
+fn families() -> [(&'static str, Vec<Vec<Geometry>>); 4] {
+    [
         ("generated", generated_sets()),
         ("affine images", affine_sets()),
         ("listings", listing_sets()),
         ("adversarial", vec![adversarial_geometries()]),
-    ];
-    for (family, sets) in &families {
+    ]
+}
+
+#[test]
+fn memo_matches_direct_relate_pair_by_pair() {
+    for (family, sets) in &families() {
         for set in sets {
             assert_memo_matches_direct(family, set);
+        }
+    }
+}
+
+/// Demands, for every ordered pair of `geometries`, that `relate(b, a)`
+/// return `relate(a, b)`'s matrix transposed and record the same probe
+/// delta.
+fn assert_transposition_exact(family: &str, geometries: &[Geometry]) {
+    for a in geometries {
+        for b in geometries {
+            let (ab, ab_delta) = local::measure(|| relate(a, b));
+            let (ba, ba_delta) = local::measure(|| relate(b, a));
+            assert!(
+                ab.transposed() == ba && ab_delta == ba_delta,
+                "{family}: relate({a_wkt}, {b_wkt}) = {ab} with {ab_delta:?}, \
+                 but relate({b_wkt}, {a_wkt}) = {ba} with {ba_delta:?}",
+                a_wkt = write_wkt(a),
+                b_wkt = write_wkt(b),
+            );
+        }
+    }
+}
+
+#[test]
+fn transposed_pairs_match_pair_by_pair() {
+    for (family, sets) in &families() {
+        for set in sets {
+            assert_transposition_exact(family, set);
         }
     }
 }
