@@ -71,16 +71,13 @@ fn bench_coverage_hit() {
             }
         }
     };
-    coverage::local::take();
     let idle = best_per_call(200, 20, hits);
     println!(
         "{:<32} {:>12.3} ns/hit",
         "coverage_hit/idle",
         idle * 1e9 / f64::from(HITS)
     );
-    coverage::local::start();
-    let recording = best_per_call(200, 20, hits);
-    let delta = coverage::local::take();
+    let (recording, delta) = coverage::local::isolate(|| best_per_call(200, 20, hits));
     assert_eq!(delta.len(), HOT_PROBES.len(), "every hit was recorded");
     println!(
         "{:<32} {:>12.3} ns/hit",

@@ -31,8 +31,8 @@ fn main() {
     .probe_coverage;
     coverage_line("Spatter", &spatter);
 
-    let ((), delta) = local::measure(run_unit_test_corpus);
-    let unit: BTreeSet<&'static str> = delta.into_iter().map(|(name, _)| name).collect();
+    let ((), delta) = local::isolate(run_unit_test_corpus);
+    let unit: BTreeSet<&'static str> = delta.into_iter().map(|(probe, _)| probe.name()).collect();
     coverage_line("Unit tests", &unit);
 
     coverage_line(

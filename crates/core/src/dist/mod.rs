@@ -533,10 +533,16 @@ impl Supervisor<'_> {
                             if let Some((victim, after)) = self.kill_armed {
                                 if victim == index && delivered >= after {
                                     // Fault injection: a hard, unannounced
-                                    // kill; the reader thread will report
-                                    // the death like any real crash.
+                                    // kill. The slot retires at once, so
+                                    // lines the worker had already queued
+                                    // are stale, and every iteration it did
+                                    // not deliver is re-leased to a respawn.
                                     self.kill_armed = None;
-                                    self.slots[index].control.kill();
+                                    self.fail_worker(
+                                        index,
+                                        "killed by fault injection",
+                                        &events_tx,
+                                    )?;
                                 }
                             }
                         }

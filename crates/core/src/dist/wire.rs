@@ -25,8 +25,8 @@
 //! The distributed merge must be byte-identical to the in-process one, so
 //! nothing on the wire may lose precision: `f64`s travel as their IEEE-754
 //! bit patterns ([`f64::to_bits`]), durations as integer nanoseconds, and
-//! probe names are looked up in the static probe table on decode
-//! (an unknown probe is a structured error, not a silently minted string).
+//! probes travel by name, in tally order, and decode to their [`Probe`] in
+//! the static probe table (an unknown name is a structured error).
 
 use crate::backend::BackendSpec;
 use crate::campaign::{CampaignConfig, Finding};
@@ -74,15 +74,6 @@ const SNAPSHOT: Marker = Marker {
     present: "guided",
     expected: "guidance snapshot marker",
 };
-
-/// Looks a decoded probe name up in the static probe table so records can
-/// carry `&'static str` names. Unknown names are structured errors: the
-/// probe tables of supervisor and worker builds must agree.
-fn intern_probe(name: &str) -> Result<&'static str, CodecError> {
-    Probe::from_name(name)
-        .map(Probe::name)
-        .ok_or_else(|| CodecError::UnknownProbe(name.to_string()))
-}
 
 // ---------------------------------------------------------------------------
 // Field layouts
@@ -347,22 +338,39 @@ fn read_campaign(reader: &mut TokenReader) -> Result<CampaignConfig, CodecError>
 }
 
 fn write_snapshot(writer: &mut TokenWriter, snapshot: &CoverageSnapshot) {
-    let entries: Vec<(&'static str, u64)> = snapshot.entries().collect();
-    writer.push_num(entries.len());
-    for (probe, count) in entries {
-        writer.push_str(probe);
-        writer.push_num(count);
+    let entries: Vec<(Probe, u64)> = snapshot.entries().collect();
+    write_tally(writer, &entries);
+}
+
+/// A probe tally by name, in its own (probe = name) order.
+fn write_tally(writer: &mut TokenWriter, tally: &[(Probe, u64)]) {
+    writer.push_num(tally.len());
+    for (probe, count) in tally {
+        writer.push_str(probe.name());
+        writer.push_num(*count);
     }
 }
 
-fn read_snapshot(reader: &mut TokenReader) -> Result<CoverageSnapshot, CodecError> {
-    let n: usize = reader.next_num("snapshot entry count")?;
-    let mut snapshot = CoverageSnapshot::new();
+/// A probe tally as [`write_tally`] wrote it. Each name is looked up in the
+/// static probe table; an unknown name is a structured error, because the
+/// probe tables of supervisor and worker builds must agree.
+fn read_tally(
+    reader: &mut TokenReader,
+    expected: &'static str,
+) -> Result<Vec<(Probe, u64)>, CodecError> {
+    let n: usize = reader.next_num(expected)?;
+    let mut tally = Vec::with_capacity(n.min(256));
     for _ in 0..n {
-        let probe = intern_probe(&reader.next_str()?)?;
-        let count = reader.next_num("probe count")?;
-        snapshot.absorb(&[(probe, count)]);
+        let name = reader.next_str()?;
+        let probe = Probe::from_name(&name).ok_or(CodecError::UnknownProbe(name))?;
+        tally.push((probe, reader.next_num("probe count")?));
     }
+    Ok(tally)
+}
+
+fn read_snapshot(reader: &mut TokenReader) -> Result<CoverageSnapshot, CodecError> {
+    let mut snapshot = CoverageSnapshot::new();
+    snapshot.absorb(&read_tally(reader, "snapshot entry count")?);
     Ok(snapshot)
 }
 
@@ -425,11 +433,7 @@ fn write_record(writer: &mut TokenWriter, record: &IterationRecord) {
     for finding in &record.findings {
         write_finding(writer, finding);
     }
-    writer.push_num(record.probe_delta.len());
-    for (probe, count) in &record.probe_delta {
-        writer.push_str(probe);
-        writer.push_num(*count);
-    }
+    write_tally(writer, &record.probe_delta);
 }
 
 fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> {
@@ -457,12 +461,7 @@ fn read_record(reader: &mut TokenReader) -> Result<IterationRecord, CodecError> 
     for _ in 0..n_findings {
         findings.push(read_finding(reader)?);
     }
-    let n_probes: usize = reader.next_num("probe delta count")?;
-    let mut probe_delta = Vec::with_capacity(n_probes.min(256));
-    for _ in 0..n_probes {
-        let probe = intern_probe(&reader.next_str()?)?;
-        probe_delta.push((probe, reader.next_num("probe count")?));
-    }
+    let probe_delta = read_tally(reader, "probe delta count")?;
     Ok(IterationRecord {
         iteration,
         findings,
@@ -652,6 +651,7 @@ mod tests {
     use crate::transform::AffineStrategy;
     use spatter_sdb::FaultId;
     use spatter_topo::coverage::TOPO_PROBES;
+    use spatter_topo::probe;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -713,7 +713,7 @@ mod tests {
             skipped: rng.random_range(0..50usize),
             probe_delta: (0..n_probes)
                 .filter_map(|_| {
-                    let probe = TOPO_PROBES.choose(rng).copied()?;
+                    let probe = Probe::from_name(TOPO_PROBES.choose(rng)?)?;
                     Some((probe, rng.next_u64() >> 32))
                 })
                 .collect(),
@@ -964,20 +964,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_round_trip_with_interned_probe_names() {
+    fn snapshots_round_trip_by_probe_name() {
         let mut snapshot = CoverageSnapshot::new();
         snapshot.absorb(&[
-            ("topo.predicate.intersects", 41),
-            ("topo.distance.dwithin", 1),
-            ("topo.relate.noding", u64::MAX / 2),
+            (probe!("topo.predicate.intersects"), 41),
+            (probe!("topo.distance.dwithin"), 1),
+            (probe!("topo.relate.noding"), u64::MAX / 2),
         ]);
+        // Entries travel by name, in probe (= name) order.
+        assert_eq!(
+            encode_epoch_message(&snapshot),
+            format!(
+                "epoch 3 topo.distance.dwithin 1 topo.predicate.intersects 41 \
+                 topo.relate.noding {}",
+                u64::MAX / 2
+            )
+        );
         let decoded = match decode_to_worker(&encode_epoch_message(&snapshot)) {
             Ok(ToWorker::Epoch { snapshot }) => snapshot,
             other => panic!("expected epoch, got {other:?}"),
         };
         assert_eq!(decoded, snapshot);
-        // Decoded names are the interned statics, usable as `&'static str`.
-        assert_eq!(decoded.count("topo.predicate.intersects"), 41);
+        assert_eq!(decoded.count(probe!("topo.predicate.intersects")), 41);
     }
 
     #[test]
@@ -1098,7 +1106,7 @@ mod tests {
     fn protocol_messages_round_trip() {
         let config = CampaignConfig::default();
         let mut snapshot = CoverageSnapshot::new();
-        snapshot.absorb(&[("topo.centroid", 2)]);
+        snapshot.absorb(&[(probe!("topo.centroid"), 2)]);
         let line = encode_config_message(3, &config, Some(&snapshot)).expect("encode");
         match decode_to_worker(&line).expect("decode") {
             ToWorker::Config {

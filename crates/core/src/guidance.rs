@@ -50,7 +50,7 @@ use crate::codec::Keyword;
 use crate::generator::GeneratorConfig;
 use crate::rng::{split_seed, RngExt, SeedableRng, StdRng};
 use crate::spec::DatabaseSpec;
-use spatter_topo::coverage::{ColdProbeMap, CoverageSnapshot, Probe, PROBES};
+use spatter_topo::coverage::{CoverageSnapshot, Probe};
 use spatter_topo::editing::EditFunction;
 use spatter_topo::probe;
 
@@ -141,17 +141,10 @@ impl Guidance {
         }
     }
 
-    /// The cold-probe classification of the snapshot against every probe
-    /// of both instrumented layers (derived on demand; the rarity-weighted
-    /// boosts read the snapshot counts directly).
-    pub fn cold(&self) -> ColdProbeMap {
-        ColdProbeMap::from_snapshot(&self.snapshot, PROBES)
-    }
-
     /// The rarity-weighted boost of one probe given a base boost: full for
     /// a cold probe, log-decayed once hit (see [`rarity_boost`]).
     fn probe_boost(&self, base: u64, probe: Probe) -> u64 {
-        rarity_boost(base, self.snapshot.count(probe.name()))
+        rarity_boost(base, self.snapshot.count(probe))
     }
 
     /// The summed rarity boosts of a probe list.
@@ -467,6 +460,7 @@ fn knob_arms() -> Vec<KnobArm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatter_topo::coverage::PROBES;
     use std::collections::HashSet;
 
     /// A hit count large enough that every rarity boost rounds down to 0
@@ -474,14 +468,26 @@ mod tests {
     /// probe is not just touched but thoroughly *hot*.
     const HOT: u64 = 1 << 12;
 
-    fn snapshot_hitting_counted(probes: &[&'static str], count: u64) -> CoverageSnapshot {
+    fn probe(name: &str) -> Probe {
+        Probe::from_name(name).expect("a listed probe")
+    }
+
+    fn snapshot_hitting_counted(probes: &[&str], count: u64) -> CoverageSnapshot {
         let mut snapshot = CoverageSnapshot::new();
-        let delta: Vec<(&'static str, u64)> = probes.iter().map(|&p| (p, count)).collect();
+        let delta: Vec<(Probe, u64)> = probes.iter().map(|&p| (probe(p), count)).collect();
         snapshot.absorb(&delta);
         snapshot
     }
 
-    fn snapshot_hitting(probes: &[&'static str]) -> CoverageSnapshot {
+    /// How many probes of the whole table `guidance`'s snapshot never saw.
+    fn cold_count(guidance: &Guidance) -> usize {
+        PROBES
+            .iter()
+            .filter(|&&name| guidance.snapshot.count(probe(name)) == 0)
+            .count()
+    }
+
+    fn snapshot_hitting(probes: &[&str]) -> CoverageSnapshot {
         snapshot_hitting_counted(probes, HOT)
     }
 
@@ -558,10 +564,11 @@ mod tests {
         // cold boost — numerically, not just proportionally, because the
         // weighted draws consume raw RNG output.
         let guidance = Guidance::from_snapshot(&CoverageSnapshot::new());
-        assert_eq!(guidance.cold().len(), PROBES.len());
-        assert!(Guidance::from_snapshot(&saturated_snapshot())
-            .cold()
-            .is_empty());
+        assert_eq!(cold_count(&guidance), PROBES.len());
+        assert_eq!(
+            cold_count(&Guidance::from_snapshot(&saturated_snapshot())),
+            0
+        );
         let bias = guidance.edit_bias();
         for edit in EditFunction::ALL {
             assert_eq!(bias.weight_of(edit), 1 + COLD_EDIT_BOOST);

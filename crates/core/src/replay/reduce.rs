@@ -14,13 +14,13 @@
 //! campaign iteration — the property a minimized bug report is for.
 //!
 //! The probes of each candidate check are measured with the same
-//! thread-local recorder the runner uses ([`local::measure`]), so the
-//! whole reduction must run on one thread and outside any other active
-//! recording (it is an offline tool).
+//! thread-local recorder the runner uses ([`local::isolate`]), so the whole
+//! reduction must run on one thread. Its tallies are [`Probe`] ids in probe
+//! order, which is name order.
 
 use crate::queries::QueryInstance;
 use crate::spec::DatabaseSpec;
-use spatter_topo::coverage::local;
+use spatter_topo::coverage::{local, Probe};
 use std::collections::BTreeSet;
 
 /// The result of a coverage-preserving reduction.
@@ -33,7 +33,7 @@ pub struct GuidedReduction {
     pub query: QueryInstance,
     /// The probes the reduction preserved: the reference delta's hit set,
     /// intersected with what the baseline divergence check exercises.
-    pub preserved_probes: Vec<&'static str>,
+    pub preserved_probes: Vec<Probe>,
     /// Divergence checks executed (a cost measure, like the bisection's
     /// execution count).
     pub checks: usize,
@@ -53,32 +53,30 @@ pub struct GuidedReduction {
 /// check is preserved.
 pub fn reduce_preserving_probes(
     diverges: &mut dyn FnMut(&DatabaseSpec, &QueryInstance) -> bool,
-    reference_delta: &[(&'static str, u64)],
+    reference_delta: &[(Probe, u64)],
     spec: &DatabaseSpec,
     query: &QueryInstance,
 ) -> Option<GuidedReduction> {
     let mut checks = 0usize;
-    let mut measured = |spec: &DatabaseSpec| -> (bool, BTreeSet<&'static str>) {
+    let mut measured = |spec: &DatabaseSpec| -> (bool, BTreeSet<Probe>) {
         checks += 1;
-        let (diverged, delta) = local::measure(|| diverges(spec, query));
-        let hit: BTreeSet<&'static str> = delta
-            .into_iter()
-            .filter(|(_, count)| *count > 0)
-            .map(|(name, _)| name)
-            .collect();
-        (diverged, hit)
+        let (diverged, delta) = local::isolate(|| diverges(spec, query));
+        (
+            diverged,
+            delta.into_iter().map(|(probe, _)| probe).collect(),
+        )
     };
 
     let (diverged, baseline_hits) = measured(spec);
     if !diverged {
         return None;
     }
-    let recorded: BTreeSet<&'static str> = reference_delta
+    let recorded: BTreeSet<Probe> = reference_delta
         .iter()
         .filter(|(_, count)| *count > 0)
-        .map(|(name, _)| *name)
+        .map(|&(probe, _)| probe)
         .collect();
-    let preserved: BTreeSet<&'static str> = if recorded.is_empty() {
+    let preserved: BTreeSet<Probe> = if recorded.is_empty() {
         baseline_hits
     } else {
         baseline_hits.intersection(&recorded).copied().collect()
@@ -158,9 +156,8 @@ mod tests {
 
         // The recorded reference delta: what the full scenario's check
         // exercises (the stand-in for a campaign frame's probe delta).
-        local::start();
-        assert!(diverges(&spec, &query), "scenario must diverge");
-        let reference_delta = local::take();
+        let (diverged, reference_delta) = local::isolate(|| diverges(&spec, &query));
+        assert!(diverged, "scenario must diverge");
         assert!(!reference_delta.is_empty());
 
         let reduced = reduce_preserving_probes(&mut diverges, &reference_delta, &spec, &query)
@@ -172,15 +169,11 @@ mod tests {
 
         // The reduced scenario still diverges AND still hits every
         // preserved probe.
-        local::start();
-        assert!(diverges(&reduced.spec, &reduced.query));
-        let final_hits: BTreeSet<&'static str> = local::take()
-            .into_iter()
-            .filter(|(_, count)| *count > 0)
-            .map(|(name, _)| name)
-            .collect();
+        let (diverged, final_delta) = local::isolate(|| diverges(&reduced.spec, &reduced.query));
+        assert!(diverged);
+        let final_hits: BTreeSet<Probe> = final_delta.into_iter().map(|(probe, _)| probe).collect();
         for probe in &reduced.preserved_probes {
-            assert!(final_hits.contains(probe), "lost probe {probe}");
+            assert!(final_hits.contains(probe), "lost probe {}", probe.name());
         }
     }
 

@@ -49,7 +49,7 @@ use crate::schedule::Schedule;
 use crate::spec::DatabaseSpec;
 use crate::transform::TransformPlan;
 use spatter_sdb::{EngineProfile, FaultId};
-use spatter_topo::coverage::local;
+use spatter_topo::coverage::{local, Probe};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -108,12 +108,12 @@ pub struct IterationRecord {
     /// Query checks skipped because a distance-parameterised template met a
     /// non-similarity transformation (§7).
     pub skipped: usize,
-    /// The probes this iteration hit, with counts — measured by the
-    /// thread-local recorder around exactly this iteration's work (scenario
-    /// execution, oracle suite, attribution re-runs), sorted by probe name.
-    /// A pure function of the iteration's sub-seed, so it is identical no
-    /// matter which worker ran the iteration.
-    pub probe_delta: Vec<(&'static str, u64)>,
+    /// The probes this iteration hit, with their non-zero counts in probe
+    /// (= name) order — measured by [`local::isolate`] around exactly this
+    /// iteration's work (scenario generation and execution, oracle suite,
+    /// attribution). A pure function of the iteration's sub-seed, so it is
+    /// identical no matter which worker ran the iteration.
+    pub probe_delta: Vec<(Probe, u64)>,
     /// The iteration's replay frame: the four per-iteration state hashes
     /// ([`crate::replay`]), computed on the executing thread. Like
     /// `probe_delta`, a pure function of the sub-seed — distributed workers
@@ -259,18 +259,41 @@ impl CampaignRunner {
 
     /// Executes one iteration end to end: generation (optionally biased by
     /// the frozen guidance), the oracle suite, and attribution of every
-    /// flagged query. The whole iteration runs on the calling thread, so the
-    /// thread-local probe recorder measures exactly its delta. Crate-visible
-    /// so the warm-up and the replay executor run iterations through
-    /// exactly this code path.
+    /// flagged query. The whole iteration runs on the calling thread under
+    /// one [`local::isolate`], so the thread-local probe recorder measures
+    /// exactly its delta. Crate-visible so the warm-up and the replay
+    /// executor run iterations through exactly this code path.
     pub(crate) fn run_iteration(
         &self,
         iteration: usize,
         start: Instant,
         guidance: Option<&Guidance>,
     ) -> IterationRecord {
+        let (mut record, probe_delta) =
+            local::isolate(|| self.execute_iteration(iteration, start, guidance));
+        let mut probe_hasher = ReplayHasher::new();
+        for (probe, count) in &probe_delta {
+            probe_hasher.write_str(probe.name());
+            probe_hasher.write_u64(*count);
+        }
+        record.replay.probe_hash = probe_hasher.finish();
+        record.probe_delta = probe_delta;
+        if let Some(sink) = &self.replay_sink {
+            sink.record_frame(&record.replay);
+        }
+        record
+    }
+
+    /// [`CampaignRunner::run_iteration`]'s work, returning the record
+    /// without its probe delta and probe hash, which the caller fills in
+    /// from the recording around this call.
+    fn execute_iteration(
+        &self,
+        iteration: usize,
+        start: Instant,
+        guidance: Option<&Guidance>,
+    ) -> IterationRecord {
         let backend = self.config.backend.as_ref();
-        local::start();
         let ScenarioParts {
             sub_seed,
             knobs,
@@ -401,23 +424,6 @@ impl CampaignRunner {
             }
         }
 
-        let probe_delta = local::take();
-        let mut probe_hasher = ReplayHasher::new();
-        for (name, count) in &probe_delta {
-            probe_hasher.write_str(name);
-            probe_hasher.write_u64(*count);
-        }
-        let replay = ReplayFrame {
-            iteration,
-            sub_seed,
-            setup_hash: setup_hasher.finish(),
-            outcome_hash: outcome_hasher.finish(),
-            probe_hash: probe_hasher.finish(),
-            query_digests: query_hashers.into_iter().map(|h| h.finish()).collect(),
-        };
-        if let Some(sink) = &self.replay_sink {
-            sink.record_frame(&replay);
-        }
         IterationRecord {
             iteration,
             findings,
@@ -426,8 +432,15 @@ impl CampaignRunner {
             attribute_time,
             finished: start.elapsed(),
             skipped,
-            probe_delta,
-            replay,
+            probe_delta: Vec::new(),
+            replay: ReplayFrame {
+                iteration,
+                sub_seed,
+                setup_hash: setup_hasher.finish(),
+                outcome_hash: outcome_hasher.finish(),
+                probe_hash: 0,
+                query_digests: query_hashers.into_iter().map(|h| h.finish()).collect(),
+            },
         }
     }
 

@@ -165,25 +165,28 @@ impl Schedule {
             ..CampaignReport::default()
         };
         let mut new_fault_times = Vec::new();
+        // Probes of each layer covered by the records merged so far.
+        let (mut topo_covered, mut sdb_covered) = (0, 0);
         for record in self.completed.into_values() {
             report.generation_time += record.generation_time;
             report.engine_time += record.engine_time;
             report.attribute_time += record.attribute_time;
             report.skipped_queries += record.skipped;
-            report.probe_coverage.extend(
-                record
-                    .probe_delta
-                    .iter()
-                    .filter(|(_, count)| *count > 0)
-                    .map(|(name, _)| *name),
-            );
-            let share = |probes: &[&str]| {
-                let hit = probes.iter().filter(|p| report.probe_coverage.contains(*p));
-                hit.count() as f64 / probes.len() as f64
-            };
-            report
-                .coverage_timeline
-                .push((record.finished, share(TOPO_PROBES), share(SDB_PROBES)));
+            for &(probe, count) in &record.probe_delta {
+                if count > 0 && report.probe_coverage.insert(probe.name()) {
+                    if probe.is_topo() {
+                        topo_covered += 1;
+                    } else {
+                        sdb_covered += 1;
+                    }
+                }
+            }
+            let share = |covered: usize, probes: &[&str]| covered as f64 / probes.len() as f64;
+            report.coverage_timeline.push((
+                record.finished,
+                share(topo_covered, TOPO_PROBES),
+                share(sdb_covered, SDB_PROBES),
+            ));
             for finding in record.findings {
                 for fault in &finding.attributed_faults {
                     if report.unique_faults.insert(*fault) {
@@ -211,6 +214,7 @@ impl Schedule {
 mod tests {
     use super::*;
     use crate::replay::ReplayFrame;
+    use spatter_topo::probe;
 
     fn record(iteration: usize) -> IterationRecord {
         IterationRecord {
@@ -221,7 +225,7 @@ mod tests {
             attribute_time: Duration::from_millis(3),
             finished: Duration::ZERO,
             skipped: 1,
-            probe_delta: vec![("topo.predicate.intersects", iteration as u64)],
+            probe_delta: vec![(probe!("topo.predicate.intersects"), iteration as u64)],
             replay: ReplayFrame {
                 iteration,
                 sub_seed: iteration as u64,
@@ -323,7 +327,7 @@ mod tests {
         let absorbed = |schedule: &Schedule| {
             schedule
                 .snapshot()
-                .map(|s| s.count("topo.predicate.intersects"))
+                .map(|s| s.count(probe!("topo.predicate.intersects")))
         };
         assert_eq!(absorbed(&schedule), Some(1));
         for i in [4, 2] {

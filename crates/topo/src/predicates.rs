@@ -489,8 +489,8 @@ mod tests {
             for p in NamedPredicate::ALL {
                 for a in &shapes {
                     for b in &shapes {
-                        let direct = local::measure(|| p.evaluate(a, b));
-                        let memoised = local::measure(|| p.evaluate_with(a, b, &cache));
+                        let direct = local::isolate(|| p.evaluate(a, b));
+                        let memoised = local::isolate(|| p.evaluate_with(a, b, &cache));
                         assert_eq!(memoised, direct, "{p:?} {a:?} {b:?}");
                     }
                 }

@@ -865,8 +865,8 @@ mod tests {
         ];
         for (a, b) in pairs {
             let (ga, gb) = (parse_wkt(a).unwrap(), parse_wkt(b).unwrap());
-            let (ab, ab_delta) = coverage::local::measure(|| relate(&ga, &gb));
-            let (ba, ba_delta) = coverage::local::measure(|| relate(&gb, &ga));
+            let (ab, ab_delta) = coverage::local::isolate(|| relate(&ga, &gb));
+            let (ba, ba_delta) = coverage::local::isolate(|| relate(&gb, &ga));
             assert_eq!(ab.transposed(), ba, "transpose consistency for {a} / {b}");
             assert_eq!(ab_delta, ba_delta, "probe delta for {a} / {b}");
         }

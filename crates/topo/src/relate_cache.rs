@@ -342,8 +342,8 @@ mod tests {
     /// `cache.relate(a, b)` against a direct `relate(a, b)`: the matrix and
     /// the recorded probe delta.
     fn assert_matches_direct(cache: &RelateCache, a: &Geometry, b: &Geometry) {
-        let direct = local::measure(|| relate(a, b));
-        let memoised = local::measure(|| cache.relate(a, b));
+        let direct = local::isolate(|| relate(a, b));
+        let memoised = local::isolate(|| cache.relate(a, b));
         assert_eq!(memoised, direct, "{a:?} / {b:?}");
     }
 
@@ -429,10 +429,10 @@ mod tests {
         let a = g("POLYGON((0 0,10 0,10 10,0 10,0 0),(4 4,6 4,6 6,4 6,4 4))");
         let b = g("POLYGON((5 5,15 5,15 15,5 15,5 5))");
         let cache = RelateCache::new();
-        let cold = local::measure(|| cache.relate(&a, &b));
-        let warm = local::measure(|| cache.relate(&a, &b));
+        let cold = local::isolate(|| cache.relate(&a, &b));
+        let warm = local::isolate(|| cache.relate(&a, &b));
         assert_eq!(cold, warm);
-        assert_eq!(cold, local::measure(|| relate(&a, &b)));
+        assert_eq!(cold, local::isolate(|| relate(&a, &b)));
         assert_eq!(cache.len(), 1);
     }
 
@@ -529,7 +529,7 @@ mod tests {
         let expected: Vec<_> = geometries
             .iter()
             .flat_map(|a| geometries.iter().map(move |b| (a, b)))
-            .map(|(a, b)| local::measure(|| relate(a, b)))
+            .map(|(a, b)| local::isolate(|| relate(a, b)))
             .collect();
         let cache = RelateCache::new();
         std::thread::scope(|scope| {
@@ -543,7 +543,7 @@ mod tests {
                             for step in 0..geometries.len() {
                                 let j = (j0 + step) % geometries.len();
                                 let b = &geometries[j];
-                                let got = local::measure(|| cache.relate(a, b));
+                                let got = local::isolate(|| cache.relate(a, b));
                                 assert_eq!(got, expected[i * geometries.len() + j]);
                             }
                         }

@@ -261,9 +261,8 @@ fn reduce(args: &[String]) -> Result<ExitCode, String> {
 
     // One full-batch check measures the reference probe delta and names the
     // first diverging query — the witness the reduction shrinks around.
-    local::start();
-    let outcomes = oracle.check(backend.as_ref(), &parts.spec, &parts.queries);
-    let reference_delta = local::take();
+    let (outcomes, reference_delta) =
+        local::isolate(|| oracle.check(backend.as_ref(), &parts.spec, &parts.queries));
     let Some(query) = parts
         .queries
         .iter()

@@ -17,6 +17,7 @@ use spatter_repro::sdb::engine::ExecutionResult;
 use spatter_repro::sdb::server::{read_fired, read_ready, write_fired, write_ready, Response};
 use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet, FiredLog};
 use spatter_repro::topo::coverage::CoverageSnapshot;
+use spatter_repro::topo::probe;
 use std::io::BufReader;
 use std::sync::Arc;
 
@@ -109,7 +110,10 @@ fn worker_lines() -> Vec<String> {
 #[test]
 fn mutated_wire_messages_never_panic() {
     let mut snapshot = CoverageSnapshot::new();
-    snapshot.absorb(&[("topo.centroid", 2), ("topo.predicate.intersects", 41)]);
+    snapshot.absorb(&[
+        (probe!("topo.centroid"), 2),
+        (probe!("topo.predicate.intersects"), 41),
+    ]);
     let guided = CampaignConfig {
         guidance: GuidanceMode::ColdProbe,
         guidance_epoch: Some(4),

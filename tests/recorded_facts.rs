@@ -23,7 +23,7 @@ use spatter_repro::core::oracles::{
 };
 use spatter_repro::core::runner::{CampaignRunner, OracleKind, ScenarioParts};
 use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet};
-use spatter_repro::topo::coverage::{local, CoverageSnapshot};
+use spatter_repro::topo::coverage::{local, CoverageSnapshot, Probe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -213,7 +213,11 @@ fn guidance(config: &CampaignConfig) -> Guidance {
     })
     .run();
     let mut snapshot = CoverageSnapshot::new();
-    let covered: Vec<(&'static str, u64)> = report.probe_coverage.iter().map(|&p| (p, 1)).collect();
+    let covered: Vec<(Probe, u64)> = report
+        .probe_coverage
+        .iter()
+        .map(|&name| (Probe::from_name(name).expect("a listed probe"), 1))
+        .collect();
     snapshot.absorb(&covered);
     Guidance::from_snapshot(&snapshot)
 }

@@ -54,11 +54,11 @@ fn hash_all_pairs(hasher: &mut ReplayHasher, geometries: &[Geometry]) -> usize {
 }
 
 fn hash_pair(hasher: &mut ReplayHasher, a: &Geometry, b: &Geometry) {
-    let (matrix, delta) = local::measure(|| relate(a, b));
+    let (matrix, delta) = local::isolate(|| relate(a, b));
     hasher.write_str(&matrix.to_relate_string());
     hasher.write_usize(delta.len());
     for (probe, count) in delta {
-        hasher.write_str(probe);
+        hasher.write_str(probe.name());
         hasher.write_u64(count);
     }
 }
@@ -244,10 +244,13 @@ fn assert_memo_matches_direct(family: &str, geometries: &[Geometry]) {
     for pass in ["cold", "warm"] {
         for a in geometries {
             for b in geometries {
-                let direct = local::measure(|| relate(a, b));
-                let memoised = local::measure(|| cache.relate(a, b));
+                let direct = local::isolate(|| relate(a, b));
+                let memoised = local::isolate(|| cache.relate(a, b));
                 assert!(
-                    direct.1.iter().all(|(p, _)| TOPO_PROBES.contains(p)),
+                    direct
+                        .1
+                        .iter()
+                        .all(|(p, _)| TOPO_PROBES.contains(&p.name())),
                     "{family}: relate hit a probe outside TOPO_PROBES"
                 );
                 assert_eq!(
@@ -287,8 +290,8 @@ fn memo_matches_direct_relate_pair_by_pair() {
 fn assert_transposition_exact(family: &str, geometries: &[Geometry]) {
     for a in geometries {
         for b in geometries {
-            let (ab, ab_delta) = local::measure(|| relate(a, b));
-            let (ba, ba_delta) = local::measure(|| relate(b, a));
+            let (ab, ab_delta) = local::isolate(|| relate(a, b));
+            let (ba, ba_delta) = local::isolate(|| relate(b, a));
             assert!(
                 ab.transposed() == ba && ab_delta == ba_delta,
                 "{family}: relate({a_wkt}, {b_wkt}) = {ab} with {ab_delta:?}, \
