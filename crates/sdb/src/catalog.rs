@@ -204,7 +204,7 @@ impl Database {
     /// (empty envelope for anything that is not a geometry).
     pub fn value_envelope(value: &Value) -> Envelope {
         match value {
-            Value::Geometry(g) => g.envelope(),
+            Value::Geometry(shape) => shape.geometry().envelope(),
             _ => Envelope::empty(),
         }
     }
@@ -216,7 +216,7 @@ mod tests {
     use spatter_geom::wkt::parse_wkt;
 
     fn geometry_value(wkt: &str) -> Value {
-        Value::Geometry(parse_wkt(wkt).unwrap())
+        Value::from(parse_wkt(wkt).unwrap())
     }
 
     #[test]

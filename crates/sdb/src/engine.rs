@@ -9,6 +9,7 @@ use crate::faults::{FaultId, FaultSet, FiredLog};
 use crate::functions::{self, DistancePredicate, FunctionContext};
 use crate::parser::{parse_script, parse_statement};
 use crate::profile::EngineProfile;
+use crate::shape::Shape;
 use crate::value::Value;
 use spatter_geom::{Envelope, Geometry};
 use spatter_index::RTree;
@@ -147,12 +148,7 @@ impl Engine {
         relate: Arc<RelateCache>,
     ) -> Self {
         Engine {
-            ctx: FunctionContext {
-                profile,
-                faults,
-                relate,
-                fired: Default::default(),
-            },
+            ctx: FunctionContext::new(profile, faults, relate),
             database: Database::new(),
             enable_seqscan: true,
             enable_prepared: true,
@@ -1058,9 +1054,9 @@ impl Engine {
         let ExecScratch {
             candidates, pairs, ..
         } = scratch;
-        for (li, left_geom) in geometries(left_table, join.left_column) {
+        for (li, left) in geometries(left_table, join.left_column) {
             join.kernel
-                .index_candidates(&index.tree, &left_geom.envelope(), candidates);
+                .index_candidates(&index.tree, &left.geometry().envelope(), candidates);
             // The faulty index additionally drops negative-quadrant rows it
             // should have returned.
             if gist_fault {
@@ -1071,13 +1067,13 @@ impl Engine {
             candidates.sort_unstable();
             for &ri in candidates.iter() {
                 // `.get` guards stale index entries referencing tombstones.
-                let Some(right_geom) = right_table.rows[ri]
+                let Some(right) = right_table.rows[ri]
                     .get(join.right_column)
-                    .and_then(|v| v.as_geometry())
+                    .and_then(Value::as_shape)
                 else {
                     continue;
                 };
-                if join.holds(left_geom, right_geom, ctx)? {
+                if join.holds(left, right, ctx)? {
                     pairs.push((li, ri));
                 }
             }
@@ -1111,19 +1107,20 @@ impl Engine {
         } else {
             Vec::new()
         };
-        for (li, left_geom) in geometries(left_table, join.left_column) {
+        for (li, left) in geometries(left_table, join.left_column) {
             // The prepare step itself; the predicate verdicts below go through
             // the shared library so that its seeded faults (and crashes)
             // surface on this path too, keeping the reference engine's
             // prepared/non-prepared equivalence.
-            let _prepared = PreparedGeometry::new(left_geom.clone());
+            let _prepared = PreparedGeometry::new(left.geometry().clone());
             let mut left_wkt: Option<String> = None;
             let mut matched_shapes: Vec<&str> = Vec::new();
-            for (ri, right_geom) in geometries(right_table, join.right_column) {
+            for (ri, right) in geometries(right_table, join.right_column) {
                 let right_wkt = right_wkts.get(ri).and_then(Option::as_deref);
                 if let Some(right_wkt) = right_wkt {
                     if matched_shapes.contains(&right_wkt)
-                        && *left_wkt.get_or_insert_with(|| spatter_geom::wkt::write_wkt(left_geom))
+                        && *left_wkt
+                            .get_or_insert_with(|| spatter_geom::wkt::write_wkt(left.geometry()))
                             != right_wkt
                     {
                         // The faulty prepared cache treats a repeated inner
@@ -1133,7 +1130,7 @@ impl Engine {
                         continue;
                     }
                 }
-                if join.holds(left_geom, right_geom, ctx)? {
+                if join.holds(left, right, ctx)? {
                     matched_shapes.extend(right_wkt);
                     scratch.pairs.push((li, ri));
                 }
@@ -1174,8 +1171,8 @@ fn distance_prepared_join(
             .map(|g| g.envelope())
             .unwrap_or_else(Envelope::empty)
     }));
-    for (li, left_geom) in geometries(left_table, join.left_column) {
-        let left_env = left_geom.envelope();
+    for (li, left) in geometries(left_table, join.left_column) {
+        let left_env = left.geometry().envelope();
         for (ri, rrow) in right_table.rows.iter().enumerate() {
             // The kernel rejects pairs with an EMPTY side or with boxes
             // further apart than `d` outright (`distance_sq` of an EMPTY
@@ -1185,10 +1182,10 @@ fn distance_prepared_join(
             if left_env.distance_sq(&right_envelopes[ri]) > d_sq {
                 continue;
             }
-            let Some(right_geom) = rrow.get(join.right_column).and_then(|v| v.as_geometry()) else {
+            let Some(right) = rrow.get(join.right_column).and_then(Value::as_shape) else {
                 continue;
             };
-            if join.holds(left_geom, right_geom, ctx)? {
+            if join.holds(left, right, ctx)? {
                 pairs.push((li, ri));
             }
         }
@@ -1197,11 +1194,11 @@ fn distance_prepared_join(
 }
 
 /// The live rows of `table` whose `column` holds a geometry, as `(slot,
-/// geometry)` pairs in slot order: the outer loop of every kernel join.
-fn geometries(table: &Table, column: usize) -> impl Iterator<Item = (usize, &Geometry)> {
+/// shape)` pairs in slot order: the outer loop of every kernel join.
+fn geometries(table: &Table, column: usize) -> impl Iterator<Item = (usize, &Shape)> {
     table
         .live_rows()
-        .filter_map(move |(slot, row)| row[column].as_geometry().map(|g| (slot, g)))
+        .filter_map(move |(slot, row)| row[column].as_shape().map(|shape| (slot, &**shape)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1284,10 +1281,8 @@ fn evaluate_expr(
             let inner = evaluate_expr(expr, binding, database, ctx)?;
             match target.as_str() {
                 "geometry" => match inner {
-                    Value::Geometry(g) => Ok(Value::Geometry(g)),
-                    Value::Text(text) => {
-                        Ok(Value::Geometry(functions::parse_geometry_text(&text, ctx)?))
-                    }
+                    Value::Geometry(shape) => Ok(Value::Geometry(shape)),
+                    Value::Text(text) => Ok(functions::parse_geometry_text(&text, ctx)?.into()),
                     other => Err(SdbError::Execution(format!(
                         "cannot cast {} to geometry",
                         other.type_name()
@@ -1351,6 +1346,7 @@ fn evaluate_binary(
             coverage::hit(probe!("sdb.expr.samebox"));
             let a = coerce_geometry(lhs, ctx)?;
             let b = coerce_geometry(rhs, ctx)?;
+            let (a, b) = (a.geometry(), b.geometry());
             Ok(Value::Bool(a.envelope().same_box(&b.envelope())))
         }
         BinaryOp::Eq
@@ -1406,10 +1402,12 @@ fn compare_values(lhs: &Value, rhs: &Value) -> SdbResult<std::cmp::Ordering> {
     )))
 }
 
-fn coerce_geometry(value: Value, ctx: &FunctionContext) -> SdbResult<Geometry> {
+fn coerce_geometry(value: Value, ctx: &FunctionContext) -> SdbResult<Arc<Shape>> {
     match value {
-        Value::Geometry(g) => Ok(g),
-        Value::Text(text) => functions::parse_geometry_text(&text, ctx),
+        Value::Geometry(shape) => Ok(shape),
+        Value::Text(text) => Ok(Arc::new(Shape::new(functions::parse_geometry_text(
+            &text, ctx,
+        )?))),
         other => Err(SdbError::Execution(format!(
             "expected a geometry, got {}",
             other.type_name()
@@ -1525,7 +1523,7 @@ struct KernelJoin {
 impl KernelJoin {
     /// The kernel's verdict on one pair, through the same functions the
     /// expression interpreter calls.
-    fn holds(&self, left: &Geometry, right: &Geometry, ctx: &FunctionContext) -> SdbResult<bool> {
+    fn holds(&self, left: &Shape, right: &Shape, ctx: &FunctionContext) -> SdbResult<bool> {
         let (a, b) = if self.swapped {
             (right, left)
         } else {

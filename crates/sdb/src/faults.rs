@@ -12,7 +12,7 @@
 //! the compared methodologies can detect it (the ground truth behind
 //! Table 4, which the paper established by manual analysis).
 
-use std::collections::BTreeSet;
+use std::fmt;
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -172,17 +172,71 @@ impl FaultId {
 
     /// Parses a fault from its [`FaultId::name`] form.
     pub fn from_name(name: &str) -> Option<FaultId> {
-        FaultId::all().find(|id| id.name() == name)
+        FaultId::ALL.into_iter().find(|id| id.name() == name)
     }
 
-    /// Every fault: the catalogue's, then the extensions.
-    fn all() -> impl Iterator<Item = FaultId> {
-        FaultCatalog::all()
-            .into_iter()
-            .chain(FaultCatalog::extensions())
-            .map(|info| info.id)
+    /// Every fault, in declaration order (ascending id): the catalogue's,
+    /// then the extensions.
+    pub const ALL: [FaultId; 36] = {
+        use FaultId::*;
+        [
+            GeosCoversPrecisionLoss,
+            GeosMixedBoundaryLastOneWins,
+            GeosPreparedDuplicateDropped,
+            GeosEmptyDistanceRecursion,
+            GeosMixedDimensionFirstElement,
+            GeosIntersectsEmptyFirstElement,
+            GeosTouchesDirectionSensitive,
+            GeosEqualsDuplicateVertices,
+            GeosDisjointEmptyElementMatrix,
+            GeosCrashConvexHullEmptyCollection,
+            GeosCrashPolygonizeDuplicatePoints,
+            GeosCrashRelateShortRing,
+            PostgisGistIndexDropsRows,
+            PostgisDFullyWithinSmallCoords,
+            PostgisEqualsSnapToGrid,
+            PostgisContainsMultiPolygonFirstOnly,
+            PostgisWithinEmptyCollectionMember,
+            PostgisTouchesDuplicateVertices,
+            PostgisCoveredByRingOrientation,
+            PostgisCrashDumpRingsEmptyMulti,
+            PostgisCrashIndexAllEmpty,
+            PostgisUnconfirmedEnvelopeEmpty,
+            PostgisDuplicateCoversPrecision,
+            MysqlCrossesLargeCoordinates,
+            MysqlOverlapsAxisOrder,
+            MysqlTouchesEmptyElement,
+            MysqlDisjointNegativeCoordinates,
+            DuckdbCrashCollectEmptyMixed,
+            DuckdbCrashGeometryNZero,
+            DuckdbCrashNestedEmptyCollection,
+            DuckdbCrashBoundaryCollection,
+            DuckdbCrashCollectionExtractMismatch,
+            DuckdbUnconfirmedEmptyPolygonWkt,
+            SqlServerUnconfirmedWithinCollection,
+            SqlServerUnconfirmedCrashEmptyMultipoint,
+            PostgisGistStaleOnMutation,
+        ]
+    };
+
+    /// The fault's bit in a [`FaultSet`] mask.
+    const fn bit(self) -> u64 {
+        1 << self as u32
     }
 }
+
+// `ALL` lists every variant once, in declaration order: its `i`-th entry is
+// the fault with id `i`, and the last one is the last variant.
+const _: () = {
+    let mut i = 0;
+    while i < FaultId::ALL.len() {
+        assert!(FaultId::ALL[i] as usize == i);
+        i += 1;
+    }
+    assert!(FaultId::PostgisGistStaleOnMutation as usize == FaultId::ALL.len() - 1);
+    // One bit per fault.
+    assert!(FaultId::ALL.len() <= 64);
+};
 
 /// Metadata describing one seeded fault / bug report.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,10 +269,12 @@ impl FaultInfo {
     }
 }
 
-/// A set of enabled faults, as carried by an [`crate::Engine`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A set of enabled faults, as carried by an [`crate::Engine`]: one bit per
+/// [`FaultId`], so a gate is one bit test. Iteration yields ascending ids
+/// (declaration order).
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct FaultSet {
-    enabled: BTreeSet<FaultId>,
+    mask: u64,
 }
 
 impl FaultSet {
@@ -229,39 +285,41 @@ impl FaultSet {
 
     /// A set with the given faults enabled.
     pub fn with(faults: impl IntoIterator<Item = FaultId>) -> Self {
-        FaultSet {
-            enabled: faults.into_iter().collect(),
-        }
+        let mut set = FaultSet::none();
+        set.extend(faults);
+        set
     }
 
     /// Enables a fault.
     pub fn enable(&mut self, fault: FaultId) {
-        self.enabled.insert(fault);
+        self.mask |= fault.bit();
     }
 
     /// Disables a fault ("applies the fix").
     pub fn disable(&mut self, fault: FaultId) {
-        self.enabled.remove(&fault);
+        self.mask &= !fault.bit();
     }
 
     /// Whether the fault is enabled.
     pub fn is_active(&self, fault: FaultId) -> bool {
-        self.enabled.contains(&fault)
+        self.mask & fault.bit() != 0
     }
 
     /// Number of enabled faults.
     pub fn len(&self) -> usize {
-        self.enabled.len()
+        self.mask.count_ones() as usize
     }
 
     /// Whether no fault is enabled.
     pub fn is_empty(&self) -> bool {
-        self.enabled.is_empty()
+        self.mask == 0
     }
 
-    /// Iterates over the enabled faults.
+    /// Iterates over the enabled faults in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = FaultId> + '_ {
-        self.enabled.iter().copied()
+        FaultId::ALL
+            .into_iter()
+            .filter(move |&fault| self.is_active(fault))
     }
 
     /// Serializes the set as a comma-separated list of fault names (the
@@ -288,33 +346,35 @@ impl FaultSet {
 
 impl Extend<FaultId> for FaultSet {
     fn extend<I: IntoIterator<Item = FaultId>>(&mut self, faults: I) {
-        self.enabled.extend(faults);
+        for fault in faults {
+            self.enable(fault);
+        }
+    }
+}
+
+impl fmt::Debug for FaultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 /// The seeded faults the statement an engine is running has fired so far,
-/// one bit per [`FaultId`]. Atomic so that the engine stays `Send + Sync`
+/// as a [`FaultSet`] mask. Atomic so that the engine stays `Send + Sync`
 /// while kernels record through a shared borrow; `Relaxed` because the bits
 /// publish no other data. A clone copies the bits.
 #[derive(Debug, Default)]
 pub(crate) struct FiredFaults(AtomicU64);
 
-// One bit per fault; the last variant bounds them all.
-const _: () = assert!((FaultId::PostgisGistStaleOnMutation as u32) < 64);
-
 impl FiredFaults {
     pub(crate) fn record(&self, id: FaultId) {
-        self.0.fetch_or(1 << id as u32, Ordering::Relaxed);
+        self.0.fetch_or(id.bit(), Ordering::Relaxed);
     }
 
     /// The faults recorded since the last take, clearing them.
     pub(crate) fn take(&mut self) -> FaultSet {
-        let mask = std::mem::take(self.0.get_mut());
-        if mask == 0 {
-            // Almost every statement: skip walking the catalogue.
-            return FaultSet::none();
+        FaultSet {
+            mask: std::mem::take(self.0.get_mut()),
         }
-        FaultSet::with(FaultId::all().filter(|&id| mask & (1 << id as u32) != 0))
     }
 }
 
@@ -818,6 +878,21 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_the_catalogue_in_id_order() {
+        let mut ids: Vec<FaultId> = FaultCatalog::all()
+            .into_iter()
+            .chain(FaultCatalog::extensions())
+            .map(|info| info.id)
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, FaultId::ALL);
+        // A set iterates in ascending id order, whatever order built it.
+        let set = FaultSet::with(FaultId::ALL.into_iter().rev());
+        assert!(set.iter().eq(FaultId::ALL));
+        assert_eq!(set.len(), FaultId::ALL.len());
+    }
+
+    #[test]
     fn fault_set_name_lists_round_trip() {
         let set = FaultSet::with([
             FaultId::GeosCoversPrecisionLoss,
@@ -981,19 +1056,21 @@ mod tests {
             production_code(include_str!("functions.rs")),
             production_code(include_str!("engine.rs")),
         ];
-        let mut guarded = BTreeSet::new();
-        let mut fired = BTreeSet::new();
+        let mut guarded = Vec::new();
+        let mut fired = Vec::new();
         for source in sources {
             for marker in ["ctx.fault(FaultId::", "faults.is_active(FaultId::"] {
                 guarded.extend(faults_after(source, marker));
             }
             fired.extend(faults_after(source, "fire(FaultId::"));
         }
+        guarded.sort_unstable();
+        guarded.dedup();
         assert!(guarded.len() >= 30, "the scan found only {guarded:?}");
         for name in &guarded {
             assert!(FaultId::from_name(name).is_some(), "{name} is no fault");
         }
-        let silent: Vec<_> = guarded.difference(&fired).collect();
+        let silent: Vec<_> = guarded.iter().filter(|g| !fired.contains(g)).collect();
         assert!(
             silent.is_empty(),
             "faults guarded but never fired: {silent:?}"
@@ -1068,12 +1145,13 @@ mod tests {
 
     #[test]
     fn each_listing_fires_exactly_its_fault() {
-        let listed: BTreeSet<FaultId> = FaultCatalog::all()
-            .into_iter()
-            .filter(|f| f.listing.is_some() && f.status != FaultStatus::Duplicate)
-            .map(|f| f.id)
-            .collect();
-        let covered: BTreeSet<FaultId> = LISTINGS.iter().map(|l| l.3).collect();
+        let listed = FaultSet::with(
+            FaultCatalog::all()
+                .into_iter()
+                .filter(|f| f.listing.is_some() && f.status != FaultStatus::Duplicate)
+                .map(|f| f.id),
+        );
+        let covered = FaultSet::with(LISTINGS.iter().map(|l| l.3));
         assert_eq!(covered, listed, "one case per listing fault");
         for &(profile, setup, query, fault) in LISTINGS {
             let mut engine = Engine::new(profile);

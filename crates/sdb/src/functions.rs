@@ -14,10 +14,10 @@ use crate::coverage::{self, probe};
 use crate::error::{SdbError, SdbResult};
 use crate::faults::{FaultId, FaultSet, FiredFaults};
 use crate::profile::EngineProfile;
+use crate::shape::Shape;
 use crate::value::Value;
 use spatter_geom::affine::AffineMatrix;
-use spatter_geom::orientation::{point_on_segment, ring_orientation, RingOrientation};
-use spatter_geom::validity::check_validity;
+use spatter_geom::orientation::point_on_segment;
 use spatter_geom::wkt::{parse_wkt, write_wkt};
 use spatter_geom::{Coord, Dimension, Geometry, GeometryType, Point};
 use spatter_topo::de9im::Position;
@@ -44,6 +44,21 @@ pub struct FunctionContext {
 }
 
 impl FunctionContext {
+    /// A context with nothing fired yet.
+    pub fn new(profile: EngineProfile, faults: FaultSet, relate: Arc<RelateCache>) -> Self {
+        FunctionContext {
+            profile,
+            faults,
+            relate,
+            fired: FiredFaults::default(),
+        }
+    }
+
+    /// The faults fired since the last take, clearing them.
+    pub fn take_fired(&mut self) -> FaultSet {
+        self.fired.take()
+    }
+
     fn fault(&self, id: FaultId) -> bool {
         self.faults.is_active(id)
     }
@@ -61,51 +76,55 @@ impl FunctionContext {
 
 /// Evaluates a spatial function call.
 pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<Value> {
-    let upper = name.to_ascii_uppercase();
-    if !ctx.profile.supports_function(&upper) && upper.starts_with("ST_") {
+    let st_prefixed = name.get(..3).is_some_and(|p| p.eq_ignore_ascii_case("ST_"));
+    if st_prefixed && !ctx.profile.supports_function(name) {
         return Err(SdbError::UnsupportedFunction(name.to_string()));
     }
 
-    if let Some(predicate) = NamedPredicate::from_function_name(&upper) {
+    if let Some(predicate) = NamedPredicate::from_function_name(name) {
         coverage::hit(probe!("sdb.expr.function_predicate"));
         let a = geometry_arg(args, 0, ctx)?;
         let b = geometry_arg(args, 1, ctx)?;
         return evaluate_predicate(predicate, &a, &b, ctx).map(Value::Bool);
     }
 
-    match upper.as_str() {
+    match name.to_ascii_uppercase().as_str() {
         "ST_GEOMFROMTEXT" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let text = args
                 .first()
                 .and_then(|v| v.as_text())
                 .ok_or_else(|| SdbError::Execution("ST_GeomFromText expects a string".into()))?;
-            Ok(Value::Geometry(parse_geometry_text(text, ctx)?))
+            Ok(parse_geometry_text(text, ctx)?.into())
         }
         "ST_ASTEXT" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(Value::Text(write_wkt(&g)))
+            let g = g.geometry();
+            Ok(Value::Text(write_wkt(g)))
         }
         "ST_ISVALID" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(Value::Bool(check_validity(&g).is_valid()))
+            Ok(Value::Bool(g.validity().is_valid()))
         }
         "ST_ISEMPTY" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             Ok(Value::Bool(g.is_empty()))
         }
         "ST_GEOMETRYTYPE" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             Ok(Value::Text(format!("ST_{}", g.geometry_type().wkt_name())))
         }
         "ST_DIMENSION" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
-            let dim = effective_dimension(&g, ctx);
+            let g = g.geometry();
+            let dim = effective_dimension(g, ctx);
             Ok(dim
                 .value()
                 .map(|v| Value::Int(i64::from(v)))
@@ -114,6 +133,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
         "ST_NUMGEOMETRIES" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             Ok(Value::Int(g.num_geometries() as i64))
         }
         "ST_RELATE" => {
@@ -125,29 +145,31 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 let pattern = pattern
                     .as_text()
                     .ok_or_else(|| SdbError::Execution("ST_Relate pattern must be text".into()))?;
-                return predicates::relate_pattern_with(&a, &b, pattern, &ctx.relate)
+                return predicates::relate_pattern_with(a.keyed(), b.keyed(), pattern, &ctx.relate)
                     .map(Value::Bool)
                     .ok_or_else(|| SdbError::Execution("malformed DE-9IM pattern".into()));
             }
-            Ok(Value::Text(ctx.relate.relate(&a, &b).to_relate_string()))
+            let matrix = ctx.relate.relate_keyed(a.keyed(), b.keyed());
+            Ok(Value::Text(matrix.to_relate_string()))
         }
         "ST_DISTANCE" => {
             coverage::hit(probe!("sdb.expr.function_measure"));
             let a = geometry_arg(args, 0, ctx)?;
             let b = geometry_arg(args, 1, ctx)?;
             if ctx.fault(FaultId::GeosEmptyDistanceRecursion)
-                && (has_empty_element(&b) || has_empty_element(&a))
+                && (b.triggers().empty_element || a.triggers().empty_element)
             {
                 ctx.fire(FaultId::GeosEmptyDistanceRecursion);
                 coverage::hit(probe!("sdb.fault.logic_path"));
                 // Faulty recursion: only the first element of the first
                 // argument is considered (Listing 5 returns 3 instead of 2).
+                let (a, b) = (a.geometry(), b.geometry());
                 let first = a.geometry_n(1).unwrap_or_else(|| a.clone());
-                return Ok(distance::distance(&first, &b)
+                return Ok(distance::distance(&first, b)
                     .map(Value::Double)
                     .unwrap_or(Value::Null));
             }
-            Ok(distance::distance(&a, &b)
+            Ok(distance::distance(a.geometry(), b.geometry())
                 .map(Value::Double)
                 .unwrap_or(Value::Null))
         }
@@ -180,28 +202,30 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
         "ST_AREA" => {
             coverage::hit(probe!("sdb.expr.function_measure"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(Value::Double(measures::area(&g)))
+            let g = g.geometry();
+            Ok(Value::Double(measures::area(g)))
         }
         "ST_LENGTH" => {
             coverage::hit(probe!("sdb.expr.function_measure"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(Value::Double(measures::length(&g)))
+            let g = g.geometry();
+            Ok(Value::Double(measures::length(g)))
         }
         "ST_ENVELOPE" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             if ctx.fault(FaultId::PostgisUnconfirmedEnvelopeEmpty) && g.is_empty() {
                 ctx.fire(FaultId::PostgisUnconfirmedEnvelopeEmpty);
                 coverage::hit(probe!("sdb.fault.logic_path"));
-                return Ok(Value::Geometry(Geometry::Point(Point::new(0.0, 0.0))));
+                return Ok(Value::from(Geometry::Point(Point::new(0.0, 0.0))));
             }
-            Ok(Value::Geometry(
-                editing::envelope_of(&g).map_err(execution)?,
-            ))
+            Ok(Value::from(editing::envelope_of(g).map_err(execution)?))
         }
         "ST_CONVEXHULL" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             if ctx.fault(FaultId::GeosCrashConvexHullEmptyCollection)
                 && g.is_empty()
                 && g.num_geometries() > 0
@@ -219,11 +243,12 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                     "convex hull of collection with only EMPTY elements".into(),
                 ));
             }
-            Ok(Value::Geometry(convex_hull::convex_hull(&g)))
+            Ok(Value::from(convex_hull::convex_hull(g)))
         }
         "ST_BOUNDARY" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             if ctx.fault(FaultId::DuckdbCrashBoundaryCollection)
                 && matches!(g, Geometry::GeometryCollection(_))
             {
@@ -231,18 +256,20 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                 coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash("boundary of GEOMETRYCOLLECTION".into()));
             }
-            Ok(Value::Geometry(boundary::boundary(&g)))
+            Ok(Value::from(boundary::boundary(g)))
         }
         "ST_CENTROID" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(centroid::centroid(&g)
-                .map(|p| Value::Geometry(Geometry::Point(p)))
+            let g = g.geometry();
+            Ok(centroid::centroid(g)
+                .map(|p| Value::from(Geometry::Point(p)))
                 .unwrap_or(Value::Null))
         }
         "ST_GEOMETRYN" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             let n = int_arg(args, 1)?;
             if ctx.fault(FaultId::DuckdbCrashGeometryNZero) && n == 0 {
                 ctx.fire(FaultId::DuckdbCrashGeometryNZero);
@@ -252,25 +279,28 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
             if n <= 0 {
                 return Ok(Value::Null);
             }
-            Ok(editing::geometry_n(&g, n as usize)
-                .map(Value::Geometry)
+            Ok(editing::geometry_n(g, n as usize)
+                .map(Value::from)
                 .unwrap_or(Value::Null))
         }
         "ST_POINTN" => {
             coverage::hit(probe!("sdb.expr.function_accessor"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             let n = int_arg(args, 1)?;
             if n <= 0 {
                 return Ok(Value::Null);
             }
-            Ok(editing::point_n(&g, n as usize)
-                .map(Value::Geometry)
+            Ok(editing::point_n(g, n as usize)
+                .map(Value::from)
                 .unwrap_or(Value::Null))
         }
         "ST_COLLECT" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let a = geometry_arg(args, 0, ctx)?;
+            let a = a.geometry();
             let b = geometry_arg(args, 1, ctx)?;
+            let b = b.geometry();
             if ctx.fault(FaultId::DuckdbCrashCollectEmptyMixed)
                 && (a.is_empty() || b.is_empty())
                 && a.geometry_type() != b.geometry_type()
@@ -281,59 +311,64 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                     "ST_Collect of mixed EMPTY arguments".into(),
                 ));
             }
-            Ok(Value::Geometry(
-                editing::collect(&a, &b).map_err(execution)?,
-            ))
+            Ok(Value::from(editing::collect(a, b).map_err(execution)?))
         }
         "ST_REVERSE" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(Value::Geometry(editing::reverse(&g).map_err(execution)?))
+            let g = g.geometry();
+            Ok(Value::from(editing::reverse(g).map_err(execution)?))
         }
         "ST_SWAPXY" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             let mut swapped = g.clone();
             let swap = AffineMatrix::swap_xy();
             swapped.map_coords(&mut |c| *c = swap.apply(*c));
-            Ok(Value::Geometry(swapped))
+            Ok(Value::from(swapped))
         }
         "ST_SETPOINT" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             let n = int_arg(args, 1)?;
             let p = geometry_arg(args, 2, ctx)?;
+            let p = p.geometry();
             if n < 0 {
                 return Ok(Value::Null);
             }
-            Ok(editing::set_point(&g, n as usize, &p)
-                .map(Value::Geometry)
+            Ok(editing::set_point(g, n as usize, p)
+                .map(Value::from)
                 .unwrap_or(Value::Null))
         }
         "ST_FORCEPOLYGONCW" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
-            Ok(editing::force_polygon_cw(&g)
-                .map(Value::Geometry)
+            let g = g.geometry();
+            Ok(editing::force_polygon_cw(g)
+                .map(Value::from)
                 .unwrap_or(Value::Null))
         }
         "ST_DUMPRINGS" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             if ctx.fault(FaultId::PostgisCrashDumpRingsEmptyMulti)
-                && matches!(&g, Geometry::MultiPolygon(mp) if mp.polygons.is_empty())
+                && matches!(g, Geometry::MultiPolygon(mp) if mp.polygons.is_empty())
             {
                 ctx.fire(FaultId::PostgisCrashDumpRingsEmptyMulti);
                 coverage::hit(probe!("sdb.fault.crash_path"));
                 return Err(SdbError::Crash("ST_DumpRings of MULTIPOLYGON EMPTY".into()));
             }
-            Ok(editing::dump_rings(&g)
-                .map(Value::Geometry)
+            Ok(editing::dump_rings(g)
+                .map(Value::from)
                 .unwrap_or(Value::Null))
         }
         "ST_COLLECTIONEXTRACT" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
             let g = geometry_arg(args, 0, ctx)?;
+            let g = g.geometry();
             let type_code = int_arg(args, 1)?;
             let target = match type_code {
                 1 => GeometryType::Point,
@@ -345,7 +380,7 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                     ))
                 }
             };
-            let extracted = editing::collection_extract(&g, target).map_err(execution)?;
+            let extracted = editing::collection_extract(g, target).map_err(execution)?;
             if ctx.fault(FaultId::DuckdbCrashCollectionExtractMismatch) && extracted.is_empty() {
                 ctx.fire(FaultId::DuckdbCrashCollectionExtractMismatch);
                 coverage::hit(probe!("sdb.fault.crash_path"));
@@ -353,12 +388,14 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                     "ST_CollectionExtract found no element of the requested type".into(),
                 ));
             }
-            Ok(Value::Geometry(extracted))
+            Ok(Value::from(extracted))
         }
         "ST_POLYGONIZE" => {
             coverage::hit(probe!("sdb.expr.function_editing"));
-            let g = geometry_arg(args, 0, ctx)?;
-            if ctx.fault(FaultId::GeosCrashPolygonizeDuplicatePoints) && has_duplicate_vertices(&g)
+            let shape = geometry_arg(args, 0, ctx)?;
+            let g = shape.geometry();
+            if ctx.fault(FaultId::GeosCrashPolygonizeDuplicatePoints)
+                && shape.triggers().duplicate_vertices
             {
                 ctx.fire(FaultId::GeosCrashPolygonizeDuplicatePoints);
                 coverage::hit(probe!("sdb.fault.crash_path"));
@@ -366,8 +403,8 @@ pub fn evaluate(name: &str, args: &[Value], ctx: &FunctionContext) -> SdbResult<
                     "polygonize of linework with duplicate consecutive points".into(),
                 ));
             }
-            Ok(editing::polygonize(&g)
-                .map(Value::Geometry)
+            Ok(editing::polygonize(g)
+                .map(Value::from)
                 .unwrap_or(Value::Null))
         }
         other => Err(SdbError::UnsupportedFunction(other.to_string())),
@@ -401,14 +438,14 @@ impl DistancePredicate {
 /// fault triggers on the *first* argument as written in the SQL.
 pub fn evaluate_distance_predicate(
     predicate: DistancePredicate,
-    a: &Geometry,
-    b: &Geometry,
+    a: &Shape,
+    b: &Shape,
     d: f64,
     ctx: &FunctionContext,
 ) -> bool {
     if predicate == DistancePredicate::DFullyWithin
         && ctx.fault(FaultId::PostgisDFullyWithinSmallCoords)
-        && max_abs_coord(a) < 10.0
+        && a.triggers().max_abs_coord < 10.0
     {
         ctx.fire(FaultId::PostgisDFullyWithinSmallCoords);
         coverage::hit(probe!("sdb.fault.logic_path"));
@@ -416,6 +453,7 @@ pub fn evaluate_distance_predicate(
         // geometries are judged not fully within any distance.
         return false;
     }
+    let (a, b) = (a.geometry(), b.geometry());
     match predicate {
         DistancePredicate::DWithin => distance::dwithin(a, b, d),
         DistancePredicate::DFullyWithin => distance::dfully_within(a, b, d),
@@ -423,10 +461,14 @@ pub fn evaluate_distance_predicate(
 }
 
 /// Evaluates a named topological predicate, applying seeded logic faults.
+/// Every physical plan funnels its per-pair verdict through here. What it
+/// reads of an operand beyond its coordinates (the memo key, the validity
+/// verdict, the fault-trigger facts) is the operand's own [`Shape`] fact,
+/// computed once per value; every probe hit and fired fault is per call.
 pub fn evaluate_predicate(
     predicate: NamedPredicate,
-    a: &Geometry,
-    b: &Geometry,
+    a: &Shape,
+    b: &Shape,
     ctx: &FunctionContext,
 ) -> SdbResult<bool> {
     guard_crash_relate(a, b, ctx)?;
@@ -437,14 +479,14 @@ pub fn evaluate_predicate(
         coverage::hit(probe!("sdb.fault.logic_path"));
         return Ok(result);
     }
-    Ok(predicate.evaluate_with(a, b, &ctx.relate))
+    Ok(predicate.evaluate_with(a.keyed(), b.keyed(), &ctx.relate))
 }
 
 /// Returns `Some(result)` when a seeded fault hijacks the predicate.
 fn faulty_predicate_result(
     predicate: NamedPredicate,
-    a: &Geometry,
-    b: &Geometry,
+    a: &Shape,
+    b: &Shape,
     ctx: &FunctionContext,
 ) -> Option<bool> {
     use NamedPredicate::*;
@@ -455,13 +497,13 @@ fn faulty_predicate_result(
     if ctx.fault(FaultId::GeosCoversPrecisionLoss) {
         match predicate {
             Covers | Contains => {
-                if let Some(result) = exact_only_point_on_line(a, b) {
+                if let Some(result) = exact_only_point_on_line(a.geometry(), b.geometry()) {
                     ctx.fire(FaultId::GeosCoversPrecisionLoss);
                     return Some(result);
                 }
             }
             CoveredBy | Within => {
-                if let Some(result) = exact_only_point_on_line(b, a) {
+                if let Some(result) = exact_only_point_on_line(b.geometry(), a.geometry()) {
                     ctx.fire(FaultId::GeosCoversPrecisionLoss);
                     return Some(result);
                 }
@@ -473,6 +515,7 @@ fn faulty_predicate_result(
     // GEOS: "last-one-wins" boundary strategy for GEOMETRYCOLLECTION
     // (Listing 6).
     if ctx.fault(FaultId::GeosMixedBoundaryLastOneWins) {
+        let (a, b) = (a.geometry(), b.geometry());
         match predicate {
             Within | CoveredBy => {
                 if let (Geometry::Point(p), Geometry::GeometryCollection(_)) = (a, b) {
@@ -498,7 +541,7 @@ fn faulty_predicate_result(
     // which breaks the dimension-dependent branches of Crosses/Overlaps.
     if ctx.fault(FaultId::GeosMixedDimensionFirstElement)
         && matches!(predicate, Crosses | Overlaps)
-        && (is_collection_with_empty_first(a) || is_collection_with_empty_first(b))
+        && (a.triggers().collection_with_empty_first || b.triggers().collection_with_empty_first)
     {
         ctx.fire(FaultId::GeosMixedDimensionFirstElement);
         return Some(faulty_dimension_predicate(predicate, a, b, ctx));
@@ -508,7 +551,7 @@ fn faulty_predicate_result(
     // MULTI/MIXED geometry is EMPTY.
     if ctx.fault(FaultId::GeosIntersectsEmptyFirstElement)
         && matches!(predicate, Intersects | Disjoint)
-        && (first_element_is_empty(a) || first_element_is_empty(b))
+        && (a.triggers().first_element_empty || b.triggers().first_element_empty)
     {
         ctx.fire(FaultId::GeosIntersectsEmptyFirstElement);
         return Some(matches!(predicate, Disjoint));
@@ -517,16 +560,16 @@ fn faulty_predicate_result(
     // GEOS: Touches depends on the stored direction of a LINESTRING.
     if ctx.fault(FaultId::GeosTouchesDirectionSensitive)
         && predicate == Touches
-        && (is_descending_linestring(a) || is_descending_linestring(b))
+        && (a.triggers().descending_line || b.triggers().descending_line)
     {
         ctx.fire(FaultId::GeosTouchesDirectionSensitive);
-        return Some(!Touches.evaluate_with(a, b, &ctx.relate));
+        return Some(!Touches.evaluate_with(a.keyed(), b.keyed(), &ctx.relate));
     }
 
     // GEOS: Equals fails on consecutive duplicate vertices.
     if ctx.fault(FaultId::GeosEqualsDuplicateVertices)
         && predicate == Equals
-        && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
+        && (a.triggers().duplicate_vertices || b.triggers().duplicate_vertices)
     {
         ctx.fire(FaultId::GeosEqualsDuplicateVertices);
         return Some(false);
@@ -536,32 +579,34 @@ fn faulty_predicate_result(
     // present.
     if ctx.fault(FaultId::GeosDisjointEmptyElementMatrix)
         && predicate == Disjoint
-        && (has_empty_element(a) || has_empty_element(b))
+        && (a.triggers().empty_element || b.triggers().empty_element)
     {
         ctx.fire(FaultId::GeosDisjointEmptyElementMatrix);
+        let (a, b) = (a.geometry(), b.geometry());
         return Some(!a.envelope().intersects(&b.envelope()));
     }
 
     // PostGIS: Equals snaps coordinates to an integer grid first.
     if ctx.fault(FaultId::PostgisEqualsSnapToGrid)
         && predicate == Equals
-        && (has_fractional_coords(a) || has_fractional_coords(b))
+        && (a.triggers().fractional_coords || b.triggers().fractional_coords)
     {
         ctx.fire(FaultId::PostgisEqualsSnapToGrid);
-        let snapped_a = snapped(a);
-        let snapped_b = snapped(b);
-        return Some(Equals.evaluate_with(&snapped_a, &snapped_b, &ctx.relate));
+        let snapped_a = Shape::new(snapped(a.geometry()));
+        let snapped_b = Shape::new(snapped(b.geometry()));
+        return Some(Equals.evaluate_with(snapped_a.keyed(), snapped_b.keyed(), &ctx.relate));
     }
 
     // PostGIS: Contains with a MULTIPOLYGON container that carries an EMPTY
     // element falls back to checking only its first polygon.
-    if ctx.fault(FaultId::PostgisContainsMultiPolygonFirstOnly) && predicate == Contains {
-        if let Geometry::MultiPolygon(mp) = a {
-            if mp.polygons.len() > 1 && mp.polygons.iter().any(|p| p.is_empty()) {
-                ctx.fire(FaultId::PostgisContainsMultiPolygonFirstOnly);
-                let first = Geometry::Polygon(mp.polygons[0].clone());
-                return Some(Contains.evaluate_with(&first, b, &ctx.relate));
-            }
+    if ctx.fault(FaultId::PostgisContainsMultiPolygonFirstOnly)
+        && predicate == Contains
+        && a.triggers().multipolygon_with_empty
+    {
+        if let Geometry::MultiPolygon(mp) = a.geometry() {
+            ctx.fire(FaultId::PostgisContainsMultiPolygonFirstOnly);
+            let first = Shape::new(Geometry::Polygon(mp.polygons[0].clone()));
+            return Some(Contains.evaluate_with(first.keyed(), b.keyed(), &ctx.relate));
         }
     }
 
@@ -569,8 +614,8 @@ fn faulty_predicate_result(
     // member.
     if ctx.fault(FaultId::PostgisWithinEmptyCollectionMember)
         && predicate == Within
-        && matches!(b, Geometry::GeometryCollection(_))
-        && has_empty_element(b)
+        && matches!(b.geometry(), Geometry::GeometryCollection(_))
+        && b.triggers().empty_element
     {
         ctx.fire(FaultId::PostgisWithinEmptyCollectionMember);
         return Some(false);
@@ -580,50 +625,45 @@ fn faulty_predicate_result(
     // vertices.
     if ctx.fault(FaultId::PostgisTouchesDuplicateVertices)
         && predicate == Touches
-        && (has_duplicate_vertices(a) || has_duplicate_vertices(b))
+        && (a.triggers().duplicate_vertices || b.triggers().duplicate_vertices)
     {
         ctx.fire(FaultId::PostgisTouchesDuplicateVertices);
-        return Some(!Touches.evaluate_with(a, b, &ctx.relate));
+        return Some(!Touches.evaluate_with(a.keyed(), b.keyed(), &ctx.relate));
     }
 
     // PostGIS: CoveredBy depends on ring orientation.
-    if ctx.fault(FaultId::PostgisCoveredByRingOrientation) && predicate == CoveredBy {
-        if let Geometry::Polygon(p) = a {
-            if let Some(ring) = p.exterior() {
-                if ring_orientation(ring) == RingOrientation::CounterClockwise {
-                    ctx.fire(FaultId::PostgisCoveredByRingOrientation);
-                    return Some(false);
-                }
-            }
-        }
+    if ctx.fault(FaultId::PostgisCoveredByRingOrientation)
+        && predicate == CoveredBy
+        && a.triggers().ccw_shell
+    {
+        ctx.fire(FaultId::PostgisCoveredByRingOrientation);
+        return Some(false);
     }
 
     // MySQL: Crosses miscomputed for large coordinates against collections
     // (Listing 3).
     if ctx.fault(FaultId::MysqlCrossesLargeCoordinates)
         && predicate == Crosses
-        && collection_has_multi_element(b)
-        && max_abs_coord(a) > 500.0
+        && b.triggers().multi_element
+        && a.triggers().max_abs_coord > 500.0
     {
         ctx.fire(FaultId::MysqlCrossesLargeCoordinates);
         return Some(true);
     }
 
     // MySQL: Overlaps depends on the axis order (Listing 4).
-    if ctx.fault(FaultId::MysqlOverlapsAxisOrder) && predicate == Overlaps {
-        if let Geometry::GeometryCollection(_) = a {
-            let env = a.envelope();
-            if !env.is_empty() && env.width() > env.height() {
-                ctx.fire(FaultId::MysqlOverlapsAxisOrder);
-                return Some(true);
-            }
-        }
+    if ctx.fault(FaultId::MysqlOverlapsAxisOrder)
+        && predicate == Overlaps
+        && a.triggers().wide_collection
+    {
+        ctx.fire(FaultId::MysqlOverlapsAxisOrder);
+        return Some(true);
     }
 
     // MySQL: Touches misjudges collections containing EMPTY elements.
     if ctx.fault(FaultId::MysqlTouchesEmptyElement)
         && predicate == Touches
-        && (has_empty_element(a) || has_empty_element(b))
+        && (a.triggers().empty_element || b.triggers().empty_element)
     {
         ctx.fire(FaultId::MysqlTouchesEmptyElement);
         return Some(true);
@@ -632,8 +672,8 @@ fn faulty_predicate_result(
     // MySQL: Disjoint mishandles all-negative coordinates.
     if ctx.fault(FaultId::MysqlDisjointNegativeCoordinates)
         && predicate == Disjoint
-        && all_coords_negative(a)
-        && all_coords_negative(b)
+        && a.triggers().all_negative
+        && b.triggers().all_negative
     {
         ctx.fire(FaultId::MysqlDisjointNegativeCoordinates);
         return Some(true);
@@ -643,7 +683,7 @@ fn faulty_predicate_result(
     // report).
     if ctx.fault(FaultId::SqlServerUnconfirmedWithinCollection)
         && predicate == Within
-        && matches!(b, Geometry::GeometryCollection(_))
+        && matches!(b.geometry(), Geometry::GeometryCollection(_))
     {
         ctx.fire(FaultId::SqlServerUnconfirmedWithinCollection);
         return Some(false);
@@ -654,8 +694,10 @@ fn faulty_predicate_result(
 
 /// Crash fault shared by every relate-based evaluation: polygon rings with
 /// fewer than four points crash the GEOS-analog relate.
-fn guard_crash_relate(a: &Geometry, b: &Geometry, ctx: &FunctionContext) -> SdbResult<()> {
-    if ctx.fault(FaultId::GeosCrashRelateShortRing) && (has_short_ring(a) || has_short_ring(b)) {
+fn guard_crash_relate(a: &Shape, b: &Shape, ctx: &FunctionContext) -> SdbResult<()> {
+    if ctx.fault(FaultId::GeosCrashRelateShortRing)
+        && (a.triggers().short_ring || b.triggers().short_ring)
+    {
         ctx.fire(FaultId::GeosCrashRelateShortRing);
         coverage::hit(probe!("sdb.fault.crash_path"));
         return Err(SdbError::Crash(
@@ -705,16 +747,15 @@ pub fn parse_geometry_text(text: &str, ctx: &FunctionContext) -> SdbResult<Geome
 /// Validation applied by strict profiles before predicates are evaluated:
 /// the source of the expected discrepancies of Listing 4 (PostGIS and DuckDB
 /// reject collections whose areal members intersect; MySQL accepts them).
-pub fn validate_for_profile(geometry: &Geometry, ctx: &FunctionContext) -> SdbResult<()> {
+pub fn validate_for_profile(shape: &Shape, ctx: &FunctionContext) -> SdbResult<()> {
     if !ctx.profile.strict_validation() {
         return Ok(());
     }
     coverage::hit(probe!("sdb.validate.geometry"));
-    let validity = check_validity(geometry);
-    if let Some(reason) = validity.reason() {
+    if let Some(reason) = shape.validity().reason() {
         return Err(SdbError::InvalidGeometry(reason.to_string()));
     }
-    if let Geometry::GeometryCollection(c) = geometry {
+    if let Geometry::GeometryCollection(c) = shape.geometry() {
         let members: Vec<&Geometry> = c
             .geometries
             .iter()
@@ -785,13 +826,13 @@ fn last_one_wins_locate(point: Coord, collection: &Geometry) -> Location {
 /// rule for collections.
 fn faulty_dimension_predicate(
     predicate: NamedPredicate,
-    a: &Geometry,
-    b: &Geometry,
+    a: &Shape,
+    b: &Shape,
     ctx: &FunctionContext,
 ) -> bool {
-    let da = faulty_dimension(a, ctx);
-    let db = faulty_dimension(b, ctx);
-    let m = ctx.relate.relate(a, b);
+    let da = effective_dimension(a.geometry(), ctx);
+    let db = effective_dimension(b.geometry(), ctx);
+    let m = ctx.relate.relate_keyed(a.keyed(), b.keyed());
     match predicate {
         NamedPredicate::Crosses => {
             if da < db {
@@ -813,12 +854,8 @@ fn faulty_dimension_predicate(
                 m.matches("T*T***T**").unwrap_or(false)
             }
         }
-        _ => predicate.evaluate_with(a, b, &ctx.relate),
+        _ => predicate.evaluate_with(a.keyed(), b.keyed(), &ctx.relate),
     }
-}
-
-fn faulty_dimension(geometry: &Geometry, ctx: &FunctionContext) -> Dimension {
-    effective_dimension(geometry, ctx)
 }
 
 /// Dimension as reported by the engine; under the first-element fault a
@@ -837,89 +874,6 @@ fn effective_dimension(geometry: &Geometry, ctx: &FunctionContext) -> Dimension 
     geometry.dimension()
 }
 
-/// Whether a GEOMETRYCOLLECTION directly contains a MULTI-type element
-/// (which element-level homogenization flattens away).
-fn collection_has_multi_element(geometry: &Geometry) -> bool {
-    match geometry {
-        Geometry::GeometryCollection(c) => c
-            .geometries
-            .iter()
-            .any(|g| g.geometry_type().is_multi() || g.geometry_type().is_mixed()),
-        _ => false,
-    }
-}
-
-fn is_collection_with_empty_first(geometry: &Geometry) -> bool {
-    match geometry {
-        Geometry::GeometryCollection(c) => {
-            c.geometries.first().map(|g| g.is_empty()).unwrap_or(false)
-        }
-        _ => false,
-    }
-}
-
-fn first_element_is_empty(geometry: &Geometry) -> bool {
-    if geometry.num_geometries() < 2 {
-        return false;
-    }
-    geometry
-        .geometry_n(1)
-        .map(|g| g.is_empty())
-        .unwrap_or(false)
-}
-
-/// Whether a MULTI or MIXED geometry carries an EMPTY element (the geometry
-/// itself being non-empty).
-pub fn has_empty_element(geometry: &Geometry) -> bool {
-    if geometry.is_empty() {
-        return false;
-    }
-    geometry.flatten().iter().any(|g| g.is_empty())
-}
-
-fn is_descending_linestring(geometry: &Geometry) -> bool {
-    if let Geometry::LineString(l) = geometry {
-        if let (Some(first), Some(last)) = (l.coords.first(), l.coords.last()) {
-            return first.lex_cmp(last) == std::cmp::Ordering::Greater;
-        }
-    }
-    false
-}
-
-/// Whether any component has two identical consecutive vertices.
-pub fn has_duplicate_vertices(geometry: &Geometry) -> bool {
-    let mut coords: Vec<Coord> = Vec::new();
-    geometry.for_each_coord(&mut |c| coords.push(*c));
-    match geometry {
-        Geometry::LineString(l) => l.coords.windows(2).any(|w| w[0].approx_eq(&w[1])),
-        Geometry::MultiLineString(m) => m
-            .lines
-            .iter()
-            .any(|l| l.coords.windows(2).any(|w| w[0].approx_eq(&w[1]))),
-        Geometry::Polygon(p) => p
-            .rings
-            .iter()
-            .any(|r| r.coords.windows(2).any(|w| w[0].approx_eq(&w[1]))),
-        Geometry::MultiPolygon(m) => m.polygons.iter().any(|p| {
-            p.rings
-                .iter()
-                .any(|r| r.coords.windows(2).any(|w| w[0].approx_eq(&w[1])))
-        }),
-        Geometry::GeometryCollection(c) => c.geometries.iter().any(has_duplicate_vertices),
-        _ => false,
-    }
-}
-
-fn has_fractional_coords(geometry: &Geometry) -> bool {
-    let mut found = false;
-    geometry.for_each_coord(&mut |c| {
-        if c.x.fract() != 0.0 || c.y.fract() != 0.0 {
-            found = true;
-        }
-    });
-    found
-}
-
 fn snapped(geometry: &Geometry) -> Geometry {
     let mut out = geometry.clone();
     out.map_coords(&mut |c| {
@@ -929,47 +883,16 @@ fn snapped(geometry: &Geometry) -> Geometry {
     out
 }
 
-/// Maximum absolute coordinate of a geometry (0 for EMPTY).
-pub fn max_abs_coord(geometry: &Geometry) -> f64 {
-    let mut max = 0.0f64;
-    geometry.for_each_coord(&mut |c| {
-        max = max.max(c.x.abs()).max(c.y.abs());
-    });
-    max
-}
-
-fn all_coords_negative(geometry: &Geometry) -> bool {
-    let mut any = false;
-    let mut all_negative = true;
-    geometry.for_each_coord(&mut |c| {
-        any = true;
-        if c.x >= 0.0 || c.y >= 0.0 {
-            all_negative = false;
-        }
-    });
-    any && all_negative
-}
-
-fn has_short_ring(geometry: &Geometry) -> bool {
-    match geometry {
-        Geometry::Polygon(p) => p.rings.iter().any(|r| !r.is_empty() && r.coords.len() < 4),
-        Geometry::MultiPolygon(m) => m
-            .polygons
-            .iter()
-            .any(|p| p.rings.iter().any(|r| !r.is_empty() && r.coords.len() < 4)),
-        Geometry::GeometryCollection(c) => c.geometries.iter().any(has_short_ring),
-        _ => false,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Argument helpers
 // ---------------------------------------------------------------------------
 
-fn geometry_arg(args: &[Value], index: usize, ctx: &FunctionContext) -> SdbResult<Geometry> {
+/// Argument `index` as a shape: a geometry value shares its facts, a WKT
+/// text is parsed into a fresh one.
+fn geometry_arg(args: &[Value], index: usize, ctx: &FunctionContext) -> SdbResult<Arc<Shape>> {
     match args.get(index) {
-        Some(Value::Geometry(g)) => Ok(g.clone()),
-        Some(Value::Text(s)) => parse_geometry_text(s, ctx),
+        Some(Value::Geometry(shape)) => Ok(Arc::clone(shape)),
+        Some(Value::Text(s)) => Ok(Arc::new(Shape::new(parse_geometry_text(s, ctx)?))),
         Some(other) => Err(SdbError::Execution(format!(
             "argument {index} must be a geometry, got {}",
             other.type_name()
@@ -1002,16 +925,11 @@ mod tests {
     use crate::faults::FaultSet;
 
     fn ctx_with(faults: &FaultSet, profile: EngineProfile) -> FunctionContext {
-        FunctionContext {
-            profile,
-            faults: faults.clone(),
-            relate: Arc::default(),
-            fired: Default::default(),
-        }
+        FunctionContext::new(profile, faults.clone(), Arc::default())
     }
 
     fn geometry(wkt: &str) -> Value {
-        Value::Geometry(parse_wkt(wkt).unwrap())
+        Value::from(parse_wkt(wkt).unwrap())
     }
 
     #[test]

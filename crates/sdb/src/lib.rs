@@ -30,6 +30,7 @@ pub mod lexer;
 pub mod parser;
 pub mod profile;
 pub mod server;
+pub mod shape;
 pub mod value;
 
 pub use engine::{Engine, QueryResult};
@@ -38,4 +39,5 @@ pub use faults::{
     FaultCatalog, FaultId, FaultInfo, FaultKind, FaultSet, FaultStatus, FiredLog, TriggerClass,
 };
 pub use profile::EngineProfile;
+pub use shape::Shape;
 pub use value::Value;

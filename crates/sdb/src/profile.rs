@@ -61,8 +61,7 @@ impl EngineProfile {
     /// PostGIS-like and DuckDB-like profiles, `ST_DumpRings` only in
     /// PostGIS-like, while the OGC core is universal.
     pub fn supports_function(&self, name: &str) -> bool {
-        let upper = name.to_ascii_uppercase();
-        let core = [
+        const CORE: [&str; 29] = [
             "ST_INTERSECTS",
             "ST_DISJOINT",
             "ST_CONTAINS",
@@ -93,22 +92,26 @@ impl EngineProfile {
             "ST_SWAPXY",
             "ST_GEOMETRYTYPE",
         ];
-        if core.contains(&upper.as_str()) {
-            return true;
-        }
-        match upper.as_str() {
-            // PostGIS / DuckDB Spatial extensions (shared GEOS heritage).
-            "ST_COVERS" | "ST_COVEREDBY" => self.uses_shared_library(),
-            // PostGIS-only extensions.
-            "ST_DFULLYWITHIN"
-            | "ST_DUMPRINGS"
-            | "ST_SETPOINT"
-            | "ST_FORCEPOLYGONCW"
-            | "ST_COLLECTIONEXTRACT"
-            | "ST_POLYGONIZE" => {
-                matches!(self, EngineProfile::PostgisLike)
-            }
-            _ => false,
+        // PostGIS / DuckDB Spatial extensions (shared GEOS heritage).
+        const SHARED_LIBRARY: [&str; 2] = ["ST_COVERS", "ST_COVEREDBY"];
+        // PostGIS-only extensions.
+        const POSTGIS: [&str; 6] = [
+            "ST_DFULLYWITHIN",
+            "ST_DUMPRINGS",
+            "ST_SETPOINT",
+            "ST_FORCEPOLYGONCW",
+            "ST_COLLECTIONEXTRACT",
+            "ST_POLYGONIZE",
+        ];
+        let listed = |names: &[&str]| names.iter().any(|n| n.eq_ignore_ascii_case(name));
+        if listed(&CORE) {
+            true
+        } else if listed(&SHARED_LIBRARY) {
+            self.uses_shared_library()
+        } else if listed(&POSTGIS) {
+            matches!(self, EngineProfile::PostgisLike)
+        } else {
+            false
         }
     }
 

@@ -1,8 +1,10 @@
 //! Runtime values of the SQL engine.
 
+use crate::shape::Shape;
 use spatter_geom::wkt::write_wkt;
 use spatter_geom::Geometry;
 use std::fmt;
+use std::sync::Arc;
 
 /// A value produced or consumed by the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +19,15 @@ pub enum Value {
     Bool(bool),
     /// Character string.
     Text(String),
-    /// Geometry value.
-    Geometry(Geometry),
+    /// Geometry value, with the facts the engine computed about it (a
+    /// clone shares them; equality and printing see only the geometry).
+    Geometry(Arc<Shape>),
+}
+
+impl From<Geometry> for Value {
+    fn from(geometry: Geometry) -> Self {
+        Value::Geometry(Arc::new(Shape::new(geometry)))
+    }
 }
 
 impl Value {
@@ -59,8 +68,13 @@ impl Value {
 
     /// The value as a geometry, if it is one.
     pub fn as_geometry(&self) -> Option<&Geometry> {
+        self.as_shape().map(|shape| shape.geometry())
+    }
+
+    /// The value as a geometry with its facts, if it is one.
+    pub fn as_shape(&self) -> Option<&Arc<Shape>> {
         match self {
-            Value::Geometry(g) => Some(g),
+            Value::Geometry(shape) => Some(shape),
             _ => None,
         }
     }
@@ -94,7 +108,7 @@ impl fmt::Display for Value {
             Value::Double(d) => write!(f, "{d}"),
             Value::Bool(b) => write!(f, "{}", if *b { "t" } else { "f" }),
             Value::Text(s) => write!(f, "{s}"),
-            Value::Geometry(g) => write!(f, "{}", write_wkt(g)),
+            Value::Geometry(shape) => write!(f, "{}", write_wkt(shape.geometry())),
         }
     }
 }
@@ -128,14 +142,14 @@ mod tests {
         assert_eq!(Value::Bool(false).to_string(), "f");
         assert_eq!(Value::Null.to_string(), "NULL");
         let g = parse_wkt("POINT(1 2)").unwrap();
-        assert_eq!(Value::Geometry(g).to_string(), "POINT(1 2)");
+        assert_eq!(Value::from(g).to_string(), "POINT(1 2)");
     }
 
     #[test]
     fn type_names() {
         assert_eq!(Value::Int(1).type_name(), "INTEGER");
         assert_eq!(
-            Value::Geometry(parse_wkt("POINT EMPTY").unwrap()).type_name(),
+            Value::from(parse_wkt("POINT EMPTY").unwrap()).type_name(),
             "GEOMETRY"
         );
     }

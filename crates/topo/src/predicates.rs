@@ -7,8 +7,7 @@
 //! (`ST_Covers`, `ST_CoveredBy`), and `ST_Relate` pattern matching.
 
 use crate::de9im::{IntersectionMatrix, Position};
-use crate::relate::relate;
-use crate::relate_cache::RelateCache;
+use crate::relate_cache::{Keyed, RelateCache};
 use crate::{coverage, probe};
 use spatter_geom::{Dimension, Geometry};
 
@@ -70,10 +69,9 @@ impl NamedPredicate {
 
     /// Parses a predicate from its SQL function name (case insensitive).
     pub fn from_function_name(name: &str) -> Option<NamedPredicate> {
-        let upper = name.to_ascii_uppercase();
         NamedPredicate::ALL
             .into_iter()
-            .find(|p| p.function_name().to_ascii_uppercase() == upper)
+            .find(|p| p.function_name().eq_ignore_ascii_case(name))
     }
 
     /// Whether an envelope-intersection index probe (R-tree / GiST `&&`
@@ -88,41 +86,45 @@ impl NamedPredicate {
 
     /// Evaluates the predicate on a pair of geometries.
     pub fn evaluate(&self, a: &Geometry, b: &Geometry) -> bool {
-        self.evaluate_by(a, b, Matrices::Direct)
+        self.evaluate_by(a, b)
     }
 
-    /// [`NamedPredicate::evaluate`] with every matrix served by `cache`:
-    /// the same verdict, and the same probe counts, as a direct call.
-    pub fn evaluate_with(&self, a: &Geometry, b: &Geometry, cache: &RelateCache) -> bool {
-        self.evaluate_by(a, b, Matrices::Memo(cache))
+    /// [`NamedPredicate::evaluate`] with every matrix served by `cache`,
+    /// each operand looked up by the key it carries: the same verdict, and
+    /// the same probe counts, as a direct call.
+    pub fn evaluate_with(&self, a: Keyed, b: Keyed, cache: &RelateCache) -> bool {
+        self.evaluate_by(
+            Memoised { operand: a, cache },
+            Memoised { operand: b, cache },
+        )
     }
 
     /// The one body of every predicate. Each hits its `topo.predicate.*`
     /// probe on every call, wherever its matrix comes from.
-    fn evaluate_by(&self, a: &Geometry, b: &Geometry, matrices: Matrices) -> bool {
+    fn evaluate_by<O: Operand>(&self, a: O, b: O) -> bool {
         use NamedPredicate::*;
         match self {
             Intersects => {
                 coverage::hit(probe!("topo.predicate.intersects"));
-                !disjoint_matrix(&matrices.relate(a, b))
+                !disjoint_matrix(&a.relate(b))
             }
             Disjoint => {
                 coverage::hit(probe!("topo.predicate.disjoint"));
-                disjoint_matrix(&matrices.relate(a, b))
+                disjoint_matrix(&a.relate(b))
             }
             // Every point of `a` lies in `b` and the interiors share a point.
             Within => {
                 coverage::hit(probe!("topo.predicate.within"));
-                matches(&matrices.relate(a, b), "T*F**F***")
+                matches(&a.relate(b), "T*F**F***")
             }
             Contains => {
                 coverage::hit(probe!("topo.predicate.contains"));
-                matches(&matrices.relate(a, b), "T*****FF*")
+                matches(&a.relate(b), "T*****FF*")
             }
             Covers => {
                 coverage::hit(probe!("topo.predicate.covers"));
-                let m = matrices.relate(a, b);
-                if a.is_empty() || b.is_empty() {
+                let m = a.relate(b);
+                if a.geometry().is_empty() || b.geometry().is_empty() {
                     return false;
                 }
                 // At least one of the four interior/boundary intersections is
@@ -138,16 +140,16 @@ impl NamedPredicate {
             }
             CoveredBy => {
                 coverage::hit(probe!("topo.predicate.covered_by"));
-                Covers.evaluate_by(b, a, matrices)
+                Covers.evaluate_by(b, a)
             }
             // The geometries share interior points, but neither is contained
             // in the other, and the intersection has lower dimension than the
             // higher-dimensional operand.
             Crosses => {
                 coverage::hit(probe!("topo.predicate.crosses"));
-                let da = a.dimension();
-                let db = b.dimension();
-                let m = matrices.relate(a, b);
+                let da = a.geometry().dimension();
+                let db = b.geometry().dimension();
+                let m = a.relate(b);
                 if da < db {
                     matches(&m, "T*T******")
                 } else if da > db {
@@ -162,12 +164,12 @@ impl NamedPredicate {
             // contained in the other.
             Overlaps => {
                 coverage::hit(probe!("topo.predicate.overlaps"));
-                let da = a.dimension();
-                let db = b.dimension();
+                let da = a.geometry().dimension();
+                let db = b.geometry().dimension();
                 if da != db {
                     return false;
                 }
-                let m = matrices.relate(a, b);
+                let m = a.relate(b);
                 if da == Dimension::One {
                     matches(&m, "1*T***T**")
                 } else {
@@ -177,33 +179,56 @@ impl NamedPredicate {
             // The geometries intersect, but only on their boundaries.
             Touches => {
                 coverage::hit(probe!("topo.predicate.touches"));
-                let m = matrices.relate(a, b);
+                let m = a.relate(b);
                 matches(&m, "FT*******") || matches(&m, "F**T*****") || matches(&m, "F***T****")
             }
             // The geometries represent the same point set.
             Equals => {
                 coverage::hit(probe!("topo.predicate.equals"));
-                matches(&matrices.relate(a, b), "T*F**FFF*")
+                matches(&a.relate(b), "T*F**FFF*")
             }
         }
     }
 }
 
-/// Where a predicate's matrix comes from.
-#[derive(Clone, Copy)]
-enum Matrices<'c> {
-    /// A direct [`relate`] call.
-    Direct,
-    /// The memo, which answers with a direct call's matrix and probe counts.
-    Memo(&'c RelateCache),
+/// A predicate operand, which also says where the matrices it takes part
+/// in come from. Each operand carries its own key, so a predicate that
+/// swaps its operands (`CoveredBy` is `Covers` reversed) swaps the keys
+/// with them.
+trait Operand: Copy {
+    /// The operand's geometry.
+    fn geometry(&self) -> &Geometry;
+
+    /// `relate(self, other)`.
+    fn relate(self, other: Self) -> IntersectionMatrix;
 }
 
-impl Matrices<'_> {
-    fn relate(self, a: &Geometry, b: &Geometry) -> IntersectionMatrix {
-        match self {
-            Matrices::Direct => relate(a, b),
-            Matrices::Memo(cache) => cache.relate(a, b),
-        }
+/// A bare geometry: a direct [`relate`](crate::relate::relate) call.
+impl Operand for &Geometry {
+    fn geometry(&self) -> &Geometry {
+        self
+    }
+
+    fn relate(self, other: Self) -> IntersectionMatrix {
+        crate::relate::relate(self, other)
+    }
+}
+
+/// A keyed geometry: the memo, which answers with a direct call's matrix
+/// and probe counts.
+#[derive(Clone, Copy)]
+struct Memoised<'a> {
+    operand: Keyed<'a>,
+    cache: &'a RelateCache,
+}
+
+impl Operand for Memoised<'_> {
+    fn geometry(&self) -> &Geometry {
+        self.operand.0
+    }
+
+    fn relate(self, other: Self) -> IntersectionMatrix {
+        self.cache.relate_keyed(self.operand, other.operand)
     }
 }
 
@@ -271,33 +296,29 @@ pub fn equals(a: &Geometry, b: &Geometry) -> bool {
 
 /// `ST_Relate(a, b, pattern)`: pattern matching against the matrix.
 pub fn relate_pattern(a: &Geometry, b: &Geometry, pattern: &str) -> Option<bool> {
-    relate_pattern_by(a, b, pattern, Matrices::Direct)
+    relate_pattern_by(a, b, pattern)
 }
 
 /// [`relate_pattern`] with the matrix served by `cache`.
-pub fn relate_pattern_with(
-    a: &Geometry,
-    b: &Geometry,
-    pattern: &str,
-    cache: &RelateCache,
-) -> Option<bool> {
-    relate_pattern_by(a, b, pattern, Matrices::Memo(cache))
+pub fn relate_pattern_with(a: Keyed, b: Keyed, pattern: &str, cache: &RelateCache) -> Option<bool> {
+    relate_pattern_by(
+        Memoised { operand: a, cache },
+        Memoised { operand: b, cache },
+        pattern,
+    )
 }
 
-fn relate_pattern_by(
-    a: &Geometry,
-    b: &Geometry,
-    pattern: &str,
-    matrices: Matrices,
-) -> Option<bool> {
+fn relate_pattern_by<O: Operand>(a: O, b: O, pattern: &str) -> Option<bool> {
     coverage::hit(probe!("topo.predicate.relate_pattern"));
-    matrices.relate(a, b).matches(pattern)
+    a.relate(b).matches(pattern)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coverage::local;
+    use crate::relate::relate;
+    use crate::relate_cache::OperandKey;
     use spatter_geom::wkt::parse_wkt;
 
     fn g(wkt: &str) -> Geometry {
@@ -483,14 +504,16 @@ mod tests {
             g("POINT(0 2)"),
             g("POINT EMPTY"),
         ];
+        let keys: Vec<OperandKey> = shapes.iter().map(OperandKey::of).collect();
         let cache = RelateCache::new();
         // Cold, then warm.
         for _ in 0..2 {
             for p in NamedPredicate::ALL {
-                for a in &shapes {
-                    for b in &shapes {
+                for (a, key_a) in shapes.iter().zip(&keys) {
+                    for (b, key_b) in shapes.iter().zip(&keys) {
                         let direct = local::isolate(|| p.evaluate(a, b));
-                        let memoised = local::isolate(|| p.evaluate_with(a, b, &cache));
+                        let memoised =
+                            local::isolate(|| p.evaluate_with((a, key_a), (b, key_b), &cache));
                         assert_eq!(memoised, direct, "{p:?} {a:?} {b:?}");
                     }
                 }

@@ -22,6 +22,23 @@
 //! matrix in that orientation: `relate(a, b)` is stored transposed when
 //! `id_a > id_b` and transposed back when it is served.
 //!
+//! A key carries a hash of its words, computed with the words. The memo
+//! finds an operand's id by that hash and then compares the words, so a
+//! lookup hashes nothing. Two distinct operands whose hashes collide are
+//! never confused: the later one is not interned and its pairs are related
+//! directly, as oversized operands are.
+//!
+//! # Keyed and unkeyed calls
+//!
+//! [`RelateCache::relate_keyed`] takes each operand with its [`OperandKey`]:
+//! a caller that relates the same geometry in many pairs, such as the SQL
+//! engine with a stored table row, encodes and hashes it once and hands the
+//! key in with the geometry on every call. [`RelateCache::relate`] encodes
+//! and hashes both operands on the fly and takes the same path. A key
+//! travels with its geometry ([`Keyed`]), never by position: an operand
+//! swap, such as `CoveredBy(a, b)` evaluating `Covers(b, a)`, swaps the
+//! keys with the geometries.
+//!
 //! # Why `relate(b, a)` may be served from `relate(a, b)`
 //!
 //! Its matrix is the transpose, and its probe delta is the same, because
@@ -52,8 +69,8 @@
 //!
 //! A miss runs [`relate`] under [`local::isolate`], stores the matrix with
 //! the probe delta the call recorded, and charges that delta to the running
-//! recording. A hit, in either argument order, returns the stored matrix
-//! (transposed if need be) and charges the stored delta with
+//! recording. A hit, in either argument order, keyed or not, returns the
+//! stored matrix (transposed if need be) and charges the stored delta with
 //! [`local::charge`]. Either way the running recording ends up exactly as a
 //! direct `relate(a, b)` would leave it, so replay frames, guidance and the
 //! coverage experiments are unchanged.
@@ -75,8 +92,8 @@
 //! words bypass it and are related directly. Equal probe deltas are stored
 //! once and shared. Worst case at capacity, on a 64-bit target:
 //!
-//! - operands: 1,024 keys of at most 256 words (2 KiB) plus their table,
-//!   about 2.1 MiB;
+//! - operands: 1,024 keys of at most 256 words (2 KiB) plus their id
+//!   table, about 2.1 MiB;
 //! - pairs: a table of 2,048 unordered pairs of ~40 bytes, about 170 KiB;
 //! - deltas: at most one per pair, each at most 26 `(probe, count)` entries
 //!   (the probes of the relate, locate, boundary and segment modules;
@@ -95,8 +112,10 @@ use crate::de9im::IntersectionMatrix;
 use crate::relate::relate;
 use spatter_geom::{Coord, Geometry, Point, Polygon};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Unordered pairs kept before the memo is cleared.
@@ -112,6 +131,64 @@ pub const MAX_OPERAND_WORDS: usize = 256;
 /// A probe tally as recorded by [`local::isolate`].
 type Delta = Arc<[(Probe, u64)]>;
 
+/// An operand's memo key (see the module docs), encoded and hashed once so
+/// that a caller holding the same geometry for many pairs, as a stored
+/// table row does, pays for neither again.
+#[derive(Clone, PartialEq, Eq)]
+pub struct OperandKey {
+    hash: u64,
+    words: Box<[u64]>,
+}
+
+impl OperandKey {
+    /// The key of `geometry`.
+    pub fn of(geometry: &Geometry) -> OperandKey {
+        let mut words = Vec::new();
+        encode(geometry, &mut words);
+        OperandKey {
+            hash: hash_words(&words),
+            words: words.into(),
+        }
+    }
+
+    fn view(&self) -> Key<'_> {
+        Key {
+            hash: self.hash,
+            words: &self.words,
+        }
+    }
+}
+
+impl fmt::Debug for OperandKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OperandKey")
+            .field("hash", &format_args!("{:#018x}", self.hash))
+            .field("words", &self.words.len())
+            .finish()
+    }
+}
+
+/// A geometry with its own key: one operand of a keyed call. The pair
+/// travels together, so swapping the operands swaps their keys too.
+pub type Keyed<'a> = (&'a Geometry, &'a OperandKey);
+
+/// A key as the memo reads it: borrowed from an [`OperandKey`], or encoded
+/// on the fly by [`RelateCache::relate`].
+#[derive(Clone, Copy)]
+struct Key<'a> {
+    hash: u64,
+    words: &'a [u64],
+}
+
+impl<'a> Key<'a> {
+    fn of(words: &'a [u64]) -> Key<'a> {
+        Key {
+            hash: hash_words(words),
+            words,
+        }
+    }
+}
+
 /// One memoised pair: the matrix of `relate(a, b)` for the operand `a` with
 /// the lower id, and the probe delta that call recorded (that of
 /// `relate(b, a)` too).
@@ -120,37 +197,67 @@ struct Relation {
     delta: Delta,
 }
 
+/// The tables' hasher: their keys are already hashes or packed ids, so
+/// one [`mix`] is all they need.
+#[derive(Default)]
+struct Mixed(u64);
+
+impl Hasher for Mixed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix(n);
+    }
+}
+
+type MixedMap<V> = HashMap<u64, V, BuildHasherDefault<Mixed>>;
+
 #[derive(Default)]
 struct Memo {
-    operands: HashMap<Box<[u64]>, u32>,
-    /// Keyed by the operand ids, lower first.
-    pairs: HashMap<(u32, u32), Relation>,
+    /// Each interned operand's key words, indexed by its id.
+    operands: Vec<Box<[u64]>>,
+    /// Operand ids by key hash. Two operands whose hashes collide cannot
+    /// both be interned; the later one is related directly.
+    ids: MixedMap<u32>,
+    /// Keyed by the operand ids, lower first, packed into one word.
+    pairs: MixedMap<Relation>,
     /// Every distinct delta, stored once: most pairs of a table repeat
     /// another pair's probe tally exactly.
     deltas: HashSet<Delta>,
 }
 
 impl Memo {
-    fn get(&self, a: &[u64], b: &[u64]) -> Option<(IntersectionMatrix, Delta)> {
-        let (id_a, id_b) = (*self.operands.get(a)?, *self.operands.get(b)?);
-        let relation = self.pairs.get(&(id_a.min(id_b), id_a.max(id_b)))?;
+    fn get(&self, a: Key, b: Key) -> Option<(IntersectionMatrix, Delta)> {
+        let (id_a, id_b) = (self.id(a)?, self.id(b)?);
+        let relation = self.pairs.get(&pair(id_a, id_b))?;
         let matrix = oriented(id_a, id_b, relation.matrix);
         Some((matrix, Arc::clone(&relation.delta)))
     }
 
-    fn insert(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        matrix: IntersectionMatrix,
-        delta: Vec<(Probe, u64)>,
-    ) {
+    fn id(&self, key: Key) -> Option<u32> {
+        let id = *self.ids.get(&key.hash)?;
+        (*self.operands[id as usize] == *key.words).then_some(id)
+    }
+
+    fn insert(&mut self, a: Key, b: Key, matrix: IntersectionMatrix, delta: Vec<(Probe, u64)>) {
         if self.pairs.len() >= PAIR_CAPACITY || self.operands.len() + 2 > OPERAND_CAPACITY {
             // Ids index the current operand set, so everything goes together.
             self.operands.clear();
+            self.ids.clear();
             self.pairs.clear();
             self.deltas.clear();
         }
+        let (Some(id_a), Some(id_b)) = (self.intern(a), self.intern(b)) else {
+            return;
+        };
         let delta = match self.deltas.get(delta.as_slice()) {
             Some(shared) => Arc::clone(shared),
             None => {
@@ -159,20 +266,32 @@ impl Memo {
                 shared
             }
         };
-        let (id_a, id_b) = (self.intern(a), self.intern(b));
         let matrix = oriented(id_a, id_b, matrix);
         self.pairs
-            .insert((id_a.min(id_b), id_a.max(id_b)), Relation { matrix, delta });
+            .insert(pair(id_a, id_b), Relation { matrix, delta });
     }
 
-    fn intern(&mut self, key: &[u64]) -> u32 {
-        if let Some(&id) = self.operands.get(key) {
-            return id;
+    /// The operand's id, interning it if it is new; `None` when another
+    /// operand holds its hash.
+    fn intern(&mut self, key: Key) -> Option<u32> {
+        match self.ids.entry(key.hash) {
+            Entry::Occupied(entry) => {
+                let id = *entry.get();
+                (*self.operands[id as usize] == *key.words).then_some(id)
+            }
+            Entry::Vacant(entry) => {
+                let id = self.operands.len() as u32;
+                entry.insert(id);
+                self.operands.push(key.words.into());
+                Some(id)
+            }
         }
-        let id = self.operands.len() as u32;
-        self.operands.insert(key.into(), id);
-        id
     }
+}
+
+/// The unordered pair of operand ids as one word, lower id first.
+fn pair(id_a: u32, id_b: u32) -> u64 {
+    u64::from(id_a.min(id_b)) << 32 | u64::from(id_a.max(id_b))
 }
 
 /// `relate(a, b)`'s matrix as stored under the unordered key of operands
@@ -194,7 +313,7 @@ pub struct RelateCache {
 }
 
 thread_local! {
-    /// Both operands' keys of the current call, reused across calls.
+    /// Both operands' keys of the current unkeyed call, reused across calls.
     static KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -206,7 +325,9 @@ impl RelateCache {
 
     /// `relate(a, b)`, served from the memo when this pair was related
     /// before in either order. The matrix and every probe count are those
-    /// of a direct call.
+    /// of a direct call. Encodes both keys; a caller that relates the same
+    /// geometry again and again should hold its [`OperandKey`] and call
+    /// [`RelateCache::relate_keyed`].
     pub fn relate(&self, a: &Geometry, b: &Geometry) -> IntersectionMatrix {
         KEYS.with(|keys| {
             let mut keys = keys.borrow_mut();
@@ -215,19 +336,34 @@ impl RelateCache {
             let split = keys.len();
             encode(b, &mut keys);
             let (key_a, key_b) = keys.split_at(split);
-            if key_a.len() > MAX_OPERAND_WORDS || key_b.len() > MAX_OPERAND_WORDS {
-                return relate(a, b);
-            }
-            let cached = self.lock().get(key_a, key_b);
-            if let Some((matrix, delta)) = cached {
-                local::charge(&delta, 1);
-                return matrix;
-            }
-            let (matrix, delta) = local::isolate(|| relate(a, b));
-            local::charge(&delta, 1);
-            self.lock().insert(key_a, key_b, matrix, delta);
-            matrix
+            self.relate_by(a, Key::of(key_a), b, Key::of(key_b))
         })
+    }
+
+    /// [`RelateCache::relate`] for operands that carry their keys: no
+    /// encoding and no hashing. Each key must be its own geometry's.
+    pub fn relate_keyed(&self, (a, key_a): Keyed, (b, key_b): Keyed) -> IntersectionMatrix {
+        debug_assert!(
+            *key_a == OperandKey::of(a) && *key_b == OperandKey::of(b),
+            "a key travels with its own geometry"
+        );
+        self.relate_by(a, key_a.view(), b, key_b.view())
+    }
+
+    /// The one memo path: look the pair up, or relate it and store it.
+    fn relate_by(&self, a: &Geometry, key_a: Key, b: &Geometry, key_b: Key) -> IntersectionMatrix {
+        if key_a.words.len() > MAX_OPERAND_WORDS || key_b.words.len() > MAX_OPERAND_WORDS {
+            return relate(a, b);
+        }
+        let cached = self.lock().get(key_a, key_b);
+        if let Some((matrix, delta)) = cached {
+            local::charge(&delta, 1);
+            return matrix;
+        }
+        let (matrix, delta) = local::isolate(|| relate(a, b));
+        local::charge(&delta, 1);
+        self.lock().insert(key_a, key_b, matrix, delta);
+        matrix
     }
 
     /// Number of memoised unordered pairs.
@@ -251,6 +387,25 @@ impl fmt::Debug for RelateCache {
             .field("pairs", &self.len())
             .finish_non_exhaustive()
     }
+}
+
+// ---------------------------------------------------------------------------
+// Hashing
+// ---------------------------------------------------------------------------
+
+/// A bijective 64-bit finaliser (SplitMix64's): every input bit reaches
+/// every output bit, high and low.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The hash of a key: every word folded in order through [`mix`].
+fn hash_words(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(mix(words.len() as u64), |hash, &word| mix(hash ^ word))
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +574,43 @@ mod tests {
         for _ in 0..2 {
             assert_matches_direct(&cache, &b, &a);
             assert_matches_direct(&cache, &a, &b);
+        }
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lock().operands.len(), 2);
+    }
+
+    #[test]
+    fn keyed_and_unkeyed_calls_share_entries() {
+        let a = g("POLYGON((0 0,4 0,4 4,0 4,0 0))");
+        let b = g("LINESTRING(-1 2,5 2)");
+        let (key_a, key_b) = (OperandKey::of(&a), OperandKey::of(&b));
+        assert_eq!(key_a.words.as_ref(), key(&a).as_slice());
+        let cache = RelateCache::new();
+        let direct = local::isolate(|| relate(&a, &b));
+        let keyed = local::isolate(|| cache.relate_keyed((&a, &key_a), (&b, &key_b)));
+        assert_eq!(keyed, direct);
+        // The unkeyed call and the transposed keyed call are hits on the
+        // entry the keyed call stored.
+        assert_matches_direct(&cache, &a, &b);
+        let transposed = local::isolate(|| cache.relate_keyed((&b, &key_b), (&a, &key_a)));
+        assert_eq!(transposed, local::isolate(|| relate(&b, &a)));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lock().operands.len(), 2);
+    }
+
+    #[test]
+    fn operands_with_colliding_hashes_are_related_directly() {
+        let (a, b, c) = (point(0.0, 0.0), point(1.0, 1.0), point(2.0, 0.0));
+        let (words_a, words_b, words_c) = (key(&a), key(&b), key(&c));
+        let cache = RelateCache::new();
+        // `b` and `c` share a hash but not their words: `c` is never
+        // interned, and a pair with it is related, not served.
+        let same = |words| Key { hash: 7, words };
+        let first = local::isolate(|| cache.relate_by(&a, Key::of(&words_a), &b, same(&words_b)));
+        assert_eq!(first, local::isolate(|| relate(&a, &b)));
+        for _ in 0..2 {
+            let got = local::isolate(|| cache.relate_by(&a, Key::of(&words_a), &c, same(&words_c)));
+            assert_eq!(got, local::isolate(|| relate(&a, &c)));
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lock().operands.len(), 2);
