@@ -14,7 +14,8 @@
 //! * [`InProcessBackend`] wraps the in-process engine and is behaviour- and
 //!   determinism-identical to calling it directly (findings, skip counts and
 //!   attribution are byte-equal at any worker count). It also carries a
-//!   bounded statement parse cache shared between its sessions, so the
+//!   bounded statement parse cache ([`spatter_sdb::ParseCache`], the one a
+//!   `spatter-sdb-server` keeps too) shared between its sessions, so the
 //!   identical setup statements that every oracle (and every attribution
 //!   re-run) loads are lexed and parsed once per scenario instead of once
 //!   per engine instance.
@@ -32,7 +33,8 @@
 //!   `without_fault` variants, much as [`InProcessBackend`] shares its
 //!   caches, and resets it to a fresh engine with the session's fault set
 //!   (the server's `\reset` control line). A new server is spawned only
-//!   when no idle one answers the reset.
+//!   when no idle one answers the reset. A load travels as one batch (the
+//!   server's `\batch` control line), one round trip.
 //!
 //! Errors carry a three-way taxonomy ([`BackendError`]) that
 //! [`crate::oracles::OracleOutcome`] maps from in exactly one place (its
@@ -41,14 +43,11 @@
 
 use crate::matrix::external::ServerPool;
 use crate::matrix::DialectSpec;
-use spatter_sdb::ast::Statement;
-use spatter_sdb::parser::parse_statement;
-use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, FiredLog, SdbError};
+use spatter_sdb::{Engine, EngineProfile, FaultId, FaultSet, FiredLog, ParseCache, SdbError};
 use spatter_topo::RelateCache;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Why a backend operation failed.
@@ -258,34 +257,16 @@ pub trait EngineBackend: fmt::Debug + Send + Sync {
 // In-process backend
 // ---------------------------------------------------------------------------
 
-/// Entries kept in the shared parse cache before it is reset; bounds memory
-/// over long campaigns (each iteration's INSERTs are unique statements) while
-/// still amortizing every within-scenario reload.
-const PARSE_CACHE_CAPACITY: usize = 4096;
-
 /// What every session of an [`InProcessBackend`] and of its `without_fault`
 /// variants shares: parsed statements, and the relate memo. Both are
 /// fault-independent (parsing never consults a fault, and `spatter-topo` has
 /// no fault hooks), so sharing them changes no result.
 #[derive(Debug, Default)]
 struct SharedCaches {
-    statements: Mutex<HashMap<String, Arc<Statement>>>,
+    statements: ParseCache,
     /// Filled by the first `open_session`, so building a backend allocates
     /// no memo.
     relate: OnceLock<Arc<RelateCache>>,
-}
-
-type ParseCache = Arc<SharedCaches>;
-
-/// Locks the parse cache, recovering it from poisoning: it only holds
-/// immutable parsed statements, so a panic on another thread while the lock
-/// was held cannot have left it inconsistent, and one panic must not kill
-/// every later session.
-fn lock_cache(cache: &ParseCache) -> MutexGuard<'_, HashMap<String, Arc<Statement>>> {
-    cache
-        .statements
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The default backend: [`spatter_sdb::Engine`] in this process.
@@ -295,7 +276,7 @@ pub struct InProcessBackend {
     faults: FaultSet,
     /// Shared across this backend's sessions (and its `without_fault`
     /// attribution variants).
-    parse_cache: ParseCache,
+    caches: Arc<SharedCaches>,
 }
 
 impl InProcessBackend {
@@ -304,7 +285,7 @@ impl InProcessBackend {
         InProcessBackend {
             profile,
             faults,
-            parse_cache: ParseCache::default(),
+            caches: Arc::default(),
         }
     }
 
@@ -327,7 +308,7 @@ impl InProcessBackend {
     /// Number of statements currently held by the shared parse cache
     /// (observable so tests can assert the load path parses once).
     pub fn cached_statements(&self) -> usize {
-        lock_cache(&self.parse_cache).len()
+        self.caches.statements.len()
     }
 }
 
@@ -337,14 +318,14 @@ impl EngineBackend for InProcessBackend {
     }
 
     fn open_session(&self) -> Result<Box<dyn EngineSession>, BackendError> {
-        let relate = self.parse_cache.relate.get_or_init(Arc::default);
+        let relate = self.caches.relate.get_or_init(Arc::default);
         Ok(Box::new(InProcessSession {
             engine: Engine::with_relate_cache(
                 self.profile,
                 self.faults.clone(),
                 Arc::clone(relate),
             ),
-            parse_cache: Arc::clone(&self.parse_cache),
+            caches: Arc::clone(&self.caches),
         }))
     }
 
@@ -368,35 +349,17 @@ impl EngineBackend for InProcessBackend {
 
 struct InProcessSession {
     engine: Engine,
-    parse_cache: ParseCache,
+    caches: Arc<SharedCaches>,
 }
 
 impl InProcessSession {
-    /// Executes one statement, parsing it at most once per cache lifetime:
+    /// Executes one statement through the backend's shared parse cache:
     /// every oracle of a suite (and every attribution re-run) loads the same
-    /// scenario SQL, so the lexer/parser work is shared instead of repeated
-    /// per engine instance. The backend (and thus the cache) is shared by
-    /// every worker shard, so the critical section is kept to a hash lookup
-    /// plus an `Arc` bump — statements are never cloned or executed under
-    /// the lock.
+    /// scenario SQL, so each text is parsed once, not once per engine.
     fn execute_cached(&mut self, sql: &str) -> Result<spatter_sdb::QueryResult, BackendError> {
-        let cached = lock_cache(&self.parse_cache).get(sql).cloned();
-        let statement = match cached {
-            Some(statement) => statement,
-            None => {
-                let parsed = parse_statement(sql)
-                    .map_err(|error| map_sdb_error(self.engine.reject_unparsed(error)))?;
-                let statement = Arc::new(parsed);
-                let mut cache = lock_cache(&self.parse_cache);
-                if cache.len() >= PARSE_CACHE_CAPACITY {
-                    cache.clear();
-                }
-                cache.insert(sql.to_string(), Arc::clone(&statement));
-                statement
-            }
-        };
-        self.engine
-            .execute_parsed(&statement)
+        self.caches
+            .statements
+            .execute(&mut self.engine, sql)
             .map_err(map_sdb_error)
     }
 }
@@ -615,18 +578,12 @@ mod tests {
     #[test]
     fn the_relate_memo_is_made_by_the_first_session_and_shared() {
         let backend = InProcessBackend::stock(EngineProfile::PostgisLike);
-        assert!(backend.parse_cache.relate.get().is_none());
+        assert!(backend.caches.relate.get().is_none());
         let reduced = backend.without_fault(FaultId::GeosCoversPrecisionLoss);
         let query = "SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)";
         let mut first = loaded_session(&backend);
         assert_eq!(first.run_count(query), Ok(Some(2)));
-        let memo = Arc::clone(
-            backend
-                .parse_cache
-                .relate
-                .get()
-                .expect("made by the session"),
-        );
+        let memo = Arc::clone(backend.caches.relate.get().expect("made by the session"));
         let related = memo.len();
         assert!(related > 0);
 
@@ -725,25 +682,5 @@ mod tests {
         assert_send_sync::<dyn EngineBackend>();
         assert_send_sync::<InProcessBackend>();
         assert_send_sync::<StdioBackend>();
-    }
-
-    #[test]
-    fn a_poisoned_parse_cache_does_not_kill_later_sessions() {
-        let backend = InProcessBackend::reference(EngineProfile::PostgisLike);
-        let cache = Arc::clone(&backend.parse_cache);
-        let panicked = std::thread::spawn(move || {
-            let _guard = cache.statements.lock().unwrap();
-            panic!("a panic while the parse cache is locked");
-        })
-        .join();
-        assert!(panicked.is_err());
-        assert!(backend.parse_cache.statements.is_poisoned());
-
-        let mut session = loaded_session(&backend);
-        assert_eq!(
-            session.run_count("SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, 5)"),
-            Ok(Some(4))
-        );
-        assert_eq!(backend.cached_statements(), 3);
     }
 }

@@ -29,6 +29,19 @@
 //! [`EngineBackend::fault_ids`]. A dead subprocess surfaces the canonical
 //! transport error and is lazily respawned with its setup script replayed.
 //!
+//! A session speaking [`ReplyGrammar::SdbServer`] sends each
+//! [`EngineSession::load`] as one batch: the statements before the first
+//! blank one go in one write, as the server's [`BATCH_REQUEST`] control line
+//! and one line per statement, and come back as one reply, read by
+//! [`read_batch`], so a load costs one round trip instead of one per
+//! statement. The statements the server ran join the setup script and
+//! count as sent, and the first error stops the load as before. A blank
+//! statement is still answered here (the server never sees it). Every
+//! other request, every load of another grammar, and the setup replay on a
+//! respawned engine go one statement per round trip: replay must run past
+//! statements that fail, and a batch stops at the first one. The grammar
+//! alone decides whether a dialect batches.
+//!
 //! Where a session's processes come from depends on its backend. An
 //! [`ExternalBackend`] spawns a new process for every session and kills it
 //! when the session ends. A [`StdioBackend`](crate::backend::StdioBackend)
@@ -51,8 +64,8 @@
 
 use crate::backend::{BackendError, BackendSpec, EngineBackend, EngineSession};
 use spatter_sdb::server::{
-    fault_spec, read_fired, read_frame, read_ready, sanitize_line, Response, FIRED_REQUEST,
-    RESET_REQUEST,
+    fault_spec, read_batch, read_fired, read_frame, read_ready, sanitize_line, Response,
+    BATCH_REQUEST, FIRED_REQUEST, RESET_REQUEST,
 };
 use spatter_sdb::{EngineProfile, FaultId, FaultSet, FiredLog};
 use std::io::{BufReader, Write};
@@ -66,7 +79,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplyGrammar {
     /// The native `spatter-sdb-server` reply protocol (`OK` / `ROWS` /
-    /// `ERR`), parsed by the server crate's own [`Response::read_from`].
+    /// `ERR`), parsed by the server crate's own [`Response::read_from`]; a
+    /// load goes as one batch, read by [`read_batch`].
     SdbServer,
     /// A sentinel-delimited grammar for engines whose shells echo on
     /// request (`psql`-shaped): after every statement, `echo_command` is
@@ -392,8 +406,7 @@ impl ExternalHandle {
     /// or framing failure is the canonical transport error; the caller
     /// discards the handle.
     fn request(&mut self, dialect: &DialectSpec, sql: &str) -> Result<Response, BackendError> {
-        let mut line = sanitize_line(sql);
-        if line.trim().is_empty() {
+        if is_blank(sql) {
             // Engines ignore blank input without replying (the sdb server
             // documents this; a bare terminator is a no-op for psql too), so
             // blocking for a reply would hang. Answer locally with the same
@@ -403,10 +416,7 @@ impl ExternalHandle {
                 message: "parse error: empty statement".into(),
             });
         }
-        if !dialect.terminator.is_empty() && !line.trim_end().ends_with(&dialect.terminator) {
-            line.push_str(&dialect.terminator);
-        }
-        self.send_line(&line)?;
+        self.send_line(&statement_line(dialect, sql))?;
         match &dialect.grammar {
             ReplyGrammar::SdbServer => {
                 Response::read_from(&mut self.stdout).map_err(|_| transport_lost())
@@ -454,10 +464,44 @@ impl ExternalHandle {
         }
     }
 
+    /// Sends `statements` (none blank) as one `\batch` request in one write
+    /// and reads the replies of those the server ran into `replies` (see
+    /// [`read_batch`]). Any I/O or framing failure is the canonical
+    /// transport error, and `replies` then holds the replies read before it.
+    fn batch(
+        &mut self,
+        dialect: &DialectSpec,
+        statements: &[String],
+        replies: &mut Vec<Response>,
+    ) -> Result<(), BackendError> {
+        let mut request = format!("{BATCH_REQUEST} {}", statements.len());
+        for statement in statements {
+            request.push('\n');
+            request.push_str(&statement_line(dialect, statement));
+        }
+        self.send_line(&request)?;
+        read_batch(&mut self.stdout, statements.len(), replies).map_err(|_| transport_lost())
+    }
+
     fn shutdown(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// Whether `sql` is a blank statement, which no engine answers.
+fn is_blank(sql: &str) -> bool {
+    sql.trim().is_empty()
+}
+
+/// The line that carries `sql` (not blank) to an engine of `dialect`: one
+/// frame, ending with the dialect's terminator.
+fn statement_line(dialect: &DialectSpec, sql: &str) -> String {
+    let mut line = sanitize_line(sql);
+    if !dialect.terminator.is_empty() && !line.trim_end().ends_with(&dialect.terminator) {
+        line.push_str(&dialect.terminator);
+    }
+    line
 }
 
 impl Drop for ExternalHandle {
@@ -538,14 +582,62 @@ impl ExternalSession {
         }))
     }
 
-    fn request(&mut self, sql: &str) -> Result<Response, BackendError> {
+    /// Runs `step`, adding its wall time to the session's engine time.
+    fn timed<T>(&mut self, step: impl FnOnce(&mut Self) -> T) -> T {
         let started = Instant::now();
-        let result = self.request_inner(sql);
+        let result = step(self);
         self.engine_time += started.elapsed();
         result
     }
 
+    fn request(&mut self, sql: &str) -> Result<Response, BackendError> {
+        self.timed(|session| session.request_inner(sql))
+    }
+
     fn request_inner(&mut self, sql: &str) -> Result<Response, BackendError> {
+        self.revive()?;
+        let handle = self.handle.as_mut().expect("revived above");
+        if is_blank(sql) {
+            self.untracked = true;
+        }
+        self.sent += 1;
+        let result = handle.request(self.servers.dialect(), sql);
+        if result.is_err() {
+            self.lose_server();
+        }
+        result
+    }
+
+    /// Loads `statements` (none blank) as one batch: the statements the
+    /// server ran join the setup script and count as sent, up to and
+    /// including one whose reply broke off. The first error stops the load.
+    fn load_batch(&mut self, statements: &[String]) -> Result<(), BackendError> {
+        self.revive()?;
+        let handle = self.handle.as_mut().expect("revived above");
+        let mut replies = Vec::new();
+        let outcome = handle.batch(self.servers.dialect(), statements, &mut replies);
+        // A reply that broke off counts its statement, as a request does:
+        // the server may have run it.
+        let ran = match (&outcome, replies.last()) {
+            (Ok(()), _) | (Err(_), Some(Response::Error { .. })) => replies.len(),
+            (Err(_), _) => statements.len().min(replies.len() + 1),
+        };
+        self.setup.extend_from_slice(&statements[..ran]);
+        self.sent += ran;
+        if let Err(error) = outcome {
+            self.lose_server();
+            return Err(error);
+        }
+        // Only the last reply can be an error: it stopped the batch.
+        replies
+            .pop()
+            .map_or(Ok(()), |last| Self::check(last).map(drop))
+    }
+
+    /// Respawns a lost server, replaying the setup script on it statement
+    /// by statement: replay ignores statement errors, and a batch would stop
+    /// at the first one.
+    fn revive(&mut self) -> Result<(), BackendError> {
         if self.handle.is_none() {
             let mut handle = self.servers.server()?;
             for statement in &self.setup {
@@ -553,21 +645,16 @@ impl ExternalSession {
             }
             self.handle = Some(handle);
         }
-        let handle = self.handle.as_mut().expect("respawned above");
-        if sql.trim().is_empty() {
-            self.untracked = true;
+        Ok(())
+    }
+
+    /// Kills the current server after a failed request: its fired log died
+    /// with it, and the next request respawns one.
+    fn lose_server(&mut self) {
+        if let Some(mut dead) = self.handle.take() {
+            dead.shutdown();
         }
-        self.sent += 1;
-        match handle.request(self.servers.dialect(), sql) {
-            Ok(response) => Ok(response),
-            Err(error) => {
-                if let Some(mut dead) = self.handle.take() {
-                    dead.shutdown();
-                }
-                self.untracked = true;
-                Err(error)
-            }
-        }
+        self.untracked = true;
     }
 
     fn check(response: Response) -> Result<Response, BackendError> {
@@ -586,8 +673,20 @@ impl ExternalSession {
 }
 
 impl EngineSession for ExternalSession {
+    /// An sdb-server dialect gets the statements before the first blank one
+    /// as one batch, one round trip; any other grammar gets one round trip
+    /// per statement. A blank statement is answered here, as every request
+    /// answers one.
     fn load(&mut self, statements: &[String]) -> Result<(), BackendError> {
-        for statement in statements {
+        let batched = match self.servers.dialect().grammar {
+            ReplyGrammar::SdbServer => statements.iter().position(|s| is_blank(s)),
+            ReplyGrammar::Sentinel { .. } => Some(0),
+        }
+        .unwrap_or(statements.len());
+        if batched > 0 {
+            self.timed(|session| session.load_batch(&statements[..batched]))?;
+        }
+        for statement in &statements[batched..] {
             self.setup.push(statement.clone());
             Self::check(self.request(statement)?)?;
         }
@@ -769,6 +868,183 @@ mod tests {
         let open = pool.open_session(&FaultSet::none()).map(|_| ());
         assert_eq!(open, Err(transport_lost()));
         assert_eq!(pool.idle(), 0);
+    }
+
+    /// A file a stand-in server logs its input lines to.
+    struct InputLog(PathBuf);
+
+    impl InputLog {
+        fn new(name: &str) -> InputLog {
+            let path = std::env::temp_dir().join(format!(
+                "spatter-external-{}-{name}.log",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            InputLog(path)
+        }
+
+        /// A shell script with every `LOG` replaced by the log's path.
+        fn script(&self, script: &str) -> String {
+            script.replace("LOG", &format!("'{}'", self.0.display()))
+        }
+
+        fn lines(&self) -> Vec<String> {
+            std::fs::read_to_string(&self.0)
+                .unwrap_or_default()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        }
+    }
+
+    impl Drop for InputLog {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// A pool of sdb-server stand-ins running `script` under `sh`.
+    fn script_pool(script: String) -> Arc<ServerPool> {
+        Arc::new(ServerPool::new(DialectSpec {
+            name: "stand-in".to_string(),
+            command: PathBuf::from("sh"),
+            args: vec!["-c".to_string(), script],
+            profile: EngineProfile::PostgisLike,
+            ready_prefix: Some("READY".to_string()),
+            terminator: String::new(),
+            grammar: ReplyGrammar::SdbServer,
+        }))
+    }
+
+    /// A stand-in that logs every line it reads and answers resets with
+    /// `READY`, a `\batch <n>` with `n` `OK` frames and then `BATCH <end>`
+    /// (`end` a shell expression over `n`), and any other line with `OK`.
+    fn batch_pool(log: &InputLog, end: &str) -> Arc<ServerPool> {
+        script_pool(log.script(&format!(
+            r#"echo 'READY postgis_like'
+             while IFS= read -r line; do
+               printf '%s\n' "$line" >> LOG
+               case "$line" in
+                 '\reset '*) echo 'READY postgis_like' ;;
+                 '\batch '*)
+                   n=${{line#* }}; i=0
+                   while [ "$i" -lt "$n" ]; do
+                     IFS= read -r statement; printf '%s\n' "$statement" >> LOG
+                     echo OK; i=$((i + 1))
+                   done
+                   echo "BATCH {end}" ;;
+                 *) echo OK ;;
+               esac
+             done"#
+        )))
+    }
+
+    fn inserts(n: usize) -> Vec<String> {
+        (0..n)
+            .map(|i| format!("INSERT INTO t (g) VALUES ('POINT({i} 0)')"))
+            .collect()
+    }
+
+    #[test]
+    fn a_load_travels_as_one_batch_in_one_write() {
+        // The stand-in has one `dd` read blocked on its input before it
+        // answers the reset, so that read returns exactly the bytes of the
+        // client's first write after the reset: the whole batch.
+        let log = InputLog::new("one-write");
+        let pool = script_pool(log.script(
+            "echo 'READY postgis_like'
+             exec 3<&0
+             IFS= read -r reset <&3
+             dd bs=65536 count=1 2>/dev/null <&3 > LOG &
+             sleep 0.2
+             echo 'READY postgis_like'
+             wait
+             i=0; while [ $i -lt 12 ]; do echo OK; i=$((i + 1)); done
+             echo 'BATCH 12'
+             cat <&3 > /dev/null",
+        ));
+        let statements = inserts(12);
+        let mut session = pool.open_session(&FaultSet::none()).expect("open");
+        assert_eq!(session.load(&statements), Ok(()));
+        assert_eq!(session.statements(), Some(12));
+        let mut expected = vec!["\\batch 12".to_string()];
+        expected.extend(statements);
+        assert_eq!(log.lines(), expected);
+    }
+
+    #[test]
+    fn a_blank_statement_splits_the_load_and_untracks_the_session() {
+        let log = InputLog::new("blank");
+        let pool = batch_pool(&log, "$n");
+        let mut session = pool.open_session(&FaultSet::none()).expect("open");
+        let mut statements = inserts(4);
+        statements[2] = " ".to_string();
+        assert_eq!(session.statements(), Some(0));
+        assert_eq!(
+            session.load(&statements),
+            Err(BackendError::Semantic(
+                "parse error: empty statement".into()
+            ))
+        );
+        assert_eq!(session.statements(), None);
+        assert_eq!(session.fired_log(), None);
+        // The statements before the blank one went as a batch; the blank
+        // one and the rest never reached the server.
+        assert_eq!(
+            log.lines(),
+            ["\\reset none", "\\batch 2", &statements[0], &statements[1]]
+        );
+        drop(session);
+        assert_eq!(pool.idle(), 1, "a live server goes back");
+    }
+
+    #[test]
+    fn a_batch_reply_out_of_grammar_kills_the_server() {
+        // The stand-in closes the batch with a count one too high.
+        let log = InputLog::new("bad-end");
+        let pool = batch_pool(&log, "$((n + 1))");
+        let mut session = pool.open_session(&FaultSet::none()).expect("open");
+        assert_eq!(session.load(&inserts(3)), Err(transport_lost()));
+        assert_eq!(session.statements(), None);
+        drop(session);
+        assert_eq!(pool.idle(), 0, "never pooled");
+    }
+
+    #[test]
+    fn a_sentinel_dialect_loads_one_statement_per_round_trip() {
+        // The stand-in answers nothing but the echo request, so a client
+        // that sent the next statement before reading a reply would show
+        // two statements in a row.
+        let log = InputLog::new("sentinel");
+        let backend = ExternalBackend::new(DialectSpec {
+            name: "sentinel".to_string(),
+            command: PathBuf::from("sh"),
+            args: vec![
+                "-c".to_string(),
+                log.script(
+                    r#"while IFS= read -r line; do
+                         printf '%s\n' "$line" >> LOG
+                         if [ "$line" = 'DONE?' ]; then echo DONE; fi
+                       done"#,
+                ),
+            ],
+            profile: EngineProfile::PostgisLike,
+            ready_prefix: None,
+            terminator: ";".to_string(),
+            grammar: ReplyGrammar::Sentinel {
+                echo_command: "DONE?".to_string(),
+                done_marker: "DONE".to_string(),
+                error_prefixes: Vec::new(),
+            },
+        });
+        let mut session = backend.open_session().expect("open");
+        let statements = inserts(3);
+        assert_eq!(session.load(&statements), Ok(()));
+        let expected: Vec<String> = statements
+            .iter()
+            .flat_map(|statement| [format!("{statement};"), "DONE?".to_string()])
+            .collect();
+        assert_eq!(log.lines(), expected);
     }
 
     #[test]

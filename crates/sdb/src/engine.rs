@@ -14,7 +14,6 @@ use crate::value::Value;
 use spatter_geom::{Envelope, Geometry};
 use spatter_index::RTree;
 use spatter_topo::predicates::NamedPredicate;
-use spatter_topo::prepared::PreparedGeometry;
 use spatter_topo::RelateCache;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1108,11 +1107,11 @@ impl Engine {
             Vec::new()
         };
         for (li, left) in geometries(left_table, join.left_column) {
-            // The prepare step itself; the predicate verdicts below go through
-            // the shared library so that its seeded faults (and crashes)
-            // surface on this path too, keeping the reference engine's
-            // prepared/non-prepared equivalence.
-            let _prepared = PreparedGeometry::new(left.geometry().clone());
+            // The prepare step, counted once per outer row; the predicate
+            // verdicts below go through the shared library so that its
+            // seeded faults (and crashes) surface on this path too, keeping
+            // the reference engine's prepared/non-prepared equivalence.
+            coverage::hit(probe!("topo.prepared.build"));
             let mut left_wkt: Option<String> = None;
             let mut matched_shapes: Vec<&str> = Vec::new();
             for (ri, right) in geometries(right_table, join.right_column) {

@@ -27,6 +27,7 @@ pub mod error;
 pub mod faults;
 pub mod functions;
 pub mod lexer;
+pub mod parse_cache;
 pub mod parser;
 pub mod profile;
 pub mod server;
@@ -38,6 +39,7 @@ pub use error::{SdbError, SdbResult};
 pub use faults::{
     FaultCatalog, FaultId, FaultInfo, FaultKind, FaultSet, FaultStatus, FiredLog, TriggerClass,
 };
+pub use parse_cache::ParseCache;
 pub use profile::EngineProfile;
 pub use shape::Shape;
 pub use value::Value;

@@ -27,11 +27,16 @@
 //! ERR error <message>      -- any non-crash engine error
 //! ```
 //!
+//! Statements are parsed through one [`ParseCache`] per process, the type
+//! the in-process backend shares between its sessions.
+//!
 //! The `OK <kind> [<n>]` grammar is pinned: `<kind>` is one of the four
 //! tokens above, `<n>` is a decimal row count present exactly for `UPDATE`
 //! and `DELETE`, and setup statements that carry no mutation effect
 //! (`CREATE ...`, `INSERT`, `SET`) keep replying bare `OK`, so pre-mutation
-//! clients and servers interoperate on load-once workloads. Replies are
+//! clients and servers interoperate on load-once workloads. An `ERR`
+//! reply's kind is `crash` or `error`; any other kind is a transport error,
+//! so a damaged `ERR crash` never reads as a plain error. Replies are
 //! newline-terminated frames; a frame truncated anywhere before its final
 //! newline decodes as a transport error, never as a shorter valid reply
 //! (`OK UPDATE 3` cut to `OK` must not read as a bare success). A reply
@@ -54,7 +59,7 @@
 //! # Control lines
 //!
 //! A line starting with a backslash is a request to the server, never SQL
-//! (the dialect has no backslash). Two control lines exist:
+//! (the dialect has no backslash). Three control lines exist:
 //!
 //! ```text
 //! \fired                   -- request: which statements fired which faults
@@ -64,7 +69,28 @@
 //!                             (`stock`, `none` or a FaultId list, as --faults)
 //! READY <profile>          -- reply: the fresh engine is in place
 //! ERR error <message>      -- reply: a bad spec; the engine is unchanged
+//! \batch <n>               -- request: the next n lines are statements
+//! <reply> ...              -- reply: one frame per statement that ran
+//! BATCH <ran>              -- ... closed by how many ran
+//! ERR error <message>      -- reply: a bad count; no line is a batch line
 //! ```
+//!
+//! `\batch` makes loading a database one round trip. The server runs the
+//! statements in order and stops at the first `ERR` reply, a crash
+//! included; it still reads the lines after it, but neither runs nor logs
+//! them, so `\fired` positions count only the statements that ran. The
+//! reply is that many statement replies, the last of them the `ERR` if one
+//! stopped the batch, then `BATCH <ran>`, and it leaves in one write like
+//! every reply. The closing frame is what keeps client and server in step:
+//! without it, a damaged `OK` that read as `ERR` would leave the replies
+//! after it unread in the pipe for the next request. [`read_batch`] accepts
+//! exactly this grammar. The count is canonical decimal, as in `FIRED`
+//! replies; nothing is allocated by it. A blank or control line inside a
+//! batch ends the batch with an `ERR error` frame that counts for no
+//! statement (so `read_batch` rejects that reply). In `--hard-crash` mode a
+//! crash mid-batch writes the replies of the statements before it and then
+//! ends the process, with no frame for the crashing statement and no
+//! `BATCH` line.
 //!
 //! The `\fired` reply is the server engine's [`Engine::fired_log`]: for
 //! every SQL statement since the engine was built (0 for the first, those
@@ -88,14 +114,15 @@
 //! server. The server drops its engine — tables, indexes, `SET` switches,
 //! fired faults — and builds a new one of its profile with the given fault
 //! set. The new engine keeps the process's relate memo
-//! ([`RelateCache`]): the memo is bit-exact and fault-independent, so a
-//! warm memo changes no answer. [`read_ready`] accepts only the exact
+//! ([`RelateCache`]) and parse cache ([`ParseCache`]): both are exact and
+//! fault-independent, so warm caches change no answer. [`read_ready`] accepts only the exact
 //! `READY <profile>` frame, so a client can tell a good reset from a dead
 //! or confused server.
 
 use crate::engine::{Engine, ExecutionResult, QueryResult};
 use crate::error::SdbError;
 use crate::faults::{FaultId, FaultSet, FiredLog};
+use crate::parse_cache::ParseCache;
 use crate::profile::EngineProfile;
 use spatter_topo::RelateCache;
 use std::io::{BufRead, BufWriter, Write};
@@ -231,8 +258,14 @@ impl Response {
         }
     }
 
-    /// Writes the response in wire form.
+    /// Writes the response in wire form and flushes `output`.
     pub fn write_to(&self, output: &mut impl Write) -> std::io::Result<()> {
+        self.write_frame(output)?;
+        output.flush()
+    }
+
+    /// Writes the response in wire form, leaving the flush to the caller.
+    fn write_frame(&self, output: &mut impl Write) -> std::io::Result<()> {
         match self {
             Response::None => writeln!(output, "OK")?,
             Response::Effect(effect) => match effect {
@@ -257,7 +290,7 @@ impl Response {
                 writeln!(output, "ERR {kind} {}", sanitize_line(message))?;
             }
         }
-        output.flush()
+        Ok(())
     }
 
     /// Reads one response in wire form. An `Err` means the transport broke
@@ -316,8 +349,13 @@ impl Response {
         }
         if let Some(rest) = header.strip_prefix("ERR ") {
             let (kind, message) = rest.split_once(' ').unwrap_or((rest, ""));
+            let crash = match kind {
+                "crash" => true,
+                "error" => false,
+                _ => return Err(protocol_error(&format!("bad ERR kind: {header}"))),
+            };
             return Ok(Response::Error {
-                crash: kind == "crash",
+                crash,
                 message: message.to_string(),
             });
         }
@@ -469,11 +507,50 @@ pub fn read_ready(input: &mut impl BufRead, profile: EngineProfile) -> bool {
     )
 }
 
+/// The control line that opens a batch (see the module docs); the
+/// statement count follows after one space.
+pub const BATCH_REQUEST: &str = "\\batch";
+
+/// Reads the reply to a `\batch <n>` request into `replies` (replacing its
+/// contents): one reply per statement the server ran, in order — `n` of
+/// them, or fewer ending with the `ERR` reply that stopped the batch — and
+/// then the closing `BATCH <ran>` frame, whose count must be the number of
+/// replies, spelled as [`read_fired`] spells numbers. Anything else — a
+/// missing, miscounted or misspelled closing frame, a truncated frame, a
+/// closed stream — is an `Err`, and the caller must treat the transport as
+/// broken. On `Err`, `replies` holds the well-formed replies read before
+/// the failure: the statement after them is where the server stopped
+/// answering. Nothing is allocated by `n`.
+pub fn read_batch(
+    input: &mut impl BufRead,
+    n: usize,
+    replies: &mut Vec<Response>,
+) -> std::io::Result<()> {
+    replies.clear();
+    while replies.len() < n {
+        let reply = Response::read_from(input)?;
+        let stopped = matches!(reply, Response::Error { .. });
+        replies.push(reply);
+        if stopped {
+            break;
+        }
+    }
+    let end = read_reply_frame(input)?;
+    match end.strip_prefix("BATCH ").and_then(parse_number) {
+        Some(ran) if ran == replies.len() => Ok(()),
+        _ => Err(protocol_error(&format!(
+            "bad batch end after {} replies: {end}",
+            replies.len()
+        ))),
+    }
+}
+
 /// One server process between input lines: its engine, and the relate memo
-/// every engine it builds shares.
+/// and parse cache every engine it builds shares.
 struct Server {
     hard_crash: bool,
     relate: Arc<RelateCache>,
+    statements: ParseCache,
     engine: Engine,
 }
 
@@ -488,12 +565,19 @@ impl Server {
                 Arc::clone(&relate),
             ),
             relate,
+            statements: ParseCache::default(),
         }
     }
 
-    /// Answers one input line. `Ok(false)` means a simulated crash in
-    /// `--hard-crash` mode: the process must end without a reply.
-    fn answer(&mut self, line: &str, output: &mut impl Write) -> std::io::Result<bool> {
+    /// Answers one input line; a `\batch` header takes its statement lines
+    /// from `rest`, the lines after it. `Ok(false)` means a simulated crash
+    /// in `--hard-crash` mode: the process must end without a reply.
+    fn answer(
+        &mut self,
+        line: &str,
+        rest: &mut impl Iterator<Item = std::io::Result<String>>,
+        output: &mut impl Write,
+    ) -> std::io::Result<bool> {
         let sql = line.trim();
         if sql.is_empty() {
             return Ok(true);
@@ -513,11 +597,74 @@ impl Server {
             }
             return Ok(true);
         }
-        let result = self.engine.execute(sql);
-        if self.hard_crash && matches!(&result, Err(error) if error.is_crash()) {
-            return Ok(false);
+        if let Some(count) = sql.strip_prefix(BATCH_REQUEST) {
+            return self.batch(count, rest, output);
         }
-        Response::from_result(&result).write_to(output)?;
+        let Some(response) = self.run(sql) else {
+            return Ok(false);
+        };
+        response.write_to(output)?;
+        Ok(true)
+    }
+
+    /// Runs one statement through the parse cache: its reply, or `None` for
+    /// a simulated crash in `--hard-crash` mode.
+    fn run(&mut self, sql: &str) -> Option<Response> {
+        let result = self.statements.execute(&mut self.engine, sql);
+        if self.hard_crash && matches!(&result, Err(error) if error.is_crash()) {
+            return None;
+        }
+        Some(Response::from_result(&result))
+    }
+
+    /// Answers a batch header (`count` is what follows `\batch`): runs the
+    /// next `count` lines of `rest` in order up to the first `ERR` reply,
+    /// reads but neither runs nor logs the lines after it, and closes the
+    /// reply with `BATCH <ran>`, flushing once. A blank or control line ends
+    /// the batch with an `ERR error` frame that counts for no statement. A
+    /// malformed count is one `ERR error` reply, and no line is taken as
+    /// the batch's.
+    fn batch(
+        &mut self,
+        count: &str,
+        rest: &mut impl Iterator<Item = std::io::Result<String>>,
+        output: &mut impl Write,
+    ) -> std::io::Result<bool> {
+        let Some(count) = count.strip_prefix(' ').and_then(parse_number) else {
+            Response::Error {
+                crash: false,
+                message: format!("usage: {BATCH_REQUEST} <count>"),
+            }
+            .write_to(output)?;
+            return Ok(true);
+        };
+        let (mut ran, mut stopped) = (0, false);
+        for _ in 0..count {
+            let Some(line) = rest.next() else { break };
+            let line = line?;
+            if stopped {
+                continue;
+            }
+            let sql = line.trim();
+            let response = if sql.is_empty() || sql.starts_with('\\') {
+                Response::Error {
+                    crash: false,
+                    message: "a batch holds SQL statements only".to_string(),
+                }
+            } else if let Some(response) = self.run(sql) {
+                ran += 1;
+                response
+            } else {
+                // A hard crash: the replies so far leave, the crashing
+                // statement gets none.
+                output.flush()?;
+                return Ok(false);
+            };
+            stopped = matches!(response, Response::Error { .. });
+            response.write_frame(output)?;
+        }
+        writeln!(output, "BATCH {ran}")?;
+        output.flush()?;
         Ok(true)
     }
 
@@ -548,8 +695,9 @@ pub fn serve(
     let mut output = BufWriter::new(output);
     let mut server = Server::new(config);
     write_ready(config.profile, &mut output)?;
-    for line in input.lines() {
-        if !server.answer(&line?, &mut output)? {
+    let mut lines = input.lines();
+    while let Some(line) = lines.next() {
+        if !server.answer(&line?, &mut lines, &mut output)? {
             std::process::exit(HARD_CRASH_EXIT_CODE);
         }
     }
@@ -571,6 +719,18 @@ mod tests {
             .lines()
             .map(str::to_string)
             .collect()
+    }
+
+    /// Feeds `script` to `server` line by line, as [`serve`] does; whether
+    /// the server survived it.
+    fn feed(server: &mut Server, script: &str, output: &mut impl Write) -> bool {
+        let mut lines = script.lines().map(|line| Ok(line.to_string()));
+        while let Some(line) = lines.next() {
+            if !server.answer(&line.unwrap(), &mut lines, output).unwrap() {
+                return false;
+            }
+        }
+        true
     }
 
     fn reference_config() -> ServerConfig {
@@ -943,7 +1103,7 @@ mod tests {
             "SET enable_prepared = false",
             LISTING1_QUERY,
         ]) {
-            assert!(server.answer(line, &mut sink).unwrap());
+            assert!(feed(&mut server, line, &mut sink));
         }
         assert!(String::from_utf8(sink)
             .unwrap()
@@ -970,9 +1130,11 @@ mod tests {
             let mut server = used_server();
             let related = server.relate.len();
             let mut reply = Vec::new();
-            assert!(server
-                .answer(&format!("{RESET_REQUEST} {spec}"), &mut reply)
-                .unwrap());
+            assert!(feed(
+                &mut server,
+                &format!("{RESET_REQUEST} {spec}"),
+                &mut reply
+            ));
             assert_eq!(reply, b"READY postgis_like\n", "{spec}");
             let engine = &server.engine;
             assert_eq!(engine.faults(), &faults, "{spec}");
@@ -989,7 +1151,7 @@ mod tests {
                 .into_iter()
                 .chain([RELATING_QUERY, LISTING1_QUERY])
             {
-                assert!(server.answer(line, &mut sink).unwrap());
+                assert!(feed(&mut server, line, &mut sink));
             }
             let expected = if faults.is_active(FaultId::GeosCoversPrecisionLoss) {
                 "ROWS 1 0\nROW 0\n"
@@ -1013,7 +1175,7 @@ mod tests {
             let mut server = used_server();
             let fired = server.engine.fired_faults();
             let mut reply = Vec::new();
-            assert!(server.answer(line, &mut reply).unwrap());
+            assert!(feed(&mut server, line, &mut reply));
             let reply = String::from_utf8(reply).unwrap();
             assert!(reply.starts_with("ERR error "), "{line:?}: {reply:?}");
             assert_eq!(reply.lines().count(), 1, "{line:?}");
@@ -1114,18 +1276,336 @@ mod tests {
             "CREATE TABLE t (g geometry)",
             "INSERT INTO t (g) VALUES ('POLYGON((0 0,1 1,0 0))'), ('POINT(0 0)')",
         ] {
-            assert!(server.answer(line, &mut sink).unwrap());
+            assert!(feed(&mut server, line, &mut sink));
         }
         assert_eq!(sink.writes, 2);
         let mut crash = CountingSink::default();
-        let survive = server
-            .answer(
-                "SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)",
-                &mut crash,
-            )
-            .unwrap();
+        let survive = feed(
+            &mut server,
+            "SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)",
+            &mut crash,
+        );
         assert!(!survive, "the process must end");
         assert_eq!((crash.writes, crash.bytes.len()), (0, 0));
+    }
+
+    /// Fires `GeosEmptyDistanceRecursion` on a stock PostGIS-like engine.
+    const FIRING_QUERY: &str = "SELECT ST_Distance('MULTIPOINT((1 0),(0 0))'::geometry, \
+                                'MULTIPOINT((-2 0),EMPTY)'::geometry)";
+
+    fn stock_config() -> ServerConfig {
+        ServerConfig {
+            profile: EngineProfile::PostgisLike,
+            faults: EngineProfile::PostgisLike.default_faults(),
+            hard_crash: false,
+        }
+    }
+
+    /// The crash fixture: a MySQL-like engine whose relate crashes on the
+    /// short ring `INSERT`ed by `CRASH_SETUP`, on `CRASH_QUERY`.
+    fn crash_config(hard_crash: bool) -> ServerConfig {
+        ServerConfig {
+            profile: EngineProfile::MysqlLike,
+            faults: FaultSet::with([FaultId::GeosCrashRelateShortRing]),
+            hard_crash,
+        }
+    }
+    const CRASH_SETUP: [&str; 2] = [
+        "CREATE TABLE t (g geometry)",
+        "INSERT INTO t (g) VALUES ('POLYGON((0 0,1 1,0 0))'), ('POINT(0 0)')",
+    ];
+    const CRASH_QUERY: &str = "SELECT COUNT(*) FROM t a JOIN t b ON ST_Intersects(a.g, b.g)";
+
+    /// Decodes `lines` (a reply without its newlines) as the reply to a
+    /// batch of `n`.
+    fn decode_batch(lines: &[String], n: usize) -> std::io::Result<Vec<Response>> {
+        let wire: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        let mut replies = Vec::new();
+        read_batch(&mut BufReader::new(wire.as_bytes()), n, &mut replies).map(|()| replies)
+    }
+
+    #[test]
+    fn a_batch_runs_every_statement_and_closes_with_its_count() {
+        let lines = run(
+            &stock_config(),
+            &format!(
+                "{BATCH_REQUEST} 4\n\
+                 CREATE TABLE t (g geometry)\n\
+                 INSERT INTO t (g) VALUES ('POINT(0 0)'), ('POINT(3 4)')\n\
+                 SELECT COUNT(*) FROM t a JOIN t b ON ST_DWithin(a.g, b.g, 5)\n\
+                 {FIRING_QUERY}\n\
+                 \\fired\n\
+                 {BATCH_REQUEST} 0\n"
+            ),
+        );
+        assert_eq!(
+            lines,
+            [
+                "READY postgis_like",
+                "OK",
+                "OK",
+                "ROWS 1 4",
+                "ROW 4",
+                "ROWS 1 3",
+                "ROW 3",
+                "BATCH 4",
+                "FIRED 1 3:GeosEmptyDistanceRecursion",
+                "BATCH 0",
+            ]
+        );
+        let replies = decode_batch(&lines[1..8], 4).unwrap();
+        assert_eq!(replies.len(), 4);
+        assert_eq!(replies[0], Response::None);
+        assert_eq!(decode_batch(&lines[9..], 0).unwrap(), []);
+    }
+
+    #[test]
+    fn a_batch_stops_at_the_first_error_and_never_runs_or_logs_the_rest() {
+        // The skipped lines are consumed: the firing query is not logged,
+        // the skipped CREATE did not run, and the next statement is
+        // position 2.
+        let lines = run(
+            &stock_config(),
+            &format!(
+                "{BATCH_REQUEST} 4\n\
+                 CREATE TABLE t (g geometry)\n\
+                 NOT SQL\n\
+                 {FIRING_QUERY}\n\
+                 CREATE TABLE u (g geometry)\n\
+                 \\fired\n\
+                 {FIRING_QUERY}\n\
+                 \\fired\n\
+                 CREATE TABLE u (g geometry)\n"
+            ),
+        );
+        assert_eq!(lines.len(), 9, "{lines:?}");
+        assert_eq!(lines[1], "OK");
+        assert!(lines[2].starts_with("ERR error parse error"), "{lines:?}");
+        assert_eq!(
+            lines[3..],
+            [
+                "BATCH 2",
+                "FIRED 0 -",
+                "ROWS 1 3",
+                "ROW 3",
+                "FIRED 1 2:GeosEmptyDistanceRecursion",
+                "OK",
+            ]
+        );
+        let replies = decode_batch(&lines[1..4], 4).unwrap();
+        assert!(matches!(
+            replies[..],
+            [Response::None, Response::Error { crash: false, .. }]
+        ));
+    }
+
+    #[test]
+    fn a_batch_stops_at_a_soft_crash() {
+        let lines = run(
+            &crash_config(false),
+            &format!(
+                "{BATCH_REQUEST} 5\n{}\n{}\n{CRASH_QUERY}\n{CRASH_QUERY}\nCREATE TABLE u (g geometry)\n\
+                 \\fired\n\
+                 {CRASH_QUERY}\n\
+                 \\fired\n\
+                 CREATE TABLE u (g geometry)\n",
+                CRASH_SETUP[0], CRASH_SETUP[1]
+            ),
+        );
+        assert_eq!(lines.len(), 9, "{lines:?}");
+        assert_eq!(lines[1..3], ["OK", "OK"]);
+        assert!(lines[3].starts_with("ERR crash "), "{lines:?}");
+        assert_eq!(
+            lines[4..6],
+            ["BATCH 3", "FIRED 1 2:GeosCrashRelateShortRing"]
+        );
+        assert!(lines[6].starts_with("ERR crash "), "{lines:?}");
+        assert_eq!(
+            lines[7..],
+            [
+                "FIRED 2 2:GeosCrashRelateShortRing;3:GeosCrashRelateShortRing",
+                "OK"
+            ]
+        );
+        let replies = decode_batch(&lines[1..5], 5).unwrap();
+        assert!(matches!(replies[2], Response::Error { crash: true, .. }));
+    }
+
+    #[test]
+    fn a_hard_crash_in_a_batch_writes_the_earlier_replies_and_no_end() {
+        let mut server = Server::new(&crash_config(true));
+        let mut sink = CountingSink::default();
+        let survived = feed(
+            &mut server,
+            &format!(
+                "{BATCH_REQUEST} 4\n{}\n{}\n{CRASH_QUERY}\nCREATE TABLE u (g geometry)\n",
+                CRASH_SETUP[0], CRASH_SETUP[1]
+            ),
+            &mut sink,
+        );
+        assert!(!survived, "the process must end");
+        // The replies of the two statements before the crash, nothing for
+        // the crashing one and no closing frame: a client reads two replies
+        // and then a closed stream, so its setup ends at the crashing query.
+        assert_eq!(sink.bytes, b"OK\nOK\n");
+        let mut replies = Vec::new();
+        let read = read_batch(&mut BufReader::new(sink.bytes.as_slice()), 4, &mut replies);
+        assert_eq!(read.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(replies, [Response::None, Response::None]);
+    }
+
+    #[test]
+    fn a_malformed_batch_header_is_one_error_and_runs_nothing() {
+        for header in [
+            "\\batch 01",
+            "\\batch -1",
+            "\\batch +1",
+            "\\batch",
+            "\\batch ",
+            "\\batch  1",
+            "\\batchx 1",
+            "\\batch 18446744073709551616",
+        ] {
+            let lines = run(&stock_config(), &format!("{header}\n\\fired\n"));
+            assert_eq!(lines.len(), 3, "{header:?}: {lines:?}");
+            assert_eq!(lines[1], "ERR error usage: \\batch <count>", "{header:?}");
+            assert_eq!(lines[2], "FIRED 0 -", "{header:?}");
+        }
+    }
+
+    #[test]
+    fn a_blank_or_control_line_ends_a_batch_unlogged() {
+        for inside in ["", "   ", "\\fired", "\\reset none", "\\batch 1"] {
+            let lines = run(
+                &stock_config(),
+                &format!(
+                    "{BATCH_REQUEST} 3\n\
+                     CREATE TABLE t (g geometry)\n\
+                     {inside}\n\
+                     CREATE TABLE u (g geometry)\n\
+                     {FIRING_QUERY}\n\
+                     \\fired\n\
+                     CREATE TABLE u (g geometry)\n"
+                ),
+            );
+            assert_eq!(
+                lines,
+                [
+                    "READY postgis_like",
+                    "OK",
+                    "ERR error a batch holds SQL statements only",
+                    "BATCH 1",
+                    "ROWS 1 3",
+                    "ROW 3",
+                    "FIRED 1 1:GeosEmptyDistanceRecursion",
+                    "OK",
+                ],
+                "{inside:?}"
+            );
+            // One frame more than statements: no batch reply a client reads.
+            assert!(decode_batch(&lines[1..4], 3).is_err(), "{inside:?}");
+        }
+    }
+
+    #[test]
+    fn a_batch_reply_leaves_in_one_write() {
+        for (statements, frames) in [
+            (
+                "CREATE TABLE t (g geometry)\n\
+                 INSERT INTO t (g) VALUES ('POINT(0 0)'), ('POINT(3 4)'), ('POINT(1 1)')\n\
+                 SELECT ST_AsText(a.g) FROM t a ORDER BY ST_Distance(a.g, 'POINT(0 0)'::geometry) LIMIT 3\n",
+                7,
+            ),
+            (
+                "CREATE TABLE t (g geometry)\nNOT EVEN SQL\nCREATE TABLE u (g geometry)\n",
+                3,
+            ),
+        ] {
+            let mut sink = CountingSink::default();
+            let script = format!("{BATCH_REQUEST} 3\n{statements}");
+            serve(&reference_config(), BufReader::new(script.as_bytes()), &mut sink).unwrap();
+            let text = String::from_utf8(sink.bytes).unwrap();
+            // READY, then the batch's frames and its end in one write.
+            assert_eq!(text.lines().count(), 1 + frames, "{text}");
+            assert_eq!(sink.writes, 2, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_batch_count_allocates_nothing() {
+        // The count is untrusted: the server reads lines until the count or
+        // the end of input, and the reader grows with the replies it reads.
+        let lines = run(
+            &reference_config(),
+            "\\batch 18446744073709551615\n\
+             CREATE TABLE t (g geometry)\n\
+             CREATE TABLE u (g geometry)\n",
+        );
+        assert_eq!(lines, ["READY postgis_like", "OK", "OK", "BATCH 2"]);
+        let mut replies = Vec::new();
+        let wire = b"OK\nERR error stop\nBATCH 2\n";
+        read_batch(&mut BufReader::new(&wire[..]), usize::MAX, &mut replies).unwrap();
+        assert_eq!(replies.len(), 2);
+    }
+
+    #[test]
+    fn batch_reply_grammar_is_pinned() {
+        let error = || Response::Error {
+            crash: false,
+            message: "stop".into(),
+        };
+        for (wire, n, replies) in [
+            ("BATCH 0\n", 0, vec![]),
+            ("OK\nOK\nBATCH 2\n", 2, vec![Response::None, Response::None]),
+            (
+                "OK\nERR error stop\nBATCH 2\n",
+                5,
+                vec![Response::None, error()],
+            ),
+            ("ERR error stop\nBATCH 1\n", 1, vec![error()]),
+        ] {
+            let mut read = vec![Response::None; 3];
+            read_batch(&mut BufReader::new(wire.as_bytes()), n, &mut read).unwrap();
+            assert_eq!(read, replies, "{wire:?}");
+        }
+        for (wire, n, read_before) in [
+            ("", 0, 0),
+            ("BATCH 0", 0, 0),
+            ("BATCH 1\n", 0, 0),
+            ("BATCH 00\n", 0, 0),
+            ("BATCH  0\n", 0, 0),
+            ("BATCH 0 \n", 0, 0),
+            ("BATCH +0\n", 0, 0),
+            ("batch 0\n", 0, 0),
+            ("OK\n", 1, 1),
+            ("OK\nBATCH 1\n", 2, 1),
+            ("OK\nOK\nBATCH 1\n", 2, 2),
+            ("OK\nOK\nBATCH 3\n", 2, 2),
+            ("OK\nOK\nBATCH 02\n", 2, 2),
+            ("OK\nOK\nOK\nBATCH 3\n", 2, 2),
+            ("ERR error stop\nOK\nBATCH 2\n", 2, 1),
+            ("ERR error stop\nBATCH 0\n", 2, 1),
+            ("ERR oops stop\nBATCH 1\n", 1, 0),
+            ("ROWS 2 -\nROW 1\nBATCH 1\n", 1, 0),
+        ] {
+            let mut read = Vec::new();
+            let result = read_batch(&mut BufReader::new(wire.as_bytes()), n, &mut read);
+            assert!(result.is_err(), "{wire:?} read as {read:?}");
+            assert_eq!(read.len(), read_before, "{wire:?}");
+        }
+    }
+
+    #[test]
+    fn the_parse_cache_survives_a_reset() {
+        let mut server = used_server();
+        let cached = server.statements.len();
+        assert!(cached > 0);
+        let mut sink = Vec::new();
+        assert!(feed(&mut server, "\\reset stock", &mut sink));
+        for line in LISTING1_SETUP {
+            assert!(feed(&mut server, line, &mut sink));
+        }
+        assert_eq!(server.statements.len(), cached);
     }
 
     #[test]

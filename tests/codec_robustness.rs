@@ -1,6 +1,7 @@
 //! A seeded byte-mutation sweep over every decoder of untrusted lines: the
 //! supervisor/worker wire messages, the replay and matrix artifacts, and
-//! `spatter-sdb-server` replies (fired-log and reset replies included). Every mutated input must decode or fail
+//! `spatter-sdb-server` replies (fired-log, reset and batch replies
+//! included). Every mutated input must decode or fail
 //! with a structured error — never panic, and never abort the process (an
 //! untrusted count used as an allocation size does the latter).
 
@@ -14,7 +15,9 @@ use spatter_repro::core::rng::seq::IndexedRandom;
 use spatter_repro::core::rng::{RngExt, SeedableRng, StdRng};
 use spatter_repro::core::runner::CampaignRunner;
 use spatter_repro::sdb::engine::ExecutionResult;
-use spatter_repro::sdb::server::{read_fired, read_ready, write_fired, write_ready, Response};
+use spatter_repro::sdb::server::{
+    read_batch, read_fired, read_ready, write_fired, write_ready, Response,
+};
 use spatter_repro::sdb::{EngineProfile, FaultId, FaultSet, FiredLog};
 use spatter_repro::topo::coverage::CoverageSnapshot;
 use spatter_repro::topo::probe;
@@ -326,4 +329,112 @@ fn mutated_reset_replies_never_read_as_ready_unless_exact() {
     });
     assert!(cases >= 600, "{cases} cases");
     assert!(accepted * 2 < cases, "most mutants must be rejected");
+}
+
+/// The wire form of a batch reply: `replies`, then `BATCH <ran>`.
+fn batch_wire(replies: &[Response]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for reply in replies {
+        reply.write_to(&mut wire).expect("in-memory write");
+    }
+    wire.extend_from_slice(format!("BATCH {}\n", replies.len()).as_bytes());
+    wire
+}
+
+/// What the closing frame pins about a reply: its kind, and for an error
+/// whether it is a crash. Payloads (an error's text, a row, an effect's row
+/// count) carry no checksum.
+fn shape(reply: &Response) -> (std::mem::Discriminant<Response>, bool) {
+    let crash = matches!(reply, Response::Error { crash: true, .. });
+    (std::mem::discriminant(reply), crash)
+}
+
+#[test]
+fn mutated_batch_replies_decode_to_their_exact_batch_or_a_transport_error() {
+    // A batch reply is one frame per statement the server ran, the last
+    // one possibly the `ERR` that stopped it, then `BATCH <ran>`. Without
+    // the closing frame, a damaged `OK` that reads as `ERR` would leave the
+    // rest of the frames in the pipe for the next request to misread.
+    let stop = |crash| Response::Error {
+        crash,
+        message: if crash {
+            "engine crash: boom".into()
+        } else {
+            "semantic error: no such table".into()
+        },
+    };
+    let batches: [(Vec<Response>, usize); 5] = [
+        (vec![Response::None; 12], 12),
+        (vec![Response::None], 1),
+        (
+            vec![
+                Response::None,
+                Response::None,
+                Response::Effect(ExecutionResult::Update { rows_updated: 3 }),
+                stop(false),
+            ],
+            6,
+        ),
+        (vec![Response::None, Response::None, stop(true)], 12),
+        (
+            vec![
+                Response::Effect(ExecutionResult::DropTable),
+                Response::Rows {
+                    rows: vec!["POINT(0 0)".into(), "7".into()],
+                    count: None,
+                },
+            ],
+            2,
+        ),
+    ];
+    let mut broken = 0;
+    let mut cases = 0;
+    for (index, (replies, n)) in batches.iter().enumerate() {
+        let wire = batch_wire(replies);
+        let decode = |bytes: &[u8]| {
+            let mut read = Vec::new();
+            read_batch(&mut BufReader::new(bytes), *n, &mut read).map(|()| read)
+        };
+        assert_eq!(decode(&wire).expect("the exact reply"), *replies);
+        // Every proper prefix is a truncated reply.
+        for cut in 0..wire.len() {
+            assert!(decode(&wire[..cut]).is_err(), "{:?}", &wire[..cut]);
+        }
+        // Structural damage random edits rarely reach: a reply before the
+        // last that reads as an `ERR` stopping the batch early (the frames
+        // after it lost, the closing frame kept), and a reply lost outright.
+        let end = format!("BATCH {}\n", replies.len());
+        for at in 0..replies.len() - 1 {
+            let mut early = batch_wire(&replies[..at]);
+            early.truncate(early.len() - format!("BATCH {at}\n").len());
+            stop(false).write_to(&mut early).expect("in-memory write");
+            early.extend_from_slice(end.as_bytes());
+            let mut lost = replies.clone();
+            lost.remove(at);
+            let mut lost = batch_wire(&lost);
+            lost.truncate(lost.len() - format!("BATCH {}\n", replies.len() - 1).len());
+            lost.extend_from_slice(end.as_bytes());
+            for damaged in [early, lost] {
+                assert!(decode(&damaged).is_err(), "{damaged:?}");
+            }
+        }
+        let all_ok = replies.iter().all(|reply| *reply == Response::None);
+        cases += sweep(0xba7c4 + index as u64, &[wire], |bytes| {
+            match decode(bytes) {
+                Err(_) => broken += 1,
+                // A batch of bare `OK`s has no payload to damage: a mutant
+                // decodes to it exactly or not at all. Otherwise the decoded
+                // batch has the original's shape: as many statements ran, and
+                // the same one stopped it the same way.
+                Ok(read) if all_ok => assert_eq!(read, *replies, "{bytes:?}"),
+                Ok(read) => assert_eq!(
+                    read.iter().map(shape).collect::<Vec<_>>(),
+                    replies.iter().map(shape).collect::<Vec<_>>(),
+                    "{bytes:?} decoded as {read:?}"
+                ),
+            }
+        });
+    }
+    assert!(cases >= 1_000, "{cases} cases");
+    assert!(broken * 2 > cases, "most mutants must break the transport");
 }
